@@ -7,6 +7,7 @@ self-checks exposed both as a library and through the ``dunkl-osc`` CLI.
 """
 
 from .basis import (
+    MAX_STATES,
     AngularQuantum,
     RadialQuantum,
     StateLabel,
@@ -15,8 +16,11 @@ from .basis import (
     as_quantum_m,
     energy,
     enumerate_states,
+    k_of,
     radial_sturmian,
+    sector_start,
     separation_constant,
+    state_count,
     substitute_u,
 )
 from .coherent import (
@@ -124,12 +128,16 @@ __all__ = [
     "RadialQuantum",
     "StateLabel",
     "as_quantum_m",
+    "sector_start",
     "separation_constant",
     "angular_norm",
     "angular_wavefunction",
     "energy",
+    "k_of",
     "radial_sturmian",
     "substitute_u",
+    "MAX_STATES",
+    "state_count",
     "enumerate_states",
     # raising/lowering structure
     "AlgebraState",

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DomainError, RepresentationError
 from .profiles import DeformationParams, GaussLaguerreSum, RadialProfile, TrigJacobiSum
 from .specfun import log_gamma
@@ -30,14 +28,25 @@ __all__ = [
     "RadialQuantum",
     "StateLabel",
     "as_quantum_m",
+    "sector_start",
     "separation_constant",
     "angular_norm",
     "angular_wavefunction",
     "energy",
+    "k_of",
     "radial_sturmian",
     "substitute_u",
+    "MAX_STATES",
+    "state_count",
     "enumerate_states",
 ]
+
+# Parity sectors in ascending (s1, s2) order, each with the lowest 2m it holds.
+_SECTOR_STARTS = {(-1, -1): 2, (-1, 1): 1, (1, -1): 1, (1, 1): 0}
+
+# Largest number of states ``enumerate_states`` builds; past it the list would
+# take gigabytes, so the request is refused before any state exists.
+MAX_STATES = 1_000_000
 
 
 def as_quantum_m(m) -> Fraction:
@@ -51,6 +60,13 @@ def as_quantum_m(m) -> Fraction:
     if frac.denominator not in (1, 2):
         raise DomainError(f"m must be an integer or half-odd-integer, got {frac}")
     return frac
+
+
+def sector_start(s1: int, s2: int) -> Fraction:
+    """Lowest quantum number m of the (s1, s2) sector: 0, 1/2, 1/2 or 1."""
+    if (s1, s2) not in _SECTOR_STARTS:
+        raise DomainError(f"parities must be +1 or -1, got ({s1}, {s2})")
+    return Fraction(_SECTOR_STARTS[(s1, s2)], 2)
 
 
 def separation_constant(m, mu: DeformationParams) -> float:
@@ -157,8 +173,7 @@ class RadialQuantum:
 
     @classmethod
     def from_m(cls, nr: int, m, mu: DeformationParams) -> "RadialQuantum":
-        frac = as_quantum_m(m)
-        return cls(nr=nr, k=float(frac) + 0.5 * (mu.total + 1.0))
+        return cls(nr=nr, k=k_of(m, mu))
 
 
 @dataclass(frozen=True)
@@ -194,13 +209,21 @@ class StateLabel:
         return self.angular.l2
 
 
+def k_of(m, mu: DeformationParams) -> float:
+    """Representation parameter k = m + (mu1 + mu2 + 1) / 2 of the sector with quantum number m."""
+    return float(as_quantum_m(m)) + 0.5 * (mu.total + 1.0)
+
+
+def _level_energy(level: int, mu: DeformationParams) -> float:
+    """Energy of the level 2 (nr + m) = level; the integer part is exact."""
+    return float(level + 1) + mu.mu1 + mu.mu2
+
+
 def energy(nr: int, m, mu: DeformationParams) -> float:
     """Eigenvalue E = 2 (nr + m) + mu1 + mu2 + 1, with 2 (nr + m) held exact."""
     if nr < 0 or int(nr) != nr:
         raise DomainError(f"nr must be a non-negative integer, got {nr}")
-    frac = as_quantum_m(m)
-    shifted = 2 * (Fraction(int(nr)) + frac) + 1
-    return float(shifted) + mu.mu1 + mu.mu2
+    return _level_energy(2 * int(nr) + int(2 * as_quantum_m(m)), mu)
 
 
 def radial_sturmian(q: RadialQuantum, mu: DeformationParams) -> GaussLaguerreSum:
@@ -229,32 +252,74 @@ def substitute_u(profile: RadialProfile, mu: DeformationParams, direction: str) 
     raise DomainError(f"direction must be 'r_to_u' or 'u_to_r', got {direction!r}")
 
 
-def enumerate_states(emax: float, mu: DeformationParams) -> list[StateLabel]:
-    """All states with energy <= emax, sorted by (energy, m, nr, s1, s2)."""
-    if not np.isfinite(emax):
+def _states_through(level: int) -> int:
+    """Number of states with 2 (nr + m) <= level, summed over sectors in closed form.
+
+    A sector whose lowest 2m is s holds, for each allowed m, every nr with
+    2 nr <= level - 2m; summed over m that is (q + 1)(q + 2)/2, q = (level - s) // 2.
+    """
+    total = 0
+    for start in _SECTOR_STARTS.values():
+        q = (level - start) // 2
+        if q >= 0:
+            total += (q + 1) * (q + 2) // 2
+    return total
+
+
+# The states through level n number (n + 1)(n + 2)/2, so through this level
+# they already exceed MAX_STATES.
+_LEVEL_CAP = math.isqrt(2 * MAX_STATES)
+
+
+def _top_level(emax: float, mu: DeformationParams) -> int:
+    """Largest level 2 (nr + m) with energy <= emax (-1 if none), checked against MAX_STATES."""
+    if not math.isfinite(emax):
         raise DomainError(f"emax must be finite, got {emax}")
+    # Rounding in the energy moves the edge off emax - mu1 - mu2 - 1 by at most
+    # a level, but the search is bounded by _LEVEL_CAP whatever the magnitudes.
+    guess = emax - mu.mu1 - mu.mu2 - 1.0
+    top = min(int(guess), _LEVEL_CAP) if guess >= 0.0 else -1
+    while top < _LEVEL_CAP and _level_energy(top + 1, mu) <= emax:
+        top += 1
+    while top >= 0 and _level_energy(top, mu) > emax:
+        top -= 1
+    if _states_through(top) > MAX_STATES:
+        raise DomainError(
+            f"emax = {emax} at mu = ({mu.mu1}, {mu.mu2}) gives more than "
+            f"{MAX_STATES} states; lower emax"
+        )
+    return top
+
+
+def state_count(emax: float, mu: DeformationParams) -> int:
+    """Number of states with energy <= emax, without building them.
+
+    Raises DomainError when the count exceeds MAX_STATES.
+    """
+    return _states_through(_top_level(emax, mu))
+
+
+def enumerate_states(emax: float, mu: DeformationParams) -> list[StateLabel]:
+    """All states with energy <= emax, sorted by (energy, m, nr, s1, s2).
+
+    The energy depends on the level 2 (nr + m) alone, so the states come out
+    level by level, in ascending 2m and then (s1, s2) within a level; no sort
+    is needed.  One AngularQuantum and one k serve every nr of a (sector, m),
+    and one RadialQuantum serves both sectors that share an (m, nr).  Raises
+    DomainError when the count exceeds MAX_STATES.
+    """
+    top = _top_level(emax, mu)
+    # angular[2m]: the labels of every sector holding that m, in (s1, s2) order.
+    angular: list[list[AngularQuantum]] = [[] for _ in range(top + 1)]
+    for (s1, s2), start in _SECTOR_STARTS.items():
+        for two_m in range(start, top + 1, 2):
+            angular[two_m].append(AngularQuantum.build(s1, s2, Fraction(two_m, 2), mu))
+    ks = [k_of(Fraction(two_m, 2), mu) for two_m in range(top + 1)]
     out: list[StateLabel] = []
-    for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        if (s1, s2) == (1, 1):
-            m = Fraction(0)
-        elif (s1, s2) == (-1, -1):
-            m = Fraction(1)
-        else:
-            m = Fraction(1, 2)
-        while energy(0, m, mu) <= emax:
-            nr = 0
-            while True:
-                e = energy(nr, m, mu)
-                if e > emax:
-                    break
-                out.append(
-                    StateLabel(
-                        angular=AngularQuantum.build(s1, s2, m, mu),
-                        radial=RadialQuantum.from_m(nr, m, mu),
-                        energy=e,
-                    )
-                )
-                nr += 1
-            m += 1
-    out.sort(key=lambda st: (st.energy, float(st.m), st.nr, st.s1, st.s2))
+    for level in range(top + 1):
+        e = _level_energy(level, mu)
+        for two_m in range(level % 2, level + 1, 2):
+            radial = RadialQuantum(nr=(level - two_m) // 2, k=ks[two_m])
+            for ang in angular[two_m]:
+                out.append(StateLabel(angular=ang, radial=radial, energy=e))
     return out

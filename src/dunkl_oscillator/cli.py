@@ -9,9 +9,10 @@ Subcommands:
 
 Outputs are deterministic for a fixed configuration and seed: CSV carries
 ``# key = value`` metadata lines and 17-significant-digit values; JSON is
-emitted with sorted keys.  Exit codes: 0 success, 1 failed verification
-checks, 2 usage or domain errors.  The DUNKL_OSC_THREADS environment variable
-caps the verify thread pool.
+emitted with sorted keys and never carries a non-finite number.  Exit codes:
+0 success, 1 failed verification checks, 2 usage or domain errors (a
+non-finite number bound for JSON among them).  The DUNKL_OSC_THREADS
+environment variable caps the verify thread pool.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .basis import (
     angular_wavefunction,
     energy,
     enumerate_states,
+    k_of,
     radial_sturmian,
 )
 from .coherent import CoherentParams, EvolutionParams, coherent_evolved
@@ -118,8 +120,8 @@ def _parse_tol(text: str) -> tuple[str, float]:
         value = float(raw)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad tolerance value {text!r}: {exc}") from None
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"tolerance must be positive, got {text!r}")
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {text!r}")
     return (name.strip(), value)
 
 
@@ -156,65 +158,96 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _csv_document(meta: list[tuple[str, str]], columns: list[str], rows: list[list[str]]) -> str:
+def _csv_document(meta: list[tuple[str, str]], columns: list[str], rows: list[str]) -> str:
     lines = [f"# {key} = {value}" for key, value in meta]
     lines.append(",".join(columns))
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(rows)
     return "\n".join(lines) + "\n"
 
 
 def _json_document(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DomainError(f"output holds a non-finite number, which JSON cannot carry ({exc})") from None
+
+
+def _json_number(value: float) -> str:
+    """A float as ``json.dumps`` writes it, refusing non-finite values like ``_json_document``."""
+    if not math.isfinite(value):
+        raise DomainError(f"output holds the non-finite number {value}, which JSON cannot carry")
+    return repr(value)
+
+
+def _csv_sector_fields(st) -> tuple[str, str]:
+    return (f"{st.s1:+d},{st.s2:+d},{_fmt(st.m)},", f",{_fmt(st.k)},{_fmt(st.l2)},")
+
+
+def _csv_level_fields(e: float) -> tuple[str, str]:
+    return ("", _fmt(e))
+
+
+def _json_sector_fields(st) -> tuple[str, str]:
+    return (
+        f',\n      "k": {_json_number(st.k)},\n      "l2": {_json_number(st.l2)},'
+        f'\n      "m": {float(st.m)!r},\n      "nr": ',
+        f',\n      "s1": {st.s1},\n      "s2": {st.s2}\n    }}',
+    )
+
+
+def _json_level_fields(e: float) -> tuple[str, str]:
+    return ('    {\n      "energy": ' + _json_number(e), "")
+
+
+def _spectrum_rows(states, sector_fields, level_fields) -> list[str]:
+    """One row per state: level lead + sector prefix + nr + sector suffix + level trail.
+
+    The fields of a (sector, m) — s1, s2, m, k and l2 — are formatted once per
+    AngularQuantum (``enumerate_states`` shares one per (sector, m), and k is a
+    function of m), and the energy once per run of equal energies.
+    """
+    rows = []
+    sectors: dict[int, tuple[str, str]] = {}
+    last_e = None
+    for st in states:
+        if st.energy != last_e:
+            last_e = st.energy
+            lead, trail = level_fields(last_e)
+        fields = sectors.get(id(st.angular))
+        if fields is None:
+            fields = sectors[id(st.angular)] = sector_fields(st)
+        rows.append(lead + fields[0] + str(st.nr) + fields[1] + trail)
+    return rows
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args)
     states = enumerate_states(cfg.emax, cfg.mu)
-    records = [
-        {
-            "s1": st.s1,
-            "s2": st.s2,
-            "m": float(st.m),
-            "nr": st.nr,
-            "k": st.k,
-            "l2": st.l2,
-            "energy": st.energy,
-        }
-        for st in states
-    ]
     if cfg.fmt == "json":
-        doc = _json_document(
+        # Objects as json.dumps(..., indent=2, sort_keys=True) writes them at depth 2.
+        rows = _spectrum_rows(states, _json_sector_fields, _json_level_fields)
+        head = _json_document(
             {
                 "command": "spectrum",
                 "mu1": cfg.mu.mu1,
                 "mu2": cfg.mu.mu2,
                 "emax": cfg.emax,
-                "count": len(records),
-                "states": records,
+                "count": len(states),
             }
         )
+        # "states" sorts last, so its array replaces the closing brace.
+        array = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+        doc = head[: -len("\n}\n")] + ',\n  "states": ' + array + "\n}\n"
     else:
         meta = [
             ("command", "spectrum"),
             ("mu1", _fmt(cfg.mu.mu1)),
             ("mu2", _fmt(cfg.mu.mu2)),
             ("emax", _fmt(cfg.emax)),
-            ("count", str(len(records))),
+            ("count", str(len(states))),
         ]
-        columns = ["s1", "s2", "m", "nr", "k", "l2", "energy"]
-        rows = [
-            [
-                f"{rec['s1']:+d}",
-                f"{rec['s2']:+d}",
-                _fmt(rec["m"]),
-                str(rec["nr"]),
-                _fmt(rec["k"]),
-                _fmt(rec["l2"]),
-                _fmt(rec["energy"]),
-            ]
-            for rec in records
-        ]
-        doc = _csv_document(meta, columns, rows)
+        rows = _spectrum_rows(states, _csv_sector_fields, _csv_level_fields)
+        doc = _csv_document(meta, ["s1", "s2", "m", "nr", "k", "l2", "energy"], rows)
     _emit(doc, cfg.out)
     return 0
 
@@ -266,7 +299,7 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
             }
         )
     else:
-        rows = [[_fmt(r), _fmt(v)] for r, v in zip(grid, values)]
+        rows = [f"{_fmt(r)},{_fmt(v)}" for r, v in zip(grid, values)]
         doc = _csv_document(meta_pairs, [axis_name, "value"], rows)
     _emit(doc, cfg.out)
     return 0
@@ -275,7 +308,7 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
 def _cmd_coherent(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args)
     m = args.m
-    k = float(m) + 0.5 * (cfg.mu.total + 1.0)
+    k = k_of(m, cfg.mu)
     p = CoherentParams(xi=args.xi, k=k)
     lo, hi, n = cfg.grid
     grid = np.linspace(lo, hi, n)
@@ -317,7 +350,7 @@ def _cmd_coherent(args: argparse.Namespace) -> int:
         for tau, values in blocks:
             for r, v in zip(grid, values):
                 rows.append(
-                    [_fmt(tau), _fmt(r), _fmt(v.real), _fmt(v.imag), _fmt(abs(v) ** 2)]
+                    f"{_fmt(tau)},{_fmt(r)},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v) ** 2)}"
                 )
         doc = _csv_document(meta_pairs, ["tau", "r", "re", "im", "abs2"], rows)
     _emit(doc, cfg.out)

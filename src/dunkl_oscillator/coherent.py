@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import as_quantum_m
+from .basis import as_quantum_m, k_of
 from .errors import DomainError, RepresentationError
 from .profiles import DeformationParams, _rpow
 from .specfun import laguerre_all, log_gamma
@@ -142,18 +142,23 @@ def coherent_series(r, p: CoherentParams, mu: DeformationParams, nterms: int | N
     return vals
 
 
-def coherent_closed(r, p: CoherentParams, mu: DeformationParams):
-    """Coherent-state radial values from the resummed closed form."""
+def _closed_values(r, p: CoherentParams, power: float):
+    """Closed-form coherent values with the radial factor r^power."""
     xi = complex(p.xi)
     k = p.k
     arr = np.atleast_1d(np.asarray(r, dtype=float))
     ln_real = 0.5 * (math.log(2.0) + 2.0 * k * math.log1p(-abs(xi) ** 2) - log_gamma(2.0 * k))
     pref = np.exp(ln_real - 2.0 * k * np.log(1.0 - xi))
     gauss = np.exp((0.5 * (xi + 1.0) / (xi - 1.0)) * arr * arr)
-    vals = pref * _rpow(arr, 2.0 * k - mu.total - 1.0) * gauss
+    vals = pref * _rpow(arr, power) * gauss
     if np.ndim(r) == 0:
         return complex(vals[0])
     return vals
+
+
+def coherent_closed(r, p: CoherentParams, mu: DeformationParams):
+    """Coherent-state radial values from the resummed closed form."""
+    return _closed_values(r, p, 2.0 * p.k - mu.total - 1.0)
 
 
 def normal_form(p: CoherentParams) -> DisplacementNormalForm:
@@ -176,14 +181,16 @@ def evolve_parameter(p: CoherentParams, t: EvolutionParams) -> tuple[complex, co
 def coherent_evolved(r, p: CoherentParams, t: EvolutionParams, m, mu: DeformationParams):
     """Time-evolved coherent profile for the sector with quantum number m."""
     frac = as_quantum_m(m)
-    k_expected = float(frac) + 0.5 * (mu.total + 1.0)
+    k_expected = k_of(frac, mu)
     if abs(p.k - k_expected) > 1e-12:
         raise DomainError(
             f"k = {p.k} does not match m = {frac} with mu = ({mu.mu1}, {mu.mu2}); "
             f"expected k = {k_expected}"
         )
     xi_t, phase = evolve_parameter(p, t)
-    return phase * coherent_closed(r, CoherentParams(xi=xi_t, k=p.k), mu)
+    # 2k - mu1 - mu2 - 1 is the label 2m, taken exactly: in floats it can round
+    # below zero for m = 0 and make r = 0 a negative power.
+    return phase * _closed_values(r, CoherentParams(xi=xi_t, k=p.k), float(2 * frac))
 
 
 def series_evolution_crosscheck(

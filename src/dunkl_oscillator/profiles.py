@@ -18,6 +18,7 @@ fall back to five-point central differences when no exact derivative is attached
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable
@@ -43,15 +44,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DeformationParams:
-    """Reflection coupling constants, each required to exceed -1/2."""
+    """Reflection coupling constants, each required to be finite and exceed -1/2."""
 
     mu1: float
     mu2: float
 
     def __post_init__(self):
         for name, value in (("mu1", self.mu1), ("mu2", self.mu2)):
-            if not value > -0.5:
-                raise DomainError(f"{name} must exceed -1/2, got {value}")
+            if not (value > -0.5 and math.isfinite(value)):
+                raise DomainError(f"{name} must be finite and exceed -1/2, got {value}")
 
     @property
     def total(self) -> float:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import as_quantum_m
+from .basis import as_quantum_m, k_of
 from .errors import DomainError, RepresentationError
 from .profiles import DeformationParams, RadialProfile, derivative_of, residual_grid
 
@@ -262,6 +262,6 @@ def bargmann_index(m, mu: DeformationParams) -> tuple[float, float]:
     representation; k- = -m - (mu1 + mu2 - 1)/2 is the discarded root.
     """
     frac = as_quantum_m(m)
-    k_plus = float(frac) + 0.5 * (mu.total + 1.0)
+    k_plus = k_of(frac, mu)
     k_minus = -float(frac) - 0.5 * (mu.total - 1.0)
     return (k_plus, k_minus)

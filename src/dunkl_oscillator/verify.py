@@ -27,7 +27,9 @@ from .basis import (
     angular_wavefunction,
     energy,
     enumerate_states,
+    k_of,
     radial_sturmian,
+    sector_start,
     separation_constant,
     substitute_u,
 )
@@ -90,12 +92,7 @@ def _sector_labels(mmax: Fraction, mu: DeformationParams) -> list[AngularQuantum
     """All angular labels with m <= mmax, across the four parity sectors."""
     out = []
     for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        if (s1, s2) == (1, 1):
-            m = Fraction(0)
-        elif (s1, s2) == (-1, -1):
-            m = Fraction(1)
-        else:
-            m = Fraction(1, 2)
+        m = sector_start(s1, s2)
         while m <= mmax:
             out.append(AngularQuantum.build(s1, s2, m, mu))
             m += 1
@@ -555,7 +552,7 @@ def _check_generating_function(ctx: VerifyContext) -> float:
 
 def _evolution_sector(ctx: VerifyContext) -> tuple[Fraction, float]:
     m = Fraction(1, 2)
-    k = float(m) + 0.5 * (ctx.mu.total + 1.0)
+    k = k_of(m, ctx.mu)
     return m, k
 
 

@@ -7,19 +7,24 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dunkl_oscillator.basis import (
+    MAX_STATES,
     AngularQuantum,
     RadialQuantum,
+    StateLabel,
     angular_norm,
     angular_wavefunction,
     as_quantum_m,
     energy,
     enumerate_states,
+    k_of,
     radial_sturmian,
+    sector_start,
     separation_constant,
+    state_count,
     substitute_u,
 )
 from dunkl_oscillator.errors import DomainError, RepresentationError
@@ -211,6 +216,14 @@ def test_radial_quantum_k_values():
         RadialQuantum(nr=0, k=0.0)
 
 
+def test_k_of_is_the_bargmann_formula_bit_for_bit():
+    for mu in (DeformationParams(0.0, 0.0), DeformationParams(-0.2691523058468741, 1.7477168115182542)):
+        for m in (Fraction(0), Fraction(1, 2), Fraction(7), Fraction(41, 2)):
+            assert k_of(m, mu) == float(m) + 0.5 * (mu.total + 1.0)
+    with pytest.raises(DomainError):
+        k_of(Fraction(1, 3), DeformationParams(0.0, 0.0))
+
+
 def test_radial_sturmian_matches_mpmath_formula():
     mpmath.mp.dps = 30
     mu = DeformationParams(0.3, 1.2)
@@ -306,3 +319,99 @@ def test_enumerate_states_sorted_and_consistent():
 def test_enumerate_states_rejects_nonfinite_cutoff():
     with pytest.raises(DomainError):
         enumerate_states(float("inf"), DeformationParams(0.0, 0.0))
+
+
+def _fraction_enumeration(emax, mu):
+    """Reference: the exact-Fraction loop over (sector, m, nr), then one sort."""
+
+    def level_energy(nr, m):
+        return float(2 * (Fraction(nr) + m) + 1) + mu.mu1 + mu.mu2
+
+    out = []
+    for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        if (s1, s2) == (1, 1):
+            m = Fraction(0)
+        elif (s1, s2) == (-1, -1):
+            m = Fraction(1)
+        else:
+            m = Fraction(1, 2)
+        while level_energy(0, m) <= emax:
+            nr = 0
+            while level_energy(nr, m) <= emax:
+                out.append(
+                    StateLabel(
+                        angular=AngularQuantum.build(s1, s2, m, mu),
+                        radial=RadialQuantum(nr=nr, k=float(m) + 0.5 * (mu.total + 1.0)),
+                        energy=level_energy(nr, m),
+                    )
+                )
+                nr += 1
+            m += 1
+    out.sort(key=lambda st: (st.energy, float(st.m), st.nr, st.s1, st.s2))
+    return out
+
+
+_MU = st.floats(min_value=-0.5, max_value=3.0, exclude_min=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    emax=st.floats(min_value=-2.0, max_value=40.0),
+    mu1=_MU,
+    mu2=_MU,
+    edge=st.sampled_from(("free", "on", "below")),
+)
+@example(emax=3.0, mu1=0.0, mu2=0.0, edge="free")
+@example(emax=40.0, mu1=0.0, mu2=0.0, edge="on")
+# one float below a level, where emax - mu1 - mu2 - 1 rounds up to the level
+@example(emax=25.697828526856537, mu1=0.918376695246371, mu2=-0.2205481683898327, edge="free")
+def test_enumerate_states_equals_fraction_loop(emax, mu1, mu2, edge):
+    mu = DeformationParams(mu1, mu2)
+    if edge != "free":
+        # a cutoff on a level energy, or the float just below it
+        emax = float(max(0, math.floor(emax)) + 1) + mu.mu1 + mu.mu2
+        if edge == "below":
+            emax = math.nextafter(emax, -math.inf)
+    got, want = enumerate_states(emax, mu), _fraction_enumeration(emax, mu)
+    assert got == want
+    assert [st.energy.hex() for st in got] == [st.energy.hex() for st in want]
+    assert [(st.k.hex(), st.l2.hex()) for st in got] == [(st.k.hex(), st.l2.hex()) for st in want]
+
+
+@pytest.mark.parametrize("mu_pair", [(0.0, 0.0), (-0.49, -0.49), (-0.2, 1.7), (0.25, 0.75), (3.0, 3.0)])
+def test_state_count_matches_enumeration(mu_pair):
+    mu = DeformationParams(*mu_pair)
+    for emax in np.linspace(-2.0, 45.0, 95):
+        assert state_count(float(emax), mu) == len(enumerate_states(float(emax), mu))
+
+
+def test_state_count_is_the_cartesian_shell_sum_at_mu_zero():
+    # Levels E = N + 1 hold N + 1 states (Genest, Ismail, Vinet & Zhedanov 2013),
+    # so up to E = N + 1 there are (N + 1)(N + 2)/2, at any size.
+    mu0 = DeformationParams(0.0, 0.0)
+    for n in (0, 1, 2, 7, 100, 1001, 1412):
+        assert state_count(n + 1.0, mu0) == (n + 1) * (n + 2) // 2
+
+
+def test_state_cap_refuses_before_building():
+    mu0 = DeformationParams(0.0, 0.0)
+    assert state_count(1413.0, mu0) == 998_991 <= MAX_STATES
+    for emax in (1414.0, 1e9, 1e300):
+        with pytest.raises(DomainError, match="more than 1000000 states"):
+            state_count(emax, mu0)
+        with pytest.raises(DomainError, match="more than 1000000 states"):
+            enumerate_states(emax, mu0)
+    # a coupling so large that every level rounds to the same energy
+    with pytest.raises(DomainError, match="more than 1000000 states"):
+        enumerate_states(1e300, DeformationParams(1e300, 0.0))
+
+
+def test_sector_start_gives_each_sector_lowest_m():
+    assert [sector_start(s1, s2) for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1))] == [
+        Fraction(0),
+        Fraction(1, 2),
+        Fraction(1, 2),
+        Fraction(1),
+    ]
+    with pytest.raises(DomainError):
+        sector_start(1, 0)

@@ -1,8 +1,10 @@
 """Command-line interface: parsing, output formats, exit codes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +17,7 @@ from dunkl_oscillator.basis import (
     enumerate_states,
     radial_sturmian,
 )
-from dunkl_oscillator.cli import main
+from dunkl_oscillator.cli import _fmt, main
 from dunkl_oscillator.coherent import CoherentParams, EvolutionParams, coherent_evolved
 from dunkl_oscillator.profiles import DeformationParams
 
@@ -96,6 +98,65 @@ def test_spectrum_out_file(tmp_path, capsys):
     assert target.read_text().startswith("# command = spectrum")
 
 
+def _spectrum_reference(emax, mu1, mu2, fmt):
+    """The spectrum document built record by record with json.dumps and _fmt."""
+    mu = DeformationParams(mu1, mu2)
+    states = enumerate_states(emax, mu)
+    if fmt == "json":
+        records = [
+            {"s1": st.s1, "s2": st.s2, "m": float(st.m), "nr": st.nr, "k": st.k, "l2": st.l2, "energy": st.energy}
+            for st in states
+        ]
+        doc = {"command": "spectrum", "mu1": mu1, "mu2": mu2, "emax": emax, "count": len(states), "states": records}
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    lines = [
+        "# command = spectrum",
+        f"# mu1 = {_fmt(mu1)}",
+        f"# mu2 = {_fmt(mu2)}",
+        f"# emax = {_fmt(emax)}",
+        f"# count = {len(states)}",
+        "s1,s2,m,nr,k,l2,energy",
+    ]
+    for st in states:
+        fields = [f"{st.s1:+d}", f"{st.s2:+d}", _fmt(float(st.m)), str(st.nr), _fmt(st.k), _fmt(st.l2), _fmt(st.energy)]
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "emax, mu1, mu2",
+    [
+        (0.5, 0.0, 0.0),  # below the ground state
+        (-3.0, 2.5, 0.1),
+        (3.0, 0.0, 0.0),  # the three states of E = 3 at mu = 0
+        (9.0, 0.25, 0.75),  # half-integer sectors at every other level
+        (23.5, -0.4, 1.9),
+        (17.0, -0.2691523058468741, 1.7477168115182542),
+    ],
+)
+def test_spectrum_document_equals_record_by_record_reference(capsys, emax, mu1, mu2, fmt):
+    argv = ["spectrum", "--emax", repr(emax), "--mu1", repr(mu1), "--mu2", repr(mu2), "--format", fmt]
+    code, out, err = _run(capsys, argv)
+    assert code == 0 and err == ""
+    assert out == _spectrum_reference(emax, mu1, mu2, fmt)
+
+
+def test_spectrum_state_cap_exits_two_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["spectrum", "--emax", "1e9"])
+    assert time.perf_counter() - start < 5.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "more than 1000000 states" in err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_spectrum_rejects_nonfinite_mu(capsys, value):
+    code, out, err = _run(capsys, ["spectrum", f"--mu1={value}", "--format", "json"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "finite" in err
+
+
 # --- wavefunction ------------------------------------------------------------
 
 
@@ -162,6 +223,16 @@ def test_wavefunction_malformed_state_exits_two():
     assert exc.value.code == 2
 
 
+def test_wavefunction_nonfinite_values_never_reach_json(capsys):
+    # The Laguerre recurrence overflows at nr = 2000 on this grid; JSON has no
+    # token for the resulting NaN, so the command fails instead of printing one.
+    argv = ["wavefunction", "--state=+1,+1,0,2000", "--grid", "0.1:80:4", "--format", "json"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "non-finite" in err
+
+
 def test_bad_grid_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["wavefunction", "--state", "+1,+1,0,0", "--grid", "5:1:10"])
@@ -212,6 +283,24 @@ def test_coherent_json_profiles(capsys):
     assert len(prof["re"]) == len(prof["im"]) == 5
 
 
+def test_coherent_m_zero_is_finite_at_origin(capsys):
+    # Here 2k - mu1 - mu2 - 1 rounds to -2e-16; the r-power is the label 2m = 0.
+    argv = [
+        "coherent",
+        "--xi", "0.3",
+        "--m", "0",
+        "--mu1", "-0.2691523058468741",
+        "--mu2", "1.7477168115182542",
+        "--grid", "0:2:5",
+    ]
+    code, out, err = _run(capsys, argv)
+    assert code == 0 and err == ""
+    _, rows = _csv_body(out)
+    assert len(rows) == 5 and float(rows[0][1]) == 0.0
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
+    assert float(rows[0][4]) > 0.0
+
+
 def test_coherent_rejects_unit_displacement(capsys):
     code, out, err = _run(capsys, ["coherent", "--xi", "1,0"])
     assert code == 2
@@ -254,6 +343,13 @@ def test_verify_unknown_tol_name_is_reported(capsys):
     code, out, err = _run(capsys, ["verify", "--suite", "angular", "--tol", "nonsense=1"])
     assert code == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_verify_nonfinite_tol_exits_two(value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "angular", "--tol", f"angular_gram_identity={value}"])
+    assert exc.value.code == 2
 
 
 def test_verify_bad_thread_env_is_reported(capsys, monkeypatch):

@@ -245,3 +245,19 @@ def test_evolved_state_rejects_mismatched_index():
     p = CoherentParams(xi=0.5, k=2.0)  # wrong k for m = 0 at this mu (k should be 1)
     with pytest.raises(DomainError):
         coherent_evolved(GRID, p, EvolutionParams(tau=0.5), Fraction(0), mu)
+
+
+@pytest.mark.parametrize("m", [Fraction(0), Fraction(1, 2), Fraction(2)])
+def test_evolved_state_takes_exact_radial_power(m):
+    # At this mu, 2k - mu1 - mu2 - 1 rounds to -2e-16 for m = 0, a negative
+    # power at r = 0; the evolved profile uses the label 2m itself.
+    mu = DeformationParams(-0.2691523058468741, 1.7477168115182542)
+    p = CoherentParams(xi=0.3, k=float(m) + 0.5 * (mu.total + 1.0))
+    r = np.linspace(0.0, 2.0, 5)
+    t = EvolutionParams(tau=0.4)
+    vals = coherent_evolved(r, p, t, m, mu)
+    assert np.all(np.isfinite(vals))
+    assert (vals[0] != 0.0) == (m == 0)
+    xi_t, phase = evolve_parameter(p, t)
+    closed = phase * coherent_closed(r[1:], CoherentParams(xi=xi_t, k=p.k), mu)
+    np.testing.assert_allclose(vals[1:], closed, rtol=1e-14, atol=0.0)

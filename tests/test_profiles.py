@@ -31,6 +31,11 @@ def test_deformation_params_validation():
         DeformationParams(-0.5, 0.0)
     with pytest.raises(DomainError):
         DeformationParams(0.0, -0.7)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="finite"):
+            DeformationParams(bad, 0.0)
+        with pytest.raises(DomainError, match="finite"):
+            DeformationParams(0.0, bad)
 
 
 def test_gauss_laguerre_sum_matches_direct_formula():
