@@ -58,6 +58,7 @@ from .profiles import (
 )
 from .specfun import (
     QuadratureRule,
+    angular_gram,
     angular_inner_product,
     default_rmax,
     gauss_legendre,
@@ -67,6 +68,7 @@ from .specfun import (
     laguerre_all,
     laguerre_derivative,
     log_gamma,
+    radial_gram,
     radial_inner_product,
 )
 from .su11 import (
@@ -105,6 +107,8 @@ __all__ = [
     "log_gamma",
     "radial_inner_product",
     "angular_inner_product",
+    "radial_gram",
+    "angular_gram",
     "default_rmax",
     # profiles
     "DeformationParams",

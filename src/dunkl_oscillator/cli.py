@@ -11,8 +11,8 @@ Outputs are deterministic for a fixed configuration and seed: CSV carries
 ``# key = value`` metadata lines and 17-significant-digit values; JSON is
 emitted with sorted keys and never carries a non-finite number.  Exit codes:
 0 success, 1 failed verification checks, 2 usage or domain errors (a
-non-finite number bound for JSON among them).  The DUNKL_OSC_THREADS
-environment variable caps the verify thread pool.
+non-finite number bound for JSON among them).  ``verify`` runs its checks
+serially; no environment variable changes its output.
 """
 
 from __future__ import annotations

@@ -162,7 +162,13 @@ def coherent_closed(r, p: CoherentParams, mu: DeformationParams):
 
 
 def normal_form(p: CoherentParams) -> DisplacementNormalForm:
-    """Disk coordinate and weight factor of the displacement with amplitude xi."""
+    """Disk coordinate and weight factor of the displacement with amplitude xi.
+
+    Here ``p.xi`` is read as the displacement amplitude, not as the disk label
+    of the other functions in this module: the disk coordinate is
+    zeta = xi tanh|xi| / |xi|, and eta = ln(1 - |zeta|^2).  ``p.k`` is unused.
+    ``CoherentParams`` requires |xi| < 1, so only amplitudes below 1 can be given.
+    """
     axi = abs(p.xi)
     if axi == 0.0:
         zeta = 0.0j

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -133,8 +133,7 @@ class RadialProfile:
         return RadialProfile(lambda r, a=self: _rpow(np.asarray(r, dtype=float), s) * a(r), factory)
 
 
-@dataclass(frozen=True)
-class _GLTerm:
+class _GLTerm(NamedTuple):
     coeff: complex
     power: float
     degree: int
@@ -278,8 +277,7 @@ class AngularProfile:
         return self._derivative
 
 
-@dataclass(frozen=True)
-class _TrigTerm:
+class _TrigTerm(NamedTuple):
     coeff: float
     cos_power: int
     sin_power: int

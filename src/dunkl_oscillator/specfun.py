@@ -5,7 +5,9 @@ are stable for the parameter ranges that occur here (alpha, beta > -1).  The
 inner products integrate against the deformed plane measure split into its
 radial part r^(1+2*mu1+2*mu2) dr and angular part |cos|^(2*mu1)|sin|^(2*mu2) dphi;
 both use composite Gauss-Legendre panels graded geometrically toward the branch
-points of the weight so that fractional powers cost no accuracy.
+points of the weight so that fractional powers cost no accuracy.  The Gram
+matrices of a basis use the same rules and weights, evaluating each function
+once as a row of V and forming V diag(w) V^T.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ __all__ = [
     "log_gamma",
     "radial_inner_product",
     "angular_inner_product",
+    "radial_gram",
+    "angular_gram",
     "default_rmax",
 ]
 
@@ -217,8 +221,8 @@ def default_rmax(emax: float) -> float:
     return max(12.0, math.sqrt(2.0 * emax) + 6.0)
 
 
-def radial_inner_product(f, g, mu, rmax: float = 12.0, npoints: int = 400):
-    """Integral of f*g against r^(1+2*mu1+2*mu2) dr over [0, rmax]."""
+def _radial_measure(mu, rmax: float, npoints: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of the radial rule on [0, rmax] and its weights times r^(1+2*mu1+2*mu2)."""
     mu1, mu2 = _mu_values(mu)
     if mu1 + mu2 <= -1.0:
         raise DomainError(f"radial weight is non-integrable for mu1+mu2 <= -1, got {mu1 + mu2}")
@@ -228,13 +232,11 @@ def radial_inner_product(f, g, mu, rmax: float = 12.0, npoints: int = 400):
         raise DomainError(f"npoints must be at least {_PANEL_POINTS}, got {npoints}")
     rule = _radial_rule(float(rmax), int(npoints))
     r = rule.nodes
-    vals = np.asarray(f(r)) * np.asarray(g(r)) * r ** (1.0 + 2.0 * (mu1 + mu2))
-    total = np.sum(rule.weights * vals)
-    return complex(total) if np.iscomplexobj(vals) else float(total)
+    return r, rule.weights * r ** (1.0 + 2.0 * (mu1 + mu2))
 
 
-def angular_inner_product(f, g, mu, npoints: int = 256):
-    """Integral of f*g against |cos|^(2*mu1) |sin|^(2*mu2) dphi over [0, 2*pi)."""
+def _angular_measure(mu, npoints: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of the angular rule on [0, 2*pi) and its weights times |cos|^(2*mu1)|sin|^(2*mu2)."""
     mu1, mu2 = _mu_values(mu)
     if mu1 <= -0.5 or mu2 <= -0.5:
         raise DomainError(f"angular weight is non-integrable for mu <= -1/2, got ({mu1}, {mu2})")
@@ -243,6 +245,36 @@ def angular_inner_product(f, g, mu, npoints: int = 256):
     rule = _angular_rule(int(npoints))
     phi = rule.nodes
     weight = np.abs(np.cos(phi)) ** (2.0 * mu1) * np.abs(np.sin(phi)) ** (2.0 * mu2)
-    vals = np.asarray(f(phi)) * np.asarray(g(phi)) * weight
-    total = np.sum(rule.weights * vals)
+    return phi, rule.weights * weight
+
+
+def _inner_product(f, g, nodes: np.ndarray, weights: np.ndarray):
+    vals = np.asarray(f(nodes)) * np.asarray(g(nodes))
+    total = np.sum(weights * vals)
     return complex(total) if np.iscomplexobj(vals) else float(total)
+
+
+def _gram(fns, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # Each function is evaluated once: row i of V holds fns[i] on the nodes.
+    values = np.stack([f(nodes) for f in fns])
+    return (values * weights) @ values.T
+
+
+def radial_inner_product(f, g, mu, rmax: float = 12.0, npoints: int = 400):
+    """Integral of f*g against r^(1+2*mu1+2*mu2) dr over [0, rmax]."""
+    return _inner_product(f, g, *_radial_measure(mu, rmax, npoints))
+
+
+def angular_inner_product(f, g, mu, npoints: int = 256):
+    """Integral of f*g against |cos|^(2*mu1) |sin|^(2*mu2) dphi over [0, 2*pi)."""
+    return _inner_product(f, g, *_angular_measure(mu, npoints))
+
+
+def radial_gram(fns, mu, rmax: float = 12.0, npoints: int = 400) -> np.ndarray:
+    """Matrix of ``radial_inner_product(fns[i], fns[j], mu, rmax, npoints)`` over all i, j."""
+    return _gram(fns, *_radial_measure(mu, rmax, npoints))
+
+
+def angular_gram(fns, mu, npoints: int = 256) -> np.ndarray:
+    """Matrix of ``angular_inner_product(fns[i], fns[j], mu, npoints)`` over all i, j."""
+    return _gram(fns, *_angular_measure(mu, npoints))

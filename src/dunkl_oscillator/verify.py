@@ -1,20 +1,18 @@
 """Named self-verification checks over the whole library.
 
-Each check computes a single residual (smaller is better) and compares it to a
-named tolerance.  Checks are grouped into suites (angular, radial, algebra,
-coherent); ``run_checks`` executes a suite deterministically — randomized
-inputs derive from per-check seeds — and optionally in a thread pool whose
-width is capped by the DUNKL_OSC_THREADS environment variable.
+Each check yields the residuals of its cases (smaller is better); the check's
+residual is the largest absolute value among them, NaN if any of them is NaN,
+and is compared to a named tolerance.  Checks are grouped into suites
+(angular, radial, algebra, coherent); ``run_checks`` executes a suite serially
+and deterministically — randomized inputs derive from per-check seeds.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -42,7 +40,7 @@ from .profiles import (
     angular_grid,
     residual_grid,
 )
-from .specfun import angular_inner_product, radial_inner_product
+from .specfun import angular_gram, laguerre_all, radial_gram, radial_inner_product
 
 __all__ = ["CheckResult", "VerifyContext", "SUITES", "available_checks", "run_checks"]
 
@@ -74,10 +72,19 @@ class _Check:
     name: str
     suite: str
     tolerance: float
-    fn: Callable[[VerifyContext], float]
+    fn: Callable[[VerifyContext], Iterable]
 
 
 _REGISTRY: list[_Check] = []
+
+
+def _worst(residuals: Iterable) -> float:
+    """Largest absolute value over all residuals (scalars or arrays), NaN if any is NaN.
+
+    Python's ``max(0.0, nan)`` is 0.0, so a NaN case after a finite one would
+    vanish; ``np.max`` propagates it and the check fails.
+    """
+    return float(np.max([np.max(np.abs(r)) for r in residuals]))
 
 
 def _register(name: str, suite: str, tolerance: float):
@@ -103,150 +110,109 @@ _MU_PAIRS = ((0.0, 0.0), (0.5, 0.5), (0.3, 1.2))
 
 
 @_register("angular_gram_identity", "angular", 1e-9)
-def _check_angular_gram(ctx: VerifyContext) -> float:
-    worst = 0.0
-    mu_pairs = _MU_PAIRS + ((ctx.mu.mu1, ctx.mu.mu2),)
-    for pair in mu_pairs:
+def _check_angular_gram(ctx: VerifyContext) -> Iterator:
+    for pair in _MU_PAIRS + ((ctx.mu.mu1, ctx.mu.mu2),):
         mu = DeformationParams(*pair)
-        labels = _sector_labels(Fraction(4), mu)
-        fns = [angular_wavefunction(q, mu) for q in labels]
-        for i, f in enumerate(fns):
-            for j in range(i, len(fns)):
-                val = angular_inner_product(f, fns[j], mu)
-                expect = 1.0 if i == j else 0.0
-                worst = max(worst, abs(val - expect))
-    return worst
+        fns = [angular_wavefunction(q, mu) for q in _sector_labels(Fraction(4), mu)]
+        yield angular_gram(fns, mu) - np.eye(len(fns))
 
 
 @_register("angular_ground_norm_limit", "angular", 1e-10)
-def _check_angular_ground_norm(ctx: VerifyContext) -> float:
+def _check_angular_ground_norm(ctx: VerifyContext) -> Iterator:
     # The m = 0 constant must hit 1/sqrt(2 pi) exactly at mu = 0 and stay
     # smooth arbitrarily close to it (no 0 * Gamma(0) indeterminacy).
     target = 1.0 / math.sqrt(2.0 * math.pi)
-    worst = abs(angular_norm(0, 0, 0, DeformationParams(0.0, 0.0)) - target)
+    yield angular_norm(0, 0, 0, DeformationParams(0.0, 0.0)) - target
     for eps in (1e-12, 1e-13):
-        near = angular_norm(0, 0, 0, DeformationParams(eps, eps))
-        worst = max(worst, abs(near - target))
-    return worst
+        yield angular_norm(0, 0, 0, DeformationParams(eps, eps)) - target
 
 
 @_register("angular_eigen_residual", "angular", 1e-8)
-def _check_angular_eigen(ctx: VerifyContext) -> float:
+def _check_angular_eigen(ctx: VerifyContext) -> Iterator:
     grid = angular_grid(64)
-    worst = 0.0
-    mu_pairs = _MU_PAIRS + ((ctx.mu.mu1, ctx.mu.mu2),)
-    for pair in mu_pairs:
+    for pair in _MU_PAIRS + ((ctx.mu.mu1, ctx.mu.mu2),):
         mu = DeformationParams(*pair)
         for q in _sector_labels(Fraction(3), mu):
             phi_fn = angular_wavefunction(q, mu)
             image = apply_angular_operator(phi_fn, mu)
-            resid = image(grid) - 0.5 * q.l2 * phi_fn(grid)
-            worst = max(worst, float(np.max(np.abs(resid))))
-    return worst
+            yield image(grid) - 0.5 * q.l2 * phi_fn(grid)
 
 
 @_register("angular_reflection_parity", "angular", 1e-12)
-def _check_angular_parity(ctx: VerifyContext) -> float:
+def _check_angular_parity(ctx: VerifyContext) -> Iterator:
     grid = angular_grid(64)
-    worst = 0.0
     for q in _sector_labels(Fraction(3), ctx.mu):
         phi_fn = angular_wavefunction(q, ctx.mu)
         base = phi_fn(grid)
-        worst = max(worst, float(np.max(np.abs(phi_fn(np.pi - grid) - q.s1 * base))))
-        worst = max(worst, float(np.max(np.abs(phi_fn(-grid) - q.s2 * base))))
-    return worst
+        yield phi_fn(np.pi - grid) - q.s1 * base
+        yield phi_fn(-grid) - q.s2 * base
 
 
 _M_SAMPLES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
 
 
 @_register("radial_gram_identity", "radial", 1e-9)
-def _check_radial_gram(ctx: VerifyContext) -> float:
-    worst = 0.0
-    mu_pairs = ((0.0, 0.0), (0.5, 0.5), (ctx.mu.mu1, ctx.mu.mu2))
-    for pair in mu_pairs:
+def _check_radial_gram(ctx: VerifyContext) -> Iterator:
+    for pair in ((0.0, 0.0), (0.5, 0.5), (ctx.mu.mu1, ctx.mu.mu2)):
         mu = DeformationParams(*pair)
         for m in _M_SAMPLES:
             fns = [radial_sturmian(RadialQuantum.from_m(n, m, mu), mu) for n in range(7)]
-            for i, f in enumerate(fns):
-                for j in range(i, len(fns)):
-                    val = radial_inner_product(f, fns[j], mu)
-                    expect = 1.0 if i == j else 0.0
-                    worst = max(worst, abs(val - expect))
-    return worst
+            yield radial_gram(fns, mu) - np.eye(len(fns))
 
 
 @_register("radial_eigen_residual", "radial", 1e-8)
-def _check_radial_eigen(ctx: VerifyContext) -> float:
+def _check_radial_eigen(ctx: VerifyContext) -> Iterator:
     grid = residual_grid()
-    worst = 0.0
-    mu_pairs = ((0.0, 0.0), (ctx.mu.mu1, ctx.mu.mu2))
-    for pair in mu_pairs:
+    for pair in ((0.0, 0.0), (ctx.mu.mu1, ctx.mu.mu2)):
         mu = DeformationParams(*pair)
         for m in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)):
             l2 = separation_constant(m, mu)
             for n in range(7):
                 R = radial_sturmian(RadialQuantum.from_m(n, m, mu), mu)
                 image = apply_radial_hamiltonian(R, mu, l2)
-                E = energy(n, m, mu)
-                resid = image(grid) - E * R(grid)
-                worst = max(worst, float(np.max(np.abs(resid))))
-    return worst
+                yield image(grid) - energy(n, m, mu) * R(grid)
 
 
 @_register("radial_substitution_roundtrip", "radial", 1e-12)
-def _check_substitution_roundtrip(ctx: VerifyContext) -> float:
+def _check_substitution_roundtrip(ctx: VerifyContext) -> Iterator:
     grid = residual_grid()
-    worst = 0.0
     for m in _M_SAMPLES:
         R = radial_sturmian(RadialQuantum.from_m(1, m, ctx.mu), ctx.mu)
         back = substitute_u(substitute_u(R, ctx.mu, "r_to_u"), ctx.mu, "u_to_r")
-        worst = max(worst, float(np.max(np.abs(back(grid) - R(grid)))))
-    return worst
+        yield back(grid) - R(grid)
 
 
 @_register("radial_flat_picture_eigen", "radial", 1e-9)
-def _check_flat_picture(ctx: VerifyContext) -> float:
+def _check_flat_picture(ctx: VerifyContext) -> Iterator:
     grid = residual_grid()
-    worst = 0.0
     for m in _M_SAMPLES:
         l2 = separation_constant(m, ctx.mu)
         for n in range(4):
             R = radial_sturmian(RadialQuantum.from_m(n, m, ctx.mu), ctx.mu)
             U = substitute_u(R, ctx.mu, "r_to_u")
             image = su11.apply_B0(U, l2, ctx.mu)
-            E = energy(n, m, ctx.mu)
-            worst = max(worst, float(np.max(np.abs(image(grid) - 0.5 * E * U(grid)))))
-    return worst
+            yield image(grid) - 0.5 * energy(n, m, ctx.mu) * U(grid)
 
 
 @_register("spectrum_energy_values", "radial", 1e-12)
-def _check_energy_values(ctx: VerifyContext) -> float:
-    worst = abs(energy(0, 0, DeformationParams(0.0, 0.0)) - 1.0)
-    worst = max(worst, abs(energy(2, 1, DeformationParams(0.25, 0.75)) - 8.0))
-    worst = max(worst, abs(energy(0, Fraction(1, 2), DeformationParams(0.0, 0.0)) - 2.0))
+def _check_energy_values(ctx: VerifyContext) -> Iterator:
+    yield energy(0, 0, DeformationParams(0.0, 0.0)) - 1.0
+    yield energy(2, 1, DeformationParams(0.25, 0.75)) - 8.0
+    yield energy(0, Fraction(1, 2), DeformationParams(0.0, 0.0)) - 2.0
     for nr in (1, 2, 3):
         for m in (Fraction(0), Fraction(1, 2), Fraction(3)):
-            worst = max(
-                worst, abs(energy(nr, m, ctx.mu) - energy(nr - 1, m + 1, ctx.mu))
-            )
-    return worst
+            yield energy(nr, m, ctx.mu) - energy(nr - 1, m + 1, ctx.mu)
 
 
 @_register("spectrum_degeneracy", "radial", 0.5)
-def _check_degeneracy(ctx: VerifyContext) -> float:
+def _check_degeneracy(ctx: VerifyContext) -> Iterator:
     mu0 = DeformationParams(0.0, 0.0)
     states = enumerate_states(3.0, mu0)
     energies = sorted(st.energy for st in states)
     level3 = sum(1 for st in states if abs(st.energy - 3.0) < 1e-9)
-    bad = 0.0
-    if energies != [1.0, 2.0, 2.0, 3.0, 3.0, 3.0]:
-        bad = 1.0
-    if level3 != 3:
-        bad = 1.0
-    if enumerate_states(0.5, mu0):
-        bad = 1.0
-    return bad
+    yield float(energies != [1.0, 2.0, 2.0, 3.0, 3.0, 3.0])
+    yield float(level3 != 3)
+    yield float(len(enumerate_states(0.5, mu0)) > 0)
 
 
 def _plain_laguerre(n: int, alpha_int: int, x: np.ndarray) -> np.ndarray:
@@ -258,10 +224,9 @@ def _plain_laguerre(n: int, alpha_int: int, x: np.ndarray) -> np.ndarray:
 
 
 @_register("mu_zero_reduction", "radial", 1e-12)
-def _check_mu_zero_reduction(ctx: VerifyContext) -> float:
+def _check_mu_zero_reduction(ctx: VerifyContext) -> Iterator:
     mu0 = DeformationParams(0.0, 0.0)
     grid = residual_grid(50, 0.05, 8.0)
-    worst = 0.0
     for m in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):
         ell = int(2 * m)
         for n in range(5):
@@ -270,8 +235,7 @@ def _check_mu_zero_reduction(ctx: VerifyContext) -> float:
             ref = norm * grid**ell * np.exp(-0.5 * grid * grid) * _plain_laguerre(
                 n, ell, grid * grid
             )
-            worst = max(worst, float(np.max(np.abs(R(grid) - ref))))
-    return worst
+            yield R(grid) - ref
 
 
 _CARTESIAN_STATES = (
@@ -284,12 +248,11 @@ _CARTESIAN_STATES = (
 
 
 @_register("hamiltonian_cartesian_residual", "radial", 1e-6)
-def _check_cartesian_hamiltonian(ctx: VerifyContext) -> float:
+def _check_cartesian_hamiltonian(ctx: VerifyContext) -> Iterator:
     pts = np.array([0.31, 0.77, 1.43, 2.1])
     xs, ys = np.meshgrid(pts, pts * 0.83 + 0.11)
     xs = np.concatenate([xs.ravel(), -xs.ravel()])
     ys = np.concatenate([ys.ravel(), ys.ravel()])
-    worst = 0.0
     for s1, s2, m, nr in _CARTESIAN_STATES:
         q = AngularQuantum.build(s1, s2, m, ctx.mu)
         R = radial_sturmian(RadialQuantum.from_m(nr, m, ctx.mu), ctx.mu)
@@ -301,16 +264,12 @@ def _check_cartesian_hamiltonian(ctx: VerifyContext) -> float:
 
         f = PlaneFunction(fn=fn, parity=(s1, s2))
         image = apply_hamiltonian(f, ctx.mu)
-        E = energy(nr, m, ctx.mu)
-        resid = image(xs, ys) - E * f(xs, ys)
-        worst = max(worst, float(np.max(np.abs(resid))))
-    return worst
+        yield image(xs, ys) - energy(nr, m, ctx.mu) * f(xs, ys)
 
 
 @_register("ladder_raise", "algebra", 1e-7)
-def _check_ladder_raise(ctx: VerifyContext) -> float:
+def _check_ladder_raise(ctx: VerifyContext) -> Iterator:
     grid = residual_grid()
-    worst = 0.0
     for m in _M_SAMPLES:
         l2 = separation_constant(m, ctx.mu)
         for n in range(5):
@@ -318,15 +277,12 @@ def _check_ladder_raise(ctx: VerifyContext) -> float:
             high = RadialQuantum.from_m(n + 1, m, ctx.mu)
             coeff = su11.ladder_coefficients(su11.AlgebraState(low.k, n), "+")
             image = su11.apply_A(radial_sturmian(low, ctx.mu), "+", ctx.mu, l2)
-            target = coeff * radial_sturmian(high, ctx.mu)(grid)
-            worst = max(worst, float(np.max(np.abs(image(grid) - target))))
-    return worst
+            yield image(grid) - coeff * radial_sturmian(high, ctx.mu)(grid)
 
 
 @_register("ladder_lower", "algebra", 1e-7)
-def _check_ladder_lower(ctx: VerifyContext) -> float:
+def _check_ladder_lower(ctx: VerifyContext) -> Iterator:
     grid = residual_grid()
-    worst = 0.0
     for m in _M_SAMPLES:
         l2 = separation_constant(m, ctx.mu)
         for n in range(1, 6):
@@ -334,15 +290,12 @@ def _check_ladder_lower(ctx: VerifyContext) -> float:
             low = RadialQuantum.from_m(n - 1, m, ctx.mu)
             coeff = su11.ladder_coefficients(su11.AlgebraState(high.k, n), "-")
             image = su11.apply_A(radial_sturmian(high, ctx.mu), "-", ctx.mu, l2)
-            target = coeff * radial_sturmian(low, ctx.mu)(grid)
-            worst = max(worst, float(np.max(np.abs(image(grid) - target))))
-    return worst
+            yield image(grid) - coeff * radial_sturmian(low, ctx.mu)(grid)
 
 
 @_register("ladder_diagonal", "algebra", 1e-7)
-def _check_ladder_diagonal(ctx: VerifyContext) -> float:
+def _check_ladder_diagonal(ctx: VerifyContext) -> Iterator:
     grid = residual_grid()
-    worst = 0.0
     for m in _M_SAMPLES:
         l2 = separation_constant(m, ctx.mu)
         for n in range(5):
@@ -350,21 +303,17 @@ def _check_ladder_diagonal(ctx: VerifyContext) -> float:
             R = radial_sturmian(q, ctx.mu)
             image = su11.apply_A(R, "0", ctx.mu, l2)
             coeff = su11.ladder_coefficients(su11.AlgebraState(q.k, n), "0")
-            worst = max(worst, float(np.max(np.abs(image(grid) - coeff * R(grid)))))
-    return worst
+            yield image(grid) - coeff * R(grid)
 
 
 @_register("lowest_weight_annihilation", "algebra", 1e-9)
-def _check_lowest_weight(ctx: VerifyContext) -> float:
+def _check_lowest_weight(ctx: VerifyContext) -> Iterator:
     grid = residual_grid()
-    worst = 0.0
     for m in _M_SAMPLES:
         l2 = separation_constant(m, ctx.mu)
         R = radial_sturmian(RadialQuantum.from_m(0, m, ctx.mu), ctx.mu)
         image = su11.apply_A(R, "-", ctx.mu, l2)
-        scale = float(np.max(np.abs(R(grid))))
-        worst = max(worst, float(np.max(np.abs(image(grid)))) / scale)
-    return worst
+        yield image(grid) / np.max(np.abs(R(grid)))
 
 
 def _random_profiles(seed_parts: tuple[int, ...], count: int) -> list[GaussLaguerreSum]:
@@ -377,47 +326,38 @@ def _random_profiles(seed_parts: tuple[int, ...], count: int) -> list[GaussLague
 
 
 @_register("commutator_closure", "algebra", 1e-6)
-def _check_commutators(ctx: VerifyContext) -> float:
+def _check_commutators(ctx: VerifyContext) -> Iterator:
     grid = residual_grid()
-    worst = 0.0
     for idx, profile in enumerate(_random_profiles((ctx.seed, 101), 10)):
         l2 = float(idx % 3)
         for pair in ("0+", "0-", "-+"):
-            worst = max(
-                worst, su11.commutator_residual(pair, profile, ctx.mu, l2, grid)
-            )
-    return worst
+            yield su11.commutator_residual(pair, profile, ctx.mu, l2, grid)
 
 
 @_register("casimir_scalar", "algebra", 1e-7)
-def _check_casimir(ctx: VerifyContext) -> float:
+def _check_casimir(ctx: VerifyContext) -> Iterator:
     grid = residual_grid()
-    worst = 0.0
     for m in _M_SAMPLES:
         l2 = separation_constant(m, ctx.mu)
         for n in (0, 2):
             q = RadialQuantum.from_m(n, m, ctx.mu)
             R = radial_sturmian(q, ctx.mu)
-            worst = max(worst, su11.casimir_check(R, q.k, ctx.mu, l2, grid))
-    return worst
+            yield su11.casimir_check(R, q.k, ctx.mu, l2, grid)
 
 
 @_register("half_hamiltonian_identity", "algebra", 1e-12)
-def _check_half_hamiltonian(ctx: VerifyContext) -> float:
+def _check_half_hamiltonian(ctx: VerifyContext) -> Iterator:
     grid = residual_grid()
-    worst = 0.0
     for idx, profile in enumerate(_random_profiles((ctx.seed, 202), 6)):
         l2 = float((idx % 3) + idx * 0.25)
         diag = su11.apply_A(profile, "0", ctx.mu, l2)
         halfh = apply_radial_hamiltonian(profile, ctx.mu, l2)
-        worst = max(worst, float(np.max(np.abs(diag(grid) - 0.5 * halfh(grid)))))
-    return worst
+        yield diag(grid) - 0.5 * halfh(grid)
 
 
 @_register("factorization_identity", "algebra", 1e-8)
-def _check_factorization(ctx: VerifyContext) -> float:
+def _check_factorization(ctx: VerifyContext) -> Iterator:
     grid = residual_grid()
-    worst = 0.0
     for m in _M_SAMPLES:
         l2 = separation_constant(m, ctx.mu)
         for n in range(4):
@@ -425,27 +365,19 @@ def _check_factorization(ctx: VerifyContext) -> float:
             U = substitute_u(R, ctx.mu, "r_to_u")
             E = energy(n, m, ctx.mu)
             for branch in ("upper", "lower"):
-                worst = max(
-                    worst,
-                    su11.factorization_residual(U, E, l2, ctx.mu, branch, grid),
-                )
-    return worst
+                yield su11.factorization_residual(U, E, l2, ctx.mu, branch, grid)
 
 
 @_register("factorization_constants", "algebra", 1e-12)
-def _check_factorization_constants(ctx: VerifyContext) -> float:
+def _check_factorization_constants(ctx: VerifyContext) -> Iterator:
     mu0 = DeformationParams(0.0, 0.0)
-    consts = su11.schrodinger_factorize(1.0, 0.0, mu0, "upper")
-    worst = abs(consts.g - (-3.5))
-    val = su11.factorization_product_eigenvalue(3.0, 0.0, mu0, "upper")
-    worst = max(worst, abs(val - 4.0))
-    return worst
+    yield su11.schrodinger_factorize(1.0, 0.0, mu0, "upper").g - (-3.5)
+    yield su11.factorization_product_eigenvalue(3.0, 0.0, mu0, "upper") - 4.0
 
 
 @_register("flat_weighted_conjugation", "algebra", 1e-10)
-def _check_conjugation(ctx: VerifyContext) -> float:
+def _check_conjugation(ctx: VerifyContext) -> Iterator:
     grid = residual_grid()
-    worst = 0.0
     for m in _M_SAMPLES:
         l2 = separation_constant(m, ctx.mu)
         for n in (0, 3):
@@ -455,22 +387,19 @@ def _check_conjugation(ctx: VerifyContext) -> float:
             via_weighted = substitute_u(
                 su11.apply_A(R, "0", ctx.mu, l2), ctx.mu, "r_to_u"
             )
-            worst = max(worst, float(np.max(np.abs(via_flat(grid) - via_weighted(grid)))))
-    return worst
+            yield via_flat(grid) - via_weighted(grid)
 
 
 @_register("bargmann_roots", "algebra", 1e-12)
-def _check_bargmann(ctx: VerifyContext) -> float:
-    worst = 0.0
+def _check_bargmann(ctx: VerifyContext) -> Iterator:
     for m in _M_SAMPLES:
         l2 = separation_constant(m, ctx.mu)
         target = 0.25 * (ctx.mu.total**2 + l2 - 1.0)
         k_plus, k_minus = su11.bargmann_index(m, ctx.mu)
-        worst = max(worst, abs(k_plus * (k_plus - 1.0) - target))
-        worst = max(worst, abs(k_minus * (k_minus - 1.0) - target))
+        yield k_plus * (k_plus - 1.0) - target
+        yield k_minus * (k_minus - 1.0) - target
         if not k_plus > 0.0:
-            worst = max(worst, 1.0)
-    return worst
+            yield 1.0
 
 
 _XI_SAMPLES = (0.5 + 0.0j, -0.8 + 0.0j, 0.3 + 0.4j, complex(0.7 * np.exp(2.2j)), -0.2 - 0.55j)
@@ -478,33 +407,24 @@ _K_SAMPLES = (0.5, 1.0, 1.5, 2.7)
 
 
 @_register("coherent_series_vs_closed", "coherent", 1e-10)
-def _check_series_vs_closed(ctx: VerifyContext) -> float:
+def _check_series_vs_closed(ctx: VerifyContext) -> Iterator:
     grid = np.linspace(0.05, 3.0, 40)
-    worst = 0.0
     for xi in _XI_SAMPLES:
         for k in _K_SAMPLES:
             p = co.CoherentParams(xi=xi, k=k)
-            series = co.coherent_series(grid, p, ctx.mu)
-            closed = co.coherent_closed(grid, p, ctx.mu)
-            worst = max(worst, float(np.max(np.abs(series - closed))))
-    return worst
+            yield co.coherent_series(grid, p, ctx.mu) - co.coherent_closed(grid, p, ctx.mu)
 
 
 @_register("coherent_branch_sampling", "coherent", 1e-10)
-def _check_branch_sampling(ctx: VerifyContext) -> float:
+def _check_branch_sampling(ctx: VerifyContext) -> Iterator:
     grid = np.array([0.4, 1.3, 2.2])
-    worst = 0.0
     for angle in np.linspace(0.0, 2.0 * np.pi, 25, endpoint=False):
         p = co.CoherentParams(xi=0.8 * complex(np.exp(1j * angle)), k=2.7)
-        series = co.coherent_series(grid, p, ctx.mu)
-        closed = co.coherent_closed(grid, p, ctx.mu)
-        worst = max(worst, float(np.max(np.abs(series - closed))))
-    return worst
+        yield co.coherent_series(grid, p, ctx.mu) - co.coherent_closed(grid, p, ctx.mu)
 
 
 @_register("coherent_unit_norm", "coherent", 1e-9)
-def _check_unit_norm(ctx: VerifyContext) -> float:
-    worst = 0.0
+def _check_unit_norm(ctx: VerifyContext) -> Iterator:
     for xi in (0.0 + 0.0j, 0.5 + 0.0j, -0.8 + 0.0j, 0.48 + 0.6j):
         for k in (0.5, 1.0, 2.7):
             p = co.CoherentParams(xi=xi, k=k)
@@ -516,38 +436,29 @@ def _check_unit_norm(ctx: VerifyContext) -> float:
             norm = radial_inner_product(
                 density, lambda r: np.ones_like(r), ctx.mu, rmax=rmax, npoints=npoints
             )
-            worst = max(worst, abs(norm - 1.0))
-    return worst
+            yield norm - 1.0
 
 
 @_register("coherent_normal_form", "coherent", 1e-14)
-def _check_normal_form(ctx: VerifyContext) -> float:
-    worst = 0.0
+def _check_normal_form(ctx: VerifyContext) -> Iterator:
     for xi in _XI_SAMPLES:
-        p = co.CoherentParams(xi=xi, k=1.0)
-        form = co.normal_form(p)
+        form = co.normal_form(co.CoherentParams(xi=xi, k=1.0))
         axi = abs(xi)
-        worst = max(worst, abs(abs(form.zeta) - math.tanh(axi)))
-        worst = max(worst, abs(form.eta + 2.0 * math.log(math.cosh(axi))))
+        yield abs(form.zeta) - math.tanh(axi)
+        yield form.eta + 2.0 * math.log(math.cosh(axi))
         if not abs(form.zeta) < 1.0:
-            worst = max(worst, 1.0)
-    return worst
+            yield 1.0
 
 
 @_register("laguerre_generating_function", "coherent", 1e-10)
-def _check_generating_function(ctx: VerifyContext) -> float:
-    from .specfun import laguerre_all
-
+def _check_generating_function(ctx: VerifyContext) -> Iterator:
     x = np.linspace(0.0, 3.0, 30)
-    worst = 0.0
     for alpha in (-0.3, 0.0, 1.7):
         for t in (0.4, -0.6):
             polys = laguerre_all(80, alpha, x)
             powers = t ** np.arange(81)
             series = (powers[:, None] * polys).sum(axis=0)
-            closed = (1.0 - t) ** (-alpha - 1.0) * np.exp(-x * t / (1.0 - t))
-            worst = max(worst, float(np.max(np.abs(series - closed))))
-    return worst
+            yield series - (1.0 - t) ** (-alpha - 1.0) * np.exp(-x * t / (1.0 - t))
 
 
 def _evolution_sector(ctx: VerifyContext) -> tuple[Fraction, float]:
@@ -557,24 +468,18 @@ def _evolution_sector(ctx: VerifyContext) -> tuple[Fraction, float]:
 
 
 @_register("evolution_crosscheck", "coherent", 1e-9)
-def _check_evolution_crosscheck(ctx: VerifyContext) -> float:
+def _check_evolution_crosscheck(ctx: VerifyContext) -> Iterator:
     m, k = _evolution_sector(ctx)
     p = co.CoherentParams(xi=0.5, k=k)
-    worst = 0.0
     for tau in (0.7, 2.0):
-        worst = max(
-            worst,
-            co.series_evolution_crosscheck(p, co.EvolutionParams(tau), m, ctx.mu, nterms=300),
-        )
-    return worst
+        yield co.series_evolution_crosscheck(p, co.EvolutionParams(tau), m, ctx.mu, nterms=300)
 
 
 @_register("evolution_norm_conservation", "coherent", 1e-9)
-def _check_evolution_norm(ctx: VerifyContext) -> float:
+def _check_evolution_norm(ctx: VerifyContext) -> Iterator:
     m, k = _evolution_sector(ctx)
     p = co.CoherentParams(xi=0.48 + 0.6j, k=k)
     rmax, npoints = co.suggested_norm_quadrature(p)
-    worst = 0.0
     for tau in (0.3, 1.1, 2.9):
         t = co.EvolutionParams(tau)
 
@@ -584,29 +489,26 @@ def _check_evolution_norm(ctx: VerifyContext) -> float:
         norm = radial_inner_product(
             density, lambda r: np.ones_like(r), ctx.mu, rmax=rmax, npoints=npoints
         )
-        worst = max(worst, abs(norm - 1.0))
-    return worst
+        yield norm - 1.0
 
 
 @_register("evolution_periodicity", "coherent", 1e-12)
-def _check_evolution_period(ctx: VerifyContext) -> float:
+def _check_evolution_period(ctx: VerifyContext) -> Iterator:
     m, k = _evolution_sector(ctx)
     p = co.CoherentParams(xi=-0.35 + 0.2j, k=k)
     grid = np.linspace(0.1, 4.0, 25)
-    worst = 0.0
     for tau in (0.0, 0.9):
         base = co.coherent_evolved(grid, p, co.EvolutionParams(tau), m, ctx.mu)
         shifted = co.coherent_evolved(
             grid, p, co.EvolutionParams(tau + math.pi), m, ctx.mu
         )
         phase = complex(np.exp(-2j * math.pi * k))
-        worst = max(worst, float(np.max(np.abs(shifted - phase * base))))
-        worst = max(worst, float(np.max(np.abs(np.abs(shifted) - np.abs(base)))))
-    return worst
+        yield shifted - phase * base
+        yield np.abs(shifted) - np.abs(base)
 
 
 @_register("evolution_additivity", "coherent", 1e-12)
-def _check_evolution_additivity(ctx: VerifyContext) -> float:
+def _check_evolution_additivity(ctx: VerifyContext) -> Iterator:
     m, k = _evolution_sector(ctx)
     p = co.CoherentParams(xi=0.3 - 0.44j, k=k)
     tau1, tau2 = 0.37, 1.21
@@ -614,12 +516,12 @@ def _check_evolution_additivity(ctx: VerifyContext) -> float:
     p_mid = co.CoherentParams(xi=xi_mid, k=k)
     xi_two, phase_two = co.evolve_parameter(p_mid, co.EvolutionParams(tau2))
     xi_direct, phase_direct = co.evolve_parameter(p, co.EvolutionParams(tau1 + tau2))
-    worst = abs(xi_two - xi_direct)
-    worst = max(worst, abs(phase_mid * phase_two - phase_direct))
+    yield xi_two - xi_direct
+    yield phase_mid * phase_two - phase_direct
     grid = np.linspace(0.1, 4.0, 25)
     stepped = phase_mid * co.coherent_evolved(grid, p_mid, co.EvolutionParams(tau2), m, ctx.mu)
     direct = co.coherent_evolved(grid, p, co.EvolutionParams(tau1 + tau2), m, ctx.mu)
-    return max(worst, float(np.max(np.abs(stepped - direct))))
+    yield stepped - direct
 
 
 def available_checks(suite: str = "all") -> list[str]:
@@ -629,27 +531,13 @@ def available_checks(suite: str = "all") -> list[str]:
     return [c.name for c in _REGISTRY if suite == "all" or c.suite == suite]
 
 
-def _worker_count() -> int:
-    env = os.environ.get("DUNKL_OSC_THREADS")
-    if env is not None:
-        try:
-            width = int(env)
-        except ValueError as exc:
-            raise DomainError(f"DUNKL_OSC_THREADS must be an integer, got {env!r}") from exc
-        if width < 1:
-            raise DomainError(f"DUNKL_OSC_THREADS must be >= 1, got {width}")
-        return width
-    return min(8, os.cpu_count() or 1)
-
-
 def run_checks(
     suite: str = "all",
     mu: DeformationParams | None = None,
     seed: int = 0,
     tol_overrides: dict[str, float] | None = None,
-    max_workers: int | None = None,
 ) -> list[CheckResult]:
-    """Run a suite of checks and return results sorted by check name."""
+    """Run a suite of checks serially, in registry order; results are sorted by check name."""
     if mu is None:
         mu = DeformationParams(0.5, 0.5)
     elif not isinstance(mu, DeformationParams):
@@ -663,30 +551,23 @@ def run_checks(
     if not selected:
         raise DomainError(f"suite must be one of {('all',) + SUITES}, got {suite!r}")
     ctx = VerifyContext(mu=mu, seed=seed)
-    workers = _worker_count() if max_workers is None else max_workers
-    if workers < 1:
-        raise DomainError(f"max_workers must be >= 1, got {workers}")
-
-    def run_one(check: _Check) -> CheckResult:
+    results = []
+    for check in selected:
         tolerance = overrides.get(check.name, check.tolerance)
         try:
-            residual = float(check.fn(ctx))
+            residual = _worst(check.fn(ctx))
             error = None
         except Exception as exc:  # surface as a failed check, not a crash
             residual = float("inf")
             error = f"{type(exc).__name__}: {exc}"
-        return CheckResult(
-            name=check.name,
-            suite=check.suite,
-            residual=residual,
-            tolerance=tolerance,
-            passed=(error is None and residual <= tolerance),
-            error=error,
+        results.append(
+            CheckResult(
+                name=check.name,
+                suite=check.suite,
+                residual=residual,
+                tolerance=tolerance,
+                passed=(error is None and residual <= tolerance),
+                error=error,
+            )
         )
-
-    if workers == 1 or len(selected) == 1:
-        results = [run_one(c) for c in selected]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, selected))
     return sorted(results, key=lambda res: res.name)

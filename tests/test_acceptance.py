@@ -477,8 +477,7 @@ def test_criterion_8_mu_zero_reduction():
 # --- criterion 9: command-line interface -------------------------------------
 
 
-def test_criterion_9_cli(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("DUNKL_OSC_THREADS", "1")
+def test_criterion_9_cli(capsys, tmp_path):
     code = main(["verify", "--suite", "all", "--out", str(tmp_path / "report.json")])
     verify_out = capsys.readouterr().out
     report = json.loads((tmp_path / "report.json").read_text())

@@ -310,8 +310,7 @@ def test_coherent_rejects_unit_displacement(capsys):
 # --- verify ------------------------------------------------------------------
 
 
-def test_verify_suite_passes_and_sorts(capsys, monkeypatch):
-    monkeypatch.setenv("DUNKL_OSC_THREADS", "1")
+def test_verify_suite_passes_and_sorts(capsys):
     code, out, err = _run(capsys, ["verify", "--suite", "algebra", "--seed", "1"])
     assert code == 0 and err == ""
     payload = json.loads(out)
@@ -352,11 +351,16 @@ def test_verify_nonfinite_tol_exits_two(value):
     assert exc.value.code == 2
 
 
-def test_verify_bad_thread_env_is_reported(capsys, monkeypatch):
+def test_verify_ignores_thread_env(capsys, monkeypatch):
+    # verify runs serially and reads no DUNKL_OSC_THREADS, so even a value
+    # that is not a number changes nothing.
+    argv = ["verify", "--suite", "coherent"]
+    monkeypatch.delenv("DUNKL_OSC_THREADS", raising=False)
+    unset = _run(capsys, list(argv))
     monkeypatch.setenv("DUNKL_OSC_THREADS", "many")
-    code, out, err = _run(capsys, ["verify", "--suite", "coherent"])
-    assert code == 2
-    assert err.startswith("error: ")
+    code, out, err = _run(capsys, list(argv))
+    assert code == 0 and err == ""
+    assert (code, out, err) == unset
 
 
 def test_verify_pass_line_with_out_file(tmp_path, capsys):
@@ -370,8 +374,7 @@ def test_verify_pass_line_with_out_file(tmp_path, capsys):
 # --- determinism and entry points -------------------------------------------
 
 
-def test_outputs_are_byte_identical_across_runs(capsys, monkeypatch):
-    monkeypatch.setenv("DUNKL_OSC_THREADS", "1")
+def test_outputs_are_byte_identical_across_runs(capsys):
     for argv in (
         ["spectrum", "--emax", "6", "--mu1", "0.3", "--mu2", "1.2", "--format", "json"],
         ["coherent", "--xi", "0.3,0.4", "--grid", "0.1:4:30", "--format", "csv"],

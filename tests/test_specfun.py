@@ -9,9 +9,16 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dunkl_oscillator.basis import (
+    AngularQuantum,
+    RadialQuantum,
+    angular_wavefunction,
+    radial_sturmian,
+)
 from dunkl_oscillator.errors import DomainError
 from dunkl_oscillator.profiles import DeformationParams
 from dunkl_oscillator.specfun import (
+    angular_gram,
     angular_inner_product,
     default_rmax,
     gauss_legendre,
@@ -21,6 +28,7 @@ from dunkl_oscillator.specfun import (
     laguerre_all,
     laguerre_derivative,
     log_gamma,
+    radial_gram,
     radial_inner_product,
 )
 
@@ -232,6 +240,42 @@ def test_inner_product_domain_errors():
         angular_inner_product(
             lambda p: p, lambda p: p, DeformationParams(0.5, 0.5), npoints=8
         )
+
+
+@pytest.mark.parametrize("mu_pair", [(0.0, 0.0), (-0.3, 0.4)])
+def test_gram_matrices_equal_pairwise_inner_products(mu_pair):
+    mu = DeformationParams(*mu_pair)
+    labels = [(1, 1, 0), (1, 1, 1), (1, -1, 0.5), (-1, -1, 1), (-1, 1, 1.5)]
+    angular = [
+        angular_wavefunction(AngularQuantum.build(s1, s2, m, mu), mu) for s1, s2, m in labels
+    ]
+    # A plain callable that is not orthogonal to the basis gives O(1) off-diagonal entries.
+    angular.append(lambda phi: np.cos(phi) ** 2 + 0.3 * np.sin(phi))
+    radial = [radial_sturmian(RadialQuantum.from_m(n, 0.5, mu), mu) for n in range(4)]
+    radial.append(lambda r: r * np.exp(-0.5 * r * r))
+    for gram, inner, fns in (
+        (angular_gram, angular_inner_product, angular),
+        (radial_gram, radial_inner_product, radial),
+    ):
+        pairwise = np.array([[inner(f, g, mu) for g in fns] for f in fns])
+        assert np.max(np.abs(gram(fns, mu) - pairwise)) <= 1e-14
+
+
+def test_gram_domain_errors_match_inner_products():
+    one = lambda x: np.ones_like(x)
+    cases = [
+        (radial_gram, radial_inner_product, (-0.6, -0.45), {}),
+        (radial_gram, radial_inner_product, (0.5, 0.5), {"npoints": 4}),
+        (radial_gram, radial_inner_product, (0.5, 0.5), {"rmax": -1.0}),
+        (angular_gram, angular_inner_product, (-0.5, 0.2), {}),
+        (angular_gram, angular_inner_product, (0.5, 0.5), {"npoints": 8}),
+    ]
+    for gram, inner, mu, kwargs in cases:
+        with pytest.raises(DomainError) as from_inner:
+            inner(one, one, mu, **kwargs)
+        with pytest.raises(DomainError) as from_gram:
+            gram([one], mu, **kwargs)
+        assert str(from_gram.value) == str(from_inner.value)
 
 
 def test_default_rmax_floor_and_growth():
