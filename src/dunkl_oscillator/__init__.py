@@ -45,13 +45,11 @@ from .dunkl_ops import (
 )
 from .errors import DerivativeUnavailable, DomainError, RepresentationError, SingularityError
 from .profiles import (
-    AngularProfile,
     DeformationParams,
     GaussLaguerreSum,
     PlaneFunction,
-    RadialProfile,
+    Profile,
     TrigJacobiSum,
-    angular_derivative_of,
     angular_grid,
     derivative_of,
     residual_grid,
@@ -112,13 +110,11 @@ __all__ = [
     "default_rmax",
     # profiles
     "DeformationParams",
-    "RadialProfile",
+    "Profile",
     "GaussLaguerreSum",
-    "AngularProfile",
     "TrigJacobiSum",
     "PlaneFunction",
     "derivative_of",
-    "angular_derivative_of",
     "residual_grid",
     "angular_grid",
     # operators

@@ -10,8 +10,8 @@ splits into a radial part and an angular operator carrying both reflections;
 angular sector, so the pure radial part is recovered with l2 = 0.
 
 Exact derivatives attached to the input profiles are used whenever present;
-otherwise five-point central differences are substituted (first-order step
-1e-5 * max(1, |x|), second-order step 2e-3 * max(1, |x|)).
+otherwise the five-point stencil ``profiles._five_point`` is substituted, along
+the differentiated axis for plane functions.
 """
 
 from __future__ import annotations
@@ -19,14 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .profiles import (
-    AngularProfile,
-    DeformationParams,
-    PlaneFunction,
-    RadialProfile,
-    angular_derivative_of,
-    derivative_of,
-)
+from .profiles import DeformationParams, PlaneFunction, Profile, _five_point, derivative_of
 
 __all__ = [
     "reflect",
@@ -35,9 +28,6 @@ __all__ = [
     "apply_radial_hamiltonian",
     "apply_angular_operator",
 ]
-
-_H1 = 1e-5
-_H2 = 2e-3
 
 
 def _check_axis(axis: str) -> str:
@@ -73,35 +63,15 @@ def _partial(f: PlaneFunction, axis: str, order: int):
     exact = {("x", 1): f.dx, ("y", 1): f.dy, ("x", 2): f.dxx, ("y", 2): f.dyy}[(axis, order)]
     if exact is not None:
         return exact
-    if order == 1:
 
-        def stencil1(x, y):
-            x = np.asarray(x, dtype=float)
-            y = np.asarray(y, dtype=float)
-            t = x if axis == "x" else y
-            h = _H1 * np.maximum(1.0, np.abs(t))
-            if axis == "x":
-                samples = [f(x + s * h, y) for s in (-2, -1, 1, 2)]
-            else:
-                samples = [f(x, y + s * h) for s in (-2, -1, 1, 2)]
-            return (samples[0] - 8 * samples[1] + 8 * samples[2] - samples[3]) / (12 * h)
-
-        return stencil1
-
-    def stencil2(x, y):
+    def stencil(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        t = x if axis == "x" else y
-        h = _H2 * np.maximum(1.0, np.abs(t))
         if axis == "x":
-            samples = [f(x + s * h, y) for s in (-2, -1, 0, 1, 2)]
-        else:
-            samples = [f(x, y + s * h) for s in (-2, -1, 0, 1, 2)]
-        return (-samples[0] + 16 * samples[1] - 30 * samples[2] + 16 * samples[3] - samples[4]) / (
-            12 * h * h
-        )
+            return _five_point(lambda t: f(t, y), x, order)
+        return _five_point(lambda t: f(x, t), y, order)
 
-    return stencil2
+    return stencil
 
 
 def dunkl_derivative(f: PlaneFunction, axis: str, mu: DeformationParams) -> PlaneFunction:
@@ -185,7 +155,7 @@ def apply_hamiltonian(f: PlaneFunction, mu: DeformationParams) -> PlaneFunction:
     return PlaneFunction(fn=out, parity=f.parity)
 
 
-def apply_radial_hamiltonian(R: RadialProfile, mu: DeformationParams, l2: float) -> RadialProfile:
+def apply_radial_hamiltonian(R: Profile, mu: DeformationParams, l2: float) -> Profile:
     """H_r R for angular eigenvalue l2, i.e. the radial operator plus l2/(2 r^2)."""
     if l2 < 0.0:
         raise DomainError(f"angular eigenvalue l2 must be non-negative, got {l2}")
@@ -200,10 +170,10 @@ def apply_radial_hamiltonian(R: RadialProfile, mu: DeformationParams, l2: float)
     return out
 
 
-def apply_angular_operator(Phi: AngularProfile, mu: DeformationParams) -> AngularProfile:
+def apply_angular_operator(Phi: Profile, mu: DeformationParams) -> Profile:
     """The angular operator of the polar-separated Hamiltonian acting on Phi."""
-    d1 = angular_derivative_of(Phi, 1)
-    d2 = angular_derivative_of(Phi, 2)
+    d1 = derivative_of(Phi, 1)
+    d2 = derivative_of(Phi, 2)
 
     def out(phi):
         phi = np.asarray(phi, dtype=float)
@@ -219,4 +189,4 @@ def apply_angular_operator(Phi: AngularProfile, mu: DeformationParams) -> Angula
         refl_y = mu.mu2 * (value - Phi(-phi)) / (2.0 * s * s)
         return -0.5 * d2(phi) + drift + refl_x + refl_y
 
-    return AngularProfile(out)
+    return Profile(out)

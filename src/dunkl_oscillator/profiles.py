@@ -1,7 +1,8 @@
 """Function containers that carry exact derivatives through operator algebra.
 
-Radial eigenfunctions, their images under the ladder operators, and the random
-test profiles all live in the family
+A ``Profile`` is a function of one variable, r or phi, with an optional exact
+derivative.  Radial eigenfunctions, their images under the ladder operators,
+and the random test profiles all live in the family
 
     sum_i  c_i * r^(p_i) * L_{n_i}^{a_i}(r^2) * exp(-r^2/2),
 
@@ -12,8 +13,9 @@ The angular analogue ``TrigJacobiSum`` uses terms
 
     c * cos^a(phi) * sin^b(phi) * P_j^(al,be)(cos 2 phi),
 
-also closed under d/dphi.  Plain callables can be wrapped too; compositions then
-fall back to five-point central differences when no exact derivative is attached.
+also closed under d/dphi.  Plain callables can be wrapped too; ``derivative_of``
+then falls back to the five-point stencil ``_five_point`` when no exact
+derivative is attached.
 """
 
 from __future__ import annotations
@@ -30,13 +32,11 @@ from .specfun import jacobi, laguerre
 
 __all__ = [
     "DeformationParams",
-    "RadialProfile",
+    "Profile",
     "GaussLaguerreSum",
-    "AngularProfile",
     "TrigJacobiSum",
     "PlaneFunction",
     "derivative_of",
-    "angular_derivative_of",
     "residual_grid",
     "angular_grid",
 ]
@@ -65,44 +65,44 @@ def _rpow(r: np.ndarray, s: float) -> np.ndarray:
     return r**s
 
 
-class RadialProfile:
-    """A function of r >= 0, optionally knowing its own exact derivative.
+class Profile:
+    """A function of one variable (r or phi), optionally knowing its own exact derivative.
 
     ``derivative`` may be another profile, or a zero-argument factory producing
     one lazily (the factory result is cached).  Sums, scalar multiples, and
-    r-power multiples propagate derivatives whenever both operands have them.
+    power multiples propagate derivatives whenever both operands have them.
     """
 
     def __init__(self, fn: Callable, derivative=None):
         self._fn = fn
         self._derivative = derivative
 
-    def __call__(self, r):
-        return self._fn(r)
+    def __call__(self, t):
+        return self._fn(t)
 
     @property
     def has_derivative(self) -> bool:
         return self._derivative is not None
 
-    def derivative(self) -> "RadialProfile":
+    def derivative(self) -> "Profile":
         if self._derivative is None:
             raise DerivativeUnavailable("no exact derivative attached to this profile")
-        if not isinstance(self._derivative, RadialProfile):
+        if not isinstance(self._derivative, Profile):
             self._derivative = self._derivative()
         return self._derivative
 
     def __add__(self, other):
-        if not isinstance(other, RadialProfile):
+        if not isinstance(other, Profile):
             return NotImplemented
-        if isinstance(self, GaussLaguerreSum) and isinstance(other, GaussLaguerreSum):
-            return GaussLaguerreSum(self.terms + other.terms)
+        if isinstance(self, (GaussLaguerreSum, TrigJacobiSum)) and type(other) is type(self):
+            return type(self)(self.terms + other.terms)
         factory = None
         if self.has_derivative and other.has_derivative:
             factory = lambda a=self, b=other: a.derivative() + b.derivative()
-        return RadialProfile(lambda r, a=self, b=other: a(r) + b(r), factory)
+        return Profile(lambda t, a=self, b=other: a(t) + b(t), factory)
 
     def __sub__(self, other):
-        if not isinstance(other, RadialProfile):
+        if not isinstance(other, Profile):
             return NotImplemented
         return self + (-1.0) * other
 
@@ -112,15 +112,17 @@ class RadialProfile:
     def __mul__(self, c):
         if not isinstance(c, numbers.Number):
             return NotImplemented
+        if isinstance(self, (GaussLaguerreSum, TrigJacobiSum)):
+            return type(self)(tuple(type(t)(c * t.coeff, *t[1:]) for t in self.terms))
         factory = None
         if self.has_derivative:
             factory = lambda a=self: c * a.derivative()
-        return RadialProfile(lambda r, a=self: c * a(r), factory)
+        return Profile(lambda t, a=self: c * a(t), factory)
 
     __rmul__ = __mul__
 
-    def times_rpower(self, s: float) -> "RadialProfile":
-        """The profile r -> r^s * f(r)."""
+    def times_rpower(self, s: float) -> "Profile":
+        """The profile t -> t^s * f(t)."""
         if s == 0:
             return self
         factory = None
@@ -130,7 +132,18 @@ class RadialProfile:
                 d = a.derivative().times_rpower(s)
                 return d + s * a.times_rpower(s - 1)
 
-        return RadialProfile(lambda r, a=self: _rpow(np.asarray(r, dtype=float), s) * a(r), factory)
+        return Profile(lambda t, a=self: _rpow(np.asarray(t, dtype=float), s) * a(t), factory)
+
+
+def _merge(terms) -> tuple:
+    """Add up the coefficients of terms that agree in every field after ``coeff``; drop zero sums."""
+    acc: dict[tuple, complex] = {}
+    kind = None
+    for t in terms:
+        key = t[1:]
+        acc[key] = acc.get(key, 0.0) + t.coeff
+        kind = type(t)
+    return tuple(kind(c, *key) for key, c in acc.items() if c != 0)
 
 
 class _GLTerm(NamedTuple):
@@ -140,23 +153,12 @@ class _GLTerm(NamedTuple):
     alpha: float
 
 
-def _merge_gl(terms) -> tuple[_GLTerm, ...]:
-    acc: dict[tuple, complex] = {}
-    for t in terms:
-        key = (t.power, t.degree, t.alpha)
-        acc[key] = acc.get(key, 0.0) + t.coeff
-    return tuple(
-        _GLTerm(c, p, n, a) for (p, n, a), c in acc.items() if c != 0
-    )
-
-
-class GaussLaguerreSum(RadialProfile):
+class GaussLaguerreSum(Profile):
     """Exact-arithmetic radial profile: sum of c * r^p * L_n^a(r^2) * e^(-r^2/2)."""
 
     def __init__(self, terms):
-        self.terms = _merge_gl(terms)
-        self._dcache: GaussLaguerreSum | None = None
-        super().__init__(self._evaluate, None)
+        self.terms = _merge(terms)
+        super().__init__(self._evaluate, self._derive)
 
     @classmethod
     def single(cls, coeff, power, degree, alpha) -> "GaussLaguerreSum":
@@ -178,103 +180,20 @@ class GaussLaguerreSum(RadialProfile):
         total = total * np.exp(-0.5 * x)
         return total[0] if np.ndim(r) == 0 else total
 
-    @property
-    def has_derivative(self) -> bool:
-        return True
-
-    def derivative(self) -> "GaussLaguerreSum":
-        if self._dcache is None:
-            out = []
-            for t in self.terms:
-                if t.power != 0:
-                    out.append(_GLTerm(t.coeff * t.power, t.power - 1, t.degree, t.alpha))
-                out.append(_GLTerm(-t.coeff, t.power + 1, t.degree, t.alpha))
-                if t.degree >= 1:
-                    out.append(_GLTerm(-2.0 * t.coeff, t.power + 1, t.degree - 1, t.alpha + 1))
-            self._dcache = GaussLaguerreSum(out)
-        return self._dcache
-
-    def __mul__(self, c):
-        if not isinstance(c, numbers.Number):
-            return NotImplemented
-        return GaussLaguerreSum(tuple(_GLTerm(c * t.coeff, t.power, t.degree, t.alpha) for t in self.terms))
-
-    __rmul__ = __mul__
+    def _derive(self) -> "GaussLaguerreSum":
+        out = []
+        for t in self.terms:
+            if t.power != 0:
+                out.append(_GLTerm(t.coeff * t.power, t.power - 1, t.degree, t.alpha))
+            out.append(_GLTerm(-t.coeff, t.power + 1, t.degree, t.alpha))
+            if t.degree >= 1:
+                out.append(_GLTerm(-2.0 * t.coeff, t.power + 1, t.degree - 1, t.alpha + 1))
+        return GaussLaguerreSum(out)
 
     def times_rpower(self, s: float) -> "GaussLaguerreSum":
         if s == 0:
             return self
         return GaussLaguerreSum(tuple(_GLTerm(t.coeff, t.power + s, t.degree, t.alpha) for t in self.terms))
-
-
-class _StencilDerivative(RadialProfile):
-    """Five-point central-difference derivative of a plain-callable profile."""
-
-    _H1 = 1e-5
-    _H2 = 2e-3
-
-    def __init__(self, base: RadialProfile, order: int):
-        self._base = base
-        self._order = order
-        super().__init__(self._evaluate, None)
-
-    def _evaluate(self, r):
-        arr = np.asarray(r, dtype=float)
-        f = self._base
-        if self._order == 1:
-            h = self._H1 * np.maximum(1.0, np.abs(arr))
-            return (f(arr - 2 * h) - 8 * f(arr - h) + 8 * f(arr + h) - f(arr + 2 * h)) / (12 * h)
-        h = self._H2 * np.maximum(1.0, np.abs(arr))
-        return (
-            -f(arr - 2 * h) + 16 * f(arr - h) - 30 * f(arr) + 16 * f(arr + h) - f(arr + 2 * h)
-        ) / (12 * h * h)
-
-    @property
-    def has_derivative(self) -> bool:
-        return self._order < 2
-
-    def derivative(self) -> RadialProfile:
-        if self._order >= 2:
-            raise DerivativeUnavailable("finite differences are limited to second derivatives")
-        return _StencilDerivative(self._base, self._order + 1)
-
-
-def derivative_of(profile: RadialProfile, order: int = 1) -> RadialProfile:
-    """Exact derivative chain when available, finite differences otherwise."""
-    current = profile
-    for step in range(order):
-        if current.has_derivative:
-            current = current.derivative()
-        else:
-            remaining = order - step
-            if remaining > 2:
-                raise DerivativeUnavailable(
-                    f"cannot reach derivative order {order} by finite differences"
-                )
-            return _StencilDerivative(current, remaining)
-    return current
-
-
-class AngularProfile:
-    """A function of the polar angle with an optional exact derivative chain."""
-
-    def __init__(self, fn: Callable, derivative=None):
-        self._fn = fn
-        self._derivative = derivative
-
-    def __call__(self, phi):
-        return self._fn(phi)
-
-    @property
-    def has_derivative(self) -> bool:
-        return self._derivative is not None
-
-    def derivative(self) -> "AngularProfile":
-        if self._derivative is None:
-            raise DerivativeUnavailable("no exact derivative attached to this profile")
-        if not isinstance(self._derivative, AngularProfile):
-            self._derivative = self._derivative()
-        return self._derivative
 
 
 class _TrigTerm(NamedTuple):
@@ -286,19 +205,12 @@ class _TrigTerm(NamedTuple):
     beta: float
 
 
-class TrigJacobiSum(AngularProfile):
+class TrigJacobiSum(Profile):
     """Exact-arithmetic angular profile: sum of c * cos^a * sin^b * P_j^(al,be)(cos 2 phi)."""
 
     def __init__(self, terms):
-        acc: dict[tuple, float] = {}
-        for t in terms:
-            key = (t.cos_power, t.sin_power, t.degree, t.alpha, t.beta)
-            acc[key] = acc.get(key, 0.0) + t.coeff
-        self.terms = tuple(
-            _TrigTerm(c, a, b, j, al, be) for (a, b, j, al, be), c in acc.items() if c != 0
-        )
-        self._dcache: TrigJacobiSum | None = None
-        super().__init__(self._evaluate, None)
+        self.terms = _merge(terms)
+        super().__init__(self._evaluate, self._derive)
 
     @classmethod
     def single(cls, coeff, cos_power, sin_power, degree, alpha, beta) -> "TrigJacobiSum":
@@ -313,56 +225,67 @@ class TrigJacobiSum(AngularProfile):
             total = total + t.coeff * c**t.cos_power * s**t.sin_power * jacobi(t.degree, t.alpha, t.beta, x)
         return total[0] if np.ndim(phi) == 0 else total
 
-    @property
-    def has_derivative(self) -> bool:
-        return True
-
-    def derivative(self) -> "TrigJacobiSum":
-        if self._dcache is None:
-            out = []
-            for t in self.terms:
-                if t.cos_power >= 1:
-                    out.append(
-                        _TrigTerm(-t.coeff * t.cos_power, t.cos_power - 1, t.sin_power + 1, t.degree, t.alpha, t.beta)
+    def _derive(self) -> "TrigJacobiSum":
+        out = []
+        for t in self.terms:
+            if t.cos_power >= 1:
+                out.append(
+                    _TrigTerm(-t.coeff * t.cos_power, t.cos_power - 1, t.sin_power + 1, t.degree, t.alpha, t.beta)
+                )
+            if t.sin_power >= 1:
+                out.append(
+                    _TrigTerm(t.coeff * t.sin_power, t.cos_power + 1, t.sin_power - 1, t.degree, t.alpha, t.beta)
+                )
+            if t.degree >= 1:
+                out.append(
+                    _TrigTerm(
+                        -2.0 * t.coeff * (t.degree + t.alpha + t.beta + 1.0),
+                        t.cos_power + 1,
+                        t.sin_power + 1,
+                        t.degree - 1,
+                        t.alpha + 1.0,
+                        t.beta + 1.0,
                     )
-                if t.sin_power >= 1:
-                    out.append(
-                        _TrigTerm(t.coeff * t.sin_power, t.cos_power + 1, t.sin_power - 1, t.degree, t.alpha, t.beta)
-                    )
-                if t.degree >= 1:
-                    out.append(
-                        _TrigTerm(
-                            -2.0 * t.coeff * (t.degree + t.alpha + t.beta + 1.0),
-                            t.cos_power + 1,
-                            t.sin_power + 1,
-                            t.degree - 1,
-                            t.alpha + 1.0,
-                            t.beta + 1.0,
-                        )
-                    )
-            self._dcache = TrigJacobiSum(out)
-        return self._dcache
+                )
+        return TrigJacobiSum(out)
 
 
-def angular_derivative_of(profile: AngularProfile, order: int = 1) -> Callable:
-    """Callable for the order-th phi-derivative, exact when attached, stencils otherwise."""
+def _five_point(f: Callable, t, order: int):
+    """Five-point central difference of f at t, for order 1 or 2.
+
+    The step is 1e-5 * max(1, |t|) for order 1 and 2e-3 * max(1, |t|) for
+    order 2; f is sampled at t + s*h for s = -2, -1, (0,) 1, 2 in that order.
+    """
+    t = np.asarray(t, dtype=float)
+    if order == 1:
+        h = 1e-5 * np.maximum(1.0, np.abs(t))
+        f2, f1, g1, g2 = (f(t + s * h) for s in (-2, -1, 1, 2))
+        return (f2 - 8 * f1 + 8 * g1 - g2) / (12 * h)
+    h = 2e-3 * np.maximum(1.0, np.abs(t))
+    f2, f1, f0, g1, g2 = (f(t + s * h) for s in (-2, -1, 0, 1, 2))
+    return (-f2 + 16 * f1 - 30 * f0 + 16 * g1 - g2) / (12 * h * h)
+
+
+def derivative_of(profile: Profile, order: int = 1) -> Profile:
+    """The order-th derivative: the exact chain while it lasts, then ``_five_point``.
+
+    Finite differences supply at most the last two orders.  The first-order
+    stencil profile's own ``derivative()`` is the direct second-order stencil.
+    """
+    if not isinstance(order, (int, np.integer)) or order < 0:
+        raise DomainError(f"derivative order must be a non-negative integer, got {order!r}")
     current = profile
-    depth = 0
-    while depth < order and current.has_derivative:
+    for step in range(order):
+        if not current.has_derivative:
+            remaining = order - step
+            if remaining > 2:
+                raise DerivativeUnavailable(f"cannot reach derivative order {order} by finite differences")
+            second = Profile(lambda t, f=current: _five_point(f, t, 2))
+            if remaining == 2:
+                return second
+            return Profile(lambda t, f=current: _five_point(f, t, 1), second)
         current = current.derivative()
-        depth += 1
-    remaining = order - depth
-    if remaining == 0:
-        return current
-    if remaining == 1:
-        h = 1e-5
-        return lambda p, f=current: (f(p - 2 * h) - 8 * f(p - h) + 8 * f(p + h) - f(p + 2 * h)) / (12 * h)
-    if remaining == 2:
-        h = 2e-3
-        return lambda p, f=current: (
-            -f(p - 2 * h) + 16 * f(p - h) - 30 * f(p) + 16 * f(p + h) - f(p + 2 * h)
-        ) / (12 * h * h)
-    raise DerivativeUnavailable(f"cannot reach derivative order {order} by finite differences")
+    return current
 
 
 @dataclass(frozen=True)

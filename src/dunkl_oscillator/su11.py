@@ -35,7 +35,7 @@ import numpy as np
 
 from .basis import as_quantum_m, k_of
 from .errors import DomainError, RepresentationError
-from .profiles import DeformationParams, RadialProfile, derivative_of, residual_grid
+from .profiles import DeformationParams, Profile, derivative_of, residual_grid
 
 __all__ = [
     "AlgebraState",
@@ -85,7 +85,7 @@ def _check_l2(l2: float) -> float:
     return float(l2)
 
 
-def apply_A(R: RadialProfile, which: str, mu: DeformationParams, l2: float) -> RadialProfile:
+def apply_A(R: Profile, which: str, mu: DeformationParams, l2: float) -> Profile:
     """Apply A0, A+ or A- (weighted picture, sector with angular eigenvalue l2)."""
     _check_l2(l2)
     if which not in ("0", "+", "-"):
@@ -109,7 +109,7 @@ def apply_A(R: RadialProfile, which: str, mu: DeformationParams, l2: float) -> R
     )
 
 
-def apply_B0(U: RadialProfile, l2: float, mu: DeformationParams) -> RadialProfile:
+def apply_B0(U: Profile, l2: float, mu: DeformationParams) -> Profile:
     """Apply the flat-measure diagonal operator; on eigen-U its value is E/2."""
     _check_l2(l2)
     d2 = derivative_of(U, 2)
@@ -120,7 +120,7 @@ def apply_B0(U: RadialProfile, l2: float, mu: DeformationParams) -> RadialProfil
     return out
 
 
-def apply_J(U: RadialProfile, E: float, sign: int) -> RadialProfile:
+def apply_J(U: Profile, E: float, sign: int) -> Profile:
     """Apply J+ (sign=+1) or J- (sign=-1) at energy E in the flat-measure picture."""
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
@@ -178,7 +178,7 @@ def factorization_product_eigenvalue(
 
 
 def factorization_residual(
-    U: RadialProfile,
+    U: Profile,
     E: float,
     l2: float,
     mu: DeformationParams,
@@ -197,7 +197,7 @@ def factorization_residual(
 
 
 def casimir_check(
-    R: RadialProfile,
+    R: Profile,
     k: float,
     mu: DeformationParams,
     l2: float,
@@ -225,7 +225,7 @@ def casimir_check(
 
 def commutator_residual(
     pair: str,
-    R: RadialProfile,
+    R: Profile,
     mu: DeformationParams,
     l2: float,
     grid: np.ndarray | None = None,

@@ -14,10 +14,10 @@ from dunkl_oscillator.dunkl_ops import (
 )
 from dunkl_oscillator.errors import DomainError, SingularityError
 from dunkl_oscillator.profiles import (
-    AngularProfile,
     DeformationParams,
     GaussLaguerreSum,
     PlaneFunction,
+    Profile,
     TrigJacobiSum,
     angular_grid,
     residual_grid,
@@ -86,6 +86,41 @@ def test_dunkl_derivative_stencil_fallback_matches_exact():
     via_exact = dunkl_derivative(exact, "x", MU)
     via_stencil = dunkl_derivative(plain, "x", MU)
     np.testing.assert_allclose(via_stencil(_X, _Y), via_exact(_X, _Y), atol=5e-11)
+
+
+def _former_plane_stencil(f, axis, order):
+    # The plane five-point formula as written before the stencils were merged.
+    def stencil(x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        t = x if axis == "x" else y
+        steps = (-2, -1, 1, 2) if order == 1 else (-2, -1, 0, 1, 2)
+        h = (1e-5 if order == 1 else 2e-3) * np.maximum(1.0, np.abs(t))
+        if axis == "x":
+            samples = [f(x + s * h, y) for s in steps]
+        else:
+            samples = [f(x, y + s * h) for s in steps]
+        if order == 1:
+            return (samples[0] - 8 * samples[1] + 8 * samples[2] - samples[3]) / (12 * h)
+        return (-samples[0] + 16 * samples[1] - 30 * samples[2] + 16 * samples[3] - samples[4]) / (
+            12 * h * h
+        )
+
+    return stencil
+
+
+def test_plane_stencils_are_bit_identical_to_former_formula():
+    # At mu = 0 the deformed operators reduce to the bare stencils; _X and _Y
+    # hold points with |t| < 1 and |t| > 1 on both axes.
+    f = PlaneFunction(fn=lambda x, y: np.sin(1.3 * x) * np.exp(-0.2 * y * y) + x * y**3)
+    mu0 = DeformationParams(0.0, 0.0)
+    for axis in ("x", "y"):
+        expected = _former_plane_stencil(f, axis, 1)(_X, _Y)
+        assert np.array_equal(dunkl_derivative(f, axis, mu0)(_X, _Y), expected)
+    ddx = _former_plane_stencil(f, "x", 2)(_X, _Y)
+    ddy = _former_plane_stencil(f, "y", 2)(_X, _Y)
+    expected = -0.5 * (ddx + ddy) + 0.5 * (_X * _X + _Y * _Y) * f(_X, _Y)
+    assert np.array_equal(apply_hamiltonian(f, mu0)(_X, _Y), expected)
 
 
 def test_dunkl_derivative_on_axis_limits():
@@ -208,7 +243,7 @@ def test_angular_operator_on_sin_phi():
 
 
 def test_angular_operator_stencil_fallback():
-    plain = AngularProfile(lambda p: np.sin(p))
+    plain = Profile(lambda p: np.sin(p))
     image = apply_angular_operator(plain, MU)
     grid = angular_grid(24)
     expected = (0.5 + MU.total) * np.sin(grid)

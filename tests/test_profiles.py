@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 
 from dunkl_oscillator.errors import DerivativeUnavailable, DomainError, SingularityError
 from dunkl_oscillator.profiles import (
-    AngularProfile,
     DeformationParams,
     GaussLaguerreSum,
     PlaneFunction,
-    RadialProfile,
+    Profile,
     TrigJacobiSum,
-    angular_derivative_of,
+    _five_point,
     angular_grid,
     derivative_of,
     residual_grid,
@@ -108,7 +107,7 @@ def test_negative_power_at_origin_raises():
 
 
 def test_plain_profile_stencil_derivatives():
-    base = RadialProfile(lambda r: np.sin(r) * np.exp(-0.3 * r))
+    base = Profile(lambda r: np.sin(r) * np.exp(-0.3 * r))
     assert not base.has_derivative
     with pytest.raises(DerivativeUnavailable):
         base.derivative()
@@ -127,7 +126,7 @@ def test_profile_algebra_propagates_exact_derivatives():
     a = GaussLaguerreSum.gaussian_polynomial([1.0, 0.5])
     b = GaussLaguerreSum.gaussian_polynomial([0.0, 0.0, 2.0])
     combo = 2.0 * a - b
-    assert isinstance(combo, RadialProfile)
+    assert isinstance(combo, Profile)
     r = np.linspace(0.1, 3.0, 7)
     np.testing.assert_allclose(combo(r), 2.0 * a(r) - b(r), rtol=1e-14)
     np.testing.assert_allclose(
@@ -140,7 +139,7 @@ def test_profile_algebra_propagates_exact_derivatives():
 
 def test_mixed_sum_with_plain_callable_falls_back_to_stencils():
     exact = GaussLaguerreSum.gaussian_polynomial([1.0])
-    plain = RadialProfile(lambda r: np.cos(r))
+    plain = Profile(lambda r: np.cos(r))
     combo = exact + plain
     assert not combo.has_derivative
     d1 = derivative_of(combo, 1)
@@ -159,6 +158,17 @@ def test_trig_jacobi_sum_matches_direct_formula():
     np.testing.assert_allclose(profile(phi), expected, rtol=1e-12, atol=1e-13)
 
 
+def test_trig_jacobi_sum_merges_and_cancels_terms():
+    a = TrigJacobiSum.single(1.0, 1, 2, 1, 0.5, -0.2)
+    b = TrigJacobiSum.single(3.0, 1, 2, 1, 0.5, -0.2)
+    merged = a + b
+    assert isinstance(merged, TrigJacobiSum)
+    assert merged.terms == (TrigJacobiSum.single(4.0, 1, 2, 1, 0.5, -0.2).terms[0],)
+    cancelled = a - a
+    assert isinstance(cancelled, TrigJacobiSum)
+    assert cancelled.terms == ()
+
+
 @pytest.mark.parametrize("order", [1, 2])
 def test_trig_jacobi_derivative_matches_mpmath(order):
     mpmath.mp.dps = 30
@@ -170,29 +180,80 @@ def test_trig_jacobi_derivative_matches_mpmath(order):
             2, 0.3, 0.8, mpmath.cos(2 * phi)
         )
 
-    deriv = angular_derivative_of(profile, order)
+    deriv = derivative_of(profile, order)
     for phi in [0.3, 1.2, 2.8, 4.4]:
         expected = float(mpmath.diff(reference, phi, order))
         assert deriv(phi) == pytest.approx(expected, rel=1e-11, abs=1e-11)
 
 
 def test_angular_stencils_on_plain_profile():
-    base = AngularProfile(np.sin)
-    d1 = angular_derivative_of(base, 1)
-    d2 = angular_derivative_of(base, 2)
+    base = Profile(np.sin)
+    d1 = derivative_of(base, 1)
+    d2 = derivative_of(base, 2)
     phi = angular_grid(16)
     np.testing.assert_allclose(d1(phi), np.cos(phi), atol=1e-10)
     np.testing.assert_allclose(d2(phi), -np.sin(phi), atol=5e-10)
     with pytest.raises(DerivativeUnavailable):
-        angular_derivative_of(base, 3)
+        derivative_of(base, 3)
 
 
 def test_angular_exact_chain_used_when_attached():
-    chained = AngularProfile(
-        np.cos, derivative=AngularProfile(lambda p: -np.sin(p), derivative=AngularProfile(lambda p: -np.cos(p)))
-    )
+    chained = Profile(np.cos, derivative=Profile(lambda p: -np.sin(p), derivative=Profile(lambda p: -np.cos(p))))
     phi = np.array([0.5, 2.2])
-    np.testing.assert_allclose(angular_derivative_of(chained, 2)(phi), -np.cos(phi), rtol=1e-15)
+    np.testing.assert_allclose(derivative_of(chained, 2)(phi), -np.cos(phi), rtol=1e-15)
+
+
+def _former_radial_stencil(f, r, order):
+    # The radial five-point formula as written before the stencils were merged.
+    arr = np.asarray(r, dtype=float)
+    if order == 1:
+        h = 1e-5 * np.maximum(1.0, np.abs(arr))
+        return (f(arr - 2 * h) - 8 * f(arr - h) + 8 * f(arr + h) - f(arr + 2 * h)) / (12 * h)
+    h = 2e-3 * np.maximum(1.0, np.abs(arr))
+    return (-f(arr - 2 * h) + 16 * f(arr - h) - 30 * f(arr) + 16 * f(arr + h) - f(arr + 2 * h)) / (12 * h * h)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_five_point_is_bit_identical_to_former_radial_stencil(order):
+    base = Profile(lambda r: np.sin(r) * np.exp(-0.3 * r))
+    r = np.array([0.05, 0.4, 0.93, 1.0, 1.7, 6.2, 11.5])
+    expected = _former_radial_stencil(base, r, order)
+    assert np.array_equal(_five_point(base, r, order), expected)
+    assert np.array_equal(derivative_of(base, order)(r), expected)
+    assert derivative_of(base, order)(0.4) == _former_radial_stencil(base, 0.4, order)
+
+
+@pytest.mark.parametrize(
+    "base, points",
+    [
+        (Profile(lambda r: np.sin(r) * np.exp(-0.3 * r)), residual_grid(11)),
+        (Profile(np.sin), angular_grid(16)),
+    ],
+    ids=["radial", "angular"],
+)
+def test_stencil_chain_on_plain_profiles(base, points):
+    d1 = derivative_of(base, 1)
+    assert d1.has_derivative
+    chained = d1.derivative()
+    assert np.array_equal(chained(points), derivative_of(base, 2)(points))
+    assert not chained.has_derivative
+    with pytest.raises(DerivativeUnavailable):
+        chained.derivative()
+    with pytest.raises(DerivativeUnavailable):
+        derivative_of(base, 3)
+
+
+@pytest.mark.parametrize("order", [-1, -3, 1.0, 1.5, "1"])
+def test_derivative_of_rejects_bad_order(order):
+    for profile in (Profile(np.sin), GaussLaguerreSum.single(1.0, 1.0, 1, 0.0), TrigJacobiSum.single(1.0, 0, 1, 0, 0.0, 0.0)):
+        with pytest.raises(DomainError, match="non-negative integer"):
+            derivative_of(profile, order)
+
+
+def test_derivative_of_order_zero_is_the_profile():
+    base = Profile(np.sin)
+    assert derivative_of(base, 0) is base
+    assert derivative_of(base, np.int64(0)) is base
 
 
 def test_plane_function_call_and_parity():
