@@ -21,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,7 +40,9 @@ from .errors import DomainError
 from .profiles import DeformationParams
 from .verify import SUITES, run_checks
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
+
+_DEFAULT_GRID = (0.05, 10.0, 200)
 
 
 def _fmt(value: float) -> str:
@@ -125,32 +126,6 @@ def _parse_tol(text: str) -> tuple[str, float]:
     return (name.strip(), value)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed run settings shared by the subcommands."""
-
-    mu: DeformationParams
-    emax: float
-    grid: tuple[float, float, int]
-    fmt: str
-    out: str | None
-    seed: int
-    tol_overrides: dict[str, float]
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        pairs = getattr(args, "tol", None) or []
-        return cls(
-            mu=DeformationParams(args.mu1, args.mu2),
-            emax=getattr(args, "emax", 10.0),
-            grid=getattr(args, "grid", (0.05, 10.0, 200)),
-            fmt=getattr(args, "format", "csv"),
-            out=getattr(args, "out", None),
-            seed=getattr(args, "seed", 0),
-            tol_overrides=dict(pairs),
-        )
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -220,18 +195,17 @@ def _spectrum_rows(states, sector_fields, level_fields) -> list[str]:
     return rows
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
-    states = enumerate_states(cfg.emax, cfg.mu)
-    if cfg.fmt == "json":
+def _cmd_spectrum(args: argparse.Namespace, mu: DeformationParams) -> int:
+    states = enumerate_states(args.emax, mu)
+    if args.format == "json":
         # Objects as json.dumps(..., indent=2, sort_keys=True) writes them at depth 2.
         rows = _spectrum_rows(states, _json_sector_fields, _json_level_fields)
         head = _json_document(
             {
                 "command": "spectrum",
-                "mu1": cfg.mu.mu1,
-                "mu2": cfg.mu.mu2,
-                "emax": cfg.emax,
+                "mu1": mu.mu1,
+                "mu2": mu.mu2,
+                "emax": args.emax,
                 "count": len(states),
             }
         )
@@ -241,36 +215,35 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     else:
         meta = [
             ("command", "spectrum"),
-            ("mu1", _fmt(cfg.mu.mu1)),
-            ("mu2", _fmt(cfg.mu.mu2)),
-            ("emax", _fmt(cfg.emax)),
+            ("mu1", _fmt(mu.mu1)),
+            ("mu2", _fmt(mu.mu2)),
+            ("emax", _fmt(args.emax)),
             ("count", str(len(states))),
         ]
         rows = _spectrum_rows(states, _csv_sector_fields, _csv_level_fields)
         doc = _csv_document(meta, ["s1", "s2", "m", "nr", "k", "l2", "energy"], rows)
-    _emit(doc, cfg.out)
+    _emit(doc, args.out)
     return 0
 
 
-def _cmd_wavefunction(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
+def _cmd_wavefunction(args: argparse.Namespace, mu: DeformationParams) -> int:
     s1, s2, m, nr = args.state
-    q_ang = AngularQuantum.build(s1, s2, m, cfg.mu)
-    q_rad = RadialQuantum.from_m(nr, m, cfg.mu)
-    E = energy(nr, m, cfg.mu)
-    lo, hi, n = cfg.grid
+    q_ang = AngularQuantum.build(s1, s2, m, mu)
+    q_rad = RadialQuantum.from_m(nr, m, mu)
+    E = energy(nr, m, mu)
+    lo, hi, n = args.grid
     grid = np.linspace(lo, hi, n)
     if args.part == "radial":
-        values = radial_sturmian(q_rad, cfg.mu)(grid)
+        values = radial_sturmian(q_rad, mu)(grid)
         axis_name = "r"
     else:
-        values = angular_wavefunction(q_ang, cfg.mu)(grid)
+        values = angular_wavefunction(q_ang, mu)(grid)
         axis_name = "phi"
     meta_pairs = [
         ("command", "wavefunction"),
         ("part", args.part),
-        ("mu1", _fmt(cfg.mu.mu1)),
-        ("mu2", _fmt(cfg.mu.mu2)),
+        ("mu1", _fmt(mu.mu1)),
+        ("mu2", _fmt(mu.mu2)),
         ("s1", f"{s1:+d}"),
         ("s2", f"{s2:+d}"),
         ("m", _fmt(float(m))),
@@ -279,13 +252,13 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
         ("l2", _fmt(q_ang.l2)),
         ("energy", _fmt(E)),
     ]
-    if cfg.fmt == "json":
+    if args.format == "json":
         doc = _json_document(
             {
                 "command": "wavefunction",
                 "part": args.part,
-                "mu1": cfg.mu.mu1,
-                "mu2": cfg.mu.mu2,
+                "mu1": mu.mu1,
+                "mu2": mu.mu2,
                 "s1": s1,
                 "s2": s2,
                 "m": float(m),
@@ -301,21 +274,20 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
     else:
         rows = [f"{_fmt(r)},{_fmt(v)}" for r, v in zip(grid, values)]
         doc = _csv_document(meta_pairs, [axis_name, "value"], rows)
-    _emit(doc, cfg.out)
+    _emit(doc, args.out)
     return 0
 
 
-def _cmd_coherent(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
+def _cmd_coherent(args: argparse.Namespace, mu: DeformationParams) -> int:
     m = args.m
-    k = k_of(m, cfg.mu)
+    k = k_of(m, mu)
     p = CoherentParams(xi=args.xi, k=k)
-    lo, hi, n = cfg.grid
+    lo, hi, n = args.grid
     grid = np.linspace(lo, hi, n)
     meta_pairs = [
         ("command", "coherent"),
-        ("mu1", _fmt(cfg.mu.mu1)),
-        ("mu2", _fmt(cfg.mu.mu2)),
+        ("mu1", _fmt(mu.mu1)),
+        ("mu2", _fmt(mu.mu2)),
         ("m", _fmt(float(m))),
         ("k", _fmt(k)),
         ("xi_re", _fmt(p.xi.real)),
@@ -323,14 +295,14 @@ def _cmd_coherent(args: argparse.Namespace) -> int:
     ]
     blocks = []
     for tau in args.tau:
-        values = coherent_evolved(grid, p, EvolutionParams(tau), m, cfg.mu)
+        values = coherent_evolved(grid, p, EvolutionParams(tau), m, mu)
         blocks.append((tau, values))
-    if cfg.fmt == "json":
+    if args.format == "json":
         doc = _json_document(
             {
                 "command": "coherent",
-                "mu1": cfg.mu.mu1,
-                "mu2": cfg.mu.mu2,
+                "mu1": mu.mu1,
+                "mu2": mu.mu2,
                 "m": float(m),
                 "k": k,
                 "xi": [p.xi.real, p.xi.imag],
@@ -353,18 +325,12 @@ def _cmd_coherent(args: argparse.Namespace) -> int:
                     f"{_fmt(tau)},{_fmt(r)},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v) ** 2)}"
                 )
         doc = _csv_document(meta_pairs, ["tau", "r", "re", "im", "abs2"], rows)
-    _emit(doc, cfg.out)
+    _emit(doc, args.out)
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
-    results = run_checks(
-        suite=args.suite,
-        mu=cfg.mu,
-        seed=cfg.seed,
-        tol_overrides=cfg.tol_overrides,
-    )
+def _cmd_verify(args: argparse.Namespace, mu: DeformationParams) -> int:
+    results = run_checks(suite=args.suite, mu=mu, seed=args.seed, tol_overrides=dict(args.tol or ()))
     payload = [
         {
             "name": res.name,
@@ -377,9 +343,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for res in results
     ]
     doc = _json_document(payload)
-    _emit(doc, cfg.out)
+    _emit(doc, args.out)
     failed = [res for res in results if not res.passed]
-    if cfg.out is not None:
+    if args.out is not None:
         total = len(results)
         if failed:
             sys.stdout.write(f"FAIL: {len(failed)}/{total} checks failed\n")
@@ -412,9 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p_wave, 0.0)
     p_wave.add_argument("--state", type=_parse_state, required=True, help="s1,s2,m,nr")
     p_wave.add_argument("--part", choices=("radial", "angular"), default="radial")
-    p_wave.add_argument(
-        "--grid", type=_parse_grid, default=(0.05, 10.0, 200), help="min:max:n"
-    )
+    p_wave.add_argument("--grid", type=_parse_grid, default=_DEFAULT_GRID, help="min:max:n")
     p_wave.add_argument("--format", choices=("csv", "json"), default="csv")
     p_wave.set_defaults(handler=_cmd_wavefunction)
 
@@ -423,9 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_coh.add_argument("--xi", type=_parse_xi, required=True, help="re,im with |xi| < 1")
     p_coh.add_argument("--m", type=_parse_m, default=Fraction(0), help="sector quantum number")
     p_coh.add_argument("--tau", type=_parse_taus, default=(0.0,), help="comma list of times")
-    p_coh.add_argument(
-        "--grid", type=_parse_grid, default=(0.05, 10.0, 200), help="min:max:n"
-    )
+    p_coh.add_argument("--grid", type=_parse_grid, default=_DEFAULT_GRID, help="min:max:n")
     p_coh.add_argument("--format", choices=("csv", "json"), default="csv")
     p_coh.set_defaults(handler=_cmd_coherent)
 
@@ -445,10 +407,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return args.handler(args, DeformationParams(args.mu1, args.mu2))
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

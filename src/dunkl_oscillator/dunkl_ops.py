@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .profiles import DeformationParams, PlaneFunction, Profile, _five_point, derivative_of
+from .profiles import DeformationParams, PlaneFunction, Profile, _check_l2, _five_point, derivative_of
 
 __all__ = [
     "reflect",
@@ -157,8 +157,7 @@ def apply_hamiltonian(f: PlaneFunction, mu: DeformationParams) -> PlaneFunction:
 
 def apply_radial_hamiltonian(R: Profile, mu: DeformationParams, l2: float) -> Profile:
     """H_r R for angular eigenvalue l2, i.e. the radial operator plus l2/(2 r^2)."""
-    if l2 < 0.0:
-        raise DomainError(f"angular eigenvalue l2 must be non-negative, got {l2}")
+    _check_l2(l2, mu)
     d1 = derivative_of(R, 1)
     d2 = derivative_of(R, 2)
     out = (-0.5) * d2 + 0.5 * R.times_rpower(2)

@@ -59,6 +59,19 @@ class DeformationParams:
         return self.mu1 + self.mu2
 
 
+def _check_l2(l2: float, mu: DeformationParams) -> None:
+    """Refuse an angular eigenvalue without a real Bargmann index: l2 + (mu1+mu2)^2 < 0 or nan.
+
+    A genuine sector has l2 = 4m(m+mu1+mu2), so l2 + (mu1+mu2)^2 = (2m+mu1+mu2)^2;
+    l2 itself is negative in the (+-,-+) m = 1/2 sectors once mu1+mu2 < -1/2.
+    """
+    if not (math.isfinite(l2) and l2 + mu.total * mu.total >= 0.0):
+        raise DomainError(
+            f"angular eigenvalue l2 = {l2} has no real Bargmann index at mu1+mu2 = {mu.total}: "
+            "l2 + (mu1+mu2)^2 must be non-negative"
+        )
+
+
 def _rpow(r: np.ndarray, s: float) -> np.ndarray:
     if s < 0 and np.any(r == 0.0):
         raise SingularityError("evaluation at r = 0 hits a negative power of r")
@@ -266,24 +279,31 @@ def _five_point(f: Callable, t, order: int):
     return (-f2 + 16 * f1 - 30 * f0 + 16 * g1 - g2) / (12 * h * h)
 
 
+class _Stencil(Profile):
+    """A ``_five_point`` derivative; ``derivative_of`` does not difference it again."""
+
+
 def derivative_of(profile: Profile, order: int = 1) -> Profile:
     """The order-th derivative: the exact chain while it lasts, then ``_five_point``.
 
-    Finite differences supply at most the last two orders.  The first-order
-    stencil profile's own ``derivative()`` is the direct second-order stencil.
+    Finite differences supply at most the last two orders, and never of a
+    stencil profile itself.  The first-order stencil profile's own
+    ``derivative()`` is the direct second-order stencil.
     """
     if not isinstance(order, (int, np.integer)) or order < 0:
         raise DomainError(f"derivative order must be a non-negative integer, got {order!r}")
     current = profile
     for step in range(order):
         if not current.has_derivative:
+            if isinstance(current, _Stencil):
+                raise DerivativeUnavailable("a finite-difference derivative is not differenced again")
             remaining = order - step
             if remaining > 2:
                 raise DerivativeUnavailable(f"cannot reach derivative order {order} by finite differences")
-            second = Profile(lambda t, f=current: _five_point(f, t, 2))
+            second = _Stencil(lambda t, f=current: _five_point(f, t, 2))
             if remaining == 2:
                 return second
-            return Profile(lambda t, f=current: _five_point(f, t, 1), second)
+            return _Stencil(lambda t, f=current: _five_point(f, t, 1), second)
         current = current.derivative()
     return current
 

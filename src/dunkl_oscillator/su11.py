@@ -35,7 +35,7 @@ import numpy as np
 
 from .basis import as_quantum_m, k_of
 from .errors import DomainError, RepresentationError
-from .profiles import DeformationParams, Profile, derivative_of, residual_grid
+from .profiles import DeformationParams, Profile, _check_l2, derivative_of, residual_grid
 
 __all__ = [
     "AlgebraState",
@@ -79,15 +79,9 @@ def ladder_coefficients(state: AlgebraState, which: str) -> float:
     raise DomainError(f"which must be '0', '+' or '-', got {which!r}")
 
 
-def _check_l2(l2: float) -> float:
-    if l2 < 0.0:
-        raise DomainError(f"angular eigenvalue l2 must be non-negative, got {l2}")
-    return float(l2)
-
-
 def apply_A(R: Profile, which: str, mu: DeformationParams, l2: float) -> Profile:
     """Apply A0, A+ or A- (weighted picture, sector with angular eigenvalue l2)."""
-    _check_l2(l2)
+    _check_l2(l2, mu)
     if which not in ("0", "+", "-"):
         raise DomainError(f"which must be '0', '+' or '-', got {which!r}")
     d1 = derivative_of(R, 1)
@@ -111,7 +105,7 @@ def apply_A(R: Profile, which: str, mu: DeformationParams, l2: float) -> Profile
 
 def apply_B0(U: Profile, l2: float, mu: DeformationParams) -> Profile:
     """Apply the flat-measure diagonal operator; on eigen-U its value is E/2."""
-    _check_l2(l2)
+    _check_l2(l2, mu)
     d2 = derivative_of(U, 2)
     out = (-0.25) * d2 + 0.25 * U.times_rpower(2)
     coeff = l2 - 0.25 + mu.total * mu.total
@@ -157,7 +151,7 @@ def schrodinger_factorize(
 ) -> FactorizationConstants:
     """Coefficient set of the quadratic rearrangement of the eigenproblem at E."""
     sign = _branch_sign(branch)
-    _check_l2(l2)
+    _check_l2(l2, mu)
     return FactorizationConstants(
         a=sign,
         b=-sign * E - 1.5,
@@ -173,7 +167,7 @@ def factorization_product_eigenvalue(
 ) -> float:
     """Eigenvalue of the shifted ladder product on an eigenprofile of energy E."""
     sign = _branch_sign(branch)
-    _check_l2(l2)
+    _check_l2(l2, mu)
     return 0.25 * ((E + sign) ** 2 - l2 - mu.total * mu.total)
 
 

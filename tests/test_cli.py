@@ -385,6 +385,27 @@ def test_outputs_are_byte_identical_across_runs(capsys):
         assert first == second
 
 
+@pytest.mark.parametrize(
+    "required, defaults",
+    [
+        (["spectrum"], ["--mu1", "0", "--mu2", "0", "--emax", "10", "--format", "csv"]),
+        (
+            ["wavefunction", "--state", "+1,-1,1/2,1"],
+            ["--mu1", "0", "--mu2", "0", "--part", "radial", "--grid", "0.05:10:200", "--format", "csv"],
+        ),
+        (
+            ["coherent", "--xi", "0.3,0.1"],
+            ["--mu1", "0", "--mu2", "0", "--m", "0", "--tau", "0", "--grid", "0.05:10:200", "--format", "csv"],
+        ),
+        (["verify", "--suite", "algebra"], ["--mu1", "0.5", "--mu2", "0.5", "--seed", "0"]),
+    ],
+)
+def test_omitted_options_equal_their_written_defaults(capsys, required, defaults):
+    omitted = _run(capsys, list(required))
+    assert omitted[0] == 0 and omitted[1]
+    assert _run(capsys, required + defaults) == omitted
+
+
 def test_console_script_and_module_entry_agree():
     argv_tail = ["spectrum", "--emax", "3", "--format", "json"]
     script = subprocess.run(

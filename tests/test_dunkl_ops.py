@@ -1,10 +1,13 @@
 """Deformed derivative and Hamiltonian operators against hand-derived actions."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dunkl_oscillator.basis import AngularQuantum, RadialQuantum, energy, radial_sturmian
 from dunkl_oscillator.dunkl_ops import (
     apply_angular_operator,
     apply_hamiltonian,
@@ -219,7 +222,23 @@ def test_radial_hamiltonian_exact_eigenprofile():
 def test_radial_hamiltonian_rejects_negative_l2():
     R = GaussLaguerreSum.single(1.0, 0.0, 0, 0.0)
     with pytest.raises(DomainError):
-        apply_radial_hamiltonian(R, MU, -1.0)
+        apply_radial_hamiltonian(R, MU, -2.0)
+    with pytest.raises(DomainError):
+        apply_radial_hamiltonian(R, MU, float("nan"))
+
+
+def test_radial_hamiltonian_on_negative_l2_sector():
+    # At mu1+mu2 < -1/2 the (+,-) m = 1/2 sector has l2 = 4m(m+mu1+mu2) < 0
+    # and the real Bargmann index k = m + (mu1+mu2+1)/2 = 0.6.
+    mu = DeformationParams(-0.4, -0.4)
+    m = Fraction(1, 2)
+    l2 = AngularQuantum.build(1, -1, m, mu).l2
+    assert l2 == pytest.approx(-0.6)
+    grid = residual_grid()
+    for nr in range(4):
+        R = radial_sturmian(RadialQuantum.from_m(nr, m, mu), mu)
+        image = apply_radial_hamiltonian(R, mu, l2)
+        assert np.max(np.abs(image(grid) - energy(nr, m, mu) * R(grid))) <= 1e-12
 
 
 def test_angular_operator_on_cos_2phi():

@@ -243,6 +243,18 @@ def test_stencil_chain_on_plain_profiles(base, points):
         derivative_of(base, 3)
 
 
+def test_stencil_profiles_are_not_differenced_again():
+    # A stencil of a stencil would be off by ~1e-6; it is refused instead.
+    base = Profile(np.sin)
+    second = derivative_of(base, 2)
+    first = derivative_of(base, 1)
+    for stencil, order in ((second, 1), (second, 2), (first, 2), (first.derivative(), 1)):
+        with pytest.raises(DerivativeUnavailable):
+            derivative_of(stencil, order)
+    assert derivative_of(first, 1) is first.derivative()
+    assert derivative_of(second, 0) is second
+
+
 @pytest.mark.parametrize("order", [-1, -3, 1.0, 1.5, "1"])
 def test_derivative_of_rejects_bad_order(order):
     for profile in (Profile(np.sin), GaussLaguerreSum.single(1.0, 1.0, 1, 0.0), TrigJacobiSum.single(1.0, 0, 1, 0, 0.0, 0.0)):

@@ -133,7 +133,34 @@ def test_apply_A_validates_arguments():
     with pytest.raises(DomainError):
         apply_A(R, "up", MU, 0.0)
     with pytest.raises(DomainError):
-        apply_A(R, "+", MU, -1.0)
+        apply_A(R, "+", MU, -3.0)
+    with pytest.raises(DomainError):
+        apply_A(R, "0", MU, float("nan"))
+
+
+def test_ladders_on_negative_l2_sector():
+    # The (+,-) m = 1/2 sector at mu1+mu2 = -0.8: l2 = -0.6, k = 0.6.
+    mu = DeformationParams(-0.4, -0.4)
+    m = Fraction(1, 2)
+    l2 = separation_constant(m, mu)
+    assert l2 < 0.0
+    grid = residual_grid()
+    profiles = [_sturmian(nr, m, mu)[0] for nr in range(5)]
+    k = RadialQuantum.from_m(0, m, mu).k
+    for nr in range(4):
+        state = AlgebraState(k=k, n=nr)
+        R, up = profiles[nr], profiles[nr + 1]
+        np.testing.assert_allclose(
+            apply_A(R, "+", mu, l2)(grid), ladder_coefficients(state, "+") * up(grid), atol=1e-11
+        )
+        np.testing.assert_allclose(
+            apply_A(up, "-", mu, l2)(grid),
+            ladder_coefficients(AlgebraState(k=k, n=nr + 1), "-") * R(grid),
+            atol=1e-11,
+        )
+        np.testing.assert_allclose(
+            apply_A(R, "0", mu, l2)(grid), ladder_coefficients(state, "0") * R(grid), atol=1e-11
+        )
 
 
 # --- operator identities on arbitrary smooth profiles ------------------------

@@ -29,6 +29,15 @@ def test_full_default_run_is_green():
     assert not bad, f"failing checks: {bad}"
 
 
+def test_negative_l2_sectors_pass_below_mu_total_minus_half():
+    # Every l2 check passes with l2 = 4m(m+mu1+mu2) < 0 at m = 1/2; the two
+    # Gram checks still miss at this mu (their quadrature, not their l2).
+    results = run_checks(suite="all", mu=(-0.45, -0.45))
+    failed = sorted(res.name for res in results if not res.passed)
+    assert failed == ["angular_gram_identity", "radial_gram_identity"]
+    assert all(res.error is None for res in results)
+
+
 def test_mu_accepts_tuple_and_dataclass_equally():
     as_tuple = run_checks(suite="radial", mu=(0.3, 1.2))
     as_params = run_checks(suite="radial", mu=DeformationParams(0.3, 1.2))
