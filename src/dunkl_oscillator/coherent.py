@@ -161,20 +161,21 @@ def coherent_closed(r, p: CoherentParams, mu: DeformationParams):
     return _closed_values(r, p, 2.0 * p.k - mu.total - 1.0)
 
 
-def normal_form(p: CoherentParams) -> DisplacementNormalForm:
-    """Disk coordinate and weight factor of the displacement with amplitude xi.
+def normal_form(amplitude: complex) -> DisplacementNormalForm:
+    """Disk coordinate and weight factor of the displacement with any finite amplitude.
 
-    Here ``p.xi`` is read as the displacement amplitude, not as the disk label
-    of the other functions in this module: the disk coordinate is
-    zeta = xi tanh|xi| / |xi|, and eta = ln(1 - |zeta|^2).  ``p.k`` is unused.
-    ``CoherentParams`` requires |xi| < 1, so only amplitudes below 1 can be given.
+    zeta = amplitude tanh|amplitude| / |amplitude|, eta = ln(1 - |zeta|^2) = -2 ln cosh|amplitude|.
     """
-    axi = abs(p.xi)
-    if axi == 0.0:
-        zeta = 0.0j
+    amplitude = complex(amplitude)
+    axi = abs(amplitude)
+    if not math.isfinite(axi):
+        raise DomainError(f"displacement amplitude must be finite, got {amplitude}")
+    zeta = amplitude * (math.tanh(axi) / axi) if axi != 0.0 else 0.0j
+    # ln(1 - tanh^2 a) cancels as tanh a -> 1; ln cosh a = a - ln 2 + log1p(e^(-2a)) cancels near a = 0.
+    if axi < 1.0:
+        eta = math.log1p(-abs(zeta) ** 2)
     else:
-        zeta = complex(p.xi) * (math.tanh(axi) / axi)
-    eta = math.log1p(-abs(zeta) ** 2)
+        eta = -2.0 * (axi - math.log(2.0) + math.log1p(math.exp(-2.0 * axi)))
     return DisplacementNormalForm(zeta=zeta, eta=eta)
 
 

@@ -112,7 +112,7 @@ class Profile:
         factory = None
         if self.has_derivative and other.has_derivative:
             factory = lambda a=self, b=other: a.derivative() + b.derivative()
-        return Profile(lambda t, a=self, b=other: a(t) + b(t), factory)
+        return _kind(self, other)(lambda t, a=self, b=other: a(t) + b(t), factory)
 
     def __sub__(self, other):
         if not isinstance(other, Profile):
@@ -130,7 +130,7 @@ class Profile:
         factory = None
         if self.has_derivative:
             factory = lambda a=self: c * a.derivative()
-        return Profile(lambda t, a=self: c * a(t), factory)
+        return _kind(self)(lambda t, a=self: c * a(t), factory)
 
     __rmul__ = __mul__
 
@@ -145,7 +145,7 @@ class Profile:
                 d = a.derivative().times_rpower(s)
                 return d + s * a.times_rpower(s - 1)
 
-        return Profile(lambda t, a=self: _rpow(np.asarray(t, dtype=float), s) * a(t), factory)
+        return _kind(self)(lambda t, a=self: _rpow(np.asarray(t, dtype=float), s) * a(t), factory)
 
 
 def _merge(terms) -> tuple:
@@ -281,6 +281,11 @@ def _five_point(f: Callable, t, order: int):
 
 class _Stencil(Profile):
     """A ``_five_point`` derivative; ``derivative_of`` does not difference it again."""
+
+
+def _kind(*operands: Profile) -> type:
+    """``_Stencil`` for a result built from any stencil operand, so that the mark survives."""
+    return _Stencil if any(isinstance(p, _Stencil) for p in operands) else Profile
 
 
 def derivative_of(profile: Profile, order: int = 1) -> Profile:

@@ -3,11 +3,14 @@
 Polynomial evaluation uses forward three-term recurrences in the degree, which
 are stable for the parameter ranges that occur here (alpha, beta > -1).  The
 inner products integrate against the deformed plane measure split into its
-radial part r^(1+2*mu1+2*mu2) dr and angular part |cos|^(2*mu1)|sin|^(2*mu2) dphi;
-both use composite Gauss-Legendre panels graded geometrically toward the branch
-points of the weight so that fractional powers cost no accuracy.  The Gram
-matrices of a basis use the same rules and weights, evaluating each function
-once as a row of V and forming V diag(w) V^T.
+radial part r^(1+2*mu1+2*mu2) dr and angular part |cos|^(2*mu1)|sin|^(2*mu2) dphi.
+Both use one Gauss-Jacobi rule built for the weight (Golub-Welsch): the angular
+rule is that rule in x = cos(2*phi), exact for the weight at every mu1, mu2 > -1/2;
+the radial rule is composite Gauss-Legendre panels graded geometrically toward
+r = 0, so that callables with arbitrary real powers of r cost no accuracy, with
+the Gauss-Jacobi rule carrying the singular power on the innermost panel.  The
+Gram matrices of a basis use the same rules and weights, evaluating each
+function once as a row of V and forming V diag(w) V^T.
 """
 
 from __future__ import annotations
@@ -153,57 +156,34 @@ def gauss_legendre(npoints: int, a: float = -1.0, b: float = 1.0) -> QuadratureR
     return QuadratureRule(nodes=a + half * (x + 1.0), weights=half * w, domain=(a, b))
 
 
-def _graded_edges(a: float, b: float, levels: int, toward_lower: bool) -> np.ndarray:
-    """Panel edges on [a, b] clustered geometrically toward one endpoint."""
-    fracs = _GRADING_RATIO ** np.arange(levels - 1, 0, -1)
-    if toward_lower:
-        rel = np.concatenate([[0.0], fracs, [1.0]])
-    else:
-        rel = np.concatenate([[0.0], 1.0 - fracs[::-1], [1.0]])
-    return a + (b - a) * rel
-
-
-def _composite(edges: np.ndarray, per_panel: int) -> QuadratureRule:
-    base_x, base_w = np.polynomial.legendre.leggauss(per_panel)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(lo + half * (base_x + 1.0))
-        weights.append(half * base_w)
-    return QuadratureRule(
-        nodes=np.concatenate(nodes),
-        weights=np.concatenate(weights),
-        domain=(float(edges[0]), float(edges[-1])),
-    )
+def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi nodes and weights on [-1, 1] for (1-x)^a (1+x)^b, a, b > -1 (Golub-Welsch)."""
+    k = np.arange(1.0, n)
+    s = 2.0 * k + a + b
+    # (k+a+b)/(s-1) and the k = 0 diagonal entry are written in their cancelled
+    # forms at k = 1 and k = 0, where they are 0/0 for a+b = -1 and a+b = 0.
+    ratio = np.concatenate([[1.0], (k[1:] + a + b) / (s[1:] - 1.0)])
+    off = np.sqrt(4.0 * k * (k + a) * (k + b) * ratio / (s * s * (s + 1.0)))
+    diag = np.concatenate([[(b - a) / (a + b + 2.0)], (b * b - a * a) / (s * (s + 2.0))])
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
+    mass = 2.0 ** (a + b + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0) / math.gamma(a + b + 2.0)
+    return x, mass * v[0] ** 2
 
 
 @functools.lru_cache(maxsize=64)
-def _radial_rule(rmax: float, npoints: int) -> QuadratureRule:
+def _radial_panels(rmax: float, npoints: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """Width r1 of the innermost panel [0, r1], and the Gauss-Legendre nodes and weights beyond it.
+
+    The panels on [r1, rmax] are graded geometrically toward r1, so that
+    callables with arbitrary real powers of r cost no accuracy.
+    """
     n_panels = max(2, int(round(npoints / _PANEL_POINTS)))
     graded = min(6, n_panels // 3)
     bulk_edges = np.linspace(0.0, rmax, n_panels - graded + 1)
-    inner = bulk_edges[1] * _GRADING_RATIO ** np.arange(graded, 0, -1)
-    edges = np.concatenate([[0.0], inner, bulk_edges[1:]])
-    return _composite(edges, _PANEL_POINTS)
-
-
-@functools.lru_cache(maxsize=16)
-def _angular_rule(npoints_per_quadrant: int) -> QuadratureRule:
-    levels = max(2, npoints_per_quadrant // (2 * _PANEL_POINTS))
-    nodes, weights = [], []
-    half_pi = 0.5 * math.pi
-    for q in range(4):
-        lo, mid, hi = q * half_pi, (q + 0.5) * half_pi, (q + 1) * half_pi
-        for edges in (
-            _graded_edges(lo, mid, levels, toward_lower=True),
-            _graded_edges(mid, hi, levels, toward_lower=False),
-        ):
-            rule = _composite(edges, _PANEL_POINTS)
-            nodes.append(rule.nodes)
-            weights.append(rule.weights)
-    return QuadratureRule(
-        nodes=np.concatenate(nodes), weights=np.concatenate(weights), domain=(0.0, 2.0 * math.pi)
-    )
+    edges = np.concatenate([bulk_edges[1] * _GRADING_RATIO ** np.arange(graded, 0, -1), bulk_edges[1:]])
+    x, w = np.polynomial.legendre.leggauss(_PANEL_POINTS)
+    half = 0.5 * np.diff(edges)[:, None]
+    return float(edges[0]), (edges[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
 
 
 def _mu_values(mu) -> tuple[float, float]:
@@ -222,7 +202,11 @@ def default_rmax(emax: float) -> float:
 
 
 def _radial_measure(mu, rmax: float, npoints: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes of the radial rule on [0, rmax] and its weights times r^(1+2*mu1+2*mu2)."""
+    """Nodes of the radial rule on [0, rmax] and its weights times r^(1+2*mu1+2*mu2).
+
+    On [0, r1] a Gauss-Jacobi rule carries the non-integer part q of the power
+    p = 1+2*mu1+2*mu2 exactly; the integer part r^(p-q) is applied at its nodes.
+    """
     mu1, mu2 = _mu_values(mu)
     if mu1 + mu2 <= -1.0:
         raise DomainError(f"radial weight is non-integrable for mu1+mu2 <= -1, got {mu1 + mu2}")
@@ -230,22 +214,32 @@ def _radial_measure(mu, rmax: float, npoints: int) -> tuple[np.ndarray, np.ndarr
         raise DomainError(f"rmax must be positive, got {rmax}")
     if npoints < _PANEL_POINTS:
         raise DomainError(f"npoints must be at least {_PANEL_POINTS}, got {npoints}")
-    rule = _radial_rule(float(rmax), int(npoints))
-    r = rule.nodes
-    return r, rule.weights * r ** (1.0 + 2.0 * (mu1 + mu2))
+    r1, r, w = _radial_panels(float(rmax), int(npoints))
+    p = 1.0 + 2.0 * (mu1 + mu2)
+    q = p - max(0.0, math.floor(p))
+    x, w_in = _gauss_jacobi(_PANEL_POINTS, 0.0, q)
+    r_in = 0.5 * r1 * (x + 1.0)
+    w_in = w_in * (0.5 * r1) ** (q + 1.0) * r_in ** (p - q)
+    return np.concatenate([r_in, r]), np.concatenate([w_in, w * r**p])
 
 
 def _angular_measure(mu, npoints: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes of the angular rule on [0, 2*pi) and its weights times |cos|^(2*mu1)|sin|^(2*mu2)."""
+    """Nodes of the angular rule on [0, 2*pi) and its weights times |cos|^(2*mu1)|sin|^(2*mu2).
+
+    With x = cos(2*phi) the measure on each quadrant is
+    2^(-mu1-mu2-1) (1-x)^(mu2-1/2) (1+x)^(mu1-1/2) dx: one Gauss-Jacobi rule in x,
+    mirrored to phi, pi-phi, pi+phi and 2*pi-phi.
+    """
     mu1, mu2 = _mu_values(mu)
     if mu1 <= -0.5 or mu2 <= -0.5:
         raise DomainError(f"angular weight is non-integrable for mu <= -1/2, got ({mu1}, {mu2})")
-    if npoints < 2 * _PANEL_POINTS:
-        raise DomainError(f"npoints per quadrant must be at least {2 * _PANEL_POINTS}, got {npoints}")
-    rule = _angular_rule(int(npoints))
-    phi = rule.nodes
-    weight = np.abs(np.cos(phi)) ** (2.0 * mu1) * np.abs(np.sin(phi)) ** (2.0 * mu2)
-    return phi, rule.weights * weight
+    if npoints < 32:
+        raise DomainError(f"npoints per quadrant must be at least 32, got {npoints}")
+    x, w = _gauss_jacobi(int(npoints), mu2 - 0.5, mu1 - 0.5)
+    # Eigenvalues may round just past +-1 when a weight exponent nears -1.
+    phi = 0.5 * np.arccos(np.clip(x, -1.0, 1.0))
+    nodes = np.concatenate([phi, np.pi - phi, np.pi + phi, 2.0 * np.pi - phi])
+    return nodes, np.tile(w * 2.0 ** (-mu1 - mu2 - 1.0), 4)
 
 
 def _inner_product(f, g, nodes: np.ndarray, weights: np.ndarray):
@@ -265,7 +259,7 @@ def radial_inner_product(f, g, mu, rmax: float = 12.0, npoints: int = 400):
     return _inner_product(f, g, *_radial_measure(mu, rmax, npoints))
 
 
-def angular_inner_product(f, g, mu, npoints: int = 256):
+def angular_inner_product(f, g, mu, npoints: int = 64):
     """Integral of f*g against |cos|^(2*mu1) |sin|^(2*mu2) dphi over [0, 2*pi)."""
     return _inner_product(f, g, *_angular_measure(mu, npoints))
 
@@ -275,6 +269,6 @@ def radial_gram(fns, mu, rmax: float = 12.0, npoints: int = 400) -> np.ndarray:
     return _gram(fns, *_radial_measure(mu, rmax, npoints))
 
 
-def angular_gram(fns, mu, npoints: int = 256) -> np.ndarray:
+def angular_gram(fns, mu, npoints: int = 64) -> np.ndarray:
     """Matrix of ``angular_inner_product(fns[i], fns[j], mu, npoints)`` over all i, j."""
     return _gram(fns, *_angular_measure(mu, npoints))

@@ -442,7 +442,7 @@ def _check_unit_norm(ctx: VerifyContext) -> Iterator:
 @_register("coherent_normal_form", "coherent", 1e-14)
 def _check_normal_form(ctx: VerifyContext) -> Iterator:
     for xi in _XI_SAMPLES:
-        form = co.normal_form(co.CoherentParams(xi=xi, k=1.0))
+        form = co.normal_form(xi)
         axi = abs(xi)
         yield abs(form.zeta) - math.tanh(axi)
         yield form.eta + 2.0 * math.log(math.cosh(axi))

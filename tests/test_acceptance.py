@@ -369,7 +369,7 @@ def test_criterion_6_coherent_states():
     mpmath.mp.dps = 30
     worst_nf = 0.0
     for xi in (0.5, -0.5, 0.3 + 0.4j, 0.7 * cmath.exp(2.2j)):
-        nf = normal_form(CoherentParams(xi=xi, k=1.0))
+        nf = normal_form(xi)
         mag = abs(mpmath.mpc(xi))
         expected_zeta = complex(mpmath.mpc(xi) * mpmath.tanh(mag) / mag)
         expected_eta = float(mpmath.log(1 - mpmath.tanh(mag) ** 2))

@@ -148,8 +148,7 @@ def test_series_closed_agreement_property(radius, angle, k):
 
 
 def test_normal_form_frozen_values():
-    p = CoherentParams(xi=-0.5, k=1.0)
-    nf = normal_form(p)
+    nf = normal_form(-0.5)
     assert nf.zeta == pytest.approx(-0.46211715726000974, abs=1e-16)
     assert nf.eta == pytest.approx(math.log1p(-math.tanh(0.5) ** 2), abs=1e-15)
 
@@ -157,8 +156,7 @@ def test_normal_form_frozen_values():
 def test_normal_form_against_mpmath():
     mpmath.mp.dps = 30
     for xi in [0.5, -0.5, 0.3 + 0.4j, 0.7 * cmath.exp(2.2j)]:
-        p = CoherentParams(xi=xi, k=1.3)
-        nf = normal_form(p)
+        nf = normal_form(xi)
         x = mpmath.mpc(xi)
         mag = abs(x)
         expected_zeta = complex(x * mpmath.tanh(mag) / mag)
@@ -168,9 +166,22 @@ def test_normal_form_against_mpmath():
 
 
 def test_normal_form_at_origin():
-    nf = normal_form(CoherentParams(xi=0.0, k=1.0))
+    nf = normal_form(0.0)
     assert nf.zeta == 0.0
     assert nf.eta == 0.0
+
+
+def test_normal_form_takes_amplitudes_beyond_the_unit_disk():
+    nf = normal_form(2.0)
+    assert nf.zeta == pytest.approx(math.tanh(2.0), rel=1e-15)
+    assert nf.eta == pytest.approx(-2.0 * math.log(math.cosh(2.0)), rel=1e-14)
+    mpmath.mp.dps = 30
+    for amplitude in (5.0, -15.0j, 40.0):
+        expected = float(-2 * mpmath.log(mpmath.cosh(abs(amplitude))))
+        assert normal_form(amplitude).eta == pytest.approx(expected, rel=1e-14)
+    for bad in (float("nan"), complex(float("inf"), 0.0)):
+        with pytest.raises(DomainError):
+            normal_form(bad)
 
 
 # --- time evolution ----------------------------------------------------------

@@ -248,7 +248,11 @@ def test_stencil_profiles_are_not_differenced_again():
     base = Profile(np.sin)
     second = derivative_of(base, 2)
     first = derivative_of(base, 1)
-    for stencil, order in ((second, 1), (second, 2), (first, 2), (first.derivative(), 1)):
+    cases = [(second, 1), (second, 2), (first, 2), (first.derivative(), 1)]
+    # Sums, multiples and r-power multiples of a stencil are stencils too.
+    cases += [((-1.0) * second, 1), (second + base, 1), (base - second, 1), (second.times_rpower(2.0), 1)]
+    cases += [(2.0 * first, 2)]
+    for stencil, order in cases:
         with pytest.raises(DerivativeUnavailable):
             derivative_of(stencil, order)
     assert derivative_of(first, 1) is first.derivative()

@@ -18,6 +18,7 @@ from dunkl_oscillator.basis import (
 from dunkl_oscillator.errors import DomainError
 from dunkl_oscillator.profiles import DeformationParams
 from dunkl_oscillator.specfun import (
+    _gauss_jacobi,
     angular_gram,
     angular_inner_product,
     default_rmax,
@@ -177,9 +178,45 @@ def test_gauss_legendre_node_count_and_domain():
     assert rule.weights.sum() == pytest.approx(7.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("ab", [(-0.5, -0.5), (0.0, 0.0), (0.3, 2.5), (-0.2, -0.8), (-0.999, -0.98), (-0.9999, 0.5)])
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_gauss_jacobi_moments_exact_through_degree_2n_minus_1(ab, n):
+    mpmath.mp.dps = 40
+    a, b = (mpmath.mpf(v) for v in ab)
+    x, w = _gauss_jacobi(n, *ab)
+    # With x = 2u - 1: int (1-x)^a (1+x)^b x^d dx = 2^(a+b+1) sum_j C(d,j) (-1)^(d-j) 2^j B(a+1, b+j+1).
+    for d in range(2 * n):
+        exact = 2 ** (a + b + 1) * mpmath.fsum(
+            mpmath.binomial(d, j) * (-1) ** (d - j) * 2**j * mpmath.beta(a + 1, b + j + 1) for j in range(d + 1)
+        )
+        assert float(np.sum(w * x**d)) == pytest.approx(float(exact), abs=1e-12 * float(w.sum()))
+
+
+@pytest.mark.parametrize("mu_pair", [(-0.3, -0.2), (2.36, -0.44), (-0.4999, 3.0), (-0.45, -0.45)])
+def test_angular_inner_product_of_smooth_callable_against_beta_series(mu_pair):
+    mpmath.mp.dps = 30
+    mu1, mu2 = (mpmath.mpf(v) for v in mu_pair)
+    # exp(cos)(1 + 0.3 sin)^2 = sum_j cos^j/j! (1 + 0.6 sin + 0.09 sin^2); odd powers of cos or sin
+    # integrate to zero, and int |cos|^(2 mu1 + j) |sin|^(2 mu2 + l) = 2 B(mu1 + (j+1)/2, mu2 + (l+1)/2).
+    exact = float(
+        mpmath.fsum(
+            2 * (mpmath.beta(mu1 + (j + 1) / 2, mu2 + 0.5) + 0.09 * mpmath.beta(mu1 + (j + 1) / 2, mu2 + 1.5))
+            / mpmath.factorial(j)
+            for j in range(0, 80, 2)
+        )
+    )
+    f = lambda phi: np.exp(np.cos(phi)) * (1.0 + 0.3 * np.sin(phi))
+    g = lambda phi: 1.0 + 0.3 * np.sin(phi)
+    for npoints in (32, 64, 256):
+        assert angular_inner_product(f, g, mu_pair, npoints=npoints) == pytest.approx(exact, rel=1e-13)
+
+
 def test_radial_inner_product_against_gamma_integrals():
     mpmath.mp.dps = 30
-    for mu_pair, a, b in [((0.0, 0.0), 0.0, 2.0), ((0.5, 0.5), 1.0, 3.0), ((0.3, 1.2), 0.5, 0.5)]:
+    cases = [((0.0, 0.0), 0.0, 2.0), ((0.5, 0.5), 1.0, 3.0), ((0.3, 1.2), 0.5, 0.5)]
+    # r^(1+2*mu1+2*mu2) with mu1+mu2 = -0.45, -0.9, -0.99 is singular at r = 0.
+    cases += [((-0.2, -0.25), 0.0, 0.0), ((-0.45, -0.45), 0.0, 0.0), ((-0.495, -0.495), 0.0, 0.0)]
+    for mu_pair, a, b in cases:
         mu = DeformationParams(*mu_pair)
 
         def f(r, a=a):

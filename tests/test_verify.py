@@ -30,12 +30,18 @@ def test_full_default_run_is_green():
 
 
 def test_negative_l2_sectors_pass_below_mu_total_minus_half():
-    # Every l2 check passes with l2 = 4m(m+mu1+mu2) < 0 at m = 1/2; the two
-    # Gram checks still miss at this mu (their quadrature, not their l2).
+    # Every l2 check passes with l2 = 4m(m+mu1+mu2) < 0 at m = 1/2, and the
+    # Gram checks pass too now that their rules are built for the weights.
     results = run_checks(suite="all", mu=(-0.45, -0.45))
-    failed = sorted(res.name for res in results if not res.passed)
-    assert failed == ["angular_gram_identity", "radial_gram_identity"]
+    assert [res.name for res in results if not res.passed] == []
     assert all(res.error is None for res in results)
+
+
+@pytest.mark.parametrize("mu", [(-0.3, -0.2), (2.36, -0.44)])
+def test_full_run_is_green_with_a_negative_mu(mu):
+    # Composite Gauss-Legendre panels missed the |sin|^(2*mu2) singularity here.
+    results = run_checks(suite="all", mu=mu)
+    assert [(res.name, res.residual) for res in results if not res.passed] == []
 
 
 def test_mu_accepts_tuple_and_dataclass_equally():
