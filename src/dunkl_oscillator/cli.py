@@ -18,6 +18,7 @@ serially; no environment variable changes its output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -332,14 +333,7 @@ def _cmd_coherent(args: argparse.Namespace, mu: DeformationParams) -> int:
 def _cmd_verify(args: argparse.Namespace, mu: DeformationParams) -> int:
     results = run_checks(suite=args.suite, mu=mu, seed=args.seed, tol_overrides=dict(args.tol or ()))
     payload = [
-        {
-            "name": res.name,
-            "suite": res.suite,
-            "residual": res.residual if math.isfinite(res.residual) else None,
-            "tolerance": res.tolerance,
-            "passed": res.passed,
-            "error": res.error,
-        }
+        {**dataclasses.asdict(res), "residual": res.residual if math.isfinite(res.residual) else None}
         for res in results
     ]
     doc = _json_document(payload)

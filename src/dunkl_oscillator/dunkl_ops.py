@@ -7,7 +7,8 @@ The derivative along an axis gains a reflection-difference term,
 and the Hamiltonian is H = -(D_x^2 + D_y^2)/2 + (x^2 + y^2)/2.  In polar form H
 splits into a radial part and an angular operator carrying both reflections;
 ``apply_radial_hamiltonian`` includes the centrifugal term l^2/(2 r^2) of a fixed
-angular sector, so the pure radial part is recovered with l2 = 0.
+angular sector, so the pure radial part is recovered with l2 = 0.  Its body,
+``_radial_operator``, is with other coefficients A0 = H_r/2 and B0 of ``su11``.
 
 Exact derivatives attached to the input profiles are used whenever present;
 otherwise the five-point stencil ``profiles._five_point`` is substituted, along
@@ -155,18 +156,20 @@ def apply_hamiltonian(f: PlaneFunction, mu: DeformationParams) -> PlaneFunction:
     return PlaneFunction(fn=out, parity=f.parity)
 
 
+def _radial_operator(R: Profile, scale: float, drift: float, centrifugal: float) -> Profile:
+    """scale*(r^2 R - R'') + drift*R'/r + centrifugal*R/r^2, leaving out a zero drift or centrifugal term."""
+    out = (-scale) * derivative_of(R, 2) + scale * R.times_rpower(2)
+    if drift != 0.0:
+        out = out + drift * derivative_of(R, 1).times_rpower(-1)
+    if centrifugal != 0.0:
+        out = out + centrifugal * R.times_rpower(-2)
+    return out
+
+
 def apply_radial_hamiltonian(R: Profile, mu: DeformationParams, l2: float) -> Profile:
     """H_r R for angular eigenvalue l2, i.e. the radial operator plus l2/(2 r^2)."""
     _check_l2(l2, mu)
-    d1 = derivative_of(R, 1)
-    d2 = derivative_of(R, 2)
-    out = (-0.5) * d2 + 0.5 * R.times_rpower(2)
-    c1 = -0.5 - mu.total
-    if c1 != 0.0:
-        out = out + c1 * d1.times_rpower(-1)
-    if l2 != 0.0:
-        out = out + (0.5 * l2) * R.times_rpower(-2)
-    return out
+    return _radial_operator(R, 0.5, -0.5 - mu.total, 0.5 * l2)
 
 
 def apply_angular_operator(Phi: Profile, mu: DeformationParams) -> Profile:

@@ -8,14 +8,17 @@ and the random test profiles all live in the family
 
 which is closed under d/dr and under multiplication by any real power of r, so
 every differential operator in this package can act on such a sum exactly, to
-arbitrary derivative order.  ``GaussLaguerreSum`` implements that term algebra.
-The angular analogue ``TrigJacobiSum`` uses terms
+arbitrary derivative order (H_r, A0 = H_r/2 and the flat-picture B0 are one
+such operator, ``dunkl_ops._radial_operator``, with three coefficient sets).
+``GaussLaguerreSum`` implements that term algebra; the angular analogue
+``TrigJacobiSum`` uses terms
 
-    c * cos^a(phi) * sin^b(phi) * P_j^(al,be)(cos 2 phi),
+    c * cos^i(phi) * sin^j(phi) * P_d^(al,be)(cos 2 phi),
 
-also closed under d/dphi.  Plain callables can be wrapped too; ``derivative_of``
-then falls back to the five-point stencil ``_five_point`` when no exact
-derivative is attached.
+also closed under d/dphi.  Both keep ``terms`` as a dict {key: coeff}, keyed
+(p, n, a) and (i, j, d, al, be).  Plain callables can be wrapped too;
+``derivative_of`` then falls back to the five-point stencil ``_five_point``
+when no exact derivative is attached.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -107,8 +110,6 @@ class Profile:
     def __add__(self, other):
         if not isinstance(other, Profile):
             return NotImplemented
-        if isinstance(self, (GaussLaguerreSum, TrigJacobiSum)) and type(other) is type(self):
-            return type(self)(self.terms + other.terms)
         factory = None
         if self.has_derivative and other.has_derivative:
             factory = lambda a=self, b=other: a.derivative() + b.derivative()
@@ -125,8 +126,6 @@ class Profile:
     def __mul__(self, c):
         if not isinstance(c, numbers.Number):
             return NotImplemented
-        if isinstance(self, (GaussLaguerreSum, TrigJacobiSum)):
-            return type(self)(tuple(type(t)(c * t.coeff, *t[1:]) for t in self.terms))
         factory = None
         if self.has_derivative:
             factory = lambda a=self: c * a.derivative()
@@ -148,118 +147,97 @@ class Profile:
         return _kind(self)(lambda t, a=self: _rpow(np.asarray(t, dtype=float), s) * a(t), factory)
 
 
-def _merge(terms) -> tuple:
-    """Add up the coefficients of terms that agree in every field after ``coeff``; drop zero sums."""
-    acc: dict[tuple, complex] = {}
-    kind = None
-    for t in terms:
-        key = t[1:]
-        acc[key] = acc.get(key, 0.0) + t.coeff
-        kind = type(t)
-    return tuple(kind(c, *key) for key, c in acc.items() if c != 0)
+class _TermSum(Profile):
+    """Exact term sum with ``terms`` = {key: coeff}; a subclass supplies ``_evaluate`` and ``_derive``.
 
+    Coefficients of equal keys add in the order they arrive and zero sums are dropped.
+    """
 
-class _GLTerm(NamedTuple):
-    coeff: complex
-    power: float
-    degree: int
-    alpha: float
-
-
-class GaussLaguerreSum(Profile):
-    """Exact-arithmetic radial profile: sum of c * r^p * L_n^a(r^2) * e^(-r^2/2)."""
-
-    def __init__(self, terms):
-        self.terms = _merge(terms)
+    def __init__(self, pairs):
+        acc: dict[tuple, complex] = {}
+        for key, coeff in pairs:
+            acc[key] = acc.get(key, 0.0) + coeff
+        self.terms = {key: c for key, c in acc.items() if c != 0}
         super().__init__(self._evaluate, self._derive)
+
+    def __add__(self, other):
+        if type(other) is type(self):
+            return type(self)((*self.terms.items(), *other.terms.items()))
+        return super().__add__(other)
+
+    def __mul__(self, c):
+        if not isinstance(c, numbers.Number):
+            return NotImplemented
+        return type(self)((key, c * coeff) for key, coeff in self.terms.items())
+
+    __rmul__ = __mul__
+
+
+class GaussLaguerreSum(_TermSum):
+    """Exact-arithmetic radial profile: sum of c * r^p * L_n^a(r^2) * e^(-r^2/2), keyed (p, n, a)."""
 
     @classmethod
     def single(cls, coeff, power, degree, alpha) -> "GaussLaguerreSum":
-        return cls((_GLTerm(coeff, float(power), int(degree), float(alpha)),))
+        return cls((((float(power), int(degree), float(alpha)), coeff),))
 
     @classmethod
     def gaussian_polynomial(cls, coeffs) -> "GaussLaguerreSum":
         """e^(-r^2/2) * sum_j coeffs[j] * r^j, an exactly differentiable test profile."""
-        return cls(tuple(_GLTerm(c, float(j), 0, 0.0) for j, c in enumerate(coeffs)))
+        return cls(((float(j), 0, 0.0), c) for j, c in enumerate(coeffs))
 
     def _evaluate(self, r):
         arr = np.atleast_1d(np.asarray(r, dtype=float))
-        if np.any(arr == 0.0) and any(t.power < 0 for t in self.terms):
+        if np.any(arr == 0.0) and any(p < 0 for p, _, _ in self.terms):
             raise SingularityError("evaluation at r = 0 hits a negative power of r")
         x = arr * arr
         total = np.zeros_like(arr)
-        for t in self.terms:
-            total = total + t.coeff * arr**t.power * laguerre(t.degree, t.alpha, x)
+        for (p, n, a), c in self.terms.items():
+            total = total + c * arr**p * laguerre(n, a, x)
         total = total * np.exp(-0.5 * x)
         return total[0] if np.ndim(r) == 0 else total
 
     def _derive(self) -> "GaussLaguerreSum":
         out = []
-        for t in self.terms:
-            if t.power != 0:
-                out.append(_GLTerm(t.coeff * t.power, t.power - 1, t.degree, t.alpha))
-            out.append(_GLTerm(-t.coeff, t.power + 1, t.degree, t.alpha))
-            if t.degree >= 1:
-                out.append(_GLTerm(-2.0 * t.coeff, t.power + 1, t.degree - 1, t.alpha + 1))
+        for (p, n, a), c in self.terms.items():
+            if p != 0:
+                out.append(((p - 1, n, a), c * p))
+            out.append(((p + 1, n, a), -c))
+            if n >= 1:
+                out.append(((p + 1, n - 1, a + 1), -2.0 * c))
         return GaussLaguerreSum(out)
 
     def times_rpower(self, s: float) -> "GaussLaguerreSum":
         if s == 0:
             return self
-        return GaussLaguerreSum(tuple(_GLTerm(t.coeff, t.power + s, t.degree, t.alpha) for t in self.terms))
+        return GaussLaguerreSum(((p + s, n, a), c) for (p, n, a), c in self.terms.items())
 
 
-class _TrigTerm(NamedTuple):
-    coeff: float
-    cos_power: int
-    sin_power: int
-    degree: int
-    alpha: float
-    beta: float
-
-
-class TrigJacobiSum(Profile):
-    """Exact-arithmetic angular profile: sum of c * cos^a * sin^b * P_j^(al,be)(cos 2 phi)."""
-
-    def __init__(self, terms):
-        self.terms = _merge(terms)
-        super().__init__(self._evaluate, self._derive)
+class TrigJacobiSum(_TermSum):
+    """Exact-arithmetic angular profile: sum of c * cos^i * sin^j * P_d^(al,be)(cos 2 phi), keyed (i, j, d, al, be)."""
 
     @classmethod
     def single(cls, coeff, cos_power, sin_power, degree, alpha, beta) -> "TrigJacobiSum":
-        return cls((_TrigTerm(float(coeff), int(cos_power), int(sin_power), int(degree), float(alpha), float(beta)),))
+        key = (int(cos_power), int(sin_power), int(degree), float(alpha), float(beta))
+        return cls(((key, float(coeff)),))
 
     def _evaluate(self, phi):
         arr = np.atleast_1d(np.asarray(phi, dtype=float))
-        c, s = np.cos(arr), np.sin(arr)
-        x = c * c - s * s
+        cos, sin = np.cos(arr), np.sin(arr)
+        x = cos * cos - sin * sin
         total = np.zeros_like(arr)
-        for t in self.terms:
-            total = total + t.coeff * c**t.cos_power * s**t.sin_power * jacobi(t.degree, t.alpha, t.beta, x)
+        for (i, j, d, al, be), c in self.terms.items():
+            total = total + c * cos**i * sin**j * jacobi(d, al, be, x)
         return total[0] if np.ndim(phi) == 0 else total
 
     def _derive(self) -> "TrigJacobiSum":
         out = []
-        for t in self.terms:
-            if t.cos_power >= 1:
-                out.append(
-                    _TrigTerm(-t.coeff * t.cos_power, t.cos_power - 1, t.sin_power + 1, t.degree, t.alpha, t.beta)
-                )
-            if t.sin_power >= 1:
-                out.append(
-                    _TrigTerm(t.coeff * t.sin_power, t.cos_power + 1, t.sin_power - 1, t.degree, t.alpha, t.beta)
-                )
-            if t.degree >= 1:
-                out.append(
-                    _TrigTerm(
-                        -2.0 * t.coeff * (t.degree + t.alpha + t.beta + 1.0),
-                        t.cos_power + 1,
-                        t.sin_power + 1,
-                        t.degree - 1,
-                        t.alpha + 1.0,
-                        t.beta + 1.0,
-                    )
-                )
+        for (i, j, d, al, be), c in self.terms.items():
+            if i >= 1:
+                out.append(((i - 1, j + 1, d, al, be), -c * i))
+            if j >= 1:
+                out.append(((i + 1, j - 1, d, al, be), c * j))
+            if d >= 1:
+                out.append(((i + 1, j + 1, d - 1, al + 1.0, be + 1.0), -2.0 * c * (d + al + be + 1.0)))
         return TrigJacobiSum(out)
 
 

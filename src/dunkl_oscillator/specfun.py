@@ -57,8 +57,8 @@ def _check_degree(n: int) -> None:
 def laguerre(n: int, alpha: float, x):
     """Generalized Laguerre polynomial L_n^alpha(x), scalar or elementwise."""
     _check_degree(n)
-    if alpha <= -1.0:
-        raise DomainError(f"Laguerre parameter alpha must exceed -1, got {alpha}")
+    if not -1.0 < alpha < math.inf:
+        raise DomainError(f"Laguerre parameter alpha must be finite and exceed -1, got {alpha}")
     arr, scalar = _as_array(x)
     p_prev = np.ones_like(arr)
     if n == 0:
@@ -72,8 +72,8 @@ def laguerre(n: int, alpha: float, x):
 def laguerre_all(nmax: int, alpha: float, x) -> np.ndarray:
     """All of L_0^alpha .. L_nmax^alpha at x in one recurrence sweep, shape (nmax+1, ...)."""
     _check_degree(nmax)
-    if alpha <= -1.0:
-        raise DomainError(f"Laguerre parameter alpha must exceed -1, got {alpha}")
+    if not -1.0 < alpha < math.inf:
+        raise DomainError(f"Laguerre parameter alpha must be finite and exceed -1, got {alpha}")
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((nmax + 1,) + arr.shape)
     out[0] = 1.0
@@ -97,8 +97,8 @@ def laguerre_derivative(n: int, alpha: float, x):
 def jacobi(n: int, alpha: float, beta: float, x):
     """Jacobi polynomial P_n^(alpha,beta)(x), scalar or elementwise."""
     _check_degree(n)
-    if alpha <= -1.0 or beta <= -1.0:
-        raise DomainError(f"Jacobi parameters must exceed -1, got alpha={alpha}, beta={beta}")
+    if not (-1.0 < alpha < math.inf and -1.0 < beta < math.inf):
+        raise DomainError(f"Jacobi parameters must be finite and exceed -1, got alpha={alpha}, beta={beta}")
     arr, scalar = _as_array(x)
     p_prev = np.ones_like(arr)
     if n == 0:
@@ -125,9 +125,9 @@ def jacobi_derivative(n: int, alpha: float, beta: float, x):
 
 
 def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if x <= 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
+    """ln Gamma(x) for finite x > 0."""
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"log_gamma requires a finite x > 0, got {x}")
     return math.lgamma(x)
 
 
@@ -156,6 +156,7 @@ def gauss_legendre(npoints: int, a: float = -1.0, b: float = 1.0) -> QuadratureR
     return QuadratureRule(nodes=a + half * (x + 1.0), weights=half * w, domain=(a, b))
 
 
+@functools.lru_cache(maxsize=64)
 def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jacobi nodes and weights on [-1, 1] for (1-x)^a (1+x)^b, a, b > -1 (Golub-Welsch)."""
     k = np.arange(1.0, n)
@@ -167,7 +168,9 @@ def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     diag = np.concatenate([[(b - a) / (a + b + 2.0)], (b * b - a * a) / (s * (s + 2.0))])
     x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
     mass = 2.0 ** (a + b + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0) / math.gamma(a + b + 2.0)
-    return x, mass * v[0] ** 2
+    w = mass * v[0] ** 2
+    x.flags.writeable = w.flags.writeable = False  # the cache shares them with every caller
+    return x, w
 
 
 @functools.lru_cache(maxsize=64)
@@ -187,15 +190,16 @@ def _radial_panels(rmax: float, npoints: int) -> tuple[float, np.ndarray, np.nda
 
 
 def _mu_values(mu) -> tuple[float, float]:
-    try:
-        return float(mu.mu1), float(mu.mu2)
-    except AttributeError:
-        mu1, mu2 = mu
-        return float(mu1), float(mu2)
+    mu1, mu2 = (float(v) for v in ((mu.mu1, mu.mu2) if hasattr(mu, "mu1") else mu))
+    if not (math.isfinite(mu1) and math.isfinite(mu2)):
+        raise DomainError(f"mu1 and mu2 must be finite, got ({mu1}, {mu2})")
+    return mu1, mu2
 
 
 def default_rmax(emax: float) -> float:
     """Radial truncation radius large enough for states up to energy ``emax``."""
+    if not -math.inf < emax < math.inf:
+        raise DomainError(f"emax must be finite, got {emax}")
     if emax <= 0.0:
         return 12.0
     return max(12.0, math.sqrt(2.0 * emax) + 6.0)
@@ -210,8 +214,8 @@ def _radial_measure(mu, rmax: float, npoints: int) -> tuple[np.ndarray, np.ndarr
     mu1, mu2 = _mu_values(mu)
     if mu1 + mu2 <= -1.0:
         raise DomainError(f"radial weight is non-integrable for mu1+mu2 <= -1, got {mu1 + mu2}")
-    if rmax <= 0.0:
-        raise DomainError(f"rmax must be positive, got {rmax}")
+    if not 0.0 < rmax < math.inf:
+        raise DomainError(f"rmax must be finite and positive, got {rmax}")
     if npoints < _PANEL_POINTS:
         raise DomainError(f"npoints must be at least {_PANEL_POINTS}, got {npoints}")
     r1, r, w = _radial_panels(float(rmax), int(npoints))

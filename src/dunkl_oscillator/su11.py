@@ -24,6 +24,12 @@ and factorizes the eigenequation: at energy E the shifted products
 are diagonal on eigenprofiles.  ``schrodinger_factorize`` reports the raw
 coefficient set of the quadratic rearrangement at energy E, while
 ``factorization_residual`` verifies the diagonal identity itself.
+
+H_r, A0 = H_r/2 and the flat-picture B0 (``apply_B0``) are one second-order
+operator, ``dunkl_ops._radial_operator``, with three coefficient sets; verify's
+``half_hamiltonian_identity`` compares two of those sets, and the operator body
+is checked by ``radial_eigen_residual``, ``ladder_diagonal`` and
+``radial_flat_picture_eigen``.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import as_quantum_m, k_of
+from .dunkl_ops import _radial_operator
 from .errors import DomainError, RepresentationError
 from .profiles import DeformationParams, Profile, _check_l2, derivative_of, residual_grid
 
@@ -82,21 +89,13 @@ def ladder_coefficients(state: AlgebraState, which: str) -> float:
 def apply_A(R: Profile, which: str, mu: DeformationParams, l2: float) -> Profile:
     """Apply A0, A+ or A- (weighted picture, sector with angular eigenvalue l2)."""
     _check_l2(l2, mu)
-    if which not in ("0", "+", "-"):
-        raise DomainError(f"which must be '0', '+' or '-', got {which!r}")
-    d1 = derivative_of(R, 1)
     if which == "0":
-        d2 = derivative_of(R, 2)
-        out = (-0.25) * d2 + 0.25 * R.times_rpower(2)
-        c1 = -0.25 * (1.0 + 2.0 * mu.total)
-        if c1 != 0.0:
-            out = out + c1 * d1.times_rpower(-1)
-        if l2 != 0.0:
-            out = out + (0.25 * l2) * R.times_rpower(-2)
-        return out
+        return _radial_operator(R, 0.25, -0.25 * (1.0 + 2.0 * mu.total), 0.25 * l2)
+    if which not in ("+", "-"):
+        raise DomainError(f"which must be '0', '+' or '-', got {which!r}")
     sign = 1.0 if which == "+" else -1.0
     return (
-        (0.5 * sign) * d1.times_rpower(1)
+        (0.5 * sign) * derivative_of(R, 1).times_rpower(1)
         + (-0.5) * R.times_rpower(2)
         + apply_A(R, "0", mu, l2)
         + (0.5 * sign * (1.0 + mu.total)) * R
@@ -106,12 +105,7 @@ def apply_A(R: Profile, which: str, mu: DeformationParams, l2: float) -> Profile
 def apply_B0(U: Profile, l2: float, mu: DeformationParams) -> Profile:
     """Apply the flat-measure diagonal operator; on eigen-U its value is E/2."""
     _check_l2(l2, mu)
-    d2 = derivative_of(U, 2)
-    out = (-0.25) * d2 + 0.25 * U.times_rpower(2)
-    coeff = l2 - 0.25 + mu.total * mu.total
-    if coeff != 0.0:
-        out = out + (0.25 * coeff) * U.times_rpower(-2)
-    return out
+    return _radial_operator(U, 0.25, 0.0, 0.25 * (l2 - 0.25 + mu.total * mu.total))
 
 
 def apply_J(U: Profile, E: float, sign: int) -> Profile:
@@ -217,6 +211,10 @@ def casimir_check(
     return max(residual, abs(scalar - target))
 
 
+# [X, Y] = c Z for pair "XY", as (X, Y, c, Z).
+_BRACKETS = {"0+": ("0", "+", 1.0, "+"), "0-": ("0", "-", -1.0, "-"), "-+": ("-", "+", 2.0, "0")}
+
+
 def commutator_residual(
     pair: str,
     R: Profile,
@@ -225,27 +223,14 @@ def commutator_residual(
     grid: np.ndarray | None = None,
 ) -> float:
     """Sup-norm defect of a bracket relation ([A0,A+], [A0,A-] or [A-,A+]) on R."""
+    if pair not in _BRACKETS:
+        raise DomainError(f"pair must be '0+', '0-' or '-+', got {pair!r}")
+    x, y, c, z = _BRACKETS[pair]
     if grid is None:
         grid = residual_grid()
-    if pair == "0+":
-        raised = apply_A(R, "+", mu, l2)
-        lhs = apply_A(raised, "0", mu, l2) + (-1.0) * apply_A(
-            apply_A(R, "0", mu, l2), "+", mu, l2
-        )
-        rhs = raised
-    elif pair == "0-":
-        lowered = apply_A(R, "-", mu, l2)
-        lhs = apply_A(lowered, "0", mu, l2) + (-1.0) * apply_A(
-            apply_A(R, "0", mu, l2), "-", mu, l2
-        )
-        rhs = (-1.0) * lowered
-    elif pair == "-+":
-        lhs = apply_A(apply_A(R, "+", mu, l2), "-", mu, l2) + (-1.0) * apply_A(
-            apply_A(R, "-", mu, l2), "+", mu, l2
-        )
-        rhs = 2.0 * apply_A(R, "0", mu, l2)
-    else:
-        raise DomainError(f"pair must be '0+', '0-' or '-+', got {pair!r}")
+    yr = apply_A(R, y, mu, l2)
+    lhs = apply_A(yr, x, mu, l2) + (-1.0) * apply_A(apply_A(R, x, mu, l2), y, mu, l2)
+    rhs = c * (yr if z == y else apply_A(R, z, mu, l2))
     return float(np.max(np.abs(lhs(grid) - rhs(grid))))
 
 

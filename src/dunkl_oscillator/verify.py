@@ -347,6 +347,7 @@ def _check_casimir(ctx: VerifyContext) -> Iterator:
 
 @_register("half_hamiltonian_identity", "algebra", 1e-12)
 def _check_half_hamiltonian(ctx: VerifyContext) -> Iterator:
+    # A0 and H_r share one operator body, so this compares two coefficient sets.
     grid = residual_grid()
     for idx, profile in enumerate(_random_profiles((ctx.seed, 202), 6)):
         l2 = float((idx % 3) + idx * 0.25)

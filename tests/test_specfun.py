@@ -315,6 +315,35 @@ def test_gram_domain_errors_match_inner_products():
         assert str(from_gram.value) == str(from_inner.value)
 
 
+_ONE = lambda x: np.ones_like(x)
+
+
+@pytest.mark.parametrize(
+    "fn, args, kwargs",
+    [
+        (laguerre, (2, math.nan, 1.0), {}),
+        (laguerre, (2, math.inf, 1.0), {}),
+        (laguerre_all, (2, math.nan, 1.0), {}),
+        (jacobi, (2, math.nan, 0.0, 0.3), {}),
+        (jacobi, (2, 0.0, math.inf, 0.3), {}),
+        (log_gamma, (math.nan,), {}),
+        (log_gamma, (math.inf,), {}),
+        (radial_inner_product, (_ONE, _ONE, (0.0, 0.0)), {"rmax": math.nan}),
+        (radial_inner_product, (_ONE, _ONE, (0.0, 0.0)), {"rmax": math.inf}),
+        (radial_inner_product, (_ONE, _ONE, (math.nan, 0.0)), {}),
+        (radial_gram, ([_ONE], (0.0, math.inf)), {}),
+        (angular_inner_product, (_ONE, _ONE, (math.nan, 0.0)), {}),
+        (angular_inner_product, (_ONE, _ONE, (math.inf, 0.0)), {}),
+        (default_rmax, (math.nan,), {}),
+        (default_rmax, (math.inf,), {}),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_non_finite_parameters_raise_domain_error(fn, args, kwargs):
+    with pytest.raises(DomainError):
+        fn(*args, **kwargs)
+
+
 def test_default_rmax_floor_and_growth():
     assert default_rmax(3.0) == pytest.approx(12.0)
     assert default_rmax(200.0) > default_rmax(50.0) > 12.0

@@ -15,8 +15,15 @@ from dunkl_oscillator.basis import (
     separation_constant,
     substitute_u,
 )
-from dunkl_oscillator.errors import DomainError, RepresentationError
-from dunkl_oscillator.profiles import DeformationParams, GaussLaguerreSum, residual_grid
+from dunkl_oscillator.dunkl_ops import apply_radial_hamiltonian
+from dunkl_oscillator.errors import DerivativeUnavailable, DomainError, RepresentationError
+from dunkl_oscillator.profiles import (
+    DeformationParams,
+    GaussLaguerreSum,
+    Profile,
+    derivative_of,
+    residual_grid,
+)
 from dunkl_oscillator.su11 import (
     AlgebraState,
     apply_A,
@@ -201,14 +208,102 @@ def test_casimir_scalar_matches_closed_form():
 
 
 def test_diagonal_generator_is_half_radial_hamiltonian():
-    from dunkl_oscillator.dunkl_ops import apply_radial_hamiltonian
-
     m = Fraction(1, 2)
     l2 = separation_constant(m, MU)
     for prof in _random_gaussian_polynomials(11, 4):
         lhs = apply_A(prof, "0", MU, l2)(GRID)
         rhs = 0.5 * apply_radial_hamiltonian(prof, MU, l2)(GRID)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+
+# Reference copies of H_r, A0+-, B0 and the brackets, each written out on its
+# own, term by term: the shared operator body must reproduce them bit for bit.
+
+
+def _ref_radial_hamiltonian(R, mu, l2):
+    d1 = derivative_of(R, 1)
+    d2 = derivative_of(R, 2)
+    out = (-0.5) * d2 + 0.5 * R.times_rpower(2)
+    c1 = -0.5 - mu.total
+    if c1 != 0.0:
+        out = out + c1 * d1.times_rpower(-1)
+    if l2 != 0.0:
+        out = out + (0.5 * l2) * R.times_rpower(-2)
+    return out
+
+
+def _ref_A(R, which, mu, l2):
+    d1 = derivative_of(R, 1)
+    if which == "0":
+        d2 = derivative_of(R, 2)
+        out = (-0.25) * d2 + 0.25 * R.times_rpower(2)
+        c1 = -0.25 * (1.0 + 2.0 * mu.total)
+        if c1 != 0.0:
+            out = out + c1 * d1.times_rpower(-1)
+        if l2 != 0.0:
+            out = out + (0.25 * l2) * R.times_rpower(-2)
+        return out
+    sign = 1.0 if which == "+" else -1.0
+    return (
+        (0.5 * sign) * d1.times_rpower(1)
+        + (-0.5) * R.times_rpower(2)
+        + _ref_A(R, "0", mu, l2)
+        + (0.5 * sign * (1.0 + mu.total)) * R
+    )
+
+
+def _ref_B0(U, l2, mu):
+    out = (-0.25) * derivative_of(U, 2) + 0.25 * U.times_rpower(2)
+    coeff = l2 - 0.25 + mu.total * mu.total
+    if coeff != 0.0:
+        out = out + (0.25 * coeff) * U.times_rpower(-2)
+    return out
+
+
+def _ref_commutator(pair, R, mu, l2, grid):
+    A = lambda P, which: _ref_A(P, which, mu, l2)
+    if pair == "0+":
+        raised = A(R, "+")
+        lhs, rhs = A(raised, "0") + (-1.0) * A(A(R, "0"), "+"), raised
+    elif pair == "0-":
+        lowered = A(R, "-")
+        lhs, rhs = A(lowered, "0") + (-1.0) * A(A(R, "0"), "-"), (-1.0) * lowered
+    else:
+        lhs, rhs = A(A(R, "+"), "-") + (-1.0) * A(A(R, "-"), "+"), 2.0 * A(R, "0")
+    return float(np.max(np.abs(lhs(grid) - rhs(grid))))
+
+
+_MU_NO_DRIFT = DeformationParams(-0.2, -0.3)
+
+
+@pytest.mark.parametrize(
+    "mu, l2",
+    [
+        (MU, 4.75),
+        (MU, 0.0),
+        (MU, 0.25 - MU.total**2),
+        (_MU_NO_DRIFT, 1.3),
+        (_MU_NO_DRIFT, 0.0),
+    ],
+)
+def test_operators_are_bit_identical_to_their_written_out_forms(mu, l2):
+    plain = Profile(lambda r: (1.0 + 0.3 * r**3 - 0.1 * r**4) * np.exp(-0.5 * r * r))
+    for prof in [*_random_gaussian_polynomials(5, 4), plain]:
+        pairs = [
+            (apply_radial_hamiltonian(prof, mu, l2), _ref_radial_hamiltonian(prof, mu, l2)),
+            (apply_B0(prof, l2, mu), _ref_B0(prof, l2, mu)),
+            *((apply_A(prof, w, mu, l2), _ref_A(prof, w, mu, l2)) for w in ("0", "+", "-")),
+        ]
+        for got, ref in pairs:
+            assert np.array_equal(got(GRID), ref(GRID))
+        for pair in ("0+", "0-", "-+"):
+            if isinstance(prof, GaussLaguerreSum):
+                got = commutator_residual(pair, prof, mu, l2, GRID)
+                assert np.array_equal(got, _ref_commutator(pair, prof, mu, l2, GRID))
+            else:
+                # Ladder images of a stencil-differenced profile are not differenced again.
+                with pytest.raises(DerivativeUnavailable):
+                    commutator_residual(pair, prof, mu, l2, GRID)
 
 
 # --- flat-picture generators -------------------------------------------------
