@@ -78,8 +78,10 @@ class EvolutionParams:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not self.hbar > 0.0:
-            raise DomainError(f"hbar must be positive, got {self.hbar}")
+        if not math.isfinite(self.tau):
+            raise DomainError(f"tau must be finite, got {self.tau}")
+        if not (self.hbar > 0.0 and math.isfinite(self.hbar)):
+            raise DomainError(f"hbar must be positive and finite, got {self.hbar}")
 
 
 def auto_nterms(p: CoherentParams, tol: float = 1e-14) -> int:

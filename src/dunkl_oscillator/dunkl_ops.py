@@ -38,23 +38,22 @@ def _check_axis(axis: str) -> str:
 
 
 def reflect(f: PlaneFunction, axis: str) -> PlaneFunction:
-    """The reflected function f(-x, y) or f(x, -y)."""
+    """The reflected function f(-x, y) or f(x, -y); its first partial along axis changes sign."""
     _check_axis(axis)
-    if axis == "x":
-        return PlaneFunction(
-            fn=lambda x, y: f(-np.asarray(x), y),
-            dx=None if f.dx is None else (lambda x, y: -f.dx(-np.asarray(x), y)),
-            dy=None if f.dy is None else (lambda x, y: f.dy(-np.asarray(x), y)),
-            dxx=None if f.dxx is None else (lambda x, y: f.dxx(-np.asarray(x), y)),
-            dyy=None if f.dyy is None else (lambda x, y: f.dyy(-np.asarray(x), y)),
-            parity=f.parity,
-        )
+
+    def mirrored(g, negate: bool = False):
+        def h(x, y):
+            v = g(-np.asarray(x), y) if axis == "x" else g(x, -np.asarray(y))
+            return -v if negate else v
+
+        return None if g is None else h
+
     return PlaneFunction(
-        fn=lambda x, y: f(x, -np.asarray(y)),
-        dx=None if f.dx is None else (lambda x, y: f.dx(x, -np.asarray(y))),
-        dy=None if f.dy is None else (lambda x, y: -f.dy(x, -np.asarray(y))),
-        dxx=None if f.dxx is None else (lambda x, y: f.dxx(x, -np.asarray(y))),
-        dyy=None if f.dyy is None else (lambda x, y: f.dyy(x, -np.asarray(y))),
+        fn=mirrored(f),
+        dx=mirrored(f.dx, negate=axis == "x"),
+        dy=mirrored(f.dy, negate=axis == "y"),
+        dxx=mirrored(f.dxx),
+        dyy=mirrored(f.dyy),
         parity=f.parity,
     )
 

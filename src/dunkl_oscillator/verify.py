@@ -151,12 +151,21 @@ def _check_angular_parity(ctx: VerifyContext) -> Iterator:
 _M_SAMPLES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
 
 
+def _sturmians(mu: DeformationParams, ns: Iterable[int], ms=_M_SAMPLES) -> Iterator:
+    """The Sturmian cases (m, l2, q, R) of |k, n>, sector m outer and excitation n inner."""
+    for m in ms:
+        l2 = separation_constant(m, mu)
+        for n in ns:
+            q = RadialQuantum.from_m(n, m, mu)
+            yield m, l2, q, radial_sturmian(q, mu)
+
+
 @_register("radial_gram_identity", "radial", 1e-9)
 def _check_radial_gram(ctx: VerifyContext) -> Iterator:
     for pair in ((0.0, 0.0), (0.5, 0.5), (ctx.mu.mu1, ctx.mu.mu2)):
         mu = DeformationParams(*pair)
         for m in _M_SAMPLES:
-            fns = [radial_sturmian(RadialQuantum.from_m(n, m, mu), mu) for n in range(7)]
+            fns = [R for *_, R in _sturmians(mu, range(7), (m,))]
             yield radial_gram(fns, mu) - np.eye(len(fns))
 
 
@@ -165,19 +174,15 @@ def _check_radial_eigen(ctx: VerifyContext) -> Iterator:
     grid = residual_grid()
     for pair in ((0.0, 0.0), (ctx.mu.mu1, ctx.mu.mu2)):
         mu = DeformationParams(*pair)
-        for m in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)):
-            l2 = separation_constant(m, mu)
-            for n in range(7):
-                R = radial_sturmian(RadialQuantum.from_m(n, m, mu), mu)
-                image = apply_radial_hamiltonian(R, mu, l2)
-                yield image(grid) - energy(n, m, mu) * R(grid)
+        for m, l2, q, R in _sturmians(mu, range(7), _M_SAMPLES + (Fraction(3),)):
+            image = apply_radial_hamiltonian(R, mu, l2)
+            yield image(grid) - energy(q.nr, m, mu) * R(grid)
 
 
 @_register("radial_substitution_roundtrip", "radial", 1e-12)
 def _check_substitution_roundtrip(ctx: VerifyContext) -> Iterator:
     grid = residual_grid()
-    for m in _M_SAMPLES:
-        R = radial_sturmian(RadialQuantum.from_m(1, m, ctx.mu), ctx.mu)
+    for *_, R in _sturmians(ctx.mu, (1,)):
         back = substitute_u(substitute_u(R, ctx.mu, "r_to_u"), ctx.mu, "u_to_r")
         yield back(grid) - R(grid)
 
@@ -185,13 +190,10 @@ def _check_substitution_roundtrip(ctx: VerifyContext) -> Iterator:
 @_register("radial_flat_picture_eigen", "radial", 1e-9)
 def _check_flat_picture(ctx: VerifyContext) -> Iterator:
     grid = residual_grid()
-    for m in _M_SAMPLES:
-        l2 = separation_constant(m, ctx.mu)
-        for n in range(4):
-            R = radial_sturmian(RadialQuantum.from_m(n, m, ctx.mu), ctx.mu)
-            U = substitute_u(R, ctx.mu, "r_to_u")
-            image = su11.apply_B0(U, l2, ctx.mu)
-            yield image(grid) - 0.5 * energy(n, m, ctx.mu) * U(grid)
+    for m, l2, q, R in _sturmians(ctx.mu, range(4)):
+        U = substitute_u(R, ctx.mu, "r_to_u")
+        image = su11.apply_B0(U, l2, ctx.mu)
+        yield image(grid) - 0.5 * energy(q.nr, m, ctx.mu) * U(grid)
 
 
 @_register("spectrum_energy_values", "radial", 1e-12)
@@ -227,15 +229,12 @@ def _plain_laguerre(n: int, alpha_int: int, x: np.ndarray) -> np.ndarray:
 def _check_mu_zero_reduction(ctx: VerifyContext) -> Iterator:
     mu0 = DeformationParams(0.0, 0.0)
     grid = residual_grid(50, 0.05, 8.0)
-    for m in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):
-        ell = int(2 * m)
-        for n in range(5):
-            R = radial_sturmian(RadialQuantum.from_m(n, m, mu0), mu0)
-            norm = math.sqrt(2.0 * math.factorial(n) / math.factorial(n + ell))
-            ref = norm * grid**ell * np.exp(-0.5 * grid * grid) * _plain_laguerre(
-                n, ell, grid * grid
-            )
-            yield R(grid) - ref
+    ms = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
+    for m, _, q, R in _sturmians(mu0, range(5), ms):
+        n, ell = q.nr, int(2 * m)
+        norm = math.sqrt(2.0 * math.factorial(n) / math.factorial(n + ell))
+        ref = norm * grid**ell * np.exp(-0.5 * grid * grid) * _plain_laguerre(n, ell, grid * grid)
+        yield R(grid) - ref
 
 
 _CARTESIAN_STATES = (
@@ -267,51 +266,30 @@ def _check_cartesian_hamiltonian(ctx: VerifyContext) -> Iterator:
         yield image(xs, ys) - energy(nr, m, ctx.mu) * f(xs, ys)
 
 
-@_register("ladder_raise", "algebra", 1e-7)
-def _check_ladder_raise(ctx: VerifyContext) -> Iterator:
-    grid = residual_grid()
-    for m in _M_SAMPLES:
-        l2 = separation_constant(m, ctx.mu)
-        for n in range(5):
-            low = RadialQuantum.from_m(n, m, ctx.mu)
-            high = RadialQuantum.from_m(n + 1, m, ctx.mu)
-            coeff = su11.ladder_coefficients(su11.AlgebraState(low.k, n), "+")
-            image = su11.apply_A(radial_sturmian(low, ctx.mu), "+", ctx.mu, l2)
-            yield image(grid) - coeff * radial_sturmian(high, ctx.mu)(grid)
+def _ladder_check(which: str, ns: Iterable[int], step: int):
+    """A_which |k, n> against its matrix element times |k, n + step>."""
 
-
-@_register("ladder_lower", "algebra", 1e-7)
-def _check_ladder_lower(ctx: VerifyContext) -> Iterator:
-    grid = residual_grid()
-    for m in _M_SAMPLES:
-        l2 = separation_constant(m, ctx.mu)
-        for n in range(1, 6):
-            high = RadialQuantum.from_m(n, m, ctx.mu)
-            low = RadialQuantum.from_m(n - 1, m, ctx.mu)
-            coeff = su11.ladder_coefficients(su11.AlgebraState(high.k, n), "-")
-            image = su11.apply_A(radial_sturmian(high, ctx.mu), "-", ctx.mu, l2)
-            yield image(grid) - coeff * radial_sturmian(low, ctx.mu)(grid)
-
-
-@_register("ladder_diagonal", "algebra", 1e-7)
-def _check_ladder_diagonal(ctx: VerifyContext) -> Iterator:
-    grid = residual_grid()
-    for m in _M_SAMPLES:
-        l2 = separation_constant(m, ctx.mu)
-        for n in range(5):
-            q = RadialQuantum.from_m(n, m, ctx.mu)
-            R = radial_sturmian(q, ctx.mu)
-            image = su11.apply_A(R, "0", ctx.mu, l2)
-            coeff = su11.ladder_coefficients(su11.AlgebraState(q.k, n), "0")
+    def check(ctx: VerifyContext) -> Iterator:
+        grid = residual_grid()
+        for m, l2, q, R in _sturmians(ctx.mu, ns):
+            coeff = su11.ladder_coefficients(su11.AlgebraState(q.k, q.nr), which)
+            image = su11.apply_A(R, which, ctx.mu, l2)
+            if step:
+                R = radial_sturmian(RadialQuantum.from_m(q.nr + step, m, ctx.mu), ctx.mu)
             yield image(grid) - coeff * R(grid)
+
+    return check
+
+
+_register("ladder_raise", "algebra", 1e-7)(_ladder_check("+", range(5), 1))
+_register("ladder_lower", "algebra", 1e-7)(_ladder_check("-", range(1, 6), -1))
+_register("ladder_diagonal", "algebra", 1e-7)(_ladder_check("0", range(5), 0))
 
 
 @_register("lowest_weight_annihilation", "algebra", 1e-9)
 def _check_lowest_weight(ctx: VerifyContext) -> Iterator:
     grid = residual_grid()
-    for m in _M_SAMPLES:
-        l2 = separation_constant(m, ctx.mu)
-        R = radial_sturmian(RadialQuantum.from_m(0, m, ctx.mu), ctx.mu)
+    for _, l2, _, R in _sturmians(ctx.mu, (0,)):
         image = su11.apply_A(R, "-", ctx.mu, l2)
         yield image(grid) / np.max(np.abs(R(grid)))
 
@@ -337,12 +315,8 @@ def _check_commutators(ctx: VerifyContext) -> Iterator:
 @_register("casimir_scalar", "algebra", 1e-7)
 def _check_casimir(ctx: VerifyContext) -> Iterator:
     grid = residual_grid()
-    for m in _M_SAMPLES:
-        l2 = separation_constant(m, ctx.mu)
-        for n in (0, 2):
-            q = RadialQuantum.from_m(n, m, ctx.mu)
-            R = radial_sturmian(q, ctx.mu)
-            yield su11.casimir_check(R, q.k, ctx.mu, l2, grid)
+    for _, l2, q, R in _sturmians(ctx.mu, (0, 2)):
+        yield su11.casimir_check(R, q.k, ctx.mu, l2, grid)
 
 
 @_register("half_hamiltonian_identity", "algebra", 1e-12)
@@ -359,14 +333,11 @@ def _check_half_hamiltonian(ctx: VerifyContext) -> Iterator:
 @_register("factorization_identity", "algebra", 1e-8)
 def _check_factorization(ctx: VerifyContext) -> Iterator:
     grid = residual_grid()
-    for m in _M_SAMPLES:
-        l2 = separation_constant(m, ctx.mu)
-        for n in range(4):
-            R = radial_sturmian(RadialQuantum.from_m(n, m, ctx.mu), ctx.mu)
-            U = substitute_u(R, ctx.mu, "r_to_u")
-            E = energy(n, m, ctx.mu)
-            for branch in ("upper", "lower"):
-                yield su11.factorization_residual(U, E, l2, ctx.mu, branch, grid)
+    for m, l2, q, R in _sturmians(ctx.mu, range(4)):
+        U = substitute_u(R, ctx.mu, "r_to_u")
+        E = energy(q.nr, m, ctx.mu)
+        for branch in ("upper", "lower"):
+            yield su11.factorization_residual(U, E, l2, ctx.mu, branch, grid)
 
 
 @_register("factorization_constants", "algebra", 1e-12)
@@ -379,16 +350,11 @@ def _check_factorization_constants(ctx: VerifyContext) -> Iterator:
 @_register("flat_weighted_conjugation", "algebra", 1e-10)
 def _check_conjugation(ctx: VerifyContext) -> Iterator:
     grid = residual_grid()
-    for m in _M_SAMPLES:
-        l2 = separation_constant(m, ctx.mu)
-        for n in (0, 3):
-            R = radial_sturmian(RadialQuantum.from_m(n, m, ctx.mu), ctx.mu)
-            U = substitute_u(R, ctx.mu, "r_to_u")
-            via_flat = su11.apply_B0(U, l2, ctx.mu)
-            via_weighted = substitute_u(
-                su11.apply_A(R, "0", ctx.mu, l2), ctx.mu, "r_to_u"
-            )
-            yield via_flat(grid) - via_weighted(grid)
+    for _, l2, _, R in _sturmians(ctx.mu, (0, 3)):
+        U = substitute_u(R, ctx.mu, "r_to_u")
+        via_flat = su11.apply_B0(U, l2, ctx.mu)
+        via_weighted = substitute_u(su11.apply_A(R, "0", ctx.mu, l2), ctx.mu, "r_to_u")
+        yield via_flat(grid) - via_weighted(grid)
 
 
 @_register("bargmann_roots", "algebra", 1e-12)
@@ -407,13 +373,23 @@ _XI_SAMPLES = (0.5 + 0.0j, -0.8 + 0.0j, 0.3 + 0.4j, complex(0.7 * np.exp(2.2j)),
 _K_SAMPLES = (0.5, 1.0, 1.5, 2.7)
 
 
+def _series_gap(grid: np.ndarray, p: co.CoherentParams, mu: DeformationParams) -> np.ndarray:
+    """The coherent series minus its closed form on grid."""
+    return co.coherent_series(grid, p, mu) - co.coherent_closed(grid, p, mu)
+
+
+def _norm_defect(psi: Callable, p: co.CoherentParams, mu: DeformationParams) -> float:
+    """The radial norm of psi minus 1, on the quadrature suggested for p."""
+    rule = co.suggested_norm_quadrature(p)
+    return radial_inner_product(lambda r: np.abs(psi(r)) ** 2, np.ones_like, mu, *rule) - 1.0
+
+
 @_register("coherent_series_vs_closed", "coherent", 1e-10)
 def _check_series_vs_closed(ctx: VerifyContext) -> Iterator:
     grid = np.linspace(0.05, 3.0, 40)
     for xi in _XI_SAMPLES:
         for k in _K_SAMPLES:
-            p = co.CoherentParams(xi=xi, k=k)
-            yield co.coherent_series(grid, p, ctx.mu) - co.coherent_closed(grid, p, ctx.mu)
+            yield _series_gap(grid, co.CoherentParams(xi=xi, k=k), ctx.mu)
 
 
 @_register("coherent_branch_sampling", "coherent", 1e-10)
@@ -421,7 +397,7 @@ def _check_branch_sampling(ctx: VerifyContext) -> Iterator:
     grid = np.array([0.4, 1.3, 2.2])
     for angle in np.linspace(0.0, 2.0 * np.pi, 25, endpoint=False):
         p = co.CoherentParams(xi=0.8 * complex(np.exp(1j * angle)), k=2.7)
-        yield co.coherent_series(grid, p, ctx.mu) - co.coherent_closed(grid, p, ctx.mu)
+        yield _series_gap(grid, p, ctx.mu)
 
 
 @_register("coherent_unit_norm", "coherent", 1e-9)
@@ -429,15 +405,7 @@ def _check_unit_norm(ctx: VerifyContext) -> Iterator:
     for xi in (0.0 + 0.0j, 0.5 + 0.0j, -0.8 + 0.0j, 0.48 + 0.6j):
         for k in (0.5, 1.0, 2.7):
             p = co.CoherentParams(xi=xi, k=k)
-            rmax, npoints = co.suggested_norm_quadrature(p)
-
-            def density(r, p=p):
-                return np.abs(co.coherent_closed(r, p, ctx.mu)) ** 2
-
-            norm = radial_inner_product(
-                density, lambda r: np.ones_like(r), ctx.mu, rmax=rmax, npoints=npoints
-            )
-            yield norm - 1.0
+            yield _norm_defect(lambda r: co.coherent_closed(r, p, ctx.mu), p, ctx.mu)
 
 
 @_register("coherent_normal_form", "coherent", 1e-14)
@@ -480,17 +448,9 @@ def _check_evolution_crosscheck(ctx: VerifyContext) -> Iterator:
 def _check_evolution_norm(ctx: VerifyContext) -> Iterator:
     m, k = _evolution_sector(ctx)
     p = co.CoherentParams(xi=0.48 + 0.6j, k=k)
-    rmax, npoints = co.suggested_norm_quadrature(p)
     for tau in (0.3, 1.1, 2.9):
         t = co.EvolutionParams(tau)
-
-        def density(r, t=t):
-            return np.abs(co.coherent_evolved(r, p, t, m, ctx.mu)) ** 2
-
-        norm = radial_inner_product(
-            density, lambda r: np.ones_like(r), ctx.mu, rmax=rmax, npoints=npoints
-        )
-        yield norm - 1.0
+        yield _norm_defect(lambda r: co.coherent_evolved(r, p, t, m, ctx.mu), p, ctx.mu)
 
 
 @_register("evolution_periodicity", "coherent", 1e-12)
@@ -525,11 +485,16 @@ def _check_evolution_additivity(ctx: VerifyContext) -> Iterator:
     yield stepped - direct
 
 
-def available_checks(suite: str = "all") -> list[str]:
-    """Names of the checks in a suite, in registry order."""
+def _selected(suite: str) -> list[_Check]:
+    """The registered checks of a suite, in registry order."""
     if suite != "all" and suite not in SUITES:
         raise DomainError(f"suite must be one of {('all',) + SUITES}, got {suite!r}")
-    return [c.name for c in _REGISTRY if suite == "all" or c.suite == suite]
+    return [c for c in _REGISTRY if suite == "all" or c.suite == suite]
+
+
+def available_checks(suite: str = "all") -> list[str]:
+    """Names of the checks in a suite, in registry order."""
+    return [c.name for c in _selected(suite)]
 
 
 def run_checks(
@@ -543,17 +508,15 @@ def run_checks(
         mu = DeformationParams(0.5, 0.5)
     elif not isinstance(mu, DeformationParams):
         mu = DeformationParams(*mu)
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     overrides = dict(tol_overrides or {})
-    known = {c.name for c in _REGISTRY}
     for name in overrides:
-        if name not in known:
+        if name not in available_checks():
             raise DomainError(f"unknown check name in tolerance override: {name!r}")
-    selected = [c for c in _REGISTRY if suite == "all" or c.suite == suite]
-    if not selected:
-        raise DomainError(f"suite must be one of {('all',) + SUITES}, got {suite!r}")
     ctx = VerifyContext(mu=mu, seed=seed)
     results = []
-    for check in selected:
+    for check in _selected(suite):
         tolerance = overrides.get(check.name, check.tolerance)
         try:
             residual = _worst(check.fn(ctx))

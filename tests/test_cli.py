@@ -307,6 +307,13 @@ def test_coherent_rejects_unit_displacement(capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("tau", ["nan", "inf"])
+def test_coherent_non_finite_tau_names_tau(capsys, tau):
+    code, out, err = _run(capsys, ["coherent", "--xi", "0.5,0", "--tau", f"0.3,{tau}"])
+    assert code == 2 and out == ""
+    assert err == f"error: tau must be finite, got {tau}\n"
+
+
 # --- verify ------------------------------------------------------------------
 
 
@@ -336,6 +343,12 @@ def test_verify_tol_override_forces_failure(tmp_path, capsys):
     failed = [rec for rec in payload if not rec["passed"]]
     assert [rec["name"] for rec in failed] == ["angular_gram_identity"]
     assert failed[0]["tolerance"] == 1e-30
+
+
+def test_verify_negative_seed_is_an_input_error(capsys):
+    code, out, err = _run(capsys, ["verify", "--seed", "-1"])
+    assert code == 2 and out == ""
+    assert err == "error: seed must be a non-negative integer, got -1\n"
 
 
 def test_verify_unknown_tol_name_is_reported(capsys):

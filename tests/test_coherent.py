@@ -52,6 +52,20 @@ def test_evolution_params_validation():
         EvolutionParams(tau=0.3, hbar=-1.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"tau": math.nan}, "tau"),
+        ({"tau": math.inf}, "tau"),
+        ({"tau": 0.3, "hbar": math.inf}, "hbar"),
+        ({"tau": 0.3, "hbar": math.nan}, "hbar"),
+    ],
+)
+def test_evolution_params_refuse_non_finite_values(kwargs, name):
+    with pytest.raises(DomainError, match=f"^{name} must be"):
+        EvolutionParams(**kwargs)
+
+
 def test_auto_nterms_grows_with_radius():
     small = auto_nterms(CoherentParams(xi=0.1, k=1.0))
     large = auto_nterms(CoherentParams(xi=0.9, k=1.0))

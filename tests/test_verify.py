@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dunkl_oscillator import verify
+from dunkl_oscillator import su11, verify
 from dunkl_oscillator.errors import DomainError
 from dunkl_oscillator.profiles import DeformationParams
 from dunkl_oscillator.verify import SUITES, available_checks, run_checks
@@ -120,3 +120,28 @@ def test_nan_case_after_finite_cases_fails_the_check(monkeypatch, inject):
     assert res.error is None
     assert math.isnan(res.residual)
     assert not res.passed
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+def test_seed_that_is_not_a_non_negative_integer_raises(seed):
+    # A bad seed is an input error, not two failed random-profile checks.
+    with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+        run_checks(suite="algebra", seed=seed)
+
+
+_LADDERS = ("ladder_raise", "ladder_lower", "ladder_diagonal")
+
+
+def test_ladder_checks_share_one_body_that_reads_the_matrix_elements(monkeypatch):
+    mu = DeformationParams(0.3, 1.2)
+    before = {res.name: res for res in run_checks(suite="all", mu=mu)}
+    real = su11.ladder_coefficients
+    monkeypatch.setattr(su11, "ladder_coefficients", lambda state, which: 1.001 * real(state, which))
+    after = {res.name: res for res in run_checks(suite="all", mu=mu)}
+    assert after.keys() == before.keys()
+    for name in _LADDERS:
+        assert before[name].passed and not after[name].passed
+        assert after[name].error is None
+        assert (after[name].suite, after[name].tolerance) == ("algebra", 1e-7)
+    for name in after.keys() - set(_LADDERS):
+        assert after[name] == before[name]
