@@ -37,7 +37,6 @@ __all__ = [
     "radial_sturmian",
     "substitute_u",
     "MAX_STATES",
-    "state_count",
     "enumerate_states",
 ]
 
@@ -88,25 +87,14 @@ class AngularQuantum:
 
     @classmethod
     def build(cls, s1: int, s2: int, m, mu: DeformationParams) -> "AngularQuantum":
-        if s1 not in (1, -1) or s2 not in (1, -1):
-            raise DomainError(f"parities must be +1 or -1, got ({s1}, {s2})")
+        start = sector_start(s1, s2)
         frac = as_quantum_m(m)
-        if s1 * s2 == 1 and frac.denominator != 1:
+        if frac < start or (frac - start).denominator != 1:
             raise RepresentationError(
-                f"m must be an integer in the ({s1:+d}, {s2:+d}) sector, got {frac}"
+                f"m = {frac} is not in the ({s1:+d}, {s2:+d}) sector, "
+                f"whose m are {start}, {start + 1}, {start + 2}, ..."
             )
-        if s1 * s2 == -1 and frac.denominator != 2:
-            raise RepresentationError(
-                f"m must be a half-odd-integer in the ({s1:+d}, {s2:+d}) sector, got {frac}"
-            )
-        if frac == 0 and (s1, s2) != (1, 1):
-            raise RepresentationError("m = 0 exists only in the (+1, +1) sector")
-        e1 = 0 if s1 == 1 else 1
-        e2 = 0 if s2 == 1 else 1
-        if frac - Fraction(e1 + e2, 2) < 0:
-            raise RepresentationError(
-                f"m = {frac} is below the lowest state of the ({s1:+d}, {s2:+d}) sector"
-            )
+        e1, e2 = (1 - s1) // 2, (1 - s2) // 2
         return cls(s1=s1, s2=s2, m=frac, e1=e1, e2=e2, l2=separation_constant(frac, mu))
 
     @property
@@ -289,14 +277,6 @@ def _top_level(emax: float, mu: DeformationParams) -> int:
             f"{MAX_STATES} states; lower emax"
         )
     return top
-
-
-def state_count(emax: float, mu: DeformationParams) -> int:
-    """Number of states with energy <= emax, without building them.
-
-    Raises DomainError when the count exceeds MAX_STATES.
-    """
-    return _states_through(_top_level(emax, mu))
 
 
 def enumerate_states(emax: float, mu: DeformationParams) -> list[StateLabel]:

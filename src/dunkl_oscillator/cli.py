@@ -9,9 +9,9 @@ Subcommands:
 
 Outputs are deterministic for a fixed configuration and seed: CSV carries
 ``# key = value`` metadata lines and 17-significant-digit values; JSON is
-emitted with sorted keys and never carries a non-finite number.  Exit codes:
-0 success, 1 failed verification checks, 2 usage or domain errors (a
-non-finite number bound for JSON among them).  ``verify`` runs its checks
+emitted with sorted keys.  Neither format carries a non-finite number.  Exit
+codes: 0 success, 1 failed verification checks, 2 usage or domain errors (a
+non-finite value in a table among them).  ``verify`` runs its checks
 serially; no environment variable changes its output.
 """
 
@@ -155,6 +155,14 @@ def _json_number(value: float) -> str:
     return repr(value)
 
 
+def _require_finite(axis: str, grid: np.ndarray, values: np.ndarray) -> None:
+    """Refuse a table holding a NaN or infinity, naming its first such point, before any format."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"non-finite value {values[i]} at {axis} = {_fmt(grid[i])}")
+
+
 def _csv_sector_fields(st) -> tuple[str, str]:
     return (f"{st.s1:+d},{st.s2:+d},{_fmt(st.m)},", f",{_fmt(st.k)},{_fmt(st.l2)},")
 
@@ -240,6 +248,7 @@ def _cmd_wavefunction(args: argparse.Namespace, mu: DeformationParams) -> int:
     else:
         values = angular_wavefunction(q_ang, mu)(grid)
         axis_name = "phi"
+    _require_finite(axis_name, grid, values)
     meta_pairs = [
         ("command", "wavefunction"),
         ("part", args.part),
@@ -297,6 +306,7 @@ def _cmd_coherent(args: argparse.Namespace, mu: DeformationParams) -> int:
     blocks = []
     for tau in args.tau:
         values = coherent_evolved(grid, p, EvolutionParams(tau), m, mu)
+        _require_finite("r", grid, values)
         blocks.append((tau, values))
     if args.format == "json":
         doc = _json_document(

@@ -33,7 +33,6 @@ from .specfun import laguerre_all, log_gamma
 
 __all__ = [
     "CoherentParams",
-    "DisplacementNormalForm",
     "EvolutionParams",
     "auto_nterms",
     "coherent_series",

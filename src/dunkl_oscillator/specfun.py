@@ -1,43 +1,35 @@
-"""Orthogonal polynomials, log-gamma, and weighted quadrature rules.
+"""Orthogonal polynomials, log-gamma, the radial inner product and Gram matrices.
 
 Polynomial evaluation uses forward three-term recurrences in the degree, which
 are stable for the parameter ranges that occur here (alpha, beta > -1).  The
-inner products integrate against the deformed plane measure split into its
-radial part r^(1+2*mu1+2*mu2) dr and angular part |cos|^(2*mu1)|sin|^(2*mu2) dphi.
-Both use one Gauss-Jacobi rule built for the weight (Golub-Welsch): the angular
+integrals are against the deformed plane measure split into its radial part
+r^(1+2*mu1+2*mu2) dr and angular part |cos|^(2*mu1)|sin|^(2*mu2) dphi.  Both
+use one Gauss-Jacobi rule built for the weight (Golub-Welsch): the angular
 rule is that rule in x = cos(2*phi), exact for the weight at every mu1, mu2 > -1/2;
 the radial rule is composite Gauss-Legendre panels graded geometrically toward
 r = 0, so that callables with arbitrary real powers of r cost no accuracy, with
-the Gauss-Jacobi rule carrying the singular power on the innermost panel.  The
-Gram matrices of a basis use the same rules and weights, evaluating each
-function once as a row of V and forming V diag(w) V^T.
+the Gauss-Jacobi rule carrying the singular power on the innermost panel.
+``radial_inner_product`` integrates one product f*g; the Gram matrices of a
+basis evaluate each function once as a row of V and form V diag(w) V^T.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
-    "QuadratureRule",
-    "gauss_legendre",
     "laguerre",
     "laguerre_all",
-    "laguerre_derivative",
     "jacobi",
-    "jacobi_derivative",
     "log_gamma",
     "radial_inner_product",
-    "angular_inner_product",
     "radial_gram",
     "angular_gram",
-    "default_rmax",
 ]
 
 _PANEL_POINTS = 16
@@ -84,16 +76,6 @@ def laguerre_all(nmax: int, alpha: float, x) -> np.ndarray:
     return out
 
 
-def laguerre_derivative(n: int, alpha: float, x):
-    """d/dx L_n^alpha(x) via the shift identity; zero for n = 0."""
-    _check_degree(n)
-    if n == 0:
-        arr, scalar = _as_array(x)
-        zeros = np.zeros_like(arr)
-        return zeros.item() if scalar else zeros
-    return -laguerre(n - 1, alpha + 1.0, x)
-
-
 def jacobi(n: int, alpha: float, beta: float, x):
     """Jacobi polynomial P_n^(alpha,beta)(x), scalar or elementwise."""
     _check_degree(n)
@@ -114,46 +96,11 @@ def jacobi(n: int, alpha: float, beta: float, x):
     return p.item() if scalar else p
 
 
-def jacobi_derivative(n: int, alpha: float, beta: float, x):
-    """d/dx P_n^(alpha,beta)(x) via the parameter-shift identity; zero for n = 0."""
-    _check_degree(n)
-    if n == 0:
-        arr, scalar = _as_array(x)
-        zeros = np.zeros_like(arr)
-        return zeros.item() if scalar else zeros
-    return 0.5 * (n + alpha + beta + 1.0) * jacobi(n - 1, alpha + 1.0, beta + 1.0, x)
-
-
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for finite x > 0."""
     if not 0.0 < x < math.inf:
         raise DomainError(f"log_gamma requires a finite x > 0, got {x}")
     return math.lgamma(x)
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights approximating an integral over ``domain``."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    domain: tuple[float, float]
-
-    def integrate(self, fn: Callable) -> float | complex:
-        vals = np.asarray(fn(self.nodes))
-        total = np.sum(self.weights * vals)
-        return complex(total) if np.iscomplexobj(vals) else float(total)
-
-
-def gauss_legendre(npoints: int, a: float = -1.0, b: float = 1.0) -> QuadratureRule:
-    """Gauss-Legendre rule with ``npoints`` nodes mapped to [a, b]."""
-    if npoints < 1:
-        raise DomainError(f"a quadrature rule needs at least one node, got {npoints}")
-    if not a < b:
-        raise DomainError(f"empty or reversed interval [{a}, {b}]")
-    x, w = np.polynomial.legendre.leggauss(npoints)
-    half = 0.5 * (b - a)
-    return QuadratureRule(nodes=a + half * (x + 1.0), weights=half * w, domain=(a, b))
 
 
 @functools.lru_cache(maxsize=64)
@@ -194,15 +141,6 @@ def _mu_values(mu) -> tuple[float, float]:
     if not (math.isfinite(mu1) and math.isfinite(mu2)):
         raise DomainError(f"mu1 and mu2 must be finite, got ({mu1}, {mu2})")
     return mu1, mu2
-
-
-def default_rmax(emax: float) -> float:
-    """Radial truncation radius large enough for states up to energy ``emax``."""
-    if not -math.inf < emax < math.inf:
-        raise DomainError(f"emax must be finite, got {emax}")
-    if emax <= 0.0:
-        return 12.0
-    return max(12.0, math.sqrt(2.0 * emax) + 6.0)
 
 
 def _radial_measure(mu, rmax: float, npoints: int) -> tuple[np.ndarray, np.ndarray]:
@@ -246,12 +184,6 @@ def _angular_measure(mu, npoints: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, np.tile(w * 2.0 ** (-mu1 - mu2 - 1.0), 4)
 
 
-def _inner_product(f, g, nodes: np.ndarray, weights: np.ndarray):
-    vals = np.asarray(f(nodes)) * np.asarray(g(nodes))
-    total = np.sum(weights * vals)
-    return complex(total) if np.iscomplexobj(vals) else float(total)
-
-
 def _gram(fns, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     # Each function is evaluated once: row i of V holds fns[i] on the nodes.
     values = np.stack([f(nodes) for f in fns])
@@ -260,12 +192,10 @@ def _gram(fns, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def radial_inner_product(f, g, mu, rmax: float = 12.0, npoints: int = 400):
     """Integral of f*g against r^(1+2*mu1+2*mu2) dr over [0, rmax]."""
-    return _inner_product(f, g, *_radial_measure(mu, rmax, npoints))
-
-
-def angular_inner_product(f, g, mu, npoints: int = 64):
-    """Integral of f*g against |cos|^(2*mu1) |sin|^(2*mu2) dphi over [0, 2*pi)."""
-    return _inner_product(f, g, *_angular_measure(mu, npoints))
+    nodes, weights = _radial_measure(mu, rmax, npoints)
+    vals = np.asarray(f(nodes)) * np.asarray(g(nodes))
+    total = np.sum(weights * vals)
+    return complex(total) if np.iscomplexobj(vals) else float(total)
 
 
 def radial_gram(fns, mu, rmax: float = 12.0, npoints: int = 400) -> np.ndarray:
@@ -274,5 +204,5 @@ def radial_gram(fns, mu, rmax: float = 12.0, npoints: int = 400) -> np.ndarray:
 
 
 def angular_gram(fns, mu, npoints: int = 64) -> np.ndarray:
-    """Matrix of ``angular_inner_product(fns[i], fns[j], mu, npoints)`` over all i, j."""
+    """Matrix of the integrals of fns[i]*fns[j] against |cos|^(2*mu1) |sin|^(2*mu2) dphi over [0, 2*pi)."""
     return _gram(fns, *_angular_measure(mu, npoints))

@@ -46,7 +46,6 @@ from .profiles import DeformationParams, Profile, _check_l2, derivative_of, resi
 
 __all__ = [
     "AlgebraState",
-    "FactorizationConstants",
     "ladder_coefficients",
     "apply_A",
     "apply_B0",

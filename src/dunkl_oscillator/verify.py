@@ -42,7 +42,7 @@ from .profiles import (
 )
 from .specfun import angular_gram, laguerre_all, radial_gram, radial_inner_product
 
-__all__ = ["CheckResult", "VerifyContext", "SUITES", "available_checks", "run_checks"]
+__all__ = ["CheckResult", "SUITES", "available_checks", "run_checks"]
 
 SUITES = ("angular", "radial", "algebra", "coherent")
 

@@ -10,6 +10,7 @@ import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dunkl_oscillator import basis
 from dunkl_oscillator.basis import (
     MAX_STATES,
     AngularQuantum,
@@ -24,7 +25,6 @@ from dunkl_oscillator.basis import (
     radial_sturmian,
     sector_start,
     separation_constant,
-    state_count,
     substitute_u,
 )
 from dunkl_oscillator.errors import DomainError, RepresentationError
@@ -378,11 +378,16 @@ def test_enumerate_states_equals_fraction_loop(emax, mu1, mu2, edge):
     assert [(st.k.hex(), st.l2.hex()) for st in got] == [(st.k.hex(), st.l2.hex()) for st in want]
 
 
+def _closed_count(emax, mu):
+    """The closed-form count that ``enumerate_states`` checks against MAX_STATES."""
+    return basis._states_through(basis._top_level(emax, mu))
+
+
 @pytest.mark.parametrize("mu_pair", [(0.0, 0.0), (-0.49, -0.49), (-0.2, 1.7), (0.25, 0.75), (3.0, 3.0)])
 def test_state_count_matches_enumeration(mu_pair):
     mu = DeformationParams(*mu_pair)
     for emax in np.linspace(-2.0, 45.0, 95):
-        assert state_count(float(emax), mu) == len(enumerate_states(float(emax), mu))
+        assert _closed_count(float(emax), mu) == len(enumerate_states(float(emax), mu))
 
 
 def test_state_count_is_the_cartesian_shell_sum_at_mu_zero():
@@ -390,15 +395,15 @@ def test_state_count_is_the_cartesian_shell_sum_at_mu_zero():
     # so up to E = N + 1 there are (N + 1)(N + 2)/2, at any size.
     mu0 = DeformationParams(0.0, 0.0)
     for n in (0, 1, 2, 7, 100, 1001, 1412):
-        assert state_count(n + 1.0, mu0) == (n + 1) * (n + 2) // 2
+        assert _closed_count(n + 1.0, mu0) == (n + 1) * (n + 2) // 2
 
 
 def test_state_cap_refuses_before_building():
     mu0 = DeformationParams(0.0, 0.0)
-    assert state_count(1413.0, mu0) == 998_991 <= MAX_STATES
+    assert _closed_count(1413.0, mu0) == 998_991 <= MAX_STATES
     for emax in (1414.0, 1e9, 1e300):
         with pytest.raises(DomainError, match="more than 1000000 states"):
-            state_count(emax, mu0)
+            basis._top_level(emax, mu0)
         with pytest.raises(DomainError, match="more than 1000000 states"):
             enumerate_states(emax, mu0)
     # a coupling so large that every level rounds to the same energy

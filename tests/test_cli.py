@@ -223,14 +223,22 @@ def test_wavefunction_malformed_state_exits_two():
     assert exc.value.code == 2
 
 
-def test_wavefunction_nonfinite_values_never_reach_json(capsys):
-    # The Laguerre recurrence overflows at nr = 2000 on this grid; JSON has no
-    # token for the resulting NaN, so the command fails instead of printing one.
-    argv = ["wavefunction", "--state=+1,+1,0,2000", "--grid", "0.1:80:4", "--format", "json"]
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv, first_bad",
+    [
+        # The Laguerre recurrence overflows at nr = 2000 on this grid.
+        (["wavefunction", "--state=+1,+1,0,2000", "--grid", "0.1:80:4"], "r = 53.36"),
+        # The closed form's prefactor underflows and r^(2k) overflows at m = 200.
+        (["coherent", "--xi", "0.3,0", "--m", "200", "--grid", "1:12:3"], "r = 6.5"),
+    ],
+    ids=["wavefunction", "coherent"],
+)
+def test_nonfinite_values_never_reach_the_output(capsys, argv, first_bad, fmt):
     with np.errstate(over="ignore", invalid="ignore"):
-        code, out, err = _run(capsys, argv)
+        code, out, err = _run(capsys, argv + ["--format", fmt])
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and "non-finite" in err
+    assert err.startswith("error: non-finite value ") and first_bad in err
 
 
 def test_bad_grid_exits_two():

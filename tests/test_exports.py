@@ -24,9 +24,28 @@ def test_exports_are_the_union_of_layer_exports():
     assert set(dunkl_oscillator.__all__) == layer_names | {"__version__"}
 
 
+# Names that left the public surface: (layer, name, whether the layer still defines it privately).
+_REMOVED = [
+    ("profiles", "RadialProfile", False),
+    ("profiles", "AngularProfile", False),
+    ("profiles", "angular_derivative_of", False),
+    ("specfun", "laguerre_derivative", False),
+    ("specfun", "jacobi_derivative", False),
+    ("specfun", "default_rmax", False),
+    ("specfun", "angular_inner_product", False),
+    ("specfun", "QuadratureRule", False),
+    ("specfun", "gauss_legendre", False),
+    ("basis", "state_count", False),
+    ("coherent", "DisplacementNormalForm", True),
+    ("su11", "FactorizationConstants", True),
+    ("verify", "VerifyContext", True),
+]
+
+
 def test_removed_profile_names_are_absent():
-    profiles = importlib.import_module("dunkl_oscillator.profiles")
-    for name in ("RadialProfile", "AngularProfile", "angular_derivative_of"):
-        assert name not in dunkl_oscillator.__all__
-        assert not hasattr(dunkl_oscillator, name)
-        assert not hasattr(profiles, name)
+    for layer, name, kept in _REMOVED:
+        module = importlib.import_module(f"dunkl_oscillator.{layer}")
+        assert name not in dunkl_oscillator.__all__, name
+        assert not hasattr(dunkl_oscillator, name), name
+        assert name not in module.__all__, name
+        assert hasattr(module, name) == kept, name

@@ -20,14 +20,9 @@ from dunkl_oscillator.profiles import DeformationParams
 from dunkl_oscillator.specfun import (
     _gauss_jacobi,
     angular_gram,
-    angular_inner_product,
-    default_rmax,
-    gauss_legendre,
     jacobi,
-    jacobi_derivative,
     laguerre,
     laguerre_all,
-    laguerre_derivative,
     log_gamma,
     radial_gram,
     radial_inner_product,
@@ -66,16 +61,6 @@ def test_laguerre_all_consistent_with_single():
         np.testing.assert_allclose(table[n], laguerre(n, 0.8, x), rtol=1e-14, atol=1e-14)
 
 
-def test_laguerre_derivative_is_shifted_polynomial():
-    x = np.linspace(0.0, 10.0, 25)
-    for n, alpha in [(1, 0.0), (4, 1.3), (6, -0.2)]:
-        expected = -scipy.special.eval_genlaguerre(n - 1, alpha + 1.0, x)
-        np.testing.assert_allclose(
-            laguerre_derivative(n, alpha, x), expected, rtol=1e-12, atol=1e-12
-        )
-    np.testing.assert_allclose(laguerre_derivative(0, 0.5, x), np.zeros_like(x))
-
-
 @pytest.mark.parametrize("n", [0, 1, 3, 6, 10])
 @pytest.mark.parametrize("ab", [(-0.5, -0.5), (0.0, 0.0), (1.2, -0.3), (2.0, 3.5)])
 def test_jacobi_matches_scipy(n, ab):
@@ -90,18 +75,6 @@ def test_jacobi_matches_mpmath_high_precision():
     for n, a, b, x in [(2, 0.3, 1.1, -0.4), (8, -0.45, 0.2, 0.9), (5, 2.0, 2.0, 0.1)]:
         expected = float(mpmath.jacobi(n, a, b, x))
         assert jacobi(n, a, b, x) == pytest.approx(expected, rel=1e-12, abs=1e-13)
-
-
-def test_jacobi_derivative_matches_scipy_identity():
-    x = np.linspace(-0.95, 0.95, 21)
-    for n, a, b in [(1, 0.0, 0.0), (4, 1.3, -0.2), (7, 0.5, 2.1)]:
-        expected = 0.5 * (n + a + b + 1.0) * scipy.special.eval_jacobi(
-            n - 1, a + 1.0, b + 1.0, x
-        )
-        np.testing.assert_allclose(
-            jacobi_derivative(n, a, b, x), expected, rtol=1e-11, atol=1e-12
-        )
-    np.testing.assert_allclose(jacobi_derivative(0, 0.7, 0.7, x), np.zeros_like(x))
 
 
 @settings(max_examples=60, deadline=None)
@@ -163,21 +136,6 @@ def test_log_gamma_rejects_nonpositive():
 # --- quadrature --------------------------------------------------------------
 
 
-def test_gauss_legendre_exact_for_polynomials():
-    rule = gauss_legendre(8, 0.5, 3.0)
-    for degree in range(16):
-        exact = (3.0 ** (degree + 1) - 0.5 ** (degree + 1)) / (degree + 1)
-        got = rule.integrate(lambda x: x**degree)
-        assert got == pytest.approx(exact, rel=1e-13)
-
-
-def test_gauss_legendre_node_count_and_domain():
-    rule = gauss_legendre(12, -2.0, 5.0)
-    assert rule.nodes.shape == (12,)
-    assert np.all(rule.nodes > -2.0) and np.all(rule.nodes < 5.0)
-    assert rule.weights.sum() == pytest.approx(7.0, rel=1e-14)
-
-
 @pytest.mark.parametrize("ab", [(-0.5, -0.5), (0.0, 0.0), (0.3, 2.5), (-0.2, -0.8), (-0.999, -0.98), (-0.9999, 0.5)])
 @pytest.mark.parametrize("n", [1, 4, 16])
 def test_gauss_jacobi_moments_exact_through_degree_2n_minus_1(ab, n):
@@ -208,7 +166,7 @@ def test_angular_inner_product_of_smooth_callable_against_beta_series(mu_pair):
     f = lambda phi: np.exp(np.cos(phi)) * (1.0 + 0.3 * np.sin(phi))
     g = lambda phi: 1.0 + 0.3 * np.sin(phi)
     for npoints in (32, 64, 256):
-        assert angular_inner_product(f, g, mu_pair, npoints=npoints) == pytest.approx(exact, rel=1e-13)
+        assert angular_gram([f, g], mu_pair, npoints=npoints)[0, 1] == pytest.approx(exact, rel=1e-13)
 
 
 def test_radial_inner_product_against_gamma_integrals():
@@ -242,7 +200,7 @@ def test_angular_inner_product_against_beta_integrals():
             * mpmath.gamma(mu.mu2 + 0.5)
             / mpmath.gamma(mu.total + 1.0)
         )
-        assert angular_inner_product(one, one, mu) == pytest.approx(exact, rel=1e-11)
+        assert angular_gram([one], mu)[0, 0] == pytest.approx(exact, rel=1e-11)
 
 
 def test_angular_inner_product_cosine_moment():
@@ -256,7 +214,7 @@ def test_angular_inner_product_cosine_moment():
         * mpmath.gamma(mu.mu2 + 0.5)
         / mpmath.gamma(mu.total + 2.0)
     )
-    assert angular_inner_product(cos2, one, mu) == pytest.approx(exact, rel=1e-11)
+    assert angular_gram([cos2, one], mu)[0, 1] == pytest.approx(exact, rel=1e-11)
 
 
 def test_inner_product_complex_values_pass_through():
@@ -273,10 +231,6 @@ def test_inner_product_domain_errors():
         radial_inner_product(lambda r: r, lambda r: r, DeformationParams(0.5, 0.5), rmax=-1.0)
     with pytest.raises(DomainError):
         radial_inner_product(lambda r: r, lambda r: r, DeformationParams(0.5, 0.5), npoints=4)
-    with pytest.raises(DomainError):
-        angular_inner_product(
-            lambda p: p, lambda p: p, DeformationParams(0.5, 0.5), npoints=8
-        )
 
 
 @pytest.mark.parametrize("mu_pair", [(0.0, 0.0), (-0.3, 0.4)])
@@ -290,8 +244,9 @@ def test_gram_matrices_equal_pairwise_inner_products(mu_pair):
     angular.append(lambda phi: np.cos(phi) ** 2 + 0.3 * np.sin(phi))
     radial = [radial_sturmian(RadialQuantum.from_m(n, 0.5, mu), mu) for n in range(4)]
     radial.append(lambda r: r * np.exp(-0.5 * r * r))
+    angular_pair = lambda f, g, mu: angular_gram([f, g], mu)[0, 1]
     for gram, inner, fns in (
-        (angular_gram, angular_inner_product, angular),
+        (angular_gram, angular_pair, angular),
         (radial_gram, radial_inner_product, radial),
     ):
         pairwise = np.array([[inner(f, g, mu) for g in fns] for f in fns])
@@ -300,19 +255,15 @@ def test_gram_matrices_equal_pairwise_inner_products(mu_pair):
 
 def test_gram_domain_errors_match_inner_products():
     one = lambda x: np.ones_like(x)
-    cases = [
-        (radial_gram, radial_inner_product, (-0.6, -0.45), {}),
-        (radial_gram, radial_inner_product, (0.5, 0.5), {"npoints": 4}),
-        (radial_gram, radial_inner_product, (0.5, 0.5), {"rmax": -1.0}),
-        (angular_gram, angular_inner_product, (-0.5, 0.2), {}),
-        (angular_gram, angular_inner_product, (0.5, 0.5), {"npoints": 8}),
-    ]
-    for gram, inner, mu, kwargs in cases:
+    for mu, kwargs in [((-0.6, -0.45), {}), ((0.5, 0.5), {"npoints": 4}), ((0.5, 0.5), {"rmax": -1.0})]:
         with pytest.raises(DomainError) as from_inner:
-            inner(one, one, mu, **kwargs)
+            radial_inner_product(one, one, mu, **kwargs)
         with pytest.raises(DomainError) as from_gram:
-            gram([one], mu, **kwargs)
+            radial_gram([one], mu, **kwargs)
         assert str(from_gram.value) == str(from_inner.value)
+    for mu, kwargs in [((-0.5, 0.2), {}), ((0.5, 0.5), {"npoints": 8})]:
+        with pytest.raises(DomainError):
+            angular_gram([one], mu, **kwargs)
 
 
 _ONE = lambda x: np.ones_like(x)
@@ -332,10 +283,8 @@ _ONE = lambda x: np.ones_like(x)
         (radial_inner_product, (_ONE, _ONE, (0.0, 0.0)), {"rmax": math.inf}),
         (radial_inner_product, (_ONE, _ONE, (math.nan, 0.0)), {}),
         (radial_gram, ([_ONE], (0.0, math.inf)), {}),
-        (angular_inner_product, (_ONE, _ONE, (math.nan, 0.0)), {}),
-        (angular_inner_product, (_ONE, _ONE, (math.inf, 0.0)), {}),
-        (default_rmax, (math.nan,), {}),
-        (default_rmax, (math.inf,), {}),
+        (angular_gram, ([_ONE], (math.nan, 0.0)), {}),
+        (angular_gram, ([_ONE], (math.inf, 0.0)), {}),
     ],
     ids=lambda v: getattr(v, "__name__", None),
 )
@@ -343,7 +292,3 @@ def test_non_finite_parameters_raise_domain_error(fn, args, kwargs):
     with pytest.raises(DomainError):
         fn(*args, **kwargs)
 
-
-def test_default_rmax_floor_and_growth():
-    assert default_rmax(3.0) == pytest.approx(12.0)
-    assert default_rmax(200.0) > default_rmax(50.0) > 12.0
