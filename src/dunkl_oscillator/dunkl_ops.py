@@ -10,17 +10,18 @@ splits into a radial part and an angular operator carrying both reflections;
 angular sector, so the pure radial part is recovered with l2 = 0.  Its body,
 ``_radial_operator``, is with other coefficients A0 = H_r/2 and B0 of ``su11``.
 
-Exact derivatives attached to the input profiles are used whenever present;
-otherwise the five-point stencil ``profiles._five_point`` is substituted, along
-the differentiated axis for plane functions.
+Every operator uses the exact derivatives attached to its input (profile
+derivatives through ``derivative_of``, plane partials through ``_partial``)
+and raises ``DerivativeUnavailable`` when it is built on an input that lacks
+one it needs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, SingularityError
-from .profiles import DeformationParams, PlaneFunction, Profile, _check_l2, _five_point, derivative_of
+from .errors import DerivativeUnavailable, DomainError, SingularityError
+from .profiles import DeformationParams, PlaneFunction, Profile, _check_l2, derivative_of
 
 __all__ = [
     "reflect",
@@ -59,19 +60,11 @@ def reflect(f: PlaneFunction, axis: str) -> PlaneFunction:
 
 
 def _partial(f: PlaneFunction, axis: str, order: int):
-    """Exact partial derivative when attached, five-point stencil otherwise."""
+    """The attached exact partial of f along axis."""
     exact = {("x", 1): f.dx, ("y", 1): f.dy, ("x", 2): f.dxx, ("y", 2): f.dyy}[(axis, order)]
-    if exact is not None:
-        return exact
-
-    def stencil(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if axis == "x":
-            return _five_point(lambda t: f(t, y), x, order)
-        return _five_point(lambda t: f(x, t), y, order)
-
-    return stencil
+    if exact is None:
+        raise DerivativeUnavailable(f"no exact order-{order} partial along {axis} is attached")
+    return exact
 
 
 def dunkl_derivative(f: PlaneFunction, axis: str, mu: DeformationParams) -> PlaneFunction:

@@ -16,9 +16,9 @@ such operator, ``dunkl_ops._radial_operator``, with three coefficient sets).
     c * cos^i(phi) * sin^j(phi) * P_d^(al,be)(cos 2 phi),
 
 also closed under d/dphi.  Both keep ``terms`` as a dict {key: coeff}, keyed
-(p, n, a) and (i, j, d, al, be).  Plain callables can be wrapped too;
-``derivative_of`` then falls back to the five-point stencil ``_five_point``
-when no exact derivative is attached.
+(p, n, a) and (i, j, d, al, be).  Plain callables can be wrapped too, but
+every operator needs exact derivatives: ``derivative_of`` raises
+``DerivativeUnavailable`` for a profile that has none attached.
 """
 
 from __future__ import annotations
@@ -86,7 +86,8 @@ class Profile:
 
     ``derivative`` may be another profile, or a zero-argument factory producing
     one lazily (the factory result is cached).  Sums, scalar multiples, and
-    power multiples propagate derivatives whenever both operands have them.
+    power multiples differentiate through their operands, so their chain ends
+    with ``DerivativeUnavailable`` at the first operand that has no derivative.
     """
 
     def __init__(self, fn: Callable, derivative=None):
@@ -95,10 +96,6 @@ class Profile:
 
     def __call__(self, t):
         return self._fn(t)
-
-    @property
-    def has_derivative(self) -> bool:
-        return self._derivative is not None
 
     def derivative(self) -> "Profile":
         if self._derivative is None:
@@ -110,10 +107,8 @@ class Profile:
     def __add__(self, other):
         if not isinstance(other, Profile):
             return NotImplemented
-        factory = None
-        if self.has_derivative and other.has_derivative:
-            factory = lambda a=self, b=other: a.derivative() + b.derivative()
-        return _kind(self, other)(lambda t, a=self, b=other: a(t) + b(t), factory)
+        factory = lambda a=self, b=other: a.derivative() + b.derivative()
+        return Profile(lambda t, a=self, b=other: a(t) + b(t), factory)
 
     def __sub__(self, other):
         if not isinstance(other, Profile):
@@ -126,10 +121,8 @@ class Profile:
     def __mul__(self, c):
         if not isinstance(c, numbers.Number):
             return NotImplemented
-        factory = None
-        if self.has_derivative:
-            factory = lambda a=self: c * a.derivative()
-        return _kind(self)(lambda t, a=self: c * a(t), factory)
+        factory = lambda a=self: c * a.derivative()
+        return Profile(lambda t, a=self: c * a(t), factory)
 
     __rmul__ = __mul__
 
@@ -137,14 +130,12 @@ class Profile:
         """The profile t -> t^s * f(t)."""
         if s == 0:
             return self
-        factory = None
-        if self.has_derivative:
 
-            def factory(a=self, s=s):
-                d = a.derivative().times_rpower(s)
-                return d + s * a.times_rpower(s - 1)
+        def factory(a=self, s=s):
+            d = a.derivative().times_rpower(s)
+            return d + s * a.times_rpower(s - 1)
 
-        return _kind(self)(lambda t, a=self: _rpow(np.asarray(t, dtype=float), s) * a(t), factory)
+        return Profile(lambda t, a=self: _rpow(np.asarray(t, dtype=float), s) * a(t), factory)
 
 
 class _TermSum(Profile):
@@ -241,63 +232,25 @@ class TrigJacobiSum(_TermSum):
         return TrigJacobiSum(out)
 
 
-def _five_point(f: Callable, t, order: int):
-    """Five-point central difference of f at t, for order 1 or 2.
-
-    The step is 1e-5 * max(1, |t|) for order 1 and 2e-3 * max(1, |t|) for
-    order 2; f is sampled at t + s*h for s = -2, -1, (0,) 1, 2 in that order.
-    """
-    t = np.asarray(t, dtype=float)
-    if order == 1:
-        h = 1e-5 * np.maximum(1.0, np.abs(t))
-        f2, f1, g1, g2 = (f(t + s * h) for s in (-2, -1, 1, 2))
-        return (f2 - 8 * f1 + 8 * g1 - g2) / (12 * h)
-    h = 2e-3 * np.maximum(1.0, np.abs(t))
-    f2, f1, f0, g1, g2 = (f(t + s * h) for s in (-2, -1, 0, 1, 2))
-    return (-f2 + 16 * f1 - 30 * f0 + 16 * g1 - g2) / (12 * h * h)
-
-
-class _Stencil(Profile):
-    """A ``_five_point`` derivative; ``derivative_of`` does not difference it again."""
-
-
-def _kind(*operands: Profile) -> type:
-    """``_Stencil`` for a result built from any stencil operand, so that the mark survives."""
-    return _Stencil if any(isinstance(p, _Stencil) for p in operands) else Profile
-
-
 def derivative_of(profile: Profile, order: int = 1) -> Profile:
-    """The order-th derivative: the exact chain while it lasts, then ``_five_point``.
-
-    Finite differences supply at most the last two orders, and never of a
-    stencil profile itself.  The first-order stencil profile's own
-    ``derivative()`` is the direct second-order stencil.
-    """
+    """The order-th exact derivative; ``DerivativeUnavailable`` where the chain ends."""
     if not isinstance(order, (int, np.integer)) or order < 0:
         raise DomainError(f"derivative order must be a non-negative integer, got {order!r}")
-    current = profile
-    for step in range(order):
-        if not current.has_derivative:
-            if isinstance(current, _Stencil):
-                raise DerivativeUnavailable("a finite-difference derivative is not differenced again")
-            remaining = order - step
-            if remaining > 2:
-                raise DerivativeUnavailable(f"cannot reach derivative order {order} by finite differences")
-            second = _Stencil(lambda t, f=current: _five_point(f, t, 2))
-            if remaining == 2:
-                return second
-            return _Stencil(lambda t, f=current: _five_point(f, t, 1), second)
-        current = current.derivative()
-    return current
+    for _ in range(order):
+        profile = profile.derivative()
+    return profile
 
 
 @dataclass(frozen=True)
 class PlaneFunction:
-    """A function on the plane with optional exact partials and parity labels.
+    """A function on the plane with its exact partials and parity labels.
 
-    ``parity`` is (s1, s2) with s1 the eigenvalue under x -> -x and s2 under
-    y -> -y, when the function is a parity eigenstate; it licenses evaluation
-    of reflection-difference quotients on the coordinate axes.
+    An operator reads the partials it needs (``dunkl_derivative`` dx or dy,
+    ``apply_hamiltonian`` all four) and raises ``DerivativeUnavailable`` for
+    a missing one.  ``parity`` is (s1, s2) with s1 the eigenvalue under
+    x -> -x and s2 under y -> -y, when the function is a parity eigenstate;
+    it licenses evaluation of reflection-difference quotients on the
+    coordinate axes.
     """
 
     fn: Callable
@@ -309,6 +262,45 @@ class PlaneFunction:
 
     def __call__(self, x, y):
         return self.fn(x, y)
+
+
+def _polar_plane(R: Profile, Phi: Profile, parity: tuple[int, int] | None) -> PlaneFunction:
+    """R(r) * Phi(phi) with its partials from the polar chain rule.
+
+    Along the unit vector (a, b) = (c, s) for x and (s, -c) for y, with
+    c = x/r and s = y/r, a first partial is a d_r - (b/r) d_phi and a second
+
+        a^2 d_rr + (b^2/r) (d_r + d_phiphi / r) + (2ab/r) (d_phi / r - d_rphi).
+    """
+    R1, R2 = derivative_of(R, 1), derivative_of(R, 2)
+    Phi1, Phi2 = derivative_of(Phi, 1), derivative_of(Phi, 2)
+
+    def polar(x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        r = np.hypot(x, y)
+        return r, np.arctan2(y, x), x / r, y / r
+
+    def partial(axis: str, order: int):
+        def out(x, y):
+            r, phi, c, s = polar(x, y)
+            a, b = (c, s) if axis == "x" else (s, -c)
+            rad, rad1, ang, ang1 = R(r), R1(r), Phi(phi), Phi1(phi)
+            if order == 1:
+                return a * rad1 * ang - (b / r) * rad * ang1
+            return (
+                a * a * R2(r) * ang
+                + (b * b / r) * (rad1 * ang + rad * Phi2(phi) / r)
+                + (2.0 * a * b / r) * (rad * ang1 / r - rad1 * ang1)
+            )
+
+        return out
+
+    def fn(x, y):
+        r, phi, _, _ = polar(x, y)
+        return R(r) * Phi(phi)
+
+    return PlaneFunction(fn, partial("x", 1), partial("y", 1), partial("x", 2), partial("y", 2), parity)
 
 
 def residual_grid(n: int = 50, lo: float = 0.05, hi: float = 10.0) -> np.ndarray:

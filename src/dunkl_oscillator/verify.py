@@ -36,7 +36,7 @@ from .errors import DomainError
 from .profiles import (
     DeformationParams,
     GaussLaguerreSum,
-    PlaneFunction,
+    _polar_plane,
     angular_grid,
     residual_grid,
 )
@@ -246,22 +246,17 @@ _CARTESIAN_STATES = (
 )
 
 
-@_register("hamiltonian_cartesian_residual", "radial", 1e-6)
+@_register("hamiltonian_cartesian_residual", "radial", 1e-12)
 def _check_cartesian_hamiltonian(ctx: VerifyContext) -> Iterator:
     pts = np.array([0.31, 0.77, 1.43, 2.1])
     xs, ys = np.meshgrid(pts, pts * 0.83 + 0.11)
-    xs = np.concatenate([xs.ravel(), -xs.ravel()])
-    ys = np.concatenate([ys.ravel(), ys.ravel()])
+    # The last point lies on x = 0, where the parity limit of D_x^2 applies.
+    xs = np.concatenate([xs.ravel(), -xs.ravel(), [0.0]])
+    ys = np.concatenate([ys.ravel(), ys.ravel(), [0.9]])
     for s1, s2, m, nr in _CARTESIAN_STATES:
         q = AngularQuantum.build(s1, s2, m, ctx.mu)
         R = radial_sturmian(RadialQuantum.from_m(nr, m, ctx.mu), ctx.mu)
-        phi_fn = angular_wavefunction(q, ctx.mu)
-
-        def fn(x, y, R=R, phi_fn=phi_fn):
-            r = np.hypot(x, y)
-            return R(r) * phi_fn(np.arctan2(y, x))
-
-        f = PlaneFunction(fn=fn, parity=(s1, s2))
+        f = _polar_plane(R, angular_wavefunction(q, ctx.mu), (s1, s2))
         image = apply_hamiltonian(f, ctx.mu)
         yield image(xs, ys) - energy(nr, m, ctx.mu) * f(xs, ys)
 

@@ -45,7 +45,7 @@ from dunkl_oscillator.dunkl_ops import (
 from dunkl_oscillator.profiles import (
     DeformationParams,
     GaussLaguerreSum,
-    PlaneFunction,
+    _polar_plane,
     angular_grid,
     residual_grid,
 )
@@ -200,8 +200,8 @@ def test_criterion_4_eigen_residuals():
                 worst_exact, float(np.max(np.abs(got - E * R(rgrid)))) / scale
             )
 
-    # full-plane check with finite-difference derivatives
-    worst_fd = 0.0
+    # full-plane check with the exact Cartesian partials of R(r) * Phi(phi)
+    worst_plane = 0.0
     xs = np.linspace(0.3, 2.4, 7)
     X, Y = np.meshgrid(xs, xs)
     X = np.concatenate([X.ravel(), -X.ravel()])
@@ -211,22 +211,18 @@ def test_criterion_4_eigen_residuals():
     for s1, s2, m, nr in plane_states:
         q_ang = AngularQuantum.build(s1, s2, m, mu)
         R = radial_sturmian(RadialQuantum.from_m(nr, m, mu), mu)
-        Phi = angular_wavefunction(q_ang, mu)
-        state = PlaneFunction(
-            fn=lambda x, y, R=R, Phi=Phi: R(np.hypot(x, y)) * Phi(np.arctan2(y, x)),
-            parity=(s1, s2),
-        )
+        state = _polar_plane(R, angular_wavefunction(q_ang, mu), (s1, s2))
         E = energy(nr, m, mu)
         got = apply_hamiltonian(state, mu)(X, Y)
         want = E * state(X, Y)
         scale = max(float(np.max(np.abs(state(X, Y)))), 1.0)
-        worst_fd = max(worst_fd, float(np.max(np.abs(got - want))) / scale)
-    ok = worst_exact <= 1e-8 and worst_fd <= 1e-6
+        worst_plane = max(worst_plane, float(np.max(np.abs(got - want))) / scale)
+    ok = worst_exact <= 1e-8 and worst_plane <= 1e-12
     _report(
         "criterion-4 eigenfunction residuals",
         ok,
         f"separated residual {worst_exact:.3e} (tol 1e-8), "
-        f"full-plane finite-difference residual {worst_fd:.3e} (tol 1e-6)",
+        f"full-plane exact residual {worst_plane:.3e} (tol 1e-12)",
     )
 
 

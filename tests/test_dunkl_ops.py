@@ -1,5 +1,6 @@
 """Deformed derivative and Hamiltonian operators against hand-derived actions."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,6 @@ from dunkl_oscillator.profiles import (
     DeformationParams,
     GaussLaguerreSum,
     PlaneFunction,
-    Profile,
     TrigJacobiSum,
     angular_grid,
     residual_grid,
@@ -79,53 +79,6 @@ def test_dunkl_derivative_y_axis_uses_second_coupling():
     assert d.parity == (1, 1)
 
 
-def test_dunkl_derivative_stencil_fallback_matches_exact():
-    exact = PlaneFunction(
-        fn=lambda x, y: x * np.exp(-0.5 * (x * x + y * y)),
-        dx=lambda x, y: (1.0 - x * x) * np.exp(-0.5 * (x * x + y * y)),
-        parity=(-1, 1),
-    )
-    plain = PlaneFunction(fn=exact.fn, parity=(-1, 1))
-    via_exact = dunkl_derivative(exact, "x", MU)
-    via_stencil = dunkl_derivative(plain, "x", MU)
-    np.testing.assert_allclose(via_stencil(_X, _Y), via_exact(_X, _Y), atol=5e-11)
-
-
-def _former_plane_stencil(f, axis, order):
-    # The plane five-point formula as written before the stencils were merged.
-    def stencil(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        t = x if axis == "x" else y
-        steps = (-2, -1, 1, 2) if order == 1 else (-2, -1, 0, 1, 2)
-        h = (1e-5 if order == 1 else 2e-3) * np.maximum(1.0, np.abs(t))
-        if axis == "x":
-            samples = [f(x + s * h, y) for s in steps]
-        else:
-            samples = [f(x, y + s * h) for s in steps]
-        if order == 1:
-            return (samples[0] - 8 * samples[1] + 8 * samples[2] - samples[3]) / (12 * h)
-        return (-samples[0] + 16 * samples[1] - 30 * samples[2] + 16 * samples[3] - samples[4]) / (
-            12 * h * h
-        )
-
-    return stencil
-
-
-def test_plane_stencils_are_bit_identical_to_former_formula():
-    # At mu = 0 the deformed operators reduce to the bare stencils; _X and _Y
-    # hold points with |t| < 1 and |t| > 1 on both axes.
-    f = PlaneFunction(fn=lambda x, y: np.sin(1.3 * x) * np.exp(-0.2 * y * y) + x * y**3)
-    mu0 = DeformationParams(0.0, 0.0)
-    for axis in ("x", "y"):
-        expected = _former_plane_stencil(f, axis, 1)(_X, _Y)
-        assert np.array_equal(dunkl_derivative(f, axis, mu0)(_X, _Y), expected)
-    ddx = _former_plane_stencil(f, "x", 2)(_X, _Y)
-    ddy = _former_plane_stencil(f, "y", 2)(_X, _Y)
-    expected = -0.5 * (ddx + ddy) + 0.5 * (_X * _X + _Y * _Y) * f(_X, _Y)
-    assert np.array_equal(apply_hamiltonian(f, mu0)(_X, _Y), expected)
-
-
 def test_dunkl_derivative_on_axis_limits():
     even = PlaneFunction(fn=lambda x, y: x**2 * y, dx=lambda x, y: 2 * x * y, parity=(1, 1))
     odd = PlaneFunction(fn=lambda x, y: x * y**2, dx=lambda x, y: y**2 + 0 * x, parity=(-1, 1))
@@ -135,7 +88,7 @@ def test_dunkl_derivative_on_axis_limits():
     np.testing.assert_allclose(
         dunkl_derivative(odd, "x", MU)(x0, y0), (1.0 + 2.0 * MU.mu1) * y0**2, rtol=1e-14
     )
-    unlabeled = PlaneFunction(fn=lambda x, y: x * y**2)
+    unlabeled = replace(odd, parity=None)
     with pytest.raises(SingularityError):
         dunkl_derivative(unlabeled, "x", MU)(x0, y0)
     with pytest.raises(DomainError):
@@ -152,9 +105,18 @@ def test_dunkl_derivatives_commute():
         dy=lambda x, y: x * (2.0 * y - y**3) * np.exp(-0.5 * (x * x + y * y)),
         parity=(-1, 1),
     )
-    dx_then_dy = dunkl_derivative(dunkl_derivative(f, "x", MU), "y", MU)
-    dy_then_dx = dunkl_derivative(dunkl_derivative(f, "y", MU), "x", MU)
-    np.testing.assert_allclose(dx_then_dy(_X, _Y), dy_then_dx(_X, _Y), atol=1e-7)
+    # D_x f = (1 - x^2 + 2 mu1) y^2 e^(-r^2/2) and D_y f = df/dy, with their partials written out.
+    d_x = replace(
+        dunkl_derivative(f, "x", MU),
+        dy=lambda x, y: (1.0 - x * x + 2.0 * MU.mu1) * (2.0 * y - y**3) * np.exp(-0.5 * (x * x + y * y)),
+    )
+    d_y = replace(
+        dunkl_derivative(f, "y", MU),
+        dx=lambda x, y: (1.0 - x * x) * (2.0 * y - y**3) * np.exp(-0.5 * (x * x + y * y)),
+    )
+    dx_then_dy = dunkl_derivative(d_x, "y", MU)
+    dy_then_dx = dunkl_derivative(d_y, "x", MU)
+    np.testing.assert_allclose(dx_then_dy(_X, _Y), dy_then_dx(_X, _Y), atol=1e-13)
 
 
 def _gaussian_ground(mu):
@@ -192,10 +154,20 @@ def test_hamiltonian_odd_odd_state_eigenvalue():
     def g(x, y):
         return x * y * np.exp(-0.5 * (x * x + y * y))
 
-    f = PlaneFunction(fn=g, parity=(-1, -1))
+    def e(x, y):
+        return np.exp(-0.5 * (x * x + y * y))
+
+    f = PlaneFunction(
+        fn=g,
+        dx=lambda x, y: (1.0 - x * x) * y * e(x, y),
+        dy=lambda x, y: x * (1.0 - y * y) * e(x, y),
+        dxx=lambda x, y: (x**3 - 3.0 * x) * y * e(x, y),
+        dyy=lambda x, y: x * (y**3 - 3.0 * y) * e(x, y),
+        parity=(-1, -1),
+    )
     H = apply_hamiltonian(f, MU)
     expected = (3.0 + MU.total) * g(_X, _Y)
-    np.testing.assert_allclose(H(_X, _Y), expected, atol=2e-9)
+    np.testing.assert_allclose(H(_X, _Y), expected, atol=1e-13)
 
 
 def test_hamiltonian_on_axis_with_parity():
@@ -205,7 +177,7 @@ def test_hamiltonian_on_axis_with_parity():
     pts_y = np.array([0.0, 0.7, 0.0])
     expected = (1.0 + MU.total) * f(pts_x, pts_y)
     np.testing.assert_allclose(H(pts_x, pts_y), expected, rtol=1e-12)
-    bare = PlaneFunction(fn=f.fn)
+    bare = replace(f, parity=None)
     with pytest.raises(SingularityError):
         apply_hamiltonian(bare, MU)(pts_x, pts_y)
 
@@ -259,14 +231,6 @@ def test_angular_operator_on_sin_phi():
     image = apply_angular_operator(profile, MU)
     expected = (0.5 + MU.total) * np.sin(grid)
     np.testing.assert_allclose(image(grid), expected, rtol=1e-12, atol=1e-12)
-
-
-def test_angular_operator_stencil_fallback():
-    plain = Profile(lambda p: np.sin(p))
-    image = apply_angular_operator(plain, MU)
-    grid = angular_grid(24)
-    expected = (0.5 + MU.total) * np.sin(grid)
-    np.testing.assert_allclose(image(grid), expected, atol=5e-9)
 
 
 def test_angular_operator_rejects_axis_points():

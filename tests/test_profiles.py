@@ -1,6 +1,7 @@
-"""Term-algebra profiles: evaluation, exact derivatives, and fallbacks."""
+"""Term-algebra profiles: evaluation, exact derivatives, and their absence."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -9,6 +10,14 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dunkl_oscillator import su11
+from dunkl_oscillator.basis import AngularQuantum, RadialQuantum, angular_wavefunction, radial_sturmian
+from dunkl_oscillator.dunkl_ops import (
+    apply_angular_operator,
+    apply_hamiltonian,
+    apply_radial_hamiltonian,
+    dunkl_derivative,
+)
 from dunkl_oscillator.errors import DerivativeUnavailable, DomainError, SingularityError
 from dunkl_oscillator.profiles import (
     DeformationParams,
@@ -16,7 +25,7 @@ from dunkl_oscillator.profiles import (
     PlaneFunction,
     Profile,
     TrigJacobiSum,
-    _five_point,
+    _polar_plane,
     angular_grid,
     derivative_of,
     residual_grid,
@@ -105,22 +114,6 @@ def test_negative_power_at_origin_raises():
     assert profile(1.0) == pytest.approx(math.exp(-0.5))
 
 
-def test_plain_profile_stencil_derivatives():
-    base = Profile(lambda r: np.sin(r) * np.exp(-0.3 * r))
-    assert not base.has_derivative
-    with pytest.raises(DerivativeUnavailable):
-        base.derivative()
-    d1 = derivative_of(base, 1)
-    d2 = derivative_of(base, 2)
-    r = np.linspace(0.4, 5.0, 11)
-    exact1 = (np.cos(r) - 0.3 * np.sin(r)) * np.exp(-0.3 * r)
-    exact2 = (-np.sin(r) - 0.3 * np.cos(r)) * np.exp(-0.3 * r) - 0.3 * exact1
-    np.testing.assert_allclose(d1(r), exact1, atol=5e-11)
-    np.testing.assert_allclose(d2(r), exact2, atol=5e-10)
-    with pytest.raises(DerivativeUnavailable):
-        derivative_of(base, 3)
-
-
 def test_profile_algebra_propagates_exact_derivatives():
     a = GaussLaguerreSum.gaussian_polynomial([1.0, 0.5])
     b = GaussLaguerreSum.gaussian_polynomial([0.0, 0.0, 2.0])
@@ -134,17 +127,6 @@ def test_profile_algebra_propagates_exact_derivatives():
         rtol=1e-13,
         atol=1e-14,
     )
-
-
-def test_mixed_sum_with_plain_callable_falls_back_to_stencils():
-    exact = GaussLaguerreSum.gaussian_polynomial([1.0])
-    plain = Profile(lambda r: np.cos(r))
-    combo = exact + plain
-    assert not combo.has_derivative
-    d1 = derivative_of(combo, 1)
-    r = np.array([0.7, 1.9])
-    expected = exact.derivative()(r) - np.sin(r)
-    np.testing.assert_allclose(d1(r), expected, atol=5e-11)
 
 
 def test_trig_jacobi_sum_matches_direct_formula():
@@ -186,77 +168,82 @@ def test_trig_jacobi_derivative_matches_mpmath(order):
         assert deriv(phi) == pytest.approx(expected, rel=1e-11, abs=1e-11)
 
 
-def test_angular_stencils_on_plain_profile():
-    base = Profile(np.sin)
-    d1 = derivative_of(base, 1)
-    d2 = derivative_of(base, 2)
-    phi = angular_grid(16)
-    np.testing.assert_allclose(d1(phi), np.cos(phi), atol=1e-10)
-    np.testing.assert_allclose(d2(phi), -np.sin(phi), atol=5e-10)
-    with pytest.raises(DerivativeUnavailable):
-        derivative_of(base, 3)
-
-
 def test_angular_exact_chain_used_when_attached():
     chained = Profile(np.cos, derivative=Profile(lambda p: -np.sin(p), derivative=Profile(lambda p: -np.cos(p))))
     phi = np.array([0.5, 2.2])
     np.testing.assert_allclose(derivative_of(chained, 2)(phi), -np.cos(phi), rtol=1e-15)
 
 
-def _former_radial_stencil(f, r, order):
-    # The radial five-point formula as written before the stencils were merged.
-    arr = np.asarray(r, dtype=float)
-    if order == 1:
-        h = 1e-5 * np.maximum(1.0, np.abs(arr))
-        return (f(arr - 2 * h) - 8 * f(arr - h) + 8 * f(arr + h) - f(arr + 2 * h)) / (12 * h)
-    h = 2e-3 * np.maximum(1.0, np.abs(arr))
-    return (-f(arr - 2 * h) + 16 * f(arr - h) - 30 * f(arr) + 16 * f(arr + h) - f(arr + 2 * h)) / (12 * h * h)
+_PLAIN = Profile(np.sin)
+_MU = DeformationParams(0.3, 0.8)
+_FN_ONLY = PlaneFunction(fn=lambda x, y: x * y**2, parity=(-1, 1))
 
 
-@pytest.mark.parametrize("order", [1, 2])
-def test_five_point_is_bit_identical_to_former_radial_stencil(order):
-    base = Profile(lambda r: np.sin(r) * np.exp(-0.3 * r))
-    r = np.array([0.05, 0.4, 0.93, 1.0, 1.7, 6.2, 11.5])
-    expected = _former_radial_stencil(base, r, order)
-    assert np.array_equal(_five_point(base, r, order), expected)
-    assert np.array_equal(derivative_of(base, order)(r), expected)
-    assert derivative_of(base, order)(0.4) == _former_radial_stencil(base, 0.4, order)
+_NO_DERIVATIVE = "no exact derivative attached"
 
 
 @pytest.mark.parametrize(
-    "base, points",
+    "build, message",
     [
-        (Profile(lambda r: np.sin(r) * np.exp(-0.3 * r)), residual_grid(11)),
-        (Profile(np.sin), angular_grid(16)),
+        pytest.param(lambda: derivative_of(_PLAIN, 1), _NO_DERIVATIVE, id="derivative_of-1"),
+        pytest.param(lambda: derivative_of(_PLAIN, 2), _NO_DERIVATIVE, id="derivative_of-2"),
+        pytest.param(
+            lambda: derivative_of(GaussLaguerreSum.gaussian_polynomial([1.0]) + _PLAIN, 1),
+            _NO_DERIVATIVE,
+            id="exact-plus-plain",
+        ),
+        pytest.param(
+            lambda: derivative_of((-2.0 * _PLAIN).times_rpower(2.0), 1), _NO_DERIVATIVE, id="scaled-rpower-plain"
+        ),
+        pytest.param(lambda: apply_radial_hamiltonian(_PLAIN, _MU, 4.75), _NO_DERIVATIVE, id="apply_radial_hamiltonian"),
+        pytest.param(lambda: apply_angular_operator(_PLAIN, _MU), _NO_DERIVATIVE, id="apply_angular_operator"),
+        pytest.param(lambda: su11.apply_A(_PLAIN, "0", _MU, 4.75), _NO_DERIVATIVE, id="apply_A-0"),
+        pytest.param(lambda: su11.apply_A(_PLAIN, "+", _MU, 4.75), _NO_DERIVATIVE, id="apply_A-plus"),
+        pytest.param(lambda: su11.apply_A(_PLAIN, "-", _MU, 4.75), _NO_DERIVATIVE, id="apply_A-minus"),
+        pytest.param(lambda: su11.apply_B0(_PLAIN, 4.75, _MU), _NO_DERIVATIVE, id="apply_B0"),
+        pytest.param(lambda: su11.apply_J(_PLAIN, 3.0, 1), _NO_DERIVATIVE, id="apply_J"),
+        pytest.param(lambda: dunkl_derivative(_FN_ONLY, "x", _MU), "order-1 partial along x", id="dunkl_derivative-x"),
+        pytest.param(lambda: dunkl_derivative(_FN_ONLY, "y", _MU), "order-1 partial along y", id="dunkl_derivative-y"),
+        pytest.param(lambda: apply_hamiltonian(_FN_ONLY, _MU), "order-1 partial along x", id="apply_hamiltonian"),
     ],
-    ids=["radial", "angular"],
 )
-def test_stencil_chain_on_plain_profiles(base, points):
-    d1 = derivative_of(base, 1)
-    assert d1.has_derivative
-    chained = d1.derivative()
-    assert np.array_equal(chained(points), derivative_of(base, 2)(points))
-    assert not chained.has_derivative
-    with pytest.raises(DerivativeUnavailable):
-        chained.derivative()
-    with pytest.raises(DerivativeUnavailable):
-        derivative_of(base, 3)
+def test_operators_refuse_a_missing_exact_derivative(build, message):
+    # No derivative is approximated: an operator on an input without the exact
+    # derivative it needs refuses to be built.
+    with pytest.raises(DerivativeUnavailable, match=message):
+        build()
 
 
-def test_stencil_profiles_are_not_differenced_again():
-    # A stencil of a stencil would be off by ~1e-6; it is refused instead.
-    base = Profile(np.sin)
-    second = derivative_of(base, 2)
-    first = derivative_of(base, 1)
-    cases = [(second, 1), (second, 2), (first, 2), (first.derivative(), 1)]
-    # Sums, multiples and r-power multiples of a stencil are stencils too.
-    cases += [((-1.0) * second, 1), (second + base, 1), (base - second, 1), (second.times_rpower(2.0), 1)]
-    cases += [(2.0 * first, 2)]
-    for stencil, order in cases:
-        with pytest.raises(DerivativeUnavailable):
-            derivative_of(stencil, order)
-    assert derivative_of(first, 1) is first.derivative()
-    assert derivative_of(second, 0) is second
+def _mp_term_sums(R: GaussLaguerreSum, Phi: TrigJacobiSum):
+    """R(r) * Phi(phi) as an mpmath function of (x, y), summed from the terms."""
+
+    def fn(x, y):
+        r, phi = mpmath.hypot(x, y), mpmath.atan2(y, x)
+        rad = sum(c * r**p * mpmath.laguerre(n, a, r * r) for (p, n, a), c in R.terms.items())
+        ang = sum(
+            c * mpmath.cos(phi) ** i * mpmath.sin(phi) ** j * mpmath.jacobi(d, al, be, mpmath.cos(2 * phi))
+            for (i, j, d, al, be), c in Phi.terms.items()
+        )
+        return rad * mpmath.exp(-r * r / 2) * ang
+
+    return fn
+
+
+@pytest.mark.parametrize("mu", [DeformationParams(0.3, 0.8), DeformationParams(-0.45, 2.2)], ids=["mu0", "mu1"])
+@pytest.mark.parametrize("s1, s2, m, nr", [(1, 1, Fraction(1), 1), (-1, 1, Fraction(3, 2), 0)], ids=["even", "odd-x"])
+def test_polar_plane_partials_match_mpmath(mu, s1, s2, m, nr):
+    R = radial_sturmian(RadialQuantum.from_m(nr, m, mu), mu)
+    Phi = angular_wavefunction(AngularQuantum.build(s1, s2, m, mu), mu)
+    f = _polar_plane(R, Phi, (s1, s2))
+    assert f.parity == (s1, s2)
+    reference = _mp_term_sums(R, Phi)
+    partials = {(0, 0): f.fn, (1, 0): f.dx, (0, 1): f.dy, (2, 0): f.dxx, (0, 2): f.dyy}
+    # Off the axes in three quadrants, then on the y axis and on the x axis.
+    for x, y in [(0.7, 1.2), (-1.4, 0.5), (0.9, -0.3), (0.0, 0.9), (0.0, -1.3), (1.1, 0.0)]:
+        with mpmath.workdps(30):
+            for orders, partial in partials.items():
+                expected = float(mpmath.diff(reference, (x, y), orders))
+                assert partial(x, y) == pytest.approx(expected, rel=1e-12, abs=1e-14), (orders, x, y)
 
 
 @pytest.mark.parametrize("order", [-1, -3, 1.0, 1.5, "1"])

@@ -287,8 +287,7 @@ _MU_NO_DRIFT = DeformationParams(-0.2, -0.3)
     ],
 )
 def test_operators_are_bit_identical_to_their_written_out_forms(mu, l2):
-    plain = Profile(lambda r: (1.0 + 0.3 * r**3 - 0.1 * r**4) * np.exp(-0.5 * r * r))
-    for prof in [*_random_gaussian_polynomials(5, 4), plain]:
+    for prof in _random_gaussian_polynomials(5, 4):
         pairs = [
             (apply_radial_hamiltonian(prof, mu, l2), _ref_radial_hamiltonian(prof, mu, l2)),
             (apply_B0(prof, l2, mu), _ref_B0(prof, l2, mu)),
@@ -297,13 +296,19 @@ def test_operators_are_bit_identical_to_their_written_out_forms(mu, l2):
         for got, ref in pairs:
             assert np.array_equal(got(GRID), ref(GRID))
         for pair in ("0+", "0-", "-+"):
-            if isinstance(prof, GaussLaguerreSum):
-                got = commutator_residual(pair, prof, mu, l2, GRID)
-                assert np.array_equal(got, _ref_commutator(pair, prof, mu, l2, GRID))
-            else:
-                # Ladder images of a stencil-differenced profile are not differenced again.
-                with pytest.raises(DerivativeUnavailable):
-                    commutator_residual(pair, prof, mu, l2, GRID)
+            got = commutator_residual(pair, prof, mu, l2, GRID)
+            assert np.array_equal(got, _ref_commutator(pair, prof, mu, l2, GRID))
+    # A profile without an exact derivative is refused by every operator.
+    plain = Profile(lambda r: (1.0 + 0.3 * r**3 - 0.1 * r**4) * np.exp(-0.5 * r * r))
+    builders = [
+        lambda: apply_radial_hamiltonian(plain, mu, l2),
+        lambda: apply_B0(plain, l2, mu),
+        *(lambda w=w: apply_A(plain, w, mu, l2) for w in ("0", "+", "-")),
+        *(lambda pair=pair: commutator_residual(pair, plain, mu, l2, GRID) for pair in ("0+", "0-", "-+")),
+    ]
+    for build in builders:
+        with pytest.raises(DerivativeUnavailable):
+            build()
 
 
 # --- flat-picture generators -------------------------------------------------
