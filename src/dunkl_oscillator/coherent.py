@@ -16,11 +16,16 @@ the fact; this keeps the closed form equal to the series on the whole disk.
 Harmonic time evolution acts by rotating the disk label, xi -> xi e^(-2 i tau /
 hbar), times the global phase e^(-2 i k tau / hbar), so |Psi|^2 is periodic in
 tau with period pi * hbar.
+
+The xi-independent part of the series (the Sturmian rows |k, n>(r) and their
+Gamma norms) is built once per (2k, term count, grid) and shared between calls
+from a small bounded cache, so a sweep over xi at fixed k rebuilds none of it.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -91,13 +96,36 @@ def auto_nterms(p: CoherentParams, tol: float = 1e-14) -> int:
     two_k = 2.0 * p.k
     ln_axi = math.log(axi)
     lg_2k = log_gamma(two_k)
-    n = 1
-    while n < 20000:
-        bound = 0.5 * (log_gamma(n + two_k) - log_gamma(n + 1.0) - lg_2k) + n * ln_axi
-        if n >= 5 and bound < math.log(tol):
+    ln_tol = math.log(tol)
+    for n in range(5, 20000):
+        bound = 0.5 * (math.lgamma(n + two_k) - math.lgamma(n + 1.0) - lg_2k) + n * ln_axi
+        if bound < ln_tol:
             return n + 1
-        n += 1
     return 20000
+
+
+# Tables of more than this many Laguerre values are rebuilt on every call, so
+# the cache holds at most 16 * 2**16 values (8 MB) of rows.
+_CACHED_TABLE_VALUES = 1 << 16
+
+
+# typed: a float nterms equal to a cached int one must still reach laguerre_all's degree check.
+@functools.lru_cache(maxsize=16, typed=True)
+def _sturmian_table(two_k: float, nterms: int, x_bytes: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The xi-independent rows of the series at x = r^2 (given as its float64 bytes).
+
+    Returns L_n^(2k-1)(x) for n < nterms, the disk-series norms
+    sqrt(Gamma(n+2k)/(n! Gamma(2k))) and the radial profiles' own norms
+    sqrt(2 n! / Gamma(n+2k)).
+    """
+    polys = laguerre_all(nterms - 1, two_k - 1.0, np.frombuffer(x_bytes))
+    lg_n2k = np.array([log_gamma(n + two_k) for n in range(nterms)])
+    lg_nf = np.array([log_gamma(n + 1.0) for n in range(nterms)])
+    disk_norm = np.exp(0.5 * (lg_n2k - lg_nf - log_gamma(two_k)))
+    sturm_norm = np.exp(0.5 * (math.log(2.0) + lg_nf - lg_n2k))
+    for table in (polys, disk_norm, sturm_norm):
+        table.flags.writeable = False  # the cache shares them with every caller
+    return polys, disk_norm, sturm_norm
 
 
 def _series_values(
@@ -107,39 +135,36 @@ def _series_values(
     nterms: int,
     term_phase: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Partial-sum values of the coherent superposition on a radius array."""
+    """Partial-sum values of the coherent superposition on a radius array of any shape."""
     if nterms < 1:
         raise DomainError(f"nterms must be at least 1, got {nterms}")
     two_k = 2.0 * p.k
     xi = complex(p.xi)
-    x = arr * arr
-    polys = laguerre_all(nterms - 1, two_k - 1.0, x)
-    polys = np.atleast_2d(polys)
+    flat = arr.ravel()
+    x = flat * flat
+    build = _sturmian_table if nterms * x.size <= _CACHED_TABLE_VALUES else _sturmian_table.__wrapped__
+    polys, disk_norm, sturm_norm = build(two_k, nterms, x.tobytes())
     degrees = np.arange(nterms)
-    lg_n2k = np.array([log_gamma(n + two_k) for n in degrees])
-    lg_nf = np.array([log_gamma(n + 1.0) for n in degrees])
-    # Disk-series weight sqrt(Gamma(n+2k)/(n! Gamma(2k))) xi^n combined with the
-    # orthonormal radial profile's own norm sqrt(2 n! / Gamma(n+2k)): the Gamma
-    # ratios cancel exactly in the log domain before exponentiation.
-    weight = np.exp(0.5 * (lg_n2k - lg_nf - log_gamma(two_k))) * xi**degrees
-    sturm_norm = np.exp(0.5 * (math.log(2.0) + lg_nf - lg_n2k))
+    # Disk-series weight sqrt(Gamma(n+2k)/(n! Gamma(2k))) xi^n times the
+    # orthonormal radial profile's own norm sqrt(2 n! / Gamma(n+2k)).
+    weight = disk_norm * xi**degrees
     coeffs = weight * sturm_norm
     if term_phase is not None:
         coeffs = coeffs * term_phase
     axi = abs(xi)
     pref = (1.0 - axi * axi) ** p.k
-    radial_power = _rpow(arr, two_k - mu.total - 1.0)
-    return pref * radial_power * np.exp(-0.5 * x) * (coeffs[:, None] * polys).sum(axis=0)
+    radial_power = _rpow(flat, two_k - mu.total - 1.0)
+    values = pref * radial_power * np.exp(-0.5 * x) * (coeffs[:, None] * polys).sum(axis=0)
+    return values.reshape(arr.shape)
 
 
 def coherent_series(r, p: CoherentParams, mu: DeformationParams, nterms: int | None = None):
     """Coherent-state radial values by explicit basis summation."""
     if nterms is None:
         nterms = auto_nterms(p)
-    arr = np.atleast_1d(np.asarray(r, dtype=float))
-    vals = _series_values(arr, p, mu, nterms)
-    if np.ndim(r) == 0:
-        return complex(vals[0])
+    vals = _series_values(np.asarray(r, dtype=float), p, mu, nterms)
+    if vals.ndim == 0:
+        return complex(vals)
     return vals
 
 

@@ -418,8 +418,8 @@ def _check_normal_form(ctx: VerifyContext) -> Iterator:
 def _check_generating_function(ctx: VerifyContext) -> Iterator:
     x = np.linspace(0.0, 3.0, 30)
     for alpha in (-0.3, 0.0, 1.7):
+        polys = laguerre_all(80, alpha, x)
         for t in (0.4, -0.6):
-            polys = laguerre_all(80, alpha, x)
             powers = t ** np.arange(81)
             series = (powers[:, None] * polys).sum(axis=0)
             yield series - (1.0 - t) ** (-alpha - 1.0) * np.exp(-x * t / (1.0 - t))

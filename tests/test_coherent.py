@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dunkl_oscillator import coherent
 from dunkl_oscillator.basis import RadialQuantum, radial_sturmian
 from dunkl_oscillator.coherent import (
     CoherentParams,
@@ -24,7 +25,8 @@ from dunkl_oscillator.coherent import (
     suggested_norm_quadrature,
 )
 from dunkl_oscillator.errors import DomainError, RepresentationError
-from dunkl_oscillator.profiles import DeformationParams
+from dunkl_oscillator.profiles import DeformationParams, _rpow
+from dunkl_oscillator.specfun import laguerre_all, log_gamma
 from reference_rules import gauss_legendre
 
 GRID = np.linspace(0.05, 3.0, 60)
@@ -70,6 +72,39 @@ def test_auto_nterms_grows_with_radius():
     small = auto_nterms(CoherentParams(xi=0.1, k=1.0))
     large = auto_nterms(CoherentParams(xi=0.9, k=1.0))
     assert 5 <= small < large
+
+
+def _reference_auto_nterms(p, tol=1e-14):
+    # The term-count loop as first written: every n from 1, log(tol) inside the loop.
+    axi = abs(p.xi)
+    if axi == 0.0:
+        return 1
+    two_k = 2.0 * p.k
+    ln_axi = math.log(axi)
+    lg_2k = log_gamma(two_k)
+    n = 1
+    while n < 20000:
+        bound = 0.5 * (log_gamma(n + two_k) - log_gamma(n + 1.0) - lg_2k) + n * ln_axi
+        if n >= 5 and bound < math.log(tol):
+            return n + 1
+        n += 1
+    return 20000
+
+
+@pytest.mark.parametrize("axi", [0.05, 0.3, 0.5, 0.8, 0.95, 0.99, 0.9999])
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.7, 10.0, 40.0])
+def test_auto_nterms_equals_its_first_loop(axi, k):
+    for xi in (axi, -axi, axi * cmath.exp(2.2j)):
+        p = CoherentParams(xi=xi, k=k)
+        assert auto_nterms(p) == _reference_auto_nterms(p)
+    p = CoherentParams(xi=axi, k=k)
+    assert auto_nterms(p, tol=1e-3) == _reference_auto_nterms(p, tol=1e-3)
+
+
+def test_auto_nterms_cap_equals_its_first_loop():
+    p = CoherentParams(xi=0.9999, k=40.0)
+    assert auto_nterms(p, tol=1e-300) == _reference_auto_nterms(p, tol=1e-300) == 20000
+    assert auto_nterms(CoherentParams(xi=0.0, k=1.0)) == 1
 
 
 # --- series vs closed form ---------------------------------------------------
@@ -156,6 +191,112 @@ def test_series_closed_agreement_property(radius, angle, k):
     closed = coherent_closed(GRID, p, mu)
     scale = max(float(np.max(np.abs(closed))), 1.0)
     assert np.max(np.abs(series - closed)) <= 1e-9 * scale
+
+
+# --- the shared Sturmian table ----------------------------------------------
+
+
+def _reference_series(arr, p, mu, nterms, term_phase=None):
+    # The series as written before its xi-independent rows were shared: every
+    # row and Gamma norm rebuilt per call, over numpy integer degrees.
+    two_k = 2.0 * p.k
+    xi = complex(p.xi)
+    x = arr * arr
+    polys = np.atleast_2d(laguerre_all(nterms - 1, two_k - 1.0, x))
+    degrees = np.arange(nterms)
+    lg_n2k = np.array([log_gamma(n + two_k) for n in degrees])
+    lg_nf = np.array([log_gamma(n + 1.0) for n in degrees])
+    weight = np.exp(0.5 * (lg_n2k - lg_nf - log_gamma(two_k))) * xi**degrees
+    sturm_norm = np.exp(0.5 * (math.log(2.0) + lg_nf - lg_n2k))
+    coeffs = weight * sturm_norm
+    if term_phase is not None:
+        coeffs = coeffs * term_phase
+    axi = abs(xi)
+    pref = (1.0 - axi * axi) ** p.k
+    radial_power = _rpow(arr, two_k - mu.total - 1.0)
+    return pref * radial_power * np.exp(-0.5 * x) * (coeffs[:, None] * polys).sum(axis=0)
+
+
+SERIES_CASES = [
+    (0.5, 0.5, 12, np.linspace(0.05, 3.0, 40)),
+    (0.8 * cmath.exp(2.0j), 2.7, None, np.array([0.4, 1.3, 2.2])),
+    (-0.2 - 0.55j, 1.5, None, GRID),
+    (0.95j, 1.75, 400, np.linspace(0.0, 4.0, 7)),
+    (0.3, 40.0, 1, np.array([2.5])),
+]
+
+
+@pytest.mark.parametrize("xi, k, nterms, grid", SERIES_CASES)
+def test_series_is_bit_identical_to_its_unshared_form(xi, k, nterms, grid):
+    p = CoherentParams(xi=xi, k=k)
+    count = auto_nterms(p) if nterms is None else nterms
+    for mu in (DeformationParams(0.5, 0.5), DeformationParams(-0.45, 0.3)):
+        # The second mu reuses the table of the first: same k and grid.
+        before = coherent._sturmian_table.cache_info().hits
+        got = coherent_series(grid, p, mu, nterms)
+        assert np.array_equal(got, _reference_series(grid, p, mu, count))
+    assert coherent._sturmian_table.cache_info().hits > before
+
+
+def test_evolution_crosscheck_is_bit_identical_to_its_unshared_form():
+    m = Fraction(1, 2)
+    for mu in (DeformationParams(0.5, 0.5), DeformationParams(2.365, 0.814)):
+        k = float(m) + 0.5 * (mu.total + 1.0)
+        p = CoherentParams(xi=0.5, k=k)
+        grid = np.linspace(0.05, 3.0, 60)
+        for tau in (0.7, 2.0):
+            t = EvolutionParams(tau=tau)
+            term_phase = np.exp(-2j * (k + np.arange(300)) * tau)
+            series = _reference_series(grid, p, mu, 300, term_phase=term_phase)
+            expected = float(np.max(np.abs(series - coherent_evolved(grid, p, t, m, mu))))
+            assert series_evolution_crosscheck(p, t, m, mu, nterms=300) == expected
+
+
+def test_series_tables_are_keyed_by_grid_values():
+    # Two grids of one length share neither table nor values.
+    mu = DeformationParams(0.3, 1.2)
+    p = CoherentParams(xi=0.3 + 0.4j, k=1.0)
+    a = np.linspace(0.1, 2.0, 9)
+    b = np.linspace(0.2, 2.5, 9)
+    for grid in (a, b, a):
+        assert np.array_equal(coherent_series(grid, p, mu), _reference_series(grid, p, mu, auto_nterms(p)))
+    coherent_series(a, p, mu, 10)
+    with pytest.raises(DomainError, match="degree"):
+        coherent_series(a, p, mu, 10.0)
+
+
+def test_scalar_series_is_bit_identical_to_its_unshared_form():
+    mu = DeformationParams(0.5, 0.5)
+    p = CoherentParams(xi=0.4, k=1.0)
+    expected = _reference_series(np.array([1.3]), p, mu, auto_nterms(p))
+    assert coherent_series(1.3, p, mu) == complex(expected[0])
+
+
+def test_series_on_radii_of_any_shape_matches_the_flat_values():
+    mu = DeformationParams(0.5, 0.5)
+    p = CoherentParams(xi=0.3 + 0.4j, k=1.0)
+    radii = np.linspace(0.1, 2.6, 6).reshape(2, 3)
+    got = coherent_series(radii, p, mu)
+    assert got.shape == coherent_closed(radii, p, mu).shape == (2, 3)
+    assert np.array_equal(got.ravel(), coherent_series(radii.ravel(), p, mu))
+    assert np.array_equal(coherent_series(np.ones((2, 3)), p, mu), coherent_series(np.ones(6), p, mu).reshape(2, 3))
+
+
+def test_sturmian_tables_are_read_only_and_bounded():
+    mu = DeformationParams(0.5, 0.5)
+    coherent_series(GRID, CoherentParams(xi=0.5, k=1.0), mu)
+    polys, disk_norm, sturm_norm = coherent._sturmian_table(2.0, 10, (GRID * GRID).tobytes())
+    for table in (polys, disk_norm, sturm_norm):
+        assert not table.flags.writeable
+    assert polys.shape == (10, GRID.size)
+    info = coherent._sturmian_table.cache_info()
+    assert info.maxsize is not None and info.maxsize <= 64
+    # A table above the cached size is built for its call alone.
+    coherent._sturmian_table.cache_clear()
+    big = np.linspace(0.01, 3.0, coherent._CACHED_TABLE_VALUES // 100 + 1)
+    p = CoherentParams(xi=0.2, k=1.0)
+    assert np.array_equal(coherent_series(big, p, mu, 100), _reference_series(big, p, mu, 100))
+    assert coherent._sturmian_table.cache_info().currsize == 0
 
 
 # --- displacement normal form ------------------------------------------------
