@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, RepresentationError
-from .profiles import DeformationParams, GaussLaguerreSum, Profile, TrigJacobiSum
+from .profiles import DeformationParams, GaussLaguerreSum, TrigJacobiSum
 from .specfun import log_gamma
 
 __all__ = [
@@ -226,7 +226,7 @@ def radial_sturmian(q: RadialQuantum, mu: DeformationParams) -> GaussLaguerreSum
     )
 
 
-def substitute_u(profile: Profile, mu: DeformationParams, direction: str) -> Profile:
+def substitute_u(profile: GaussLaguerreSum, mu: DeformationParams, direction: str) -> GaussLaguerreSum:
     """Convert between the weighted profile R and the flat-measure profile U.
 
     U(r) = r^((1 + 2 mu1 + 2 mu2) / 2) R(r) turns the weight r^(1 + 2 mu1 + 2 mu2) dr

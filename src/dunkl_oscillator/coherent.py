@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import as_quantum_m, k_of
-from .errors import DomainError, RepresentationError
-from .profiles import DeformationParams, _rpow
+from .errors import DomainError, RepresentationError, SingularityError
+from .profiles import DeformationParams
 from .specfun import laguerre_all, log_gamma
 
 __all__ = [
@@ -104,6 +104,19 @@ def auto_nterms(p: CoherentParams, tol: float = 1e-14) -> int:
     return 20000
 
 
+def _rpow(r: np.ndarray, s: float) -> np.ndarray:
+    if s < 0 and np.any(r == 0.0):
+        raise SingularityError("evaluation at r = 0 hits a negative power of r")
+    return r**s
+
+
+def _radial_exponent(p: CoherentParams, mu: DeformationParams) -> float:
+    """The power 2k - mu1 - mu2 - 1 of r, exactly 0 where 2k == mu1 + mu2 + 1 (the m = 0 sector)."""
+    # There the difference can round to -4e-16, a negative power at r = 0.
+    two_k = 2.0 * p.k
+    return 0.0 if two_k == mu.total + 1.0 else two_k - mu.total - 1.0
+
+
 # Tables of more than this many Laguerre values are rebuilt on every call, so
 # the cache holds at most 16 * 2**16 values (8 MB) of rows.
 _CACHED_TABLE_VALUES = 1 << 16
@@ -153,8 +166,12 @@ def _series_values(
         coeffs = coeffs * term_phase
     axi = abs(xi)
     pref = (1.0 - axi * axi) ** p.k
-    radial_power = _rpow(flat, two_k - mu.total - 1.0)
-    values = pref * radial_power * np.exp(-0.5 * x) * (coeffs[:, None] * polys).sum(axis=0)
+    radial_power = _rpow(flat, _radial_exponent(p, mu))
+    # One sequential order for every grid size: numpy sums a single column
+    # pairwise but a block row by row, so a point alone would differ from itself in a grid.
+    terms = coeffs[:, None] * polys
+    series = np.cumsum(terms, axis=0, out=terms)[-1]
+    values = pref * radial_power * np.exp(-0.5 * x) * series
     return values.reshape(arr.shape)
 
 
@@ -184,7 +201,7 @@ def _closed_values(r, p: CoherentParams, power: float):
 
 def coherent_closed(r, p: CoherentParams, mu: DeformationParams):
     """Coherent-state radial values from the resummed closed form."""
-    return _closed_values(r, p, 2.0 * p.k - mu.total - 1.0)
+    return _closed_values(r, p, _radial_exponent(p, mu))
 
 
 def normal_form(amplitude: complex) -> DisplacementNormalForm:

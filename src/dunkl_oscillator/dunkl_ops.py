@@ -13,7 +13,7 @@ angular sector, so the pure radial part is recovered with l2 = 0.  Its body,
 Every operator uses the exact derivatives attached to its input (profile
 derivatives through ``derivative_of``, plane partials through ``_partial``)
 and raises ``DerivativeUnavailable`` when it is built on an input that lacks
-one it needs.
+one it needs.  The radial operators take and return a ``GaussLaguerreSum``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DerivativeUnavailable, DomainError, SingularityError
-from .profiles import DeformationParams, PlaneFunction, Profile, _check_l2, derivative_of
+from .profiles import DeformationParams, GaussLaguerreSum, PlaneFunction, Profile, _check_l2, derivative_of
 
 __all__ = [
     "reflect",
@@ -32,15 +32,10 @@ __all__ = [
 ]
 
 
-def _check_axis(axis: str) -> str:
-    if axis not in ("x", "y"):
-        raise DomainError(f"axis must be 'x' or 'y', got {axis!r}")
-    return axis
-
-
 def reflect(f: PlaneFunction, axis: str) -> PlaneFunction:
     """The reflected function f(-x, y) or f(x, -y); its first partial along axis changes sign."""
-    _check_axis(axis)
+    if axis not in ("x", "y"):
+        raise DomainError(f"axis must be 'x' or 'y', got {axis!r}")
 
     def mirrored(g, negate: bool = False):
         def h(x, y):
@@ -67,33 +62,41 @@ def _partial(f: PlaneFunction, axis: str, order: int):
     return exact
 
 
+def _reflection_pieces(f: PlaneFunction, axis: str, operator: str):
+    """The reflection quotient (f - Rf)/t in pieces: (t == 0, t with 1 there, f - Rf, parity s).
+
+    t is the coordinate along axis, refused unless "x" or "y"; a point with t = 0
+    needs f's parity label, which fixes the limit there.
+    """
+    refl = reflect(f, axis)
+
+    def pieces(x, y):
+        t = x if axis == "x" else y
+        on_axis = t == 0.0
+        if f.parity is None and np.any(on_axis):
+            raise SingularityError(f"{operator} evaluated at {axis} = 0 without a parity label")
+        s = None if f.parity is None else f.parity[0 if axis == "x" else 1]
+        return on_axis, np.where(on_axis, 1.0, t), f(x, y) - refl(x, y), s
+
+    return pieces
+
+
 def dunkl_derivative(f: PlaneFunction, axis: str, mu: DeformationParams) -> PlaneFunction:
     """The deformed derivative D_axis acting on f."""
-    _check_axis(axis)
+    pieces = _reflection_pieces(f, axis, f"Dunkl derivative along {axis}")
     coupling = mu.mu1 if axis == "x" else mu.mu2
     dfn = _partial(f, axis, 1)
-    refl = reflect(f, axis)
 
     def out(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        t = x if axis == "x" else y
         base = dfn(x, y)
         if coupling == 0.0:
             return base
-        diff = f(x, y) - refl(x, y)
-        on_axis = t == 0.0
-        if np.any(on_axis):
-            if f.parity is None:
-                raise SingularityError(
-                    f"Dunkl derivative along {axis} evaluated at {axis} = 0 "
-                    "without a parity label"
-                )
-            s = f.parity[0] if axis == "x" else f.parity[1]
-            limit = np.zeros_like(base) if s == 1 else 2.0 * base
-            tsafe = np.where(on_axis, 1.0, t)
-            return base + coupling * np.where(on_axis, limit, diff / tsafe)
-        return base + coupling * diff / t
+        on_axis, tsafe, diff, s = pieces(x, y)
+        # Even sector: the quotient vanishes on the axis; odd sector: it tends to 2 f'.
+        limit = np.zeros_like(base) if s == 1 else 2.0 * base
+        return base + coupling * np.where(on_axis, limit, diff / tsafe)
 
     parity = None
     if f.parity is not None:
@@ -103,34 +106,27 @@ def dunkl_derivative(f: PlaneFunction, axis: str, mu: DeformationParams) -> Plan
 
 
 def _deformed_second(f: PlaneFunction, axis: str, coupling: float):
-    """Values of D_axis^2 f, expanded as f'' + (2 mu/t) f' - (mu/t^2)(f - Rf)."""
+    """Values of D_axis^2 f at float arrays (x, y), expanded as f'' + (2 mu/t) f' - (mu/t^2)(f - Rf)."""
     d1 = _partial(f, axis, 1)
     d2 = _partial(f, axis, 2)
-    refl = reflect(f, axis)
+    pieces = _reflection_pieces(f, axis, "Hamiltonian")
 
     def out(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
         second = d2(x, y)
         if coupling == 0.0:
             return second
-        t = x if axis == "x" else y
         first = d1(x, y)
-        diff = f(x, y) - refl(x, y)
-        on_axis = t == 0.0
-        if np.any(on_axis):
-            if f.parity is None:
-                raise SingularityError(
-                    f"Hamiltonian evaluated at {axis} = 0 without a parity label"
-                )
-            s = f.parity[0] if axis == "x" else f.parity[1]
-            tsafe = np.where(on_axis, 1.0, t)
-            off = 2.0 * coupling * first / tsafe - coupling * diff / (tsafe * tsafe)
-            # Even sector: (2mu/t) f' -> 2 mu f'' and the difference term vanishes.
-            # Odd sector: the two singular pieces cancel in pairs and the limit is 0.
-            limit = 2.0 * coupling * second if s == 1 else np.zeros_like(second)
-            return second + np.where(on_axis, limit, off)
-        return second + 2.0 * coupling * first / t - coupling * diff / (t * t)
+        on_axis, tsafe, diff, s = pieces(x, y)
+        drift = 2.0 * coupling * first / tsafe
+        quotient = coupling * diff / (tsafe * tsafe)
+        # Without an axis point the sum runs left to right, with one as second +
+        # (drift - quotient): they round apart, and verify's residuals rest on both.
+        if not np.any(on_axis):
+            return second + drift - quotient
+        # Even sector: (2mu/t) f' -> 2 mu f'' and the difference term vanishes.
+        # Odd sector: the two singular pieces cancel in pairs and the limit is 0.
+        limit = 2.0 * coupling * second if s == 1 else np.zeros_like(second)
+        return second + np.where(on_axis, limit, drift - quotient)
 
     return out
 
@@ -148,7 +144,7 @@ def apply_hamiltonian(f: PlaneFunction, mu: DeformationParams) -> PlaneFunction:
     return PlaneFunction(fn=out, parity=f.parity)
 
 
-def _radial_operator(R: Profile, scale: float, drift: float, centrifugal: float) -> Profile:
+def _radial_operator(R: GaussLaguerreSum, scale: float, drift: float, centrifugal: float) -> GaussLaguerreSum:
     """scale*(r^2 R - R'') + drift*R'/r + centrifugal*R/r^2, leaving out a zero drift or centrifugal term."""
     out = (-scale) * derivative_of(R, 2) + scale * R.times_rpower(2)
     if drift != 0.0:
@@ -158,7 +154,7 @@ def _radial_operator(R: Profile, scale: float, drift: float, centrifugal: float)
     return out
 
 
-def apply_radial_hamiltonian(R: Profile, mu: DeformationParams, l2: float) -> Profile:
+def apply_radial_hamiltonian(R: GaussLaguerreSum, mu: DeformationParams, l2: float) -> GaussLaguerreSum:
     """H_r R for angular eigenvalue l2, i.e. the radial operator plus l2/(2 r^2)."""
     _check_l2(l2, mu)
     return _radial_operator(R, 0.5, -0.5 - mu.total, 0.5 * l2)

@@ -16,9 +16,13 @@ such operator, ``dunkl_ops._radial_operator``, with three coefficient sets).
     c * cos^i(phi) * sin^j(phi) * P_d^(al,be)(cos 2 phi),
 
 also closed under d/dphi.  Both keep ``terms`` as a dict {key: coeff}, keyed
-(p, n, a) and (i, j, d, al, be).  Plain callables can be wrapped too, but
-every operator needs exact derivatives: ``derivative_of`` raises
-``DerivativeUnavailable`` for a profile that has none attached.
+(p, n, a) and (i, j, d, al, be), and they hold the only profile arithmetic:
+a sum adds to, or subtracts, a sum of its own type, scales by a number, and
+a ``GaussLaguerreSum`` multiplies by r^s (``times_rpower``).  The radial
+operators take a ``GaussLaguerreSum`` and return one.  A plain ``Profile``
+wraps a callable with an optional chain of exact derivatives; it can only be
+evaluated and differentiated, and ``derivative_of`` raises
+``DerivativeUnavailable`` where its chain ends.
 """
 
 from __future__ import annotations
@@ -75,19 +79,13 @@ def _check_l2(l2: float, mu: DeformationParams) -> None:
         )
 
 
-def _rpow(r: np.ndarray, s: float) -> np.ndarray:
-    if s < 0 and np.any(r == 0.0):
-        raise SingularityError("evaluation at r = 0 hits a negative power of r")
-    return r**s
-
-
 class Profile:
     """A function of one variable (r or phi), optionally knowing its own exact derivative.
 
     ``derivative`` may be another profile, or a zero-argument factory producing
-    one lazily (the factory result is cached).  Sums, scalar multiples, and
-    power multiples differentiate through their operands, so their chain ends
-    with ``DerivativeUnavailable`` at the first operand that has no derivative.
+    one lazily (the factory result is cached).  A plain profile can only be
+    evaluated and differentiated; sums, scalar multiples and power multiples
+    are built from the term sums below.
     """
 
     def __init__(self, fn: Callable, derivative=None):
@@ -104,39 +102,6 @@ class Profile:
             self._derivative = self._derivative()
         return self._derivative
 
-    def __add__(self, other):
-        if not isinstance(other, Profile):
-            return NotImplemented
-        factory = lambda a=self, b=other: a.derivative() + b.derivative()
-        return Profile(lambda t, a=self, b=other: a(t) + b(t), factory)
-
-    def __sub__(self, other):
-        if not isinstance(other, Profile):
-            return NotImplemented
-        return self + (-1.0) * other
-
-    def __neg__(self):
-        return (-1.0) * self
-
-    def __mul__(self, c):
-        if not isinstance(c, numbers.Number):
-            return NotImplemented
-        factory = lambda a=self: c * a.derivative()
-        return Profile(lambda t, a=self: c * a(t), factory)
-
-    __rmul__ = __mul__
-
-    def times_rpower(self, s: float) -> "Profile":
-        """The profile t -> t^s * f(t)."""
-        if s == 0:
-            return self
-
-        def factory(a=self, s=s):
-            d = a.derivative().times_rpower(s)
-            return d + s * a.times_rpower(s - 1)
-
-        return Profile(lambda t, a=self: _rpow(np.asarray(t, dtype=float), s) * a(t), factory)
-
 
 class _TermSum(Profile):
     """Exact term sum with ``terms`` = {key: coeff}; a subclass supplies ``_evaluate`` and ``_derive``.
@@ -152,9 +117,15 @@ class _TermSum(Profile):
         super().__init__(self._evaluate, self._derive)
 
     def __add__(self, other):
-        if type(other) is type(self):
-            return type(self)((*self.terms.items(), *other.terms.items()))
-        return super().__add__(other)
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)((*self.terms.items(), *other.terms.items()))
+
+    def __sub__(self, other):
+        return self + (-1.0) * other
+
+    def __neg__(self):
+        return (-1.0) * self
 
     def __mul__(self, c):
         if not isinstance(c, numbers.Number):

@@ -39,13 +39,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import as_quantum_m, k_of
+from .basis import RadialQuantum, as_quantum_m, k_of
 from .dunkl_ops import _radial_operator
 from .errors import DomainError, RepresentationError
-from .profiles import DeformationParams, Profile, _check_l2, derivative_of, residual_grid
+from .profiles import DeformationParams, GaussLaguerreSum, _check_l2, derivative_of, residual_grid
 
 __all__ = [
-    "AlgebraState",
     "ladder_coefficients",
     "apply_A",
     "apply_B0",
@@ -59,23 +58,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AlgebraState:
-    """Basis label |k, n> of a positive-discrete-series representation."""
-
-    k: float
-    n: int
-
-    def __post_init__(self):
-        if not self.k > 0.0:
-            raise RepresentationError(f"k must be positive, got {self.k}")
-        if self.n < 0 or int(self.n) != self.n:
-            raise DomainError(f"n must be a non-negative integer, got {self.n}")
-
-
-def ladder_coefficients(state: AlgebraState, which: str) -> float:
-    """Matrix element of A0, A+ or A- on |k, n>."""
-    k, n = state.k, state.n
+def ladder_coefficients(state: RadialQuantum, which: str) -> float:
+    """Matrix element of A0, A+ or A- on |k, n> with n = state.nr."""
+    k, n = state.k, state.nr
     if which == "0":
         return k + n
     if which == "+":
@@ -85,7 +70,7 @@ def ladder_coefficients(state: AlgebraState, which: str) -> float:
     raise DomainError(f"which must be '0', '+' or '-', got {which!r}")
 
 
-def apply_A(R: Profile, which: str, mu: DeformationParams, l2: float) -> Profile:
+def apply_A(R: GaussLaguerreSum, which: str, mu: DeformationParams, l2: float) -> GaussLaguerreSum:
     """Apply A0, A+ or A- (weighted picture, sector with angular eigenvalue l2)."""
     _check_l2(l2, mu)
     if which == "0":
@@ -101,13 +86,13 @@ def apply_A(R: Profile, which: str, mu: DeformationParams, l2: float) -> Profile
     )
 
 
-def apply_B0(U: Profile, l2: float, mu: DeformationParams) -> Profile:
+def apply_B0(U: GaussLaguerreSum, l2: float, mu: DeformationParams) -> GaussLaguerreSum:
     """Apply the flat-measure diagonal operator; on eigen-U its value is E/2."""
     _check_l2(l2, mu)
     return _radial_operator(U, 0.25, 0.0, 0.25 * (l2 - 0.25 + mu.total * mu.total))
 
 
-def apply_J(U: Profile, E: float, sign: int) -> Profile:
+def apply_J(U: GaussLaguerreSum, E: float, sign: int) -> GaussLaguerreSum:
     """Apply J+ (sign=+1) or J- (sign=-1) at energy E in the flat-measure picture."""
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
@@ -165,7 +150,7 @@ def factorization_product_eigenvalue(
 
 
 def factorization_residual(
-    U: Profile,
+    U: GaussLaguerreSum,
     E: float,
     l2: float,
     mu: DeformationParams,
@@ -184,7 +169,7 @@ def factorization_residual(
 
 
 def casimir_check(
-    R: Profile,
+    R: GaussLaguerreSum,
     k: float,
     mu: DeformationParams,
     l2: float,
@@ -216,7 +201,7 @@ _BRACKETS = {"0+": ("0", "+", 1.0, "+"), "0-": ("0", "-", -1.0, "-"), "-+": ("-"
 
 def commutator_residual(
     pair: str,
-    R: Profile,
+    R: GaussLaguerreSum,
     mu: DeformationParams,
     l2: float,
     grid: np.ndarray | None = None,

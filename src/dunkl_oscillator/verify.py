@@ -267,7 +267,7 @@ def _ladder_check(which: str, ns: Iterable[int], step: int):
     def check(ctx: VerifyContext) -> Iterator:
         grid = residual_grid()
         for m, l2, q, R in _sturmians(ctx.mu, ns):
-            coeff = su11.ladder_coefficients(su11.AlgebraState(q.k, q.nr), which)
+            coeff = su11.ladder_coefficients(q, which)
             image = su11.apply_A(R, which, ctx.mu, l2)
             if step:
                 R = radial_sturmian(RadialQuantum.from_m(q.nr + step, m, ctx.mu), ctx.mu)

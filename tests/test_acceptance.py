@@ -51,7 +51,6 @@ from dunkl_oscillator.profiles import (
 )
 from dunkl_oscillator.specfun import angular_gram, laguerre_all, radial_inner_product
 from dunkl_oscillator.su11 import (
-    AlgebraState,
     apply_A,
     bargmann_index,
     casimir_check,
@@ -243,14 +242,14 @@ def test_criterion_5_algebra():
         k = RadialQuantum.from_m(0, m, mu).k
         for n in range(5):
             up = apply_A(states[n], "+", mu, l2)(grid)
-            coeff = ladder_coefficients(AlgebraState(k=k, n=n), "+")
+            coeff = ladder_coefficients(RadialQuantum(nr=n, k=k), "+")
             scale = max(float(np.max(np.abs(states[n + 1](grid)))), 1.0)
             worst_ladder = max(
                 worst_ladder, float(np.max(np.abs(up - coeff * states[n + 1](grid)))) / scale
             )
         for n in range(1, 6):
             down = apply_A(states[n], "-", mu, l2)(grid)
-            coeff = ladder_coefficients(AlgebraState(k=k, n=n), "-")
+            coeff = ladder_coefficients(RadialQuantum(nr=n, k=k), "-")
             scale = max(float(np.max(np.abs(states[n - 1](grid)))), 1.0)
             worst_ladder = max(
                 worst_ladder, float(np.max(np.abs(down - coeff * states[n - 1](grid)))) / scale

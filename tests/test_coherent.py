@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dunkl_oscillator import coherent
-from dunkl_oscillator.basis import RadialQuantum, radial_sturmian
+from dunkl_oscillator.basis import RadialQuantum, k_of, radial_sturmian
 from dunkl_oscillator.coherent import (
     CoherentParams,
     EvolutionParams,
+    _rpow,
     auto_nterms,
     coherent_closed,
     coherent_evolved,
@@ -25,7 +26,7 @@ from dunkl_oscillator.coherent import (
     suggested_norm_quadrature,
 )
 from dunkl_oscillator.errors import DomainError, RepresentationError
-from dunkl_oscillator.profiles import DeformationParams, _rpow
+from dunkl_oscillator.profiles import DeformationParams
 from dunkl_oscillator.specfun import laguerre_all, log_gamma
 from reference_rules import gauss_legendre
 
@@ -280,6 +281,30 @@ def test_series_on_radii_of_any_shape_matches_the_flat_values():
     assert got.shape == coherent_closed(radii, p, mu).shape == (2, 3)
     assert np.array_equal(got.ravel(), coherent_series(radii.ravel(), p, mu))
     assert np.array_equal(coherent_series(np.ones((2, 3)), p, mu), coherent_series(np.ones(6), p, mu).reshape(2, 3))
+
+
+@pytest.mark.parametrize("xi", [-0.95, 0.5])
+def test_series_value_of_a_point_is_its_value_inside_a_grid(xi):
+    # Near xi = -1 the alternating series cancels enough for the order of
+    # summation to show, so a point alone and in a grid share one order.
+    mu = DeformationParams(0.5, 0.5)
+    p = CoherentParams(xi=xi, k=2.7)
+    grid = np.linspace(0.05, 3.0, 40)
+    alone = np.array([coherent_series(r, p, mu) for r in grid])
+    assert np.array_equal(alone, coherent_series(grid, p, mu))
+
+
+def test_ground_sector_forms_are_finite_at_the_origin():
+    # Here 2k == mu1 + mu2 + 1 exactly, while (2k - mu1 - mu2) - 1 rounds to
+    # -4.4e-16: the power of r must still be 0, not negative at r = 0.
+    mu = DeformationParams(2.5122357700091884, 0.7479349044948775)
+    p = CoherentParams(xi=-0.6 + 0.1j, k=k_of(0, mu))
+    r = np.linspace(0.0, 3.0, 13)
+    series = coherent_series(r, p, mu)
+    closed = coherent_closed(r, p, mu)
+    assert np.all(np.isfinite(series)) and np.all(np.isfinite(closed))
+    assert np.array_equal(closed, coherent_evolved(r, p, EvolutionParams(0.0), 0, mu))
+    np.testing.assert_allclose(series, closed, rtol=1e-10)
 
 
 def test_sturmian_tables_are_read_only_and_bounded():

@@ -38,6 +38,7 @@ _REMOVED = [
     ("basis", "state_count", False),
     ("coherent", "DisplacementNormalForm", True),
     ("su11", "FactorizationConstants", True),
+    ("su11", "AlgebraState", False),
     ("verify", "VerifyContext", True),
 ]
 

@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dunkl_oscillator import su11
-from dunkl_oscillator.basis import AngularQuantum, RadialQuantum, angular_wavefunction, radial_sturmian
+from dunkl_oscillator.basis import (
+    AngularQuantum,
+    RadialQuantum,
+    angular_wavefunction,
+    radial_sturmian,
+    substitute_u,
+)
 from dunkl_oscillator.dunkl_ops import (
     apply_angular_operator,
     apply_hamiltonian,
@@ -118,7 +124,8 @@ def test_profile_algebra_propagates_exact_derivatives():
     a = GaussLaguerreSum.gaussian_polynomial([1.0, 0.5])
     b = GaussLaguerreSum.gaussian_polynomial([0.0, 0.0, 2.0])
     combo = 2.0 * a - b
-    assert isinstance(combo, Profile)
+    assert isinstance(combo, GaussLaguerreSum)
+    assert (-a).terms == ((-1.0) * a).terms
     r = np.linspace(0.1, 3.0, 7)
     np.testing.assert_allclose(combo(r), 2.0 * a(r) - b(r), rtol=1e-14)
     np.testing.assert_allclose(
@@ -187,14 +194,6 @@ _NO_DERIVATIVE = "no exact derivative attached"
     [
         pytest.param(lambda: derivative_of(_PLAIN, 1), _NO_DERIVATIVE, id="derivative_of-1"),
         pytest.param(lambda: derivative_of(_PLAIN, 2), _NO_DERIVATIVE, id="derivative_of-2"),
-        pytest.param(
-            lambda: derivative_of(GaussLaguerreSum.gaussian_polynomial([1.0]) + _PLAIN, 1),
-            _NO_DERIVATIVE,
-            id="exact-plus-plain",
-        ),
-        pytest.param(
-            lambda: derivative_of((-2.0 * _PLAIN).times_rpower(2.0), 1), _NO_DERIVATIVE, id="scaled-rpower-plain"
-        ),
         pytest.param(lambda: apply_radial_hamiltonian(_PLAIN, _MU, 4.75), _NO_DERIVATIVE, id="apply_radial_hamiltonian"),
         pytest.param(lambda: apply_angular_operator(_PLAIN, _MU), _NO_DERIVATIVE, id="apply_angular_operator"),
         pytest.param(lambda: su11.apply_A(_PLAIN, "0", _MU, 4.75), _NO_DERIVATIVE, id="apply_A-0"),
@@ -212,6 +211,43 @@ def test_operators_refuse_a_missing_exact_derivative(build, message):
     # derivative it needs refuses to be built.
     with pytest.raises(DerivativeUnavailable, match=message):
         build()
+
+
+_SUM = GaussLaguerreSum.gaussian_polynomial([1.0, 0.5])
+_ANGULAR_SUM = TrigJacobiSum.single(1.0, 0, 1, 0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        pytest.param(lambda: _SUM + _PLAIN, TypeError, id="sum-plus-plain"),
+        pytest.param(lambda: _PLAIN + _SUM, TypeError, id="plain-plus-sum"),
+        pytest.param(lambda: _SUM - _PLAIN, TypeError, id="sum-minus-plain"),
+        pytest.param(lambda: _SUM + _ANGULAR_SUM, TypeError, id="radial-plus-angular"),
+        pytest.param(lambda: -2.0 * _PLAIN, TypeError, id="number-times-plain"),
+        pytest.param(lambda: -_PLAIN, TypeError, id="negated-plain"),
+        pytest.param(lambda: _PLAIN.times_rpower(2.0), AttributeError, id="plain-times-rpower"),
+    ],
+)
+def test_arithmetic_outside_one_term_sum_type_is_refused_when_built(build, error):
+    # Only term sums of one type add, scale and shift powers; a plain profile
+    # is refused at once, not deep inside a later derivative chain.
+    with pytest.raises(error):
+        build()
+
+
+def test_radial_operators_return_term_sums():
+    mu = DeformationParams(0.3, 0.8)
+    R = radial_sturmian(RadialQuantum.from_m(2, Fraction(1, 2), mu), mu)
+    images = [
+        apply_radial_hamiltonian(R, mu, 4.75),
+        *(su11.apply_A(R, which, mu, 4.75) for which in ("0", "+", "-")),
+        su11.apply_B0(R, 4.75, mu),
+        *(su11.apply_J(R, 3.0, sign) for sign in (1, -1)),
+        *(substitute_u(R, mu, direction) for direction in ("r_to_u", "u_to_r")),
+    ]
+    for image in images:
+        assert type(image) is GaussLaguerreSum
 
 
 def _mp_term_sums(R: GaussLaguerreSum, Phi: TrigJacobiSum):

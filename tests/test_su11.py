@@ -25,7 +25,6 @@ from dunkl_oscillator.profiles import (
     residual_grid,
 )
 from dunkl_oscillator.su11 import (
-    AlgebraState,
     apply_A,
     apply_B0,
     apply_J,
@@ -46,20 +45,20 @@ GRID = residual_grid(40, 0.1, 6.0)
 
 
 def test_ladder_coefficients_closed_form():
-    state = AlgebraState(k=1.5, n=2)
+    state = RadialQuantum(nr=2, k=1.5)
     assert ladder_coefficients(state, "0") == pytest.approx(3.5)
     assert ladder_coefficients(state, "+") == pytest.approx(math.sqrt(3.0 * (3.0 + 2.0)))
     assert ladder_coefficients(state, "-") == pytest.approx(math.sqrt(2.0 * (3.0 + 1.0)))
-    assert ladder_coefficients(AlgebraState(k=0.7, n=0), "-") == 0.0
+    assert ladder_coefficients(RadialQuantum(nr=0, k=0.7), "-") == 0.0
 
 
 def test_algebra_state_validation():
     with pytest.raises(RepresentationError):
-        AlgebraState(k=0.0, n=0)
+        RadialQuantum(nr=0, k=0.0)
     with pytest.raises(DomainError):
-        AlgebraState(k=1.0, n=-1)
+        RadialQuantum(nr=-1, k=1.0)
     with pytest.raises(DomainError):
-        ladder_coefficients(AlgebraState(k=1.0, n=0), "up")
+        ladder_coefficients(RadialQuantum(nr=0, k=1.0), "up")
 
 
 def test_bargmann_index_roots():
@@ -87,7 +86,7 @@ def test_raising_matches_coefficient(m):
     for nr in (0, 1, 3):
         R, k = _sturmian(nr, m, MU)
         up, _ = _sturmian(nr + 1, m, MU)
-        coeff = ladder_coefficients(AlgebraState(k=k, n=nr), "+")
+        coeff = ladder_coefficients(RadialQuantum(nr=nr, k=k), "+")
         got = apply_A(R, "+", MU, l2)(GRID)
         np.testing.assert_allclose(got, coeff * up(GRID), rtol=1e-9, atol=1e-10)
 
@@ -98,7 +97,7 @@ def test_lowering_matches_coefficient(m):
     for nr in (1, 2, 4):
         R, k = _sturmian(nr, m, MU)
         down, _ = _sturmian(nr - 1, m, MU)
-        coeff = ladder_coefficients(AlgebraState(k=k, n=nr), "-")
+        coeff = ladder_coefficients(RadialQuantum(nr=nr, k=k), "-")
         got = apply_A(R, "-", MU, l2)(GRID)
         np.testing.assert_allclose(got, coeff * down(GRID), rtol=1e-9, atol=1e-10)
 
@@ -130,7 +129,7 @@ def test_diagonal_generator_spec_example_coefficients():
         q0 = RadialQuantum.from_m(0, m, mu)
         R0 = radial_sturmian(q0, mu)
         R1 = radial_sturmian(RadialQuantum.from_m(1, m, mu), mu)
-        assert ladder_coefficients(AlgebraState(k=q0.k, n=0), "+") == pytest.approx(expected)
+        assert ladder_coefficients(q0, "+") == pytest.approx(expected)
         got = apply_A(R0, "+", mu, l2)(grid)
         np.testing.assert_allclose(got, expected * R1(grid), rtol=1e-9, atol=1e-11)
 
@@ -155,14 +154,14 @@ def test_ladders_on_negative_l2_sector():
     profiles = [_sturmian(nr, m, mu)[0] for nr in range(5)]
     k = RadialQuantum.from_m(0, m, mu).k
     for nr in range(4):
-        state = AlgebraState(k=k, n=nr)
+        state = RadialQuantum(nr=nr, k=k)
         R, up = profiles[nr], profiles[nr + 1]
         np.testing.assert_allclose(
             apply_A(R, "+", mu, l2)(grid), ladder_coefficients(state, "+") * up(grid), atol=1e-11
         )
         np.testing.assert_allclose(
             apply_A(up, "-", mu, l2)(grid),
-            ladder_coefficients(AlgebraState(k=k, n=nr + 1), "-") * R(grid),
+            ladder_coefficients(RadialQuantum(nr=nr + 1, k=k), "-") * R(grid),
             atol=1e-11,
         )
         np.testing.assert_allclose(
