@@ -18,8 +18,11 @@ hbar), times the global phase e^(-2 i k tau / hbar), so |Psi|^2 is periodic in
 tau with period pi * hbar.
 
 The xi-independent part of the series (the Sturmian rows |k, n>(r) and their
-Gamma norms) is built once per (2k, term count, grid) and shared between calls
-from a small bounded cache, so a sweep over xi at fixed k rebuilds none of it.
+Gamma norms) is shared between calls from a bounded cache of 8 tables, one
+per (2k, grid), each as long as the largest term count asked for there; a
+shorter series reads its prefix.  |xi| sets the term count, so a sweep over xi
+at fixed k and grid rebuilds the table only when it needs more terms than any
+earlier call.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 from .basis import as_quantum_m, k_of
 from .errors import DomainError, RepresentationError, SingularityError
 from .profiles import DeformationParams
-from .specfun import laguerre_all, log_gamma
+from .specfun import _check_degree, laguerre_all, log_gamma
 
 __all__ = [
     "CoherentParams",
@@ -90,10 +93,14 @@ class EvolutionParams:
 
 def auto_nterms(p: CoherentParams, tol: float = 1e-14) -> int:
     """Number of series terms so the first omitted coefficient is below tol."""
-    axi = abs(p.xi)
+    return _nterms_for(abs(p.xi), 2.0 * p.k, tol)
+
+
+@functools.lru_cache(maxsize=64)
+def _nterms_for(axi: float, two_k: float, tol: float) -> int:
+    """``auto_nterms`` at |xi| = axi and 2k = two_k; a verify run asks for the same few dozens of times."""
     if axi == 0.0:
         return 1
-    two_k = 2.0 * p.k
     ln_axi = math.log(axi)
     lg_2k = log_gamma(two_k)
     ln_tol = math.log(tol)
@@ -118,20 +125,18 @@ def _radial_exponent(p: CoherentParams, mu: DeformationParams) -> float:
 
 
 # Tables of more than this many Laguerre values are rebuilt on every call, so
-# the cache holds at most 16 * 2**16 values (8 MB) of rows.
+# the cache holds at most 8 * 2**16 values (4 MB) of rows.
 _CACHED_TABLE_VALUES = 1 << 16
 
 
-# typed: a float nterms equal to a cached int one must still reach laguerre_all's degree check.
-@functools.lru_cache(maxsize=16, typed=True)
-def _sturmian_table(two_k: float, nterms: int, x_bytes: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The xi-independent rows of the series at x = r^2 (given as its float64 bytes).
+def _build_table(two_k: float, nterms: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """L_n^(2k-1)(x) for n < nterms, the disk-series norms sqrt(Gamma(n+2k)/(n! Gamma(2k)))
+    and the radial profiles' own norms sqrt(2 n! / Gamma(n+2k)), all read-only.
 
-    Returns L_n^(2k-1)(x) for n < nterms, the disk-series norms
-    sqrt(Gamma(n+2k)/(n! Gamma(2k))) and the radial profiles' own norms
-    sqrt(2 n! / Gamma(n+2k)).
+    Row n depends on nothing past n, so the first N rows of a longer table are
+    bit for bit the table for N terms.
     """
-    polys = laguerre_all(nterms - 1, two_k - 1.0, np.frombuffer(x_bytes))
+    polys = laguerre_all(nterms - 1, two_k - 1.0, x)
     lg_n2k = np.array([log_gamma(n + two_k) for n in range(nterms)])
     lg_nf = np.array([log_gamma(n + 1.0) for n in range(nterms)])
     disk_norm = np.exp(0.5 * (lg_n2k - lg_nf - log_gamma(two_k)))
@@ -139,6 +144,29 @@ def _sturmian_table(two_k: float, nterms: int, x_bytes: bytes) -> tuple[np.ndarr
     for table in (polys, disk_norm, sturm_norm):
         table.flags.writeable = False  # the cache shares them with every caller
     return polys, disk_norm, sturm_norm
+
+
+# A verify run asks for 6 (2k, grid) keys, 5 of them at every mu; more slots
+# would only keep earlier runs' per-mu tables.
+@functools.lru_cache(maxsize=8)
+def _table_slot(two_k: float, x_bytes: bytes) -> list:
+    """The cached table at (2k, x = r^2 as its float64 bytes): the longest asked for so far, once built."""
+    return []
+
+
+def _sturmian_table(two_k: float, nterms: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The xi-independent rows of the series for nterms terms at x = r^2 (see ``_build_table``).
+
+    One cached table per (2k, x) serves every term count up to its own as
+    read-only prefix slices; a longer request rebuilds it at the new length.
+    A table over ``_CACHED_TABLE_VALUES`` values is built for its call alone.
+    """
+    if nterms * x.size > _CACHED_TABLE_VALUES:
+        return _build_table(two_k, nterms, x)
+    slot = _table_slot(two_k, x.tobytes())
+    if not slot or len(slot[0]) < nterms:
+        slot[:] = _build_table(two_k, nterms, x)
+    return tuple(table[:nterms] for table in slot)
 
 
 def _series_values(
@@ -151,12 +179,12 @@ def _series_values(
     """Partial-sum values of the coherent superposition on a radius array of any shape."""
     if nterms < 1:
         raise DomainError(f"nterms must be at least 1, got {nterms}")
+    _check_degree(nterms - 1)  # before slicing a cached table, which a float count would break
     two_k = 2.0 * p.k
     xi = complex(p.xi)
     flat = arr.ravel()
     x = flat * flat
-    build = _sturmian_table if nterms * x.size <= _CACHED_TABLE_VALUES else _sturmian_table.__wrapped__
-    polys, disk_norm, sturm_norm = build(two_k, nterms, x.tobytes())
+    polys, disk_norm, sturm_norm = _sturmian_table(two_k, nterms, x)
     degrees = np.arange(nterms)
     # Disk-series weight sqrt(Gamma(n+2k)/(n! Gamma(2k))) xi^n times the
     # orthonormal radial profile's own norm sqrt(2 n! / Gamma(n+2k)).

@@ -146,12 +146,12 @@ def apply_hamiltonian(f: PlaneFunction, mu: DeformationParams) -> PlaneFunction:
 
 def _radial_operator(R: GaussLaguerreSum, scale: float, drift: float, centrifugal: float) -> GaussLaguerreSum:
     """scale*(r^2 R - R'') + drift*R'/r + centrifugal*R/r^2, leaving out a zero drift or centrifugal term."""
-    out = (-scale) * derivative_of(R, 2) + scale * R.times_rpower(2)
+    parts = [(-scale, derivative_of(R, 2).terms), (scale, R._shifted(2))]
     if drift != 0.0:
-        out = out + drift * derivative_of(R, 1).times_rpower(-1)
+        parts.append((drift, derivative_of(R, 1)._shifted(-1)))
     if centrifugal != 0.0:
-        out = out + centrifugal * R.times_rpower(-2)
-    return out
+        parts.append((centrifugal, R._shifted(-2)))
+    return GaussLaguerreSum._fold(parts)
 
 
 def apply_radial_hamiltonian(R: GaussLaguerreSum, mu: DeformationParams, l2: float) -> GaussLaguerreSum:

@@ -106,31 +106,64 @@ class Profile:
 class _TermSum(Profile):
     """Exact term sum with ``terms`` = {key: coeff}; a subclass supplies ``_evaluate`` and ``_derive``.
 
-    Coefficients of equal keys add in the order they arrive and zero sums are dropped.
+    Every sum, from the constructor to the radial operators, is built by one
+    ``_fold``: coefficients of equal keys add in the order they arrive and
+    zero sums are dropped.
     """
 
     def __init__(self, pairs):
-        acc: dict[tuple, complex] = {}
-        for key, coeff in pairs:
-            acc[key] = acc.get(key, 0.0) + coeff
-        self.terms = {key: c for key, c in acc.items() if c != 0}
+        self.terms = self._fold_terms(((None, pairs),))
         super().__init__(self._evaluate, self._derive)
+
+    @staticmethod
+    def _fold_terms(parts) -> dict:
+        """The terms of the sum over parts (scale, pairs) of scale * (the sum of pairs), no scale for None.
+
+        Bit for bit the left-to-right chain ``s1 * P1 + s2 * P2 + ...`` with
+        each P built as a sum of its own: the coefficients of a part's
+        repeated key add in arrival order before scaling, and a zero sum is
+        dropped after each part, so a key that cancels and comes back moves
+        to the end.  A dict of pairs is taken as a finished sum's terms:
+        distinct keys, no zero.
+        """
+        acc: dict[tuple, complex] = {}
+        for scale, pairs in parts:
+            if not isinstance(pairs, dict):
+                merged: dict[tuple, complex] = {}
+                for key, coeff in pairs:
+                    merged[key] = merged.get(key, 0.0) + coeff
+                pairs = {key: c for key, c in merged.items() if c != 0}
+            for key, coeff in pairs.items():
+                acc[key] = acc.get(key, 0.0) + (coeff if scale is None else scale * coeff)
+            if 0 in acc.values():
+                acc = {key: c for key, c in acc.items() if c != 0}
+        return acc
+
+    @classmethod
+    def _fold(cls, parts) -> "_TermSum":
+        """A sum of this type holding ``_fold_terms(parts)``, built with no intermediate sum."""
+        out = cls.__new__(cls)
+        out.terms = cls._fold_terms(parts)
+        Profile.__init__(out, out._evaluate, out._derive)
+        return out
 
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return type(self)((*self.terms.items(), *other.terms.items()))
+        return self._fold(((None, self.terms), (None, other.terms)))
 
     def __sub__(self, other):
-        return self + (-1.0) * other
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fold(((None, self.terms), (-1.0, other.terms)))
 
     def __neg__(self):
-        return (-1.0) * self
+        return self._fold(((-1.0, self.terms),))
 
     def __mul__(self, c):
         if not isinstance(c, numbers.Number):
             return NotImplemented
-        return type(self)((key, c * coeff) for key, coeff in self.terms.items())
+        return self._fold(((c, self.terms),))
 
     __rmul__ = __mul__
 
@@ -171,7 +204,14 @@ class GaussLaguerreSum(_TermSum):
     def times_rpower(self, s: float) -> "GaussLaguerreSum":
         if s == 0:
             return self
-        return GaussLaguerreSum(((p + s, n, a), c) for (p, n, a), c in self.terms.items())
+        return GaussLaguerreSum._fold(((None, self._shifted(s)),))
+
+    def _shifted(self, s: float):
+        """The pairs of r^s times this sum, for a ``_fold`` part: a dict, or a list where two powers round together."""
+        shifted = {(p + s, n, a): c for (p, n, a), c in self.terms.items()}
+        if len(shifted) == len(self.terms):
+            return shifted
+        return [((p + s, n, a), c) for (p, n, a), c in self.terms.items()]
 
 
 class TrigJacobiSum(_TermSum):

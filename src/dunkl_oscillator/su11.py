@@ -78,11 +78,14 @@ def apply_A(R: GaussLaguerreSum, which: str, mu: DeformationParams, l2: float) -
     if which not in ("+", "-"):
         raise DomainError(f"which must be '0', '+' or '-', got {which!r}")
     sign = 1.0 if which == "+" else -1.0
-    return (
-        (0.5 * sign) * derivative_of(R, 1).times_rpower(1)
-        + (-0.5) * R.times_rpower(2)
-        + apply_A(R, "0", mu, l2)
-        + (0.5 * sign * (1.0 + mu.total)) * R
+    # A0 R enters as one finished part: its own terms summed first, as in the written-out chain.
+    return GaussLaguerreSum._fold(
+        (
+            (0.5 * sign, derivative_of(R, 1)._shifted(1)),
+            (-0.5, R._shifted(2)),
+            (None, apply_A(R, "0", mu, l2).terms),
+            (0.5 * sign * (1.0 + mu.total), R.terms),
+        )
     )
 
 
@@ -96,11 +99,12 @@ def apply_J(U: GaussLaguerreSum, E: float, sign: int) -> GaussLaguerreSum:
     """Apply J+ (sign=+1) or J- (sign=-1) at energy E in the flat-measure picture."""
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
-    d1 = derivative_of(U, 1)
-    return (
-        (-0.5 * sign) * d1.times_rpower(1)
-        + 0.5 * U.times_rpower(2)
-        + (0.5 * (0.5 * sign - E)) * U
+    return GaussLaguerreSum._fold(
+        (
+            (-0.5 * sign, derivative_of(U, 1)._shifted(1)),
+            (0.5, U._shifted(2)),
+            (0.5 * (0.5 * sign - E), U.terms),
+        )
     )
 
 

@@ -227,16 +227,32 @@ SERIES_CASES = [
 ]
 
 
+def _counting_builds(monkeypatch) -> list:
+    """Record the term count of every Sturmian table built from now on."""
+    built = []
+    build = coherent._build_table
+
+    def counted(two_k, nterms, x):
+        built.append(nterms)
+        return build(two_k, nterms, x)
+
+    monkeypatch.setattr(coherent, "_build_table", counted)
+    return built
+
+
 @pytest.mark.parametrize("xi, k, nterms, grid", SERIES_CASES)
-def test_series_is_bit_identical_to_its_unshared_form(xi, k, nterms, grid):
+def test_series_is_bit_identical_to_its_unshared_form(xi, k, nterms, grid, monkeypatch):
     p = CoherentParams(xi=xi, k=k)
     count = auto_nterms(p) if nterms is None else nterms
+    built = _counting_builds(monkeypatch)
     for mu in (DeformationParams(0.5, 0.5), DeformationParams(-0.45, 0.3)):
         # The second mu reuses the table of the first: same k and grid.
-        before = coherent._sturmian_table.cache_info().hits
+        before = coherent._table_slot.cache_info().hits
+        builds_before = len(built)
         got = coherent_series(grid, p, mu, nterms)
         assert np.array_equal(got, _reference_series(grid, p, mu, count))
-    assert coherent._sturmian_table.cache_info().hits > before
+    assert coherent._table_slot.cache_info().hits > before
+    assert len(built) == builds_before
 
 
 def test_evolution_crosscheck_is_bit_identical_to_its_unshared_form():
@@ -259,11 +275,32 @@ def test_series_tables_are_keyed_by_grid_values():
     p = CoherentParams(xi=0.3 + 0.4j, k=1.0)
     a = np.linspace(0.1, 2.0, 9)
     b = np.linspace(0.2, 2.5, 9)
+    coherent._table_slot.cache_clear()
     for grid in (a, b, a):
         assert np.array_equal(coherent_series(grid, p, mu), _reference_series(grid, p, mu, auto_nterms(p)))
+    info = coherent._table_slot.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+    # A float count must not reach the cached table's slice, cached or not.
     coherent_series(a, p, mu, 10)
     with pytest.raises(DomainError, match="degree"):
         coherent_series(a, p, mu, 10.0)
+    with pytest.raises(DomainError, match="degree"):
+        coherent_series(np.linspace(0.3, 1.0, 4), p, mu, 10.0)
+
+
+def test_term_counts_in_any_order_are_bit_identical_to_their_unshared_form(monkeypatch):
+    # Small, then large, then small again: the small count is first its own
+    # table, then a prefix of the large one, and the values never change.
+    mu = DeformationParams(0.5, 0.5)
+    p = CoherentParams(xi=0.7 - 0.2j, k=1.3)
+    grid = np.linspace(0.05, 3.0, 23)
+    coherent._table_slot.cache_clear()
+    built = _counting_builds(monkeypatch)
+    for count in (12, 150, 12, 150, 40):
+        got = coherent_series(grid, p, mu, count)
+        assert np.array_equal(got, _reference_series(grid, p, mu, count))
+    assert built == [12, 150]
+    assert coherent._table_slot.cache_info().currsize == 1
 
 
 def test_scalar_series_is_bit_identical_to_its_unshared_form():
@@ -310,18 +347,29 @@ def test_ground_sector_forms_are_finite_at_the_origin():
 def test_sturmian_tables_are_read_only_and_bounded():
     mu = DeformationParams(0.5, 0.5)
     coherent_series(GRID, CoherentParams(xi=0.5, k=1.0), mu)
-    polys, disk_norm, sturm_norm = coherent._sturmian_table(2.0, 10, (GRID * GRID).tobytes())
-    for table in (polys, disk_norm, sturm_norm):
+    x = GRID * GRID
+    polys, disk_norm, sturm_norm = coherent._sturmian_table(2.0, 10, x)
+    for table in (polys, disk_norm, sturm_norm, *coherent._table_slot(2.0, x.tobytes())):
         assert not table.flags.writeable
     assert polys.shape == (10, GRID.size)
-    info = coherent._sturmian_table.cache_info()
-    assert info.maxsize is not None and info.maxsize <= 64
-    # A table above the cached size is built for its call alone.
-    coherent._sturmian_table.cache_clear()
-    big = np.linspace(0.01, 3.0, coherent._CACHED_TABLE_VALUES // 100 + 1)
+    assert disk_norm.shape == sturm_norm.shape == (10,)
+    info = coherent._table_slot.cache_info()
+    assert info.maxsize is not None and info.maxsize <= 16
+    # Twenty grids: the cache keeps the latest maxsize of them.
+    coherent._table_slot.cache_clear()
     p = CoherentParams(xi=0.2, k=1.0)
+    for i in range(20):
+        coherent_series(np.linspace(0.1, 2.0 + 0.01 * i, 5), p, mu)
+        assert coherent._table_slot.cache_info().currsize == min(i + 1, info.maxsize)
+    # A table above the cached size is built for its call alone.
+    coherent._table_slot.cache_clear()
+    big = np.linspace(0.01, 3.0, coherent._CACHED_TABLE_VALUES // 100 + 1)
     assert np.array_equal(coherent_series(big, p, mu, 100), _reference_series(big, p, mu, 100))
-    assert coherent._sturmian_table.cache_info().currsize == 0
+    assert coherent._table_slot.cache_info().currsize == 0
+    # Nor is it cached when a shorter table of its grid is: the slot keeps the shorter one.
+    coherent_series(big, p, mu, 10)
+    assert np.array_equal(coherent_series(big, p, mu, 100), _reference_series(big, p, mu, 100))
+    assert len(coherent._table_slot(2.0, (big * big).tobytes())[0]) == 10
 
 
 # --- displacement normal form ------------------------------------------------

@@ -1,10 +1,15 @@
 """Library-level behavior of the named self-check registry."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dunkl_oscillator
 from dunkl_oscillator import su11, verify
 from dunkl_oscillator.errors import DomainError
 from dunkl_oscillator.profiles import DeformationParams
@@ -145,3 +150,21 @@ def test_ladder_checks_share_one_body_that_reads_the_matrix_elements(monkeypatch
         assert (after[name].suite, after[name].tolerance) == ("algebra", 1e-7)
     for name in after.keys() - set(_LADDERS):
         assert after[name] == before[name]
+
+
+def test_residuals_do_not_depend_on_cache_history():
+    # The Sturmian tables and term counts are cached across calls; a fresh
+    # process and one that swept eight other mu first give the same residuals.
+    script = (
+        "from dunkl_oscillator.verify import run_checks\n"
+        "print([(r.name, repr(r.residual)) for r in run_checks('all', mu=(0.5, 0.5), seed=0)])"
+    )
+    src = str(Path(dunkl_oscillator.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    fresh = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert fresh.returncode == 0, fresh.stderr
+    rng = np.random.default_rng(8)
+    for mu1, mu2 in rng.uniform(-0.45, 3.0, size=(8, 2)):
+        run_checks(suite="all", mu=(float(mu1), float(mu2)), seed=0)
+    swept = [(r.name, repr(r.residual)) for r in run_checks(suite="all", mu=(0.5, 0.5), seed=0)]
+    assert fresh.stdout.strip() == repr(swept)
