@@ -146,6 +146,12 @@ def angular_wavefunction(q: AngularQuantum, mu: DeformationParams) -> TrigJacobi
     )
 
 
+def _check_nr(nr) -> None:
+    """Refuse an nr that is not a non-negative integer, NaN and infinity included."""
+    if not (nr >= 0 and math.isfinite(nr) and int(nr) == nr):
+        raise DomainError(f"nr must be a non-negative integer, got {nr}")
+
+
 @dataclass(frozen=True)
 class RadialQuantum:
     """Radial label: excitation nr and representation parameter k > 0."""
@@ -154,10 +160,9 @@ class RadialQuantum:
     k: float
 
     def __post_init__(self):
-        if self.nr < 0 or int(self.nr) != self.nr:
-            raise DomainError(f"nr must be a non-negative integer, got {self.nr}")
-        if not self.k > 0.0:
-            raise RepresentationError(f"k must be positive, got {self.k}")
+        _check_nr(self.nr)
+        if not 0.0 < self.k < math.inf:
+            raise RepresentationError(f"k must be positive and finite, got {self.k}")
 
     @classmethod
     def from_m(cls, nr: int, m, mu: DeformationParams) -> "RadialQuantum":
@@ -209,8 +214,7 @@ def _level_energy(level: int, mu: DeformationParams) -> float:
 
 def energy(nr: int, m, mu: DeformationParams) -> float:
     """Eigenvalue E = 2 (nr + m) + mu1 + mu2 + 1, with 2 (nr + m) held exact."""
-    if nr < 0 or int(nr) != nr:
-        raise DomainError(f"nr must be a non-negative integer, got {nr}")
+    _check_nr(nr)
     return _level_energy(2 * int(nr) + int(2 * as_quantum_m(m)), mu)
 
 

@@ -65,8 +65,8 @@ class CoherentParams:
         object.__setattr__(self, "k", float(self.k))
         if not abs(self.xi) < 1.0:
             raise DomainError(f"|xi| must be < 1, got |{self.xi}| = {abs(self.xi)}")
-        if not self.k > 0.0:
-            raise RepresentationError(f"k must be positive, got {self.k}")
+        if not 0.0 < self.k < math.inf:
+            raise RepresentationError(f"k must be positive and finite, got {self.k}")
 
 
 @dataclass(frozen=True)

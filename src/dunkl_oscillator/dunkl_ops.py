@@ -8,7 +8,8 @@ and the Hamiltonian is H = -(D_x^2 + D_y^2)/2 + (x^2 + y^2)/2.  In polar form H
 splits into a radial part and an angular operator carrying both reflections;
 ``apply_radial_hamiltonian`` includes the centrifugal term l^2/(2 r^2) of a fixed
 angular sector, so the pure radial part is recovered with l2 = 0.  Its body,
-``_radial_operator``, is with other coefficients A0 = H_r/2 and B0 of ``su11``.
+``_radial_operator``, takes a row of six coefficients; with other rows it is
+A0 = H_r/2, A+-, B0 and J+- of ``su11``.
 
 Every operator uses the exact derivatives attached to its input (profile
 derivatives through ``derivative_of``, plane partials through ``_partial``)
@@ -119,10 +120,6 @@ def _deformed_second(f: PlaneFunction, axis: str, coupling: float):
         on_axis, tsafe, diff, s = pieces(x, y)
         drift = 2.0 * coupling * first / tsafe
         quotient = coupling * diff / (tsafe * tsafe)
-        # Without an axis point the sum runs left to right, with one as second +
-        # (drift - quotient): they round apart, and verify's residuals rest on both.
-        if not np.any(on_axis):
-            return second + drift - quotient
         # Even sector: (2mu/t) f' -> 2 mu f'' and the difference term vanishes.
         # Odd sector: the two singular pieces cancel in pairs and the limit is 0.
         limit = 2.0 * coupling * second if s == 1 else np.zeros_like(second)
@@ -144,20 +141,26 @@ def apply_hamiltonian(f: PlaneFunction, mu: DeformationParams) -> PlaneFunction:
     return PlaneFunction(fn=out, parity=f.parity)
 
 
-def _radial_operator(R: GaussLaguerreSum, scale: float, drift: float, centrifugal: float) -> GaussLaguerreSum:
-    """scale*(r^2 R - R'') + drift*R'/r + centrifugal*R/r^2, leaving out a zero drift or centrifugal term."""
-    parts = [(-scale, derivative_of(R, 2).terms), (scale, R._shifted(2))]
-    if drift != 0.0:
-        parts.append((drift, derivative_of(R, 1)._shifted(-1)))
-    if centrifugal != 0.0:
-        parts.append((centrifugal, R._shifted(-2)))
-    return GaussLaguerreSum._fold(parts)
+def _radial_operator(R: GaussLaguerreSum, row: tuple[float, ...]) -> GaussLaguerreSum:
+    """The sum of row[i] times the i-th of R'', r^2 R, R'/r, R/r^2, r R' and R, leaving out a zero row[i]."""
+    # Every row has an R'' or r R' term, so R' is always needed; taking it first
+    # refuses an input without exact derivatives before any image is built.
+    d1 = derivative_of(R, 1)
+    images = (
+        lambda: derivative_of(d1, 1).terms.items(),
+        lambda: R._shifted(2),
+        lambda: d1._shifted(-1),
+        lambda: R._shifted(-2),
+        lambda: d1._shifted(1),
+        lambda: R.terms.items(),
+    )
+    return GaussLaguerreSum._fold((c, image()) for c, image in zip(row, images) if c != 0.0)
 
 
 def apply_radial_hamiltonian(R: GaussLaguerreSum, mu: DeformationParams, l2: float) -> GaussLaguerreSum:
     """H_r R for angular eigenvalue l2, i.e. the radial operator plus l2/(2 r^2)."""
     _check_l2(l2, mu)
-    return _radial_operator(R, 0.5, -0.5 - mu.total, 0.5 * l2)
+    return _radial_operator(R, (-0.5, 0.5, -0.5 - mu.total, 0.5 * l2, 0.0, 0.0))
 
 
 def apply_angular_operator(Phi: Profile, mu: DeformationParams) -> Profile:

@@ -8,8 +8,9 @@ and the random test profiles all live in the family
 
 which is closed under d/dr and under multiplication by any real power of r, so
 every differential operator in this package can act on such a sum exactly, to
-arbitrary derivative order (H_r, A0 = H_r/2 and the flat-picture B0 are one
-such operator, ``dunkl_ops._radial_operator``, with three coefficient sets).
+arbitrary derivative order (H_r, A0 = H_r/2, A+-, the flat-picture B0 and
+J+- are one such operator, ``dunkl_ops._radial_operator``, each with its own
+row of coefficients).
 ``GaussLaguerreSum`` implements that term algebra; the angular analogue
 ``TrigJacobiSum`` uses terms
 
@@ -107,8 +108,7 @@ class _TermSum(Profile):
     """Exact term sum with ``terms`` = {key: coeff}; a subclass supplies ``_evaluate`` and ``_derive``.
 
     Every sum, from the constructor to the radial operators, is built by one
-    ``_fold``: coefficients of equal keys add in the order they arrive and
-    zero sums are dropped.
+    ``_fold`` over scaled parts.
     """
 
     def __init__(self, pairs):
@@ -119,25 +119,15 @@ class _TermSum(Profile):
     def _fold_terms(parts) -> dict:
         """The terms of the sum over parts (scale, pairs) of scale * (the sum of pairs), no scale for None.
 
-        Bit for bit the left-to-right chain ``s1 * P1 + s2 * P2 + ...`` with
-        each P built as a sum of its own: the coefficients of a part's
-        repeated key add in arrival order before scaling, and a zero sum is
-        dropped after each part, so a key that cancels and comes back moves
-        to the end.  A dict of pairs is taken as a finished sum's terms:
-        distinct keys, no zero.
+        Each key holds the left-to-right sum of its scaled coefficients, in
+        the order the pairs arrive; keys keep the order of their first
+        arrival, and the zero sums are dropped once, at the end.
         """
         acc: dict[tuple, complex] = {}
         for scale, pairs in parts:
-            if not isinstance(pairs, dict):
-                merged: dict[tuple, complex] = {}
-                for key, coeff in pairs:
-                    merged[key] = merged.get(key, 0.0) + coeff
-                pairs = {key: c for key, c in merged.items() if c != 0}
-            for key, coeff in pairs.items():
+            for key, coeff in pairs:
                 acc[key] = acc.get(key, 0.0) + (coeff if scale is None else scale * coeff)
-            if 0 in acc.values():
-                acc = {key: c for key, c in acc.items() if c != 0}
-        return acc
+        return {key: c for key, c in acc.items() if c != 0}
 
     @classmethod
     def _fold(cls, parts) -> "_TermSum":
@@ -150,20 +140,20 @@ class _TermSum(Profile):
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._fold(((None, self.terms), (None, other.terms)))
+        return self._fold(((None, self.terms.items()), (None, other.terms.items())))
 
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._fold(((None, self.terms), (-1.0, other.terms)))
+        return self._fold(((None, self.terms.items()), (-1.0, other.terms.items())))
 
     def __neg__(self):
-        return self._fold(((-1.0, self.terms),))
+        return self._fold(((-1.0, self.terms.items()),))
 
     def __mul__(self, c):
         if not isinstance(c, numbers.Number):
             return NotImplemented
-        return self._fold(((c, self.terms),))
+        return self._fold(((c, self.terms.items()),))
 
     __rmul__ = __mul__
 
@@ -206,11 +196,8 @@ class GaussLaguerreSum(_TermSum):
             return self
         return GaussLaguerreSum._fold(((None, self._shifted(s)),))
 
-    def _shifted(self, s: float):
-        """The pairs of r^s times this sum, for a ``_fold`` part: a dict, or a list where two powers round together."""
-        shifted = {(p + s, n, a): c for (p, n, a), c in self.terms.items()}
-        if len(shifted) == len(self.terms):
-            return shifted
+    def _shifted(self, s: float) -> list:
+        """The (key, coeff) pairs of r^s times this sum, for a ``_fold`` part."""
         return [((p + s, n, a), c) for (p, n, a), c in self.terms.items()]
 
 

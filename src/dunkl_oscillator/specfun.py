@@ -46,11 +46,15 @@ def _check_degree(n: int) -> None:
         raise DomainError(f"polynomial degree must be a non-negative integer, got {n!r}")
 
 
-def laguerre(n: int, alpha: float, x):
-    """Generalized Laguerre polynomial L_n^alpha(x), scalar or elementwise."""
+def _check_laguerre(n: int, alpha: float) -> None:
     _check_degree(n)
     if not -1.0 < alpha < math.inf:
         raise DomainError(f"Laguerre parameter alpha must be finite and exceed -1, got {alpha}")
+
+
+def laguerre(n: int, alpha: float, x):
+    """Generalized Laguerre polynomial L_n^alpha(x), scalar or elementwise."""
+    _check_laguerre(n, alpha)
     arr, scalar = _as_array(x)
     p_prev = np.ones_like(arr)
     if n == 0:
@@ -63,9 +67,7 @@ def laguerre(n: int, alpha: float, x):
 
 def laguerre_all(nmax: int, alpha: float, x) -> np.ndarray:
     """All of L_0^alpha .. L_nmax^alpha at x in one recurrence sweep, shape (nmax+1, ...)."""
-    _check_degree(nmax)
-    if not -1.0 < alpha < math.inf:
-        raise DomainError(f"Laguerre parameter alpha must be finite and exceed -1, got {alpha}")
+    _check_laguerre(nmax, alpha)
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((nmax + 1,) + arr.shape)
     out[0] = 1.0

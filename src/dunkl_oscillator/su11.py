@@ -25,11 +25,11 @@ are diagonal on eigenprofiles.  ``schrodinger_factorize`` reports the raw
 coefficient set of the quadratic rearrangement at energy E, while
 ``factorization_residual`` verifies the diagonal identity itself.
 
-H_r, A0 = H_r/2 and the flat-picture B0 (``apply_B0``) are one second-order
-operator, ``dunkl_ops._radial_operator``, with three coefficient sets; verify's
-``half_hamiltonian_identity`` compares two of those sets, and the operator body
-is checked by ``radial_eigen_residual``, ``ladder_diagonal`` and
-``radial_flat_picture_eigen``.
+H_r, A0 = H_r/2, A+-, the flat-picture B0 (``apply_B0``) and J+- are one
+operator, ``dunkl_ops._radial_operator``: each is a row of coefficients of
+R'', r^2 R, R'/r, R/r^2, r R' and R.  verify's ``half_hamiltonian_identity``
+compares the rows of H_r and A0, and the operator body is checked by
+``radial_eigen_residual``, ``ladder_diagonal`` and ``radial_flat_picture_eigen``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 from .basis import RadialQuantum, as_quantum_m, k_of
 from .dunkl_ops import _radial_operator
 from .errors import DomainError, RepresentationError
-from .profiles import DeformationParams, GaussLaguerreSum, _check_l2, derivative_of, residual_grid
+from .profiles import DeformationParams, GaussLaguerreSum, _check_l2, residual_grid
 
 __all__ = [
     "ladder_coefficients",
@@ -73,39 +73,27 @@ def ladder_coefficients(state: RadialQuantum, which: str) -> float:
 def apply_A(R: GaussLaguerreSum, which: str, mu: DeformationParams, l2: float) -> GaussLaguerreSum:
     """Apply A0, A+ or A- (weighted picture, sector with angular eigenvalue l2)."""
     _check_l2(l2, mu)
-    if which == "0":
-        return _radial_operator(R, 0.25, -0.25 * (1.0 + 2.0 * mu.total), 0.25 * l2)
-    if which not in ("+", "-"):
+    if which not in ("0", "+", "-"):
         raise DomainError(f"which must be '0', '+' or '-', got {which!r}")
-    sign = 1.0 if which == "+" else -1.0
-    # A0 R enters as one finished part: its own terms summed first, as in the written-out chain.
-    return GaussLaguerreSum._fold(
-        (
-            (0.5 * sign, derivative_of(R, 1)._shifted(1)),
-            (-0.5, R._shifted(2)),
-            (None, apply_A(R, "0", mu, l2).terms),
-            (0.5 * sign * (1.0 + mu.total), R.terms),
-        )
-    )
+    drift = -0.25 * (1.0 + 2.0 * mu.total)
+    if which == "0":
+        return _radial_operator(R, (-0.25, 0.25, drift, 0.25 * l2, 0.0, 0.0))
+    # A+- = A0 - r^2/2 +- (r d/dr + 1 + mu1 + mu2)/2.
+    half = 0.5 if which == "+" else -0.5
+    return _radial_operator(R, (-0.25, -0.25, drift, 0.25 * l2, half, half * (1.0 + mu.total)))
 
 
 def apply_B0(U: GaussLaguerreSum, l2: float, mu: DeformationParams) -> GaussLaguerreSum:
     """Apply the flat-measure diagonal operator; on eigen-U its value is E/2."""
     _check_l2(l2, mu)
-    return _radial_operator(U, 0.25, 0.0, 0.25 * (l2 - 0.25 + mu.total * mu.total))
+    return _radial_operator(U, (-0.25, 0.25, 0.0, 0.25 * (l2 - 0.25 + mu.total * mu.total), 0.0, 0.0))
 
 
 def apply_J(U: GaussLaguerreSum, E: float, sign: int) -> GaussLaguerreSum:
     """Apply J+ (sign=+1) or J- (sign=-1) at energy E in the flat-measure picture."""
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
-    return GaussLaguerreSum._fold(
-        (
-            (-0.5 * sign, derivative_of(U, 1)._shifted(1)),
-            (0.5, U._shifted(2)),
-            (0.5 * (0.5 * sign - E), U.terms),
-        )
-    )
+    return _radial_operator(U, (0.0, 0.5, 0.0, 0.0, -0.5 * sign, 0.5 * (0.5 * sign - E)))
 
 
 @dataclass(frozen=True)

@@ -250,9 +250,9 @@ _CARTESIAN_STATES = (
 def _check_cartesian_hamiltonian(ctx: VerifyContext) -> Iterator:
     pts = np.array([0.31, 0.77, 1.43, 2.1])
     xs, ys = np.meshgrid(pts, pts * 0.83 + 0.11)
-    # The last point lies on x = 0, where the parity limit of D_x^2 applies.
-    xs = np.concatenate([xs.ravel(), -xs.ravel(), [0.0]])
-    ys = np.concatenate([ys.ravel(), ys.ravel(), [0.9]])
+    # The last two points lie on x = 0 and y = 0, where the parity limits of D_x^2 and D_y^2 apply.
+    xs = np.concatenate([xs.ravel(), -xs.ravel(), [0.0, 0.9]])
+    ys = np.concatenate([ys.ravel(), ys.ravel(), [0.9, 0.0]])
     for s1, s2, m, nr in _CARTESIAN_STATES:
         q = AngularQuantum.build(s1, s2, m, ctx.mu)
         R = radial_sturmian(RadialQuantum.from_m(nr, m, ctx.mu), ctx.mu)

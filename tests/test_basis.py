@@ -216,6 +216,19 @@ def test_radial_quantum_k_values():
         RadialQuantum(nr=0, k=0.0)
 
 
+@pytest.mark.parametrize("nr", [math.nan, math.inf, -math.inf, 1.5])
+def test_nonfinite_or_fractional_nr_is_a_domain_error(nr):
+    with pytest.raises(DomainError, match="nr must be a non-negative integer"):
+        RadialQuantum(nr=nr, k=1.0)
+    with pytest.raises(DomainError, match="nr must be a non-negative integer"):
+        energy(nr, 0, DeformationParams(0.0, 0.0))
+
+
+def test_radial_quantum_refuses_infinite_k():
+    with pytest.raises(RepresentationError, match="positive and finite"):
+        RadialQuantum(nr=0, k=math.inf)
+
+
 def test_k_of_is_the_bargmann_formula_bit_for_bit():
     for mu in (DeformationParams(0.0, 0.0), DeformationParams(-0.2691523058468741, 1.7477168115182542)):
         for m in (Fraction(0), Fraction(1, 2), Fraction(7), Fraction(41, 2)):

@@ -46,6 +46,12 @@ def test_coherent_params_validation():
         CoherentParams(xi=0.5, k=0.0)
 
 
+def test_coherent_params_refuse_infinite_k():
+    # An infinite k would give the evolution phase exp(-i k angle) = nan + nanj.
+    with pytest.raises(RepresentationError, match="positive and finite"):
+        CoherentParams(xi=0.5, k=math.inf)
+
+
 def test_evolution_params_validation():
     EvolutionParams(tau=0.3)
     EvolutionParams(tau=-1.0, hbar=2.0)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunkl_oscillator.basis import AngularQuantum, RadialQuantum, energy, radial_sturmian
+from dunkl_oscillator.basis import AngularQuantum, RadialQuantum, angular_wavefunction, energy, radial_sturmian
 from dunkl_oscillator.dunkl_ops import (
     apply_angular_operator,
     apply_hamiltonian,
@@ -22,6 +22,7 @@ from dunkl_oscillator.profiles import (
     GaussLaguerreSum,
     PlaneFunction,
     TrigJacobiSum,
+    _polar_plane,
     angular_grid,
     residual_grid,
 )
@@ -180,6 +181,24 @@ def test_hamiltonian_on_axis_with_parity():
     bare = replace(f, parity=None)
     with pytest.raises(SingularityError):
         apply_hamiltonian(bare, MU)(pts_x, pts_y)
+
+
+@pytest.mark.parametrize(
+    "s1, s2, m, nr", [(1, 1, Fraction(1), 1), (-1, 1, Fraction(3, 2), 0), (1, -1, Fraction(1, 2), 2)]
+)
+def test_hamiltonian_value_at_a_point_does_not_depend_on_the_other_points(s1, s2, m, nr):
+    # Off-axis points get the same values alone as in an array that also
+    # holds a point on each axis, where the parity limits apply.
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        mu = DeformationParams(*rng.uniform(-0.45, 2.5, 2))
+        R = radial_sturmian(RadialQuantum.from_m(nr, m, mu), mu)
+        Phi = angular_wavefunction(AngularQuantum.build(s1, s2, m, mu), mu)
+        H = apply_hamiltonian(_polar_plane(R, Phi, (s1, s2)), mu)
+        xs, ys = rng.uniform(-2.0, 2.0, (2, 8))
+        alone = H(xs, ys)
+        together = H(np.append(xs, [0.0, 0.9]), np.append(ys, [0.9, 0.0]))
+        assert np.array_equal(together[:-2], alone)
 
 
 def test_radial_hamiltonian_exact_eigenprofile():

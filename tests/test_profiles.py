@@ -70,6 +70,25 @@ def test_gauss_laguerre_sum_merges_and_cancels_terms():
     assert cancelled(np.array([0.5, 2.0])) == pytest.approx([0.0, 0.0])
 
 
+def test_fold_adds_scaled_contributions_left_to_right_in_first_arrival_order():
+    # Each key holds the left-to-right sum of its scaled contributions, a key
+    # keeps the place of its first arrival even after a partial sum of zero,
+    # and only sums that end at zero are dropped.
+    a, b, c, d = [(float(p), 0, 0.0) for p in range(4)]
+    folded = GaussLaguerreSum._fold(
+        (
+            (0.7, [(a, 0.1), (b, 1.0), (a, 0.2), (c, 2.0)]),
+            (None, [(b, -0.7), (d, 1.5)]),
+            (-1.0, [(b, 0.5), (c, -1.4), (d, 1.5)]),
+        )
+    )
+    assert list(folded.terms.items()) == [
+        (a, 0.7 * 0.1 + 0.7 * 0.2),
+        (b, 0.7 * 1.0 + -0.7 + -1.0 * 0.5),
+        (c, 0.7 * 2.0 + -1.0 * -1.4),
+    ]
+
+
 def test_gaussian_polynomial_matches_polyval():
     coeffs = [0.3, -1.2, 0.0, 2.5]
     profile = GaussLaguerreSum.gaussian_polynomial(coeffs)
