@@ -5,24 +5,28 @@ superposition
 
     |xi> = (1 - |xi|^2)^k  sum_n  sqrt(Gamma(n + 2k) / (n! Gamma(2k))) xi^n |k, n>,
 
-with |xi| < 1.  The radial profile of this state sums to the closed form
+with |xi| < 1.  The Sturmian |k, n> carries the norm sqrt(2 n! / Gamma(n + 2k)),
+so the Gamma ratios cancel: the radial profile is the Laguerre generating
+function sum_n xi^n L_n^(2k-1)(r^2) times N r^s exp(-r^2 / 2), with
+N = sqrt(2 (1 - |xi|^2)^(2k) / Gamma(2k)) and s = 2k - mu1 - mu2 - 1, and it
+sums to the closed form
 
-    Psi(r) = N(xi, k) r^(2k - mu1 - mu2 - 1) exp[(r^2 / 2) (xi + 1) / (xi - 1)],
+    Psi(r) = N (1 - xi)^(-2k) r^s exp[(r^2 / 2) (xi + 1) / (xi - 1)].
 
-whose prefactor is evaluated fully inside one exponential (including the
-principal logarithm of 1 - xi) so that no square-root branch is chosen after
-the fact; this keeps the closed form equal to the series on the whole disk.
+Each form adds the logarithms of its factors, including the principal logarithm
+of 1 - xi, before one exponential: no factor under- or overflows alone, and no
+square-root branch is chosen after the fact, which keeps the closed form equal
+to the series on the whole disk.
 
 Harmonic time evolution acts by rotating the disk label, xi -> xi e^(-2 i tau /
 hbar), times the global phase e^(-2 i k tau / hbar), so |Psi|^2 is periodic in
 tau with period pi * hbar.
 
-The xi-independent part of the series (the Sturmian rows |k, n>(r) and their
-Gamma norms) is shared between calls from a bounded cache of 8 tables, one
-per (2k, grid), each as long as the largest term count asked for there; a
-shorter series reads its prefix.  |xi| sets the term count, so a sweep over xi
-at fixed k and grid rebuilds the table only when it needs more terms than any
-earlier call.
+The xi-independent Laguerre rows L_n^(2k-1)(r^2) are shared between calls from
+a bounded cache of 8 tables, one per (2k, grid), each as long as the largest
+term count asked for there; a shorter series reads its prefix.  |xi| sets the
+term count, so a sweep over xi at fixed k and grid rebuilds the table only when
+it needs more terms than any earlier call.
 """
 
 from __future__ import annotations
@@ -111,10 +115,18 @@ def _nterms_for(axi: float, two_k: float, tol: float) -> int:
     return 20000
 
 
-def _rpow(r: np.ndarray, s: float) -> np.ndarray:
-    if s < 0 and np.any(r == 0.0):
+def _ln_norm(p: CoherentParams) -> float:
+    """ln N = (ln 2 + 2k ln(1 - |xi|^2) - ln Gamma(2k)) / 2, the log-norm both forms share."""
+    return 0.5 * (math.log(2.0) + 2.0 * p.k * math.log1p(-abs(p.xi) ** 2) - log_gamma(2.0 * p.k))
+
+
+def _envelope(r: np.ndarray, ln_pref: complex, power: float, c: complex) -> np.ndarray:
+    """exp(ln_pref + power ln r + c r^2) in one exponential; r^0 is 1 at r = 0 too."""
+    if power < 0 and np.any(r == 0.0):
         raise SingularityError("evaluation at r = 0 hits a negative power of r")
-    return r**s
+    with np.errstate(divide="ignore"):  # ln 0 = -inf: a positive power gives exp(-inf) = 0
+        ln_r = 0.0 if power == 0.0 else np.log(r)
+    return np.exp(ln_pref + power * ln_r + c * (r * r))
 
 
 def _radial_exponent(p: CoherentParams, mu: DeformationParams) -> float:
@@ -129,21 +141,15 @@ def _radial_exponent(p: CoherentParams, mu: DeformationParams) -> float:
 _CACHED_TABLE_VALUES = 1 << 16
 
 
-def _build_table(two_k: float, nterms: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """L_n^(2k-1)(x) for n < nterms, the disk-series norms sqrt(Gamma(n+2k)/(n! Gamma(2k)))
-    and the radial profiles' own norms sqrt(2 n! / Gamma(n+2k)), all read-only.
+def _build_table(two_k: float, nterms: int, x: np.ndarray) -> np.ndarray:
+    """L_n^(2k-1)(x) for n < nterms, read-only.
 
     Row n depends on nothing past n, so the first N rows of a longer table are
     bit for bit the table for N terms.
     """
     polys = laguerre_all(nterms - 1, two_k - 1.0, x)
-    lg_n2k = np.array([log_gamma(n + two_k) for n in range(nterms)])
-    lg_nf = np.array([log_gamma(n + 1.0) for n in range(nterms)])
-    disk_norm = np.exp(0.5 * (lg_n2k - lg_nf - log_gamma(two_k)))
-    sturm_norm = np.exp(0.5 * (math.log(2.0) + lg_nf - lg_n2k))
-    for table in (polys, disk_norm, sturm_norm):
-        table.flags.writeable = False  # the cache shares them with every caller
-    return polys, disk_norm, sturm_norm
+    polys.flags.writeable = False  # the cache shares it with every caller
+    return polys
 
 
 # A verify run asks for 6 (2k, grid) keys, 5 of them at every mu; more slots
@@ -154,7 +160,7 @@ def _table_slot(two_k: float, x_bytes: bytes) -> list:
     return []
 
 
-def _sturmian_table(two_k: float, nterms: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sturmian_table(two_k: float, nterms: int, x: np.ndarray) -> np.ndarray:
     """The xi-independent rows of the series for nterms terms at x = r^2 (see ``_build_table``).
 
     One cached table per (2k, x) serves every term count up to its own as
@@ -165,8 +171,8 @@ def _sturmian_table(two_k: float, nterms: int, x: np.ndarray) -> tuple[np.ndarra
         return _build_table(two_k, nterms, x)
     slot = _table_slot(two_k, x.tobytes())
     if not slot or len(slot[0]) < nterms:
-        slot[:] = _build_table(two_k, nterms, x)
-    return tuple(table[:nterms] for table in slot)
+        slot[:] = [_build_table(two_k, nterms, x)]
+    return slot[0][:nterms]
 
 
 def _series_values(
@@ -180,26 +186,16 @@ def _series_values(
     if nterms < 1:
         raise DomainError(f"nterms must be at least 1, got {nterms}")
     _check_degree(nterms - 1)  # before slicing a cached table, which a float count would break
-    two_k = 2.0 * p.k
-    xi = complex(p.xi)
     flat = arr.ravel()
-    x = flat * flat
-    polys, disk_norm, sturm_norm = _sturmian_table(two_k, nterms, x)
-    degrees = np.arange(nterms)
-    # Disk-series weight sqrt(Gamma(n+2k)/(n! Gamma(2k))) xi^n times the
-    # orthonormal radial profile's own norm sqrt(2 n! / Gamma(n+2k)).
-    weight = disk_norm * xi**degrees
-    coeffs = weight * sturm_norm
+    polys = _sturmian_table(2.0 * p.k, nterms, flat * flat)
+    coeffs = complex(p.xi) ** np.arange(nterms)
     if term_phase is not None:
         coeffs = coeffs * term_phase
-    axi = abs(xi)
-    pref = (1.0 - axi * axi) ** p.k
-    radial_power = _rpow(flat, _radial_exponent(p, mu))
     # One sequential order for every grid size: numpy sums a single column
     # pairwise but a block row by row, so a point alone would differ from itself in a grid.
     terms = coeffs[:, None] * polys
     series = np.cumsum(terms, axis=0, out=terms)[-1]
-    values = pref * radial_power * np.exp(-0.5 * x) * series
+    values = _envelope(flat, _ln_norm(p), _radial_exponent(p, mu), -0.5) * series
     return values.reshape(arr.shape)
 
 
@@ -216,12 +212,9 @@ def coherent_series(r, p: CoherentParams, mu: DeformationParams, nterms: int | N
 def _closed_values(r, p: CoherentParams, power: float):
     """Closed-form coherent values with the radial factor r^power."""
     xi = complex(p.xi)
-    k = p.k
     arr = np.atleast_1d(np.asarray(r, dtype=float))
-    ln_real = 0.5 * (math.log(2.0) + 2.0 * k * math.log1p(-abs(xi) ** 2) - log_gamma(2.0 * k))
-    pref = np.exp(ln_real - 2.0 * k * np.log(1.0 - xi))
-    gauss = np.exp((0.5 * (xi + 1.0) / (xi - 1.0)) * arr * arr)
-    vals = pref * _rpow(arr, power) * gauss
+    ln_pref = _ln_norm(p) - 2.0 * p.k * np.log(1.0 - xi)
+    vals = _envelope(arr, ln_pref, power, 0.5 * (xi + 1.0) / (xi - 1.0))
     if np.ndim(r) == 0:
         return complex(vals[0])
     return vals

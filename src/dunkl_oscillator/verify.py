@@ -369,8 +369,13 @@ _K_SAMPLES = (0.5, 1.0, 1.5, 2.7)
 
 
 def _series_gap(grid: np.ndarray, p: co.CoherentParams, mu: DeformationParams) -> np.ndarray:
-    """The coherent series minus its closed form on grid."""
-    return co.coherent_series(grid, p, mu) - co.coherent_closed(grid, p, mu)
+    """The coherent series minus its closed form on grid, over max(1, max|closed|).
+
+    Both forms are right to round-off, so where |Psi| is large (1e4 and more near
+    r = 0 for a negative power of r) an absolute gap would count its ulps.
+    """
+    closed = co.coherent_closed(grid, p, mu)
+    return (co.coherent_series(grid, p, mu) - closed) / max(1.0, float(np.max(np.abs(closed))))
 
 
 def _norm_defect(psi: Callable, p: co.CoherentParams, mu: DeformationParams) -> float:

@@ -7,9 +7,11 @@ import sys
 import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+from dunkl_oscillator import cli
 from dunkl_oscillator.basis import (
     AngularQuantum,
     RadialQuantum,
@@ -229,16 +231,29 @@ def test_wavefunction_malformed_state_exits_two():
     [
         # The Laguerre recurrence overflows at nr = 2000 on this grid.
         (["wavefunction", "--state=+1,+1,0,2000", "--grid", "0.1:80:4"], "r = 53.36"),
-        # The closed form's prefactor underflows and r^(2k) overflows at m = 200.
-        (["coherent", "--xi", "0.3,0", "--m", "200", "--grid", "1:12:3"], "r = 6.5"),
     ],
-    ids=["wavefunction", "coherent"],
+    ids=["wavefunction"],
 )
 def test_nonfinite_values_never_reach_the_output(capsys, argv, first_bad, fmt):
     with np.errstate(over="ignore", invalid="ignore"):
         code, out, err = _run(capsys, argv + ["--format", fmt])
     assert code == 2 and out == ""
     assert err.startswith("error: non-finite value ") and first_bad in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_nonfinite_coherent_values_never_reach_the_output(capsys, monkeypatch, fmt):
+    # The library's coherent values are finite on every grid tested; one NaN
+    # from it must still stop the output.
+    def one_nan(r, *args):
+        values = coherent_evolved(r, *args)
+        values[1] = np.nan
+        return values
+
+    monkeypatch.setattr(cli, "coherent_evolved", one_nan)
+    code, out, err = _run(capsys, ["coherent", "--xi", "0.3,0", "--grid", "1:12:3", "--format", fmt])
+    assert code == 2 and out == ""
+    assert err.startswith("error: non-finite value ") and "r = 6.5" in err
 
 
 def test_bad_grid_exits_two():
@@ -307,6 +322,23 @@ def test_coherent_m_zero_is_finite_at_origin(capsys):
     assert len(rows) == 5 and float(rows[0][1]) == 0.0
     assert all(math.isfinite(float(v)) for row in rows for v in row)
     assert float(rows[0][4]) > 0.0
+
+
+def test_coherent_at_large_m_matches_mpmath(capsys):
+    # At m = 200, N = sqrt(2 / Gamma(401)) ~ e^-1000 and 6.5^400 ~ e^750: the
+    # factors must meet in one exponent, not as 0 * inf.
+    code, out, err = _run(capsys, ["coherent", "--xi", "0.3,0", "--m", "200", "--grid", "1:12:3"])
+    assert code == 0 and err == ""
+    _, rows = _csv_body(out)
+    assert len(rows) == 3
+    with mpmath.workdps(40):
+        xi, k = mpmath.mpf(0.3), mpmath.mpf(200.5)
+        norm = mpmath.sqrt(2 * (1 - xi**2) ** (2 * k) / mpmath.gamma(2 * k)) * (1 - xi) ** (-2 * k)
+        for row in rows:
+            r = mpmath.mpf(row[1])
+            exact = float(norm * r**400 * mpmath.exp(r**2 / 2 * (xi + 1) / (xi - 1)))
+            assert abs(float(row[2]) - exact) <= 1e-12 * abs(exact) and float(row[3]) == 0.0
+            assert abs(float(row[4]) - exact**2) <= 1e-12 * exact**2
 
 
 def test_coherent_rejects_unit_displacement(capsys):

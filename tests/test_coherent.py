@@ -15,7 +15,6 @@ from dunkl_oscillator.basis import RadialQuantum, k_of, radial_sturmian
 from dunkl_oscillator.coherent import (
     CoherentParams,
     EvolutionParams,
-    _rpow,
     auto_nterms,
     coherent_closed,
     coherent_evolved,
@@ -131,6 +130,25 @@ def test_series_matches_closed_form(xi, k):
     assert np.max(np.abs(series - closed)) <= 1e-10 * max(scale, 1.0)
 
 
+@pytest.mark.parametrize("mu", [DeformationParams(2.365, 0.814), DeformationParams(3.0, 3.0)])
+def test_both_forms_match_mpmath_relative_to_their_largest_value(mu):
+    # At k = 0.5 the power of r is negative, so |Psi| reaches 1e4 and more at
+    # r = 0.05: the gap verify measures is round-off of that largest value.
+    grid = np.linspace(0.05, 3.0, 40)
+    p = CoherentParams(xi=0.5, k=0.5)
+    with mpmath.workdps(40):
+        xi, two_k = mpmath.mpf(p.xi.real), mpmath.mpf(2.0 * p.k)
+        norm = mpmath.sqrt(2 * (1 - xi**2) ** two_k / mpmath.gamma(two_k)) * (1 - xi) ** (-two_k)
+        power = two_k - mpmath.mpf(mu.mu1) - mpmath.mpf(mu.mu2) - 1
+        exact = np.array(
+            [float(norm * mpmath.mpf(r) ** power * mpmath.exp(mpmath.mpf(r) ** 2 / 2 * (xi + 1) / (xi - 1))) for r in grid]
+        )
+    scale = np.max(np.abs(exact))
+    assert scale > 1e4
+    for form in (coherent_closed, coherent_series):
+        assert np.max(np.abs(form(grid, p, mu) - exact)) <= 1e-13 * scale
+
+
 def test_closed_form_branch_continuity_on_circle():
     # sweep the argument through the negative-real axis; the resummed prefactor
     # must stay continuous (no branch jump from a naive power)
@@ -203,25 +221,28 @@ def test_series_closed_agreement_property(radius, angle, k):
 # --- the shared Sturmian table ----------------------------------------------
 
 
+def _ln_rpow(r, s):
+    """ln r^s = s ln r, with r^0 = 1 at r = 0 too."""
+    if s == 0.0:
+        return 0.0
+    with np.errstate(divide="ignore"):
+        return s * np.log(r)
+
+
 def _reference_series(arr, p, mu, nterms, term_phase=None):
-    # The series as written before its xi-independent rows were shared: every
-    # row and Gamma norm rebuilt per call, over numpy integer degrees.
+    # The series as the Laguerre generating function, unshared: the rows
+    # L_n^(2k-1)(r^2) rebuilt per call, coefficients xi^n over numpy integer
+    # degrees, the terms added row by row, and the envelope N r^s exp(-r^2/2)
+    # summed in logs before one exp.
     two_k = 2.0 * p.k
-    xi = complex(p.xi)
     x = arr * arr
     polys = np.atleast_2d(laguerre_all(nterms - 1, two_k - 1.0, x))
-    degrees = np.arange(nterms)
-    lg_n2k = np.array([log_gamma(n + two_k) for n in degrees])
-    lg_nf = np.array([log_gamma(n + 1.0) for n in degrees])
-    weight = np.exp(0.5 * (lg_n2k - lg_nf - log_gamma(two_k))) * xi**degrees
-    sturm_norm = np.exp(0.5 * (math.log(2.0) + lg_nf - lg_n2k))
-    coeffs = weight * sturm_norm
+    coeffs = complex(p.xi) ** np.arange(nterms)
     if term_phase is not None:
         coeffs = coeffs * term_phase
-    axi = abs(xi)
-    pref = (1.0 - axi * axi) ** p.k
-    radial_power = _rpow(arr, two_k - mu.total - 1.0)
-    return pref * radial_power * np.exp(-0.5 * x) * (coeffs[:, None] * polys).sum(axis=0)
+    ln_norm = 0.5 * (math.log(2.0) + two_k * math.log1p(-abs(p.xi) ** 2) - log_gamma(two_k))
+    envelope = np.exp(ln_norm + _ln_rpow(arr, two_k - mu.total - 1.0) - 0.5 * x)
+    return envelope * sum(coeffs[:, None] * polys)
 
 
 SERIES_CASES = [
@@ -354,11 +375,12 @@ def test_sturmian_tables_are_read_only_and_bounded():
     mu = DeformationParams(0.5, 0.5)
     coherent_series(GRID, CoherentParams(xi=0.5, k=1.0), mu)
     x = GRID * GRID
-    polys, disk_norm, sturm_norm = coherent._sturmian_table(2.0, 10, x)
-    for table in (polys, disk_norm, sturm_norm, *coherent._table_slot(2.0, x.tobytes())):
+    polys = coherent._sturmian_table(2.0, 10, x)
+    (cached,) = coherent._table_slot(2.0, x.tobytes())
+    for table in (polys, cached):
         assert not table.flags.writeable
     assert polys.shape == (10, GRID.size)
-    assert disk_norm.shape == sturm_norm.shape == (10,)
+    assert cached.shape == (auto_nterms(CoherentParams(xi=0.5, k=1.0)), GRID.size)
     info = coherent._table_slot.cache_info()
     assert info.maxsize is not None and info.maxsize <= 16
     # Twenty grids: the cache keeps the latest maxsize of them.
