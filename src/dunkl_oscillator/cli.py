@@ -7,12 +7,14 @@ Subcommands:
 * ``coherent``     — tabulate a time-evolved coherent profile on a grid.
 * ``verify``       — run the named self-check suites and report JSON.
 
-Outputs are deterministic for a fixed configuration and seed: CSV carries
-``# key = value`` metadata lines and 17-significant-digit values; JSON is
-emitted with sorted keys.  Neither format carries a non-finite number.  Exit
-codes: 0 success, 1 failed verification checks, 2 usage or domain errors (a
-non-finite value in a table among them).  ``verify`` runs its checks
-serially; no environment variable changes its output.
+Outputs are deterministic for a fixed configuration and seed.  Each table
+command writes one header dict in both formats: CSV ``# key = value`` lines
+(17-significant-digit floats, signed parities, ``xi`` as ``xi_re``/``xi_im``)
+or JSON fields, with sorted keys.  Neither format carries a non-finite number.
+Exit codes: 0 success, 1 failed verification checks, 2 usage or domain errors
+(among them a non-finite value in a table, a ``--grid`` past 1,000,000 points
+and an unwritable ``--out``).  ``verify`` runs its checks serially; no
+environment variable changes its output.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .verify import SUITES, run_checks
 __all__ = ["main"]
 
 _DEFAULT_GRID = (0.05, 10.0, 200)
+_MAX_GRID_POINTS = 1_000_000
 
 
 def _fmt(value: float) -> str:
@@ -107,9 +110,9 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from None
-    if not (np.isfinite(lo) and np.isfinite(hi)) or lo < 0.0 or hi <= lo or n < 2:
+    if not (np.isfinite(lo) and np.isfinite(hi)) or lo < 0.0 or hi <= lo or not 2 <= n <= _MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(
-            f"grid needs 0 <= min < max and n >= 2, got {text!r}"
+            f"grid needs 0 <= min < max and 2 <= n <= {_MAX_GRID_POINTS}, got {text!r}"
         )
     return (lo, hi, n)
 
@@ -130,12 +133,24 @@ def _parse_tol(text: str) -> tuple[str, float]:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise DomainError(f"cannot write --out {out}: {exc.strerror or exc}") from None
 
 
-def _csv_document(meta: list[tuple[str, str]], columns: list[str], rows: list[str]) -> str:
-    lines = [f"# {key} = {value}" for key, value in meta]
+def _csv_value(key: str, value) -> str:
+    """A header value as CSV writes it: a parity with its sign, an int as is, a float to 17 digits."""
+    if isinstance(value, str):
+        return value
+    if key in ("s1", "s2"):
+        return f"{value:+d}"
+    return str(value) if isinstance(value, int) else _fmt(value)
+
+
+def _csv_document(header: dict, columns: list[str], rows: list[str]) -> str:
+    lines = [f"# {key} = {_csv_value(key, value)}" for key, value in header.items()]
     lines.append(",".join(columns))
     lines.extend(rows)
     return "\n".join(lines) + "\n"
@@ -206,31 +221,16 @@ def _spectrum_rows(states, sector_fields, level_fields) -> list[str]:
 
 def _cmd_spectrum(args: argparse.Namespace, mu: DeformationParams) -> int:
     states = enumerate_states(args.emax, mu)
+    header = {"command": "spectrum", "mu1": mu.mu1, "mu2": mu.mu2, "emax": args.emax, "count": len(states)}
     if args.format == "json":
         # Objects as json.dumps(..., indent=2, sort_keys=True) writes them at depth 2.
         rows = _spectrum_rows(states, _json_sector_fields, _json_level_fields)
-        head = _json_document(
-            {
-                "command": "spectrum",
-                "mu1": mu.mu1,
-                "mu2": mu.mu2,
-                "emax": args.emax,
-                "count": len(states),
-            }
-        )
         # "states" sorts last, so its array replaces the closing brace.
         array = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
-        doc = head[: -len("\n}\n")] + ',\n  "states": ' + array + "\n}\n"
+        doc = _json_document(header)[: -len("\n}\n")] + ',\n  "states": ' + array + "\n}\n"
     else:
-        meta = [
-            ("command", "spectrum"),
-            ("mu1", _fmt(mu.mu1)),
-            ("mu2", _fmt(mu.mu2)),
-            ("emax", _fmt(args.emax)),
-            ("count", str(len(states))),
-        ]
         rows = _spectrum_rows(states, _csv_sector_fields, _csv_level_fields)
-        doc = _csv_document(meta, ["s1", "s2", "m", "nr", "k", "l2", "energy"], rows)
+        doc = _csv_document(header, ["s1", "s2", "m", "nr", "k", "l2", "energy"], rows)
     _emit(doc, args.out)
     return 0
 
@@ -239,9 +239,7 @@ def _cmd_wavefunction(args: argparse.Namespace, mu: DeformationParams) -> int:
     s1, s2, m, nr = args.state
     q_ang = AngularQuantum.build(s1, s2, m, mu)
     q_rad = RadialQuantum.from_m(nr, m, mu)
-    E = energy(nr, m, mu)
-    lo, hi, n = args.grid
-    grid = np.linspace(lo, hi, n)
+    grid = np.linspace(*args.grid)
     if args.part == "radial":
         values = radial_sturmian(q_rad, mu)(grid)
         axis_name = "r"
@@ -249,41 +247,24 @@ def _cmd_wavefunction(args: argparse.Namespace, mu: DeformationParams) -> int:
         values = angular_wavefunction(q_ang, mu)(grid)
         axis_name = "phi"
     _require_finite(axis_name, grid, values)
-    meta_pairs = [
-        ("command", "wavefunction"),
-        ("part", args.part),
-        ("mu1", _fmt(mu.mu1)),
-        ("mu2", _fmt(mu.mu2)),
-        ("s1", f"{s1:+d}"),
-        ("s2", f"{s2:+d}"),
-        ("m", _fmt(float(m))),
-        ("nr", str(nr)),
-        ("k", _fmt(q_rad.k)),
-        ("l2", _fmt(q_ang.l2)),
-        ("energy", _fmt(E)),
-    ]
+    header = {
+        "command": "wavefunction",
+        "part": args.part,
+        "mu1": mu.mu1,
+        "mu2": mu.mu2,
+        "s1": s1,
+        "s2": s2,
+        "m": float(m),
+        "nr": nr,
+        "k": q_rad.k,
+        "l2": q_ang.l2,
+        "energy": energy(nr, m, mu),
+    }
     if args.format == "json":
-        doc = _json_document(
-            {
-                "command": "wavefunction",
-                "part": args.part,
-                "mu1": mu.mu1,
-                "mu2": mu.mu2,
-                "s1": s1,
-                "s2": s2,
-                "m": float(m),
-                "nr": nr,
-                "k": q_rad.k,
-                "l2": q_ang.l2,
-                "energy": E,
-                "axis": axis_name,
-                "grid": [float(v) for v in grid],
-                "values": [float(v) for v in values],
-            }
-        )
+        doc = _json_document({**header, "axis": axis_name, "grid": grid.tolist(), "values": values.tolist()})
     else:
         rows = [f"{_fmt(r)},{_fmt(v)}" for r, v in zip(grid, values)]
-        doc = _csv_document(meta_pairs, [axis_name, "value"], rows)
+        doc = _csv_document(header, [axis_name, "value"], rows)
     _emit(doc, args.out)
     return 0
 
@@ -292,50 +273,25 @@ def _cmd_coherent(args: argparse.Namespace, mu: DeformationParams) -> int:
     m = args.m
     k = k_of(m, mu)
     p = CoherentParams(xi=args.xi, k=k)
-    lo, hi, n = args.grid
-    grid = np.linspace(lo, hi, n)
-    meta_pairs = [
-        ("command", "coherent"),
-        ("mu1", _fmt(mu.mu1)),
-        ("mu2", _fmt(mu.mu2)),
-        ("m", _fmt(float(m))),
-        ("k", _fmt(k)),
-        ("xi_re", _fmt(p.xi.real)),
-        ("xi_im", _fmt(p.xi.imag)),
-    ]
+    grid = np.linspace(*args.grid)
     blocks = []
     for tau in args.tau:
         values = coherent_evolved(grid, p, EvolutionParams(tau), m, mu)
         _require_finite("r", grid, values)
         blocks.append((tau, values))
+    header = {"command": "coherent", "mu1": mu.mu1, "mu2": mu.mu2, "m": float(m), "k": k}
     if args.format == "json":
+        profiles = [{"tau": tau, "re": values.real.tolist(), "im": values.imag.tolist()} for tau, values in blocks]
         doc = _json_document(
-            {
-                "command": "coherent",
-                "mu1": mu.mu1,
-                "mu2": mu.mu2,
-                "m": float(m),
-                "k": k,
-                "xi": [p.xi.real, p.xi.imag],
-                "grid": [float(v) for v in grid],
-                "profiles": [
-                    {
-                        "tau": tau,
-                        "re": [float(v.real) for v in values],
-                        "im": [float(v.imag) for v in values],
-                    }
-                    for tau, values in blocks
-                ],
-            }
+            {**header, "xi": [p.xi.real, p.xi.imag], "grid": grid.tolist(), "profiles": profiles}
         )
     else:
-        rows = []
-        for tau, values in blocks:
-            for r, v in zip(grid, values):
-                rows.append(
-                    f"{_fmt(tau)},{_fmt(r)},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v) ** 2)}"
-                )
-        doc = _csv_document(meta_pairs, ["tau", "r", "re", "im", "abs2"], rows)
+        rows = [
+            f"{_fmt(tau)},{_fmt(r)},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v) ** 2)}"
+            for tau, values in blocks
+            for r, v in zip(grid, values)
+        ]
+        doc = _csv_document({**header, "xi_re": p.xi.real, "xi_im": p.xi.imag}, ["tau", "r", "re", "im", "abs2"], rows)
     _emit(doc, args.out)
     return 0
 
@@ -375,7 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_spec = sub.add_parser("spectrum", help="enumerate eigenstates up to an energy cutoff")
     _add_common(p_spec, 0.0)
     p_spec.add_argument("--emax", type=float, default=10.0, help="energy cutoff")
-    p_spec.add_argument("--format", choices=("csv", "json"), default="csv")
     p_spec.set_defaults(handler=_cmd_spectrum)
 
     p_wave = sub.add_parser("wavefunction", help="tabulate one eigenstate profile")
@@ -383,7 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_wave.add_argument("--state", type=_parse_state, required=True, help="s1,s2,m,nr")
     p_wave.add_argument("--part", choices=("radial", "angular"), default="radial")
     p_wave.add_argument("--grid", type=_parse_grid, default=_DEFAULT_GRID, help="min:max:n")
-    p_wave.add_argument("--format", choices=("csv", "json"), default="csv")
     p_wave.set_defaults(handler=_cmd_wavefunction)
 
     p_coh = sub.add_parser("coherent", help="tabulate a time-evolved coherent profile")
@@ -392,8 +346,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_coh.add_argument("--m", type=_parse_m, default=Fraction(0), help="sector quantum number")
     p_coh.add_argument("--tau", type=_parse_taus, default=(0.0,), help="comma list of times")
     p_coh.add_argument("--grid", type=_parse_grid, default=_DEFAULT_GRID, help="min:max:n")
-    p_coh.add_argument("--format", choices=("csv", "json"), default="csv")
     p_coh.set_defaults(handler=_cmd_coherent)
+    # Added last, so each table command's --help lists --format after its own options.
+    for table in (p_spec, p_wave, p_coh):
+        table.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_ver = sub.add_parser("verify", help="run named self-checks and report JSON")
     _add_common(p_ver, 0.5)

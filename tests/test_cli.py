@@ -100,6 +100,21 @@ def test_spectrum_out_file(tmp_path, capsys):
     assert target.read_text().startswith("# command = spectrum")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "--emax", "3"], ["verify", "--suite", "algebra"]],
+    ids=["spectrum", "verify"],
+)
+def test_unwritable_out_is_an_input_error(tmp_path, capsys, argv):
+    # For verify, exit 1 means failed checks; a path that cannot be written
+    # must not read as that, nor print a PASS/FAIL line.
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = _run(capsys, argv + ["--out", str(target)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
+    assert not target.exists()
+
+
 def _spectrum_reference(emax, mu1, mu2, fmt):
     """The spectrum document built record by record with json.dumps and _fmt."""
     mu = DeformationParams(mu1, mu2)
@@ -262,6 +277,14 @@ def test_bad_grid_exits_two():
     assert exc.value.code == 2
 
 
+def test_grid_point_count_is_bounded(capsys):
+    # 10**20 points could not be allocated whatever the memory; argparse refuses it first.
+    with pytest.raises(SystemExit) as exc:
+        main(["coherent", "--xi", "0.3", "--grid", "0:1:100000000000000000000"])
+    assert exc.value.code == 2
+    assert "2 <= n <= 1000000" in capsys.readouterr().err
+
+
 # --- coherent ----------------------------------------------------------------
 
 
@@ -422,6 +445,46 @@ def test_verify_pass_line_with_out_file(tmp_path, capsys):
     assert code == 0
     assert out.startswith("PASS: ")
     assert json.loads(target.read_text())
+
+
+# --- one header for both formats --------------------------------------------
+
+
+def _csv_header_as_json(meta):
+    """CSV metadata in JSON's terms: parities as +-1, numbers as floats, xi_re/xi_im as one xi pair."""
+    fields = {}
+    for key, text in meta.items():
+        if key in ("s1", "s2"):
+            fields[key] = {"+1": 1, "-1": -1}[text]
+        elif key in ("command", "part"):
+            fields[key] = text
+        else:
+            fields[key] = float(text)
+    if "xi_re" in fields:
+        fields["xi"] = [fields.pop("xi_re"), fields.pop("xi_im")]
+    return fields
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--emax", "5", "--mu1", "0.25", "--mu2", "0.75"],
+        ["wavefunction", "--state", "+1,-1,3/2,1", "--mu1", "0.3", "--mu2", "1.2", "--grid", "0.1:5:4"],
+        ["wavefunction", "--state=-1,+1,1/2,0", "--part", "angular", "--mu1", "-0.4", "--grid", "0.1:3:4"],
+        ["coherent", "--xi", "0.3,-0.4", "--m", "1/2", "--mu1", "0.5", "--mu2", "0.5", "--grid", "0.2:3:4"],
+    ],
+    ids=["spectrum", "wavefunction-radial", "wavefunction-angular", "coherent"],
+)
+def test_csv_and_json_carry_the_same_header(capsys, argv):
+    code_csv, csv_out, _ = _run(capsys, argv + ["--format", "csv"])
+    code_json, json_out, _ = _run(capsys, argv + ["--format", "json"])
+    assert code_csv == code_json == 0
+    arrays = ("axis", "grid", "values", "profiles", "states")
+    json_header = {key: value for key, value in json.loads(json_out).items() if key not in arrays}
+    assert _csv_header_as_json(_csv_meta(csv_out)) == json_header
+    for key in ("count", "nr"):
+        if key in json_header:
+            assert _csv_meta(csv_out)[key] == str(json_header[key])
 
 
 # --- determinism and entry points -------------------------------------------
