@@ -47,6 +47,8 @@ __all__ = ["main"]
 
 _DEFAULT_GRID = (0.05, 10.0, 200)
 _MAX_GRID_POINTS = 1_000_000
+# The Laguerre and Jacobi recurrences loop nr and about m times per point.
+_MAX_QUANTUM = 1_000_000
 
 
 def _fmt(value: float) -> str:
@@ -70,6 +72,8 @@ def _parse_state(text: str) -> tuple[int, int, Fraction, int]:
         nr = int(parts[3].strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad m or nr in state {text!r}: {exc}") from None
+    if m > _MAX_QUANTUM or nr > _MAX_QUANTUM:
+        raise argparse.ArgumentTypeError(f"m and nr must not exceed {_MAX_QUANTUM}, got {text!r}")
     return (s1, s2, m, nr)
 
 

@@ -11,10 +11,11 @@ angular sector, so the pure radial part is recovered with l2 = 0.  Its body,
 ``_radial_operator``, takes a row of six coefficients; with other rows it is
 A0 = H_r/2, A+-, B0 and J+- of ``su11``.
 
-Every operator uses the exact derivatives attached to its input (profile
-derivatives through ``derivative_of``, plane partials through ``_partial``)
-and raises ``DerivativeUnavailable`` when it is built on an input that lacks
-one it needs.  The radial operators take and return a ``GaussLaguerreSum``.
+Every one-variable operator maps an exact term sum to one of its own type,
+built by one ``_fold`` of coefficient rows, and first asks ``derivative_of``,
+which refuses a non-``Profile`` with ``TypeError``.  The plane operators use
+the partials attached to a ``PlaneFunction`` (``_partial``) and raise
+``DerivativeUnavailable`` for a missing one.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DerivativeUnavailable, DomainError, SingularityError
-from .profiles import DeformationParams, GaussLaguerreSum, PlaneFunction, Profile, _check_l2, derivative_of
+from .profiles import DeformationParams, GaussLaguerreSum, PlaneFunction, TrigJacobiSum, _check_l2, derivative_of
 
 __all__ = [
     "reflect",
@@ -163,23 +164,18 @@ def apply_radial_hamiltonian(R: GaussLaguerreSum, mu: DeformationParams, l2: flo
     return _radial_operator(R, (-0.5, 0.5, -0.5 - mu.total, 0.5 * l2, 0.0, 0.0))
 
 
-def apply_angular_operator(Phi: Profile, mu: DeformationParams) -> Profile:
-    """The angular operator of the polar-separated Hamiltonian acting on Phi."""
+def apply_angular_operator(Phi: TrigJacobiSum, mu: DeformationParams) -> TrigJacobiSum:
+    """The angular operator -Phi''/2 + (mu1 tan - mu2 cot) Phi' + its two reflection quotients, on Phi.
+
+    mu1 (Phi - Phi(pi - phi)) / (2 cos^2) is mu1 times Phi's odd-cos terms over cos^2,
+    and mu2 (Phi - Phi(-phi)) / (2 sin^2) is mu2 times its odd-sin terms over sin^2.
+    """
     d1 = derivative_of(Phi, 1)
-    d2 = derivative_of(Phi, 2)
-
-    def out(phi):
-        phi = np.asarray(phi, dtype=float)
-        c = np.cos(phi)
-        s = np.sin(phi)
-        # Floating-point multiples of pi/2 give |cos| or |sin| of order 1e-16,
-        # where the reflection quotients lose all of their digits.
-        if np.any(np.abs(c) < 1e-12) or np.any(np.abs(s) < 1e-12):
-            raise SingularityError("angular operator evaluated on a reflection axis")
-        value = Phi(phi)
-        drift = (mu.mu1 * s / c - mu.mu2 * c / s) * d1(phi)
-        refl_x = mu.mu1 * (value - Phi(np.pi - phi)) / (2.0 * c * c)
-        refl_y = mu.mu2 * (value - Phi(-phi)) / (2.0 * s * s)
-        return -0.5 * d2(phi) + drift + refl_x + refl_y
-
-    return Profile(out)
+    rows = (
+        (-0.5, derivative_of(d1, 1).terms.items()),
+        (mu.mu1, d1._shifted(-1, 1)),
+        (-mu.mu2, d1._shifted(1, -1)),
+        (mu.mu1, Phi._shifted(-2, 0, odd=0)),
+        (mu.mu2, Phi._shifted(0, -2, odd=1)),
+    )
+    return TrigJacobiSum._fold((c, pairs) for c, pairs in rows if c != 0.0)

@@ -1,29 +1,23 @@
-"""Function containers that carry exact derivatives through operator algebra.
+"""Exact term sums: the package's functions of one variable, r or phi.
 
-A ``Profile`` is a function of one variable, r or phi, with an optional exact
-derivative.  Radial eigenfunctions, their images under the ladder operators,
-and the random test profiles all live in the family
+``Profile`` is the base of two sums.  ``GaussLaguerreSum`` holds the radial
+eigenfunctions, their ladder images and the random test profiles,
 
-    sum_i  c_i * r^(p_i) * L_{n_i}^{a_i}(r^2) * exp(-r^2/2),
+    sum  c * r^p * L_n^a(r^2) * exp(-r^2/2),
 
-which is closed under d/dr and under multiplication by any real power of r, so
-every differential operator in this package can act on such a sum exactly, to
-arbitrary derivative order (H_r, A0 = H_r/2, A+-, the flat-picture B0 and
-J+- are one such operator, ``dunkl_ops._radial_operator``, each with its own
-row of coefficients).
-``GaussLaguerreSum`` implements that term algebra; the angular analogue
-``TrigJacobiSum`` uses terms
+closed under d/dr and under multiplication by any real power of r.
+``TrigJacobiSum`` holds the angular eigenfunctions and their images,
 
-    c * cos^i(phi) * sin^j(phi) * P_d^(al,be)(cos 2 phi),
+    sum  c * cos^i(phi) * sin^j(phi) * P_d^(al,be)(cos 2 phi),   i, j any integers,
 
-also closed under d/dphi.  Both keep ``terms`` as a dict {key: coeff}, keyed
-(p, n, a) and (i, j, d, al, be), and they hold the only profile arithmetic:
-a sum adds to, or subtracts, a sum of its own type, scales by a number, and
-a ``GaussLaguerreSum`` multiplies by r^s (``times_rpower``).  The radial
-operators take a ``GaussLaguerreSum`` and return one.  A plain ``Profile``
-wraps a callable with an optional chain of exact derivatives; it can only be
-evaluated and differentiated, and ``derivative_of`` raises
-``DerivativeUnavailable`` where its chain ends.
+closed under d/dphi, under multiplication by cos^a sin^b and under the two
+reflections, which flip the sign of the odd-i or odd-j terms; a sum with a
+negative power refuses evaluation on the axes phi = k pi/2.  So each operator
+of ``dunkl_ops`` acts exactly, to any derivative order, as one ``_fold`` of
+coefficient rows.  ``terms`` is a dict {key: coeff}, keyed (p, n, a) or
+(i, j, d, al, be); a sum adds to, or subtracts, a sum of its own type, scales
+by a number, and a ``GaussLaguerreSum`` multiplies by r^s (``times_rpower``).
+``derivative_of`` refuses anything but a ``Profile`` with ``TypeError``.
 """
 
 from __future__ import annotations
@@ -35,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DerivativeUnavailable, DomainError, SingularityError
+from .errors import DomainError, SingularityError
 from .specfun import jacobi, laguerre
 
 __all__ = [
@@ -81,39 +75,26 @@ def _check_l2(l2: float, mu: DeformationParams) -> None:
 
 
 class Profile:
-    """A function of one variable (r or phi), optionally knowing its own exact derivative.
+    """A function of one variable (r or phi): an exact term sum, ``terms`` = {key: coeff}.
 
-    ``derivative`` may be another profile, or a zero-argument factory producing
-    one lazily (the factory result is cached).  A plain profile can only be
-    evaluated and differentiated; sums, scalar multiples and power multiples
-    are built from the term sums below.
+    A subclass supplies ``_evaluate`` and ``_derive``; ``derivative()`` builds
+    the exact derivative once and keeps it.  Every sum, from the constructor
+    to the operators of ``dunkl_ops``, is built by one ``_fold`` over scaled
+    parts.
     """
 
-    def __init__(self, fn: Callable, derivative=None):
-        self._fn = fn
-        self._derivative = derivative
-
-    def __call__(self, t):
-        return self._fn(t)
-
-    def derivative(self) -> "Profile":
-        if self._derivative is None:
-            raise DerivativeUnavailable("no exact derivative attached to this profile")
-        if not isinstance(self._derivative, Profile):
-            self._derivative = self._derivative()
-        return self._derivative
-
-
-class _TermSum(Profile):
-    """Exact term sum with ``terms`` = {key: coeff}; a subclass supplies ``_evaluate`` and ``_derive``.
-
-    Every sum, from the constructor to the radial operators, is built by one
-    ``_fold`` over scaled parts.
-    """
+    _derivative = None
 
     def __init__(self, pairs):
         self.terms = self._fold_terms(((None, pairs),))
-        super().__init__(self._evaluate, self._derive)
+
+    def __call__(self, t):
+        return self._evaluate(t)
+
+    def derivative(self) -> "Profile":
+        if self._derivative is None:
+            self._derivative = self._derive()
+        return self._derivative
 
     @staticmethod
     def _fold_terms(parts) -> dict:
@@ -130,11 +111,10 @@ class _TermSum(Profile):
         return {key: c for key, c in acc.items() if c != 0}
 
     @classmethod
-    def _fold(cls, parts) -> "_TermSum":
+    def _fold(cls, parts) -> "Profile":
         """A sum of this type holding ``_fold_terms(parts)``, built with no intermediate sum."""
         out = cls.__new__(cls)
         out.terms = cls._fold_terms(parts)
-        Profile.__init__(out, out._evaluate, out._derive)
         return out
 
     def __add__(self, other):
@@ -158,7 +138,7 @@ class _TermSum(Profile):
     __rmul__ = __mul__
 
 
-class GaussLaguerreSum(_TermSum):
+class GaussLaguerreSum(Profile):
     """Exact-arithmetic radial profile: sum of c * r^p * L_n^a(r^2) * e^(-r^2/2), keyed (p, n, a)."""
 
     @classmethod
@@ -201,7 +181,7 @@ class GaussLaguerreSum(_TermSum):
         return [((p + s, n, a), c) for (p, n, a), c in self.terms.items()]
 
 
-class TrigJacobiSum(_TermSum):
+class TrigJacobiSum(Profile):
     """Exact-arithmetic angular profile: sum of c * cos^i * sin^j * P_d^(al,be)(cos 2 phi), keyed (i, j, d, al, be)."""
 
     @classmethod
@@ -212,6 +192,10 @@ class TrigJacobiSum(_TermSum):
     def _evaluate(self, phi):
         arr = np.atleast_1d(np.asarray(phi, dtype=float))
         cos, sin = np.cos(arr), np.sin(arr)
+        # Floating-point multiples of pi/2 give |cos| or |sin| of order 1e-16,
+        # where a negative power (a reflection quotient) has no digits left.
+        if any(i < 0 or j < 0 for i, j, *_ in self.terms) and np.any(np.minimum(abs(cos), abs(sin)) < 1e-12):
+            raise SingularityError("angular operator evaluated on a reflection axis")
         x = cos * cos - sin * sin
         total = np.zeros_like(arr)
         for (i, j, d, al, be), c in self.terms.items():
@@ -221,17 +205,24 @@ class TrigJacobiSum(_TermSum):
     def _derive(self) -> "TrigJacobiSum":
         out = []
         for (i, j, d, al, be), c in self.terms.items():
-            if i >= 1:
+            if i != 0:
                 out.append(((i - 1, j + 1, d, al, be), -c * i))
-            if j >= 1:
+            if j != 0:
                 out.append(((i + 1, j - 1, d, al, be), c * j))
             if d >= 1:
                 out.append(((i + 1, j + 1, d - 1, al + 1.0, be + 1.0), -2.0 * c * (d + al + be + 1.0)))
         return TrigJacobiSum(out)
 
+    def _shifted(self, di: int, dj: int, odd: int | None = None) -> list:
+        """The pairs of cos^di sin^dj times this sum (odd = 0 or 1: its odd-cos or odd-sin terms only)."""
+        pairs = self.terms.items()
+        return [((i + di, j + dj, *key), c) for (i, j, *key), c in pairs if odd is None or (i, j)[odd] % 2]
+
 
 def derivative_of(profile: Profile, order: int = 1) -> Profile:
-    """The order-th exact derivative; ``DerivativeUnavailable`` where the chain ends."""
+    """The order-th exact derivative of a term sum; ``TypeError`` for anything else."""
+    if not isinstance(profile, Profile):
+        raise TypeError(f"exact derivatives need a term-sum Profile, got {type(profile).__name__}")
     if not isinstance(order, (int, np.integer)) or order < 0:
         raise DomainError(f"derivative order must be a non-negative integer, got {order!r}")
     for _ in range(order):

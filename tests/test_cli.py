@@ -285,6 +285,23 @@ def test_grid_point_count_is_bounded(capsys):
     assert "2 <= n <= 1000000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "state",
+    ["+1,+1,0,100000000000000000000", "+1,+1,0,1000001", "+1,+1,2000001/2,0", "-1,-1,1000001,0"],
+    ids=["nr-huge", "nr-over", "m-over-half", "m-over"],
+)
+def test_state_quantum_numbers_are_bounded(capsys, state):
+    # The recurrences loop nr and about m times per point; argparse refuses a
+    # number past the bound before any of them starts.
+    parser = cli._build_parser()
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["wavefunction", f"--state={state}", "--grid", "0:1:3"])
+    assert exc.value.code == 2
+    assert "must not exceed 1000000" in capsys.readouterr().err
+    args = parser.parse_args(["wavefunction", "--state=+1,+1,1000000,1000000"])
+    assert args.state == (1, 1, Fraction(1000000), 1000000)
+
+
 # --- coherent ----------------------------------------------------------------
 
 

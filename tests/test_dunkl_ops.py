@@ -24,6 +24,7 @@ from dunkl_oscillator.profiles import (
     TrigJacobiSum,
     _polar_plane,
     angular_grid,
+    derivative_of,
     residual_grid,
 )
 
@@ -250,6 +251,57 @@ def test_angular_operator_on_sin_phi():
     image = apply_angular_operator(profile, MU)
     expected = (0.5 + MU.total) * np.sin(grid)
     np.testing.assert_allclose(image(grid), expected, rtol=1e-12, atol=1e-12)
+
+
+def _ref_angular(Phi, mu):
+    """The angular operator written out with the reflected profile itself, point by point."""
+    d1 = derivative_of(Phi, 1)
+    d2 = derivative_of(Phi, 2)
+
+    def out(phi):
+        c, s = np.cos(phi), np.sin(phi)
+        value = Phi(phi)
+        drift = (mu.mu1 * s / c - mu.mu2 * c / s) * d1(phi)
+        refl_x = mu.mu1 * (value - Phi(np.pi - phi)) / (2.0 * c * c)
+        refl_y = mu.mu2 * (value - Phi(-phi)) / (2.0 * s * s)
+        return -0.5 * d2(phi) + drift + refl_x + refl_y
+
+    return out
+
+
+def _random_trig_jacobi_sums(seed, count):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        pairs = [
+            (
+                (int(rng.integers(0, 4)), int(rng.integers(0, 4)), int(rng.integers(0, 4)), *rng.uniform(-0.45, 2.0, 2)),
+                rng.uniform(-1.0, 1.0),
+            )
+            for _ in range(rng.integers(1, 5))
+        ]
+        out.append(TrigJacobiSum(pairs))
+    return out
+
+
+@pytest.mark.parametrize("pair", [(0.0, 0.0), (0.45, 0.45), (0.3, 1.2), (2.9, 0.1)])
+def test_angular_operator_fold_matches_the_written_out_reflections(pair, monkeypatch):
+    mu = DeformationParams(*pair)
+    grid = angular_grid(64)
+    folds = []
+    fold = TrigJacobiSum._fold.__func__
+
+    def counted(cls, parts):
+        folds.append(cls)
+        return fold(cls, parts)
+
+    monkeypatch.setattr(TrigJacobiSum, "_fold", classmethod(counted))
+    for Phi in _random_trig_jacobi_sums(7, 8):
+        folds.clear()
+        image = apply_angular_operator(Phi, mu)
+        assert type(image) is TrigJacobiSum and len(folds) == 1
+        ref = _ref_angular(Phi, mu)(grid)
+        assert np.max(np.abs(image(grid) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_angular_operator_rejects_axis_points():

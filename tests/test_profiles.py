@@ -195,40 +195,91 @@ def test_trig_jacobi_derivative_matches_mpmath(order):
 
 
 def test_angular_exact_chain_used_when_attached():
-    chained = Profile(np.cos, derivative=Profile(lambda p: -np.sin(p), derivative=Profile(lambda p: -np.cos(p))))
+    profile = TrigJacobiSum.single(1.0, 1, 0, 0, 0.0, 0.0)  # cos(phi)
     phi = np.array([0.5, 2.2])
-    np.testing.assert_allclose(derivative_of(chained, 2)(phi), -np.cos(phi), rtol=1e-15)
+    np.testing.assert_allclose(derivative_of(profile, 2)(phi), -np.cos(phi), rtol=1e-15)
+    assert profile.derivative() is profile.derivative()
+    assert derivative_of(profile, 2) is profile.derivative().derivative()
 
 
-_PLAIN = Profile(np.sin)
+@pytest.mark.parametrize(
+    "profile, order, reference",
+    [
+        # tan(phi) -> sec^2(phi) -> 2 sec^2(phi) tan(phi)
+        pytest.param(TrigJacobiSum.single(1.0, -1, 1, 0, 0.0, 0.0), 1, lambda p: mpmath.tan(p), id="tan-1"),
+        pytest.param(TrigJacobiSum.single(1.0, -1, 1, 0, 0.0, 0.0), 2, lambda p: mpmath.tan(p), id="tan-2"),
+        pytest.param(TrigJacobiSum.single(1.0, 0, -2, 0, 0.0, 0.0), 1, lambda p: mpmath.sin(p) ** -2, id="csc2-1"),
+        pytest.param(
+            TrigJacobiSum.single(0.7, -3, 2, 2, 0.4, -0.3),
+            2,
+            lambda p: 0.7 * mpmath.cos(p) ** -3 * mpmath.sin(p) ** 2 * mpmath.jacobi(2, 0.4, -0.3, mpmath.cos(2 * p)),
+            id="jacobi-term-2",
+        ),
+    ],
+)
+def test_trig_jacobi_negative_powers_differentiate_exactly(profile, order, reference):
+    deriv = derivative_of(profile, order)
+    for phi in [0.3, 1.2, 2.8, 4.4]:
+        with mpmath.workdps(30):
+            expected = float(mpmath.diff(reference, phi, order))
+        assert deriv(phi) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "profile, phi",
+    [
+        pytest.param(TrigJacobiSum.single(1.0, -1, 0, 0, 0.0, 0.0), np.pi / 2.0, id="sec-at-half-pi"),
+        pytest.param(TrigJacobiSum.single(1.0, 0, -2, 0, 0.0, 0.0), 0.0, id="csc2-at-0"),
+        pytest.param(TrigJacobiSum.single(1.0, 0, -2, 0, 0.0, 0.0), np.array([0.4, np.pi]), id="csc2-at-pi"),
+    ],
+)
+def test_trig_jacobi_negative_power_refuses_the_axes(profile, phi):
+    with pytest.raises(SingularityError, match="reflection axis"):
+        profile(phi)
+
+
+def test_trig_jacobi_negative_power_off_the_axes_matches_mpmath():
+    profile = TrigJacobiSum.single(1.0, 0, -2, 0, 0.0, 0.0)
+    phi = np.array([1e-6, 0.5, np.pi - 1e-6])
+    expected = [float(mpmath.sin(mpmath.mpf(p)) ** -2) for p in phi]
+    np.testing.assert_allclose(profile(phi), expected, rtol=1e-9)
+
+
+_PLAIN = np.sin
 _MU = DeformationParams(0.3, 0.8)
 _FN_ONLY = PlaneFunction(fn=lambda x, y: x * y**2, parity=(-1, 1))
 
 
-_NO_DERIVATIVE = "no exact derivative attached"
+_NOT_A_SUM = "term-sum Profile"
 
 
 @pytest.mark.parametrize(
-    "build, message",
+    "build, error, message",
     [
-        pytest.param(lambda: derivative_of(_PLAIN, 1), _NO_DERIVATIVE, id="derivative_of-1"),
-        pytest.param(lambda: derivative_of(_PLAIN, 2), _NO_DERIVATIVE, id="derivative_of-2"),
-        pytest.param(lambda: apply_radial_hamiltonian(_PLAIN, _MU, 4.75), _NO_DERIVATIVE, id="apply_radial_hamiltonian"),
-        pytest.param(lambda: apply_angular_operator(_PLAIN, _MU), _NO_DERIVATIVE, id="apply_angular_operator"),
-        pytest.param(lambda: su11.apply_A(_PLAIN, "0", _MU, 4.75), _NO_DERIVATIVE, id="apply_A-0"),
-        pytest.param(lambda: su11.apply_A(_PLAIN, "+", _MU, 4.75), _NO_DERIVATIVE, id="apply_A-plus"),
-        pytest.param(lambda: su11.apply_A(_PLAIN, "-", _MU, 4.75), _NO_DERIVATIVE, id="apply_A-minus"),
-        pytest.param(lambda: su11.apply_B0(_PLAIN, 4.75, _MU), _NO_DERIVATIVE, id="apply_B0"),
-        pytest.param(lambda: su11.apply_J(_PLAIN, 3.0, 1), _NO_DERIVATIVE, id="apply_J"),
-        pytest.param(lambda: dunkl_derivative(_FN_ONLY, "x", _MU), "order-1 partial along x", id="dunkl_derivative-x"),
-        pytest.param(lambda: dunkl_derivative(_FN_ONLY, "y", _MU), "order-1 partial along y", id="dunkl_derivative-y"),
-        pytest.param(lambda: apply_hamiltonian(_FN_ONLY, _MU), "order-1 partial along x", id="apply_hamiltonian"),
+        pytest.param(lambda: derivative_of(_PLAIN, 1), TypeError, _NOT_A_SUM, id="derivative_of-1"),
+        pytest.param(lambda: derivative_of(_PLAIN, 2), TypeError, _NOT_A_SUM, id="derivative_of-2"),
+        pytest.param(lambda: apply_radial_hamiltonian(_PLAIN, _MU, 4.75), TypeError, _NOT_A_SUM, id="apply_radial_hamiltonian"),
+        pytest.param(lambda: apply_angular_operator(_PLAIN, _MU), TypeError, _NOT_A_SUM, id="apply_angular_operator"),
+        pytest.param(lambda: su11.apply_A(_PLAIN, "0", _MU, 4.75), TypeError, _NOT_A_SUM, id="apply_A-0"),
+        pytest.param(lambda: su11.apply_A(_PLAIN, "+", _MU, 4.75), TypeError, _NOT_A_SUM, id="apply_A-plus"),
+        pytest.param(lambda: su11.apply_A(_PLAIN, "-", _MU, 4.75), TypeError, _NOT_A_SUM, id="apply_A-minus"),
+        pytest.param(lambda: su11.apply_B0(_PLAIN, 4.75, _MU), TypeError, _NOT_A_SUM, id="apply_B0"),
+        pytest.param(lambda: su11.apply_J(_PLAIN, 3.0, 1), TypeError, _NOT_A_SUM, id="apply_J"),
+        pytest.param(
+            lambda: dunkl_derivative(_FN_ONLY, "x", _MU), DerivativeUnavailable, "order-1 partial along x", id="dunkl_derivative-x"
+        ),
+        pytest.param(
+            lambda: dunkl_derivative(_FN_ONLY, "y", _MU), DerivativeUnavailable, "order-1 partial along y", id="dunkl_derivative-y"
+        ),
+        pytest.param(
+            lambda: apply_hamiltonian(_FN_ONLY, _MU), DerivativeUnavailable, "order-1 partial along x", id="apply_hamiltonian"
+        ),
     ],
 )
-def test_operators_refuse_a_missing_exact_derivative(build, message):
-    # No derivative is approximated: an operator on an input without the exact
-    # derivative it needs refuses to be built.
-    with pytest.raises(DerivativeUnavailable, match=message):
+def test_operators_refuse_a_missing_exact_derivative(build, error, message):
+    # No derivative is approximated: a one-variable operator refuses anything
+    # but a term sum, and a plane operator a function without the partial it needs.
+    with pytest.raises(error, match=message):
         build()
 
 
@@ -249,7 +300,7 @@ _ANGULAR_SUM = TrigJacobiSum.single(1.0, 0, 1, 0, 0.0, 0.0)
     ],
 )
 def test_arithmetic_outside_one_term_sum_type_is_refused_when_built(build, error):
-    # Only term sums of one type add, scale and shift powers; a plain profile
+    # Only term sums of one type add, scale and shift powers; a plain callable
     # is refused at once, not deep inside a later derivative chain.
     with pytest.raises(error):
         build()
@@ -303,15 +354,24 @@ def test_polar_plane_partials_match_mpmath(mu, s1, s2, m, nr):
 
 @pytest.mark.parametrize("order", [-1, -3, 1.0, 1.5, "1"])
 def test_derivative_of_rejects_bad_order(order):
-    for profile in (Profile(np.sin), GaussLaguerreSum.single(1.0, 1.0, 1, 0.0), TrigJacobiSum.single(1.0, 0, 1, 0, 0.0, 0.0)):
+    for profile in (GaussLaguerreSum.single(1.0, 1.0, 1, 0.0), TrigJacobiSum.single(1.0, 0, 1, 0, 0.0, 0.0)):
         with pytest.raises(DomainError, match="non-negative integer"):
             derivative_of(profile, order)
 
 
 def test_derivative_of_order_zero_is_the_profile():
-    base = Profile(np.sin)
-    assert derivative_of(base, 0) is base
-    assert derivative_of(base, np.int64(0)) is base
+    for base in (GaussLaguerreSum.single(1.0, 1.0, 1, 0.0), TrigJacobiSum.single(1.0, 0, 1, 0, 0.0, 0.0)):
+        assert derivative_of(base, 0) is base
+        assert derivative_of(base, np.int64(0)) is base
+    # Order 0 still asks for a term sum.
+    with pytest.raises(TypeError, match=_NOT_A_SUM):
+        derivative_of(np.sin, 0)
+
+
+def test_both_term_sums_share_the_one_profile_base():
+    assert GaussLaguerreSum.__bases__ == (Profile,) and TrigJacobiSum.__bases__ == (Profile,)
+    with pytest.raises(TypeError):
+        Profile(np.sin, np.cos)
 
 
 def test_plane_function_call_and_parity():
