@@ -193,9 +193,11 @@ class TrigJacobiSum(Profile):
         arr = np.atleast_1d(np.asarray(phi, dtype=float))
         cos, sin = np.cos(arr), np.sin(arr)
         # Floating-point multiples of pi/2 give |cos| or |sin| of order 1e-16,
-        # where a negative power (a reflection quotient) has no digits left.
-        if any(i < 0 or j < 0 for i, j, *_ in self.terms) and np.any(np.minimum(abs(cos), abs(sin)) < 1e-12):
-            raise SingularityError("angular operator evaluated on a reflection axis")
+        # where a negative power of that factor (a reflection quotient) has no
+        # digits left; a negative power of the other factor is finite there.
+        for factor, power in ((cos, 0), (sin, 1)):
+            if any(key[power] < 0 for key in self.terms) and np.any(abs(factor) < 1e-12):
+                raise SingularityError("angular operator evaluated on a reflection axis")
         x = cos * cos - sin * sin
         total = np.zeros_like(arr)
         for (i, j, d, al, be), c in self.terms.items():

@@ -5,10 +5,16 @@ residual is the largest absolute value among them, NaN if any of them is NaN,
 and is compared to a named tolerance.  Checks are grouped into suites
 (angular, radial, algebra, coherent); ``run_checks`` executes a suite serially
 and deterministically — randomized inputs derive from per-check seeds.
+
+Cases at a constant mu (the reference pairs ``_MU_PAIRS``, mu = 0) and the
+mu-free cases depend only on the code, so each is computed once per process
+and its worst residual kept; the cases at a run's own mu and seed are always
+computed afresh, even when that mu equals a constant pair.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,6 +93,25 @@ def _worst(residuals: Iterable) -> float:
     return float(np.max([np.max(np.abs(r)) for r in residuals]))
 
 
+@functools.cache
+def _pinned(cases: Callable[..., Iterable], *args) -> float:
+    """The worst residual of ``cases(*args)``, computed once per process.
+
+    For cases that read nothing but their arguments (never a run's mu or
+    seed): their residual depends only on the code.  The max of these maxima
+    is the max over all cases, NaN included, so a check's residual is the same
+    as when every case is yielded.  A case that raises is not cached.
+    """
+    return _worst(cases(*args))
+
+
+def _pinned_then_run(cases: Callable[[DeformationParams], Iterable], pairs, mu: DeformationParams) -> Iterator:
+    """The pinned worst of cases at each constant pair, then the cases at the run's mu, never looked up."""
+    for pair in pairs:
+        yield _pinned(cases, DeformationParams(*pair))
+    yield from cases(mu)
+
+
 def _register(name: str, suite: str, tolerance: float):
     def wrap(fn):
         _REGISTRY.append(_Check(name=name, suite=suite, tolerance=tolerance, fn=fn))
@@ -109,12 +134,14 @@ def _sector_labels(mmax: Fraction, mu: DeformationParams) -> list[AngularQuantum
 _MU_PAIRS = ((0.0, 0.0), (0.5, 0.5), (0.3, 1.2))
 
 
+def _angular_gram_cases(mu: DeformationParams) -> Iterator:
+    fns = [angular_wavefunction(q, mu) for q in _sector_labels(Fraction(4), mu)]
+    yield angular_gram(fns, mu) - np.eye(len(fns))
+
+
 @_register("angular_gram_identity", "angular", 1e-9)
 def _check_angular_gram(ctx: VerifyContext) -> Iterator:
-    for pair in _MU_PAIRS + ((ctx.mu.mu1, ctx.mu.mu2),):
-        mu = DeformationParams(*pair)
-        fns = [angular_wavefunction(q, mu) for q in _sector_labels(Fraction(4), mu)]
-        yield angular_gram(fns, mu) - np.eye(len(fns))
+    return _pinned_then_run(_angular_gram_cases, _MU_PAIRS, ctx.mu)
 
 
 @_register("angular_ground_norm_limit", "angular", 1e-10)
@@ -127,15 +154,17 @@ def _check_angular_ground_norm(ctx: VerifyContext) -> Iterator:
         yield angular_norm(0, 0, 0, DeformationParams(eps, eps)) - target
 
 
+def _angular_eigen_cases(mu: DeformationParams) -> Iterator:
+    grid = angular_grid(64)
+    for q in _sector_labels(Fraction(3), mu):
+        phi_fn = angular_wavefunction(q, mu)
+        image = apply_angular_operator(phi_fn, mu)
+        yield image(grid) - 0.5 * q.l2 * phi_fn(grid)
+
+
 @_register("angular_eigen_residual", "angular", 1e-8)
 def _check_angular_eigen(ctx: VerifyContext) -> Iterator:
-    grid = angular_grid(64)
-    for pair in _MU_PAIRS + ((ctx.mu.mu1, ctx.mu.mu2),):
-        mu = DeformationParams(*pair)
-        for q in _sector_labels(Fraction(3), mu):
-            phi_fn = angular_wavefunction(q, mu)
-            image = apply_angular_operator(phi_fn, mu)
-            yield image(grid) - 0.5 * q.l2 * phi_fn(grid)
+    return _pinned_then_run(_angular_eigen_cases, _MU_PAIRS, ctx.mu)
 
 
 @_register("angular_reflection_parity", "angular", 1e-12)
@@ -160,23 +189,27 @@ def _sturmians(mu: DeformationParams, ns: Iterable[int], ms=_M_SAMPLES) -> Itera
             yield m, l2, q, radial_sturmian(q, mu)
 
 
+def _radial_gram_cases(mu: DeformationParams) -> Iterator:
+    for m in _M_SAMPLES:
+        fns = [R for *_, R in _sturmians(mu, range(7), (m,))]
+        yield radial_gram(fns, mu) - np.eye(len(fns))
+
+
 @_register("radial_gram_identity", "radial", 1e-9)
 def _check_radial_gram(ctx: VerifyContext) -> Iterator:
-    for pair in ((0.0, 0.0), (0.5, 0.5), (ctx.mu.mu1, ctx.mu.mu2)):
-        mu = DeformationParams(*pair)
-        for m in _M_SAMPLES:
-            fns = [R for *_, R in _sturmians(mu, range(7), (m,))]
-            yield radial_gram(fns, mu) - np.eye(len(fns))
+    return _pinned_then_run(_radial_gram_cases, ((0.0, 0.0), (0.5, 0.5)), ctx.mu)
+
+
+def _radial_eigen_cases(mu: DeformationParams) -> Iterator:
+    grid = residual_grid()
+    for m, l2, q, R in _sturmians(mu, range(7), _M_SAMPLES + (Fraction(3),)):
+        image = apply_radial_hamiltonian(R, mu, l2)
+        yield image(grid) - energy(q.nr, m, mu) * R(grid)
 
 
 @_register("radial_eigen_residual", "radial", 1e-8)
 def _check_radial_eigen(ctx: VerifyContext) -> Iterator:
-    grid = residual_grid()
-    for pair in ((0.0, 0.0), (ctx.mu.mu1, ctx.mu.mu2)):
-        mu = DeformationParams(*pair)
-        for m, l2, q, R in _sturmians(mu, range(7), _M_SAMPLES + (Fraction(3),)):
-            image = apply_radial_hamiltonian(R, mu, l2)
-            yield image(grid) - energy(q.nr, m, mu) * R(grid)
+    return _pinned_then_run(_radial_eigen_cases, ((0.0, 0.0),), ctx.mu)
 
 
 @_register("radial_substitution_roundtrip", "radial", 1e-12)
@@ -206,8 +239,7 @@ def _check_energy_values(ctx: VerifyContext) -> Iterator:
             yield energy(nr, m, ctx.mu) - energy(nr - 1, m + 1, ctx.mu)
 
 
-@_register("spectrum_degeneracy", "radial", 0.5)
-def _check_degeneracy(ctx: VerifyContext) -> Iterator:
+def _degeneracy_cases() -> Iterator:
     mu0 = DeformationParams(0.0, 0.0)
     states = enumerate_states(3.0, mu0)
     energies = sorted(st.energy for st in states)
@@ -215,6 +247,11 @@ def _check_degeneracy(ctx: VerifyContext) -> Iterator:
     yield float(energies != [1.0, 2.0, 2.0, 3.0, 3.0, 3.0])
     yield float(level3 != 3)
     yield float(len(enumerate_states(0.5, mu0)) > 0)
+
+
+@_register("spectrum_degeneracy", "radial", 0.5)
+def _check_degeneracy(ctx: VerifyContext) -> Iterator:
+    yield _pinned(_degeneracy_cases)
 
 
 def _plain_laguerre(n: int, alpha_int: int, x: np.ndarray) -> np.ndarray:
@@ -225,8 +262,7 @@ def _plain_laguerre(n: int, alpha_int: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-@_register("mu_zero_reduction", "radial", 1e-12)
-def _check_mu_zero_reduction(ctx: VerifyContext) -> Iterator:
+def _mu_zero_cases() -> Iterator:
     mu0 = DeformationParams(0.0, 0.0)
     grid = residual_grid(50, 0.05, 8.0)
     ms = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
@@ -235,6 +271,11 @@ def _check_mu_zero_reduction(ctx: VerifyContext) -> Iterator:
         norm = math.sqrt(2.0 * math.factorial(n) / math.factorial(n + ell))
         ref = norm * grid**ell * np.exp(-0.5 * grid * grid) * _plain_laguerre(n, ell, grid * grid)
         yield R(grid) - ref
+
+
+@_register("mu_zero_reduction", "radial", 1e-12)
+def _check_mu_zero_reduction(ctx: VerifyContext) -> Iterator:
+    yield _pinned(_mu_zero_cases)
 
 
 _CARTESIAN_STATES = (
@@ -419,8 +460,7 @@ def _check_normal_form(ctx: VerifyContext) -> Iterator:
             yield 1.0
 
 
-@_register("laguerre_generating_function", "coherent", 1e-10)
-def _check_generating_function(ctx: VerifyContext) -> Iterator:
+def _generating_function_cases() -> Iterator:
     x = np.linspace(0.0, 3.0, 30)
     for alpha in (-0.3, 0.0, 1.7):
         polys = laguerre_all(80, alpha, x)
@@ -428,6 +468,11 @@ def _check_generating_function(ctx: VerifyContext) -> Iterator:
             powers = t ** np.arange(81)
             series = (powers[:, None] * polys).sum(axis=0)
             yield series - (1.0 - t) ** (-alpha - 1.0) * np.exp(-x * t / (1.0 - t))
+
+
+@_register("laguerre_generating_function", "coherent", 1e-10)
+def _check_generating_function(ctx: VerifyContext) -> Iterator:
+    yield _pinned(_generating_function_cases)
 
 
 def _evolution_sector(ctx: VerifyContext) -> tuple[Fraction, float]:
@@ -511,9 +556,11 @@ def run_checks(
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     overrides = dict(tol_overrides or {})
-    for name in overrides:
+    for name, value in overrides.items():
         if name not in available_checks():
             raise DomainError(f"unknown check name in tolerance override: {name!r}")
+        if not (value > 0.0 and math.isfinite(value)):
+            raise DomainError(f"tolerance override must be positive and finite, got {name}={value!r}")
     ctx = VerifyContext(mu=mu, seed=seed)
     results = []
     for check in _selected(suite):

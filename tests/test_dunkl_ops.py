@@ -305,10 +305,20 @@ def test_angular_operator_fold_matches_the_written_out_reflections(pair, monkeyp
 
 
 def test_angular_operator_rejects_axis_points():
+    # The image of sin(phi) has terms in 1/sin(phi), so phi = 0 is refused.
     profile = TrigJacobiSum.single(1.0, 0, 1, 0, 0.0, 0.0)
     image = apply_angular_operator(profile, MU)
     with pytest.raises(SingularityError):
-        image(np.array([0.3, np.pi / 2.0]))
+        image(np.array([0.3, 0.0]))
+
+
+def test_angular_operator_is_finite_on_the_axis_its_negative_powers_avoid():
+    # No term of the image of sin(phi) has a negative power of cos(phi).
+    image = apply_angular_operator(TrigJacobiSum.single(1.0, 0, 1, 0, 0.0, 0.0), MU)
+    assert all(i >= 0 for i, *_ in image.terms)
+    on_axis = image(np.array([0.3, np.pi / 2.0]))
+    assert on_axis[1] == pytest.approx(image(np.pi / 2.0 - 1e-9), rel=1e-12)
+    assert on_axis[1] == pytest.approx(2.0 * MU.mu2, rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)

@@ -238,6 +238,12 @@ def test_trig_jacobi_negative_power_refuses_the_axes(profile, phi):
         profile(phi)
 
 
+def test_trig_jacobi_negative_power_is_finite_on_the_other_axis():
+    # Only the factor carrying the negative power is refused near zero.
+    assert TrigJacobiSum.single(1.0, -1, 0, 0, 0.0, 0.0)(0.0) == 1.0
+    assert TrigJacobiSum.single(1.0, 0, -2, 0, 0.0, 0.0)(np.pi / 2.0) == 1.0
+
+
 def test_trig_jacobi_negative_power_off_the_axes_matches_mpmath():
     profile = TrigJacobiSum.single(1.0, 0, -2, 0, 0.0, 0.0)
     phi = np.array([1e-6, 0.5, np.pi - 1e-6])

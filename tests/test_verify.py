@@ -16,6 +16,15 @@ from dunkl_oscillator.profiles import DeformationParams
 from dunkl_oscillator.verify import SUITES, available_checks, run_checks
 
 
+@pytest.fixture(autouse=True)
+def _fresh_pinned_cases():
+    # A fault monkeypatched into a constant-mu case would stay cached for the
+    # rest of the process; every test starts and ends with an empty cache.
+    verify._pinned.cache_clear()
+    yield
+    verify._pinned.cache_clear()
+
+
 def test_available_checks_cover_all_suites():
     all_names = available_checks("all")
     assert len(all_names) == len(set(all_names))
@@ -73,6 +82,13 @@ def test_tolerance_override_behavior():
         run_checks(suite="radial", tol_overrides={"no_such_check": 1.0})
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+def test_tolerance_override_that_is_not_positive_and_finite_raises(value):
+    # It would otherwise fail a passing check (nan, 0, -1) or pass any residual (inf).
+    with pytest.raises(DomainError, match="positive and finite"):
+        run_checks(suite="coherent", tol_overrides={"coherent_unit_norm": value})
+
+
 def test_invalid_suite_raises():
     with pytest.raises(DomainError):
         run_checks(suite="everything")
@@ -127,6 +143,48 @@ def test_nan_case_after_finite_cases_fails_the_check(monkeypatch, inject):
     assert not res.passed
 
 
+def test_nan_at_the_runs_mu_fails_even_when_that_mu_is_a_cached_constant_pair(monkeypatch):
+    mu0 = DeformationParams(0.0, 0.0)
+    clean = {r.name: r for r in run_checks(suite="radial", mu=mu0)}["radial_eigen_residual"]
+    assert clean.passed
+    real = verify.energy
+    monkeypatch.setattr(verify, "energy", lambda n, m, mu: float("nan") if (mu == mu0 and n == 2) else real(n, m, mu))
+    res = {r.name: r for r in run_checks(suite="radial", mu=mu0)}["radial_eigen_residual"]
+    assert res.error is None
+    assert math.isnan(res.residual)
+    assert not res.passed
+
+
+def test_a_constant_case_that_raises_is_not_cached(monkeypatch):
+    calls = []
+
+    def laguerre_all(*args):
+        calls.append(args)
+        raise FloatingPointError("injected")
+
+    monkeypatch.setattr(verify, "laguerre_all", laguerre_all)
+    for run in (1, 2):
+        res = {r.name: r for r in run_checks(suite="coherent")}["laguerre_generating_function"]
+        assert res.error == "FloatingPointError: injected" and not res.passed
+        assert len(calls) == run
+
+
+def _fingerprint(results) -> list:
+    return [(r.name, repr(r.residual), r.passed, r.error) for r in results]
+
+
+def test_cached_constant_cases_give_the_results_of_a_fresh_computation():
+    rng = np.random.default_rng(4)
+    mus = [tuple(map(float, pair)) for pair in rng.uniform(-0.49, 3.0, size=(3, 2))] + list(verify._MU_PAIRS)
+    cached = [_fingerprint(run_checks(suite="all", mu=mu, seed=i)) for i, mu in enumerate(mus)]
+    assert verify._pinned.cache_info().hits > 0
+    fresh = []
+    for i, mu in enumerate(mus):
+        verify._pinned.cache_clear()
+        fresh.append(_fingerprint(run_checks(suite="all", mu=mu, seed=i)))
+    assert cached == fresh
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
 def test_seed_that_is_not_a_non_negative_integer_raises(seed):
     # A bad seed is an input error, not two failed random-profile checks.
@@ -153,8 +211,9 @@ def test_ladder_checks_share_one_body_that_reads_the_matrix_elements(monkeypatch
 
 
 def test_residuals_do_not_depend_on_cache_history():
-    # The Sturmian tables and term counts are cached across calls; a fresh
-    # process and one that swept eight other mu first give the same residuals.
+    # The Sturmian tables, the term counts and the constant-mu cases
+    # (verify._pinned) are cached across calls; a fresh process and one that
+    # swept eight other mu first give the same residuals.
     script = (
         "from dunkl_oscillator.verify import run_checks\n"
         "print([(r.name, repr(r.residual)) for r in run_checks('all', mu=(0.5, 0.5), seed=0)])"
