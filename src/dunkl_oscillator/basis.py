@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import DomainError, RepresentationError
 from .profiles import DeformationParams, GaussLaguerreSum, TrigJacobiSum
@@ -46,6 +47,10 @@ _SECTOR_STARTS = {(-1, -1): 2, (-1, 1): 1, (1, -1): 1, (1, 1): 0}
 # Largest number of states ``enumerate_states`` builds; past it the list would
 # take gigabytes, so the request is refused before any state exists.
 MAX_STATES = 1_000_000
+
+# Largest m or nr a label may carry: the Jacobi and Laguerre recurrences loop
+# about that many times per point, so a larger one would hang an evaluation.
+_MAX_QUANTUM = 1_000_000
 
 
 def as_quantum_m(m) -> Fraction:
@@ -89,6 +94,8 @@ class AngularQuantum:
     def build(cls, s1: int, s2: int, m, mu: DeformationParams) -> "AngularQuantum":
         start = sector_start(s1, s2)
         frac = as_quantum_m(m)
+        if frac > _MAX_QUANTUM:
+            raise DomainError(f"m must not exceed {_MAX_QUANTUM}, got {frac}")
         if frac < start or (frac - start).denominator != 1:
             raise RepresentationError(
                 f"m = {frac} is not in the ({s1:+d}, {s2:+d}) sector, "
@@ -147,9 +154,11 @@ def angular_wavefunction(q: AngularQuantum, mu: DeformationParams) -> TrigJacobi
 
 
 def _check_nr(nr) -> None:
-    """Refuse an nr that is not a non-negative integer, NaN and infinity included."""
+    """Refuse an nr that is not a non-negative integer up to _MAX_QUANTUM, NaN and infinity included."""
     if not (nr >= 0 and math.isfinite(nr) and int(nr) == nr):
         raise DomainError(f"nr must be a non-negative integer, got {nr}")
+    if nr > _MAX_QUANTUM:
+        raise DomainError(f"nr must not exceed {_MAX_QUANTUM}, got {nr}")
 
 
 @dataclass(frozen=True)
@@ -283,14 +292,14 @@ def _top_level(emax: float, mu: DeformationParams) -> int:
     return top
 
 
-def enumerate_states(emax: float, mu: DeformationParams) -> list[StateLabel]:
-    """All states with energy <= emax, sorted by (energy, m, nr, s1, s2).
+def _levels(emax: float, mu: DeformationParams) -> Iterator[tuple[float, int, int, float, list[AngularQuantum]]]:
+    """Walk the states with energy <= emax level by level, building no state.
 
-    The energy depends on the level 2 (nr + m) alone, so the states come out
-    level by level, in ascending 2m and then (s1, s2) within a level; no sort
-    is needed.  One AngularQuantum and one k serve every nr of a (sector, m),
-    and one RadialQuantum serves both sectors that share an (m, nr).  Raises
-    DomainError when the count exceeds MAX_STATES.
+    Yields (energy, 2m, nr, k, sectors) per (level, m) with 2 (nr + m) = level:
+    levels ascending, then 2m ascending.  ``sectors`` holds the AngularQuantum
+    of every sector with that m in (s1, s2) order; each 2m has one such list,
+    and one k from ``k_of``, at every level.  Raises DomainError, before the
+    first yield, when the states would number more than MAX_STATES.
     """
     top = _top_level(emax, mu)
     # angular[2m]: the labels of every sector holding that m, in (s1, s2) order.
@@ -299,11 +308,24 @@ def enumerate_states(emax: float, mu: DeformationParams) -> list[StateLabel]:
         for two_m in range(start, top + 1, 2):
             angular[two_m].append(AngularQuantum.build(s1, s2, Fraction(two_m, 2), mu))
     ks = [k_of(Fraction(two_m, 2), mu) for two_m in range(top + 1)]
-    out: list[StateLabel] = []
     for level in range(top + 1):
         e = _level_energy(level, mu)
         for two_m in range(level % 2, level + 1, 2):
-            radial = RadialQuantum(nr=(level - two_m) // 2, k=ks[two_m])
-            for ang in angular[two_m]:
-                out.append(StateLabel(angular=ang, radial=radial, energy=e))
+            yield e, two_m, (level - two_m) // 2, ks[two_m], angular[two_m]
+
+
+def enumerate_states(emax: float, mu: DeformationParams) -> list[StateLabel]:
+    """All states with energy <= emax, sorted by (energy, m, nr, s1, s2).
+
+    The energy depends on the level 2 (nr + m) alone, so the states come out
+    of ``_levels`` level by level, in ascending 2m and then (s1, s2) within a
+    level; no sort is needed.  One AngularQuantum and one k serve every nr of
+    a (sector, m), and one RadialQuantum serves both sectors that share an
+    (m, nr).  Raises DomainError when the count exceeds MAX_STATES.
+    """
+    out: list[StateLabel] = []
+    for e, _, nr, k, sectors in _levels(emax, mu):
+        radial = RadialQuantum(nr=nr, k=k)
+        for ang in sectors:
+            out.append(StateLabel(angular=ang, radial=radial, energy=e))
     return out

@@ -30,11 +30,12 @@ from pathlib import Path
 import numpy as np
 
 from .basis import (
+    _MAX_QUANTUM,
     AngularQuantum,
     RadialQuantum,
+    _levels,
     angular_wavefunction,
     energy,
-    enumerate_states,
     k_of,
     radial_sturmian,
 )
@@ -47,8 +48,6 @@ __all__ = ["main"]
 
 _DEFAULT_GRID = (0.05, 10.0, 200)
 _MAX_GRID_POINTS = 1_000_000
-# The Laguerre and Jacobi recurrences loop nr and about m times per point.
-_MAX_QUANTUM = 1_000_000
 
 
 def _fmt(value: float) -> str:
@@ -182,19 +181,19 @@ def _require_finite(axis: str, grid: np.ndarray, values: np.ndarray) -> None:
         raise DomainError(f"non-finite value {values[i]} at {axis} = {_fmt(grid[i])}")
 
 
-def _csv_sector_fields(st) -> tuple[str, str]:
-    return (f"{st.s1:+d},{st.s2:+d},{_fmt(st.m)},", f",{_fmt(st.k)},{_fmt(st.l2)},")
+def _csv_sector_fields(ang: AngularQuantum, k: float) -> tuple[str, str]:
+    return (f"{ang.s1:+d},{ang.s2:+d},{_fmt(ang.m)},", f",{_fmt(k)},{_fmt(ang.l2)},")
 
 
 def _csv_level_fields(e: float) -> tuple[str, str]:
     return ("", _fmt(e))
 
 
-def _json_sector_fields(st) -> tuple[str, str]:
+def _json_sector_fields(ang: AngularQuantum, k: float) -> tuple[str, str]:
     return (
-        f',\n      "k": {_json_number(st.k)},\n      "l2": {_json_number(st.l2)},'
-        f'\n      "m": {float(st.m)!r},\n      "nr": ',
-        f',\n      "s1": {st.s1},\n      "s2": {st.s2}\n    }}',
+        f',\n      "k": {_json_number(k)},\n      "l2": {_json_number(ang.l2)},'
+        f'\n      "m": {float(ang.m)!r},\n      "nr": ',
+        f',\n      "s1": {ang.s1},\n      "s2": {ang.s2}\n    }}',
     )
 
 
@@ -202,38 +201,43 @@ def _json_level_fields(e: float) -> tuple[str, str]:
     return ('    {\n      "energy": ' + _json_number(e), "")
 
 
-def _spectrum_rows(states, sector_fields, level_fields) -> list[str]:
-    """One row per state: level lead + sector prefix + nr + sector suffix + level trail.
+def _spectrum_rows(levels, sector_fields, level_fields) -> list[str]:
+    """One row per state of the walk ``basis._levels``: lead + head + nr + tail + trail.
 
-    The fields of a (sector, m) — s1, s2, m, k and l2 — are formatted once per
-    AngularQuantum (``enumerate_states`` shares one per (sector, m), and k is a
-    function of m), and the energy once per run of equal energies.
+    A level gives the lead and trail, formatted once per level from its
+    energy.  A (sector, m) gives the head and tail, formatted once from its
+    s1, s2, m, k and l2 when its m first appears; the walk hands over one list
+    of AngularQuantum and one k per m.  No StateLabel or RadialQuantum is
+    built, and there is one row per state, so the rows give the count.
     """
     rows = []
-    sectors: dict[int, tuple[str, str]] = {}
+    by_m: dict[int, list[tuple[str, str]]] = {}
     last_e = None
-    for st in states:
-        if st.energy != last_e:
-            last_e = st.energy
-            lead, trail = level_fields(last_e)
-        fields = sectors.get(id(st.angular))
+    for e, two_m, nr, k, sectors in levels:
+        if e != last_e:
+            last_e = e
+            lead, trail = level_fields(e)
+        fields = by_m.get(two_m)
         if fields is None:
-            fields = sectors[id(st.angular)] = sector_fields(st)
-        rows.append(lead + fields[0] + str(st.nr) + fields[1] + trail)
+            fields = by_m[two_m] = [sector_fields(ang, k) for ang in sectors]
+        for head, tail in fields:
+            rows.append(f"{lead}{head}{nr}{tail}{trail}")
     return rows
 
 
 def _cmd_spectrum(args: argparse.Namespace, mu: DeformationParams) -> int:
-    states = enumerate_states(args.emax, mu)
-    header = {"command": "spectrum", "mu1": mu.mu1, "mu2": mu.mu2, "emax": args.emax, "count": len(states)}
     if args.format == "json":
         # Objects as json.dumps(..., indent=2, sort_keys=True) writes them at depth 2.
-        rows = _spectrum_rows(states, _json_sector_fields, _json_level_fields)
+        fields = (_json_sector_fields, _json_level_fields)
+    else:
+        fields = (_csv_sector_fields, _csv_level_fields)
+    rows = _spectrum_rows(_levels(args.emax, mu), *fields)
+    header = {"command": "spectrum", "mu1": mu.mu1, "mu2": mu.mu2, "emax": args.emax, "count": len(rows)}
+    if args.format == "json":
         # "states" sorts last, so its array replaces the closing brace.
         array = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
         doc = _json_document(header)[: -len("\n}\n")] + ',\n  "states": ' + array + "\n}\n"
     else:
-        rows = _spectrum_rows(states, _csv_sector_fields, _csv_level_fields)
         doc = _csv_document(header, ["s1", "s2", "m", "nr", "k", "l2", "energy"], rows)
     _emit(doc, args.out)
     return 0

@@ -224,6 +224,22 @@ def test_nonfinite_or_fractional_nr_is_a_domain_error(nr):
         energy(nr, 0, DeformationParams(0.0, 0.0))
 
 
+def test_quantum_numbers_past_the_bound_are_refused():
+    # The recurrences loop about nr or m times per point, so a label past
+    # 1,000,000 is refused before any evaluation can start.
+    mu = DeformationParams(0.25, 0.75)
+    assert RadialQuantum(nr=basis._MAX_QUANTUM, k=1.0).nr == 1_000_000
+    assert AngularQuantum.build(-1, -1, basis._MAX_QUANTUM, mu).m == 1_000_000
+    for nr in (1_000_001, 10**12, 1e300):
+        with pytest.raises(DomainError, match="nr must not exceed 1000000"):
+            RadialQuantum(nr=nr, k=1.0)
+        with pytest.raises(DomainError, match="nr must not exceed 1000000"):
+            energy(nr, 0, mu)
+    for s1, s2, m in ((1, 1, 1_000_001), (1, -1, Fraction(2_000_001, 2)), (-1, -1, 10**12)):
+        with pytest.raises(DomainError, match="m must not exceed 1000000"):
+            AngularQuantum.build(s1, s2, m, mu)
+
+
 def test_radial_quantum_refuses_infinite_k():
     with pytest.raises(RepresentationError, match="positive and finite"):
         RadialQuantum(nr=0, k=math.inf)
@@ -389,6 +405,20 @@ def test_enumerate_states_equals_fraction_loop(emax, mu1, mu2, edge):
     assert got == want
     assert [st.energy.hex() for st in got] == [st.energy.hex() for st in want]
     assert [(st.k.hex(), st.l2.hex()) for st in got] == [(st.k.hex(), st.l2.hex()) for st in want]
+
+
+@pytest.mark.parametrize("mu_pair", [(0.0, 0.0), (0.25, 0.75), (-0.4, 1.9)])
+def test_enumerate_states_shares_one_label_per_sector_m_and_per_m_nr(mu_pair):
+    states = enumerate_states(24.0, DeformationParams(*mu_pair))
+    angular, radial = {}, {}
+    for st in states:
+        assert angular.setdefault((st.s1, st.s2, st.m), st.angular) is st.angular
+        assert radial.setdefault((st.m, st.nr), st.radial) is st.radial
+    # one object per key, never one object for two keys
+    assert len({id(q) for q in angular.values()}) == len(angular)
+    assert len({id(q) for q in radial.values()}) == len(radial)
+    # every m past 0 has two sectors, which share each RadialQuantum
+    assert len(radial) < len(states)
 
 
 def _closed_count(emax, mu):

@@ -1,5 +1,7 @@
 """Command-line interface: parsing, output formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -10,6 +12,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dunkl_oscillator import cli
 from dunkl_oscillator.basis import (
@@ -150,6 +154,7 @@ def _spectrum_reference(emax, mu1, mu2, fmt):
         (9.0, 0.25, 0.75),  # half-integer sectors at every other level
         (23.5, -0.4, 1.9),
         (17.0, -0.2691523058468741, 1.7477168115182542),
+        (150.0, 0.3, 0.7),  # the size the spectrum benchmark writes
     ],
 )
 def test_spectrum_document_equals_record_by_record_reference(capsys, emax, mu1, mu2, fmt):
@@ -157,6 +162,34 @@ def test_spectrum_document_equals_record_by_record_reference(capsys, emax, mu1, 
     code, out, err = _run(capsys, argv)
     assert code == 0 and err == ""
     assert out == _spectrum_reference(emax, mu1, mu2, fmt)
+
+
+_MU = st.floats(min_value=-0.5, max_value=3.0, exclude_min=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    emax=st.floats(min_value=-2.0, max_value=40.0),
+    mu1=_MU,
+    mu2=_MU,
+    edge=st.sampled_from(("free", "on", "below")),
+)
+@example(emax=40.0, mu1=0.0, mu2=0.0, edge="on")
+@example(emax=25.697828526856537, mu1=0.918376695246371, mu2=-0.2205481683898327, edge="free")
+def test_spectrum_document_equals_the_library_at_level_edges(emax, mu1, mu2, edge):
+    # The command writes its rows from the level walk; the reference reads the
+    # public enumerate_states, so a level gained or lost at the cutoff shows.
+    if edge != "free":
+        # a cutoff on a level energy, or the float just below it
+        emax = float(max(0, math.floor(emax)) + 1) + mu1 + mu2
+        if edge == "below":
+            emax = math.nextafter(emax, -math.inf)
+    for fmt in ("csv", "json"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["spectrum", f"--emax={emax!r}", f"--mu1={mu1!r}", f"--mu2={mu2!r}", "--format", fmt])
+        assert code == 0 and err.getvalue() == ""
+        assert out.getvalue() == _spectrum_reference(emax, mu1, mu2, fmt)
 
 
 def test_spectrum_state_cap_exits_two_at_once(capsys):
