@@ -4,7 +4,9 @@ States separate in polar coordinates and are labelled by a parity sector
 (s1, s2), an angular quantum number m (a non-negative integer when s1*s2 = +1,
 a positive half-odd-integer when s1*s2 = -1), and a radial excitation nr.  The
 energy is E = 2(nr + m) + mu1 + mu2 + 1; m is kept as an exact ``Fraction`` so
-energies of half-integer sectors come out exactly.
+energies of half-integer sectors come out exactly.  A sector holds
+m = (e1 + e2) / 2 + j, j = 0, 1, ..., with e = (1 - s) / 2: one walk,
+``_sector_labels``, builds these labels for the enumeration and for verify.
 
 Angular eigenfunctions are trigonometric-weighted Jacobi polynomials,
 orthonormal against |cos(phi)|^(2 mu1) |sin(phi)|^(2 mu2) d(phi) on [0, 2 pi).
@@ -110,18 +112,9 @@ class AngularQuantum:
         return int(self.m - Fraction(self.e1 + self.e2, 2))
 
 
-def angular_norm(m, e1: int, e2: int, mu: DeformationParams) -> float:
-    """Normalization constant of the angular eigenfunction with the given labels."""
-    if e1 not in (0, 1) or e2 not in (0, 1):
-        raise DomainError(f"parity exponents must be 0 or 1, got ({e1}, {e2})")
-    frac = as_quantum_m(m)
-    degree = frac - Fraction(e1 + e2, 2)
-    if degree < 0 or degree.denominator != 1:
-        raise DomainError(
-            f"labels (m={frac}, e1={e1}, e2={e2}) do not give a polynomial degree"
-        )
-    j = int(degree)
-    half = 0.5
+def angular_norm(q: AngularQuantum, mu: DeformationParams) -> float:
+    """Normalization constant of the angular eigenfunction of the sector described by q."""
+    frac, e1, e2, j = q.m, q.e1, q.e2, q.degree
     if frac == 0:
         # (2m + mu1 + mu2) Gamma(m + mu1 + mu2) collapses to Gamma(mu1 + mu2 + 1),
         # which stays finite as mu1 + mu2 -> 0.
@@ -134,15 +127,15 @@ def angular_norm(m, e1: int, e2: int, mu: DeformationParams) -> float:
         ln_head
         + log_gamma(j + 1.0)
         - math.log(2.0)
-        - log_gamma(float(frac + Fraction(e1 - e2, 2)) + mu.mu1 + half)
-        - log_gamma(float(frac + Fraction(e2 - e1, 2)) + mu.mu2 + half)
+        - log_gamma(float(frac + Fraction(e1 - e2, 2)) + mu.mu1 + 0.5)
+        - log_gamma(float(frac + Fraction(e2 - e1, 2)) + mu.mu2 + 0.5)
     )
     return math.exp(0.5 * ln_sq)
 
 
 def angular_wavefunction(q: AngularQuantum, mu: DeformationParams) -> TrigJacobiSum:
     """Orthonormal angular eigenfunction of the sector described by q."""
-    eta = angular_norm(q.m, q.e1, q.e2, mu)
+    eta = angular_norm(q, mu)
     return TrigJacobiSum.single(
         coeff=eta,
         cos_power=q.e1,
@@ -161,6 +154,12 @@ def _check_nr(nr) -> None:
         raise DomainError(f"nr must not exceed {_MAX_QUANTUM}, got {nr}")
 
 
+def _check_k(k) -> None:
+    """Refuse a representation parameter k that is not positive and finite, NaN included."""
+    if not 0.0 < k < math.inf:
+        raise RepresentationError(f"k must be positive and finite, got {k}")
+
+
 @dataclass(frozen=True)
 class RadialQuantum:
     """Radial label: excitation nr and representation parameter k > 0."""
@@ -170,8 +169,7 @@ class RadialQuantum:
 
     def __post_init__(self):
         _check_nr(self.nr)
-        if not 0.0 < self.k < math.inf:
-            raise RepresentationError(f"k must be positive and finite, got {self.k}")
+        _check_k(self.k)
 
     @classmethod
     def from_m(cls, nr: int, m, mu: DeformationParams) -> "RadialQuantum":
@@ -254,21 +252,11 @@ def substitute_u(profile: GaussLaguerreSum, mu: DeformationParams, direction: st
 
 
 def _states_through(level: int) -> int:
-    """Number of states with 2 (nr + m) <= level, summed over sectors in closed form.
-
-    A sector whose lowest 2m is s holds, for each allowed m, every nr with
-    2 nr <= level - 2m; summed over m that is (q + 1)(q + 2)/2, q = (level - s) // 2.
-    """
-    total = 0
-    for start in _SECTOR_STARTS.values():
-        q = (level - start) // 2
-        if q >= 0:
-            total += (q + 1) * (q + 2) // 2
-    return total
+    """Number of states with 2 (nr + m) <= level: the level N holds N + 1 of them."""
+    return (level + 1) * (level + 2) // 2
 
 
-# The states through level n number (n + 1)(n + 2)/2, so through this level
-# they already exceed MAX_STATES.
+# ``_states_through`` this level already exceeds MAX_STATES.
 _LEVEL_CAP = math.isqrt(2 * MAX_STATES)
 
 
@@ -292,6 +280,13 @@ def _top_level(emax: float, mu: DeformationParams) -> int:
     return top
 
 
+def _sector_labels(top: int, mu: DeformationParams) -> Iterator[tuple[int, AngularQuantum]]:
+    """(2m, label) of every sector and m with 2m <= top: sectors in ascending (s1, s2) order, then 2m ascending."""
+    for (s1, s2), start in _SECTOR_STARTS.items():
+        for two_m in range(start, top + 1, 2):
+            yield two_m, AngularQuantum.build(s1, s2, Fraction(two_m, 2), mu)
+
+
 def _levels(emax: float, mu: DeformationParams) -> Iterator[tuple[float, int, int, float, list[AngularQuantum]]]:
     """Walk the states with energy <= emax level by level, building no state.
 
@@ -304,9 +299,8 @@ def _levels(emax: float, mu: DeformationParams) -> Iterator[tuple[float, int, in
     top = _top_level(emax, mu)
     # angular[2m]: the labels of every sector holding that m, in (s1, s2) order.
     angular: list[list[AngularQuantum]] = [[] for _ in range(top + 1)]
-    for (s1, s2), start in _SECTOR_STARTS.items():
-        for two_m in range(start, top + 1, 2):
-            angular[two_m].append(AngularQuantum.build(s1, s2, Fraction(two_m, 2), mu))
+    for two_m, q in _sector_labels(top, mu):
+        angular[two_m].append(q)
     ks = [k_of(Fraction(two_m, 2), mu) for two_m in range(top + 1)]
     for level in range(top + 1):
         e = _level_energy(level, mu)

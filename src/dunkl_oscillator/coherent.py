@@ -38,10 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import as_quantum_m, k_of
-from .errors import DomainError, RepresentationError, SingularityError
+from .basis import _check_k, as_quantum_m, k_of
+from .errors import DomainError, SingularityError
 from .profiles import DeformationParams
-from .specfun import _check_degree, laguerre_all, log_gamma
+from .specfun import _check_integer, laguerre_all, log_gamma
 
 __all__ = [
     "CoherentParams",
@@ -69,8 +69,7 @@ class CoherentParams:
         object.__setattr__(self, "k", float(self.k))
         if not abs(self.xi) < 1.0:
             raise DomainError(f"|xi| must be < 1, got |{self.xi}| = {abs(self.xi)}")
-        if not 0.0 < self.k < math.inf:
-            raise RepresentationError(f"k must be positive and finite, got {self.k}")
+        _check_k(self.k)
 
 
 @dataclass(frozen=True)
@@ -97,6 +96,8 @@ class EvolutionParams:
 
 def auto_nterms(p: CoherentParams, tol: float = 1e-14) -> int:
     """Number of series terms so the first omitted coefficient is below tol."""
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     return _nterms_for(abs(p.xi), 2.0 * p.k, tol)
 
 
@@ -122,6 +123,9 @@ def _ln_norm(p: CoherentParams) -> float:
 
 def _envelope(r: np.ndarray, ln_pref: complex, power: float, c: complex) -> np.ndarray:
     """exp(ln_pref + power ln r + c r^2) in one exponential; r^0 is 1 at r = 0 too."""
+    bad = ~((r >= 0.0) & (r < math.inf))
+    if np.any(bad):
+        raise DomainError(f"r must be non-negative and finite, got {r[bad][0]}")
     if power < 0 and np.any(r == 0.0):
         raise SingularityError("evaluation at r = 0 hits a negative power of r")
     with np.errstate(divide="ignore"):  # ln 0 = -inf: a positive power gives exp(-inf) = 0
@@ -185,8 +189,10 @@ def _series_values(
     """Partial-sum values of the coherent superposition on a radius array of any shape."""
     if nterms < 1:
         raise DomainError(f"nterms must be at least 1, got {nterms}")
-    _check_degree(nterms - 1)  # before slicing a cached table, which a float count would break
+    _check_integer(nterms - 1, "polynomial degree")  # before slicing a cached table, which a float count would break
     flat = arr.ravel()
+    # The envelope refuses a negative or non-finite r before the table would take it.
+    envelope = _envelope(flat, _ln_norm(p), _radial_exponent(p, mu), -0.5)
     polys = _sturmian_table(2.0 * p.k, nterms, flat * flat)
     coeffs = complex(p.xi) ** np.arange(nterms)
     if term_phase is not None:
@@ -195,8 +201,7 @@ def _series_values(
     # pairwise but a block row by row, so a point alone would differ from itself in a grid.
     terms = coeffs[:, None] * polys
     series = np.cumsum(terms, axis=0, out=terms)[-1]
-    values = _envelope(flat, _ln_norm(p), _radial_exponent(p, mu), -0.5) * series
-    return values.reshape(arr.shape)
+    return (envelope * series).reshape(arr.shape)
 
 
 def coherent_series(r, p: CoherentParams, mu: DeformationParams, nterms: int | None = None):

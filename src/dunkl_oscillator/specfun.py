@@ -41,13 +41,14 @@ def _as_array(x):
     return arr, arr.ndim == 0
 
 
-def _check_degree(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError(f"polynomial degree must be a non-negative integer, got {n!r}")
+def _check_integer(n, what: str, least: int = 0) -> None:
+    """Refuse an n that is not an int or numpy integer of at least ``least``: NaN, inf and 400.7 included."""
+    if not isinstance(n, (int, np.integer)) or n < least:
+        raise DomainError(f"{what} must be an integer of at least {least}, got {n!r}")
 
 
 def _check_laguerre(n: int, alpha: float) -> None:
-    _check_degree(n)
+    _check_integer(n, "polynomial degree")
     if not -1.0 < alpha < math.inf:
         raise DomainError(f"Laguerre parameter alpha must be finite and exceed -1, got {alpha}")
 
@@ -80,7 +81,7 @@ def laguerre_all(nmax: int, alpha: float, x) -> np.ndarray:
 
 def jacobi(n: int, alpha: float, beta: float, x):
     """Jacobi polynomial P_n^(alpha,beta)(x), scalar or elementwise."""
-    _check_degree(n)
+    _check_integer(n, "polynomial degree")
     if not (-1.0 < alpha < math.inf and -1.0 < beta < math.inf):
         raise DomainError(f"Jacobi parameters must be finite and exceed -1, got alpha={alpha}, beta={beta}")
     arr, scalar = _as_array(x)
@@ -156,8 +157,7 @@ def _radial_measure(mu, rmax: float, npoints: int) -> tuple[np.ndarray, np.ndarr
         raise DomainError(f"radial weight is non-integrable for mu1+mu2 <= -1, got {mu1 + mu2}")
     if not 0.0 < rmax < math.inf:
         raise DomainError(f"rmax must be finite and positive, got {rmax}")
-    if npoints < _PANEL_POINTS:
-        raise DomainError(f"npoints must be at least {_PANEL_POINTS}, got {npoints}")
+    _check_integer(npoints, "npoints", _PANEL_POINTS)
     r1, r, w = _radial_panels(float(rmax), int(npoints))
     p = 1.0 + 2.0 * (mu1 + mu2)
     q = p - max(0.0, math.floor(p))
@@ -177,8 +177,7 @@ def _angular_measure(mu, npoints: int) -> tuple[np.ndarray, np.ndarray]:
     mu1, mu2 = _mu_values(mu)
     if mu1 <= -0.5 or mu2 <= -0.5:
         raise DomainError(f"angular weight is non-integrable for mu <= -1/2, got ({mu1}, {mu2})")
-    if npoints < 32:
-        raise DomainError(f"npoints per quadrant must be at least 32, got {npoints}")
+    _check_integer(npoints, "npoints", 32)
     x, w = _gauss_jacobi(int(npoints), mu2 - 0.5, mu1 - 0.5)
     # Eigenvalues may round just past +-1 when a weight exponent nears -1.
     phi = 0.5 * np.arccos(np.clip(x, -1.0, 1.0))
@@ -188,7 +187,10 @@ def _angular_measure(mu, npoints: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _gram(fns, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     # Each function is evaluated once: row i of V holds fns[i] on the nodes.
-    values = np.stack([f(nodes) for f in fns])
+    rows = [f(nodes) for f in fns]
+    if not rows:
+        raise DomainError("a Gram matrix needs at least one function")
+    values = np.stack(rows)
     return (values * weights) @ values.T
 
 

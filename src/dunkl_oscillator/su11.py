@@ -39,9 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import RadialQuantum, as_quantum_m, k_of
+from .basis import RadialQuantum, _check_k, as_quantum_m, k_of
 from .dunkl_ops import _radial_operator
-from .errors import DomainError, RepresentationError
+from .errors import DomainError
 from .profiles import DeformationParams, GaussLaguerreSum, _check_l2, residual_grid
 
 __all__ = [
@@ -89,8 +89,14 @@ def apply_B0(U: GaussLaguerreSum, l2: float, mu: DeformationParams) -> GaussLagu
     return _radial_operator(U, (-0.25, 0.25, 0.0, 0.25 * (l2 - 0.25 + mu.total * mu.total), 0.0, 0.0))
 
 
+def _check_energy(E: float) -> None:
+    if not math.isfinite(E):
+        raise DomainError(f"energy E must be finite, got {E}")
+
+
 def apply_J(U: GaussLaguerreSum, E: float, sign: int) -> GaussLaguerreSum:
     """Apply J+ (sign=+1) or J- (sign=-1) at energy E in the flat-measure picture."""
+    _check_energy(E)
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
     return _radial_operator(U, (0.0, 0.5, 0.0, 0.0, -0.5 * sign, 0.5 * (0.5 * sign - E)))
@@ -120,6 +126,7 @@ def schrodinger_factorize(
     E: float, l2: float, mu: DeformationParams, branch: str = "upper"
 ) -> FactorizationConstants:
     """Coefficient set of the quadratic rearrangement of the eigenproblem at E."""
+    _check_energy(E)
     sign = _branch_sign(branch)
     _check_l2(l2, mu)
     return FactorizationConstants(
@@ -136,6 +143,7 @@ def factorization_product_eigenvalue(
     E: float, l2: float, mu: DeformationParams, branch: str = "upper"
 ) -> float:
     """Eigenvalue of the shifted ladder product on an eigenprofile of energy E."""
+    _check_energy(E)
     sign = _branch_sign(branch)
     _check_l2(l2, mu)
     return 0.25 * ((E + sign) ** 2 - l2 - mu.total * mu.total)
@@ -172,8 +180,7 @@ def casimir_check(
     Returns the larger of the operator residual on the grid and the mismatch
     between k(k-1) and its closed form ((mu1+mu2)^2 + l2 - 1)/4.
     """
-    if not k > 0.0:
-        raise RepresentationError(f"k must be positive, got {k}")
+    _check_k(k)
     if grid is None:
         grid = residual_grid()
     lowered = apply_A(R, "-", mu, l2)

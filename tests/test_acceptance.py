@@ -139,7 +139,8 @@ def test_criterion_2_angular_orthonormality():
         labels = _sector_labels(4, mu)
         gram = angular_gram([angular_wavefunction(q, mu) for q in labels], mu)
         worst = max(worst, float(np.max(np.abs(gram - np.eye(len(labels))))))
-    eta0 = angular_norm(0, 0, 0, DeformationParams(0.0, 0.0))
+    mu0 = DeformationParams(0.0, 0.0)
+    eta0 = angular_norm(AngularQuantum.build(1, 1, 0, mu0), mu0)
     eta_dev = abs(eta0 - 1.0 / math.sqrt(2.0 * math.pi))
     ok = worst <= 1e-9 and eta_dev <= 1e-10
     _report(

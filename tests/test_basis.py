@@ -121,22 +121,26 @@ def _eta_oracle(m, e1, e2, mu1, mu2):
 def test_angular_norm_matches_gamma_oracle(m, e1, e2, mu_pair):
     mu = DeformationParams(*mu_pair)
     expected = _eta_oracle(m, e1, e2, *mu_pair)
-    assert angular_norm(m, e1, e2, mu) == pytest.approx(expected, rel=1e-13)
+    q = AngularQuantum.build(1 - 2 * e1, 1 - 2 * e2, m, mu)
+    assert angular_norm(q, mu) == pytest.approx(expected, rel=1e-13)
 
 
 def test_ground_norm_is_fourier_constant_at_mu_zero():
     mu0 = DeformationParams(0.0, 0.0)
-    assert angular_norm(0, 0, 0, mu0) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=1e-15)
+    q = AngularQuantum.build(1, 1, 0, mu0)
+    assert angular_norm(q, mu0) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=1e-15)
 
 
 def test_angular_norm_rejects_inconsistent_labels():
+    # Labels with no polynomial degree, (m, e1, e2) = (0, 1, 1), (1/2, 0, 0) and
+    # (1, 2, 0), never reach the norm: it reads a label that AngularQuantum.build made.
     mu = DeformationParams(0.5, 0.5)
+    with pytest.raises(RepresentationError):
+        AngularQuantum.build(-1, -1, 0, mu)
+    with pytest.raises(RepresentationError):
+        AngularQuantum.build(1, 1, Fraction(1, 2), mu)
     with pytest.raises(DomainError):
-        angular_norm(0, 1, 1, mu)
-    with pytest.raises(DomainError):
-        angular_norm(Fraction(1, 2), 0, 0, mu)
-    with pytest.raises(DomainError):
-        angular_norm(1, 2, 0, mu)
+        AngularQuantum.build(-3, 1, 1, mu)
 
 
 # --- angular eigenfunctions --------------------------------------------------
@@ -452,6 +456,23 @@ def test_state_cap_refuses_before_building():
     # a coupling so large that every level rounds to the same energy
     with pytest.raises(DomainError, match="more than 1000000 states"):
         enumerate_states(1e300, DeformationParams(1e300, 0.0))
+
+
+@pytest.mark.parametrize("mu_pair", [(0.0, 0.0), (-0.45, 0.3), (2.365, 0.814)])
+def test_sector_labels_walk_each_sector_and_m_once_in_order(mu_pair):
+    mu = DeformationParams(*mu_pair)
+    for top in range(-1, 13):
+        # A sector (s1, s2) holds 2m = e1 + e2 + 2j, j = 0, 1, ..., with e = (1 - s)/2.
+        expected = [
+            (s1, s2, two_m)
+            for s1 in (-1, 1)
+            for s2 in (-1, 1)
+            for two_m in range((1 - s1) // 2 + (1 - s2) // 2, top + 1, 2)
+        ]
+        walked = list(basis._sector_labels(top, mu))
+        assert [(q.s1, q.s2, two_m) for two_m, q in walked] == expected
+        for two_m, q in walked:
+            assert q == AngularQuantum.build(q.s1, q.s2, Fraction(two_m, 2), mu)
 
 
 def test_sector_start_gives_each_sector_lowest_m():

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -49,6 +50,28 @@ def test_coherent_params_refuse_infinite_k():
     # An infinite k would give the evolution phase exp(-i k angle) = nan + nanj.
     with pytest.raises(RepresentationError, match="positive and finite"):
         CoherentParams(xi=0.5, k=math.inf)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_auto_nterms_refuses_a_tolerance_that_is_not_positive_and_finite(tol):
+    with pytest.raises(DomainError, match="tol must be positive and finite"):
+        auto_nterms(CoherentParams(xi=0.5, k=1.0), tol)
+
+
+@pytest.mark.parametrize("r", [-1.0, math.nan, math.inf, [0.5, -0.1, 1.0]])
+def test_every_coherent_form_refuses_a_negative_or_non_finite_radius(r):
+    mu = DeformationParams(0.5, 0.5)
+    p = CoherentParams(xi=0.3 + 0.2j, k=k_of(Fraction(1, 2), mu))
+    forms = (
+        lambda: coherent_closed(r, p, mu),
+        lambda: coherent_series(r, p, mu),
+        lambda: coherent_evolved(r, p, EvolutionParams(tau=0.4), Fraction(1, 2), mu),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way to the error
+        for form in forms:
+            with pytest.raises(DomainError, match="r must be non-negative and finite"):
+                form()
 
 
 def test_evolution_params_validation():

@@ -292,3 +292,29 @@ def test_non_finite_parameters_raise_domain_error(fn, args, kwargs):
     with pytest.raises(DomainError):
         fn(*args, **kwargs)
 
+
+
+@pytest.mark.parametrize("npoints", [math.nan, math.inf, 400.7, 40.5, 64.0, "64"])
+def test_quadrature_sizes_must_be_integers(npoints):
+    # A float size is refused, not truncated: 400.7 would have become 400.
+    with pytest.raises(DomainError, match="npoints must be an integer"):
+        radial_inner_product(_ONE, _ONE, (0.0, 0.0), npoints=npoints)
+    with pytest.raises(DomainError, match="npoints must be an integer"):
+        radial_gram([_ONE], (0.0, 0.0), npoints=npoints)
+    with pytest.raises(DomainError, match="npoints must be an integer"):
+        angular_gram([_ONE], (0.0, 0.0), npoints=npoints)
+
+
+def test_quadrature_sizes_take_numpy_integers():
+    assert radial_inner_product(_ONE, _ONE, (0.0, 0.0), npoints=np.int64(400)) == radial_inner_product(
+        _ONE, _ONE, (0.0, 0.0), npoints=400
+    )
+    assert angular_gram([_ONE], (0.0, 0.0), npoints=np.int32(64)) == angular_gram([_ONE], (0.0, 0.0))
+
+
+@pytest.mark.parametrize("gram", [radial_gram, angular_gram])
+def test_gram_of_no_functions_is_refused(gram):
+    with pytest.raises(DomainError, match="at least one function"):
+        gram([], (0.0, 0.0))
+    with pytest.raises(DomainError, match="at least one function"):
+        gram(iter(()), (0.0, 0.0))

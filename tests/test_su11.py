@@ -15,6 +15,7 @@ from dunkl_oscillator.basis import (
     separation_constant,
     substitute_u,
 )
+from dunkl_oscillator.coherent import CoherentParams
 from dunkl_oscillator.dunkl_ops import apply_radial_hamiltonian
 from dunkl_oscillator.errors import DomainError, RepresentationError
 from dunkl_oscillator.profiles import (
@@ -411,6 +412,31 @@ def test_factorization_branch_validation():
         factorization_residual(U, 1.0, 0.0, MU, "sideways", GRID)
     with pytest.raises(DomainError):
         apply_J(U, 1.0, 3)
+
+
+@pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf])
+def test_every_k_check_refuses_a_k_that_is_not_positive_and_finite(k):
+    # RadialQuantum, CoherentParams and casimir_check share one rule.
+    R, _ = _sturmian(0, Fraction(0), MU)
+    with pytest.raises(RepresentationError, match="positive and finite"):
+        casimir_check(R, k, MU, 0.0, GRID)
+    with pytest.raises(RepresentationError, match="positive and finite"):
+        RadialQuantum(nr=0, k=k)
+    with pytest.raises(RepresentationError, match="positive and finite"):
+        CoherentParams(xi=0.5, k=k)
+
+
+@pytest.mark.parametrize("E", [math.nan, math.inf, -math.inf])
+def test_energy_taking_functions_refuse_a_non_finite_energy(E):
+    U = substitute_u(_sturmian(0, Fraction(0), MU)[0], MU, "r_to_u")
+    for call in (
+        lambda: apply_J(U, E, 1),
+        lambda: schrodinger_factorize(E, 0.0, MU),
+        lambda: factorization_product_eigenvalue(E, 0.0, MU),
+        lambda: factorization_residual(U, E, 0.0, MU, "upper", GRID),
+    ):
+        with pytest.raises(DomainError, match="E must be finite"):
+            call()
 
 
 @settings(max_examples=30, deadline=None)
