@@ -23,8 +23,8 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import DomainError, RepresentationError
-from .profiles import DeformationParams, GaussLaguerreSum, TrigJacobiSum
-from .specfun import log_gamma
+from .profiles import GaussLaguerreSum, TrigJacobiSum
+from .specfun import DeformationParams, log_gamma
 
 __all__ = [
     "AngularQuantum",

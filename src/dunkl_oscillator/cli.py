@@ -41,7 +41,7 @@ from .basis import (
 )
 from .coherent import CoherentParams, EvolutionParams, coherent_evolved
 from .errors import DomainError
-from .profiles import DeformationParams
+from .specfun import DeformationParams
 from .verify import SUITES, run_checks
 
 __all__ = ["main"]

@@ -23,10 +23,8 @@ hbar), times the global phase e^(-2 i k tau / hbar), so |Psi|^2 is periodic in
 tau with period pi * hbar.
 
 The xi-independent Laguerre rows L_n^(2k-1)(r^2) are shared between calls from
-a bounded cache of 8 tables, one per (2k, grid), each as long as the largest
-term count asked for there; a shorter series reads its prefix.  |xi| sets the
-term count, so a sweep over xi at fixed k and grid rebuilds the table only when
-it needs more terms than any earlier call.
+one bounded ``functools`` cache of read-only tables, keyed by (2k, term count,
+grid); a series over more than 2**16 values builds its table for itself alone.
 """
 
 from __future__ import annotations
@@ -40,8 +38,7 @@ import numpy as np
 
 from .basis import _check_k, as_quantum_m, k_of
 from .errors import DomainError, SingularityError
-from .profiles import DeformationParams
-from .specfun import _check_integer, laguerre_all, log_gamma
+from .specfun import DeformationParams, _check_integer, _touches_origin, laguerre_all, log_gamma
 
 __all__ = [
     "CoherentParams",
@@ -123,10 +120,7 @@ def _ln_norm(p: CoherentParams) -> float:
 
 def _envelope(r: np.ndarray, ln_pref: complex, power: float, c: complex) -> np.ndarray:
     """exp(ln_pref + power ln r + c r^2) in one exponential; r^0 is 1 at r = 0 too."""
-    bad = ~((r >= 0.0) & (r < math.inf))
-    if np.any(bad):
-        raise DomainError(f"r must be non-negative and finite, got {r[bad][0]}")
-    if power < 0 and np.any(r == 0.0):
+    if _touches_origin(r) and power < 0:
         raise SingularityError("evaluation at r = 0 hits a negative power of r")
     with np.errstate(divide="ignore"):  # ln 0 = -inf: a positive power gives exp(-inf) = 0
         ln_r = 0.0 if power == 0.0 else np.log(r)
@@ -140,43 +134,26 @@ def _radial_exponent(p: CoherentParams, mu: DeformationParams) -> float:
     return 0.0 if two_k == mu.total + 1.0 else two_k - mu.total - 1.0
 
 
-# Tables of more than this many Laguerre values are rebuilt on every call, so
-# the cache holds at most 8 * 2**16 values (4 MB) of rows.
+# Tables of more than this many Laguerre values are built for their call
+# alone, so the cache holds at most 20 * 2**16 values (10 MB) of rows.
 _CACHED_TABLE_VALUES = 1 << 16
 
 
-def _build_table(two_k: float, nterms: int, x: np.ndarray) -> np.ndarray:
-    """L_n^(2k-1)(x) for n < nterms, read-only.
+def _sturmian_table(two_k: float, nterms: int, x: np.ndarray) -> np.ndarray:
+    """The xi-independent rows L_n^(2k-1)(x) of the series for n < nterms at x = r^2."""
+    if nterms * x.size > _CACHED_TABLE_VALUES:
+        return laguerre_all(nterms - 1, two_k - 1.0, x)
+    return _cached_table(two_k, nterms, x.tobytes())
 
-    Row n depends on nothing past n, so the first N rows of a longer table are
-    bit for bit the table for N terms.
-    """
-    polys = laguerre_all(nterms - 1, two_k - 1.0, x)
+
+# A warm verify run looks up 17 fixed (2k, nterms, grid) keys and one that
+# changes with mu: fewer than 18 tables would miss on every run.
+@functools.lru_cache(maxsize=20)
+def _cached_table(two_k: float, nterms: int, x_bytes: bytes) -> np.ndarray:
+    """``_sturmian_table`` at x given as its float64 bytes, read-only."""
+    polys = laguerre_all(nterms - 1, two_k - 1.0, np.frombuffer(x_bytes))
     polys.flags.writeable = False  # the cache shares it with every caller
     return polys
-
-
-# A verify run asks for 6 (2k, grid) keys, 5 of them at every mu; more slots
-# would only keep earlier runs' per-mu tables.
-@functools.lru_cache(maxsize=8)
-def _table_slot(two_k: float, x_bytes: bytes) -> list:
-    """The cached table at (2k, x = r^2 as its float64 bytes): the longest asked for so far, once built."""
-    return []
-
-
-def _sturmian_table(two_k: float, nterms: int, x: np.ndarray) -> np.ndarray:
-    """The xi-independent rows of the series for nterms terms at x = r^2 (see ``_build_table``).
-
-    One cached table per (2k, x) serves every term count up to its own as
-    read-only prefix slices; a longer request rebuilds it at the new length.
-    A table over ``_CACHED_TABLE_VALUES`` values is built for its call alone.
-    """
-    if nterms * x.size > _CACHED_TABLE_VALUES:
-        return _build_table(two_k, nterms, x)
-    slot = _table_slot(two_k, x.tobytes())
-    if not slot or len(slot[0]) < nterms:
-        slot[:] = [_build_table(two_k, nterms, x)]
-    return slot[0][:nterms]
 
 
 def _series_values(
@@ -189,7 +166,7 @@ def _series_values(
     """Partial-sum values of the coherent superposition on a radius array of any shape."""
     if nterms < 1:
         raise DomainError(f"nterms must be at least 1, got {nterms}")
-    _check_integer(nterms - 1, "polynomial degree")  # before slicing a cached table, which a float count would break
+    _check_integer(nterms - 1, "polynomial degree")  # before the cache, where 10.0 would find the table of 10
     flat = arr.ravel()
     # The envelope refuses a negative or non-finite r before the table would take it.
     envelope = _envelope(flat, _ln_norm(p), _radial_exponent(p, mu), -0.5)

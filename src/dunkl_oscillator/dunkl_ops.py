@@ -23,7 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DerivativeUnavailable, DomainError, SingularityError
-from .profiles import DeformationParams, GaussLaguerreSum, PlaneFunction, TrigJacobiSum, _check_l2, derivative_of
+from .profiles import GaussLaguerreSum, PlaneFunction, TrigJacobiSum, _check_l2, derivative_of
+from .specfun import DeformationParams
 
 __all__ = [
     "reflect",

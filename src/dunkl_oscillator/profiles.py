@@ -30,10 +30,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .specfun import jacobi, laguerre
+from .specfun import DeformationParams, _touches_origin, jacobi, laguerre
 
 __all__ = [
-    "DeformationParams",
     "Profile",
     "GaussLaguerreSum",
     "TrigJacobiSum",
@@ -42,23 +41,6 @@ __all__ = [
     "residual_grid",
     "angular_grid",
 ]
-
-
-@dataclass(frozen=True)
-class DeformationParams:
-    """Reflection coupling constants, each required to be finite and exceed -1/2."""
-
-    mu1: float
-    mu2: float
-
-    def __post_init__(self):
-        for name, value in (("mu1", self.mu1), ("mu2", self.mu2)):
-            if not (value > -0.5 and math.isfinite(value)):
-                raise DomainError(f"{name} must be finite and exceed -1/2, got {value}")
-
-    @property
-    def total(self) -> float:
-        return self.mu1 + self.mu2
 
 
 def _check_l2(l2: float, mu: DeformationParams) -> None:
@@ -152,7 +134,7 @@ class GaussLaguerreSum(Profile):
 
     def _evaluate(self, r):
         arr = np.atleast_1d(np.asarray(r, dtype=float))
-        if np.any(arr == 0.0) and any(p < 0 for p, _, _ in self.terms):
+        if _touches_origin(arr) and any(p < 0 for p, _, _ in self.terms):
             raise SingularityError("evaluation at r = 0 hits a negative power of r")
         x = arr * arr
         total = np.zeros_like(arr)
@@ -191,6 +173,9 @@ class TrigJacobiSum(Profile):
 
     def _evaluate(self, phi):
         arr = np.atleast_1d(np.asarray(phi, dtype=float))
+        finite = np.isfinite(arr)
+        if not finite.all():
+            raise DomainError(f"phi must be finite, got {arr[~finite][0]}")
         cos, sin = np.cos(arr), np.sin(arr)
         # Floating-point multiples of pi/2 give |cos| or |sin| of order 1e-16,
         # where a negative power of that factor (a reflection quotient) has no

@@ -11,18 +11,22 @@ r = 0, so that callables with arbitrary real powers of r cost no accuracy, with
 the Gauss-Jacobi rule carrying the singular power on the innermost panel.
 ``radial_inner_product`` integrates one product f*g; the Gram matrices of a
 basis evaluate each function once as a row of V and form V diag(w) V^T.
+Each takes mu as a ``DeformationParams`` or a plain pair (mu1, mu2), refused
+by the one rule of ``DeformationParams`` that every layer above applies.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
+    "DeformationParams",
     "laguerre",
     "laguerre_all",
     "jacobi",
@@ -34,6 +38,32 @@ __all__ = [
 
 _PANEL_POINTS = 16
 _GRADING_RATIO = 0.2
+# The most nodes of a radial rule, and per quadrant of an angular rule, whose
+# dense Golub-Welsch matrix is 128 MB at 4096 nodes.
+_MAX_RADIAL_POINTS = 1_000_000
+_MAX_ANGULAR_POINTS = 4096
+
+
+@dataclass(frozen=True)
+class DeformationParams:
+    """Reflection coupling constants, each required to be finite and exceed -1/2."""
+
+    mu1: float
+    mu2: float
+
+    def __post_init__(self):
+        for name, value in (("mu1", self.mu1), ("mu2", self.mu2)):
+            if not (value > -0.5 and math.isfinite(value)):
+                raise DomainError(f"{name} must be finite and exceed -1/2, got {value}")
+
+    @classmethod
+    def of(cls, mu) -> "DeformationParams":
+        """mu itself if it is a ``DeformationParams``, else the checked pair (mu1, mu2)."""
+        return mu if isinstance(mu, cls) else cls(*mu)
+
+    @property
+    def total(self) -> float:
+        return self.mu1 + self.mu2
 
 
 def _as_array(x):
@@ -41,10 +71,19 @@ def _as_array(x):
     return arr, arr.ndim == 0
 
 
-def _check_integer(n, what: str, least: int = 0) -> None:
-    """Refuse an n that is not an int or numpy integer of at least ``least``: NaN, inf and 400.7 included."""
-    if not isinstance(n, (int, np.integer)) or n < least:
-        raise DomainError(f"{what} must be an integer of at least {least}, got {n!r}")
+def _check_integer(n, what: str, least: int = 0, most: float = math.inf) -> None:
+    """Refuse an n that is not an int or numpy integer from ``least`` to ``most``: NaN, inf and 400.7 included."""
+    if not isinstance(n, (int, np.integer)) or not least <= n <= most:
+        bound = f"of at least {least}" if most == math.inf else f"from {least} to {most}"
+        raise DomainError(f"{what} must be an integer {bound}, got {n!r}")
+
+
+def _touches_origin(r: np.ndarray) -> bool:
+    """Whether r = 0 is among the radii r, once none is negative or non-finite (NaN included)."""
+    lo, hi = r.min(initial=math.inf), r.max(initial=0.0)
+    if not (lo >= 0.0 and hi < math.inf):
+        raise DomainError(f"r must be non-negative and finite, got {r[~((r >= 0.0) & (r < math.inf))][0]}")
+    return lo == 0.0
 
 
 def _check_laguerre(n: int, alpha: float) -> None:
@@ -136,14 +175,9 @@ def _radial_panels(rmax: float, npoints: int) -> tuple[float, np.ndarray, np.nda
     edges = np.concatenate([bulk_edges[1] * _GRADING_RATIO ** np.arange(graded, 0, -1), bulk_edges[1:]])
     x, w = np.polynomial.legendre.leggauss(_PANEL_POINTS)
     half = 0.5 * np.diff(edges)[:, None]
-    return float(edges[0]), (edges[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
-
-
-def _mu_values(mu) -> tuple[float, float]:
-    mu1, mu2 = (float(v) for v in ((mu.mu1, mu.mu2) if hasattr(mu, "mu1") else mu))
-    if not (math.isfinite(mu1) and math.isfinite(mu2)):
-        raise DomainError(f"mu1 and mu2 must be finite, got ({mu1}, {mu2})")
-    return mu1, mu2
+    r, w = (edges[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
+    r.flags.writeable = w.flags.writeable = False  # the cache shares them with every caller
+    return float(edges[0]), r, w
 
 
 def _radial_measure(mu, rmax: float, npoints: int) -> tuple[np.ndarray, np.ndarray]:
@@ -152,14 +186,12 @@ def _radial_measure(mu, rmax: float, npoints: int) -> tuple[np.ndarray, np.ndarr
     On [0, r1] a Gauss-Jacobi rule carries the non-integer part q of the power
     p = 1+2*mu1+2*mu2 exactly; the integer part r^(p-q) is applied at its nodes.
     """
-    mu1, mu2 = _mu_values(mu)
-    if mu1 + mu2 <= -1.0:
-        raise DomainError(f"radial weight is non-integrable for mu1+mu2 <= -1, got {mu1 + mu2}")
+    mu = DeformationParams.of(mu)
     if not 0.0 < rmax < math.inf:
         raise DomainError(f"rmax must be finite and positive, got {rmax}")
-    _check_integer(npoints, "npoints", _PANEL_POINTS)
+    _check_integer(npoints, "npoints", _PANEL_POINTS, _MAX_RADIAL_POINTS)
     r1, r, w = _radial_panels(float(rmax), int(npoints))
-    p = 1.0 + 2.0 * (mu1 + mu2)
+    p = 1.0 + 2.0 * mu.total
     q = p - max(0.0, math.floor(p))
     x, w_in = _gauss_jacobi(_PANEL_POINTS, 0.0, q)
     r_in = 0.5 * r1 * (x + 1.0)
@@ -174,15 +206,13 @@ def _angular_measure(mu, npoints: int) -> tuple[np.ndarray, np.ndarray]:
     2^(-mu1-mu2-1) (1-x)^(mu2-1/2) (1+x)^(mu1-1/2) dx: one Gauss-Jacobi rule in x,
     mirrored to phi, pi-phi, pi+phi and 2*pi-phi.
     """
-    mu1, mu2 = _mu_values(mu)
-    if mu1 <= -0.5 or mu2 <= -0.5:
-        raise DomainError(f"angular weight is non-integrable for mu <= -1/2, got ({mu1}, {mu2})")
-    _check_integer(npoints, "npoints", 32)
-    x, w = _gauss_jacobi(int(npoints), mu2 - 0.5, mu1 - 0.5)
+    mu = DeformationParams.of(mu)
+    _check_integer(npoints, "npoints", 32, _MAX_ANGULAR_POINTS)
+    x, w = _gauss_jacobi(int(npoints), mu.mu2 - 0.5, mu.mu1 - 0.5)
     # Eigenvalues may round just past +-1 when a weight exponent nears -1.
     phi = 0.5 * np.arccos(np.clip(x, -1.0, 1.0))
     nodes = np.concatenate([phi, np.pi - phi, np.pi + phi, 2.0 * np.pi - phi])
-    return nodes, np.tile(w * 2.0 ** (-mu1 - mu2 - 1.0), 4)
+    return nodes, np.tile(w * 2.0 ** (-mu.mu1 - mu.mu2 - 1.0), 4)
 
 
 def _gram(fns, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -42,7 +42,8 @@ import numpy as np
 from .basis import RadialQuantum, _check_k, as_quantum_m, k_of
 from .dunkl_ops import _radial_operator
 from .errors import DomainError
-from .profiles import DeformationParams, GaussLaguerreSum, _check_l2, residual_grid
+from .profiles import GaussLaguerreSum, _check_l2, residual_grid
+from .specfun import DeformationParams
 
 __all__ = [
     "ladder_coefficients",

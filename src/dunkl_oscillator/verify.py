@@ -39,14 +39,8 @@ from .basis import (
 )
 from .dunkl_ops import apply_angular_operator, apply_hamiltonian, apply_radial_hamiltonian
 from .errors import DomainError
-from .profiles import (
-    DeformationParams,
-    GaussLaguerreSum,
-    _polar_plane,
-    angular_grid,
-    residual_grid,
-)
-from .specfun import angular_gram, laguerre_all, radial_gram, radial_inner_product
+from .profiles import GaussLaguerreSum, _polar_plane, angular_grid, residual_grid
+from .specfun import DeformationParams, angular_gram, laguerre_all, radial_gram, radial_inner_product
 
 __all__ = ["CheckResult", "SUITES", "available_checks", "run_checks"]
 
@@ -538,10 +532,7 @@ def run_checks(
     tol_overrides: dict[str, float] | None = None,
 ) -> list[CheckResult]:
     """Run a suite of checks serially, in registry order; results are sorted by check name."""
-    if mu is None:
-        mu = DeformationParams(0.5, 0.5)
-    elif not isinstance(mu, DeformationParams):
-        mu = DeformationParams(*mu)
+    mu = DeformationParams.of((0.5, 0.5) if mu is None else mu)
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     overrides = dict(tol_overrides or {})

@@ -28,8 +28,8 @@ from dunkl_oscillator.basis import (
     substitute_u,
 )
 from dunkl_oscillator.errors import DomainError, RepresentationError
-from dunkl_oscillator.profiles import DeformationParams, angular_grid
-from dunkl_oscillator.specfun import radial_inner_product
+from dunkl_oscillator.profiles import angular_grid
+from dunkl_oscillator.specfun import DeformationParams, radial_inner_product
 
 
 # --- quantum-number handling -------------------------------------------------

@@ -25,7 +25,7 @@ from dunkl_oscillator.basis import (
 )
 from dunkl_oscillator.cli import _fmt, main
 from dunkl_oscillator.coherent import CoherentParams, EvolutionParams, coherent_evolved
-from dunkl_oscillator.profiles import DeformationParams
+from dunkl_oscillator.specfun import DeformationParams
 
 
 def _run(capsys, argv):

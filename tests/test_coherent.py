@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunkl_oscillator import coherent
+from dunkl_oscillator import coherent, specfun
 from dunkl_oscillator.basis import RadialQuantum, k_of, radial_sturmian
 from dunkl_oscillator.coherent import (
     CoherentParams,
@@ -26,8 +26,7 @@ from dunkl_oscillator.coherent import (
     suggested_norm_quadrature,
 )
 from dunkl_oscillator.errors import DomainError, RepresentationError
-from dunkl_oscillator.profiles import DeformationParams
-from dunkl_oscillator.specfun import laguerre_all, log_gamma
+from dunkl_oscillator.specfun import DeformationParams, laguerre_all, log_gamma, radial_inner_product
 from reference_rules import gauss_legendre
 
 GRID = np.linspace(0.05, 3.0, 60)
@@ -277,32 +276,17 @@ SERIES_CASES = [
 ]
 
 
-def _counting_builds(monkeypatch) -> list:
-    """Record the term count of every Sturmian table built from now on."""
-    built = []
-    build = coherent._build_table
-
-    def counted(two_k, nterms, x):
-        built.append(nterms)
-        return build(two_k, nterms, x)
-
-    monkeypatch.setattr(coherent, "_build_table", counted)
-    return built
-
-
 @pytest.mark.parametrize("xi, k, nterms, grid", SERIES_CASES)
-def test_series_is_bit_identical_to_its_unshared_form(xi, k, nterms, grid, monkeypatch):
+def test_series_is_bit_identical_to_its_unshared_form(xi, k, nterms, grid):
     p = CoherentParams(xi=xi, k=k)
     count = auto_nterms(p) if nterms is None else nterms
-    built = _counting_builds(monkeypatch)
     for mu in (DeformationParams(0.5, 0.5), DeformationParams(-0.45, 0.3)):
-        # The second mu reuses the table of the first: same k and grid.
-        before = coherent._table_slot.cache_info().hits
-        builds_before = len(built)
+        # The second mu reuses the table of the first: same k, term count and grid.
+        before = coherent._cached_table.cache_info()
         got = coherent_series(grid, p, mu, nterms)
         assert np.array_equal(got, _reference_series(grid, p, mu, count))
-    assert coherent._table_slot.cache_info().hits > before
-    assert len(built) == builds_before
+    after = coherent._cached_table.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
 
 
 def test_evolution_crosscheck_is_bit_identical_to_its_unshared_form():
@@ -325,12 +309,12 @@ def test_series_tables_are_keyed_by_grid_values():
     p = CoherentParams(xi=0.3 + 0.4j, k=1.0)
     a = np.linspace(0.1, 2.0, 9)
     b = np.linspace(0.2, 2.5, 9)
-    coherent._table_slot.cache_clear()
+    coherent._cached_table.cache_clear()
     for grid in (a, b, a):
         assert np.array_equal(coherent_series(grid, p, mu), _reference_series(grid, p, mu, auto_nterms(p)))
-    info = coherent._table_slot.cache_info()
+    info = coherent._cached_table.cache_info()
     assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
-    # A float count must not reach the cached table's slice, cached or not.
+    # A float count must not find the cached table of its integer value, cached or not.
     coherent_series(a, p, mu, 10)
     with pytest.raises(DomainError, match="degree"):
         coherent_series(a, p, mu, 10.0)
@@ -338,19 +322,18 @@ def test_series_tables_are_keyed_by_grid_values():
         coherent_series(np.linspace(0.3, 1.0, 4), p, mu, 10.0)
 
 
-def test_term_counts_in_any_order_are_bit_identical_to_their_unshared_form(monkeypatch):
-    # Small, then large, then small again: the small count is first its own
-    # table, then a prefix of the large one, and the values never change.
+def test_term_counts_in_any_order_are_bit_identical_to_their_unshared_form():
+    # Small, then large, then small again: each count has its own table, and
+    # the values never change.
     mu = DeformationParams(0.5, 0.5)
     p = CoherentParams(xi=0.7 - 0.2j, k=1.3)
     grid = np.linspace(0.05, 3.0, 23)
-    coherent._table_slot.cache_clear()
-    built = _counting_builds(monkeypatch)
+    coherent._cached_table.cache_clear()
     for count in (12, 150, 12, 150, 40):
         got = coherent_series(grid, p, mu, count)
         assert np.array_equal(got, _reference_series(grid, p, mu, count))
-    assert built == [12, 150]
-    assert coherent._table_slot.cache_info().currsize == 1
+    info = coherent._cached_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 2, 3)
 
 
 def test_scalar_series_is_bit_identical_to_its_unshared_form():
@@ -396,31 +379,30 @@ def test_ground_sector_forms_are_finite_at_the_origin():
 
 def test_sturmian_tables_are_read_only_and_bounded():
     mu = DeformationParams(0.5, 0.5)
-    coherent_series(GRID, CoherentParams(xi=0.5, k=1.0), mu)
     x = GRID * GRID
     polys = coherent._sturmian_table(2.0, 10, x)
-    (cached,) = coherent._table_slot(2.0, x.tobytes())
-    for table in (polys, cached):
-        assert not table.flags.writeable
+    assert not polys.flags.writeable
     assert polys.shape == (10, GRID.size)
-    assert cached.shape == (auto_nterms(CoherentParams(xi=0.5, k=1.0)), GRID.size)
-    info = coherent._table_slot.cache_info()
-    assert info.maxsize is not None and info.maxsize <= 16
-    # Twenty grids: the cache keeps the latest maxsize of them.
-    coherent._table_slot.cache_clear()
+    # The key is the grid's values, not the array that holds them.
+    assert coherent._sturmian_table(2.0, 10, x.copy()) is polys
+    info = coherent._cached_table.cache_info()
+    # At least the 18 tables of a warm verify run, and not many more.
+    assert info.maxsize is not None and 18 <= info.maxsize <= 32
+    # More grids than slots: the cache keeps the latest maxsize of them.
+    coherent._cached_table.cache_clear()
     p = CoherentParams(xi=0.2, k=1.0)
-    for i in range(20):
+    for i in range(info.maxsize + 4):
         coherent_series(np.linspace(0.1, 2.0 + 0.01 * i, 5), p, mu)
-        assert coherent._table_slot.cache_info().currsize == min(i + 1, info.maxsize)
+        assert coherent._cached_table.cache_info().currsize == min(i + 1, info.maxsize)
     # A table above the cached size is built for its call alone.
-    coherent._table_slot.cache_clear()
+    coherent._cached_table.cache_clear()
     big = np.linspace(0.01, 3.0, coherent._CACHED_TABLE_VALUES // 100 + 1)
     assert np.array_equal(coherent_series(big, p, mu, 100), _reference_series(big, p, mu, 100))
-    assert coherent._table_slot.cache_info().currsize == 0
-    # Nor is it cached when a shorter table of its grid is: the slot keeps the shorter one.
+    assert coherent._cached_table.cache_info().currsize == 0
+    # Nor is it cached when a shorter table of its grid is.
     coherent_series(big, p, mu, 10)
     assert np.array_equal(coherent_series(big, p, mu, 100), _reference_series(big, p, mu, 100))
-    assert len(coherent._table_slot(2.0, (big * big).tobytes())[0]) == 10
+    assert coherent._cached_table.cache_info().currsize == 1
 
 
 # --- displacement normal form ------------------------------------------------
@@ -495,6 +477,16 @@ def test_evolution_preserves_norm():
         vals = coherent_evolved(nodes, p, EvolutionParams(tau=tau), m, mu)
         norm = float(np.sum(weights * np.abs(vals) ** 2 * weight))
         assert norm == pytest.approx(1.0, abs=1e-9)
+
+
+def test_a_norm_quadrature_too_large_to_build_is_refused_unbuilt(monkeypatch):
+    # Near xi = -1 the suggested rule outgrows any array.
+    p = CoherentParams(xi=-(1.0 - 1e-12), k=1.0)
+    rmax, npoints = suggested_norm_quadrature(p)
+    assert npoints > 1_000_000
+    monkeypatch.setattr(specfun, "_radial_panels", None)  # calling it would raise TypeError
+    with pytest.raises(DomainError, match="npoints must be an integer from 16 to 1000000"):
+        radial_inner_product(np.ones_like, np.ones_like, DeformationParams(0.5, 0.5), rmax, npoints)
 
 
 def test_density_period_is_pi_hbar():

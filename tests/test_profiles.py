@@ -1,6 +1,7 @@
 """Term-algebra profiles: evaluation, exact derivatives, and their absence."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -26,7 +27,6 @@ from dunkl_oscillator.dunkl_ops import (
 )
 from dunkl_oscillator.errors import DerivativeUnavailable, DomainError, SingularityError
 from dunkl_oscillator.profiles import (
-    DeformationParams,
     GaussLaguerreSum,
     PlaneFunction,
     Profile,
@@ -36,6 +36,7 @@ from dunkl_oscillator.profiles import (
     derivative_of,
     residual_grid,
 )
+from dunkl_oscillator.specfun import DeformationParams
 
 
 def test_deformation_params_validation():
@@ -137,6 +138,34 @@ def test_negative_power_at_origin_raises():
     with pytest.raises(SingularityError):
         profile(np.array([0.0, 1.0]))
     assert profile(1.0) == pytest.approx(math.exp(-0.5))
+
+
+@pytest.mark.parametrize("r", [math.inf, math.nan, -1.0, [0.5, math.nan, 1.0], [0.0, -math.inf]])
+def test_radial_sums_refuse_a_negative_or_non_finite_radius(r):
+    mu = DeformationParams(0.3, 1.2)
+    sturmian = radial_sturmian(RadialQuantum.from_m(2, Fraction(1, 2), mu), mu)
+    singular = GaussLaguerreSum.single(1.0, 0.0, 0, 0.0).times_rpower(-2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way to the error
+        for profile in (sturmian, singular):
+            with pytest.raises(DomainError, match="r must be non-negative and finite"):
+                profile(r)
+
+
+@pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan, [0.4, math.nan, 1.0]])
+def test_angular_sums_refuse_a_non_finite_angle(phi):
+    mu = DeformationParams(0.3, 1.2)
+    wave = angular_wavefunction(AngularQuantum.build(1, -1, Fraction(3, 2), mu), mu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="phi must be finite"):
+            wave(phi)
+
+
+def test_term_sums_on_no_points_are_empty():
+    empty = np.array([])
+    assert GaussLaguerreSum.single(1.0, -2.0, 1, 0.5)(empty).shape == (0,)
+    assert TrigJacobiSum.single(1.0, -1, 0, 1, 0.5, 0.5)(empty).shape == (0,)
 
 
 def test_profile_algebra_propagates_exact_derivatives():

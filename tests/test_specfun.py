@@ -16,8 +16,9 @@ from dunkl_oscillator.basis import (
     radial_sturmian,
 )
 from dunkl_oscillator.errors import DomainError
-from dunkl_oscillator.profiles import DeformationParams
+from dunkl_oscillator import specfun
 from dunkl_oscillator.specfun import (
+    DeformationParams,
     _gauss_jacobi,
     angular_gram,
     jacobi,
@@ -267,6 +268,45 @@ def test_gram_domain_errors_match_inner_products():
 
 
 _ONE = lambda x: np.ones_like(x)
+
+
+@pytest.mark.parametrize("mu", [(-0.7, 0.5), (0.5, -0.6), (math.nan, 0.5)])
+def test_quadratures_refuse_mu_by_the_deformation_params_rule(mu):
+    # (-0.7, 0.5) has an integrable radial weight, but no plane weight.
+    with pytest.raises(DomainError) as rule:
+        DeformationParams(*mu)
+    for quadrature in (
+        lambda: radial_inner_product(_ONE, _ONE, mu),
+        lambda: radial_gram([_ONE], mu),
+        lambda: angular_gram([_ONE], mu),
+    ):
+        with pytest.raises(DomainError) as got:
+            quadrature()
+        assert str(got.value) == str(rule.value)
+
+
+def test_a_plain_mu_pair_and_its_deformation_params_agree_bit_for_bit():
+    pair = (-0.3, 1.7)
+    mu = DeformationParams(*pair)
+    assert DeformationParams.of(mu) is mu and DeformationParams.of(pair) == mu
+    radial = [lambda r: np.exp(-0.5 * r * r), lambda r: r * np.exp(-0.5 * r * r)]
+    angular = [np.cos, lambda phi: np.sin(phi) ** 2]
+    assert radial_inner_product(*radial, pair) == radial_inner_product(*radial, mu)
+    assert np.array_equal(radial_gram(radial, pair), radial_gram(radial, mu))
+    assert np.array_equal(angular_gram(angular, pair), angular_gram(angular, mu))
+
+
+def test_quadrature_sizes_past_their_bounds_are_refused_before_any_rule_is_built(monkeypatch):
+    # Building a rule would raise TypeError, not DomainError.
+    monkeypatch.setattr(specfun, "_radial_panels", None)
+    monkeypatch.setattr(specfun, "_gauss_jacobi", None)
+    with pytest.raises(DomainError, match="npoints must be an integer from 16 to 1000000"):
+        radial_inner_product(_ONE, _ONE, (0.5, 0.5), npoints=1_000_001)
+    with pytest.raises(DomainError, match="npoints must be an integer from 16 to 1000000"):
+        radial_gram([_ONE], (0.5, 0.5), npoints=1_000_001)
+    for npoints in (4097, 2**20):
+        with pytest.raises(DomainError, match="npoints must be an integer from 32 to 4096"):
+            angular_gram([_ONE], (0.5, 0.5), npoints=npoints)
 
 
 @pytest.mark.parametrize(

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import dunkl_oscillator
-from dunkl_oscillator import su11, verify
+from dunkl_oscillator import coherent, su11, verify
 from dunkl_oscillator.errors import DomainError
-from dunkl_oscillator.profiles import DeformationParams
+from dunkl_oscillator.specfun import DeformationParams
 from dunkl_oscillator.verify import SUITES, available_checks, run_checks
 
 
@@ -227,3 +227,16 @@ def test_residuals_do_not_depend_on_cache_history():
         run_checks(suite="all", mu=(float(mu1), float(mu2)), seed=0)
     swept = [(r.name, repr(r.residual)) for r in run_checks(suite="all", mu=(0.5, 0.5), seed=0)]
     assert fresh.stdout.strip() == repr(swept)
+
+
+def test_row_cache_keeps_a_run_at_a_new_mu_warm():
+    # The coherent checks look up 17 Laguerre tables that no mu changes and
+    # one (the evolution cross-check's k) that every mu does: a run at a
+    # new mu builds that one table and finds all the others cached.
+    coherent._cached_table.cache_clear()
+    run_checks(suite="all", mu=(0.5, 0.5))
+    before = coherent._cached_table.cache_info()
+    run_checks(suite="all", mu=(1.0625, 0.8125))
+    after = coherent._cached_table.cache_info()
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits >= 17
