@@ -6,7 +6,8 @@ a positive half-odd-integer when s1*s2 = -1), and a radial excitation nr.  The
 energy is E = 2(nr + m) + mu1 + mu2 + 1; m is kept as an exact ``Fraction`` so
 energies of half-integer sectors come out exactly.  A sector holds
 m = (e1 + e2) / 2 + j, j = 0, 1, ..., with e = (1 - s) / 2: one walk,
-``_sector_labels``, builds these labels for the enumeration and for verify.
+``_sector_labels``, builds these labels for the enumeration and for verify,
+from the integer 2m and unchecked, since each is valid by construction.
 
 Angular eigenfunctions are trigonometric-weighted Jacobi polynomials,
 orthonormal against |cos(phi)|^(2 mu1) |sin(phi)|^(2 mu2) d(phi) on [0, 2 pi).
@@ -77,8 +78,12 @@ def sector_start(s1: int, s2: int) -> Fraction:
 
 def separation_constant(m, mu: DeformationParams) -> float:
     """Angular eigenvalue l^2 = 4 m (m + mu1 + mu2)."""
-    frac = as_quantum_m(m)
-    return 4.0 * float(frac) * (float(frac) + mu.total)
+    return _l2(float(as_quantum_m(m)), mu)
+
+
+def _l2(m: float, mu: DeformationParams) -> float:
+    """l^2 = 4 m (m + mu1 + mu2) of an m already checked."""
+    return 4.0 * m * (m + mu.total)
 
 
 @dataclass(frozen=True)
@@ -103,8 +108,12 @@ class AngularQuantum:
                 f"m = {frac} is not in the ({s1:+d}, {s2:+d}) sector, "
                 f"whose m are {start}, {start + 1}, {start + 2}, ..."
             )
-        e1, e2 = (1 - s1) // 2, (1 - s2) // 2
-        return cls(s1=s1, s2=s2, m=frac, e1=e1, e2=e2, l2=separation_constant(frac, mu))
+        return cls._of(s1, s2, int(2 * frac), mu)
+
+    @classmethod
+    def _of(cls, s1: int, s2: int, two_m: int, mu: DeformationParams) -> "AngularQuantum":
+        """Label of a (sector, 2m) known to be valid, built without checking it again."""
+        return cls(s1, s2, Fraction(two_m, 2), (1 - s1) // 2, (1 - s2) // 2, _l2(0.5 * two_m, mu))
 
     @property
     def degree(self) -> int:
@@ -211,7 +220,12 @@ class StateLabel:
 
 def k_of(m, mu: DeformationParams) -> float:
     """Representation parameter k = m + (mu1 + mu2 + 1) / 2 of the sector with quantum number m."""
-    return float(as_quantum_m(m)) + 0.5 * (mu.total + 1.0)
+    return _k(float(as_quantum_m(m)), mu)
+
+
+def _k(m: float, mu: DeformationParams) -> float:
+    """k = m + (mu1 + mu2 + 1) / 2 of an m already checked."""
+    return m + 0.5 * (mu.total + 1.0)
 
 
 def _level_energy(level: int, mu: DeformationParams) -> float:
@@ -281,10 +295,14 @@ def _top_level(emax: float, mu: DeformationParams) -> int:
 
 
 def _sector_labels(top: int, mu: DeformationParams) -> Iterator[tuple[int, AngularQuantum]]:
-    """(2m, label) of every sector and m with 2m <= top: sectors in ascending (s1, s2) order, then 2m ascending."""
+    """(2m, label) of every sector and m with 2m <= top: sectors in ascending (s1, s2) order, then 2m ascending.
+
+    Each 2m starts at its sector's lowest and steps by 2, so every label is
+    valid and is built unchecked by ``AngularQuantum._of``.
+    """
     for (s1, s2), start in _SECTOR_STARTS.items():
         for two_m in range(start, top + 1, 2):
-            yield two_m, AngularQuantum.build(s1, s2, Fraction(two_m, 2), mu)
+            yield two_m, AngularQuantum._of(s1, s2, two_m, mu)
 
 
 def _levels(emax: float, mu: DeformationParams) -> Iterator[tuple[float, int, int, float, list[AngularQuantum]]]:
@@ -293,15 +311,16 @@ def _levels(emax: float, mu: DeformationParams) -> Iterator[tuple[float, int, in
     Yields (energy, 2m, nr, k, sectors) per (level, m) with 2 (nr + m) = level:
     levels ascending, then 2m ascending.  ``sectors`` holds the AngularQuantum
     of every sector with that m in (s1, s2) order; each 2m has one such list,
-    and one k from ``k_of``, at every level.  Raises DomainError, before the
-    first yield, when the states would number more than MAX_STATES.
+    and one k from the formula of ``k_of``, at every level.  Raises
+    DomainError, before the first yield, when the states would number more
+    than MAX_STATES.
     """
     top = _top_level(emax, mu)
     # angular[2m]: the labels of every sector holding that m, in (s1, s2) order.
     angular: list[list[AngularQuantum]] = [[] for _ in range(top + 1)]
     for two_m, q in _sector_labels(top, mu):
         angular[two_m].append(q)
-    ks = [k_of(Fraction(two_m, 2), mu) for two_m in range(top + 1)]
+    ks = [_k(0.5 * two_m, mu) for two_m in range(top + 1)]
     for level in range(top + 1):
         e = _level_energy(level, mu)
         for two_m in range(level % 2, level + 1, 2):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -328,7 +329,13 @@ def _add_common(parser: argparse.ArgumentParser, default_mu: float) -> None:
     parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    It holds no state between calls: ``parse_args`` fills a fresh namespace
+    each time, and every default is immutable.
+    """
     parser = argparse.ArgumentParser(
         prog="dunkl-osc",
         description="Reflection-deformed isotropic oscillator: spectra, "

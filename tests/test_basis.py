@@ -475,6 +475,33 @@ def test_sector_labels_walk_each_sector_and_m_once_in_order(mu_pair):
             assert q == AngularQuantum.build(q.s1, q.s2, Fraction(two_m, 2), mu)
 
 
+@pytest.mark.parametrize("mu_pair", [(0.0, 0.0), (-0.49999, 3.0), (2.365, 0.814)])
+def test_level_walk_labels_equal_the_validating_builders(mu_pair):
+    # The walk builds its labels and k from the integer 2m without checking
+    # them; each must equal what AngularQuantum.build and k_of give for that m,
+    # with the sectors that hold m found by build's own refusals.
+    mu = DeformationParams(*mu_pair)
+    expected = {}
+    for two_m in range(301):
+        m = Fraction(two_m, 2)
+        labels = []
+        for s1, s2 in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
+            try:
+                labels.append(AngularQuantum.build(s1, s2, m, mu))
+            except RepresentationError:
+                pass
+        expected[two_m] = (labels, k_of(m, mu))
+    for top in (-1, 0, 1, 2, 3, 12, 299, 300):
+        seen = set()
+        for _, two_m, _, k, sectors in basis._levels(float(top + 1) + mu.mu1 + mu.mu2, mu):
+            labels, k_expected = expected[two_m]
+            assert sectors == labels
+            assert all(type(q.m) is Fraction and q.m == Fraction(two_m, 2) for q in sectors)
+            assert k == k_expected
+            seen.add(two_m)
+        assert seen == set(range(top + 1))
+
+
 def test_sector_start_gives_each_sector_lowest_m():
     assert [sector_start(s1, s2) for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1))] == [
         Fraction(0),

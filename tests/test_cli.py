@@ -4,10 +4,12 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dunkl_oscillator import cli
+from dunkl_oscillator import cli, verify
 from dunkl_oscillator.basis import (
     AngularQuantum,
     RadialQuantum,
@@ -549,6 +551,45 @@ def test_outputs_are_byte_identical_across_runs(capsys):
         _, first, _ = _run(capsys, list(argv))
         _, second, _ = _run(capsys, list(argv))
         assert first == second
+
+
+def _fresh_process(argv):
+    """Stdout and exit code of ``python -m dunkl_oscillator`` run alone in a new process."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dunkl_oscillator", *argv], capture_output=True, text=True, timeout=120, env=env
+    )
+    return proc.returncode, proc.stdout
+
+
+def test_parser_is_built_once_per_process():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_tolerance_override_does_not_outlive_its_call(capsys):
+    defaults = {check.name: check.tolerance for check in verify._REGISTRY}
+    code, out, _ = _run(capsys, ["verify", "--suite", "algebra", "--tol", "casimir_scalar=1"])
+    assert code == 0
+    assert {rec["name"]: rec["tolerance"] for rec in json.loads(out)}["casimir_scalar"] == 1.0
+    code, out, _ = _run(capsys, ["verify", "--suite", "algebra"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload and all(rec["tolerance"] == defaults[rec["name"]] for rec in payload)
+
+
+def test_calls_in_one_process_write_what_fresh_processes_write(capsys):
+    argv = ["spectrum", "--emax", "40", "--mu1", "-0.49", "--mu2", "3"]
+    fresh = {fmt: _fresh_process(argv + ["--format", fmt]) for fmt in ("csv", "json")}
+    assert all(code == 0 and out for code, out in fresh.values())
+    # A usage error leaves nothing behind in the shared parser.
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--emax", "nope", "--format", "json"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    for fmt in ("csv", "json"):
+        code, out, err = _run(capsys, argv + ["--format", fmt])
+        assert (code, out) == fresh[fmt] and err == ""
 
 
 @pytest.mark.parametrize(
