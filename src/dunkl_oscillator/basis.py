@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import DomainError, RepresentationError
 from .profiles import GaussLaguerreSum, TrigJacobiSum
@@ -305,26 +305,47 @@ def _sector_labels(top: int, mu: DeformationParams) -> Iterator[tuple[int, Angul
             yield two_m, AngularQuantum._of(s1, s2, two_m, mu)
 
 
-def _levels(emax: float, mu: DeformationParams) -> Iterator[tuple[float, int, int, float, list[AngularQuantum]]]:
-    """Walk the states with energy <= emax level by level, building no state.
+class _Levels(NamedTuple):
+    """The states with energy <= emax, level by level, with no state built.
 
-    Yields (energy, 2m, nr, k, sectors) per (level, m) with 2 (nr + m) = level:
-    levels ascending, then 2m ascending.  ``sectors`` holds the AngularQuantum
-    of every sector with that m in (s1, s2) order; each 2m has one such list,
-    and one k from the formula of ``k_of``, at every level.  Raises
-    DomainError, before the first yield, when the states would number more
-    than MAX_STATES.
+    The level 2 (nr + m) = L, for L = 0 .. top, has the energy ``energies[L]``
+    and holds, for each (2m, nr) of ``pairs(L)``, one state per label in
+    ``sectors[2m]``: the AngularQuantum of every sector with that m, in
+    (s1, s2) order, which share the one k ``ks[2m]`` from the formula of
+    ``k_of``.  Walked in that order, levels ascending, the states come sorted
+    by (energy, m, nr, s1, s2).
+    """
+
+    energies: list[float]
+    ks: list[float]
+    sectors: list[list[AngularQuantum]]
+
+    @property
+    def count(self) -> int:
+        """Number of states, from the closed form (top + 1)(top + 2)/2."""
+        return _states_through(len(self.energies) - 1)
+
+    @staticmethod
+    def pairs(level: int) -> Iterator[tuple[int, int]]:
+        """(2m, nr) of every m on the level 2 (nr + m) = level, 2m ascending."""
+        return ((two_m, (level - two_m) // 2) for two_m in range(level % 2, level + 1, 2))
+
+
+def _levels(emax: float, mu: DeformationParams) -> _Levels:
+    """The levels of every state with energy <= emax, and the labels and k of every m they hold.
+
+    Raises DomainError, before any label is built, when the states would
+    number more than MAX_STATES.
     """
     top = _top_level(emax, mu)
-    # angular[2m]: the labels of every sector holding that m, in (s1, s2) order.
-    angular: list[list[AngularQuantum]] = [[] for _ in range(top + 1)]
+    sectors: list[list[AngularQuantum]] = [[] for _ in range(top + 1)]
     for two_m, q in _sector_labels(top, mu):
-        angular[two_m].append(q)
-    ks = [_k(0.5 * two_m, mu) for two_m in range(top + 1)]
-    for level in range(top + 1):
-        e = _level_energy(level, mu)
-        for two_m in range(level % 2, level + 1, 2):
-            yield e, two_m, (level - two_m) // 2, ks[two_m], angular[two_m]
+        sectors[two_m].append(q)
+    return _Levels(
+        energies=[_level_energy(level, mu) for level in range(top + 1)],
+        ks=[_k(0.5 * two_m, mu) for two_m in range(top + 1)],
+        sectors=sectors,
+    )
 
 
 def enumerate_states(emax: float, mu: DeformationParams) -> list[StateLabel]:
@@ -336,9 +357,11 @@ def enumerate_states(emax: float, mu: DeformationParams) -> list[StateLabel]:
     a (sector, m), and one RadialQuantum serves both sectors that share an
     (m, nr).  Raises DomainError when the count exceeds MAX_STATES.
     """
+    walk = _levels(emax, mu)
     out: list[StateLabel] = []
-    for e, _, nr, k, sectors in _levels(emax, mu):
-        radial = RadialQuantum(nr=nr, k=k)
-        for ang in sectors:
-            out.append(StateLabel(angular=ang, radial=radial, energy=e))
+    for level, e in enumerate(walk.energies):
+        for two_m, nr in walk.pairs(level):
+            radial = RadialQuantum(nr=nr, k=walk.ks[two_m])
+            for ang in walk.sectors[two_m]:
+                out.append(StateLabel(angular=ang, radial=radial, energy=e))
     return out

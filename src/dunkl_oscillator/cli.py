@@ -11,22 +11,31 @@ Outputs are deterministic for a fixed configuration and seed.  Each table
 command writes one header dict in both formats: CSV ``# key = value`` lines
 (17-significant-digit floats, signed parities, ``xi`` as ``xi_re``/``xi_im``)
 or JSON fields, with sorted keys.  Neither format carries a non-finite number.
-Exit codes: 0 success, 1 failed verification checks, 2 usage or domain errors
-(among them a non-finite value in a table, a ``--grid`` past 1,000,000 points
-and an unwritable ``--out``).  ``verify`` runs its checks serially; no
-environment variable changes its output.
+Exit codes: 0 success, 1 failed verification checks or a reader of standard
+output that left early (as ``| head`` does; no traceback is printed), 2 usage
+or domain errors (among them a non-finite value in a table, a ``--grid`` past
+1,000,000 points and an unwritable ``--out``).  ``verify`` runs its checks
+serially; no environment variable changes its output.
+
+``spectrum`` writes its document one level at a time, so its peak memory is
+about one level's rows, not the document; its ``count`` comes from the closed
+form (N + 1)(N + 2)/2 for the top level N.  Every command checks and formats
+all it could refuse before it opens ``--out``, so a refused command writes
+nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
-from pathlib import Path
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -134,12 +143,20 @@ def _parse_tol(text: str) -> tuple[str, float]:
     return (name.strip(), value)
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _output(out: str | None) -> Iterator[TextIO]:
+    """The stream a command writes to: standard output, or the ``--out`` file, opened for writing.
+
+    Failing to open, write or close the file is a DomainError, so a command
+    opens it only when nothing is left that it could refuse.
+    """
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
+        sys.stdout.flush()  # a reader that left shows here, inside ``main``
         return
     try:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as stream:
+            yield stream
     except OSError as exc:
         raise DomainError(f"cannot write --out {out}: {exc.strerror or exc}") from None
 
@@ -153,11 +170,13 @@ def _csv_value(key: str, value) -> str:
     return str(value) if isinstance(value, int) else _fmt(value)
 
 
+def _csv_head(header: dict, columns: list[str]) -> str:
+    """The ``# key = value`` lines and the column line of a CSV table, without the last newline."""
+    return "\n".join([*(f"# {key} = {_csv_value(key, value)}" for key, value in header.items()), ",".join(columns)])
+
+
 def _csv_document(header: dict, columns: list[str], rows: list[str]) -> str:
-    lines = [f"# {key} = {_csv_value(key, value)}" for key, value in header.items()]
-    lines.append(",".join(columns))
-    lines.extend(rows)
-    return "\n".join(lines) + "\n"
+    return "\n".join([_csv_head(header, columns), *rows]) + "\n"
 
 
 def _json_document(obj) -> str:
@@ -202,45 +221,40 @@ def _json_level_fields(e: float) -> tuple[str, str]:
     return ('    {\n      "energy": ' + _json_number(e), "")
 
 
-def _spectrum_rows(levels, sector_fields, level_fields) -> list[str]:
-    """One row per state of the walk ``basis._levels``: lead + head + nr + tail + trail.
-
-    A level gives the lead and trail, formatted once per level from its
-    energy.  A (sector, m) gives the head and tail, formatted once from its
-    s1, s2, m, k and l2 when its m first appears; the walk hands over one list
-    of AngularQuantum and one k per m.  No StateLabel or RadialQuantum is
-    built, and there is one row per state, so the rows give the count.
-    """
-    rows = []
-    by_m: dict[int, list[tuple[str, str]]] = {}
-    last_e = None
-    for e, two_m, nr, k, sectors in levels:
-        if e != last_e:
-            last_e = e
-            lead, trail = level_fields(e)
-        fields = by_m.get(two_m)
-        if fields is None:
-            fields = by_m[two_m] = [sector_fields(ang, k) for ang in sectors]
-        for head, tail in fields:
-            rows.append(f"{lead}{head}{nr}{tail}{trail}")
-    return rows
-
-
 def _cmd_spectrum(args: argparse.Namespace, mu: DeformationParams) -> int:
+    """Write the spectrum one level at a time, so that only one level's rows exist at once.
+
+    A row is lead + head + nr + tail + trail.  A level gives the lead and
+    trail, from its energy, and a (sector, m) the head and tail, from its s1,
+    s2, m, k and l2.  All of them are formatted, and a non-finite one refused,
+    before the output is opened; the count comes from the closed form.
+    """
+    levels = _levels(args.emax, mu)
+    header = {"command": "spectrum", "mu1": mu.mu1, "mu2": mu.mu2, "emax": args.emax, "count": levels.count}
     if args.format == "json":
-        # Objects as json.dumps(..., indent=2, sort_keys=True) writes them at depth 2.
-        fields = (_json_sector_fields, _json_level_fields)
+        # Objects as json.dumps(..., indent=2, sort_keys=True) lays them out at
+        # depth 2; "states" sorts last, so its array replaces the closing brace.
+        sector_fields, level_fields, sep = _json_sector_fields, _json_level_fields, ",\n"
+        opening = _json_document(header)[: -len("\n}\n")] + ',\n  "states": ['
+        closing = ("\n  ]" if levels.count else "]") + "\n}\n"
     else:
-        fields = (_csv_sector_fields, _csv_level_fields)
-    rows = _spectrum_rows(_levels(args.emax, mu), *fields)
-    header = {"command": "spectrum", "mu1": mu.mu1, "mu2": mu.mu2, "emax": args.emax, "count": len(rows)}
-    if args.format == "json":
-        # "states" sorts last, so its array replaces the closing brace.
-        array = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
-        doc = _json_document(header)[: -len("\n}\n")] + ',\n  "states": ' + array + "\n}\n"
-    else:
-        doc = _csv_document(header, ["s1", "s2", "m", "nr", "k", "l2", "energy"], rows)
-    _emit(doc, args.out)
+        sector_fields, level_fields, sep = _csv_sector_fields, _csv_level_fields, "\n"
+        opening = _csv_head(header, ["s1", "s2", "m", "nr", "k", "l2", "energy"])
+        closing = "\n"
+    by_m = [[sector_fields(ang, k) for ang in sectors] for k, sectors in zip(levels.ks, levels.sectors)]
+    by_level = [level_fields(e) for e in levels.energies]
+    with _output(args.out) as stream:
+        stream.write(opening)
+        before = "\n"
+        for level, (lead, trail) in enumerate(by_level):
+            rows = [
+                f"{lead}{head}{nr}{tail}{trail}"
+                for two_m, nr in levels.pairs(level)
+                for head, tail in by_m[two_m]
+            ]
+            stream.write(before + sep.join(rows))
+            before = sep
+        stream.write(closing)
     return 0
 
 
@@ -274,7 +288,8 @@ def _cmd_wavefunction(args: argparse.Namespace, mu: DeformationParams) -> int:
     else:
         rows = [f"{_fmt(r)},{_fmt(v)}" for r, v in zip(grid, values)]
         doc = _csv_document(header, [axis_name, "value"], rows)
-    _emit(doc, args.out)
+    with _output(args.out) as stream:
+        stream.write(doc)
     return 0
 
 
@@ -301,7 +316,8 @@ def _cmd_coherent(args: argparse.Namespace, mu: DeformationParams) -> int:
             for r, v in zip(grid, values)
         ]
         doc = _csv_document({**header, "xi_re": p.xi.real, "xi_im": p.xi.imag}, ["tau", "r", "re", "im", "abs2"], rows)
-    _emit(doc, args.out)
+    with _output(args.out) as stream:
+        stream.write(doc)
     return 0
 
 
@@ -312,7 +328,8 @@ def _cmd_verify(args: argparse.Namespace, mu: DeformationParams) -> int:
         for res in results
     ]
     doc = _json_document(payload)
-    _emit(doc, args.out)
+    with _output(args.out) as stream:
+        stream.write(doc)
     failed = [res for res in results if not res.passed]
     if args.out is not None:
         total = len(results)
@@ -388,6 +405,13 @@ def main(argv=None) -> int:
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except BrokenPipeError:
+        # The reader left early, as ``| head`` does.  Point standard output at
+        # devnull, so that the flush at exit does not fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ import numpy as np
 
 from .basis import _check_k, as_quantum_m, k_of
 from .errors import DomainError, SingularityError
-from .specfun import DeformationParams, _check_integer, _touches_origin, laguerre_all, log_gamma
+from .specfun import _MAX_RADIAL_POINTS, DeformationParams, _check_integer, _touches_origin, laguerre_all, log_gamma
 
 __all__ = [
     "CoherentParams",
@@ -270,9 +270,18 @@ def suggested_norm_quadrature(p: CoherentParams) -> tuple[float, int]:
 
     The density decays like exp(-beta r^2) with beta = (1 - |xi|^2)/|1 - xi|^2,
     which becomes slow as xi approaches -1; the cutoff grows like 1/sqrt(beta).
+    Raises DomainError when the rule would pass the radial quadratures' bound
+    of 1,000,000 points, as it does from about xi = -0.9999997 at k = 1.
     """
     xi = complex(p.xi)
     beta = (1.0 - abs(xi) ** 2) / abs(1.0 - xi) ** 2
     rmax = max(12.0, math.sqrt((80.0 + 8.0 * p.k) / beta) + 2.0)
+    # 16 ceil(2.5 rmax) passes the bound exactly when 2.5 rmax passes a
+    # sixteenth of it; an rmax that overflowed to infinity does too.
+    if not 2.5 * rmax <= _MAX_RADIAL_POINTS / 16:
+        raise DomainError(
+            f"the norm quadrature of xi = {xi}, k = {p.k} needs more than "
+            f"{_MAX_RADIAL_POINTS} radial points (rmax = {rmax:.6g})"
+        )
     npoints = int(max(400, 16 * math.ceil(2.5 * rmax)))
     return (rmax, npoints)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dunkl_oscillator import cli, verify
+from dunkl_oscillator import basis, cli, verify
 from dunkl_oscillator.basis import (
     AngularQuantum,
     RadialQuantum,
@@ -119,6 +120,44 @@ def test_unwritable_out_is_an_input_error(tmp_path, capsys, argv):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectrum", "--emax", "1e9"], "more than 1000000 states"),
+        (["spectrum", "--emax", "20", "--format", "json"], "non-finite number inf"),
+    ],
+    ids=["state-cap", "non-finite-k"],
+)
+def test_refused_spectrum_writes_nothing(tmp_path, capsys, monkeypatch, argv, message, to_file):
+    # k turns infinite from m = 3, first reached on level 6, so a refusal
+    # made while writing would come after the first levels.
+    finite_k = basis._k
+    monkeypatch.setattr(basis, "_k", lambda m, mu: math.inf if m >= 3 else finite_k(m, mu))
+    target = tmp_path / "existing.csv"
+    target.write_text("old content\n")
+    code, out, err = _run(capsys, argv + (["--out", str(target)] if to_file else []))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert target.read_text() == "old content\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_spectrum_peak_memory_is_below_the_document_size(tmp_path, fmt):
+    # The document is written level by level: about one level's rows exist at
+    # once, where a document built whole takes four to five times its size.
+    target = tmp_path / f"spectrum.{fmt}"
+    argv = ["spectrum", "--emax", "300", "--mu1", "0.3", "--mu2", "0.2", "--format", fmt, "--out", str(target)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < target.stat().st_size
 
 
 def _spectrum_reference(emax, mu1, mu2, fmt):
@@ -561,6 +600,24 @@ def _fresh_process(argv):
         [sys.executable, "-m", "dunkl_oscillator", *argv], capture_output=True, text=True, timeout=120, env=env
     )
     return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_reader_that_leaves_early_ends_the_command_quietly(unbuffered):
+    # As in `spectrum ... | head -1`: the document is written level by level,
+    # so the command meets the closed pipe part way through it.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""), "PYTHONUNBUFFERED": unbuffered}
+    argv = [sys.executable, "-m", "dunkl_oscillator", "spectrum", "--emax", "300", "--format", "json"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1 and err == b""
+    finally:
+        proc.kill()
+        proc.wait(timeout=120)
 
 
 def test_parser_is_built_once_per_process():

@@ -480,13 +480,29 @@ def test_evolution_preserves_norm():
 
 
 def test_a_norm_quadrature_too_large_to_build_is_refused_unbuilt(monkeypatch):
-    # Near xi = -1 the suggested rule outgrows any array.
-    p = CoherentParams(xi=-(1.0 - 1e-12), k=1.0)
-    rmax, npoints = suggested_norm_quadrature(p)
-    assert npoints > 1_000_000
+    # The rule the norm formula gives at xi = -(1 - 1e-12), k = 1: it outgrows any array.
+    rmax, npoints = 13266647.902740318, 530_665_920
     monkeypatch.setattr(specfun, "_radial_panels", None)  # calling it would raise TypeError
     with pytest.raises(DomainError, match="npoints must be an integer from 16 to 1000000"):
         radial_inner_product(np.ones_like, np.ones_like, DeformationParams(0.5, 0.5), rmax, npoints)
+
+
+@pytest.mark.parametrize(
+    "xi, k",
+    [(-0.9999998, 1.0), (-(1.0 - 1e-12), 1.0), (-(1.0 - 1e-15), 1.0), (0.5, 1e308)],
+)
+def test_suggested_norm_quadrature_refuses_a_rule_past_the_radial_bound(xi, k):
+    with pytest.raises(DomainError, match="needs more than 1000000 radial points"):
+        suggested_norm_quadrature(CoherentParams(xi=xi, k=k))
+
+
+def test_suggested_norm_quadrature_keeps_rules_within_the_radial_bound():
+    # The last xi before the bound at k = 1 still gets its rule, and every rule
+    # it gives is one that radial_inner_product builds.
+    for xi in (-0.9999997, 0.0, 0.8j, -0.8):
+        rmax, npoints = suggested_norm_quadrature(CoherentParams(xi=xi, k=1.0))
+        assert 400 <= npoints <= 1_000_000 and rmax >= 12.0
+    assert suggested_norm_quadrature(CoherentParams(xi=-0.9999997, k=1.0))[1] > 900_000
 
 
 def test_density_period_is_pi_hbar():
