@@ -1,8 +1,8 @@
-"""Module entry point: delegate to the CLI."""
+"""Module entry point: delegate to the CLI's numpy-free entry."""
 
 import sys
 
-from .cli import main
+from .entry import main
 
 if __name__ == "__main__":
     sys.exit(main())

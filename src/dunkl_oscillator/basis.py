@@ -14,6 +14,10 @@ orthonormal against |cos(phi)|^(2 mu1) |sin(phi)|^(2 mu2) d(phi) on [0, 2 pi).
 Radial eigenfunctions are Laguerre-type profiles, orthonormal against
 r^(1 + 2 mu1 + 2 mu2) dr on (0, inf) and indexed by the positive parameter
 k = m + (mu1 + mu2 + 1) / 2.
+
+The labels, energies and the enumeration need no numpy; the eigenfunctions
+import ``profiles`` when they are first called, so that ``spectrum`` starts
+without numpy.
 """
 
 from __future__ import annotations
@@ -21,11 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
+from .domain import DeformationParams, log_gamma
 from .errors import DomainError, RepresentationError
-from .profiles import GaussLaguerreSum, TrigJacobiSum
-from .specfun import DeformationParams, log_gamma
+
+if TYPE_CHECKING:
+    from .profiles import GaussLaguerreSum, TrigJacobiSum
 
 __all__ = [
     "AngularQuantum",
@@ -57,7 +63,7 @@ _MAX_QUANTUM = 1_000_000
 
 
 def as_quantum_m(m) -> Fraction:
-    """Coerce m to an exact non-negative integer or half-odd-integer Fraction."""
+    """Coerce m to an exact integer or half-odd-integer Fraction from 0 to _MAX_QUANTUM."""
     try:
         frac = Fraction(m)
     except (TypeError, ValueError) as exc:
@@ -66,6 +72,8 @@ def as_quantum_m(m) -> Fraction:
         raise DomainError(f"m must be non-negative, got {frac}")
     if frac.denominator not in (1, 2):
         raise DomainError(f"m must be an integer or half-odd-integer, got {frac}")
+    if frac > _MAX_QUANTUM:
+        raise DomainError(f"m must not exceed {_MAX_QUANTUM}, got {frac}")
     return frac
 
 
@@ -101,8 +109,6 @@ class AngularQuantum:
     def build(cls, s1: int, s2: int, m, mu: DeformationParams) -> "AngularQuantum":
         start = sector_start(s1, s2)
         frac = as_quantum_m(m)
-        if frac > _MAX_QUANTUM:
-            raise DomainError(f"m must not exceed {_MAX_QUANTUM}, got {frac}")
         if frac < start or (frac - start).denominator != 1:
             raise RepresentationError(
                 f"m = {frac} is not in the ({s1:+d}, {s2:+d}) sector, "
@@ -144,6 +150,8 @@ def angular_norm(q: AngularQuantum, mu: DeformationParams) -> float:
 
 def angular_wavefunction(q: AngularQuantum, mu: DeformationParams) -> TrigJacobiSum:
     """Orthonormal angular eigenfunction of the sector described by q."""
+    from .profiles import TrigJacobiSum
+
     eta = angular_norm(q, mu)
     return TrigJacobiSum.single(
         coeff=eta,
@@ -241,6 +249,8 @@ def energy(nr: int, m, mu: DeformationParams) -> float:
 
 def radial_sturmian(q: RadialQuantum, mu: DeformationParams) -> GaussLaguerreSum:
     """Orthonormal radial eigenfunction for label q under r^(1 + 2 mu1 + 2 mu2) dr."""
+    from .profiles import GaussLaguerreSum
+
     two_k = 2.0 * q.k
     ln_norm = 0.5 * (math.log(2.0) + log_gamma(q.nr + 1.0) - log_gamma(q.nr + two_k))
     return GaussLaguerreSum.single(

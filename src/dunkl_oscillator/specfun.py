@@ -13,16 +13,18 @@ the Gauss-Jacobi rule carrying the singular power on the innermost panel.
 basis evaluate each function once as a row of V and form V diag(w) V^T.
 Each takes mu as a ``DeformationParams`` or a plain pair (mu1, mu2), refused
 by the one rule of ``DeformationParams`` that every layer above applies.
+``DeformationParams`` and ``log_gamma`` live in the numpy-free ``domain``
+module and are exported from here.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import DeformationParams, log_gamma
 from .errors import DomainError
 
 __all__ = [
@@ -42,28 +44,6 @@ _GRADING_RATIO = 0.2
 # dense Golub-Welsch matrix is 128 MB at 4096 nodes.
 _MAX_RADIAL_POINTS = 1_000_000
 _MAX_ANGULAR_POINTS = 4096
-
-
-@dataclass(frozen=True)
-class DeformationParams:
-    """Reflection coupling constants, each required to be finite and exceed -1/2."""
-
-    mu1: float
-    mu2: float
-
-    def __post_init__(self):
-        for name, value in (("mu1", self.mu1), ("mu2", self.mu2)):
-            if not (value > -0.5 and math.isfinite(value)):
-                raise DomainError(f"{name} must be finite and exceed -1/2, got {value}")
-
-    @classmethod
-    def of(cls, mu) -> "DeformationParams":
-        """mu itself if it is a ``DeformationParams``, else the checked pair (mu1, mu2)."""
-        return mu if isinstance(mu, cls) else cls(*mu)
-
-    @property
-    def total(self) -> float:
-        return self.mu1 + self.mu2
 
 
 def _as_array(x):
@@ -136,13 +116,6 @@ def jacobi(n: int, alpha: float, beta: float, x):
         c4 = 2.0 * (m + alpha - 1.0) * (m + beta - 1.0) * s
         p, p_prev = ((c2 + c3 * arr) * p - c4 * p_prev) / c1, p
     return p.item() if scalar else p
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for finite x > 0."""
-    if not 0.0 < x < math.inf:
-        raise DomainError(f"log_gamma requires a finite x > 0, got {x}")
-    return math.lgamma(x)
 
 
 @functools.lru_cache(maxsize=64)

@@ -37,14 +37,13 @@ from .basis import (
     separation_constant,
     substitute_u,
 )
+from .domain import SUITES
 from .dunkl_ops import apply_angular_operator, apply_hamiltonian, apply_radial_hamiltonian
 from .errors import DomainError
 from .profiles import GaussLaguerreSum, _polar_plane, angular_grid, residual_grid
 from .specfun import DeformationParams, angular_gram, laguerre_all, radial_gram, radial_inner_product
 
 __all__ = ["CheckResult", "SUITES", "available_checks", "run_checks"]
-
-SUITES = ("angular", "radial", "algebra", "coherent")
 
 
 @dataclass(frozen=True)

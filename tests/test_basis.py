@@ -244,6 +244,22 @@ def test_quantum_numbers_past_the_bound_are_refused():
             AngularQuantum.build(s1, s2, m, mu)
 
 
+@pytest.mark.parametrize(
+    "m",
+    [1_000_001, Fraction(2_000_001, 2), 10**12, Fraction(10**400), "1e400"],
+    ids=["int", "half-odd", "1e12", "fraction-1e400", "text-1e400"],
+)
+def test_every_m_entry_refuses_an_m_past_the_bound(m):
+    # as_quantum_m holds the one bound on m, so no entry point reaches float(m),
+    # which overflows past about 1.8e308.
+    mu = DeformationParams(0.25, 0.75)
+    for fn in (as_quantum_m, lambda m: k_of(m, mu), lambda m: energy(0, m, mu), lambda m: separation_constant(m, mu)):
+        with pytest.raises(DomainError, match="m must not exceed 1000000"):
+            fn(m)
+    assert as_quantum_m(basis._MAX_QUANTUM) == 1_000_000
+    assert k_of(Fraction(1_999_999, 2), mu) == 999_999.5 + 0.5 * (mu.total + 1.0)
+
+
 def test_radial_quantum_refuses_infinite_k():
     with pytest.raises(RepresentationError, match="positive and finite"):
         RadialQuantum(nr=0, k=math.inf)

@@ -455,6 +455,20 @@ def test_coherent_at_large_m_matches_mpmath(capsys):
             assert abs(float(row[4]) - exact**2) <= 1e-12 * exact**2
 
 
+@pytest.mark.parametrize("m", ["2000001", "1e400"])
+def test_coherent_m_past_the_bound_exits_two(capsys, m):
+    # The --state bound holds for --m too, and a huge m never reaches float(m).
+    code, out, err = _run(capsys, ["coherent", "--xi", "0.3", "--m", m])
+    assert code == 2 and out == ""
+    assert err.startswith("error: m must not exceed 1000000, got ") and err.count("\n") == 1
+
+
+def test_wavefunction_whose_norm_overflows_exits_two(capsys):
+    code, out, err = _run(capsys, ["wavefunction", "--state=+1,+1,0,2", "--mu1", "1e308"])
+    assert code == 2 and out == ""
+    assert err == "error: log_gamma overflows a float at x = 1e+308\n"
+
+
 def test_coherent_rejects_unit_displacement(capsys):
     code, out, err = _run(capsys, ["coherent", "--xi", "1,0"])
     assert code == 2

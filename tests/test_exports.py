@@ -11,6 +11,11 @@ def test_every_exported_name_resolves():
     for name in dunkl_oscillator.__all__:
         assert hasattr(dunkl_oscillator, name), name
     assert len(dunkl_oscillator.__all__) == len(set(dunkl_oscillator.__all__))
+    # The namespace looks each name up in its layer, so the two never differ.
+    for layer in LAYERS:
+        module = importlib.import_module(f"dunkl_oscillator.{layer}")
+        for name in module.__all__:
+            assert getattr(dunkl_oscillator, name) is getattr(module, name), name
 
 
 def test_exports_are_the_union_of_layer_exports():

@@ -1,6 +1,7 @@
 """Special-function evaluation and quadrature against independent oracles."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -132,6 +133,14 @@ def test_log_gamma_rejects_nonpositive():
         log_gamma(0.0)
     with pytest.raises(DomainError):
         log_gamma(-2.5)
+
+
+def test_log_gamma_refuses_a_finite_x_whose_value_overflows():
+    # ln Gamma(x) ~ x ln x passes the largest float near x = 2.56e305.
+    assert log_gamma(2.5e305) == pytest.approx(2.5e305 * (math.log(2.5e305) - 1.0), rel=1e-12)
+    for x in (2.6e305, 1e308, sys.float_info.max):
+        with pytest.raises(DomainError, match="log_gamma overflows a float"):
+            log_gamma(x)
 
 
 # --- quadrature --------------------------------------------------------------
