@@ -1,8 +1,9 @@
 """The command-line subcommands that need numpy: ``wavefunction``, ``coherent`` and ``verify``.
 
 ``entry`` parses every command, runs ``spectrum`` and imports this module
-when one of these three first runs; its ``main`` is re-exported here.
-Importing this module loads every layer of the package.
+when one of these three first runs.  This module's one public name is
+``entry.main``, so ``cli.main`` runs every command; importing this module
+loads every layer of the package.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .basis import AngularQuantum, RadialQuantum, angular_wavefunction, energy, k_of, radial_sturmian
 from .coherent import CoherentParams, EvolutionParams, coherent_evolved
 from .domain import DeformationParams
-from .entry import _build_parser, _csv_document, _fmt, _json_document, _output, main  # noqa: F401
+from .entry import _csv_document, _fmt, _json_document, _output, main
 from .errors import DomainError
 from .verify import run_checks
 

@@ -92,7 +92,7 @@ class EvolutionParams:
 
 
 def auto_nterms(p: CoherentParams, tol: float = 1e-14) -> int:
-    """Number of series terms so the first omitted coefficient is below tol."""
+    """Number of series terms so the first omitted coefficient is below tol; ``DomainError`` past 20,000."""
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
     return _nterms_for(abs(p.xi), 2.0 * p.k, tol)
@@ -110,7 +110,7 @@ def _nterms_for(axi: float, two_k: float, tol: float) -> int:
         bound = 0.5 * (math.lgamma(n + two_k) - math.lgamma(n + 1.0) - lg_2k) + n * ln_axi
         if bound < ln_tol:
             return n + 1
-    return 20000
+    raise DomainError(f"no coherent series of at most 20000 terms meets tol = {tol} at |xi| = {axi}, k = {two_k / 2}")
 
 
 def _ln_norm(p: CoherentParams) -> float:

@@ -3,8 +3,8 @@
 ``dunkl-osc`` and ``python -m dunkl_oscillator`` call ``main`` here, so
 ``--help``, ``spectrum`` and every refusal made while parsing start without
 importing numpy.  ``wavefunction``, ``coherent`` and ``verify`` run in
-``cli``, which is imported when one of them first runs; ``cli.main`` is this
-same ``main``.
+``cli``, which is imported when one of them first runs and whose one public
+name is this ``main``; ``main`` is not in the package's ``__all__``.
 
 Subcommands:
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dunkl_oscillator import basis, cli, verify
+from dunkl_oscillator import basis, cli, entry, verify
 from dunkl_oscillator.basis import (
     AngularQuantum,
     RadialQuantum,
@@ -367,7 +367,7 @@ def test_grid_point_count_is_bounded(capsys):
 def test_state_quantum_numbers_are_bounded(capsys, state):
     # The recurrences loop nr and about m times per point; argparse refuses a
     # number past the bound before any of them starts.
-    parser = cli._build_parser()
+    parser = entry._build_parser()
     with pytest.raises(SystemExit) as exc:
         parser.parse_args(["wavefunction", f"--state={state}", "--grid", "0:1:3"])
     assert exc.value.code == 2
@@ -635,7 +635,7 @@ def test_a_reader_that_leaves_early_ends_the_command_quietly(unbuffered):
 
 
 def test_parser_is_built_once_per_process():
-    assert cli._build_parser() is cli._build_parser()
+    assert entry._build_parser() is entry._build_parser()
 
 
 def test_tolerance_override_does_not_outlive_its_call(capsys):

@@ -119,23 +119,48 @@ def _reference_auto_nterms(p, tol=1e-14):
     return 20000
 
 
+def _assert_matches_first_loop(p, tol=1e-14):
+    # Where the first loop ran out at its 20,000 cap without meeting tol, auto_nterms refuses.
+    expected = _reference_auto_nterms(p, tol)
+    if expected == 20000:
+        with pytest.raises(DomainError, match=f"at most 20000 terms meets tol = {tol} at \\|xi\\| = "):
+            auto_nterms(p, tol)
+    else:
+        assert auto_nterms(p, tol) == expected
+
+
 @pytest.mark.parametrize("axi", [0.05, 0.3, 0.5, 0.8, 0.95, 0.99, 0.9999])
 @pytest.mark.parametrize("k", [0.5, 1.0, 2.7, 10.0, 40.0])
 def test_auto_nterms_equals_its_first_loop(axi, k):
+    # The cap is reached at |xi| = 0.9999 for every k, and at |xi| = 0.99 for k = 40.
+    capped = axi == 0.9999 or (axi, k) == (0.99, 40.0)
+    assert (_reference_auto_nterms(CoherentParams(xi=axi, k=k)) == 20000) == capped
     for xi in (axi, -axi, axi * cmath.exp(2.2j)):
-        p = CoherentParams(xi=xi, k=k)
-        assert auto_nterms(p) == _reference_auto_nterms(p)
-    p = CoherentParams(xi=axi, k=k)
-    assert auto_nterms(p, tol=1e-3) == _reference_auto_nterms(p, tol=1e-3)
+        _assert_matches_first_loop(CoherentParams(xi=xi, k=k))
+    _assert_matches_first_loop(CoherentParams(xi=axi, k=k), tol=1e-3)
 
 
 def test_auto_nterms_cap_equals_its_first_loop():
     p = CoherentParams(xi=0.9999, k=40.0)
-    assert auto_nterms(p, tol=1e-300) == _reference_auto_nterms(p, tol=1e-300) == 20000
+    assert _reference_auto_nterms(p, tol=1e-300) == 20000
+    message = r"^no coherent series of at most 20000 terms meets tol = 1e-300 at \|xi\| = 0.9999, k = 40.0$"
+    with pytest.raises(DomainError, match=message):
+        auto_nterms(p, tol=1e-300)
     assert auto_nterms(CoherentParams(xi=0.0, k=1.0)) == 1
 
 
 # --- series vs closed form ---------------------------------------------------
+
+
+@pytest.mark.parametrize("xi", [0.999, 0.9999])
+def test_series_refuses_a_disk_label_whose_term_count_reaches_the_cap(xi):
+    # A 20,000-term series is off from the closed form by 1.5e-7 at 0.999 and
+    # by 7.6 at 0.9999, where |Psi| is about 1e-39.
+    mu = DeformationParams(0.5, 0.5)
+    p = CoherentParams(xi=xi, k=k_of(0, mu))
+    message = f"^no coherent series of at most 20000 terms meets tol = 1e-14 at \\|xi\\| = {xi}, k = 1.0$"
+    with pytest.raises(DomainError, match=message):
+        coherent_series(np.linspace(0.1, 3.0, 5), p, mu)
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ LAYERS = ("errors", "specfun", "profiles", "dunkl_ops", "basis", "su11", "cohere
 def test_every_exported_name_resolves():
     for name in dunkl_oscillator.__all__:
         assert hasattr(dunkl_oscillator, name), name
+    # __all__ joins the layers' lists, so a name in two of them would appear twice.
     assert len(dunkl_oscillator.__all__) == len(set(dunkl_oscillator.__all__))
     # The namespace looks each name up in its layer, so the two never differ.
     for layer in LAYERS:
