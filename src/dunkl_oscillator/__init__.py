@@ -9,8 +9,10 @@ The namespace is ``__version__`` plus the layers' ``__all__`` lists, which
 hold each public name once.  ``import dunkl_oscillator`` imports no layer: a
 name is looked up on every access (PEP 562), never copied here, in the first
 layer of ``_LAYERS`` whose ``__all__`` holds it, importing the layers in that
-order, the numpy-free ``errors`` and ``basis`` first.  Building ``__all__`` or
-``dir()`` imports every layer.  The CLI's ``main`` is ``entry.main``.
+order, the numpy-free ``errors`` and ``basis`` first, so ``DeformationParams``,
+``log_gamma``, ``SUITES`` and the labels resolve without numpy.  Building
+``__all__`` or ``dir()`` imports every layer.  The CLI's ``main`` is
+``entry.main``.
 """
 
 import importlib
@@ -18,7 +20,7 @@ import importlib
 __version__ = "0.1.0"
 
 _LAYERS = ("errors", "basis", "specfun", "profiles", "dunkl_ops", "su11", "coherent", "verify")
-_SUBMODULES = (*_LAYERS, "domain", "entry", "cli")
+_SUBMODULES = (*_LAYERS, "entry", "cli")
 
 
 def _layer_modules():

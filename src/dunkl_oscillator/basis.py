@@ -15,25 +15,30 @@ Radial eigenfunctions are Laguerre-type profiles, orthonormal against
 r^(1 + 2 mu1 + 2 mu2) dr on (0, inf) and indexed by the positive parameter
 k = m + (mu1 + mu2 + 1) / 2.
 
-The labels, energies and the enumeration need no numpy; the eigenfunctions
-import ``profiles`` when they are first called, so that ``spectrum`` starts
-without numpy.
+This root layer needs no numpy.  Besides the labels, energies and the
+enumeration it holds the rules every layer applies (``DeformationParams``,
+``log_gamma``, the one integer rule ``_check_integer``) and ``verify``'s
+``SUITES``, so ``--help`` and ``spectrum`` run without numpy; the
+eigenfunctions import ``profiles`` when they are first called.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .domain import DeformationParams, log_gamma
 from .errors import DomainError, RepresentationError
 
 if TYPE_CHECKING:
     from .profiles import GaussLaguerreSum, TrigJacobiSum
 
 __all__ = [
+    "DeformationParams",
+    "log_gamma",
+    "SUITES",
     "AngularQuantum",
     "RadialQuantum",
     "StateLabel",
@@ -50,6 +55,9 @@ __all__ = [
     "enumerate_states",
 ]
 
+# The self-check suites of ``verify.run_checks``, in report order.
+SUITES = ("angular", "radial", "algebra", "coherent")
+
 # Parity sectors in ascending (s1, s2) order, each with the lowest 2m it holds.
 _SECTOR_STARTS = {(-1, -1): 2, (-1, 1): 1, (1, -1): 1, (1, 1): 0}
 
@@ -60,6 +68,49 @@ MAX_STATES = 1_000_000
 # Largest m or nr a label may carry: the Jacobi and Laguerre recurrences loop
 # about that many times per point, so a larger one would hang an evaluation.
 _MAX_QUANTUM = 1_000_000
+
+
+@dataclass(frozen=True)
+class DeformationParams:
+    """Reflection coupling constants, each required to be finite and exceed -1/2."""
+
+    mu1: float
+    mu2: float
+
+    def __post_init__(self):
+        for name, value in (("mu1", self.mu1), ("mu2", self.mu2)):
+            if not (value > -0.5 and math.isfinite(value)):
+                raise DomainError(f"{name} must be finite and exceed -1/2, got {value}")
+
+    @classmethod
+    def of(cls, mu) -> "DeformationParams":
+        """mu itself if it is a ``DeformationParams``, else the checked pair (mu1, mu2)."""
+        return mu if isinstance(mu, cls) else cls(*mu)
+
+    @property
+    def total(self) -> float:
+        return self.mu1 + self.mu2
+
+
+def log_gamma(x: float) -> float:
+    """ln Gamma(x) for finite x > 0 up to about 2.56e305, past which ln Gamma(x) overflows a float."""
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"log_gamma requires a finite x > 0, got {x}")
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise DomainError(f"log_gamma overflows a float at x = {x}") from None
+
+
+def _check_integer(n, what: str, least: int = 0, most: float = math.inf) -> None:
+    """Refuse an n that is not an int or numpy integer from ``least`` to ``most``: NaN, inf and 2.0 included."""
+    # numpy integers are Integral, a test several times dearer than isinstance(n, int).
+    if not (isinstance(n, int) or isinstance(n, numbers.Integral)) or not least <= n <= most:
+        if most < math.inf:
+            bound = f"an integer from {least} to {most}"
+        else:
+            bound = f"an integer of at least {least}" if least else "a non-negative integer"
+        raise DomainError(f"{what} must be {bound}, got {n!r}")
 
 
 def as_quantum_m(m) -> Fraction:
@@ -164,9 +215,8 @@ def angular_wavefunction(q: AngularQuantum, mu: DeformationParams) -> TrigJacobi
 
 
 def _check_nr(nr) -> None:
-    """Refuse an nr that is not a non-negative integer up to _MAX_QUANTUM, NaN and infinity included."""
-    if not (nr >= 0 and math.isfinite(nr) and int(nr) == nr):
-        raise DomainError(f"nr must be a non-negative integer, got {nr}")
+    """Refuse an nr that is not a non-negative integer up to _MAX_QUANTUM."""
+    _check_integer(nr, "nr")
     if nr > _MAX_QUANTUM:
         raise DomainError(f"nr must not exceed {_MAX_QUANTUM}, got {nr}")
 

@@ -15,9 +15,8 @@ import sys
 
 import numpy as np
 
-from .basis import AngularQuantum, RadialQuantum, angular_wavefunction, energy, k_of, radial_sturmian
+from .basis import AngularQuantum, DeformationParams, RadialQuantum, angular_wavefunction, energy, k_of, radial_sturmian
 from .coherent import CoherentParams, EvolutionParams, coherent_evolved
-from .domain import DeformationParams
 from .entry import _csv_document, _fmt, _json_document, _output, main
 from .errors import DomainError
 from .verify import run_checks

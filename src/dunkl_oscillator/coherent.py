@@ -36,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _check_k, as_quantum_m, k_of
+from .basis import DeformationParams, _check_integer, _check_k, as_quantum_m, k_of, log_gamma
 from .errors import DomainError, SingularityError
-from .specfun import _MAX_RADIAL_POINTS, DeformationParams, _check_integer, _touches_origin, laguerre_all, log_gamma
+from .specfun import _MAX_RADIAL_POINTS, _touches_origin, laguerre_all
 
 __all__ = [
     "CoherentParams",
@@ -164,9 +164,8 @@ def _series_values(
     term_phase: np.ndarray | None = None,
 ) -> np.ndarray:
     """Partial-sum values of the coherent superposition on a radius array of any shape."""
-    if nterms < 1:
-        raise DomainError(f"nterms must be at least 1, got {nterms}")
-    _check_integer(nterms - 1, "polynomial degree")  # before the cache, where 10.0 would find the table of 10
+    # Checked before the cache, where 10.0 would find the table of 10.
+    _check_integer(nterms, "nterms (top polynomial degree + 1)", 1)
     flat = arr.ravel()
     # The envelope refuses a negative or non-finite r before the table would take it.
     envelope = _envelope(flat, _ln_norm(p), _radial_exponent(p, mu), -0.5)
@@ -182,7 +181,11 @@ def _series_values(
 
 
 def coherent_series(r, p: CoherentParams, mu: DeformationParams, nterms: int | None = None):
-    """Coherent-state radial values by explicit basis summation."""
+    """Coherent-state radial values by explicit basis summation.
+
+    An explicit ``nterms`` is a partial sum taken as given, unchecked against
+    any tol; only ``nterms=None`` goes through ``auto_nterms`` and its refusal.
+    """
     if nterms is None:
         nterms = auto_nterms(p)
     vals = _series_values(np.asarray(r, dtype=float), p, mu, nterms)

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .basis import DeformationParams
 from .errors import DerivativeUnavailable, DomainError, SingularityError
 from .profiles import GaussLaguerreSum, PlaneFunction, TrigJacobiSum, _check_l2, derivative_of
-from .specfun import DeformationParams
 
 __all__ = [
     "reflect",

@@ -2,9 +2,10 @@
 
 ``dunkl-osc`` and ``python -m dunkl_oscillator`` call ``main`` here, so
 ``--help``, ``spectrum`` and every refusal made while parsing start without
-importing numpy.  ``wavefunction``, ``coherent`` and ``verify`` run in
-``cli``, which is imported when one of them first runs and whose one public
-name is this ``main``; ``main`` is not in the package's ``__all__``.
+importing numpy: the mu rule and the suite names come from the numpy-free
+``basis``.  ``wavefunction``, ``coherent`` and ``verify`` run in ``cli``,
+which is imported when one of them first runs and whose one public name is
+this ``main``; ``main`` is not in the package's ``__all__``.
 
 Subcommands:
 
@@ -42,8 +43,7 @@ import sys
 from fractions import Fraction
 from typing import Iterator, TextIO
 
-from .basis import _MAX_QUANTUM, AngularQuantum, _levels
-from .domain import SUITES, DeformationParams
+from .basis import _MAX_QUANTUM, SUITES, AngularQuantum, DeformationParams, _levels
 from .errors import DomainError
 
 __all__ = ["main"]

@@ -29,8 +29,9 @@ from typing import Callable
 
 import numpy as np
 
+from .basis import DeformationParams, _check_integer
 from .errors import DomainError, SingularityError
-from .specfun import DeformationParams, _touches_origin, jacobi, laguerre
+from .specfun import _touches_origin, jacobi, laguerre
 
 __all__ = [
     "Profile",
@@ -59,24 +60,17 @@ def _check_l2(l2: float, mu: DeformationParams) -> None:
 class Profile:
     """A function of one variable (r or phi): an exact term sum, ``terms`` = {key: coeff}.
 
-    A subclass supplies ``_evaluate`` and ``_derive``; ``derivative()`` builds
-    the exact derivative once and keeps it.  Every sum, from the constructor
+    A subclass supplies ``_evaluate`` and ``derivative``, the exact
+    derivative, built afresh on each call.  Every sum, from the constructor
     to the operators of ``dunkl_ops``, is built by one ``_fold`` over scaled
     parts.
     """
-
-    _derivative = None
 
     def __init__(self, pairs):
         self.terms = self._fold_terms(((None, pairs),))
 
     def __call__(self, t):
         return self._evaluate(t)
-
-    def derivative(self) -> "Profile":
-        if self._derivative is None:
-            self._derivative = self._derive()
-        return self._derivative
 
     @staticmethod
     def _fold_terms(parts) -> dict:
@@ -143,7 +137,7 @@ class GaussLaguerreSum(Profile):
         total = total * np.exp(-0.5 * x)
         return total[0] if np.ndim(r) == 0 else total
 
-    def _derive(self) -> "GaussLaguerreSum":
+    def derivative(self) -> "GaussLaguerreSum":
         out = []
         for (p, n, a), c in self.terms.items():
             if p != 0:
@@ -189,7 +183,7 @@ class TrigJacobiSum(Profile):
             total = total + c * cos**i * sin**j * jacobi(d, al, be, x)
         return total[0] if np.ndim(phi) == 0 else total
 
-    def _derive(self) -> "TrigJacobiSum":
+    def derivative(self) -> "TrigJacobiSum":
         out = []
         for (i, j, d, al, be), c in self.terms.items():
             if i != 0:
@@ -210,8 +204,7 @@ def derivative_of(profile: Profile, order: int = 1) -> Profile:
     """The order-th exact derivative of a term sum; ``TypeError`` for anything else."""
     if not isinstance(profile, Profile):
         raise TypeError(f"exact derivatives need a term-sum Profile, got {type(profile).__name__}")
-    if not isinstance(order, (int, np.integer)) or order < 0:
-        raise DomainError(f"derivative order must be a non-negative integer, got {order!r}")
+    _check_integer(order, "derivative order")
     for _ in range(order):
         profile = profile.derivative()
     return profile

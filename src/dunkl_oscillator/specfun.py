@@ -12,9 +12,9 @@ the Gauss-Jacobi rule carrying the singular power on the innermost panel.
 ``radial_inner_product`` integrates one product f*g; the Gram matrices of a
 basis evaluate each function once as a row of V and form V diag(w) V^T.
 Each takes mu as a ``DeformationParams`` or a plain pair (mu1, mu2), refused
-by the one rule of ``DeformationParams`` that every layer above applies.
-``DeformationParams`` and ``log_gamma`` live in the numpy-free ``domain``
-module and are exported from here.
+by the one rule of ``DeformationParams`` that every layer above applies; it,
+``log_gamma`` and the integer rule for degrees and node counts live in the
+numpy-free ``basis``.
 """
 
 from __future__ import annotations
@@ -24,15 +24,13 @@ import math
 
 import numpy as np
 
-from .domain import DeformationParams, log_gamma
+from .basis import DeformationParams, _check_integer, log_gamma  # log_gamma, unused here, stays importable
 from .errors import DomainError
 
 __all__ = [
-    "DeformationParams",
     "laguerre",
     "laguerre_all",
     "jacobi",
-    "log_gamma",
     "radial_inner_product",
     "radial_gram",
     "angular_gram",
@@ -49,13 +47,6 @@ _MAX_ANGULAR_POINTS = 4096
 def _as_array(x):
     arr = np.asarray(x)
     return arr, arr.ndim == 0
-
-
-def _check_integer(n, what: str, least: int = 0, most: float = math.inf) -> None:
-    """Refuse an n that is not an int or numpy integer from ``least`` to ``most``: NaN, inf and 400.7 included."""
-    if not isinstance(n, (int, np.integer)) or not least <= n <= most:
-        bound = f"of at least {least}" if most == math.inf else f"from {least} to {most}"
-        raise DomainError(f"{what} must be an integer {bound}, got {n!r}")
 
 
 def _touches_origin(r: np.ndarray) -> bool:

@@ -25,8 +25,11 @@ import numpy as np
 from . import coherent as co
 from . import su11
 from .basis import (
+    SUITES,
     AngularQuantum,
+    DeformationParams,
     RadialQuantum,
+    _check_integer,
     _sector_labels,
     angular_norm,
     angular_wavefunction,
@@ -37,13 +40,12 @@ from .basis import (
     separation_constant,
     substitute_u,
 )
-from .domain import SUITES
 from .dunkl_ops import apply_angular_operator, apply_hamiltonian, apply_radial_hamiltonian
 from .errors import DomainError
 from .profiles import GaussLaguerreSum, _polar_plane, angular_grid, residual_grid
-from .specfun import DeformationParams, angular_gram, laguerre_all, radial_gram, radial_inner_product
+from .specfun import angular_gram, laguerre_all, radial_gram, radial_inner_product
 
-__all__ = ["CheckResult", "SUITES", "available_checks", "run_checks"]
+__all__ = ["CheckResult", "available_checks", "run_checks"]
 
 
 @dataclass(frozen=True)
@@ -532,8 +534,7 @@ def run_checks(
 ) -> list[CheckResult]:
     """Run a suite of checks serially, in registry order; results are sorted by check name."""
     mu = DeformationParams.of((0.5, 0.5) if mu is None else mu)
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_integer(seed, "seed")
     overrides = dict(tol_overrides or {})
     for name, value in overrides.items():
         if name not in available_checks():

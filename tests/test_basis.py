@@ -220,12 +220,30 @@ def test_radial_quantum_k_values():
         RadialQuantum(nr=0, k=0.0)
 
 
-@pytest.mark.parametrize("nr", [math.nan, math.inf, -math.inf, 1.5])
+@pytest.mark.parametrize("nr", [math.nan, math.inf, -math.inf, 1.5, 2.0, 1e300])
 def test_nonfinite_or_fractional_nr_is_a_domain_error(nr):
+    # nr must be an int or a numpy integer: a float is refused even when whole.
     with pytest.raises(DomainError, match="nr must be a non-negative integer"):
         RadialQuantum(nr=nr, k=1.0)
     with pytest.raises(DomainError, match="nr must be a non-negative integer"):
         energy(nr, 0, DeformationParams(0.0, 0.0))
+
+
+def test_one_integer_rule_takes_numpy_integers_and_names_its_bound():
+    # Every count of the package (degrees, node and term counts, nr, the
+    # derivative order and the seed) goes through basis._check_integer.
+    assert RadialQuantum(nr=np.int64(3), k=1.0).nr == 3
+    assert energy(np.uint8(2), 0, DeformationParams(0.0, 0.0)) == 5.0
+    for args, message in [
+        ((np.float64(2.0), "nr"), "nr must be a non-negative integer"),
+        ((-1, "seed"), "seed must be a non-negative integer"),
+        ((15, "npoints", 16, 1000), "npoints must be an integer from 16 to 1000"),
+        ((np.int32(0), "nterms", 1), "nterms must be an integer of at least 1"),
+        (("3", "derivative order"), "derivative order must be a non-negative integer"),
+    ]:
+        with pytest.raises(DomainError) as info:
+            basis._check_integer(*args)
+        assert str(info.value) == f"{message}, got {args[0]!r}"
 
 
 def test_quantum_numbers_past_the_bound_are_refused():
@@ -234,7 +252,8 @@ def test_quantum_numbers_past_the_bound_are_refused():
     mu = DeformationParams(0.25, 0.75)
     assert RadialQuantum(nr=basis._MAX_QUANTUM, k=1.0).nr == 1_000_000
     assert AngularQuantum.build(-1, -1, basis._MAX_QUANTUM, mu).m == 1_000_000
-    for nr in (1_000_001, 10**12, 1e300):
+    # An int of any size is compared exactly, never converted to a float.
+    for nr in (1_000_001, 10**12, 10**400):
         with pytest.raises(DomainError, match="nr must not exceed 1000000"):
             RadialQuantum(nr=nr, k=1.0)
         with pytest.raises(DomainError, match="nr must not exceed 1000000"):

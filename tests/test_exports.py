@@ -19,6 +19,15 @@ def test_every_exported_name_resolves():
             assert getattr(dunkl_oscillator, name) is getattr(module, name), name
 
 
+def test_each_layer_exports_only_what_it_defines():
+    # A name imported from another layer, as specfun imports DeformationParams
+    # from basis, is used there but exported by its own layer alone.
+    for layer in LAYERS:
+        module = importlib.import_module(f"dunkl_oscillator.{layer}")
+        for name in module.__all__:
+            assert getattr(getattr(module, name), "__module__", module.__name__) == module.__name__, (layer, name)
+
+
 def test_exports_are_the_union_of_layer_exports():
     # The cli module's entry point stays in dunkl_oscillator.cli; argparse holds its defaults.
     layer_names = set()

@@ -73,11 +73,13 @@ def test_names_of_numpy_free_layers_resolve_without_numpy():
     # The namespace searches errors and basis before any layer that imports numpy.
     proc = _python(
         "import sys, dunkl_oscillator as pkg; "
-        "names = [pkg.AngularQuantum, pkg.energy, pkg.enumerate_states, pkg.DomainError]; "
-        "print(*[n.__module__ for n in names], 'numpy' in sys.modules)"
+        "names = [pkg.AngularQuantum, pkg.energy, pkg.enumerate_states, pkg.DeformationParams, pkg.log_gamma]; "
+        "assert pkg.SUITES is sys.modules['dunkl_oscillator.basis'].SUITES; "
+        "assert len(pkg.enumerate_states(6, pkg.DeformationParams(0.5, 0.5))) == 15; "
+        "print(*[n.__module__ for n in names], pkg.DomainError.__module__, 'numpy' in sys.modules)"
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [*["dunkl_oscillator.basis"] * 3, "dunkl_oscillator.errors", "False"]
+    assert proc.stdout.split() == [*["dunkl_oscillator.basis"] * 5, "dunkl_oscillator.errors", "False"]
 
 
 def test_a_numpy_command_imports_cli_when_it_runs():
@@ -120,8 +122,10 @@ def test_every_entry_runs_the_one_main():
 
 def test_namespace_resolves_names_and_submodules_on_access():
     assert pkg.radial_sturmian is pkg.basis.radial_sturmian
-    assert pkg.DeformationParams is pkg.domain.DeformationParams is pkg.specfun.DeformationParams
-    assert pkg.SUITES is pkg.domain.SUITES is pkg.verify.SUITES
-    assert set(pkg.__all__) | {"basis", "cli", "domain", "entry"} <= set(dir(pkg))
+    assert pkg.DeformationParams is pkg.basis.DeformationParams is pkg.specfun.DeformationParams
+    assert pkg.SUITES is pkg.basis.SUITES is pkg.verify.SUITES
+    assert set(pkg.__all__) | {"basis", "cli", "entry"} <= set(dir(pkg))
+    with pytest.raises(AttributeError, match="no attribute 'domain'"):
+        pkg.domain
     with pytest.raises(AttributeError, match="no attribute 'np'"):
         pkg.np
