@@ -6,8 +6,10 @@ a positive half-odd-integer when s1*s2 = -1), and a radial excitation nr.  The
 energy is E = 2(nr + m) + mu1 + mu2 + 1; m is kept as an exact ``Fraction`` so
 energies of half-integer sectors come out exactly.  A sector holds
 m = (e1 + e2) / 2 + j, j = 0, 1, ..., with e = (1 - s) / 2: one walk,
-``_sector_labels``, builds these labels for the enumeration and for verify,
-from the integer 2m and unchecked, since each is valid by construction.
+``_sector_walk``, gives every (s1, s2, 2m) as integers, each valid by
+construction.  The level walk ``_levels`` keeps them as they are, and labels
+are built from them unchecked only where a caller needs one: once per
+(sector, m) in ``enumerate_states``, and in verify through ``_sector_labels``.
 
 Angular eigenfunctions are trigonometric-weighted Jacobi polynomials,
 orthonormal against |cos(phi)|^(2 mu1) |sin(phi)|^(2 mu2) d(phi) on [0, 2 pi).
@@ -24,6 +26,7 @@ eigenfunctions import ``profiles`` when they are first called.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -199,12 +202,18 @@ def angular_norm(q: AngularQuantum, mu: DeformationParams) -> float:
     return math.exp(0.5 * ln_sq)
 
 
+@functools.cache
+def _profiles():
+    """The ``profiles`` module, imported on first use, since it needs numpy."""
+    from . import profiles
+
+    return profiles
+
+
 def angular_wavefunction(q: AngularQuantum, mu: DeformationParams) -> TrigJacobiSum:
     """Orthonormal angular eigenfunction of the sector described by q."""
-    from .profiles import TrigJacobiSum
-
     eta = angular_norm(q, mu)
-    return TrigJacobiSum.single(
+    return _profiles().TrigJacobiSum.single(
         coeff=eta,
         cos_power=q.e1,
         sin_power=q.e2,
@@ -299,11 +308,9 @@ def energy(nr: int, m, mu: DeformationParams) -> float:
 
 def radial_sturmian(q: RadialQuantum, mu: DeformationParams) -> GaussLaguerreSum:
     """Orthonormal radial eigenfunction for label q under r^(1 + 2 mu1 + 2 mu2) dr."""
-    from .profiles import GaussLaguerreSum
-
     two_k = 2.0 * q.k
     ln_norm = 0.5 * (math.log(2.0) + log_gamma(q.nr + 1.0) - log_gamma(q.nr + two_k))
-    return GaussLaguerreSum.single(
+    return _profiles().GaussLaguerreSum.single(
         coeff=math.exp(ln_norm),
         power=two_k - (mu.total + 1.0),
         degree=q.nr,
@@ -354,53 +361,54 @@ def _top_level(emax: float, mu: DeformationParams) -> int:
     return top
 
 
-def _sector_labels(top: int, mu: DeformationParams) -> Iterator[tuple[int, AngularQuantum]]:
-    """(2m, label) of every sector and m with 2m <= top: sectors in ascending (s1, s2) order, then 2m ascending.
+def _sector_walk(top: int) -> Iterator[tuple[int, int, int]]:
+    """(s1, s2, 2m) of every sector and m with 2m <= top: sectors in ascending (s1, s2) order, then 2m ascending.
 
-    Each 2m starts at its sector's lowest and steps by 2, so every label is
-    valid and is built unchecked by ``AngularQuantum._of``.
+    Each 2m starts at its sector's lowest and steps by 2, so every (sector, m)
+    is valid by construction.
     """
     for (s1, s2), start in _SECTOR_STARTS.items():
         for two_m in range(start, top + 1, 2):
-            yield two_m, AngularQuantum._of(s1, s2, two_m, mu)
+            yield s1, s2, two_m
+
+
+def _sector_labels(top: int, mu: DeformationParams) -> Iterator[tuple[int, AngularQuantum]]:
+    """(2m, label) of every (sector, m) of ``_sector_walk(top)``, in its order, each built unchecked."""
+    return ((two_m, AngularQuantum._of(s1, s2, two_m, mu)) for s1, s2, two_m in _sector_walk(top))
 
 
 class _Levels(NamedTuple):
-    """The states with energy <= emax, level by level, with no state built.
+    """The states with energy <= emax, level by level, with no state or label built.
 
     The level 2 (nr + m) = L, for L = 0 .. top, has the energy ``energies[L]``
-    and holds, for each (2m, nr) of ``pairs(L)``, one state per label in
-    ``sectors[2m]``: the AngularQuantum of every sector with that m, in
-    (s1, s2) order, which share the one k ``ks[2m]`` from the formula of
-    ``k_of``.  Walked in that order, levels ascending, the states come sorted
-    by (energy, m, nr, s1, s2).
+    and holds, for 2m = L mod 2, L mod 2 + 2, ..., L and nr = (L - 2m) / 2,
+    one state per (s1, s2) in ``sectors[2m]``: the parities of every sector
+    with that m, in (s1, s2) order, which share the one k ``ks[2m]`` from the
+    formula of ``k_of``.  Walked in that order, levels ascending, the states
+    come sorted by (energy, m, nr, s1, s2), and the level L holds the first
+    L + 1 (sector, m) of L's parity of 2m, with nr counting down to 0.
     """
 
     energies: list[float]
     ks: list[float]
-    sectors: list[list[AngularQuantum]]
+    sectors: list[list[tuple[int, int]]]
 
     @property
     def count(self) -> int:
         """Number of states, from the closed form (top + 1)(top + 2)/2."""
         return _states_through(len(self.energies) - 1)
 
-    @staticmethod
-    def pairs(level: int) -> Iterator[tuple[int, int]]:
-        """(2m, nr) of every m on the level 2 (nr + m) = level, 2m ascending."""
-        return ((two_m, (level - two_m) // 2) for two_m in range(level % 2, level + 1, 2))
-
 
 def _levels(emax: float, mu: DeformationParams) -> _Levels:
-    """The levels of every state with energy <= emax, and the labels and k of every m they hold.
+    """The levels of every state with energy <= emax, and the sectors and k of every m they hold.
 
-    Raises DomainError, before any label is built, when the states would
+    Raises DomainError, before anything is walked, when the states would
     number more than MAX_STATES.
     """
     top = _top_level(emax, mu)
-    sectors: list[list[AngularQuantum]] = [[] for _ in range(top + 1)]
-    for two_m, q in _sector_labels(top, mu):
-        sectors[two_m].append(q)
+    sectors: list[list[tuple[int, int]]] = [[] for _ in range(top + 1)]
+    for s1, s2, two_m in _sector_walk(top):
+        sectors[two_m].append((s1, s2))
     return _Levels(
         energies=[_level_energy(level, mu) for level in range(top + 1)],
         ks=[_k(0.5 * two_m, mu) for two_m in range(top + 1)],
@@ -413,15 +421,17 @@ def enumerate_states(emax: float, mu: DeformationParams) -> list[StateLabel]:
 
     The energy depends on the level 2 (nr + m) alone, so the states come out
     of ``_levels`` level by level, in ascending 2m and then (s1, s2) within a
-    level; no sort is needed.  One AngularQuantum and one k serve every nr of
-    a (sector, m), and one RadialQuantum serves both sectors that share an
-    (m, nr).  Raises DomainError when the count exceeds MAX_STATES.
+    level; no sort is needed.  One AngularQuantum, built unchecked by
+    ``AngularQuantum._of``, and one k serve every nr of a (sector, m), and one
+    RadialQuantum serves both sectors that share an (m, nr).  Raises
+    DomainError when the count exceeds MAX_STATES.
     """
     walk = _levels(emax, mu)
+    labels = [[AngularQuantum._of(s1, s2, two_m, mu) for s1, s2 in pairs] for two_m, pairs in enumerate(walk.sectors)]
     out: list[StateLabel] = []
     for level, e in enumerate(walk.energies):
-        for two_m, nr in walk.pairs(level):
-            radial = RadialQuantum(nr=nr, k=walk.ks[two_m])
-            for ang in walk.sectors[two_m]:
+        for two_m in range(level % 2, level + 1, 2):
+            radial = RadialQuantum(nr=(level - two_m) // 2, k=walk.ks[two_m])
+            for ang in labels[two_m]:
                 out.append(StateLabel(angular=ang, radial=radial, energy=e))
     return out

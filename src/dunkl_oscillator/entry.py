@@ -26,7 +26,9 @@ serially; no environment variable changes its output.
 
 ``spectrum`` writes its document one level at a time, so its peak memory is
 about one level's rows, not the document; its ``count`` comes from the closed
-form (N + 1)(N + 2)/2 for the top level N.  Every command checks and formats
+form (N + 1)(N + 2)/2 for the top level N.  It builds no label: it formats
+each (sector, m) once, from the integer walk, into per-parity field lists,
+and joins each level from slices of them.  Every command checks and formats
 all it could refuse before it opens ``--out``, so a refused command writes
 nothing.
 """
@@ -43,7 +45,7 @@ import sys
 from fractions import Fraction
 from typing import Iterator, TextIO
 
-from .basis import _MAX_QUANTUM, SUITES, AngularQuantum, DeformationParams, _levels
+from .basis import _MAX_QUANTUM, SUITES, DeformationParams, _l2, _levels
 from .errors import DomainError
 
 __all__ = ["main"]
@@ -185,19 +187,19 @@ def _json_number(value: float) -> str:
     return repr(value)
 
 
-def _csv_sector_fields(ang: AngularQuantum, k: float) -> tuple[str, str]:
-    return (f"{ang.s1:+d},{ang.s2:+d},{_fmt(ang.m)},", f",{_fmt(k)},{_fmt(ang.l2)},")
+def _csv_sector_fields(s1: int, s2: int, m: float, k: float, l2: float) -> tuple[str, str]:
+    return (f"{s1:+d},{s2:+d},{_fmt(m)},", f",{_fmt(k)},{_fmt(l2)},")
 
 
 def _csv_level_fields(e: float) -> tuple[str, str]:
     return ("", _fmt(e))
 
 
-def _json_sector_fields(ang: AngularQuantum, k: float) -> tuple[str, str]:
+def _json_sector_fields(s1: int, s2: int, m: float, k: float, l2: float) -> tuple[str, str]:
     return (
-        f',\n      "k": {_json_number(k)},\n      "l2": {_json_number(ang.l2)},'
-        f'\n      "m": {float(ang.m)!r},\n      "nr": ',
-        f',\n      "s1": {ang.s1},\n      "s2": {ang.s2}\n    }}',
+        f',\n      "k": {_json_number(k)},\n      "l2": {_json_number(l2)},'
+        f'\n      "m": {m!r},\n      "nr": ',
+        f',\n      "s1": {s1},\n      "s2": {s2}\n    }}',
     )
 
 
@@ -206,11 +208,16 @@ def _json_level_fields(e: float) -> tuple[str, str]:
 
 
 def _cmd_spectrum(args: argparse.Namespace, mu: DeformationParams) -> int:
-    """Write the spectrum one level at a time, so that only one level's rows exist at once.
+    """Write the spectrum one level at a time, each level as slices of per-parity field lists.
 
     A row is lead + head + nr + tail + trail.  A level gives the lead and
     trail, from its energy, and a (sector, m) the head and tail, from its s1,
-    s2, m, k and l2.  All of them are formatted, and a non-finite one refused,
+    s2, m = 2m / 2, k and l2; no label is built.  The heads and tails go into
+    one list per parity of 2m, in walk order, so the level L, which holds the
+    first L + 1 (sector, m) of its parity with nr counting down to 0, is
+    ``heads[L % 2][:L + 1]`` and ``tails[L % 2][:L + 1]`` with ``nrs[L::-1]``
+    of the strings "0", "0", "1", "1", ...: a few list operations per level,
+    joined once.  Everything is formatted, and a non-finite value refused,
     before the output is opened; the count comes from the closed form.
     """
     levels = _levels(args.emax, mu)
@@ -225,18 +232,31 @@ def _cmd_spectrum(args: argparse.Namespace, mu: DeformationParams) -> int:
         sector_fields, level_fields, sep = _csv_sector_fields, _csv_level_fields, "\n"
         opening = _csv_head(header, ["s1", "s2", "m", "nr", "k", "l2", "energy"])
         closing = "\n"
-    by_m = [[sector_fields(ang, k) for ang in sectors] for k, sectors in zip(levels.ks, levels.sectors)]
+    heads: tuple[list[str], list[str]] = ([], [])  # one list per parity of 2m
+    tails: tuple[list[str], list[str]] = ([], [])
+    for two_m, (k, sectors) in enumerate(zip(levels.ks, levels.sectors)):
+        m = 0.5 * two_m
+        l2 = _l2(m, mu)
+        for s1, s2 in sectors:
+            head, tail = sector_fields(s1, s2, m, k, l2)
+            heads[two_m % 2].append(head)
+            tails[two_m % 2].append(tail)
+    nrs = [str(i // 2) for i in range(len(levels.energies))]
     by_level = [level_fields(e) for e in levels.energies]
     with _output(args.out) as stream:
         stream.write(opening)
         before = "\n"
         for level, (lead, trail) in enumerate(by_level):
-            rows = [
-                f"{lead}{head}{nr}{tail}{trail}"
-                for two_m, nr in levels.pairs(level)
-                for head, tail in by_m[two_m]
-            ]
-            stream.write(before + sep.join(rows))
+            # Row i is glue + head + nr + tail, where the glue ends the row
+            # before it; the first glue opens the level and the trail ends it.
+            n = level + 1
+            parts = [trail + sep + lead] * (4 * n)
+            parts[0] = before + lead
+            parts[1::4] = heads[level % 2][:n]
+            parts[2::4] = nrs[level::-1]
+            parts[3::4] = tails[level % 2][:n]
+            parts.append(trail)
+            stream.write("".join(parts))
             before = sep
         stream.write(closing)
     return 0

@@ -512,9 +512,10 @@ def test_sector_labels_walk_each_sector_and_m_once_in_order(mu_pair):
 
 @pytest.mark.parametrize("mu_pair", [(0.0, 0.0), (-0.49999, 3.0), (2.365, 0.814)])
 def test_level_walk_labels_equal_the_validating_builders(mu_pair):
-    # The walk builds its labels and k from the integer 2m without checking
-    # them; each must equal what AngularQuantum.build and k_of give for that m,
-    # with the sectors that hold m found by build's own refusals.
+    # The walk keeps the (s1, s2) of each m's sectors and its k, from the
+    # integer 2m without checking them: the sectors must be those that hold m,
+    # found by build's own refusals, the labels AngularQuantum._of builds from
+    # them must equal build's, and k must equal k_of's for that m.
     mu = DeformationParams(*mu_pair)
     expected = {}
     for two_m in range(301):
@@ -531,8 +532,10 @@ def test_level_walk_labels_equal_the_validating_builders(mu_pair):
         assert len(walk.energies) == len(walk.ks) == len(walk.sectors) == top + 1
         for two_m, (k, sectors) in enumerate(zip(walk.ks, walk.sectors)):
             labels, k_expected = expected[two_m]
-            assert sectors == labels
-            assert all(type(q.m) is Fraction and q.m == Fraction(two_m, 2) for q in sectors)
+            assert sectors == [(q.s1, q.s2) for q in labels]
+            built = [AngularQuantum._of(s1, s2, two_m, mu) for s1, s2 in sectors]
+            assert built == labels
+            assert all(type(q.m) is Fraction and q.m == Fraction(two_m, 2) for q in built)
             assert k == k_expected
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: parsing, output formats, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -191,6 +192,8 @@ def _spectrum_reference(emax, mu1, mu2, fmt):
     [
         (0.5, 0.0, 0.0),  # below the ground state
         (-3.0, 2.5, 0.1),
+        (1.0, 0.0, 0.0),  # top level 0: one row
+        (2.0, 0.0, 0.0),  # top level 1: the first level of odd 2m
         (3.0, 0.0, 0.0),  # the three states of E = 3 at mu = 0
         (9.0, 0.25, 0.75),  # half-integer sectors at every other level
         (23.5, -0.4, 1.9),
@@ -203,6 +206,25 @@ def test_spectrum_document_equals_record_by_record_reference(capsys, emax, mu1, 
     code, out, err = _run(capsys, argv)
     assert code == 0 and err == ""
     assert out == _spectrum_reference(emax, mu1, mu2, fmt)
+
+
+@pytest.mark.parametrize(
+    "mu1, mu2, fmt, digest",
+    [
+        ("0.3", "0.7", "csv", "915cab1f5777d10dab84c689a9c5feb7cffdbeb0e7daefb2fd668a3c6e02c4c9"),
+        ("0.3", "0.7", "json", "717201285abbdad75a086143dcbd911a4c0649823d6a8a9331cb425396307e71"),
+        ("-0.49", "3", "csv", "a7fba27eb01905a02565b44c718f651560932e2a0494b78423e0ef04a2246764"),
+        ("-0.49", "3", "json", "ff683c62660b9c25d2b31e5fca13c8ee121525efed10bab55d92f4d0282cc451"),
+    ],
+)
+def test_spectrum_bytes_equal_pinned_digests(capsys, mu1, mu2, fmt, digest):
+    # The reference above reads enumerate_states, which shares the level walk
+    # with the command; these digests of the written bytes were measured with
+    # a writer that formatted every row from its own label, so they catch a
+    # mistake the two would share.
+    code, out, err = _run(capsys, ["spectrum", "--emax", "300", "--mu1", mu1, "--mu2", mu2, "--format", fmt])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 _MU = st.floats(min_value=-0.5, max_value=3.0, exclude_min=True)
