@@ -176,28 +176,35 @@ class AngularQuantum:
         return cls(s1, s2, Fraction(two_m, 2), (1 - s1) // 2, (1 - s2) // 2, _l2(0.5 * two_m, mu))
 
     @property
+    def _two_m(self) -> int:
+        """The integer 2m."""
+        return 2 * self.m.numerator // self.m.denominator
+
+    @property
     def degree(self) -> int:
         """Polynomial degree m - (e1 + e2) / 2 of the Jacobi factor."""
-        return int(self.m - Fraction(self.e1 + self.e2, 2))
+        return (self._two_m - self.e1 - self.e2) // 2
 
 
 def angular_norm(q: AngularQuantum, mu: DeformationParams) -> float:
-    """Normalization constant of the angular eigenfunction of the sector described by q."""
-    frac, e1, e2, j = q.m, q.e1, q.e2, q.degree
-    if frac == 0:
+    """Normalization constant of the angular eigenfunction of the sector described by q.
+
+    Its half-integers m +- (e1 +- e2)/2 are formed from the integer 2m, so
+    each is exact in float.
+    """
+    two_m, e1, e2, j = q._two_m, q.e1, q.e2, q.degree
+    if two_m == 0:
         # (2m + mu1 + mu2) Gamma(m + mu1 + mu2) collapses to Gamma(mu1 + mu2 + 1),
         # which stays finite as mu1 + mu2 -> 0.
         ln_head = log_gamma(mu.total + 1.0)
     else:
-        ln_head = math.log(2.0 * float(frac) + mu.total) + log_gamma(
-            float(frac + Fraction(e1 + e2, 2)) + mu.total
-        )
+        ln_head = math.log(two_m + mu.total) + log_gamma(0.5 * (two_m + e1 + e2) + mu.total)
     ln_sq = (
         ln_head
         + log_gamma(j + 1.0)
         - math.log(2.0)
-        - log_gamma(float(frac + Fraction(e1 - e2, 2)) + mu.mu1 + 0.5)
-        - log_gamma(float(frac + Fraction(e2 - e1, 2)) + mu.mu2 + 0.5)
+        - log_gamma(0.5 * (two_m + e1 - e2) + mu.mu1 + 0.5)
+        - log_gamma(0.5 * (two_m + e2 - e1) + mu.mu2 + 0.5)
     )
     return math.exp(0.5 * ln_sq)
 

@@ -10,6 +10,11 @@ Cases at a constant mu (the reference pairs ``_MU_PAIRS``, mu = 0) and the
 mu-free cases depend only on the code, so each is computed once per process
 and its worst residual kept; the cases at a run's own mu and seed are always
 computed afresh, even when that mu equals a constant pair.
+
+One ``run_checks`` call evaluates its checks inside one ``profiles._shared_rows``
+scope: the term sums of all its checks share each grid's read-only power,
+Laguerre and Jacobi rows, bit-identical to rows computed per sum, and the scope
+drops them when the call returns or raises, so no row outlives the run.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from .basis import (
 )
 from .dunkl_ops import apply_angular_operator, apply_hamiltonian, apply_radial_hamiltonian
 from .errors import DomainError
-from .profiles import GaussLaguerreSum, _polar_plane, angular_grid, residual_grid
+from .profiles import GaussLaguerreSum, _polar_plane, _shared_rows, angular_grid, residual_grid
 from .specfun import angular_gram, laguerre_all, radial_gram, radial_inner_product
 
 __all__ = ["CheckResult", "available_checks", "run_checks"]
@@ -543,22 +548,23 @@ def run_checks(
             raise DomainError(f"tolerance override must be positive and finite, got {name}={value!r}")
     ctx = VerifyContext(mu=mu, seed=seed)
     results = []
-    for check in _selected(suite):
-        tolerance = overrides.get(check.name, check.tolerance)
-        try:
-            residual = _worst(check.fn(ctx))
-            error = None
-        except Exception as exc:  # surface as a failed check, not a crash
-            residual = float("inf")
-            error = f"{type(exc).__name__}: {exc}"
-        results.append(
-            CheckResult(
-                name=check.name,
-                suite=check.suite,
-                residual=residual,
-                tolerance=tolerance,
-                passed=(error is None and residual <= tolerance),
-                error=error,
+    with _shared_rows():
+        for check in _selected(suite):
+            tolerance = overrides.get(check.name, check.tolerance)
+            try:
+                residual = _worst(check.fn(ctx))
+                error = None
+            except Exception as exc:  # surface as a failed check, not a crash
+                residual = float("inf")
+                error = f"{type(exc).__name__}: {exc}"
+            results.append(
+                CheckResult(
+                    name=check.name,
+                    suite=check.suite,
+                    residual=residual,
+                    tolerance=tolerance,
+                    passed=(error is None and residual <= tolerance),
+                    error=error,
+                )
             )
-        )
     return sorted(results, key=lambda res: res.name)

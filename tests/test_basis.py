@@ -131,6 +131,36 @@ def test_ground_norm_is_fourier_constant_at_mu_zero():
     assert angular_norm(q, mu0) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=1e-15)
 
 
+def _fraction_norm(q: AngularQuantum, mu: DeformationParams) -> float:
+    """The norm with its half-integers summed as Fractions: the reference for the float sums."""
+    frac, e1, e2 = q.m, q.e1, q.e2
+    j = int(frac - Fraction(e1 + e2, 2))
+    if frac == 0:
+        ln_head = basis.log_gamma(mu.total + 1.0)
+    else:
+        ln_head = math.log(2.0 * float(frac) + mu.total) + basis.log_gamma(float(frac + Fraction(e1 + e2, 2)) + mu.total)
+    ln_sq = (
+        ln_head
+        + basis.log_gamma(j + 1.0)
+        - math.log(2.0)
+        - basis.log_gamma(float(frac + Fraction(e1 - e2, 2)) + mu.mu1 + 0.5)
+        - basis.log_gamma(float(frac + Fraction(e2 - e1, 2)) + mu.mu2 + 0.5)
+    )
+    return math.exp(0.5 * ln_sq)
+
+
+def test_angular_norm_from_integer_two_m_equals_the_fraction_sums_bit_for_bit():
+    # The eps pairs are the angular_ground_norm_limit check's; every label
+    # with 2m <= 60 is visited at 200 seeded mu in (-1/2, 3].
+    rng = np.random.default_rng(60)
+    pairs = [(eps, eps) for eps in (0.0, 1e-12, 1e-13)] + [tuple(map(float, p)) for p in rng.uniform(-0.4999, 3.0, (200, 2))]
+    for pair in pairs:
+        mu = DeformationParams(*pair)
+        for two_m, q in basis._sector_labels(60, mu):
+            assert q.degree == int(q.m - Fraction(q.e1 + q.e2, 2)) == (two_m - q.e1 - q.e2) // 2
+            assert angular_norm(q, mu).hex() == _fraction_norm(q, mu).hex(), (pair, q)
+
+
 def test_angular_norm_rejects_inconsistent_labels():
     # Labels with no polynomial degree, (m, e1, e2) = (0, 1, 1), (1/2, 0, 0) and
     # (1, 2, 0), never reach the norm: it reads a label that AngularQuantum.build made.

@@ -4,13 +4,16 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dunkl_oscillator
-from dunkl_oscillator import coherent, su11, verify
+from dunkl_oscillator import coherent, profiles, su11, verify
+from dunkl_oscillator.basis import RadialQuantum, radial_sturmian
 from dunkl_oscillator.errors import DomainError
 from dunkl_oscillator.specfun import DeformationParams
 from dunkl_oscillator.verify import SUITES, available_checks, run_checks
@@ -183,6 +186,86 @@ def test_cached_constant_cases_give_the_results_of_a_fresh_computation():
         verify._pinned.cache_clear()
         fresh.append(_fingerprint(run_checks(suite="all", mu=mu, seed=i)))
     assert cached == fresh
+
+
+def test_shared_rows_move_no_residual():
+    # run_checks shares grid rows across its term sums; each check run on its
+    # own, outside any run, computes every row afresh and gives the same bits.
+    rng = np.random.default_rng(12)
+    mus = [(-0.49, -0.49), (3.0, 3.0), (0.0, 0.0)] + [tuple(map(float, p)) for p in rng.uniform(-0.49, 3.0, (9, 2))]
+    for seed, mu in enumerate(mus):
+        verify._pinned.cache_clear()
+        shared = [(name, residual) for name, residual, *_ in _fingerprint(run_checks("all", mu=mu, seed=seed))]
+        verify._pinned.cache_clear()
+        assert profiles._ROWS.get() is None
+        ctx = verify.VerifyContext(mu=DeformationParams.of(mu), seed=seed)
+        alone = sorted((check.name, repr(verify._worst(check.fn(ctx)))) for check in verify._REGISTRY)
+        assert shared == alone, (mu, seed)
+
+
+class _Abort(BaseException):
+    pass
+
+
+def test_shared_rows_live_only_inside_run_checks(monkeypatch):
+    mu = DeformationParams(0.3, 1.2)
+    grid = profiles.residual_grid()
+    seen, from_thread = [], []
+
+    def probe(ctx):
+        radial_sturmian(RadialQuantum.from_m(2, Fraction(1, 2), ctx.mu), ctx.mu)(grid)
+        seen.append(profiles._ROWS.get())
+        thread = threading.Thread(target=lambda: from_thread.append(profiles._ROWS.get()))
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        yield 0.0
+
+    def fail(ctx):
+        raise RuntimeError("injected")
+
+    def abort(ctx):
+        raise _Abort
+
+    checks = [verify._Check("probe", "radial", 1.0, probe), verify._Check("fail", "radial", 1.0, fail)]
+    monkeypatch.setattr(verify, "_REGISTRY", checks)
+    results = {res.name: res for res in run_checks("radial", mu=mu)}
+    assert results["probe"].passed and results["fail"].error == "RuntimeError: injected"
+    assert profiles._ROWS.get() is None
+    assert from_thread == [None]
+    rows = [row for grid_rows in seen[0].values() for row in grid_rows.values() if isinstance(row, np.ndarray)]
+    assert len(rows) == 4  # x, the Gaussian, r^p and L_n^a of the one grid
+    assert not any(row.flags.writeable for row in rows)
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0][0] = 1.0
+    monkeypatch.setattr(verify, "_REGISTRY", [verify._Check("abort", "radial", 1.0, abort)])
+    with pytest.raises(_Abort):
+        run_checks("radial", mu=mu)
+    assert profiles._ROWS.get() is None
+
+
+def test_a_sturmian_outside_a_run_calls_laguerre_once_per_evaluation(monkeypatch):
+    # The bench tracer counts one profiles.laguerre span per Sturmian
+    # evaluation; no run, even one just finished at this mu and grid, may
+    # leave rows behind for it to find.
+    mu = DeformationParams(0.2, 0.1)
+    grid = profiles.residual_grid()
+    calls = []
+    real = profiles.laguerre
+
+    def laguerre(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(profiles, "laguerre", laguerre)
+    sturmian = radial_sturmian(RadialQuantum.from_m(3, Fraction(1, 2), mu), mu)
+    for run_first in (False, True):
+        if run_first:
+            run_checks("all", mu=mu)
+        for _ in range(2):
+            calls.clear()
+            sturmian(grid)
+            assert len(calls) == 1
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
