@@ -3,8 +3,9 @@
 States separate in polar coordinates and are labelled by a parity sector
 (s1, s2), an angular quantum number m (a non-negative integer when s1*s2 = +1,
 a positive half-odd-integer when s1*s2 = -1), and a radial excitation nr.  The
-energy is E = 2(nr + m) + mu1 + mu2 + 1; m is kept as an exact ``Fraction`` so
-energies of half-integer sectors come out exactly.  A sector holds
+energy is E = 2(nr + m) + mu1 + mu2 + 1.  m is held as the integer 2m, so the
+level 2(nr + m) is exact; it is a ``Fraction`` only where the public API takes
+it in (the one coercion ``_two_m``) or gives it out (``.m``).  A sector holds
 m = (e1 + e2) / 2 + j, j = 0, 1, ..., with e = (1 - s) / 2: one walk,
 ``_sector_walk``, gives every (s1, s2, 2m) as integers, each valid by
 construction.  The level walk ``_levels`` keeps them as they are, and labels
@@ -116,8 +117,8 @@ def _check_integer(n, what: str, least: int = 0, most: float = math.inf) -> None
         raise DomainError(f"{what} must be {bound}, got {n!r}")
 
 
-def as_quantum_m(m) -> Fraction:
-    """Coerce m to an exact integer or half-odd-integer Fraction from 0 to _MAX_QUANTUM."""
+def _two_m(m) -> int:
+    """2m of an m coerced to an exact integer or half-odd-integer from 0 to _MAX_QUANTUM."""
     try:
         frac = Fraction(m)
     except (TypeError, ValueError) as exc:
@@ -128,7 +129,12 @@ def as_quantum_m(m) -> Fraction:
         raise DomainError(f"m must be an integer or half-odd-integer, got {frac}")
     if frac > _MAX_QUANTUM:
         raise DomainError(f"m must not exceed {_MAX_QUANTUM}, got {frac}")
-    return frac
+    return int(2 * frac.numerator // frac.denominator)  # int() also for a numpy integer m
+
+
+def as_quantum_m(m) -> Fraction:
+    """Coerce m to an exact integer or half-odd-integer Fraction from 0 to _MAX_QUANTUM."""
+    return Fraction(_two_m(m), 2)
 
 
 def sector_start(s1: int, s2: int) -> Fraction:
@@ -140,50 +146,50 @@ def sector_start(s1: int, s2: int) -> Fraction:
 
 def separation_constant(m, mu: DeformationParams) -> float:
     """Angular eigenvalue l^2 = 4 m (m + mu1 + mu2)."""
-    return _l2(float(as_quantum_m(m)), mu)
+    return _l2(_two_m(m), mu)
 
 
-def _l2(m: float, mu: DeformationParams) -> float:
-    """l^2 = 4 m (m + mu1 + mu2) of an m already checked."""
-    return 4.0 * m * (m + mu.total)
+def _l2(two_m: int, mu: DeformationParams) -> float:
+    """l^2 = 4 m (m + mu1 + mu2) of a 2m already checked; 4m = 2 (2m) and m = 2m / 2 are exact."""
+    return 2.0 * two_m * (0.5 * two_m + mu.total)
 
 
 @dataclass(frozen=True)
 class AngularQuantum:
-    """Angular sector label: parities, quantum number m, and derived data."""
+    """Angular sector label: parities, the integer 2m, and derived data; ``m`` gives m as a Fraction."""
 
     s1: int
     s2: int
-    m: Fraction
+    two_m: int
     e1: int
     e2: int
     l2: float
 
     @classmethod
     def build(cls, s1: int, s2: int, m, mu: DeformationParams) -> "AngularQuantum":
-        start = sector_start(s1, s2)
-        frac = as_quantum_m(m)
-        if frac < start or (frac - start).denominator != 1:
+        start = sector_start(s1, s2)  # refuses a parity other than +1 or -1
+        low, two_m = _SECTOR_STARTS[(s1, s2)], _two_m(m)
+        if two_m < low or (two_m - low) % 2:  # the walk's rule: 2m from the lowest, in steps of 2
             raise RepresentationError(
-                f"m = {frac} is not in the ({s1:+d}, {s2:+d}) sector, "
+                f"m = {Fraction(two_m, 2)} is not in the ({s1:+d}, {s2:+d}) sector, "
                 f"whose m are {start}, {start + 1}, {start + 2}, ..."
             )
-        return cls._of(s1, s2, int(2 * frac), mu)
+        return cls._of(s1, s2, two_m, mu)
 
     @classmethod
     def _of(cls, s1: int, s2: int, two_m: int, mu: DeformationParams) -> "AngularQuantum":
         """Label of a (sector, 2m) known to be valid, built without checking it again."""
-        return cls(s1, s2, Fraction(two_m, 2), (1 - s1) // 2, (1 - s2) // 2, _l2(0.5 * two_m, mu))
+        return cls(s1, s2, two_m, (1 - s1) // 2, (1 - s2) // 2, _l2(two_m, mu))
 
     @property
-    def _two_m(self) -> int:
-        """The integer 2m."""
-        return 2 * self.m.numerator // self.m.denominator
+    def m(self) -> Fraction:
+        """The quantum number m = 2m / 2, exact."""
+        return Fraction(self.two_m, 2)
 
     @property
     def degree(self) -> int:
         """Polynomial degree m - (e1 + e2) / 2 of the Jacobi factor."""
-        return (self._two_m - self.e1 - self.e2) // 2
+        return (self.two_m - self.e1 - self.e2) // 2
 
 
 def angular_norm(q: AngularQuantum, mu: DeformationParams) -> float:
@@ -192,7 +198,7 @@ def angular_norm(q: AngularQuantum, mu: DeformationParams) -> float:
     Its half-integers m +- (e1 +- e2)/2 are formed from the integer 2m, so
     each is exact in float.
     """
-    two_m, e1, e2, j = q._two_m, q.e1, q.e2, q.degree
+    two_m, e1, e2, j = q.two_m, q.e1, q.e2, q.degree
     if two_m == 0:
         # (2m + mu1 + mu2) Gamma(m + mu1 + mu2) collapses to Gamma(mu1 + mu2 + 1),
         # which stays finite as mu1 + mu2 -> 0.
@@ -230,13 +236,6 @@ def angular_wavefunction(q: AngularQuantum, mu: DeformationParams) -> TrigJacobi
     )
 
 
-def _check_nr(nr) -> None:
-    """Refuse an nr that is not a non-negative integer up to _MAX_QUANTUM."""
-    _check_integer(nr, "nr")
-    if nr > _MAX_QUANTUM:
-        raise DomainError(f"nr must not exceed {_MAX_QUANTUM}, got {nr}")
-
-
 def _check_k(k) -> None:
     """Refuse a representation parameter k that is not positive and finite, NaN included."""
     if not 0.0 < k < math.inf:
@@ -251,7 +250,7 @@ class RadialQuantum:
     k: float
 
     def __post_init__(self):
-        _check_nr(self.nr)
+        _check_integer(self.nr, "nr", most=_MAX_QUANTUM)
         _check_k(self.k)
 
     @classmethod
@@ -294,12 +293,12 @@ class StateLabel:
 
 def k_of(m, mu: DeformationParams) -> float:
     """Representation parameter k = m + (mu1 + mu2 + 1) / 2 of the sector with quantum number m."""
-    return _k(float(as_quantum_m(m)), mu)
+    return _k(_two_m(m), mu)
 
 
-def _k(m: float, mu: DeformationParams) -> float:
-    """k = m + (mu1 + mu2 + 1) / 2 of an m already checked."""
-    return m + 0.5 * (mu.total + 1.0)
+def _k(two_m: int, mu: DeformationParams) -> float:
+    """k = m + (mu1 + mu2 + 1) / 2 of a 2m already checked; m = 2m / 2 is exact."""
+    return 0.5 * two_m + 0.5 * (mu.total + 1.0)
 
 
 def _level_energy(level: int, mu: DeformationParams) -> float:
@@ -309,8 +308,8 @@ def _level_energy(level: int, mu: DeformationParams) -> float:
 
 def energy(nr: int, m, mu: DeformationParams) -> float:
     """Eigenvalue E = 2 (nr + m) + mu1 + mu2 + 1, with 2 (nr + m) held exact."""
-    _check_nr(nr)
-    return _level_energy(2 * int(nr) + int(2 * as_quantum_m(m)), mu)
+    _check_integer(nr, "nr", most=_MAX_QUANTUM)
+    return _level_energy(2 * int(nr) + _two_m(m), mu)
 
 
 def radial_sturmian(q: RadialQuantum, mu: DeformationParams) -> GaussLaguerreSum:
@@ -418,7 +417,7 @@ def _levels(emax: float, mu: DeformationParams) -> _Levels:
         sectors[two_m].append((s1, s2))
     return _Levels(
         energies=[_level_energy(level, mu) for level in range(top + 1)],
-        ks=[_k(0.5 * two_m, mu) for two_m in range(top + 1)],
+        ks=[_k(two_m, mu) for two_m in range(top + 1)],
         sectors=sectors,
     )
 

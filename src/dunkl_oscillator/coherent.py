@@ -33,10 +33,11 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .basis import DeformationParams, _check_integer, _check_k, as_quantum_m, k_of, log_gamma
+from .basis import DeformationParams, _check_integer, _check_k, _k, _two_m, log_gamma
 from .errors import DomainError, SingularityError
 from .specfun import _MAX_RADIAL_POINTS, _touches_origin, laguerre_all
 
@@ -236,17 +237,18 @@ def evolve_parameter(p: CoherentParams, t: EvolutionParams) -> tuple[complex, co
 
 def coherent_evolved(r, p: CoherentParams, t: EvolutionParams, m, mu: DeformationParams):
     """Time-evolved coherent profile for the sector with quantum number m."""
-    frac = as_quantum_m(m)
-    k_expected = k_of(frac, mu)
-    if abs(p.k - k_expected) > 1e-12:
+    two_m = _two_m(m)
+    k_expected = _k(two_m, mu)
+    # Relative to k as well: past k of about 4,500 one ulp of k exceeds 1e-12.
+    if not math.isclose(p.k, k_expected, rel_tol=1e-12, abs_tol=1e-12):
         raise DomainError(
-            f"k = {p.k} does not match m = {frac} with mu = ({mu.mu1}, {mu.mu2}); "
+            f"k = {p.k} does not match m = {Fraction(two_m, 2)} with mu = ({mu.mu1}, {mu.mu2}); "
             f"expected k = {k_expected}"
         )
     xi_t, phase = evolve_parameter(p, t)
     # 2k - mu1 - mu2 - 1 is the label 2m, taken exactly: in floats it can round
     # below zero for m = 0 and make r = 0 a negative power.
-    return phase * _closed_values(r, CoherentParams(xi=xi_t, k=p.k), float(2 * frac))
+    return phase * _closed_values(r, CoherentParams(xi=xi_t, k=p.k), float(two_m))
 
 
 def series_evolution_crosscheck(

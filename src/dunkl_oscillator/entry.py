@@ -236,7 +236,7 @@ def _cmd_spectrum(args: argparse.Namespace, mu: DeformationParams) -> int:
     tails: tuple[list[str], list[str]] = ([], [])
     for two_m, (k, sectors) in enumerate(zip(levels.ks, levels.sectors)):
         m = 0.5 * two_m
-        l2 = _l2(m, mu)
+        l2 = _l2(two_m, mu)
         for s1, s2 in sectors:
             head, tail = sector_fields(s1, s2, m, k, l2)
             heads[two_m % 2].append(head)

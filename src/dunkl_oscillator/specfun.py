@@ -1,4 +1,4 @@
-"""Orthogonal polynomials, log-gamma, the radial inner product and Gram matrices.
+"""Orthogonal polynomials, the radial inner product and Gram matrices.
 
 Polynomial evaluation uses forward three-term recurrences in the degree, which
 are stable for the parameter ranges that occur here (alpha, beta > -1).  The
@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .basis import DeformationParams, _check_integer, log_gamma  # log_gamma, unused here, stays importable
+from .basis import DeformationParams, _check_integer
 from .errors import DomainError
 
 __all__ = [

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import DeformationParams, RadialQuantum, _check_k, as_quantum_m, k_of
+from .basis import DeformationParams, RadialQuantum, _check_k, _k, _two_m
 from .dunkl_ops import _radial_operator
 from .errors import DomainError
 from .profiles import GaussLaguerreSum, _check_l2, residual_grid
@@ -223,7 +223,5 @@ def bargmann_index(m, mu: DeformationParams) -> tuple[float, float]:
     Only k+ = m + (mu1 + mu2 + 1)/2 is positive and labels the realized
     representation; k- = -m - (mu1 + mu2 - 1)/2 is the discarded root.
     """
-    frac = as_quantum_m(m)
-    k_plus = k_of(frac, mu)
-    k_minus = -float(frac) - 0.5 * (mu.total - 1.0)
-    return (k_plus, k_minus)
+    two_m = _two_m(m)
+    return (_k(two_m, mu), -0.5 * two_m - 0.5 * (mu.total - 1.0))

@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -35,6 +34,9 @@ from .basis import (
     DeformationParams,
     RadialQuantum,
     _check_integer,
+    _k,
+    _l2,
+    _level_energy,
     _sector_labels,
     angular_norm,
     angular_wavefunction,
@@ -42,7 +44,6 @@ from .basis import (
     enumerate_states,
     k_of,
     radial_sturmian,
-    separation_constant,
     substitute_u,
 )
 from .dunkl_ops import apply_angular_operator, apply_hamiltonian, apply_radial_hamiltonian
@@ -140,7 +141,7 @@ def _check_angular_ground_norm(ctx: VerifyContext) -> Iterator:
     target = 1.0 / math.sqrt(2.0 * math.pi)
     for eps in (0.0, 1e-12, 1e-13):
         mu = DeformationParams(eps, eps)
-        yield angular_norm(AngularQuantum.build(1, 1, 0, mu), mu) - target
+        yield angular_norm(AngularQuantum._of(1, 1, 0, mu), mu) - target
 
 
 def _angular_eigen_cases(mu: DeformationParams) -> Iterator:
@@ -166,21 +167,22 @@ def _check_angular_parity(ctx: VerifyContext) -> Iterator:
         yield phi_fn(-grid) - q.s2 * base
 
 
-_M_SAMPLES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
+# The sector samples as 2m: m = 0, 1/2, 1 and 2.
+_TWO_M_SAMPLES = (0, 1, 2, 4)
 
 
-def _sturmians(mu: DeformationParams, ns: Iterable[int], ms=_M_SAMPLES) -> Iterator:
-    """The Sturmian cases (m, l2, q, R) of |k, n>, sector m outer and excitation n inner."""
-    for m in ms:
-        l2 = separation_constant(m, mu)
+def _sturmians(mu: DeformationParams, ns: Iterable[int], two_ms=_TWO_M_SAMPLES) -> Iterator:
+    """The Sturmian cases (E, l2, q, R) of |k, n>, sector 2m outer and excitation n inner."""
+    for two_m in two_ms:
+        l2, k = _l2(two_m, mu), _k(two_m, mu)
         for n in ns:
-            q = RadialQuantum.from_m(n, m, mu)
-            yield m, l2, q, radial_sturmian(q, mu)
+            q = RadialQuantum(nr=n, k=k)
+            yield _level_energy(2 * n + two_m, mu), l2, q, radial_sturmian(q, mu)
 
 
 def _radial_gram_cases(mu: DeformationParams) -> Iterator:
-    for m in _M_SAMPLES:
-        fns = [R for *_, R in _sturmians(mu, range(7), (m,))]
+    for two_m in _TWO_M_SAMPLES:
+        fns = [R for *_, R in _sturmians(mu, range(7), (two_m,))]
         yield radial_gram(fns, mu) - np.eye(len(fns))
 
 
@@ -191,9 +193,9 @@ def _check_radial_gram(ctx: VerifyContext) -> Iterator:
 
 def _radial_eigen_cases(mu: DeformationParams) -> Iterator:
     grid = residual_grid()
-    for m, l2, q, R in _sturmians(mu, range(7), _M_SAMPLES + (Fraction(3),)):
+    for E, l2, _, R in _sturmians(mu, range(7), _TWO_M_SAMPLES + (6,)):
         image = apply_radial_hamiltonian(R, mu, l2)
-        yield image(grid) - energy(q.nr, m, mu) * R(grid)
+        yield image(grid) - E * R(grid)
 
 
 @_register("radial_eigen_residual", "radial", 1e-8)
@@ -212,19 +214,19 @@ def _check_substitution_roundtrip(ctx: VerifyContext) -> Iterator:
 @_register("radial_flat_picture_eigen", "radial", 1e-9)
 def _check_flat_picture(ctx: VerifyContext) -> Iterator:
     grid = residual_grid()
-    for m, l2, q, R in _sturmians(ctx.mu, range(4)):
+    for E, l2, _, R in _sturmians(ctx.mu, range(4)):
         U = substitute_u(R, ctx.mu, "r_to_u")
         image = su11.apply_B0(U, l2, ctx.mu)
-        yield image(grid) - 0.5 * energy(q.nr, m, ctx.mu) * U(grid)
+        yield image(grid) - 0.5 * E * U(grid)
 
 
 @_register("spectrum_energy_values", "radial", 1e-12)
 def _check_energy_values(ctx: VerifyContext) -> Iterator:
     yield energy(0, 0, DeformationParams(0.0, 0.0)) - 1.0
     yield energy(2, 1, DeformationParams(0.25, 0.75)) - 8.0
-    yield energy(0, Fraction(1, 2), DeformationParams(0.0, 0.0)) - 2.0
+    yield energy(0, 0.5, DeformationParams(0.0, 0.0)) - 2.0
     for nr in (1, 2, 3):
-        for m in (Fraction(0), Fraction(1, 2), Fraction(3)):
+        for m in (0, 0.5, 3):
             yield energy(nr, m, ctx.mu) - energy(nr - 1, m + 1, ctx.mu)
 
 
@@ -254,12 +256,12 @@ def _plain_laguerre(n: int, alpha_int: int, x: np.ndarray) -> np.ndarray:
 def _mu_zero_cases() -> Iterator:
     mu0 = DeformationParams(0.0, 0.0)
     grid = residual_grid(50, 0.05, 8.0)
-    ms = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
-    for m, _, q, R in _sturmians(mu0, range(5), ms):
-        n, ell = q.nr, int(2 * m)
-        norm = math.sqrt(2.0 * math.factorial(n) / math.factorial(n + ell))
-        ref = norm * grid**ell * np.exp(-0.5 * grid * grid) * _plain_laguerre(n, ell, grid * grid)
-        yield R(grid) - ref
+    for ell in range(5):  # ell = 2m
+        for _, _, q, R in _sturmians(mu0, range(5), (ell,)):
+            n = q.nr
+            norm = math.sqrt(2.0 * math.factorial(n) / math.factorial(n + ell))
+            ref = norm * grid**ell * np.exp(-0.5 * grid * grid) * _plain_laguerre(n, ell, grid * grid)
+            yield R(grid) - ref
 
 
 @_register("mu_zero_reduction", "radial", 1e-12)
@@ -267,13 +269,8 @@ def _check_mu_zero_reduction(ctx: VerifyContext) -> Iterator:
     yield _pinned(_mu_zero_cases)
 
 
-_CARTESIAN_STATES = (
-    (1, 1, Fraction(0), 0),
-    (1, 1, Fraction(1), 1),
-    (-1, -1, Fraction(1), 0),
-    (1, -1, Fraction(1, 2), 1),
-    (-1, 1, Fraction(3, 2), 0),
-)
+# (s1, s2, 2m, nr)
+_CARTESIAN_STATES = ((1, 1, 0, 0), (1, 1, 2, 1), (-1, -1, 2, 0), (1, -1, 1, 1), (-1, 1, 3, 0))
 
 
 @_register("hamiltonian_cartesian_residual", "radial", 1e-12)
@@ -283,12 +280,12 @@ def _check_cartesian_hamiltonian(ctx: VerifyContext) -> Iterator:
     # The last two points lie on x = 0 and y = 0, where the parity limits of D_x^2 and D_y^2 apply.
     xs = np.concatenate([xs.ravel(), -xs.ravel(), [0.0, 0.9]])
     ys = np.concatenate([ys.ravel(), ys.ravel(), [0.9, 0.0]])
-    for s1, s2, m, nr in _CARTESIAN_STATES:
-        q = AngularQuantum.build(s1, s2, m, ctx.mu)
-        R = radial_sturmian(RadialQuantum.from_m(nr, m, ctx.mu), ctx.mu)
+    for s1, s2, two_m, nr in _CARTESIAN_STATES:
+        q = AngularQuantum._of(s1, s2, two_m, ctx.mu)
+        R = radial_sturmian(RadialQuantum(nr=nr, k=_k(two_m, ctx.mu)), ctx.mu)
         f = _polar_plane(R, angular_wavefunction(q, ctx.mu), (s1, s2))
         image = apply_hamiltonian(f, ctx.mu)
-        yield image(xs, ys) - energy(nr, m, ctx.mu) * f(xs, ys)
+        yield image(xs, ys) - _level_energy(2 * nr + two_m, ctx.mu) * f(xs, ys)
 
 
 def _ladder_check(which: str, ns: Iterable[int], step: int):
@@ -296,11 +293,11 @@ def _ladder_check(which: str, ns: Iterable[int], step: int):
 
     def check(ctx: VerifyContext) -> Iterator:
         grid = residual_grid()
-        for m, l2, q, R in _sturmians(ctx.mu, ns):
+        for _, l2, q, R in _sturmians(ctx.mu, ns):
             coeff = su11.ladder_coefficients(q, which)
             image = su11.apply_A(R, which, ctx.mu, l2)
             if step:
-                R = radial_sturmian(RadialQuantum.from_m(q.nr + step, m, ctx.mu), ctx.mu)
+                R = radial_sturmian(RadialQuantum(nr=q.nr + step, k=q.k), ctx.mu)
             yield image(grid) - coeff * R(grid)
 
     return check
@@ -358,9 +355,8 @@ def _check_half_hamiltonian(ctx: VerifyContext) -> Iterator:
 @_register("factorization_identity", "algebra", 1e-8)
 def _check_factorization(ctx: VerifyContext) -> Iterator:
     grid = residual_grid()
-    for m, l2, q, R in _sturmians(ctx.mu, range(4)):
+    for E, l2, _, R in _sturmians(ctx.mu, range(4)):
         U = substitute_u(R, ctx.mu, "r_to_u")
-        E = energy(q.nr, m, ctx.mu)
         for branch in ("upper", "lower"):
             yield su11.factorization_residual(U, E, l2, ctx.mu, branch, grid)
 
@@ -384,10 +380,10 @@ def _check_conjugation(ctx: VerifyContext) -> Iterator:
 
 @_register("bargmann_roots", "algebra", 1e-12)
 def _check_bargmann(ctx: VerifyContext) -> Iterator:
-    for m in _M_SAMPLES:
-        l2 = separation_constant(m, ctx.mu)
+    for two_m in _TWO_M_SAMPLES:
+        l2 = _l2(two_m, ctx.mu)
         target = 0.25 * (ctx.mu.total**2 + l2 - 1.0)
-        k_plus, k_minus = su11.bargmann_index(m, ctx.mu)
+        k_plus, k_minus = su11.bargmann_index(0.5 * two_m, ctx.mu)
         yield k_plus * (k_plus - 1.0) - target
         yield k_minus * (k_minus - 1.0) - target
         if not k_plus > 0.0:
@@ -464,10 +460,9 @@ def _check_generating_function(ctx: VerifyContext) -> Iterator:
     yield _pinned(_generating_function_cases)
 
 
-def _evolution_sector(ctx: VerifyContext) -> tuple[Fraction, float]:
-    m = Fraction(1, 2)
-    k = k_of(m, ctx.mu)
-    return m, k
+def _evolution_sector(ctx: VerifyContext) -> tuple[float, float]:
+    """The sector m = 1/2, as the float the public calls take, and its k."""
+    return 0.5, k_of(0.5, ctx.mu)
 
 
 @_register("evolution_crosscheck", "coherent", 1e-9)

@@ -253,9 +253,9 @@ def test_radial_quantum_k_values():
 @pytest.mark.parametrize("nr", [math.nan, math.inf, -math.inf, 1.5, 2.0, 1e300])
 def test_nonfinite_or_fractional_nr_is_a_domain_error(nr):
     # nr must be an int or a numpy integer: a float is refused even when whole.
-    with pytest.raises(DomainError, match="nr must be a non-negative integer"):
+    with pytest.raises(DomainError, match="nr must be an integer from 0 to 1000000"):
         RadialQuantum(nr=nr, k=1.0)
-    with pytest.raises(DomainError, match="nr must be a non-negative integer"):
+    with pytest.raises(DomainError, match="nr must be an integer from 0 to 1000000"):
         energy(nr, 0, DeformationParams(0.0, 0.0))
 
 
@@ -284,9 +284,9 @@ def test_quantum_numbers_past_the_bound_are_refused():
     assert AngularQuantum.build(-1, -1, basis._MAX_QUANTUM, mu).m == 1_000_000
     # An int of any size is compared exactly, never converted to a float.
     for nr in (1_000_001, 10**12, 10**400):
-        with pytest.raises(DomainError, match="nr must not exceed 1000000"):
+        with pytest.raises(DomainError, match="nr must be an integer from 0 to 1000000"):
             RadialQuantum(nr=nr, k=1.0)
-        with pytest.raises(DomainError, match="nr must not exceed 1000000"):
+        with pytest.raises(DomainError, match="nr must be an integer from 0 to 1000000"):
             energy(nr, 0, mu)
     for s1, s2, m in ((1, 1, 1_000_001), (1, -1, Fraction(2_000_001, 2)), (-1, -1, 10**12)):
         with pytest.raises(DomainError, match="m must not exceed 1000000"):
@@ -307,6 +307,15 @@ def test_every_m_entry_refuses_an_m_past_the_bound(m):
             fn(m)
     assert as_quantum_m(basis._MAX_QUANTUM) == 1_000_000
     assert k_of(Fraction(1_999_999, 2), mu) == 999_999.5 + 0.5 * (mu.total + 1.0)
+
+
+def test_a_numpy_integer_m_gives_python_numbers():
+    # 2m is a Python int whatever integer type m arrives as, so no label or
+    # formula carries a numpy scalar.
+    mu = DeformationParams(0.3, 0.7)
+    q = AngularQuantum.build(1, 1, np.int64(3), mu)
+    assert type(q.two_m) is int and type(q.degree) is int and type(q.l2) is float
+    assert type(k_of(np.int64(3), mu)) is float and type(separation_constant(np.uint8(3), mu)) is float
 
 
 def test_radial_quantum_refuses_infinite_k():
@@ -565,8 +574,30 @@ def test_level_walk_labels_equal_the_validating_builders(mu_pair):
             assert sectors == [(q.s1, q.s2) for q in labels]
             built = [AngularQuantum._of(s1, s2, two_m, mu) for s1, s2 in sectors]
             assert built == labels
+            assert [hash(q) for q in built] == [hash(q) for q in labels]
+            assert all(type(q.two_m) is int and q.two_m == two_m for q in built)
             assert all(type(q.m) is Fraction and q.m == Fraction(two_m, 2) for q in built)
             assert k == k_expected
+
+
+def test_the_walk_builds_no_fraction(monkeypatch):
+    # m is held as the integer 2m from the walk to the label; a Fraction is
+    # built only where the public API takes m in or gives it out.
+    built = []
+    real = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    mu = DeformationParams(0.3, 0.7)
+    states = enumerate_states(100.0, mu)
+    labels = list(basis._sector_labels(300, mu))
+    assert built == []
+    assert len(states) == 4950 and len(labels) == 601
+    # The count is live: the public .m gives m out as a Fraction.
+    assert states[-1].m == 49 and built == [(98, 2)]
 
 
 def test_sector_start_gives_each_sector_lowest_m():

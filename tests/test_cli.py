@@ -133,10 +133,10 @@ def test_unwritable_out_is_an_input_error(tmp_path, capsys, argv):
     ids=["state-cap", "non-finite-k"],
 )
 def test_refused_spectrum_writes_nothing(tmp_path, capsys, monkeypatch, argv, message, to_file):
-    # k turns infinite from m = 3, first reached on level 6, so a refusal
-    # made while writing would come after the first levels.
+    # k turns infinite from m = 3 (2m = 6), first reached on level 6, so a
+    # refusal made while writing would come after the first levels.
     finite_k = basis._k
-    monkeypatch.setattr(basis, "_k", lambda m, mu: math.inf if m >= 3 else finite_k(m, mu))
+    monkeypatch.setattr(basis, "_k", lambda two_m, mu: math.inf if two_m >= 6 else finite_k(two_m, mu))
     target = tmp_path / "existing.csv"
     target.write_text("old content\n")
     code, out, err = _run(capsys, argv + (["--out", str(target)] if to_file else []))
@@ -223,6 +223,34 @@ def test_spectrum_bytes_equal_pinned_digests(capsys, mu1, mu2, fmt, digest):
     # a writer that formatted every row from its own label, so they catch a
     # mistake the two would share.
     code, out, err = _run(capsys, ["spectrum", "--emax", "300", "--mu1", mu1, "--mu2", mu2, "--format", fmt])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_COHERENT_ARGV = ["coherent", "--xi", "0.3,0.4", "--m", "3/2", "--mu1", "0.2", "--mu2", "2.1", "--tau", "0,0.7"]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["wavefunction", "--state=-1,+1,5/2,3", "--mu1", "0.4", "--mu2", "1.3"],
+            "9aca46397d1b3edcee37887e32a513a0a22a723a05f62d3e4c16e74b0f88d29c",
+        ),
+        (
+            ["wavefunction", "--state=-1,+1,5/2,3", "--part", "angular", "--grid", "0.1:6:40", "--format", "json"],
+            "bad00986aa4d861c2c9402d2c4ce779345d9f2d8a13c5facf9dc1dfd10a892bb",
+        ),
+        (_COHERENT_ARGV, "1e7091188f726a175e998a9e7fa7062b690a79573edae2ef1c3b41d457d3a2b3"),
+        (_COHERENT_ARGV + ["--format", "json"], "9c8a7022288dc102466d1d012450430f29c402894cbb8e1df340e49d03bc28d3"),
+    ],
+    ids=["wavefunction-radial-csv", "wavefunction-angular-json", "coherent-csv", "coherent-json"],
+)
+def test_label_documents_equal_pinned_digests(capsys, argv, digest):
+    # Each document carries m, k, l2 or the energy of a half-integer m, which
+    # the labels compute from the integer 2m; these digests were measured when
+    # the labels held m as a Fraction.
+    code, out, err = _run(capsys, argv)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

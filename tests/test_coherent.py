@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dunkl_oscillator import coherent, specfun
-from dunkl_oscillator.basis import RadialQuantum, k_of, radial_sturmian
+from dunkl_oscillator.basis import RadialQuantum, k_of, log_gamma, radial_sturmian
 from dunkl_oscillator.coherent import (
     CoherentParams,
     EvolutionParams,
@@ -26,7 +26,7 @@ from dunkl_oscillator.coherent import (
     suggested_norm_quadrature,
 )
 from dunkl_oscillator.errors import DomainError, RepresentationError
-from dunkl_oscillator.specfun import DeformationParams, laguerre_all, log_gamma, radial_inner_product
+from dunkl_oscillator.specfun import DeformationParams, laguerre_all, radial_inner_product
 from reference_rules import gauss_legendre
 
 GRID = np.linspace(0.05, 3.0, 60)
@@ -568,6 +568,25 @@ def test_evolved_state_rejects_mismatched_index():
     p = CoherentParams(xi=0.5, k=2.0)  # wrong k for m = 0 at this mu (k should be 1)
     with pytest.raises(DomainError):
         coherent_evolved(GRID, p, EvolutionParams(tau=0.5), Fraction(0), mu)
+
+
+def test_evolved_state_takes_a_k_off_by_round_off_at_large_m():
+    # k written as m + mu1/2 + mu2/2 + 1/2 equals k_of's k in exact arithmetic,
+    # but here the floats differ by two ulps, 2.3e-10, far past an absolute
+    # 1e-12; a k off by 1e-9 relative or a neighbouring sector's is refused.
+    m = 636962
+    mu = DeformationParams(-0.43231855200543345, 2.3483131348089508)
+    k = m + mu.mu1 / 2 + mu.mu2 / 2 + 0.5
+    assert k == 636963.4579972915 and k_of(m, mu) == 636963.4579972913
+    r = np.linspace(828.0, 828.5, 5)  # about the peak, where the values are near 9e-8
+    t = EvolutionParams(tau=0.0)
+    vals = coherent_evolved(r, CoherentParams(xi=0.3, k=k), t, m, mu)
+    exact = coherent_evolved(r, CoherentParams(xi=0.3, k=k_of(m, mu)), t, m, mu)
+    assert np.all(np.abs(exact) > 1e-8)
+    np.testing.assert_allclose(vals, exact, rtol=1e-8, atol=0.0)
+    for wrong in (k * (1.0 + 1e-9), k_of(Fraction(2 * m + 1, 2), mu), k_of(Fraction(2 * m - 1, 2), mu)):
+        with pytest.raises(DomainError, match="does not match m = 636962"):
+            coherent_evolved(r, CoherentParams(xi=0.3, k=wrong), t, m, mu)
 
 
 @pytest.mark.parametrize("m", [Fraction(0), Fraction(1, 2), Fraction(2)])

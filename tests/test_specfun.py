@@ -14,6 +14,7 @@ from dunkl_oscillator.basis import (
     AngularQuantum,
     RadialQuantum,
     angular_wavefunction,
+    log_gamma,
     radial_sturmian,
 )
 from dunkl_oscillator.errors import DomainError
@@ -25,7 +26,6 @@ from dunkl_oscillator.specfun import (
     jacobi,
     laguerre,
     laguerre_all,
-    log_gamma,
     radial_gram,
     radial_inner_product,
 )

@@ -114,13 +114,19 @@ def test_worst_residual_propagates_nan():
 _NAN_MU = DeformationParams(0.3, 1.2)
 
 
+def _nan_at_level_four(monkeypatch, nan_mu):
+    # The level 2 (nr + m) = 4 is first reached at nr = 2, m = 0, after the
+    # finite cases nr = 0 and 1 of that sector.
+    real = verify._level_energy
+
+    def level_energy(level, mu):
+        return float("nan") if (mu == nan_mu and level == 4) else real(level, mu)
+
+    monkeypatch.setattr(verify, "_level_energy", level_energy)
+
+
 def _radial_eigen_with_nan_energy(monkeypatch):
-    real = verify.energy
-
-    def energy(n, m, mu):
-        return float("nan") if (mu == _NAN_MU and n == 2) else real(n, m, mu)
-
-    monkeypatch.setattr(verify, "energy", energy)
+    _nan_at_level_four(monkeypatch, _NAN_MU)
     return "radial_eigen_residual"
 
 
@@ -150,8 +156,7 @@ def test_nan_at_the_runs_mu_fails_even_when_that_mu_is_a_cached_constant_pair(mo
     mu0 = DeformationParams(0.0, 0.0)
     clean = {r.name: r for r in run_checks(suite="radial", mu=mu0)}["radial_eigen_residual"]
     assert clean.passed
-    real = verify.energy
-    monkeypatch.setattr(verify, "energy", lambda n, m, mu: float("nan") if (mu == mu0 and n == 2) else real(n, m, mu))
+    _nan_at_level_four(monkeypatch, mu0)
     res = {r.name: r for r in run_checks(suite="radial", mu=mu0)}["radial_eigen_residual"]
     assert res.error is None
     assert math.isnan(res.residual)
