@@ -148,15 +148,21 @@ def _radial_operator(R: GaussLaguerreSum, row: tuple[float, ...]) -> GaussLaguer
     # Every row has an R'' or r R' term, so R' is always needed; taking it first
     # refuses an input without exact derivatives before any image is built.
     d1 = derivative_of(R, 1)
-    images = (
-        lambda: derivative_of(d1, 1).terms.items(),
-        lambda: R._shifted(2),
-        lambda: d1._shifted(-1),
-        lambda: R._shifted(-2),
-        lambda: d1._shifted(1),
-        lambda: R.terms.items(),
-    )
-    return GaussLaguerreSum._fold((c, image()) for c, image in zip(row, images) if c != 0.0)
+    c_d2, c_r2, c_d1_r, c_r_2, c_r_d1, c_1 = row
+    parts = []
+    if c_d2 != 0.0:
+        parts.append((c_d2, d1.derivative().terms.items()))
+    if c_r2 != 0.0:
+        parts.append((c_r2, R._shifted(2)))
+    if c_d1_r != 0.0:
+        parts.append((c_d1_r, d1._shifted(-1)))
+    if c_r_2 != 0.0:
+        parts.append((c_r_2, R._shifted(-2)))
+    if c_r_d1 != 0.0:
+        parts.append((c_r_d1, d1._shifted(1)))
+    if c_1 != 0.0:
+        parts.append((c_1, R.terms.items()))
+    return GaussLaguerreSum._fold(parts)
 
 
 def apply_radial_hamiltonian(R: GaussLaguerreSum, mu: DeformationParams, l2: float) -> GaussLaguerreSum:

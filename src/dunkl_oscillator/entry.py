@@ -45,7 +45,7 @@ import sys
 from fractions import Fraction
 from typing import Iterator, TextIO
 
-from .basis import _MAX_QUANTUM, SUITES, DeformationParams, _l2, _levels
+from .basis import SUITES, DeformationParams, _l2, _levels
 from .errors import DomainError
 
 __all__ = ["main"]
@@ -75,8 +75,6 @@ def _parse_state(text: str) -> tuple[int, int, Fraction, int]:
         nr = int(parts[3].strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad m or nr in state {text!r}: {exc}") from None
-    if m > _MAX_QUANTUM or nr > _MAX_QUANTUM:
-        raise argparse.ArgumentTypeError(f"m and nr must not exceed {_MAX_QUANTUM}, got {text!r}")
     return (s1, s2, m, nr)
 
 

@@ -30,6 +30,12 @@ operator, ``dunkl_ops._radial_operator``: each is a row of coefficients of
 R'', r^2 R, R'/r, R/r^2, r R' and R.  verify's ``half_hamiltonian_identity``
 compares the rows of H_r and A0, and the operator body is checked by
 ``radial_eigen_residual``, ``ladder_diagonal`` and ``radial_flat_picture_eigen``.
+
+The brackets come from one private ``_bracket_residuals``, which builds each
+A_w R once for all the pairs it is asked for: verify's ``commutator_closure``
+asks for all three, 9 images of a profile (A0 R, A+ R, A- R and the six
+A_x A_y R), and ``commutator_residual`` asks for its one pair.  Nothing is
+kept between calls.
 """
 
 from __future__ import annotations
@@ -165,7 +171,7 @@ def factorization_residual(
     V = apply_J(U, E, int(sign)) + shift * U
     Z = apply_J(V, E, -int(sign)) + shift * V
     lam = factorization_product_eigenvalue(E, l2, mu, branch)
-    return float(np.max(np.abs(Z(grid) - lam * U(grid))))
+    return float(np.abs(Z(grid) - lam * U(grid)).max())
 
 
 def casimir_check(
@@ -190,7 +196,7 @@ def casimir_check(
     casimir = (-1.0) * product + diag2 + (-1.0) * diag
     target = k * (k - 1.0)
     scalar = 0.25 * (mu.total * mu.total + l2 - 1.0)
-    residual = float(np.max(np.abs(casimir(grid) - target * R(grid))))
+    residual = float(np.abs(casimir(grid) - target * R(grid)).max())
     return max(residual, abs(scalar - target))
 
 
@@ -208,13 +214,26 @@ def commutator_residual(
     """Sup-norm defect of a bracket relation ([A0,A+], [A0,A-] or [A-,A+]) on R."""
     if pair not in _BRACKETS:
         raise DomainError(f"pair must be '0+', '0-' or '-+', got {pair!r}")
-    x, y, c, z = _BRACKETS[pair]
     if grid is None:
         grid = residual_grid()
-    yr = apply_A(R, y, mu, l2)
-    lhs = apply_A(yr, x, mu, l2) + (-1.0) * apply_A(apply_A(R, x, mu, l2), y, mu, l2)
-    rhs = c * (yr if z == y else apply_A(R, z, mu, l2))
-    return float(np.max(np.abs(lhs(grid) - rhs(grid))))
+    return _bracket_residuals(R, mu, l2, grid, (pair,))[pair]
+
+
+def _bracket_residuals(
+    R: GaussLaguerreSum, mu: DeformationParams, l2: float, grid: np.ndarray, pairs=tuple(_BRACKETS)
+) -> dict[str, float]:
+    """{pair: sup-norm defect of its bracket on R} for each pair, building each A_w R once for all of them."""
+    first: dict[str, GaussLaguerreSum] = {}
+    out = {}
+    for pair in pairs:
+        x, y, c, z = _BRACKETS[pair]
+        for w in (y, x, z):
+            if w not in first:
+                first[w] = apply_A(R, w, mu, l2)
+        lhs = apply_A(first[y], x, mu, l2) + (-1.0) * apply_A(first[x], y, mu, l2)
+        rhs = c * first[z]
+        out[pair] = float(np.abs(lhs(grid) - rhs(grid)).max())
+    return out
 
 
 def bargmann_index(m, mu: DeformationParams) -> tuple[float, float]:

@@ -15,6 +15,13 @@ One ``run_checks`` call evaluates its checks inside one ``profiles._shared_rows`
 scope: the term sums of all its checks share each grid's read-only power,
 Laguerre and Jacobi rows, bit-identical to rows computed per sum, and the scope
 drops them when the call returns or raises, so no row outlives the run.
+
+Two checks compute shared pieces once, for one case only:
+``commutator_closure`` reads the three brackets of each profile from one
+``su11._bracket_residuals`` call (90 radial images per run), and
+``hamiltonian_cartesian_residual`` evaluates each polar factor of a state
+once per point set through its ``profiles._polar_plane`` (39 term-sum
+evaluations per run).
 """
 
 from __future__ import annotations
@@ -89,9 +96,9 @@ def _worst(residuals: Iterable) -> float:
     """Largest absolute value over all residuals (scalars or arrays), NaN if any is NaN.
 
     Python's ``max(0.0, nan)`` is 0.0, so a NaN case after a finite one would
-    vanish; ``np.max`` propagates it and the check fails.
+    vanish; ``ndarray.max`` propagates it and the check fails.
     """
-    return float(np.max([np.max(np.abs(r)) for r in residuals]))
+    return float(np.array([np.abs(r).max() for r in residuals]).max())
 
 
 @functools.cache
@@ -329,9 +336,7 @@ def _random_profiles(seed_parts: tuple[int, ...], count: int) -> list[GaussLague
 def _check_commutators(ctx: VerifyContext) -> Iterator:
     grid = residual_grid()
     for idx, profile in enumerate(_random_profiles((ctx.seed, 101), 10)):
-        l2 = float(idx % 3)
-        for pair in ("0+", "0-", "-+"):
-            yield su11.commutator_residual(pair, profile, ctx.mu, l2, grid)
+        yield from su11._bracket_residuals(profile, ctx.mu, float(idx % 3), grid).values()
 
 
 @_register("casimir_scalar", "algebra", 1e-7)

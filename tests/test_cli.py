@@ -410,19 +410,26 @@ def test_grid_point_count_is_bounded(capsys):
 
 
 @pytest.mark.parametrize(
-    "state",
-    ["+1,+1,0,100000000000000000000", "+1,+1,0,1000001", "+1,+1,2000001/2,0", "-1,-1,1000001,0"],
+    "state, message",
+    [
+        ("+1,+1,0,100000000000000000000", "nr must be an integer from 0 to 1000000, got 100000000000000000000"),
+        ("+1,+1,0,1000001", "nr must be an integer from 0 to 1000000, got 1000001"),
+        ("+1,+1,2000001/2,0", "m must not exceed 1000000, got 2000001/2"),
+        ("-1,-1,1000001,0", "m must not exceed 1000000, got 1000001"),
+    ],
     ids=["nr-huge", "nr-over", "m-over-half", "m-over"],
 )
-def test_state_quantum_numbers_are_bounded(capsys, state):
-    # The recurrences loop nr and about m times per point; argparse refuses a
-    # number past the bound before any of them starts.
-    parser = entry._build_parser()
-    with pytest.raises(SystemExit) as exc:
-        parser.parse_args(["wavefunction", f"--state={state}", "--grid", "0:1:3"])
-    assert exc.value.code == 2
-    assert "must not exceed 1000000" in capsys.readouterr().err
-    args = parser.parse_args(["wavefunction", "--state=+1,+1,1000000,1000000"])
+def test_state_quantum_numbers_are_bounded(capsys, monkeypatch, state, message):
+    # The recurrences loop nr and about m times per point; the library's labels
+    # refuse a number past the bound before any eigenfunction is built.
+    built = []
+    monkeypatch.setattr(cli, "radial_sturmian", lambda *args: built.append(args))
+    code, out, err = _run(capsys, ["wavefunction", f"--state={state}", "--grid", "0:1:3"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert built == []
+    args = entry._build_parser().parse_args(["wavefunction", "--state=+1,+1,1000000,1000000"])
     assert args.state == (1, 1, Fraction(1000000), 1000000)
 
 

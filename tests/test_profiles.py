@@ -1,6 +1,8 @@
 """Term-algebra profiles: evaluation, exact derivatives, and their absence."""
 
 import math
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -11,7 +13,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunkl_oscillator import su11
+from dunkl_oscillator import profiles, su11
 from dunkl_oscillator.basis import (
     AngularQuantum,
     RadialQuantum,
@@ -36,7 +38,7 @@ from dunkl_oscillator.profiles import (
     derivative_of,
     residual_grid,
 )
-from dunkl_oscillator.specfun import DeformationParams
+from dunkl_oscillator.specfun import DeformationParams, jacobi, laguerre
 
 
 def test_deformation_params_validation():
@@ -446,3 +448,236 @@ def test_gaussian_polynomial_derivative_property(coeffs, r):
     )
     expected = (dpoly - r * poly) * math.exp(-0.5 * r * r)
     assert profile.derivative()(r) == pytest.approx(expected, rel=1e-11, abs=1e-12)
+
+
+# --- the evaluation loops and the fold against the loops they replaced -------
+
+
+def _ref_fold(parts):
+    """The fold as it was first written: one scale test per pair, zero sums dropped at the end."""
+    acc = {}
+    for scale, pairs in parts:
+        for key, coeff in pairs:
+            acc[key] = acc.get(key, 0.0) + (coeff if scale is None else scale * coeff)
+    return {key: c for key, c in acc.items() if c != 0}
+
+
+def _ref_laguerre_values(profile, r):
+    """The radial loop as it was first written: fresh rows and total = total + c * r^p * L."""
+    arr = np.atleast_1d(np.asarray(r, dtype=float))
+    x = arr * arr
+    total = np.zeros_like(arr)
+    for (p, n, a), c in profile.terms.items():
+        total = total + c * arr**p * laguerre(n, a, x)
+    total = total * np.exp(-0.5 * x)
+    return total[0] if np.ndim(r) == 0 else total
+
+
+def _ref_jacobi_values(profile, phi):
+    """The angular loop as it was first written: fresh rows and total = total + c * cos^i * sin^j * P."""
+    arr = np.atleast_1d(np.asarray(phi, dtype=float))
+    cos, sin = np.cos(arr), np.sin(arr)
+    x = cos * cos - sin * sin
+    total = np.zeros_like(arr)
+    for (i, j, d, al, be), c in profile.terms.items():
+        total = total + c * cos**i * sin**j * jacobi(d, al, be, x)
+    return total[0] if np.ndim(phi) == 0 else total
+
+
+def _bits(values):
+    """Scalar-ness, shape and the float.hex of every real and imaginary part of values."""
+    arr = np.asarray(values)
+    parts = (arr.real, arr.imag) if np.iscomplexobj(arr) else (arr,)
+    return np.ndim(values), arr.shape, [[float(v).hex() for v in part.ravel()] for part in parts]
+
+
+def _with_terms(cls, terms):
+    """A sum of type cls holding exactly terms, which no fold would leave as given (int coefficients)."""
+    out = cls.__new__(cls)
+    out.terms = dict(terms)
+    return out
+
+
+def _radial_cases():
+    mu = DeformationParams(0.3, 0.8)
+    sums = [
+        GaussLaguerreSum.single(-1.0, 1.0, 0, 0.0),  # -1 * 0.0 = -0.0 at r = 0
+        _with_terms(GaussLaguerreSum, {(1.0, 2, 0.5): 3, (0.0, 1, 1.5): -2}),
+        GaussLaguerreSum.gaussian_polynomial([0.3, -1.2, 0.7])
+        + (0.5 - 0.25j) * GaussLaguerreSum.single(1.0, 2.0, 1, 0.5),  # real terms, then complex ones
+        radial_sturmian(RadialQuantum.from_m(3, Fraction(1, 2), mu), mu),
+        GaussLaguerreSum.gaussian_polynomial([]),
+    ]
+    grid = residual_grid()
+    grids = [
+        0.7,
+        grid,
+        grid.reshape(5, 10),
+        np.asfortranarray(grid.reshape(5, 10)),
+        np.linspace(0.0, 3.0, 7),
+        [0.5, 1.0, 0.0],
+        np.arange(4),
+    ]
+    return sums, grids, _ref_laguerre_values
+
+
+def _angular_cases():
+    mu = DeformationParams(0.3, 0.8)
+    sums = [
+        TrigJacobiSum.single(-1.0, 0, 1, 0, 0.0, 0.0),  # -1 * sin(0) = -0.0 at phi = 0
+        _with_terms(TrigJacobiSum, {(1, 2, 1, 0.5, 1.5): 2, (0, 0, 2, 0.3, 0.8): -1}),
+        TrigJacobiSum.single(0.4, 2, 0, 1, 0.3, 0.8) + (1j) * TrigJacobiSum.single(0.6, 1, 1, 2, 0.3, 0.8),
+        angular_wavefunction(AngularQuantum.build(-1, 1, Fraction(5, 2), mu), mu),
+    ]
+    grid = angular_grid(16)
+    grids = [0.9, grid, grid.reshape(4, 4), np.linspace(0.0, 3.0, 7), [0.0, 1.0], np.arange(3)]
+    return sums, grids, _ref_jacobi_values
+
+
+@pytest.mark.parametrize("cases", [_radial_cases, _angular_cases], ids=["radial", "angular"])
+def test_evaluation_is_bit_identical_to_the_plain_loop(cases):
+    sums, grids, reference = cases()
+    want = [[_bits(reference(s, t)) for t in grids] for s in sums]
+    assert _bits(sums[0](0.0)) == (0, (), [["0x0.0p+0"]])  # its one term is -0.0 there; the sum is +0.0
+    assert [[_bits(s(t)) for t in grids] for s in sums] == want
+    with profiles._shared_rows():
+        assert [[_bits(s(t)) for t in grids] for s in sums] == want
+        assert [[_bits(s(t)) for t in grids] for s in reversed(sums)] == want[::-1]
+
+
+def test_fold_is_bit_identical_to_the_plain_fold():
+    rng = np.random.default_rng(33)
+    keys = [(float(p), n, 0.5) for p in range(3) for n in range(2)]
+    coeffs = [1, -2, 0.25, -0.0, 0.0, 1e-300, 0.5 + 0.5j, -0.5j, 3.0, -3.0]
+    scales = [None, 2, -1.0, 0.5j, 1e300]
+    for _ in range(300):
+        parts = [
+            (
+                scales[rng.integers(len(scales))],
+                [(keys[rng.integers(len(keys))], coeffs[rng.integers(len(coeffs))]) for _ in range(rng.integers(0, 6))],
+            )
+            for _ in range(rng.integers(0, 4))
+        ]
+        got, want = Profile._fold_terms(parts), _ref_fold(parts)
+        assert list(got) == list(want)
+        assert [_bits(c) for c in got.values()] == [_bits(c) for c in want.values()]
+
+
+# --- the polar factor memo ----------------------------------------------------
+
+
+def _ref_polar_partials(R, Phi):
+    """fn, dx, dy, dxx and dyy of R(r) * Phi(phi) as first written: every factor evaluated on every call."""
+    R1, R2 = derivative_of(R, 1), derivative_of(R, 2)
+    Phi1, Phi2 = derivative_of(Phi, 1), derivative_of(Phi, 2)
+
+    def polar(x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        r = np.hypot(x, y)
+        return r, np.arctan2(y, x), x / r, y / r
+
+    def partial(axis, order):
+        def out(x, y):
+            r, phi, c, s = polar(x, y)
+            a, b = (c, s) if axis == "x" else (s, -c)
+            rad, rad1, ang, ang1 = R(r), R1(r), Phi(phi), Phi1(phi)
+            if order == 1:
+                return a * rad1 * ang - (b / r) * rad * ang1
+            return (
+                a * a * R2(r) * ang
+                + (b * b / r) * (rad1 * ang + rad * Phi2(phi) / r)
+                + (2.0 * a * b / r) * (rad * ang1 / r - rad1 * ang1)
+            )
+
+        return out
+
+    def fn(x, y):
+        r, phi, _, _ = polar(x, y)
+        return R(r) * Phi(phi)
+
+    return fn, partial("x", 1), partial("y", 1), partial("x", 2), partial("y", 2)
+
+
+@pytest.mark.parametrize("s1, s2, m, nr", [(1, 1, Fraction(0), 0), (-1, 1, Fraction(3, 2), 1)], ids=["flat", "odd-x"])
+def test_polar_plane_is_bit_identical_to_the_plain_chain_rule(s1, s2, m, nr):
+    mu = DeformationParams(0.37, 1.9)
+    R = radial_sturmian(RadialQuantum.from_m(nr, m, mu), mu)
+    Phi = angular_wavefunction(AngularQuantum.build(s1, s2, m, mu), mu)
+    f = _polar_plane(R, Phi, (s1, s2))
+    reference = _ref_polar_partials(R, Phi)
+    pts = np.array([0.31, -0.77, 1.43, 0.0, 0.9])
+    point_sets = [(pts, pts[::-1]), (-pts, pts[::-1]), (pts, -pts[::-1]), (0.4, -1.1), (pts.reshape(5, 1), pts + 0.05)]
+    # Each function read twice on each point set, in the order the Hamiltonian reads them.
+    for x, y in point_sets + point_sets:
+        got = [_bits(g(x, y)) for g in (f.fn, f.dx, f.dy, f.dxx, f.dyy)]
+        assert got == [_bits(g(x, y)) for g in reference]
+    image, plain = apply_hamiltonian(f, mu), apply_hamiltonian(PlaneFunction(*reference, parity=(s1, s2)), mu)
+    x, y = point_sets[0]
+    assert _bits(image(x, y)) == _bits(plain(x, y))
+
+
+def test_polar_plane_evaluates_each_factor_once_and_keeps_three_point_sets(monkeypatch):
+    mu = DeformationParams(0.3, 0.8)
+    R = radial_sturmian(RadialQuantum.from_m(1, Fraction(1, 2), mu), mu)
+    Phi = angular_wavefunction(AngularQuantum.build(-1, 1, Fraction(1, 2), mu), mu)
+    f = _polar_plane(R, Phi, (-1, 1))
+    values = f.fn.__self__
+    seen = []
+    for cls in (GaussLaguerreSum, TrigJacobiSum):
+        real = cls._evaluate
+        monkeypatch.setattr(cls, "_evaluate", lambda self, t, real=real: seen.append(self) or real(self, t))
+    rng = np.random.default_rng(8)
+    point_sets = [(rng.uniform(-2.0, 2.0, 6), rng.uniform(-2.0, 2.0, 6)) for _ in range(10)]
+    first = []
+    for x, y in point_sets:
+        first.append([_bits(g(x, y)) for g in (f.fn, f.dx, f.dy, f.dxx, f.dyy)])
+        assert len(values._points) <= 3
+    assert len(values._points) == 3
+    assert len(seen) == 10 * 6  # R, R', R'', Phi, Phi', Phi'' once per point set
+    # A reflected point set has the same r, so only Phi is evaluated anew there.
+    x, y = point_sets[-1]
+    f.fn(-x, y)
+    assert len(seen) == 10 * 6 + 1 and type(seen[-1]) is TrigJacobiSum
+    # An evicted point set is computed afresh, to the same bits.
+    x, y = point_sets[0]
+    assert [_bits(g(x, y)) for g in (f.fn, f.dx, f.dy, f.dxx, f.dyy)] == first[0]
+    assert len(values._points) == 3
+
+
+def test_polar_plane_shared_by_threads_gives_the_bits_of_a_fresh_one():
+    # The memo is read and written without a lock; a race may repeat work but
+    # never mixes up values.
+    mu = DeformationParams(0.37, 1.9)
+    R = radial_sturmian(RadialQuantum.from_m(2, Fraction(1), mu), mu)
+    Phi = angular_wavefunction(AngularQuantum.build(1, 1, Fraction(1), mu), mu)
+    shared = _polar_plane(R, Phi, (1, 1))
+    rng = np.random.default_rng(21)
+    point_sets = [(rng.uniform(-2.0, 2.0, 5), rng.uniform(-2.0, 2.0, 5)) for _ in range(7)]
+    fresh = _polar_plane(R, Phi, (1, 1))
+    want = [[_bits(g(x, y)) for g in (fresh.fn, fresh.dxx, fresh.dy)] for x, y in point_sets]
+    got, errors = [], []
+
+    def work(offset):
+        try:
+            for k in range(40):
+                i = (offset + k) % len(point_sets)
+                x, y = point_sets[i]
+                got.append((i, [_bits(g(x, y)) for g in (shared.fn, shared.dxx, shared.dy)]))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(got) == 4 * 40
+    assert all(bits == want[i] for i, bits in got)
+    assert len(shared.fn.__self__._points) <= 3

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dunkl_oscillator import su11
 from dunkl_oscillator.basis import (
     RadialQuantum,
     energy,
@@ -320,6 +321,23 @@ def test_operators_are_bit_identical_to_their_written_out_forms(mu, l2):
     for build in builders:
         with pytest.raises(TypeError, match="term-sum Profile"):
             build()
+
+
+def test_commutator_residual_is_the_bracket_helper_bit_for_bit():
+    # verify reads all three brackets of a profile from one helper call;
+    # the public one-pair function gives the same bits for each pair.
+    for idx, prof in enumerate(_random_gaussian_polynomials(17, 4)):
+        for mu, l2 in ((MU, float(idx % 3)), (MU, 4.75), (_MU_NO_DRIFT, 0.0)):
+            brackets = su11._bracket_residuals(prof, mu, l2, GRID)
+            assert list(brackets) == ["0+", "0-", "-+"]
+            for pair, value in brackets.items():
+                assert commutator_residual(pair, prof, mu, l2, GRID).hex() == value.hex()
+                alone = su11._bracket_residuals(prof, mu, l2, GRID, (pair,))
+                assert {key: v.hex() for key, v in alone.items()} == {pair: value.hex()}
+            default = su11._bracket_residuals(prof, mu, l2, residual_grid())
+            assert [commutator_residual(pair, prof, mu, l2).hex() for pair in default] == [
+                value.hex() for value in default.values()
+            ]
 
 
 @pytest.mark.parametrize("which", ["+", "-"])

@@ -328,3 +328,36 @@ def test_row_cache_keeps_a_run_at_a_new_mu_warm():
     after = coherent._cached_table.cache_info()
     assert after.misses - before.misses == 1
     assert after.hits - before.hits >= 17
+
+
+# --- work counts of the algebra and Cartesian checks --------------------------
+
+
+def _only(monkeypatch, name):
+    """Keep the one named check in the registry; return its suite."""
+    (check,) = [c for c in verify._REGISTRY if c.name == name]
+    monkeypatch.setattr(verify, "_REGISTRY", [check])
+    return check.suite
+
+
+def test_commutator_closure_builds_each_bracket_image_once(monkeypatch):
+    # 10 profiles, each with A0 R, A+ R, A- R and the six A_x A_y R: 90 images.
+    rows = []
+    real = su11._radial_operator
+    monkeypatch.setattr(su11, "_radial_operator", lambda R, row: rows.append(row) or real(R, row))
+    (result,) = run_checks(_only(monkeypatch, "commutator_closure"), mu=(0.37, 1.9))
+    assert result.passed
+    assert len(rows) == 90
+
+
+def test_cartesian_check_evaluates_each_polar_factor_once(monkeypatch):
+    # Five states, each evaluating R, R', R'' once on the shared r and Phi,
+    # Phi', Phi'' on (x, y) plus Phi on the two reflections: 8, and 7 for the
+    # flat m = 0 state, whose Phi' and Phi'' are the same zero sum.
+    evaluated = []
+    for cls in (profiles.GaussLaguerreSum, profiles.TrigJacobiSum):
+        real = cls._evaluate
+        monkeypatch.setattr(cls, "_evaluate", lambda self, t, real=real: evaluated.append(self) or real(self, t))
+    (result,) = run_checks(_only(monkeypatch, "hamiltonian_cartesian_residual"), mu=(0.37, 1.9))
+    assert result.passed
+    assert len(evaluated) == 39
