@@ -212,7 +212,10 @@ def angular_norm(q: AngularQuantum, mu: DeformationParams) -> float:
         - log_gamma(0.5 * (two_m + e1 - e2) + mu.mu1 + 0.5)
         - log_gamma(0.5 * (two_m + e2 - e1) + mu.mu2 + 0.5)
     )
-    return math.exp(0.5 * ln_sq)
+    try:
+        return math.exp(0.5 * ln_sq)
+    except OverflowError:
+        raise DomainError(f"the angular norm overflows at m = {two_m / 2}, mu = ({mu.mu1}, {mu.mu2})") from None
 
 
 @functools.cache

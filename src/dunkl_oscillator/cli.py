@@ -9,7 +9,6 @@ loads every layer of the package.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
@@ -98,7 +97,8 @@ def _cmd_coherent(args: argparse.Namespace, mu: DeformationParams) -> int:
 def _cmd_verify(args: argparse.Namespace, mu: DeformationParams) -> int:
     results = run_checks(suite=args.suite, mu=mu, seed=args.seed, tol_overrides=dict(args.tol or ()))
     payload = [
-        {**dataclasses.asdict(res), "residual": res.residual if math.isfinite(res.residual) else None}
+        {"name": res.name, "suite": res.suite, "residual": res.residual if math.isfinite(res.residual) else None,
+         "tolerance": res.tolerance, "passed": res.passed, "error": res.error}
         for res in results
     ]
     doc = _json_document(payload)

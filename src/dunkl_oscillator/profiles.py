@@ -28,28 +28,23 @@ them through a ``contextvars`` variable (a thread started in the block sees
 none); on exit, normal or not, they are all dropped.  Elsewhere a sum keeps
 its rows for its own call only, so nothing is retained between calls.  Each
 row is the expression a sum would compute for itself, and the terms still
-add in ``terms`` order, so sharing changes no bit of any value.  The terms
-add into one array, in place, starting from +0.0 (so a -0.0 term still sums
-to +0.0), with the same products and sums as total = total + c * rows.
+add in ``terms`` order, so sharing changes no bit of any value.
 
-``_polar_plane`` builds R(r) * Phi(phi) and its Cartesian partials on one
-``_PolarValues``: it evaluates R, R', R'', Phi, Phi' and Phi'' at most once
-per point set and keeps them, with r, phi, x/r and y/r, for the last three
-point sets only (the (x, y) and the two reflections one
-``dunkl_ops.apply_hamiltonian`` evaluation reads); point sets with the same r
-share the radial values.  The memo lives as long as its ``PlaneFunction``.
+``_polar_plane`` builds R(r) * Phi(phi) and its Cartesian partials by the
+polar chain rule.  R, R', R'', Phi, Phi' and Phi'' keep their values, keyed
+by the factor's terms and the argument's shape and bytes, in one dict per
+plane function, cleared at ``_KEEP_VALUES`` = 16 (an ``apply_hamiltonian``
+evaluation needs 8).
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-import functools
 import math
 import numbers
-import threading
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -196,7 +191,6 @@ class GaussLaguerreSum(Profile):
             rows.update(origin=origin, x=x, gauss=_frozen(np.exp(-0.5 * x)))
         if rows["origin"] and any(p < 0 for p, _, _ in self.terms):
             raise SingularityError("evaluation at r = 0 hits a negative power of r")
-        x = rows["x"]
         total = np.zeros(arr.shape)
         for (p, n, a), c in self.terms.items():
             rp = rows.get(p)
@@ -204,14 +198,9 @@ class GaussLaguerreSum(Profile):
                 rp = rows[p] = _frozen(arr**p)
             lag = rows.get((n, a))
             if lag is None:
-                lag = rows[(n, a)] = _frozen(laguerre(n, a, x))
-            term = c * rp
-            term *= lag
-            if term.dtype == total.dtype:
-                total += term
-            else:
-                total = total + term
-        total *= rows["gauss"]
+                lag = rows[(n, a)] = _frozen(laguerre(n, a, rows["x"]))
+            total = total + c * rp * lag
+        total = total * rows["gauss"]
         return total[0] if coerce and np.ndim(r) == 0 else total
 
     def derivative(self) -> "GaussLaguerreSum":
@@ -270,13 +259,7 @@ class TrigJacobiSum(Profile):
             jac = rows.get((d, al, be))
             if jac is None:
                 jac = rows[(d, al, be)] = _frozen(jacobi(d, al, be, x))
-            term = c * ci
-            term *= sj
-            term *= jac
-            if term.dtype == total.dtype:
-                total += term
-            else:
-                total = total + term
+            total = total + c * ci * sj * jac
         return total[0] if coerce and np.ndim(phi) == 0 else total
 
     def derivative(self) -> "TrigJacobiSum":
@@ -329,115 +312,66 @@ class PlaneFunction:
         return self.fn(x, y)
 
 
-# The point sets one ``_PolarValues`` keeps: (x, y) and its two reflections,
-# all that one evaluation of ``dunkl_ops.apply_hamiltonian`` reads.
-_KEEP_POINT_SETS = 3
-
-
-def _chain(profile: Profile) -> tuple[tuple[Profile, ...], tuple[int, ...]]:
-    """profile with its first two derivatives, and for each the index of the first of them with the same terms.
-
-    Past a polynomial's degree a derivative is the zero sum, and so is the
-    next one; the second shares the first one's values.
-    """
-    d1 = derivative_of(profile, 1)
-    chain = (profile, d1, d1.derivative())
-    terms = [list(f.terms.items()) for f in chain]
-    return chain, tuple(terms.index(t) for t in terms)
-
-
-def _chain_values(chain: tuple, values: dict, t, order: int) -> list:
-    """The values at t of chain[0], ..., chain[order] (``_chain``), each slot evaluated once into values."""
-    sums, slots = chain
-    out = []
-    for slot in slots[: order + 1]:
-        v = values.get(slot)
-        if v is None:
-            v = values[slot] = sums[slot](t)
-        out.append(v)
-    return out
-
-
-class _PolarPoint(NamedTuple):
-    r: np.ndarray
-    phi: np.ndarray
-    c: np.ndarray  # x / r
-    s: np.ndarray  # y / r
-    r_key: tuple
-    radial: dict  # chain slot -> values at r, shared by the point sets with this r
-    angular: dict  # chain slot -> values at phi
-
-
-class _PolarValues:
-    """R(r) * Phi(phi) and its Cartesian partials, each factor evaluated once per point set.
-
-    A point set (x, y) keeps its r, phi, x/r and y/r and the values of R, R',
-    R'', Phi, Phi' and Phi'' that were asked for, for as long as it is one of
-    the last ``_KEEP_POINT_SETS`` point sets seen; a reflection leaves r bit
-    for bit the same, so the point sets that share r share the radial values.
-    Every value is the one a fresh evaluation gives, combined by the same
-    expressions, so the memo moves no bit.  Threads that share one may
-    evaluate a factor twice, but each value stays with its own point set.
-    """
-
-    def __init__(self, R: Profile, Phi: Profile):
-        self._radial = _chain(R)
-        self._angular = _chain(Phi)
-        self._points: dict[tuple, _PolarPoint] = {}  # keyed by the shapes and bytes of x and y
-        self._lock = threading.Lock()  # held while _points is walked or resized
-
-    def _at(self, x, y) -> _PolarPoint:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        key = (x.shape, y.shape, x.tobytes(), y.tobytes())
-        point = self._points.get(key)
-        if point is None:
-            r = np.hypot(x, y)
-            phi, c, s = np.arctan2(y, x), x / r, y / r
-            r_key = (r.shape, r.tobytes())
-            with self._lock:
-                radial = next((old.radial for old in self._points.values() if old.r_key == r_key), {})
-                while len(self._points) >= _KEEP_POINT_SETS:
-                    del self._points[next(iter(self._points))]
-                point = self._points[key] = _PolarPoint(r, phi, c, s, r_key, radial, {})
-        return point
-
-    def _factors(self, point: _PolarPoint, order: int) -> tuple[list, list]:
-        """The radial and angular values up to derivative order at point."""
-        return (
-            _chain_values(self._radial, point.radial, point.r, order),
-            _chain_values(self._angular, point.angular, point.phi, order),
-        )
-
-    def fn(self, x, y):
-        (rad,), (ang,) = self._factors(self._at(x, y), 0)
-        return rad * ang
-
-    def partial(self, axis: str, order: int, x, y):
-        point = self._at(x, y)
-        rad, ang = self._factors(point, order)
-        r, c, s = point.r, point.c, point.s
-        a, b = (c, s) if axis == "x" else (s, -c)
-        if order == 1:
-            return a * rad[1] * ang[0] - (b / r) * rad[0] * ang[1]
-        return (
-            a * a * rad[2] * ang[0]
-            + (b * b / r) * (rad[1] * ang[0] + rad[0] * ang[2] / r)
-            + (2.0 * a * b / r) * (rad[0] * ang[1] / r - rad[1] * ang[1])
-        )
+_KEEP_VALUES = 16  # the factor values one polar plane function keeps; its dict is cleared at this many
 
 
 def _polar_plane(R: Profile, Phi: Profile, parity: tuple[int, int] | None) -> PlaneFunction:
-    """R(r) * Phi(phi) with its partials from the polar chain rule, all read from one ``_PolarValues``.
+    """R(r) * Phi(phi) with its partials from the polar chain rule; the partials refuse r = 0.
 
     Along the unit vector (a, b) = (c, s) for x and (s, -c) for y, with
     c = x/r and s = y/r, a first partial is a d_r - (b/r) d_phi and a second
 
         a^2 d_rr + (b^2/r) (d_r + d_phiphi / r) + (2ab/r) (d_phi / r - d_rphi).
+
+    A reflection keeps r, and a zero Phi' and Phi'' have the same terms, so
+    each shares values; the value dict is never walked, so it needs no lock.
     """
-    values = _PolarValues(R, Phi)
-    dx, dy, dxx, dyy = (functools.partial(values.partial, axis, order) for order in (1, 2) for axis in "xy")
-    return PlaneFunction(values.fn, dx, dy, dxx, dyy, parity)
+    values: dict[tuple, np.ndarray] = {}
+
+    def kept(f: Profile) -> Callable:
+        terms = tuple(f.terms.items())
+
+        def at(t: np.ndarray):
+            key = (terms, t.shape, t.tobytes())
+            v = values.get(key)
+            if v is None:
+                if len(values) >= _KEEP_VALUES:
+                    values.clear()
+                v = values[key] = f(t)
+            return v
+
+        return at
+
+    dR, dPhi = derivative_of(R, 1), derivative_of(Phi, 1)
+    R0, R1, R2, Phi0, Phi1, Phi2 = map(kept, (R, dR, dR.derivative(), Phi, dPhi, dPhi.derivative()))
+
+    def polar(x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        return x, y, np.hypot(x, y), np.arctan2(y, x)
+
+    def partial(axis: str, order: int):
+        def out(x, y):
+            x, y, r, phi = polar(x, y)
+            if np.any(r == 0.0):
+                raise SingularityError("the polar chain rule has no partials at r = 0")
+            c, s = x / r, y / r
+            a, b = (c, s) if axis == "x" else (s, -c)
+            rad, rad1, ang, ang1 = R0(r), R1(r), Phi0(phi), Phi1(phi)
+            if order == 1:
+                return a * rad1 * ang - (b / r) * rad * ang1
+            return (
+                a * a * R2(r) * ang
+                + (b * b / r) * (rad1 * ang + rad * Phi2(phi) / r)
+                + (2.0 * a * b / r) * (rad * ang1 / r - rad1 * ang1)
+            )
+
+        return out
+
+    def fn(x, y):
+        _, _, r, phi = polar(x, y)
+        return R0(r) * Phi0(phi)
+
+    return PlaneFunction(fn, partial("x", 1), partial("y", 1), partial("x", 2), partial("y", 2), parity)
 
 
 def residual_grid(n: int = 50, lo: float = 0.05, hi: float = 10.0) -> np.ndarray:

@@ -172,7 +172,10 @@ def _angular_measure(mu, npoints: int) -> tuple[np.ndarray, np.ndarray]:
     """
     mu = DeformationParams.of(mu)
     _check_integer(npoints, "npoints", 32, _MAX_ANGULAR_POINTS)
-    x, w = _gauss_jacobi(int(npoints), mu.mu2 - 0.5, mu.mu1 - 0.5)
+    try:
+        x, w = _gauss_jacobi(int(npoints), mu.mu2 - 0.5, mu.mu1 - 0.5)
+    except OverflowError:  # the weight mass's Gamma functions, past mu1 + mu2 of about 170
+        raise DomainError(f"the angular quadrature's weight mass overflows at mu = ({mu.mu1}, {mu.mu2})") from None
     # Eigenvalues may round just past +-1 when a weight exponent nears -1.
     phi = 0.5 * np.arccos(np.clip(x, -1.0, 1.0))
     nodes = np.concatenate([phi, np.pi - phi, np.pi + phi, 2.0 * np.pi - phi])

@@ -20,8 +20,8 @@ Two checks compute shared pieces once, for one case only:
 ``commutator_closure`` reads the three brackets of each profile from one
 ``su11._bracket_residuals`` call (90 radial images per run), and
 ``hamiltonian_cartesian_residual`` evaluates each polar factor of a state
-once per point set through its ``profiles._polar_plane`` (39 term-sum
-evaluations per run).
+once per argument, kept in the value dict of its ``profiles._polar_plane``
+(39 term-sum evaluations per run).
 """
 
 from __future__ import annotations

@@ -161,6 +161,14 @@ def test_angular_norm_from_integer_two_m_equals_the_fraction_sums_bit_for_bit():
             assert angular_norm(q, mu).hex() == _fraction_norm(q, mu).hex(), (pair, q)
 
 
+def test_angular_norm_overflow_is_a_domain_error():
+    mu = DeformationParams(1100.0, 1100.0)
+    with pytest.raises(DomainError, match=r"angular norm overflows at m = 0.0, mu = \(1100.0, 1100.0\)"):
+        angular_norm(AngularQuantum.build(1, 1, 0, mu), mu)
+    mu = DeformationParams(500.0, 500.0)
+    assert math.isfinite(angular_norm(AngularQuantum.build(1, 1, 0, mu), mu))
+
+
 def test_angular_norm_rejects_inconsistent_labels():
     # Labels with no polynomial degree, (m, e1, e2) = (0, 1, 1), (1/2, 0, 0) and
     # (1, 2, 0), never reach the norm: it reads a label that AngularQuantum.build made.

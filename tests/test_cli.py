@@ -1,6 +1,7 @@
 """Command-line interface: parsing, output formats, exit codes, determinism."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -380,6 +381,13 @@ def test_nonfinite_values_never_reach_the_output(capsys, argv, first_bad, fmt):
     assert err.startswith("error: non-finite value ") and first_bad in err
 
 
+def test_wavefunction_angular_norm_overflow_exits_two(capsys):
+    argv = ["wavefunction", "--state=+1,+1,0,0", "--mu1", "1100", "--mu2", "1100", "--part", "angular"]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: the angular norm overflows at m = 0.0, mu = (1100.0, 1100.0)\n"
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_nonfinite_coherent_values_never_reach_the_output(capsys, monkeypatch, fmt):
     # The library's coherent values are finite on every grid tested; one NaN
@@ -568,6 +576,22 @@ def test_verify_tol_override_forces_failure(tmp_path, capsys):
     failed = [rec for rec in payload if not rec["passed"]]
     assert [rec["name"] for rec in failed] == ["angular_gram_identity"]
     assert failed[0]["tolerance"] == 1e-30
+
+
+def test_verify_document_holds_each_record_as_its_dataclass_fields(capsys):
+    # At mu1 + mu2 = 200 angular_gram_identity raises, so its record carries
+    # the error and its infinite residual is written as null.
+    code, out, err = _run(capsys, ["verify", "--suite", "angular", "--mu1", "100", "--mu2", "100"])
+    assert code == 1 and err == ""
+    results = verify.run_checks(suite="angular", mu=(100.0, 100.0))
+    expected = [
+        {**dataclasses.asdict(res), "residual": res.residual if math.isfinite(res.residual) else None}
+        for res in results
+    ]
+    assert out == entry._json_document(expected)
+    (raised,) = [rec for rec in json.loads(out) if rec["error"] is not None]
+    assert raised["name"] == "angular_gram_identity" and raised["residual"] is None
+    assert raised["error"].startswith("DomainError: ")
 
 
 def test_verify_negative_seed_is_an_input_error(capsys):

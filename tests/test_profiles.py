@@ -616,32 +616,36 @@ def test_polar_plane_is_bit_identical_to_the_plain_chain_rule(s1, s2, m, nr):
     assert _bits(image(x, y)) == _bits(plain(x, y))
 
 
-def test_polar_plane_evaluates_each_factor_once_and_keeps_three_point_sets(monkeypatch):
+def test_polar_plane_evaluates_each_factor_once_until_its_values_are_cleared(monkeypatch):
     mu = DeformationParams(0.3, 0.8)
     R = radial_sturmian(RadialQuantum.from_m(1, Fraction(1, 2), mu), mu)
     Phi = angular_wavefunction(AngularQuantum.build(-1, 1, Fraction(1, 2), mu), mu)
     f = _polar_plane(R, Phi, (-1, 1))
-    values = f.fn.__self__
+    fns = (f.fn, f.dx, f.dy, f.dxx, f.dyy)
     seen = []
     for cls in (GaussLaguerreSum, TrigJacobiSum):
         real = cls._evaluate
         monkeypatch.setattr(cls, "_evaluate", lambda self, t, real=real: seen.append(self) or real(self, t))
     rng = np.random.default_rng(8)
-    point_sets = [(rng.uniform(-2.0, 2.0, 6), rng.uniform(-2.0, 2.0, 6)) for _ in range(10)]
-    first = []
-    for x, y in point_sets:
-        first.append([_bits(g(x, y)) for g in (f.fn, f.dx, f.dy, f.dxx, f.dyy)])
-        assert len(values._points) <= 3
-    assert len(values._points) == 3
-    assert len(seen) == 10 * 6  # R, R', R'', Phi, Phi', Phi'' once per point set
+    point_sets = [(rng.uniform(-2.0, 2.0, 6), rng.uniform(-2.0, 2.0, 6)) for _ in range(3)]
+    # Two point sets keep 12 values, fewer than the 16 that clear the dict:
+    # R, R', R'', Phi, Phi' and Phi'' are evaluated once per point set.
+    first = [[_bits(g(x, y)) for g in fns] for x, y in point_sets[:2] + point_sets[:2]]
+    assert first[2:] == first[:2]
+    assert len(seen) == 2 * 6
     # A reflected point set has the same r, so only Phi is evaluated anew there.
-    x, y = point_sets[-1]
+    x, y = point_sets[1]
     f.fn(-x, y)
-    assert len(seen) == 10 * 6 + 1 and type(seen[-1]) is TrigJacobiSum
-    # An evicted point set is computed afresh, to the same bits.
+    assert len(seen) == 2 * 6 + 1 and type(seen[-1]) is TrigJacobiSum
+    # The third point set fills the dict, which is cleared; the first point
+    # set's values are then evaluated afresh, once each, to the same bits.
+    x, y = point_sets[2]
+    for g in fns:
+        g(x, y)
+    before = len(seen)
     x, y = point_sets[0]
-    assert [_bits(g(x, y)) for g in (f.fn, f.dx, f.dy, f.dxx, f.dyy)] == first[0]
-    assert len(values._points) == 3
+    assert [_bits(g(x, y)) for g in fns] == first[0]
+    assert len(seen) == before + 6
 
 
 def test_polar_plane_shared_by_threads_gives_the_bits_of_a_fresh_one():
@@ -680,4 +684,16 @@ def test_polar_plane_shared_by_threads_gives_the_bits_of_a_fresh_one():
     assert errors == []
     assert len(got) == 4 * 40
     assert all(bits == want[i] for i, bits in got)
-    assert len(shared.fn.__self__._points) <= 3
+
+
+def test_polar_plane_is_quiet_at_the_origin_and_its_partials_refuse_it():
+    mu = DeformationParams(0.37, 1.9)
+    R = radial_sturmian(RadialQuantum.from_m(1, Fraction(0), mu), mu)
+    Phi = angular_wavefunction(AngularQuantum.build(1, 1, Fraction(0), mu), mu)
+    f = _polar_plane(R, Phi, (1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert f(0.0, 0.0) == R(0.0) * Phi(0.0) != 0.0
+        for g in (f.dx, f.dy, f.dxx, f.dyy):
+            with pytest.raises(SingularityError, match="r = 0"):
+                g(np.array([0.5, 0.0]), np.array([0.2, 0.0]))

@@ -227,6 +227,15 @@ def test_angular_inner_product_cosine_moment():
     assert angular_gram([cos2, one], mu)[0, 1] == pytest.approx(exact, rel=1e-11)
 
 
+def test_angular_weight_mass_overflow_is_a_domain_error():
+    # The Gamma functions of the Gauss-Jacobi weight mass overflow a float
+    # past mu1 + mu2 of about 170; below that the rule still integrates.
+    one = lambda phi: np.ones_like(phi)
+    with pytest.raises(DomainError, match=r"weight mass overflows at mu = \(100.0, 100.0\)"):
+        angular_gram([one], (100.0, 100.0))
+    assert math.isfinite(angular_gram([one], (80.0, 80.0))[0, 0])
+
+
 def test_inner_product_complex_values_pass_through():
     mu = DeformationParams(0.5, 0.5)
     f = lambda r: (1.0 + 2.0j) * np.exp(-0.5 * r * r)
