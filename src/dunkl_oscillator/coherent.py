@@ -54,6 +54,8 @@ __all__ = [
     "suggested_norm_quadrature",
 ]
 
+_LN_MAX = math.log(np.finfo(float).max)  # the envelope's exp overflows past this exponent
+
 
 @dataclass(frozen=True)
 class CoherentParams:
@@ -125,7 +127,11 @@ def _envelope(r: np.ndarray, ln_pref: complex, power: float, c: complex) -> np.n
         raise SingularityError("evaluation at r = 0 hits a negative power of r")
     with np.errstate(divide="ignore"):  # ln 0 = -inf: a positive power gives exp(-inf) = 0
         ln_r = 0.0 if power == 0.0 else np.log(r)
-    return np.exp(ln_pref + power * ln_r + c * (r * r))
+    exponent = ln_pref + power * ln_r + c * (r * r)
+    over = exponent.real > _LN_MAX
+    if over.any():
+        raise DomainError(f"the coherent state overflows at r = {r[over][0]} with the power r^{power}")
+    return np.exp(exponent)
 
 
 def _radial_exponent(p: CoherentParams, mu: DeformationParams) -> float:

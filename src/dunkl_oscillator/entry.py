@@ -130,8 +130,6 @@ def _parse_tol(text: str) -> tuple[str, float]:
         value = float(raw)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad tolerance value {text!r}: {exc}") from None
-    if not (value > 0.0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {text!r}")
     return (name.strip(), value)
 
 

@@ -19,16 +19,10 @@ coefficient rows.  ``terms`` is a dict {key: coeff}, keyed (p, n, a) or
 by a number, and a ``GaussLaguerreSum`` multiplies by r^s (``times_rpower``).
 ``derivative_of`` refuses anything but a ``Profile`` with ``TypeError``.
 
-A sum evaluates each row of its grid once: x = r^2, e^(-x/2), each r^p and
-L_n^a(x); or cos, sin, x = cos 2 phi, each cos^i, sin^j and P_d^(al,be)(x).
-The rows are read-only and keyed by the grid's shape and bytes and then by
-(p), (n, a), ("cos", i), ("sin", j) or (d, al, be).  Inside ``_shared_rows``,
-which ``verify.run_checks`` opens once per run, every sum of the block shares
-them through a ``contextvars`` variable (a thread started in the block sees
-none); on exit, normal or not, they are all dropped.  Elsewhere a sum keeps
-its rows for its own call only, so nothing is retained between calls.  Each
-row is the expression a sum would compute for itself, and the terms still
-add in ``terms`` order, so sharing changes no bit of any value.
+A sum evaluates term by term on each call and keeps nothing between calls.
+``GaussLaguerreSum._monomials`` expands a radial sum of Laguerre degree at
+most 30 into sum b * r^q * exp(-r^2/2), so that two sums can be compared
+coefficient by coefficient rather than on a grid.
 
 ``_polar_plane`` builds R(r) * Phi(phi) and its Cartesian partials by the
 polar chain rule.  R, R', R'', Phi, Phi' and Phi'' keep their values, keyed
@@ -39,8 +33,6 @@ evaluation needs 8).
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
 import numbers
 from dataclasses import dataclass
@@ -74,35 +66,6 @@ def _check_l2(l2: float, mu: DeformationParams) -> None:
             f"angular eigenvalue l2 = {l2} has no real Bargmann index at mu1+mu2 = {mu.total}: "
             "l2 + (mu1+mu2)^2 must be non-negative"
         )
-
-
-# The rows of every grid that term sums evaluate inside ``_shared_rows``:
-# {(variable, shape, grid bytes): {row key: read-only row}}, None outside.
-_ROWS: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_ROWS", default=None)
-
-
-@contextlib.contextmanager
-def _shared_rows():
-    """Share each grid's rows among all the term sums this block evaluates; drop them all on exit."""
-    token = _ROWS.set({})
-    try:
-        yield
-    finally:
-        _ROWS.reset(token)
-
-
-def _grid_rows(variable: str, arr: np.ndarray) -> dict:
-    """The row dict of the grid arr: kept for the enclosing ``_shared_rows``, else fresh for one sum."""
-    shared = _ROWS.get()
-    if shared is None:
-        return {}
-    return shared.setdefault((variable, arr.shape, arr.tobytes()), {})
-
-
-def _frozen(row: np.ndarray) -> np.ndarray:
-    """row, made read-only because every sum on its grid reads the same array."""
-    row.flags.writeable = False
-    return row
 
 
 class Profile:
@@ -182,26 +145,15 @@ class GaussLaguerreSum(Profile):
         return cls(((float(j), 0, 0.0), c) for j, c in enumerate(coeffs))
 
     def _evaluate(self, r):
-        coerce = type(r) is not np.ndarray or r.dtype != np.float64 or r.ndim == 0
-        arr = np.atleast_1d(np.asarray(r, dtype=float)) if coerce else r
-        rows = _grid_rows("r", arr)
-        if not rows:
-            origin = _touches_origin(arr)  # refuses a bad grid before any row is kept
-            x = _frozen(arr * arr)
-            rows.update(origin=origin, x=x, gauss=_frozen(np.exp(-0.5 * x)))
-        if rows["origin"] and any(p < 0 for p, _, _ in self.terms):
+        arr = np.atleast_1d(np.asarray(r, dtype=float))
+        if _touches_origin(arr) and any(p < 0 for p, _, _ in self.terms):
             raise SingularityError("evaluation at r = 0 hits a negative power of r")
+        x = arr * arr
         total = np.zeros(arr.shape)
         for (p, n, a), c in self.terms.items():
-            rp = rows.get(p)
-            if rp is None:
-                rp = rows[p] = _frozen(arr**p)
-            lag = rows.get((n, a))
-            if lag is None:
-                lag = rows[(n, a)] = _frozen(laguerre(n, a, rows["x"]))
-            total = total + c * rp * lag
-        total = total * rows["gauss"]
-        return total[0] if coerce and np.ndim(r) == 0 else total
+            total = total + c * arr**p * laguerre(n, a, x)
+        total = total * np.exp(-0.5 * x)
+        return total[0] if np.ndim(r) == 0 else total
 
     def derivative(self) -> "GaussLaguerreSum":
         out = []
@@ -222,6 +174,22 @@ class GaussLaguerreSum(Profile):
         """The (key, coeff) pairs of r^s times this sum, for a ``_fold`` part."""
         return [((p + s, n, a), c) for (p, n, a), c in self.terms.items()]
 
+    def _monomials(self) -> list[tuple[float, complex]]:
+        """The (q, b) pairs of this sum written term by term as sum b * r^q * e^(-r^2/2).
+
+        c r^p L_n^a(r^2) = sum_j c (-1)^j C(n+a, n-j)/j! r^(p+2j), the binomial a
+        running product for any real a; past degree 30 the alternating sum cancels badly.
+        """
+        out = []
+        for (p, n, a), c in self.terms.items():
+            if n > 30:
+                raise DomainError(f"the monomial expansion refuses Laguerre degree {n} > 30")
+            binom = 1.0  # C(n + a, n - j), from j = n down
+            for j in range(n, -1, -1):
+                out.append((p + 2 * j, c * (-1) ** j * binom / math.factorial(j)))
+                binom *= (a + j) / (n - j + 1)
+        return out
+
 
 class TrigJacobiSum(Profile):
     """Exact-arithmetic angular profile: sum of c * cos^i * sin^j * P_d^(al,be)(cos 2 phi), keyed (i, j, d, al, be)."""
@@ -232,16 +200,12 @@ class TrigJacobiSum(Profile):
         return cls(((key, float(coeff)),))
 
     def _evaluate(self, phi):
-        coerce = type(phi) is not np.ndarray or phi.dtype != np.float64 or phi.ndim == 0
-        arr = np.atleast_1d(np.asarray(phi, dtype=float)) if coerce else phi
-        rows = _grid_rows("phi", arr)
-        if not rows:
-            finite = np.isfinite(arr)
-            if not finite.all():
-                raise DomainError(f"phi must be finite, got {arr[~finite][0]}")
-            cos, sin = _frozen(np.cos(arr)), _frozen(np.sin(arr))
-            rows.update(cos=cos, sin=sin, x=_frozen(cos * cos - sin * sin))
-        cos, sin, x = rows["cos"], rows["sin"], rows["x"]
+        arr = np.atleast_1d(np.asarray(phi, dtype=float))
+        finite = np.isfinite(arr)
+        if not finite.all():
+            raise DomainError(f"phi must be finite, got {arr[~finite][0]}")
+        cos, sin = np.cos(arr), np.sin(arr)
+        x = cos * cos - sin * sin
         # Floating-point multiples of pi/2 give |cos| or |sin| of order 1e-16,
         # where a negative power of that factor (a reflection quotient) has no
         # digits left; a negative power of the other factor is finite there.
@@ -250,17 +214,8 @@ class TrigJacobiSum(Profile):
                 raise SingularityError("angular operator evaluated on a reflection axis")
         total = np.zeros(arr.shape)
         for (i, j, d, al, be), c in self.terms.items():
-            ci = rows.get(("cos", i))
-            if ci is None:
-                ci = rows[("cos", i)] = _frozen(cos**i)
-            sj = rows.get(("sin", j))
-            if sj is None:
-                sj = rows[("sin", j)] = _frozen(sin**j)
-            jac = rows.get((d, al, be))
-            if jac is None:
-                jac = rows[(d, al, be)] = _frozen(jacobi(d, al, be, x))
-            total = total + c * ci * sj * jac
-        return total[0] if coerce and np.ndim(phi) == 0 else total
+            total = total + c * cos**i * sin**j * jacobi(d, al, be, x)
+        return total[0] if np.ndim(phi) == 0 else total
 
     def derivative(self) -> "TrigJacobiSum":
         out = []

@@ -156,6 +156,10 @@ def _radial_measure(mu, rmax: float, npoints: int) -> tuple[np.ndarray, np.ndarr
     _check_integer(npoints, "npoints", _PANEL_POINTS, _MAX_RADIAL_POINTS)
     r1, r, w = _radial_panels(float(rmax), int(npoints))
     p = 1.0 + 2.0 * mu.total
+    try:
+        math.pow(r[-1], p)  # the largest r^p of the rule; r ** p overflows with it
+    except OverflowError:
+        raise DomainError(f"the radial weight r^p overflows at mu1 + mu2 = {mu.total}, rmax = {rmax}") from None
     q = p - max(0.0, math.floor(p))
     x, w_in = _gauss_jacobi(_PANEL_POINTS, 0.0, q)
     r_in = 0.5 * r1 * (x + 1.0)

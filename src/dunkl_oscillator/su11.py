@@ -31,11 +31,11 @@ R'', r^2 R, R'/r, R/r^2, r R' and R.  verify's ``half_hamiltonian_identity``
 compares the rows of H_r and A0, and the operator body is checked by
 ``radial_eigen_residual``, ``ladder_diagonal`` and ``radial_flat_picture_eigen``.
 
-The brackets come from one private ``_bracket_residuals``, which builds each
-A_w R once for all the pairs it is asked for: verify's ``commutator_closure``
-asks for all three, 9 images of a profile (A0 R, A+ R, A- R and the six
-A_x A_y R), and ``commutator_residual`` asks for its one pair.  Nothing is
-kept between calls.
+Each residual function builds its two sides with one private builder that
+verify calls too: ``_bracket_residuals`` gives ([X, Y] R, c Z R) per pair,
+each A_w R built once for all the pairs asked (9 images of a profile for all
+three), ``_casimir`` gives -A+A- R + A0(A0 - 1) R, and ``_shifted_product``
+the factorization's shifted product.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -164,14 +164,19 @@ def factorization_residual(
     grid: np.ndarray | None = None,
 ) -> float:
     """Sup-norm defect of the shifted-product identity on the given profile."""
-    sign = _branch_sign(branch)
     if grid is None:
         grid = residual_grid()
-    shift = -0.5 * sign
-    V = apply_J(U, E, int(sign)) + shift * U
-    Z = apply_J(V, E, -int(sign)) + shift * V
+    Z = _shifted_product(U, E, branch)
     lam = factorization_product_eigenvalue(E, l2, mu, branch)
     return float(np.abs(Z(grid) - lam * U(grid)).max())
+
+
+def _shifted_product(U: GaussLaguerreSum, E: float, branch: str) -> GaussLaguerreSum:
+    """(J- - 1/2)(J+ - 1/2) U for "upper", (J+ + 1/2)(J- + 1/2) U for "lower"."""
+    sign = _branch_sign(branch)
+    shift = -0.5 * sign
+    V = apply_J(U, E, int(sign)) + shift * U
+    return apply_J(V, E, -int(sign)) + shift * V
 
 
 def casimir_check(
@@ -189,15 +194,17 @@ def casimir_check(
     _check_k(k)
     if grid is None:
         grid = residual_grid()
-    lowered = apply_A(R, "-", mu, l2)
-    product = apply_A(lowered, "+", mu, l2)
-    diag = apply_A(R, "0", mu, l2)
-    diag2 = apply_A(diag, "0", mu, l2)
-    casimir = (-1.0) * product + diag2 + (-1.0) * diag
     target = k * (k - 1.0)
     scalar = 0.25 * (mu.total * mu.total + l2 - 1.0)
-    residual = float(np.abs(casimir(grid) - target * R(grid)).max())
+    residual = float(np.abs(_casimir(R, mu, l2)(grid) - target * R(grid)).max())
     return max(residual, abs(scalar - target))
+
+
+def _casimir(R: GaussLaguerreSum, mu: DeformationParams, l2: float) -> GaussLaguerreSum:
+    """-A+A- R + A0(A0 - 1) R, which is k(k-1) R on a Sturmian of index k."""
+    product = apply_A(apply_A(R, "-", mu, l2), "+", mu, l2)
+    diag = apply_A(R, "0", mu, l2)
+    return (-1.0) * product + apply_A(diag, "0", mu, l2) + (-1.0) * diag
 
 
 # [X, Y] = c Z for pair "XY", as (X, Y, c, Z).
@@ -216,13 +223,14 @@ def commutator_residual(
         raise DomainError(f"pair must be '0+', '0-' or '-+', got {pair!r}")
     if grid is None:
         grid = residual_grid()
-    return _bracket_residuals(R, mu, l2, grid, (pair,))[pair]
+    lhs, rhs = _bracket_residuals(R, mu, l2, (pair,))[pair]
+    return float(np.abs(lhs(grid) - rhs(grid)).max())
 
 
 def _bracket_residuals(
-    R: GaussLaguerreSum, mu: DeformationParams, l2: float, grid: np.ndarray, pairs=tuple(_BRACKETS)
-) -> dict[str, float]:
-    """{pair: sup-norm defect of its bracket on R} for each pair, building each A_w R once for all of them."""
+    R: GaussLaguerreSum, mu: DeformationParams, l2: float, pairs=tuple(_BRACKETS)
+) -> dict[str, tuple[GaussLaguerreSum, GaussLaguerreSum]]:
+    """{pair: ([X, Y] R, c Z R)} for each pair, building each A_w R once for all of them."""
     first: dict[str, GaussLaguerreSum] = {}
     out = {}
     for pair in pairs:
@@ -230,9 +238,7 @@ def _bracket_residuals(
         for w in (y, x, z):
             if w not in first:
                 first[w] = apply_A(R, w, mu, l2)
-        lhs = apply_A(first[y], x, mu, l2) + (-1.0) * apply_A(first[x], y, mu, l2)
-        rhs = c * first[z]
-        out[pair] = float(np.abs(lhs(grid) - rhs(grid)).max())
+        out[pair] = (apply_A(first[y], x, mu, l2) + (-1.0) * apply_A(first[x], y, mu, l2), c * first[z])
     return out
 
 

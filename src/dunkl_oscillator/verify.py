@@ -11,10 +11,12 @@ mu-free cases depend only on the code, so each is computed once per process
 and its worst residual kept; the cases at a run's own mu and seed are always
 computed afresh, even when that mu equals a constant pair.
 
-One ``run_checks`` call evaluates its checks inside one ``profiles._shared_rows``
-scope: the term sums of all its checks share each grid's read-only power,
-Laguerre and Jacobi rows, bit-identical to rows computed per sum, and the scope
-drops them when the call returns or raises, so no row outlives the run.
+Eleven checks compare two radial term sums (the ladder elements, the lowest
+weight, the brackets, the Casimir, the radial and flat-picture eigen-equations,
+the factorization products, the flat/weighted conjugation and A0 = H_r/2) on
+no grid: their residual, ``_defect``, is the largest monomial coefficient of
+the difference over the largest of the check's input, so a Sturmian of order
+1e-40 on every grid (as at mu = (30, 30)) is held to full relative precision.
 
 Two checks compute shared pieces once, for one case only:
 ``commutator_closure`` reads the three brackets of each profile from one
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -55,7 +58,7 @@ from .basis import (
 )
 from .dunkl_ops import apply_angular_operator, apply_hamiltonian, apply_radial_hamiltonian
 from .errors import DomainError
-from .profiles import GaussLaguerreSum, _polar_plane, _shared_rows, angular_grid, residual_grid
+from .profiles import GaussLaguerreSum, _polar_plane, angular_grid, residual_grid
 from .specfun import angular_gram, laguerre_all, radial_gram, radial_inner_product
 
 __all__ = ["CheckResult", "available_checks", "run_checks"]
@@ -187,6 +190,26 @@ def _sturmians(mu: DeformationParams, ns: Iterable[int], two_ms=_TWO_M_SAMPLES) 
             yield _level_energy(2 * n + two_m, mu), l2, q, radial_sturmian(q, mu)
 
 
+def _defect(lhs: GaussLaguerreSum, rhs: GaussLaguerreSum, ref: GaussLaguerreSum) -> float:
+    """The largest |coefficient| of the ``_monomials`` of lhs - rhs over that of the check's input ref.
+
+    Powers within 1e-9 are one monomial: a fold keys terms by float power, and (p - 1) - 1 need not be p - 2.
+    """
+
+    def largest(pairs: list) -> float:
+        worst, first, total = 0.0, -math.inf, 0.0  # the monomial summed so far starts at power first
+        for q, b in sorted(pairs, key=lambda pair: pair[0]) + [(math.inf, 0.0)]:
+            if q - first > 1e-9:  # a new monomial; a NaN total is kept, as nothing compares above it
+                if abs(total) > worst or total != total:
+                    worst = abs(total)
+                first, total = q, 0.0
+            total += b
+        return worst
+
+    diff = lhs._monomials() + [(q, -b) for q, b in rhs._monomials()]
+    return largest(diff) / largest(ref._monomials())
+
+
 def _radial_gram_cases(mu: DeformationParams) -> Iterator:
     for two_m in _TWO_M_SAMPLES:
         fns = [R for *_, R in _sturmians(mu, range(7), (two_m,))]
@@ -199,10 +222,8 @@ def _check_radial_gram(ctx: VerifyContext) -> Iterator:
 
 
 def _radial_eigen_cases(mu: DeformationParams) -> Iterator:
-    grid = residual_grid()
     for E, l2, _, R in _sturmians(mu, range(7), _TWO_M_SAMPLES + (6,)):
-        image = apply_radial_hamiltonian(R, mu, l2)
-        yield image(grid) - E * R(grid)
+        yield _defect(apply_radial_hamiltonian(R, mu, l2), E * R, R)
 
 
 @_register("radial_eigen_residual", "radial", 1e-8)
@@ -220,11 +241,9 @@ def _check_substitution_roundtrip(ctx: VerifyContext) -> Iterator:
 
 @_register("radial_flat_picture_eigen", "radial", 1e-9)
 def _check_flat_picture(ctx: VerifyContext) -> Iterator:
-    grid = residual_grid()
     for E, l2, _, R in _sturmians(ctx.mu, range(4)):
         U = substitute_u(R, ctx.mu, "r_to_u")
-        image = su11.apply_B0(U, l2, ctx.mu)
-        yield image(grid) - 0.5 * E * U(grid)
+        yield _defect(su11.apply_B0(U, l2, ctx.mu), 0.5 * E * U, U)
 
 
 @_register("spectrum_energy_values", "radial", 1e-12)
@@ -299,13 +318,11 @@ def _ladder_check(which: str, ns: Iterable[int], step: int):
     """A_which |k, n> against its matrix element times |k, n + step>."""
 
     def check(ctx: VerifyContext) -> Iterator:
-        grid = residual_grid()
         for _, l2, q, R in _sturmians(ctx.mu, ns):
             coeff = su11.ladder_coefficients(q, which)
             image = su11.apply_A(R, which, ctx.mu, l2)
-            if step:
-                R = radial_sturmian(RadialQuantum(nr=q.nr + step, k=q.k), ctx.mu)
-            yield image(grid) - coeff * R(grid)
+            target = radial_sturmian(RadialQuantum(nr=q.nr + step, k=q.k), ctx.mu) if step else R
+            yield _defect(image, coeff * target, R)
 
     return check
 
@@ -317,53 +334,50 @@ _register("ladder_diagonal", "algebra", 1e-7)(_ladder_check("0", range(5), 0))
 
 @_register("lowest_weight_annihilation", "algebra", 1e-9)
 def _check_lowest_weight(ctx: VerifyContext) -> Iterator:
-    grid = residual_grid()
     for _, l2, _, R in _sturmians(ctx.mu, (0,)):
-        image = su11.apply_A(R, "-", ctx.mu, l2)
-        yield image(grid) / np.max(np.abs(R(grid)))
+        yield _defect(su11.apply_A(R, "-", ctx.mu, l2), GaussLaguerreSum(()), R)
 
 
-def _random_profiles(seed_parts: tuple[int, ...], count: int) -> list[GaussLaguerreSum]:
-    rng = np.random.default_rng(seed_parts)
-    out = []
-    for _ in range(count):
-        coeffs = rng.uniform(-1.0, 1.0, size=rng.integers(3, 7))
-        out.append(GaussLaguerreSum.gaussian_polynomial(coeffs))
-    return out
+def _random_profiles(seed: int, tag: int, count: int) -> list[GaussLaguerreSum]:
+    """count Gaussian polynomials of 3 to 6 coefficients, each uniform on [-1, 1], drawn from (seed, tag)."""
+    rng = random.Random(f"{seed}/{tag}")  # a str seed is hashed by SHA-512, not by PYTHONHASHSEED
+    return [
+        GaussLaguerreSum.gaussian_polynomial([rng.uniform(-1.0, 1.0) for _ in range(rng.randint(3, 6))])
+        for _ in range(count)
+    ]
 
 
 @_register("commutator_closure", "algebra", 1e-6)
 def _check_commutators(ctx: VerifyContext) -> Iterator:
-    grid = residual_grid()
-    for idx, profile in enumerate(_random_profiles((ctx.seed, 101), 10)):
-        yield from su11._bracket_residuals(profile, ctx.mu, float(idx % 3), grid).values()
+    for idx, profile in enumerate(_random_profiles(ctx.seed, 101, 10)):
+        for lhs, rhs in su11._bracket_residuals(profile, ctx.mu, float(idx % 3)).values():
+            yield _defect(lhs, rhs, profile)
 
 
 @_register("casimir_scalar", "algebra", 1e-7)
 def _check_casimir(ctx: VerifyContext) -> Iterator:
-    grid = residual_grid()
     for _, l2, q, R in _sturmians(ctx.mu, (0, 2)):
-        yield su11.casimir_check(R, q.k, ctx.mu, l2, grid)
+        target = q.k * (q.k - 1.0)
+        yield _defect(su11._casimir(R, ctx.mu, l2), target * R, R)
+        yield 0.25 * (ctx.mu.total * ctx.mu.total + l2 - 1.0) - target
 
 
 @_register("half_hamiltonian_identity", "algebra", 1e-12)
 def _check_half_hamiltonian(ctx: VerifyContext) -> Iterator:
     # A0 and H_r share one operator body, so this compares two coefficient sets.
-    grid = residual_grid()
-    for idx, profile in enumerate(_random_profiles((ctx.seed, 202), 6)):
+    for idx, profile in enumerate(_random_profiles(ctx.seed, 202, 6)):
         l2 = float((idx % 3) + idx * 0.25)
-        diag = su11.apply_A(profile, "0", ctx.mu, l2)
-        halfh = apply_radial_hamiltonian(profile, ctx.mu, l2)
-        yield diag(grid) - 0.5 * halfh(grid)
+        halfh = 0.5 * apply_radial_hamiltonian(profile, ctx.mu, l2)
+        yield _defect(su11.apply_A(profile, "0", ctx.mu, l2), halfh, profile)
 
 
 @_register("factorization_identity", "algebra", 1e-8)
 def _check_factorization(ctx: VerifyContext) -> Iterator:
-    grid = residual_grid()
     for E, l2, _, R in _sturmians(ctx.mu, range(4)):
         U = substitute_u(R, ctx.mu, "r_to_u")
         for branch in ("upper", "lower"):
-            yield su11.factorization_residual(U, E, l2, ctx.mu, branch, grid)
+            lam = su11.factorization_product_eigenvalue(E, l2, ctx.mu, branch)
+            yield _defect(su11._shifted_product(U, E, branch), lam * U, U)
 
 
 @_register("factorization_constants", "algebra", 1e-12)
@@ -375,12 +389,10 @@ def _check_factorization_constants(ctx: VerifyContext) -> Iterator:
 
 @_register("flat_weighted_conjugation", "algebra", 1e-10)
 def _check_conjugation(ctx: VerifyContext) -> Iterator:
-    grid = residual_grid()
     for _, l2, _, R in _sturmians(ctx.mu, (0, 3)):
         U = substitute_u(R, ctx.mu, "r_to_u")
-        via_flat = su11.apply_B0(U, l2, ctx.mu)
         via_weighted = substitute_u(su11.apply_A(R, "0", ctx.mu, l2), ctx.mu, "r_to_u")
-        yield via_flat(grid) - via_weighted(grid)
+        yield _defect(su11.apply_B0(U, l2, ctx.mu), via_weighted, U)
 
 
 @_register("bargmann_roots", "algebra", 1e-12)
@@ -548,23 +560,22 @@ def run_checks(
             raise DomainError(f"tolerance override must be positive and finite, got {name}={value!r}")
     ctx = VerifyContext(mu=mu, seed=seed)
     results = []
-    with _shared_rows():
-        for check in _selected(suite):
-            tolerance = overrides.get(check.name, check.tolerance)
-            try:
-                residual = _worst(check.fn(ctx))
-                error = None
-            except Exception as exc:  # surface as a failed check, not a crash
-                residual = float("inf")
-                error = f"{type(exc).__name__}: {exc}"
-            results.append(
-                CheckResult(
-                    name=check.name,
-                    suite=check.suite,
-                    residual=residual,
-                    tolerance=tolerance,
-                    passed=(error is None and residual <= tolerance),
-                    error=error,
-                )
+    for check in _selected(suite):
+        tolerance = overrides.get(check.name, check.tolerance)
+        try:
+            residual = _worst(check.fn(ctx))
+            error = None
+        except Exception as exc:  # surface as a failed check, not a crash
+            residual = float("inf")
+            error = f"{type(exc).__name__}: {exc}"
+        results.append(
+            CheckResult(
+                name=check.name,
+                suite=check.suite,
+                residual=residual,
+                tolerance=tolerance,
+                passed=(error is None and residual <= tolerance),
+                error=error,
             )
+        )
     return sorted(results, key=lambda res: res.name)

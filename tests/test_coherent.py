@@ -73,6 +73,19 @@ def test_every_coherent_form_refuses_a_negative_or_non_finite_radius(r):
                 form()
 
 
+def test_coherent_overflow_is_a_domain_error():
+    # k = 1/2 at mu = (15, 15) puts r^(2k - mu1 - mu2 - 1) = r^(-30) in the
+    # envelope: at r = 1e-12 its logarithm passes ln(float max).
+    mu = DeformationParams(15.0, 15.0)
+    p = CoherentParams(xi=0.3, k=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for form in (coherent_closed, coherent_series):
+            with pytest.raises(DomainError, match=r"overflows at r = 1e-12 with the power r\^-30.0"):
+                form([1e-12, 1.0], p, mu)
+        assert np.all(np.isfinite(coherent_closed([1e-6, 1.0], p, mu)))
+
+
 def test_evolution_params_validation():
     EvolutionParams(tau=0.3)
     EvolutionParams(tau=-1.0, hbar=2.0)

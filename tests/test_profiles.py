@@ -13,7 +13,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunkl_oscillator import profiles, su11
+from dunkl_oscillator import su11
 from dunkl_oscillator.basis import (
     AngularQuantum,
     RadialQuantum,
@@ -540,9 +540,6 @@ def test_evaluation_is_bit_identical_to_the_plain_loop(cases):
     want = [[_bits(reference(s, t)) for t in grids] for s in sums]
     assert _bits(sums[0](0.0)) == (0, (), [["0x0.0p+0"]])  # its one term is -0.0 there; the sum is +0.0
     assert [[_bits(s(t)) for t in grids] for s in sums] == want
-    with profiles._shared_rows():
-        assert [[_bits(s(t)) for t in grids] for s in sums] == want
-        assert [[_bits(s(t)) for t in grids] for s in reversed(sums)] == want[::-1]
 
 
 def test_fold_is_bit_identical_to_the_plain_fold():
@@ -561,6 +558,31 @@ def test_fold_is_bit_identical_to_the_plain_fold():
         got, want = Profile._fold_terms(parts), _ref_fold(parts)
         assert list(got) == list(want)
         assert [_bits(c) for c in got.values()] == [_bits(c) for c in want.values()]
+
+
+# --- the monomial expansion ---------------------------------------------------
+
+
+def test_monomials_sum_to_the_evaluated_sum():
+    # Every degree up to 7 with a real alpha, an integer alpha and a negative
+    # power; the expansion is compared with the loop it must equal, term by term.
+    mu = DeformationParams(0.3, 0.8)
+    sums = [
+        _with_terms(GaussLaguerreSum, {(p, n, a): 0.7 - 0.1 * n for n in range(8)})
+        for p, a in ((-0.6, 1.7), (0.0, 0.0), (2.5, -0.9), (1.0, 60.3))
+    ]
+    sums.append(radial_sturmian(RadialQuantum.from_m(5, Fraction(3, 2), mu), mu))
+    sums.append(su11.apply_A(sums[-1], "+", mu, 4.75))
+    r = np.linspace(0.05, 6.0, 40)
+    for s in sums:
+        terms = np.array([b * r**q for q, b in s._monomials()]) * np.exp(-0.5 * r * r)
+        assert np.all(np.abs(terms.sum(axis=0) - s(r)) <= 1e-12 * np.abs(terms).max(axis=0))
+
+
+def test_monomials_refuse_a_degree_above_30():
+    assert len(GaussLaguerreSum.single(1.0, 0.5, 30, 2.5)._monomials()) == 31
+    with pytest.raises(DomainError, match="degree 31"):
+        GaussLaguerreSum.single(1.0, 0.5, 31, 2.5)._monomials()
 
 
 # --- the polar factor memo ----------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -234,6 +235,23 @@ def test_angular_weight_mass_overflow_is_a_domain_error():
     with pytest.raises(DomainError, match=r"weight mass overflows at mu = \(100.0, 100.0\)"):
         angular_gram([one], (100.0, 100.0))
     assert math.isfinite(angular_gram([one], (80.0, 80.0))[0, 0])
+
+
+def test_radial_weight_overflow_is_a_domain_error():
+    # r^(1 + 2 mu1 + 2 mu2) passes the float range at the rule's last node
+    # (just below rmax = 12) once mu1 + mu2 is past about 142.3.
+    gauss = lambda r: np.exp(-0.5 * r * r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"overflows at mu1 \+ mu2 = 160.0, rmax = 12.0"):
+            radial_gram([gauss], (80.0, 80.0))
+        with pytest.raises(DomainError, match="overflows"):
+            radial_inner_product(gauss, gauss, (80.0, 80.0))
+        nodes, weights = specfun._radial_measure((70.0, 70.0), 12.0, 400)
+        _, r, w = specfun._radial_panels(12.0, 400)
+        assert np.all(np.isfinite(weights))
+        assert np.array_equal(weights[-r.size :], w * r**281.0)
+        assert math.isfinite(radial_gram([gauss], (70.0, 70.0))[0, 0])
 
 
 def test_inner_product_complex_values_pass_through():

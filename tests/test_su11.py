@@ -328,16 +328,15 @@ def test_commutator_residual_is_the_bracket_helper_bit_for_bit():
     # the public one-pair function gives the same bits for each pair.
     for idx, prof in enumerate(_random_gaussian_polynomials(17, 4)):
         for mu, l2 in ((MU, float(idx % 3)), (MU, 4.75), (_MU_NO_DRIFT, 0.0)):
-            brackets = su11._bracket_residuals(prof, mu, l2, GRID)
+            brackets = su11._bracket_residuals(prof, mu, l2)
             assert list(brackets) == ["0+", "0-", "-+"]
-            for pair, value in brackets.items():
+            for pair, (lhs, rhs) in brackets.items():
+                value = float(np.abs(lhs(GRID) - rhs(GRID)).max())
                 assert commutator_residual(pair, prof, mu, l2, GRID).hex() == value.hex()
-                alone = su11._bracket_residuals(prof, mu, l2, GRID, (pair,))
-                assert {key: v.hex() for key, v in alone.items()} == {pair: value.hex()}
-            default = su11._bracket_residuals(prof, mu, l2, residual_grid())
-            assert [commutator_residual(pair, prof, mu, l2).hex() for pair in default] == [
-                value.hex() for value in default.values()
-            ]
+                alone = su11._bracket_residuals(prof, mu, l2, (pair,))
+                assert {key: (x.terms, y.terms) for key, (x, y) in alone.items()} == {pair: (lhs.terms, rhs.terms)}
+                default = float(np.abs(lhs(residual_grid()) - rhs(residual_grid())).max())
+                assert commutator_residual(pair, prof, mu, l2).hex() == default.hex()
 
 
 @pytest.mark.parametrize("which", ["+", "-"])

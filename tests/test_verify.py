@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +14,7 @@ import dunkl_oscillator
 from dunkl_oscillator import coherent, profiles, su11, verify
 from dunkl_oscillator.basis import RadialQuantum, radial_sturmian
 from dunkl_oscillator.errors import DomainError
+from dunkl_oscillator.profiles import GaussLaguerreSum
 from dunkl_oscillator.specfun import DeformationParams
 from dunkl_oscillator.verify import SUITES, available_checks, run_checks
 
@@ -193,60 +193,28 @@ def test_cached_constant_cases_give_the_results_of_a_fresh_computation():
     assert cached == fresh
 
 
-def test_shared_rows_move_no_residual():
-    # run_checks shares grid rows across its term sums; each check run on its
-    # own, outside any run, computes every row afresh and gives the same bits.
-    rng = np.random.default_rng(12)
-    mus = [(-0.49, -0.49), (3.0, 3.0), (0.0, 0.0)] + [tuple(map(float, p)) for p in rng.uniform(-0.49, 3.0, (9, 2))]
-    for seed, mu in enumerate(mus):
-        verify._pinned.cache_clear()
-        shared = [(name, residual) for name, residual, *_ in _fingerprint(run_checks("all", mu=mu, seed=seed))]
-        verify._pinned.cache_clear()
-        assert profiles._ROWS.get() is None
-        ctx = verify.VerifyContext(mu=DeformationParams.of(mu), seed=seed)
-        alone = sorted((check.name, repr(verify._worst(check.fn(ctx)))) for check in verify._REGISTRY)
-        assert shared == alone, (mu, seed)
-
-
 class _Abort(BaseException):
     pass
 
 
-def test_shared_rows_live_only_inside_run_checks(monkeypatch):
-    mu = DeformationParams(0.3, 1.2)
-    grid = profiles.residual_grid()
-    seen, from_thread = [], []
-
-    def probe(ctx):
-        radial_sturmian(RadialQuantum.from_m(2, Fraction(1, 2), ctx.mu), ctx.mu)(grid)
-        seen.append(profiles._ROWS.get())
-        thread = threading.Thread(target=lambda: from_thread.append(profiles._ROWS.get()))
-        thread.start()
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        yield 0.0
-
+def test_a_raising_check_is_an_error_record_and_a_base_exception_escapes(monkeypatch):
     def fail(ctx):
         raise RuntimeError("injected")
+
+    def after(ctx):
+        yield 0.0
 
     def abort(ctx):
         raise _Abort
 
-    checks = [verify._Check("probe", "radial", 1.0, probe), verify._Check("fail", "radial", 1.0, fail)]
+    checks = [verify._Check("fail", "radial", 1.0, fail), verify._Check("after", "radial", 1.0, after)]
     monkeypatch.setattr(verify, "_REGISTRY", checks)
-    results = {res.name: res for res in run_checks("radial", mu=mu)}
-    assert results["probe"].passed and results["fail"].error == "RuntimeError: injected"
-    assert profiles._ROWS.get() is None
-    assert from_thread == [None]
-    rows = [row for grid_rows in seen[0].values() for row in grid_rows.values() if isinstance(row, np.ndarray)]
-    assert len(rows) == 4  # x, the Gaussian, r^p and L_n^a of the one grid
-    assert not any(row.flags.writeable for row in rows)
-    with pytest.raises(ValueError, match="read-only"):
-        rows[0][0] = 1.0
+    results = {res.name: res for res in run_checks("radial")}
+    assert results["fail"].error == "RuntimeError: injected" and not results["fail"].passed
+    assert results["after"].passed and results["after"].error is None
     monkeypatch.setattr(verify, "_REGISTRY", [verify._Check("abort", "radial", 1.0, abort)])
     with pytest.raises(_Abort):
-        run_checks("radial", mu=mu)
-    assert profiles._ROWS.get() is None
+        run_checks("radial")
 
 
 def test_a_sturmian_outside_a_run_calls_laguerre_once_per_evaluation(monkeypatch):
@@ -361,3 +329,69 @@ def test_cartesian_check_evaluates_each_polar_factor_once(monkeypatch):
     (result,) = run_checks(_only(monkeypatch, "hamiltonian_cartesian_residual"), mu=(0.37, 1.9))
     assert result.passed
     assert len(evaluated) == 39
+
+
+# --- the monomial residual of the operator identities --------------------------
+
+
+def test_defect_merges_powers_within_1e_9_only():
+    # A fold keys terms by float powers, so one monomial may arrive under two
+    # powers an ulp apart, also on either side of 3 + 0.5e-9, where rounding
+    # powers to a 1e-9 grid would split it; powers 1e-6 apart stay two.
+    ref = GaussLaguerreSum.single(2.0, 0.0, 0, 0.0)
+    for p in (1.37, 3.0 + 0.5e-9, -0.6):
+        lhs = GaussLaguerreSum.single(0.5, p, 0, 0.0)
+        assert verify._defect(lhs, GaussLaguerreSum.single(0.5, float(np.nextafter(p, np.inf)), 0, 0.0), ref) == 0.0
+        assert verify._defect(lhs, GaussLaguerreSum.single(0.5, p + 1e-6, 0, 0.0), ref) == 0.25
+
+
+def test_monomial_residual_sees_a_1e_10_fault_where_the_sturmians_are_small(monkeypatch):
+    # At mu = (30, 30) the Sturmians are of order 1e-40 on a grid of r <= 10,
+    # where a pointwise residual read at most 1.4e-46 with this fault or without it.
+    names = ("ladder_raise", "ladder_lower", "casimir_scalar")
+    mu = (30.0, 30.0)
+    clean = {res.name: res.residual for res in run_checks("algebra", mu=mu)}
+    real = su11._radial_operator
+
+    def scaled(R, row):
+        # Only A+- have an r^2 R coefficient of -1/4; row[5] is their constant term half * (1 + mu1 + mu2).
+        if row[:2] == (-0.25, -0.25):
+            row = (*row[:5], row[5] * (1.0 + 1e-10))
+        return real(R, row)
+
+    monkeypatch.setattr(su11, "_radial_operator", scaled)
+    faulty = {res.name: res.residual for res in run_checks("algebra", mu=mu)}
+    for name in names:
+        assert clean[name] <= 1e-11 and faulty[name] >= 1e-10, name
+
+
+def test_random_profiles_are_short_gaussian_polynomials_fixed_by_seed_and_tag():
+    first = verify._random_profiles(3, 101, 10)
+    assert [p.terms for p in first] == [p.terms for p in verify._random_profiles(3, 101, 10)]
+    assert [p.terms for p in first] != [p.terms for p in verify._random_profiles(3, 202, 10)]
+    for profile in first:
+        assert 3 <= len(profile.terms) <= 6
+        assert list(profile.terms) == [(float(j), 0, 0.0) for j in range(len(profile.terms))]
+        assert all(-1.0 <= c <= 1.0 for c in profile.terms.values())
+
+
+def test_verify_imports_no_numpy_random_and_ignores_the_hash_seed():
+    script = (
+        "import sys\n"
+        "from dunkl_oscillator.verify import run_checks\n"
+        "results = run_checks('all', mu=(0.37, 1.9), seed=5)\n"
+        "print('numpy.random' in sys.modules, [(r.name, repr(r.residual)) for r in results])"
+    )
+    src = str(Path(dunkl_oscillator.__file__).resolve().parent.parent)
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+            "PYTHONHASHSEED": hash_seed,
+        }
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0].startswith("False [")
+    assert outs[0] == outs[1]
