@@ -41,6 +41,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Iterator, TextIO
@@ -324,6 +325,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="override a named tolerance (repeatable)",
     )
     p_ver.set_defaults(handler=_in_cli("_cmd_verify"))
+    # No option starts with a digit, so "-<digit>..." and "-.<digit>..." are values; argparse's
+    # own rule (-5 and -.5 only) would read -5e-05 and -0.8,0 as unknown options.
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

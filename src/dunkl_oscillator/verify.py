@@ -6,10 +6,14 @@ and is compared to a named tolerance.  Checks are grouped into suites
 (angular, radial, algebra, coherent); ``run_checks`` executes a suite serially
 and deterministically — randomized inputs derive from per-check seeds.
 
-Cases at a constant mu (the reference pairs ``_MU_PAIRS``, mu = 0) and the
-mu-free cases depend only on the code, so each is computed once per process
-and its worst residual kept; the cases at a run's own mu and seed are always
-computed afresh, even when that mu equals a constant pair.
+Every case is computed afresh on each run, and a check that reads mu runs its
+cases at the run's mu only, so a report describes the mu it was asked for.
+
+Three pointwise checks are scaled: ``angular_eigen_residual`` and
+``angular_reflection_parity`` divide each case by max|Phi| on the angular
+grid, and ``hamiltonian_cartesian_residual`` each state's residual by
+max|E f| at its 34 points, so a residual is relative to the state's own size
+(max|Phi| is below 1 at mu = 0 and 9.4e20 at mu = (60, 60)).
 
 Eleven checks compare two radial term sums (the ladder elements, the lowest
 weight, the brackets, the Casimir, the radial and flat-picture eigen-equations,
@@ -28,7 +32,6 @@ once per argument, kept in the value dict of its ``profiles._polar_plane``
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -104,23 +107,12 @@ def _worst(residuals: Iterable) -> float:
     return float(np.array([np.abs(r).max() for r in residuals]).max())
 
 
-@functools.cache
-def _pinned(cases: Callable[..., Iterable], *args) -> float:
-    """The worst residual of ``cases(*args)``, computed once per process.
-
-    For cases that read nothing but their arguments (never a run's mu or
-    seed): their residual depends only on the code.  The max of these maxima
-    is the max over all cases, NaN included, so a check's residual is the same
-    as when every case is yielded.  A case that raises is not cached.
-    """
-    return _worst(cases(*args))
-
-
-def _pinned_then_run(cases: Callable[[DeformationParams], Iterable], pairs, mu: DeformationParams) -> Iterator:
-    """The pinned worst of cases at each constant pair, then the cases at the run's mu, never looked up."""
-    for pair in pairs:
-        yield _pinned(cases, DeformationParams(*pair))
-    yield from cases(mu)
+def _relative(diff: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """diff over max|ref|, the size of the state it checks; a state that is 0 at every point has no scale."""
+    scale = np.abs(ref).max()
+    if scale == 0.0:
+        raise DomainError("the state underflows to 0 at every sample point, so its residual has no scale")
+    return diff / scale
 
 
 def _register(name: str, suite: str, tolerance: float):
@@ -131,17 +123,10 @@ def _register(name: str, suite: str, tolerance: float):
     return wrap
 
 
-_MU_PAIRS = ((0.0, 0.0), (0.5, 0.5), (0.3, 1.2))
-
-
-def _angular_gram_cases(mu: DeformationParams) -> Iterator:
-    fns = [angular_wavefunction(q, mu) for _, q in _sector_labels(8, mu)]
-    yield angular_gram(fns, mu) - np.eye(len(fns))
-
-
 @_register("angular_gram_identity", "angular", 1e-9)
 def _check_angular_gram(ctx: VerifyContext) -> Iterator:
-    return _pinned_then_run(_angular_gram_cases, _MU_PAIRS, ctx.mu)
+    fns = [angular_wavefunction(q, ctx.mu) for _, q in _sector_labels(8, ctx.mu)]
+    yield angular_gram(fns, ctx.mu) - np.eye(len(fns))
 
 
 @_register("angular_ground_norm_limit", "angular", 1e-10)
@@ -154,17 +139,14 @@ def _check_angular_ground_norm(ctx: VerifyContext) -> Iterator:
         yield angular_norm(AngularQuantum._of(1, 1, 0, mu), mu) - target
 
 
-def _angular_eigen_cases(mu: DeformationParams) -> Iterator:
-    grid = angular_grid(64)
-    for _, q in _sector_labels(6, mu):
-        phi_fn = angular_wavefunction(q, mu)
-        image = apply_angular_operator(phi_fn, mu)
-        yield image(grid) - 0.5 * q.l2 * phi_fn(grid)
-
-
 @_register("angular_eigen_residual", "angular", 1e-8)
 def _check_angular_eigen(ctx: VerifyContext) -> Iterator:
-    return _pinned_then_run(_angular_eigen_cases, _MU_PAIRS, ctx.mu)
+    grid = angular_grid(64)
+    for _, q in _sector_labels(6, ctx.mu):
+        phi_fn = angular_wavefunction(q, ctx.mu)
+        values = phi_fn(grid)
+        image = apply_angular_operator(phi_fn, ctx.mu)
+        yield _relative(image(grid) - 0.5 * q.l2 * values, values)
 
 
 @_register("angular_reflection_parity", "angular", 1e-12)
@@ -173,8 +155,8 @@ def _check_angular_parity(ctx: VerifyContext) -> Iterator:
     for _, q in _sector_labels(6, ctx.mu):
         phi_fn = angular_wavefunction(q, ctx.mu)
         base = phi_fn(grid)
-        yield phi_fn(np.pi - grid) - q.s1 * base
-        yield phi_fn(-grid) - q.s2 * base
+        yield _relative(phi_fn(np.pi - grid) - q.s1 * base, base)
+        yield _relative(phi_fn(-grid) - q.s2 * base, base)
 
 
 # The sector samples as 2m: m = 0, 1/2, 1 and 2.
@@ -210,25 +192,17 @@ def _defect(lhs: GaussLaguerreSum, rhs: GaussLaguerreSum, ref: GaussLaguerreSum)
     return largest(diff) / largest(ref._monomials())
 
 
-def _radial_gram_cases(mu: DeformationParams) -> Iterator:
-    for two_m in _TWO_M_SAMPLES:
-        fns = [R for *_, R in _sturmians(mu, range(7), (two_m,))]
-        yield radial_gram(fns, mu) - np.eye(len(fns))
-
-
 @_register("radial_gram_identity", "radial", 1e-9)
 def _check_radial_gram(ctx: VerifyContext) -> Iterator:
-    return _pinned_then_run(_radial_gram_cases, ((0.0, 0.0), (0.5, 0.5)), ctx.mu)
-
-
-def _radial_eigen_cases(mu: DeformationParams) -> Iterator:
-    for E, l2, _, R in _sturmians(mu, range(7), _TWO_M_SAMPLES + (6,)):
-        yield _defect(apply_radial_hamiltonian(R, mu, l2), E * R, R)
+    for two_m in _TWO_M_SAMPLES:
+        fns = [R for *_, R in _sturmians(ctx.mu, range(7), (two_m,))]
+        yield radial_gram(fns, ctx.mu) - np.eye(len(fns))
 
 
 @_register("radial_eigen_residual", "radial", 1e-8)
 def _check_radial_eigen(ctx: VerifyContext) -> Iterator:
-    return _pinned_then_run(_radial_eigen_cases, ((0.0, 0.0),), ctx.mu)
+    for E, l2, _, R in _sturmians(ctx.mu, range(7), _TWO_M_SAMPLES + (6,)):
+        yield _defect(apply_radial_hamiltonian(R, ctx.mu, l2), E * R, R)
 
 
 @_register("radial_substitution_roundtrip", "radial", 1e-12)
@@ -256,7 +230,8 @@ def _check_energy_values(ctx: VerifyContext) -> Iterator:
             yield energy(nr, m, ctx.mu) - energy(nr - 1, m + 1, ctx.mu)
 
 
-def _degeneracy_cases() -> Iterator:
+@_register("spectrum_degeneracy", "radial", 0.5)
+def _check_degeneracy(ctx: VerifyContext) -> Iterator:
     mu0 = DeformationParams(0.0, 0.0)
     states = enumerate_states(3.0, mu0)
     energies = sorted(st.energy for st in states)
@@ -264,11 +239,6 @@ def _degeneracy_cases() -> Iterator:
     yield float(energies != [1.0, 2.0, 2.0, 3.0, 3.0, 3.0])
     yield float(level3 != 3)
     yield float(len(enumerate_states(0.5, mu0)) > 0)
-
-
-@_register("spectrum_degeneracy", "radial", 0.5)
-def _check_degeneracy(ctx: VerifyContext) -> Iterator:
-    yield _pinned(_degeneracy_cases)
 
 
 def _plain_laguerre(n: int, alpha_int: int, x: np.ndarray) -> np.ndarray:
@@ -279,7 +249,8 @@ def _plain_laguerre(n: int, alpha_int: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mu_zero_cases() -> Iterator:
+@_register("mu_zero_reduction", "radial", 1e-12)
+def _check_mu_zero_reduction(ctx: VerifyContext) -> Iterator:
     mu0 = DeformationParams(0.0, 0.0)
     grid = residual_grid(50, 0.05, 8.0)
     for ell in range(5):  # ell = 2m
@@ -288,11 +259,6 @@ def _mu_zero_cases() -> Iterator:
             norm = math.sqrt(2.0 * math.factorial(n) / math.factorial(n + ell))
             ref = norm * grid**ell * np.exp(-0.5 * grid * grid) * _plain_laguerre(n, ell, grid * grid)
             yield R(grid) - ref
-
-
-@_register("mu_zero_reduction", "radial", 1e-12)
-def _check_mu_zero_reduction(ctx: VerifyContext) -> Iterator:
-    yield _pinned(_mu_zero_cases)
 
 
 # (s1, s2, 2m, nr)
@@ -311,7 +277,8 @@ def _check_cartesian_hamiltonian(ctx: VerifyContext) -> Iterator:
         R = radial_sturmian(RadialQuantum(nr=nr, k=_k(two_m, ctx.mu)), ctx.mu)
         f = _polar_plane(R, angular_wavefunction(q, ctx.mu), (s1, s2))
         image = apply_hamiltonian(f, ctx.mu)
-        yield image(xs, ys) - _level_energy(2 * nr + two_m, ctx.mu) * f(xs, ys)
+        target = _level_energy(2 * nr + two_m, ctx.mu) * f(xs, ys)
+        yield _relative(image(xs, ys) - target, target)
 
 
 def _ladder_check(which: str, ns: Iterable[int], step: int):
@@ -462,7 +429,8 @@ def _check_normal_form(ctx: VerifyContext) -> Iterator:
             yield 1.0
 
 
-def _generating_function_cases() -> Iterator:
+@_register("laguerre_generating_function", "coherent", 1e-10)
+def _check_generating_function(ctx: VerifyContext) -> Iterator:
     x = np.linspace(0.0, 3.0, 30)
     for alpha in (-0.3, 0.0, 1.7):
         polys = laguerre_all(80, alpha, x)
@@ -470,11 +438,6 @@ def _generating_function_cases() -> Iterator:
             powers = t ** np.arange(81)
             series = (powers[:, None] * polys).sum(axis=0)
             yield series - (1.0 - t) ** (-alpha - 1.0) * np.exp(-x * t / (1.0 - t))
-
-
-@_register("laguerre_generating_function", "coherent", 1e-10)
-def _check_generating_function(ctx: VerifyContext) -> Iterator:
-    yield _pinned(_generating_function_cases)
 
 
 def _evolution_sector(ctx: VerifyContext) -> tuple[float, float]:

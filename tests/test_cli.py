@@ -766,6 +766,22 @@ def test_omitted_options_equal_their_written_defaults(capsys, required, defaults
     assert _run(capsys, required + defaults) == omitted
 
 
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        (["spectrum", "--emax", "3"], "--mu1", "-5e-05"),
+        (["spectrum", "--emax", "3"], "--mu1", "-1e-3"),
+        (["coherent", "--grid", "0.1:1:5"], "--xi", "-0.8,0"),
+        (["coherent", "--xi", "0.3", "--grid", "0.1:1:5"], "--tau", "-0.5,1"),
+    ],
+)
+def test_a_negative_value_reads_the_same_as_a_separate_argument(capsys, command, option, value):
+    # argparse's own pattern (-5 and -.5) would read these values as unknown options.
+    joined = _run(capsys, command + [f"{option}={value}"])
+    assert joined[0] == 0 and joined[1]
+    assert _run(capsys, command + [option, value]) == joined
+
+
 def test_console_script_and_module_entry_agree():
     argv_tail = ["spectrum", "--emax", "3", "--format", "json"]
     script = subprocess.run(

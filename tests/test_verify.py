@@ -12,20 +12,12 @@ import pytest
 
 import dunkl_oscillator
 from dunkl_oscillator import coherent, profiles, su11, verify
-from dunkl_oscillator.basis import RadialQuantum, radial_sturmian
+from dunkl_oscillator.basis import RadialQuantum, _sector_labels, angular_wavefunction, k_of, radial_sturmian
+from dunkl_oscillator.dunkl_ops import apply_angular_operator
 from dunkl_oscillator.errors import DomainError
 from dunkl_oscillator.profiles import GaussLaguerreSum
 from dunkl_oscillator.specfun import DeformationParams
 from dunkl_oscillator.verify import SUITES, available_checks, run_checks
-
-
-@pytest.fixture(autouse=True)
-def _fresh_pinned_cases():
-    # A fault monkeypatched into a constant-mu case would stay cached for the
-    # rest of the process; every test starts and ends with an empty cache.
-    verify._pinned.cache_clear()
-    yield
-    verify._pinned.cache_clear()
 
 
 def test_available_checks_cover_all_suites():
@@ -109,8 +101,8 @@ def test_worst_residual_propagates_nan():
     assert math.isnan(verify._worst([1e-16, np.array([0.0, np.nan])]))
 
 
-# Both checks below visit mu = (0, 0) before the run's mu, so the NaN case
-# comes after finite ones: a Python max(worst, nan) reduction would drop it.
+# In both checks below the NaN case comes after finite ones: a Python
+# max(worst, nan) reduction would drop it.
 _NAN_MU = DeformationParams(0.3, 1.2)
 
 
@@ -131,11 +123,12 @@ def _radial_eigen_with_nan_energy(monkeypatch):
 
 
 def _radial_gram_with_nan_function(monkeypatch):
+    # Only in the last sector, m = 2, after the finite Grams of m = 0, 1/2 and 1.
     real = verify.radial_sturmian
 
     def radial_sturmian(q, mu):
         fn = real(q, mu)
-        if mu == _NAN_MU and q.nr == 6:
+        if mu == _NAN_MU and q.nr == 6 and q.k == k_of(2, mu):
             return lambda r: np.where(r == r[-1], np.nan, fn(r))
         return fn
 
@@ -147,17 +140,6 @@ def _radial_gram_with_nan_function(monkeypatch):
 def test_nan_case_after_finite_cases_fails_the_check(monkeypatch, inject):
     name = inject(monkeypatch)
     res = {r.name: r for r in run_checks(suite="radial", mu=_NAN_MU)}[name]
-    assert res.error is None
-    assert math.isnan(res.residual)
-    assert not res.passed
-
-
-def test_nan_at_the_runs_mu_fails_even_when_that_mu_is_a_cached_constant_pair(monkeypatch):
-    mu0 = DeformationParams(0.0, 0.0)
-    clean = {r.name: r for r in run_checks(suite="radial", mu=mu0)}["radial_eigen_residual"]
-    assert clean.passed
-    _nan_at_level_four(monkeypatch, mu0)
-    res = {r.name: r for r in run_checks(suite="radial", mu=mu0)}["radial_eigen_residual"]
     assert res.error is None
     assert math.isnan(res.residual)
     assert not res.passed
@@ -177,20 +159,29 @@ def test_a_constant_case_that_raises_is_not_cached(monkeypatch):
         assert len(calls) == run
 
 
-def _fingerprint(results) -> list:
-    return [(r.name, repr(r.residual), r.passed, r.error) for r in results]
+_REFERENCE_CHECKS = ("angular_gram_identity", "angular_eigen_residual", "radial_gram_identity", "radial_eigen_residual")
 
 
-def test_cached_constant_cases_give_the_results_of_a_fresh_computation():
-    rng = np.random.default_rng(4)
-    mus = [tuple(map(float, pair)) for pair in rng.uniform(-0.49, 3.0, size=(3, 2))] + list(verify._MU_PAIRS)
-    cached = [_fingerprint(run_checks(suite="all", mu=mu, seed=i)) for i, mu in enumerate(mus)]
-    assert verify._pinned.cache_info().hits > 0
-    fresh = []
-    for i, mu in enumerate(mus):
-        verify._pinned.cache_clear()
-        fresh.append(_fingerprint(run_checks(suite="all", mu=mu, seed=i)))
-    assert cached == fresh
+@pytest.mark.parametrize("mu", [(0.0, 0.0), (0.5, 0.5), (0.3, 1.2)])
+def test_gram_and_eigen_checks_pass_at_the_reference_pairs(mu):
+    # A run checks its own mu only; mu = 0, the default and one unequal pair are held here.
+    tolerances = {c.name: c.tolerance for c in verify._REGISTRY}
+    results = {r.name: r for r in run_checks("all", mu=mu)}
+    for name in _REFERENCE_CHECKS:
+        assert results[name].passed and results[name].tolerance == tolerances[name], results[name]
+
+
+def test_angular_eigen_residual_is_the_worst_case_at_the_runs_mu_alone():
+    mu = DeformationParams(0.5, 0.5)
+    grid = profiles.angular_grid(64)
+    worst = 0.0
+    for _, q in _sector_labels(6, mu):
+        phi = angular_wavefunction(q, mu)
+        values = phi(grid)
+        gap = apply_angular_operator(phi, mu)(grid) - 0.5 * q.l2 * values
+        worst = max(worst, float(np.abs(gap).max() / np.abs(values).max()))
+    (res,) = [r for r in run_checks("angular") if r.name == "angular_eigen_residual"]
+    assert res.residual == worst
 
 
 class _Abort(BaseException):
@@ -267,9 +258,9 @@ def test_ladder_checks_share_one_body_that_reads_the_matrix_elements(monkeypatch
 
 
 def test_residuals_do_not_depend_on_cache_history():
-    # The Sturmian tables, the term counts and the constant-mu cases
-    # (verify._pinned) are cached across calls; a fresh process and one that
-    # swept eight other mu first give the same residuals.
+    # The quadrature rules, the coherent Laguerre tables and the term counts
+    # are cached across calls; a fresh process and one that swept eight
+    # other mu first give the same residuals.
     script = (
         "from dunkl_oscillator.verify import run_checks\n"
         "print([(r.name, repr(r.residual)) for r in run_checks('all', mu=(0.5, 0.5), seed=0)])"
@@ -329,6 +320,43 @@ def test_cartesian_check_evaluates_each_polar_factor_once(monkeypatch):
     (result,) = run_checks(_only(monkeypatch, "hamiltonian_cartesian_residual"), mu=(0.37, 1.9))
     assert result.passed
     assert len(evaluated) == 39
+
+
+# --- the scaled residuals of the pointwise eigen checks -------------------------
+
+
+def test_angular_checks_pass_where_the_angular_functions_are_large():
+    # max|Phi| reaches 2.6e6 at mu = (15, 15); absolute residuals of 1.8e-7 and 2.8e-9 failed there.
+    results = run_checks("angular", mu=(15.0, 15.0))
+    assert [(r.name, r.residual) for r in results if not r.passed] == []
+    assert len(results) == 4
+
+
+def test_cartesian_residual_sees_round_off_where_the_states_are_small(monkeypatch):
+    # At mu = (80, 80) max|E f| over the 34 points is 1e-119 to 1e-116; relative to
+    # it the residual reads round-off, not 1.4e-131.
+    (result,) = run_checks(_only(monkeypatch, "hamiltonian_cartesian_residual"), mu=(80.0, 80.0))
+    assert result.passed and result.residual >= 1e-16
+
+
+def test_angular_eigen_residual_sees_a_1e_6_fault_in_the_mu1_coupling(monkeypatch):
+    mu = (30.0, 30.0)
+    clean = {r.name: r for r in run_checks("angular", mu=mu)}["angular_eigen_residual"]
+    real = verify.apply_angular_operator
+
+    def scaled(Phi, mu):
+        # apply_angular_operator reads mu only as its two couplings.
+        return real(Phi, DeformationParams(mu.mu1 * (1.0 + 1e-6), mu.mu2))
+
+    monkeypatch.setattr(verify, "apply_angular_operator", scaled)
+    faulty = {r.name: r for r in run_checks("angular", mu=mu)}["angular_eigen_residual"]
+    assert clean.passed and not faulty.passed and faulty.error is None
+
+
+def test_a_state_that_underflows_everywhere_is_an_error_record(monkeypatch):
+    # At mu = (300, 300) the first state, E f, is 0 at all 34 points.
+    (result,) = run_checks(_only(monkeypatch, "hamiltonian_cartesian_residual"), mu=(300.0, 300.0))
+    assert result.error.startswith("DomainError: the state underflows to 0") and not result.passed
 
 
 # --- the monomial residual of the operator identities --------------------------
