@@ -31,11 +31,15 @@ R'', r^2 R, R'/r, R/r^2, r R' and R.  verify's ``half_hamiltonian_identity``
 compares the rows of H_r and A0, and the operator body is checked by
 ``radial_eigen_residual``, ``ladder_diagonal`` and ``radial_flat_picture_eigen``.
 
-Each residual function builds its two sides with one private builder that
-verify calls too: ``_bracket_residuals`` gives ([X, Y] R, c Z R) per pair,
-each A_w R built once for all the pairs asked (9 images of a profile for all
-three), ``_casimir`` gives -A+A- R + A0(A0 - 1) R, and ``_shifted_product``
-the factorization's shifted product.  Nothing is kept between calls.
+The three residual functions, ``commutator_residual``, ``casimir_check`` and
+``factorization_residual``, evaluate on no grid: each returns
+``profiles._defect`` of its two sides, the largest monomial coefficient of
+their difference over the largest of the input profile's, so a profile that
+is tiny on every grid is still held to relative precision.  verify's
+``casimir_scalar`` and ``factorization_identity`` call the public functions;
+``commutator_closure`` reads ``_bracket_residuals``, which gives
+([X, Y] R, c Z R) per pair with each A_w R built once for all the pairs asked
+(9 images of a profile for all three).  Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -43,12 +47,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .basis import DeformationParams, RadialQuantum, _check_k, _k, _two_m
 from .dunkl_ops import _radial_operator
 from .errors import DomainError
-from .profiles import GaussLaguerreSum, _check_l2, residual_grid
+from .profiles import GaussLaguerreSum, _check_l2, _defect
 
 __all__ = [
     "ladder_coefficients",
@@ -64,23 +66,26 @@ __all__ = [
 ]
 
 
+def _check_which(which: str) -> None:
+    if which not in ("0", "+", "-"):
+        raise DomainError(f"which must be '0', '+' or '-', got {which!r}")
+
+
 def ladder_coefficients(state: RadialQuantum, which: str) -> float:
     """Matrix element of A0, A+ or A- on |k, n> with n = state.nr."""
+    _check_which(which)
     k, n = state.k, state.nr
     if which == "0":
         return k + n
     if which == "+":
         return math.sqrt((n + 1.0) * (n + 2.0 * k))
-    if which == "-":
-        return math.sqrt(n * (n + 2.0 * k - 1.0))
-    raise DomainError(f"which must be '0', '+' or '-', got {which!r}")
+    return math.sqrt(n * (n + 2.0 * k - 1.0))
 
 
 def apply_A(R: GaussLaguerreSum, which: str, mu: DeformationParams, l2: float) -> GaussLaguerreSum:
     """Apply A0, A+ or A- (weighted picture, sector with angular eigenvalue l2)."""
     _check_l2(l2, mu)
-    if which not in ("0", "+", "-"):
-        raise DomainError(f"which must be '0', '+' or '-', got {which!r}")
+    _check_which(which)
     drift = -0.25 * (1.0 + 2.0 * mu.total)
     if which == "0":
         return _radial_operator(R, (-0.25, 0.25, drift, 0.25 * l2, 0.0, 0.0))
@@ -156,75 +161,43 @@ def factorization_product_eigenvalue(
 
 
 def factorization_residual(
-    U: GaussLaguerreSum,
-    E: float,
-    l2: float,
-    mu: DeformationParams,
-    branch: str = "upper",
-    grid: np.ndarray | None = None,
+    U: GaussLaguerreSum, E: float, l2: float, mu: DeformationParams, branch: str = "upper"
 ) -> float:
-    """Sup-norm defect of the shifted-product identity on the given profile."""
-    if grid is None:
-        grid = residual_grid()
-    Z = _shifted_product(U, E, branch)
-    lam = factorization_product_eigenvalue(E, l2, mu, branch)
-    return float(np.abs(Z(grid) - lam * U(grid)).max())
+    """Relative coefficient defect (``profiles._defect``) of the shifted-product identity on U.
 
-
-def _shifted_product(U: GaussLaguerreSum, E: float, branch: str) -> GaussLaguerreSum:
-    """(J- - 1/2)(J+ - 1/2) U for "upper", (J+ + 1/2)(J- + 1/2) U for "lower"."""
+    The shifted product is (J- - 1/2)(J+ - 1/2) U for "upper" and (J+ + 1/2)(J- + 1/2) U for "lower".
+    """
     sign = _branch_sign(branch)
     shift = -0.5 * sign
     V = apply_J(U, E, int(sign)) + shift * U
-    return apply_J(V, E, -int(sign)) + shift * V
+    Z = apply_J(V, E, -int(sign)) + shift * V
+    return _defect(Z, factorization_product_eigenvalue(E, l2, mu, branch) * U, U)
 
 
-def casimir_check(
-    R: GaussLaguerreSum,
-    k: float,
-    mu: DeformationParams,
-    l2: float,
-    grid: np.ndarray | None = None,
-) -> float:
-    """Defect of the Casimir identity -A+A- + A0(A0-1) = k(k-1) on R.
+def casimir_check(R: GaussLaguerreSum, k: float, mu: DeformationParams, l2: float) -> float:
+    """Defect of the Casimir identity -A+A- R + A0(A0 - 1) R = k(k-1) R.
 
-    Returns the larger of the operator residual on the grid and the mismatch
-    between k(k-1) and its closed form ((mu1+mu2)^2 + l2 - 1)/4.
+    Returns the larger of the relative coefficient defect (``profiles._defect``)
+    and the mismatch between k(k-1) and its closed form ((mu1+mu2)^2 + l2 - 1)/4.
     """
     _check_k(k)
-    if grid is None:
-        grid = residual_grid()
     target = k * (k - 1.0)
     scalar = 0.25 * (mu.total * mu.total + l2 - 1.0)
-    residual = float(np.abs(_casimir(R, mu, l2)(grid) - target * R(grid)).max())
-    return max(residual, abs(scalar - target))
-
-
-def _casimir(R: GaussLaguerreSum, mu: DeformationParams, l2: float) -> GaussLaguerreSum:
-    """-A+A- R + A0(A0 - 1) R, which is k(k-1) R on a Sturmian of index k."""
     product = apply_A(apply_A(R, "-", mu, l2), "+", mu, l2)
     diag = apply_A(R, "0", mu, l2)
-    return (-1.0) * product + apply_A(diag, "0", mu, l2) + (-1.0) * diag
+    casimir = (-1.0) * product + apply_A(diag, "0", mu, l2) + (-1.0) * diag
+    return max(_defect(casimir, target * R, R), abs(scalar - target))
 
 
 # [X, Y] = c Z for pair "XY", as (X, Y, c, Z).
 _BRACKETS = {"0+": ("0", "+", 1.0, "+"), "0-": ("0", "-", -1.0, "-"), "-+": ("-", "+", 2.0, "0")}
 
 
-def commutator_residual(
-    pair: str,
-    R: GaussLaguerreSum,
-    mu: DeformationParams,
-    l2: float,
-    grid: np.ndarray | None = None,
-) -> float:
-    """Sup-norm defect of a bracket relation ([A0,A+], [A0,A-] or [A-,A+]) on R."""
+def commutator_residual(pair: str, R: GaussLaguerreSum, mu: DeformationParams, l2: float) -> float:
+    """Relative coefficient defect (``profiles._defect``) of a bracket relation ([A0,A+], [A0,A-] or [A-,A+]) on R."""
     if pair not in _BRACKETS:
         raise DomainError(f"pair must be '0+', '0-' or '-+', got {pair!r}")
-    if grid is None:
-        grid = residual_grid()
-    lhs, rhs = _bracket_residuals(R, mu, l2, (pair,))[pair]
-    return float(np.abs(lhs(grid) - rhs(grid)).max())
+    return _defect(*_bracket_residuals(R, mu, l2, (pair,))[pair], R)
 
 
 def _bracket_residuals(

@@ -18,9 +18,15 @@ max|E f| at its 34 points, so a residual is relative to the state's own size
 Eleven checks compare two radial term sums (the ladder elements, the lowest
 weight, the brackets, the Casimir, the radial and flat-picture eigen-equations,
 the factorization products, the flat/weighted conjugation and A0 = H_r/2) on
-no grid: their residual, ``_defect``, is the largest monomial coefficient of
-the difference over the largest of the check's input, so a Sturmian of order
-1e-40 on every grid (as at mu = (30, 30)) is held to full relative precision.
+no grid: their residual, ``profiles._defect``, is the largest monomial
+coefficient of the difference over the largest of the check's input, so a
+Sturmian of order 1e-40 on every grid (as at mu = (30, 30)) is held to full
+relative precision.  ``casimir_scalar`` and ``factorization_identity`` call
+the public ``su11.casimir_check`` and ``su11.factorization_residual``, which
+return that defect; the other nine apply ``_defect`` here.  An input whose
+coefficients all underflow to 0 (as at mu = (300, 300)) has no scale, and
+``profiles._over_scale`` refuses it with a ``DomainError`` for ``_defect`` and
+for the pointwise ``_relative`` alike.
 
 Two checks compute shared pieces once, for one case only:
 ``commutator_closure`` reads the three brackets of each profile from one
@@ -61,7 +67,7 @@ from .basis import (
 )
 from .dunkl_ops import apply_angular_operator, apply_hamiltonian, apply_radial_hamiltonian
 from .errors import DomainError
-from .profiles import GaussLaguerreSum, _polar_plane, angular_grid, residual_grid
+from .profiles import GaussLaguerreSum, _defect, _over_scale, _polar_plane, angular_grid, residual_grid
 from .specfun import angular_gram, laguerre_all, radial_gram, radial_inner_product
 
 __all__ = ["CheckResult", "available_checks", "run_checks"]
@@ -108,11 +114,8 @@ def _worst(residuals: Iterable) -> float:
 
 
 def _relative(diff: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """diff over max|ref|, the size of the state it checks; a state that is 0 at every point has no scale."""
-    scale = np.abs(ref).max()
-    if scale == 0.0:
-        raise DomainError("the state underflows to 0 at every sample point, so its residual has no scale")
-    return diff / scale
+    """diff over max|ref|, the size of the state it checks (``profiles._over_scale``)."""
+    return _over_scale(diff, np.abs(ref).max())
 
 
 def _register(name: str, suite: str, tolerance: float):
@@ -170,26 +173,6 @@ def _sturmians(mu: DeformationParams, ns: Iterable[int], two_ms=_TWO_M_SAMPLES) 
         for n in ns:
             q = RadialQuantum(nr=n, k=k)
             yield _level_energy(2 * n + two_m, mu), l2, q, radial_sturmian(q, mu)
-
-
-def _defect(lhs: GaussLaguerreSum, rhs: GaussLaguerreSum, ref: GaussLaguerreSum) -> float:
-    """The largest |coefficient| of the ``_monomials`` of lhs - rhs over that of the check's input ref.
-
-    Powers within 1e-9 are one monomial: a fold keys terms by float power, and (p - 1) - 1 need not be p - 2.
-    """
-
-    def largest(pairs: list) -> float:
-        worst, first, total = 0.0, -math.inf, 0.0  # the monomial summed so far starts at power first
-        for q, b in sorted(pairs, key=lambda pair: pair[0]) + [(math.inf, 0.0)]:
-            if q - first > 1e-9:  # a new monomial; a NaN total is kept, as nothing compares above it
-                if abs(total) > worst or total != total:
-                    worst = abs(total)
-                first, total = q, 0.0
-            total += b
-        return worst
-
-    diff = lhs._monomials() + [(q, -b) for q, b in rhs._monomials()]
-    return largest(diff) / largest(ref._monomials())
 
 
 @_register("radial_gram_identity", "radial", 1e-9)
@@ -324,9 +307,7 @@ def _check_commutators(ctx: VerifyContext) -> Iterator:
 @_register("casimir_scalar", "algebra", 1e-7)
 def _check_casimir(ctx: VerifyContext) -> Iterator:
     for _, l2, q, R in _sturmians(ctx.mu, (0, 2)):
-        target = q.k * (q.k - 1.0)
-        yield _defect(su11._casimir(R, ctx.mu, l2), target * R, R)
-        yield 0.25 * (ctx.mu.total * ctx.mu.total + l2 - 1.0) - target
+        yield su11.casimir_check(R, q.k, ctx.mu, l2)
 
 
 @_register("half_hamiltonian_identity", "algebra", 1e-12)
@@ -343,8 +324,7 @@ def _check_factorization(ctx: VerifyContext) -> Iterator:
     for E, l2, _, R in _sturmians(ctx.mu, range(4)):
         U = substitute_u(R, ctx.mu, "r_to_u")
         for branch in ("upper", "lower"):
-            lam = su11.factorization_product_eigenvalue(E, l2, ctx.mu, branch)
-            yield _defect(su11._shifted_product(U, E, branch), lam * U, U)
+            yield su11.factorization_residual(U, E, l2, ctx.mu, branch)
 
 
 @_register("factorization_constants", "algebra", 1e-12)

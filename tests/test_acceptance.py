@@ -279,11 +279,11 @@ def test_criterion_5_algebra():
     k_plus, _ = bargmann_index(m, mu)
     for prof in profiles:
         for pair in ("0+", "0-", "-+"):
-            worst_comm = max(worst_comm, commutator_residual(pair, prof, mu, l2, grid))
+            worst_comm = max(worst_comm, commutator_residual(pair, prof, mu, l2))
         lhs = apply_A(prof, "0", mu, l2)(grid)
         rhs = 0.5 * apply_radial_hamiltonian(prof, mu, l2)(grid)
         worst_half = max(worst_half, float(np.max(np.abs(lhs - rhs))))
-        worst_casimir = max(worst_casimir, casimir_check(prof, k_plus, mu, l2, grid))
+        worst_casimir = max(worst_casimir, casimir_check(prof, k_plus, mu, l2))
 
     worst_fact = 0.0
     for m in (Fraction(0), Fraction(1, 2), Fraction(2)):
@@ -294,7 +294,7 @@ def test_criterion_5_algebra():
             E = energy(nr, m, mu)
             for branch in ("upper", "lower"):
                 worst_fact = max(
-                    worst_fact, factorization_residual(U, E, l2, mu, branch, grid)
+                    worst_fact, factorization_residual(U, E, l2, mu, branch)
                 )
     ok = (
         worst_ladder <= 1e-7

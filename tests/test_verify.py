@@ -353,10 +353,14 @@ def test_angular_eigen_residual_sees_a_1e_6_fault_in_the_mu1_coupling(monkeypatc
     assert clean.passed and not faulty.passed and faulty.error is None
 
 
-def test_a_state_that_underflows_everywhere_is_an_error_record(monkeypatch):
-    # At mu = (300, 300) the first state, E f, is 0 at all 34 points.
-    (result,) = run_checks(_only(monkeypatch, "hamiltonian_cartesian_residual"), mu=(300.0, 300.0))
-    assert result.error.startswith("DomainError: the state underflows to 0") and not result.passed
+def test_a_state_that_underflows_everywhere_is_an_error_record():
+    # At mu = (300, 300) the first state, E f, is 0 at all 34 points, and the
+    # Sturmians' monomial coefficients underflow to 0: one refusal names both.
+    results = {res.name: res for res in run_checks("all", mu=(300.0, 300.0))}
+    underflow = "DomainError: the state underflows to 0"
+    underflows = [name for name, res in results.items() if (res.error or "").startswith(underflow)]
+    assert "hamiltonian_cartesian_residual" in underflows and "casimir_scalar" in underflows and len(underflows) == 10
+    assert all(res.error.startswith("DomainError: ") and not res.passed for res in results.values() if res.error)
 
 
 # --- the monomial residual of the operator identities --------------------------
