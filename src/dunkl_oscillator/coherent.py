@@ -263,12 +263,9 @@ def series_evolution_crosscheck(
     m,
     mu: DeformationParams,
     nterms: int = 300,
-    grid: np.ndarray | None = None,
 ) -> float:
-    """Sup-norm gap between term-by-term evolution and the rotated closed form."""
-    if grid is None:
-        grid = np.linspace(0.05, 3.0, 60)
-    grid = np.asarray(grid, dtype=float)
+    """Sup-norm gap between term-by-term evolution and the rotated closed form, on 60 radii from 0.05 to 3."""
+    grid = np.linspace(0.05, 3.0, 60)
     degrees = np.arange(nterms)
     term_phase = np.exp(-2j * (p.k + degrees) * t.tau / t.hbar)
     series = _series_values(grid, p, mu, nterms, term_phase=term_phase)

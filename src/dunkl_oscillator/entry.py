@@ -116,22 +116,11 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from None
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo < 0.0 or hi <= lo or not 2 <= n <= _MAX_GRID_POINTS:
+    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo or not 2 <= n <= _MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(
-            f"grid needs 0 <= min < max and 2 <= n <= {_MAX_GRID_POINTS}, got {text!r}"
+            f"grid needs finite min < max and 2 <= n <= {_MAX_GRID_POINTS}, got {text!r}"
         )
     return (lo, hi, n)
-
-
-def _parse_tol(text: str) -> tuple[str, float]:
-    name, sep, raw = text.partition("=")
-    if not sep or not name:
-        raise argparse.ArgumentTypeError(f"tolerance override must be NAME=VALUE, got {text!r}")
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad tolerance value {text!r}: {exc}") from None
-    return (name.strip(), value)
 
 
 @contextlib.contextmanager
@@ -317,13 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p_ver, 0.5)
     p_ver.add_argument("--suite", choices=("all",) + SUITES, default="all")
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument(
-        "--tol",
-        type=_parse_tol,
-        action="append",
-        metavar="NAME=VAL",
-        help="override a named tolerance (repeatable)",
-    )
     p_ver.set_defaults(handler=_in_cli("_cmd_verify"))
     # No option starts with a digit, so "-<digit>..." and "-.<digit>..." are values; argparse's
     # own rule (-5 and -.5 only) would read -5e-05 and -0.8,0 as unknown options.

@@ -67,7 +67,7 @@ def laguerre(n: int, alpha: float, x):
     """Generalized Laguerre polynomial L_n^alpha(x), scalar or elementwise."""
     _check_laguerre(n, alpha)
     arr, scalar = _as_array(x)
-    p_prev = np.ones_like(arr)
+    p_prev = np.ones_like(arr, dtype=np.result_type(arr, 1.0))
     if n == 0:
         return p_prev.item() if scalar else p_prev
     p = 1.0 + alpha - arr
@@ -95,7 +95,7 @@ def jacobi(n: int, alpha: float, beta: float, x):
     if not (-1.0 < alpha < math.inf and -1.0 < beta < math.inf):
         raise DomainError(f"Jacobi parameters must be finite and exceed -1, got alpha={alpha}, beta={beta}")
     arr, scalar = _as_array(x)
-    p_prev = np.ones_like(arr)
+    p_prev = np.ones_like(arr, dtype=np.result_type(arr, 1.0))
     if n == 0:
         return p_prev.item() if scalar else p_prev
     p = 0.5 * ((alpha + beta + 2.0) * arr + (alpha - beta))

@@ -486,25 +486,16 @@ def available_checks(suite: str = "all") -> list[str]:
     return [c.name for c in _selected(suite)]
 
 
-def run_checks(
-    suite: str = "all",
-    mu: DeformationParams | None = None,
-    seed: int = 0,
-    tol_overrides: dict[str, float] | None = None,
-) -> list[CheckResult]:
-    """Run a suite of checks serially, in registry order; results are sorted by check name."""
+def run_checks(suite: str = "all", mu: DeformationParams | None = None, seed: int = 0) -> list[CheckResult]:
+    """Run a suite of checks serially, in registry order; results are sorted by check name.
+
+    Each check is judged by its registered tolerance, which its result carries.
+    """
     mu = DeformationParams.of((0.5, 0.5) if mu is None else mu)
     _check_integer(seed, "seed")
-    overrides = dict(tol_overrides or {})
-    for name, value in overrides.items():
-        if name not in available_checks():
-            raise DomainError(f"unknown check name in tolerance override: {name!r}")
-        if not (value > 0.0 and math.isfinite(value)):
-            raise DomainError(f"tolerance override must be positive and finite, got {name}={value!r}")
     ctx = VerifyContext(mu=mu, seed=seed)
     results = []
     for check in _selected(suite):
-        tolerance = overrides.get(check.name, check.tolerance)
         try:
             residual = _worst(check.fn(ctx))
             error = None
@@ -516,8 +507,8 @@ def run_checks(
                 name=check.name,
                 suite=check.suite,
                 residual=residual,
-                tolerance=tolerance,
-                passed=(error is None and residual <= tolerance),
+                tolerance=check.tolerance,
+                passed=(error is None and residual <= check.tolerance),
                 error=error,
             )
         )

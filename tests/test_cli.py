@@ -417,6 +417,32 @@ def test_grid_point_count_is_bounded(capsys):
     assert "2 <= n <= 1000000" in capsys.readouterr().err
 
 
+def test_angular_grid_may_start_below_zero(capsys):
+    argv = ["wavefunction", "--state=+1,-1,3/2,1", "--part", "angular", "--mu1", "0.3", "--mu2", "1.2"]
+    code, out, err = _run(capsys, argv + ["--grid=-3.1:3.1:50", "--format", "json"])
+    assert code == 0 and err == ""
+    mu = DeformationParams(0.3, 1.2)
+    phi = np.linspace(-3.1, 3.1, 50)
+    expected = angular_wavefunction(AngularQuantum.build(1, -1, Fraction(3, 2), mu), mu)(phi)
+    doc = json.loads(out)
+    assert doc["grid"] == phi.tolist() and doc["values"] == expected.tolist()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["wavefunction", "--state=+1,+1,0,0"], ["coherent", "--xi", "0.3"]],
+    ids=["wavefunction", "coherent"],
+)
+def test_a_radius_below_zero_is_refused_before_output(tmp_path, capsys, argv):
+    # The grid parser takes any finite min < max; a radius must also be non-negative.
+    target = tmp_path / "table.csv"
+    for out_args in ([], ["--out", str(target)]):
+        code, out, err = _run(capsys, argv + ["--grid=-1:2:5", *out_args])
+        assert code == 2 and out == ""
+        assert err == "error: r must be non-negative and finite, got -1.0\n"
+    assert not target.exists()
+
+
 @pytest.mark.parametrize(
     "state, message",
     [
@@ -561,21 +587,30 @@ def test_verify_suite_passes_and_sorts(capsys):
     assert all(rec["error"] is None for rec in payload)
 
 
-def test_verify_tol_override_forces_failure(tmp_path, capsys):
+def test_verify_tol_override_forces_failure(tmp_path, capsys, monkeypatch):
+    # A check is judged by its registered tolerance alone; an entry whose
+    # residual exceeds it takes the exit-1 path.
+    def too_large(ctx):
+        yield 1e-3
+
+    monkeypatch.setattr(verify, "_REGISTRY", [verify._Check("too_large", "angular", 1e-9, too_large)])
     target = tmp_path / "report.json"
-    argv = [
-        "verify",
-        "--suite", "angular",
-        "--tol", "angular_gram_identity=1e-30",
-        "--out", str(target),
+    code, out, err = _run(capsys, ["verify", "--suite", "angular", "--out", str(target)])
+    assert code == 1 and err == ""
+    assert out == "FAIL: 1/1 checks failed\n"
+    assert json.loads(target.read_text()) == [
+        {"name": "too_large", "suite": "angular", "residual": 1e-3, "tolerance": 1e-9, "passed": False, "error": None}
     ]
-    code, out, _ = _run(capsys, argv)
-    assert code == 1
-    assert out.startswith("FAIL: 1/")
-    payload = json.loads(target.read_text())
-    failed = [rec for rec in payload if not rec["passed"]]
-    assert [rec["name"] for rec in failed] == ["angular_gram_identity"]
-    assert failed[0]["tolerance"] == 1e-30
+
+
+def test_verify_has_no_tolerance_option(capsys):
+    # A check's tolerance is the one registered with it; a report carries it beside the residual.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--tol", "casimir_scalar=1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --tol casimir_scalar=1" in captured.err
 
 
 def test_verify_document_holds_each_record_as_its_dataclass_fields(capsys):
@@ -598,20 +633,6 @@ def test_verify_negative_seed_is_an_input_error(capsys):
     code, out, err = _run(capsys, ["verify", "--seed", "-1"])
     assert code == 2 and out == ""
     assert err == "error: seed must be a non-negative integer, got -1\n"
-
-
-def test_verify_unknown_tol_name_is_reported(capsys):
-    code, out, err = _run(capsys, ["verify", "--suite", "angular", "--tol", "nonsense=1"])
-    assert code == 2
-    assert err.startswith("error: ")
-
-
-@pytest.mark.parametrize("value", ["inf", "nan"])
-def test_verify_nonfinite_tol_exits_two(value, capsys):
-    # The parser reads NAME=VALUE only; run_checks refuses the value.
-    code, out, err = _run(capsys, ["verify", "--suite", "angular", "--tol", f"angular_gram_identity={value}"])
-    assert code == 2 and out == ""
-    assert err.startswith("error: tolerance override must be positive and finite")
 
 
 def test_verify_ignores_thread_env(capsys, monkeypatch):
@@ -718,17 +739,6 @@ def test_a_reader_that_leaves_early_ends_the_command_quietly(unbuffered):
 
 def test_parser_is_built_once_per_process():
     assert entry._build_parser() is entry._build_parser()
-
-
-def test_tolerance_override_does_not_outlive_its_call(capsys):
-    defaults = {check.name: check.tolerance for check in verify._REGISTRY}
-    code, out, _ = _run(capsys, ["verify", "--suite", "algebra", "--tol", "casimir_scalar=1"])
-    assert code == 0
-    assert {rec["name"]: rec["tolerance"] for rec in json.loads(out)}["casimir_scalar"] == 1.0
-    code, out, _ = _run(capsys, ["verify", "--suite", "algebra"])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload and all(rec["tolerance"] == defaults[rec["name"]] for rec in payload)
 
 
 def test_calls_in_one_process_write_what_fresh_processes_write(capsys):

@@ -56,6 +56,16 @@ def test_laguerre_scalar_in_scalar_out():
     assert isinstance(float(out), float)
 
 
+@pytest.mark.parametrize(
+    "poly", [lambda n, x: laguerre(n, 0.5, x), lambda n, x: jacobi(n, 0.5, 0.5, x)], ids=["laguerre", "jacobi"]
+)
+def test_degree_zero_has_the_type_of_degree_one_for_integer_x(poly):
+    # At degree 0 the polynomial is the constant 1, still a float as at every other degree.
+    assert type(poly(0, 3)) is type(poly(1, 3)) is float
+    assert poly(0, np.arange(3)).dtype == poly(1, np.arange(3)).dtype == np.float64
+    np.testing.assert_array_equal(poly(0, np.arange(3)), [1.0, 1.0, 1.0])
+
+
 def test_laguerre_all_consistent_with_single():
     x = np.linspace(0.0, 12.0, 15)
     table = laguerre_all(6, 0.8, x)

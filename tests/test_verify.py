@@ -68,22 +68,6 @@ def test_repeated_runs_give_identical_residuals():
     assert [(r.name, r.residual) for r in first] == [(r.name, r.residual) for r in second]
 
 
-def test_tolerance_override_behavior():
-    results = run_checks(suite="radial", tol_overrides={"radial_gram_identity": 1e-30})
-    by_name = {res.name: res for res in results}
-    assert not by_name["radial_gram_identity"].passed
-    assert by_name["radial_gram_identity"].tolerance == 1e-30
-    with pytest.raises(DomainError):
-        run_checks(suite="radial", tol_overrides={"no_such_check": 1.0})
-
-
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
-def test_tolerance_override_that_is_not_positive_and_finite_raises(value):
-    # It would otherwise fail a passing check (nan, 0, -1) or pass any residual (inf).
-    with pytest.raises(DomainError, match="positive and finite"):
-        run_checks(suite="coherent", tol_overrides={"coherent_unit_norm": value})
-
-
 def test_invalid_suite_raises():
     with pytest.raises(DomainError):
         run_checks(suite="everything")
