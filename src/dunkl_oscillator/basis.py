@@ -46,9 +46,7 @@ __all__ = [
     "AngularQuantum",
     "RadialQuantum",
     "StateLabel",
-    "as_quantum_m",
     "sector_start",
-    "separation_constant",
     "angular_norm",
     "angular_wavefunction",
     "energy",
@@ -132,21 +130,11 @@ def _two_m(m) -> int:
     return int(2 * frac.numerator // frac.denominator)  # int() also for a numpy integer m
 
 
-def as_quantum_m(m) -> Fraction:
-    """Coerce m to an exact integer or half-odd-integer Fraction from 0 to _MAX_QUANTUM."""
-    return Fraction(_two_m(m), 2)
-
-
 def sector_start(s1: int, s2: int) -> Fraction:
     """Lowest quantum number m of the (s1, s2) sector: 0, 1/2, 1/2 or 1."""
     if (s1, s2) not in _SECTOR_STARTS:
         raise DomainError(f"parities must be +1 or -1, got ({s1}, {s2})")
     return Fraction(_SECTOR_STARTS[(s1, s2)], 2)
-
-
-def separation_constant(m, mu: DeformationParams) -> float:
-    """Angular eigenvalue l^2 = 4 m (m + mu1 + mu2)."""
-    return _l2(_two_m(m), mu)
 
 
 def _l2(two_m: int, mu: DeformationParams) -> float:

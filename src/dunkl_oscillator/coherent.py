@@ -39,7 +39,7 @@ import numpy as np
 
 from .basis import DeformationParams, _check_integer, _check_k, _k, _two_m, log_gamma
 from .errors import DomainError, SingularityError
-from .specfun import _MAX_RADIAL_POINTS, _touches_origin, laguerre_all
+from .specfun import _touches_origin, laguerre_all
 
 __all__ = [
     "CoherentParams",
@@ -50,8 +50,6 @@ __all__ = [
     "normal_form",
     "evolve_parameter",
     "coherent_evolved",
-    "series_evolution_crosscheck",
-    "suggested_norm_quadrature",
 ]
 
 _LN_MAX = math.log(np.finfo(float).max)  # the envelope's exp overflows past this exponent
@@ -94,26 +92,30 @@ class EvolutionParams:
             raise DomainError(f"hbar must be positive and finite, got {self.hbar}")
 
 
-def auto_nterms(p: CoherentParams, tol: float = 1e-14) -> int:
-    """Number of series terms so the first omitted coefficient is below tol; ``DomainError`` past 20,000."""
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol}")
-    return _nterms_for(abs(p.xi), 2.0 * p.k, tol)
+# The largest first omitted coefficient ``auto_nterms`` leaves in a series.
+_SERIES_TOL = 1e-14
+
+
+def auto_nterms(p: CoherentParams) -> int:
+    """Number of series terms so the first omitted coefficient is below 1e-14; ``DomainError`` past 20,000."""
+    return _nterms_for(abs(p.xi), 2.0 * p.k)
 
 
 @functools.lru_cache(maxsize=64)
-def _nterms_for(axi: float, two_k: float, tol: float) -> int:
+def _nterms_for(axi: float, two_k: float) -> int:
     """``auto_nterms`` at |xi| = axi and 2k = two_k; a verify run asks for the same few dozens of times."""
     if axi == 0.0:
         return 1
     ln_axi = math.log(axi)
     lg_2k = log_gamma(two_k)
-    ln_tol = math.log(tol)
+    ln_tol = math.log(_SERIES_TOL)
     for n in range(5, 20000):
         bound = 0.5 * (math.lgamma(n + two_k) - math.lgamma(n + 1.0) - lg_2k) + n * ln_axi
         if bound < ln_tol:
             return n + 1
-    raise DomainError(f"no coherent series of at most 20000 terms meets tol = {tol} at |xi| = {axi}, k = {two_k / 2}")
+    raise DomainError(
+        f"no coherent series of at most 20000 terms meets tol = {_SERIES_TOL} at |xi| = {axi}, k = {two_k / 2}"
+    )
 
 
 def _ln_norm(p: CoherentParams) -> float:
@@ -191,7 +193,7 @@ def coherent_series(r, p: CoherentParams, mu: DeformationParams, nterms: int | N
     """Coherent-state radial values by explicit basis summation.
 
     An explicit ``nterms`` is a partial sum taken as given, unchecked against
-    any tol; only ``nterms=None`` goes through ``auto_nterms`` and its refusal.
+    any tolerance; only ``nterms=None`` goes through ``auto_nterms`` and its refusal.
     """
     if nterms is None:
         nterms = auto_nterms(p)
@@ -236,8 +238,10 @@ def normal_form(amplitude: complex) -> DisplacementNormalForm:
 
 
 def evolve_parameter(p: CoherentParams, t: EvolutionParams) -> tuple[complex, complex]:
-    """Rotated disk label and global phase after evolving for time tau."""
+    """Rotated disk label and global phase after evolving for time tau; ``DomainError`` if the phase overflows."""
     angle = 2.0 * t.tau / t.hbar
+    if not math.isfinite(p.k * angle):
+        raise DomainError(f"the phase k 2 tau / hbar overflows at tau = {t.tau}, k = {p.k}, hbar = {t.hbar}")
     return (complex(p.xi) * cmath.exp(-1j * angle), cmath.exp(-1j * p.k * angle))
 
 
@@ -257,39 +261,14 @@ def coherent_evolved(r, p: CoherentParams, t: EvolutionParams, m, mu: Deformatio
     return phase * _closed_values(r, CoherentParams(xi=xi_t, k=p.k), float(two_m))
 
 
-def series_evolution_crosscheck(
-    p: CoherentParams,
-    t: EvolutionParams,
-    m,
-    mu: DeformationParams,
-    nterms: int = 300,
-) -> float:
-    """Sup-norm gap between term-by-term evolution and the rotated closed form, on 60 radii from 0.05 to 3."""
+def _series_evolution_crosscheck(p: CoherentParams, t: EvolutionParams, m, mu: DeformationParams) -> float:
+    """Sup-norm gap between the 300-term series, evolved term by term, and the rotated closed form.
+
+    Both are taken on 60 radii from 0.05 to 3.
+    """
     grid = np.linspace(0.05, 3.0, 60)
-    degrees = np.arange(nterms)
-    term_phase = np.exp(-2j * (p.k + degrees) * t.tau / t.hbar)
-    series = _series_values(grid, p, mu, nterms, term_phase=term_phase)
+    term_phase = np.exp(-2j * (p.k + np.arange(300)) * t.tau / t.hbar)
+    series = _series_values(grid, p, mu, 300, term_phase=term_phase)
     closed = coherent_evolved(grid, p, t, m, mu)
     return float(np.max(np.abs(series - closed)))
 
-
-def suggested_norm_quadrature(p: CoherentParams) -> tuple[float, int]:
-    """Radial cutoff and point count adequate for norm integrals of this state.
-
-    The density decays like exp(-beta r^2) with beta = (1 - |xi|^2)/|1 - xi|^2,
-    which becomes slow as xi approaches -1; the cutoff grows like 1/sqrt(beta).
-    Raises DomainError when the rule would pass the radial quadratures' bound
-    of 1,000,000 points, as it does from about xi = -0.9999997 at k = 1.
-    """
-    xi = complex(p.xi)
-    beta = (1.0 - abs(xi) ** 2) / abs(1.0 - xi) ** 2
-    rmax = max(12.0, math.sqrt((80.0 + 8.0 * p.k) / beta) + 2.0)
-    # 16 ceil(2.5 rmax) passes the bound exactly when 2.5 rmax passes a
-    # sixteenth of it; an rmax that overflowed to infinity does too.
-    if not 2.5 * rmax <= _MAX_RADIAL_POINTS / 16:
-        raise DomainError(
-            f"the norm quadrature of xi = {xi}, k = {p.k} needs more than "
-            f"{_MAX_RADIAL_POINTS} radial points (rmax = {rmax:.6g})"
-        )
-    npoints = int(max(400, 16 * math.ceil(2.5 * rmax)))
-    return (rmax, npoints)

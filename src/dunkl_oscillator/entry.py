@@ -116,9 +116,10 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from None
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo or not 2 <= n <= _MAX_GRID_POINTS:
+    # max - min overflows past a span of about 1.8e308, as on -1e308:1e308, even where both ends are finite.
+    if not math.isfinite(hi - lo) or hi <= lo or not 2 <= n <= _MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(
-            f"grid needs finite min < max and 2 <= n <= {_MAX_GRID_POINTS}, got {text!r}"
+            f"grid needs finite min < max with a finite max - min and 2 <= n <= {_MAX_GRID_POINTS}, got {text!r}"
         )
     return (lo, hi, n)
 

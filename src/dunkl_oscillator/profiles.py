@@ -53,8 +53,6 @@ __all__ = [
     "TrigJacobiSum",
     "PlaneFunction",
     "derivative_of",
-    "residual_grid",
-    "angular_grid",
 ]
 
 
@@ -358,13 +356,3 @@ def _polar_plane(R: Profile, Phi: Profile, parity: tuple[int, int] | None) -> Pl
 
     return PlaneFunction(fn, partial("x", 1), partial("y", 1), partial("x", 2), partial("y", 2), parity)
 
-
-def residual_grid(n: int = 50, lo: float = 0.05, hi: float = 10.0) -> np.ndarray:
-    """Chebyshev-spaced evaluation points for pointwise operator residuals."""
-    theta = np.pi * (2 * np.arange(n) + 1) / (2 * n)
-    return np.sort(0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta))
-
-
-def angular_grid(n: int = 64) -> np.ndarray:
-    """Points covering [0, 2 pi) while avoiding the axes phi = k pi/2."""
-    return (np.arange(n) + 0.37) * (2.0 * np.pi / n)

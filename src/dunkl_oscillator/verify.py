@@ -67,10 +67,10 @@ from .basis import (
 )
 from .dunkl_ops import apply_angular_operator, apply_hamiltonian, apply_radial_hamiltonian
 from .errors import DomainError
-from .profiles import GaussLaguerreSum, _defect, _over_scale, _polar_plane, angular_grid, residual_grid
-from .specfun import angular_gram, laguerre_all, radial_gram, radial_inner_product
+from .profiles import GaussLaguerreSum, _defect, _over_scale, _polar_plane
+from .specfun import _MAX_RADIAL_POINTS, angular_gram, laguerre_all, radial_gram, radial_inner_product
 
-__all__ = ["CheckResult", "available_checks", "run_checks"]
+__all__ = ["CheckResult", "run_checks"]
 
 
 @dataclass(frozen=True)
@@ -118,6 +118,17 @@ def _relative(diff: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return _over_scale(diff, np.abs(ref).max())
 
 
+def _residual_grid(n: int = 50, lo: float = 0.05, hi: float = 10.0) -> np.ndarray:
+    """Chebyshev-spaced evaluation points for pointwise operator residuals."""
+    theta = np.pi * (2 * np.arange(n) + 1) / (2 * n)
+    return np.sort(0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta))
+
+
+def _angular_grid(n: int = 64) -> np.ndarray:
+    """Points covering [0, 2 pi) while avoiding the axes phi = k pi/2."""
+    return (np.arange(n) + 0.37) * (2.0 * np.pi / n)
+
+
 def _register(name: str, suite: str, tolerance: float):
     def wrap(fn):
         _REGISTRY.append(_Check(name=name, suite=suite, tolerance=tolerance, fn=fn))
@@ -144,7 +155,7 @@ def _check_angular_ground_norm(ctx: VerifyContext) -> Iterator:
 
 @_register("angular_eigen_residual", "angular", 1e-8)
 def _check_angular_eigen(ctx: VerifyContext) -> Iterator:
-    grid = angular_grid(64)
+    grid = _angular_grid()
     for _, q in _sector_labels(6, ctx.mu):
         phi_fn = angular_wavefunction(q, ctx.mu)
         values = phi_fn(grid)
@@ -154,7 +165,7 @@ def _check_angular_eigen(ctx: VerifyContext) -> Iterator:
 
 @_register("angular_reflection_parity", "angular", 1e-12)
 def _check_angular_parity(ctx: VerifyContext) -> Iterator:
-    grid = angular_grid(64)
+    grid = _angular_grid()
     for _, q in _sector_labels(6, ctx.mu):
         phi_fn = angular_wavefunction(q, ctx.mu)
         base = phi_fn(grid)
@@ -190,7 +201,7 @@ def _check_radial_eigen(ctx: VerifyContext) -> Iterator:
 
 @_register("radial_substitution_roundtrip", "radial", 1e-12)
 def _check_substitution_roundtrip(ctx: VerifyContext) -> Iterator:
-    grid = residual_grid()
+    grid = _residual_grid()
     for *_, R in _sturmians(ctx.mu, (1,)):
         back = substitute_u(substitute_u(R, ctx.mu, "r_to_u"), ctx.mu, "u_to_r")
         yield back(grid) - R(grid)
@@ -235,7 +246,7 @@ def _plain_laguerre(n: int, alpha_int: int, x: np.ndarray) -> np.ndarray:
 @_register("mu_zero_reduction", "radial", 1e-12)
 def _check_mu_zero_reduction(ctx: VerifyContext) -> Iterator:
     mu0 = DeformationParams(0.0, 0.0)
-    grid = residual_grid(50, 0.05, 8.0)
+    grid = _residual_grid(hi=8.0)
     for ell in range(5):  # ell = 2m
         for _, _, q, R in _sturmians(mu0, range(5), (ell,)):
             n = q.nr
@@ -369,9 +380,24 @@ def _series_gap(grid: np.ndarray, p: co.CoherentParams, mu: DeformationParams) -
 
 
 def _norm_defect(psi: Callable, p: co.CoherentParams, mu: DeformationParams) -> float:
-    """The radial norm of psi minus 1, on the quadrature suggested for p."""
-    rule = co.suggested_norm_quadrature(p)
-    return radial_inner_product(lambda r: np.abs(psi(r)) ** 2, np.ones_like, mu, *rule) - 1.0
+    """The radial norm of psi minus 1, on a cutoff and point count grown for p.
+
+    The density decays like exp(-beta r^2) with beta = (1 - |xi|^2)/|1 - xi|^2,
+    which becomes slow as xi approaches -1; the cutoff grows like 1/sqrt(beta).
+    Raises DomainError when the rule would pass the radial quadratures' bound
+    of 1,000,000 points, as it does from about xi = -0.9999997 at k = 1.
+    """
+    beta = (1.0 - abs(p.xi) ** 2) / abs(1.0 - p.xi) ** 2
+    rmax = max(12.0, math.sqrt((80.0 + 8.0 * p.k) / beta) + 2.0)
+    # 16 ceil(2.5 rmax) passes the bound exactly when 2.5 rmax passes a
+    # sixteenth of it; an rmax that overflowed to infinity does too.
+    if not 2.5 * rmax <= _MAX_RADIAL_POINTS / 16:
+        raise DomainError(
+            f"the norm quadrature of xi = {p.xi}, k = {p.k} needs more than "
+            f"{_MAX_RADIAL_POINTS} radial points (rmax = {rmax:.6g})"
+        )
+    npoints = int(max(400, 16 * math.ceil(2.5 * rmax)))
+    return radial_inner_product(lambda r: np.abs(psi(r)) ** 2, np.ones_like, mu, rmax, npoints) - 1.0
 
 
 @_register("coherent_series_vs_closed", "coherent", 1e-10)
@@ -430,7 +456,7 @@ def _check_evolution_crosscheck(ctx: VerifyContext) -> Iterator:
     m, k = _evolution_sector(ctx)
     p = co.CoherentParams(xi=0.5, k=k)
     for tau in (0.7, 2.0):
-        yield co.series_evolution_crosscheck(p, co.EvolutionParams(tau), m, ctx.mu, nterms=300)
+        yield co._series_evolution_crosscheck(p, co.EvolutionParams(tau), m, ctx.mu)
 
 
 @_register("evolution_norm_conservation", "coherent", 1e-9)
@@ -479,11 +505,6 @@ def _selected(suite: str) -> list[_Check]:
     if suite != "all" and suite not in SUITES:
         raise DomainError(f"suite must be one of {('all',) + SUITES}, got {suite!r}")
     return [c for c in _REGISTRY if suite == "all" or c.suite == suite]
-
-
-def available_checks(suite: str = "all") -> list[str]:
-    """Names of the checks in a suite, in registry order."""
-    return [c.name for c in _selected(suite)]
 
 
 def run_checks(suite: str = "all", mu: DeformationParams | None = None, seed: int = 0) -> list[CheckResult]:

@@ -22,7 +22,6 @@ from dunkl_oscillator.basis import (
     energy,
     enumerate_states,
     radial_sturmian,
-    separation_constant,
     substitute_u,
 )
 from dunkl_oscillator.cli import main
@@ -32,10 +31,9 @@ from dunkl_oscillator.coherent import (
     coherent_closed,
     coherent_evolved,
     coherent_series,
+    _series_evolution_crosscheck,
     evolve_parameter,
     normal_form,
-    series_evolution_crosscheck,
-    suggested_norm_quadrature,
 )
 from dunkl_oscillator.dunkl_ops import (
     apply_angular_operator,
@@ -46,8 +44,6 @@ from dunkl_oscillator.profiles import (
     DeformationParams,
     GaussLaguerreSum,
     _polar_plane,
-    angular_grid,
-    residual_grid,
 )
 from dunkl_oscillator.specfun import angular_gram, laguerre_all, radial_inner_product
 from dunkl_oscillator.su11 import (
@@ -58,7 +54,13 @@ from dunkl_oscillator.su11 import (
     factorization_residual,
     ladder_coefficients,
 )
-from reference_rules import gauss_legendre
+from dunkl_oscillator.verify import _angular_grid, _residual_grid
+from reference_rules import NORM_RULE
+
+
+def _l2_of(m, mu):
+    """l^2 = 4 m (m + mu1 + mu2), as the angular label of the sector m holds it."""
+    return AngularQuantum.build(1, 1 if Fraction(m).denominator == 1 else -1, m, mu).l2
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -180,8 +182,8 @@ def test_criterion_3_radial_orthonormality():
 
 def test_criterion_4_eigen_residuals():
     mu = DeformationParams(0.3, 1.2)
-    rgrid = residual_grid(40, 0.1, 6.0)
-    agrid = angular_grid(48)
+    rgrid = _residual_grid(40, 0.1, 6.0)
+    agrid = _angular_grid(48)
     worst_exact = 0.0
     for q in _sector_labels(3, mu):
         Phi = angular_wavefunction(q, mu)
@@ -190,7 +192,7 @@ def test_criterion_4_eigen_residuals():
         scale = max(float(np.max(np.abs(Phi(agrid)))), 1.0)
         worst_exact = max(worst_exact, float(np.max(np.abs(got - want))) / scale)
     for m in (Fraction(0), Fraction(1, 2), Fraction(2)):
-        l2 = separation_constant(m, mu)
+        l2 = _l2_of(m, mu)
         for nr in range(5):
             R = radial_sturmian(RadialQuantum.from_m(nr, m, mu), mu)
             E = energy(nr, m, mu)
@@ -231,12 +233,12 @@ def test_criterion_4_eigen_residuals():
 
 def test_criterion_5_algebra():
     mu = DeformationParams(0.3, 1.2)
-    grid = residual_grid(40, 0.1, 6.0)
+    grid = _residual_grid(40, 0.1, 6.0)
 
     worst_ladder = 0.0
     worst_annihilation = 0.0
     for m in (Fraction(0), Fraction(1, 2), Fraction(2)):
-        l2 = separation_constant(m, mu)
+        l2 = _l2_of(m, mu)
         states = {
             n: radial_sturmian(RadialQuantum.from_m(n, m, mu), mu) for n in range(6)
         }
@@ -275,7 +277,7 @@ def test_criterion_5_algebra():
     worst_half = 0.0
     worst_casimir = 0.0
     m = Fraction(1, 2)
-    l2 = separation_constant(m, mu)
+    l2 = _l2_of(m, mu)
     k_plus, _ = bargmann_index(m, mu)
     for prof in profiles:
         for pair in ("0+", "0-", "-+"):
@@ -287,7 +289,7 @@ def test_criterion_5_algebra():
 
     worst_fact = 0.0
     for m in (Fraction(0), Fraction(1, 2), Fraction(2)):
-        l2 = separation_constant(m, mu)
+        l2 = _l2_of(m, mu)
         for nr in (0, 1, 3):
             R = radial_sturmian(RadialQuantum.from_m(nr, m, mu), mu)
             U = substitute_u(R, mu, "r_to_u")
@@ -335,8 +337,7 @@ def test_criterion_6_coherent_states():
     for xi, k, pair in ((0.5, 1.0, (0.0, 0.0)), (-0.8, 1.5, (0.5, 0.5)), (0.3 + 0.4j, 2.7, (0.3, 1.2))):
         mu_n = DeformationParams(*pair)
         p = CoherentParams(xi=xi, k=k)
-        rmax, npoints = suggested_norm_quadrature(p)
-        nodes, weights = gauss_legendre(npoints, 0.0, rmax)
+        nodes, weights = NORM_RULE
         vals = coherent_closed(nodes, p, mu_n)
         norm = float(
             np.sum(weights * np.abs(vals) ** 2 * nodes ** (1.0 + 2.0 * mu_n.total))
@@ -391,12 +392,11 @@ def test_criterion_7_time_evolution():
     for tau in (0.7, 2.0):
         worst_cross = max(
             worst_cross,
-            series_evolution_crosscheck(p, EvolutionParams(tau=tau), m, mu, nterms=300),
+            _series_evolution_crosscheck(p, EvolutionParams(tau=tau), m, mu),
         )
 
     worst_norm = 0.0
-    rmax, npoints = suggested_norm_quadrature(p)
-    nodes, weights = gauss_legendre(npoints, 0.0, rmax)
+    nodes, weights = NORM_RULE
     weight = nodes ** (1.0 + 2.0 * mu.total)
     for tau in (0.3, 1.1, 2.9):
         vals = coherent_evolved(nodes, p, EvolutionParams(tau=tau), m, mu)

@@ -18,40 +18,38 @@ from dunkl_oscillator.basis import (
     StateLabel,
     angular_norm,
     angular_wavefunction,
-    as_quantum_m,
     energy,
     enumerate_states,
     k_of,
     radial_sturmian,
     sector_start,
-    separation_constant,
     substitute_u,
 )
 from dunkl_oscillator.errors import DomainError, RepresentationError
-from dunkl_oscillator.profiles import angular_grid
 from dunkl_oscillator.specfun import DeformationParams, radial_inner_product
+from dunkl_oscillator.verify import _angular_grid
 
 
 # --- quantum-number handling -------------------------------------------------
 
 
-def test_as_quantum_m_accepts_exact_representations():
-    assert as_quantum_m(2) == Fraction(2)
-    assert as_quantum_m(Fraction(3, 2)) == Fraction(3, 2)
-    assert as_quantum_m(0.5) == Fraction(1, 2)
-    assert as_quantum_m("3/2") == Fraction(3, 2)
-    assert as_quantum_m("1.5") == Fraction(3, 2)
+def test_two_m_accepts_exact_representations():
+    assert basis._two_m(2) == 4
+    assert basis._two_m(Fraction(3, 2)) == 3
+    assert basis._two_m(0.5) == 1
+    assert basis._two_m("3/2") == 3
+    assert basis._two_m("1.5") == 3
 
 
-def test_as_quantum_m_rejects_bad_values():
+def test_two_m_rejects_bad_values():
     with pytest.raises(DomainError):
-        as_quantum_m(-1)
+        basis._two_m(-1)
     with pytest.raises(DomainError):
-        as_quantum_m(Fraction(1, 3))
+        basis._two_m(Fraction(1, 3))
     with pytest.raises(DomainError):
-        as_quantum_m(0.3)
+        basis._two_m(0.3)
     with pytest.raises(DomainError):
-        as_quantum_m("nonsense")
+        basis._two_m("nonsense")
 
 
 def test_sector_rules():
@@ -80,9 +78,9 @@ def test_sector_mismatches_raise():
 
 def test_separation_constant_closed_form():
     mu = DeformationParams(0.3, 1.2)
-    assert separation_constant(0, mu) == 0.0
-    assert separation_constant(1, mu) == pytest.approx(4.0 * (1.0 + 1.5))
-    assert separation_constant(Fraction(1, 2), mu) == pytest.approx(2.0 * (0.5 + 1.5))
+    assert AngularQuantum.build(1, 1, 0, mu).l2 == 0.0
+    assert AngularQuantum.build(1, 1, 1, mu).l2 == pytest.approx(4.0 * (1.0 + 1.5))
+    assert AngularQuantum.build(1, -1, Fraction(1, 2), mu).l2 == pytest.approx(2.0 * (0.5 + 1.5))
 
 
 # --- normalization constants -------------------------------------------------
@@ -187,7 +185,7 @@ def test_angular_norm_rejects_inconsistent_labels():
 def test_angular_wavefunction_matches_direct_formula():
     mu = DeformationParams(0.3, 1.2)
     q = AngularQuantum.build(1, -1, Fraction(5, 2), mu)
-    phi = angular_grid(40)
+    phi = _angular_grid(40)
     eta = _eta_oracle(q.m, q.e1, q.e2, mu.mu1, mu.mu2)
     expected = (
         eta
@@ -202,7 +200,7 @@ def test_angular_wavefunction_matches_direct_formula():
 
 def test_angular_wavefunction_has_sector_parity():
     mu = DeformationParams(0.5, 0.5)
-    phi = angular_grid(24)
+    phi = _angular_grid(24)
     for s1, s2, m in [(1, 1, 2), (-1, -1, 2), (1, -1, Fraction(3, 2)), (-1, 1, Fraction(1, 2))]:
         q = AngularQuantum.build(s1, s2, m, mu)
         f = angular_wavefunction(q, mu)
@@ -307,13 +305,13 @@ def test_quantum_numbers_past_the_bound_are_refused():
     ids=["int", "half-odd", "1e12", "fraction-1e400", "text-1e400"],
 )
 def test_every_m_entry_refuses_an_m_past_the_bound(m):
-    # as_quantum_m holds the one bound on m, so no entry point reaches float(m),
+    # _two_m holds the one bound on m, so no entry point reaches float(m),
     # which overflows past about 1.8e308.
     mu = DeformationParams(0.25, 0.75)
-    for fn in (as_quantum_m, lambda m: k_of(m, mu), lambda m: energy(0, m, mu), lambda m: separation_constant(m, mu)):
+    for fn in (basis._two_m, lambda m: k_of(m, mu), lambda m: energy(0, m, mu)):
         with pytest.raises(DomainError, match="m must not exceed 1000000"):
             fn(m)
-    assert as_quantum_m(basis._MAX_QUANTUM) == 1_000_000
+    assert basis._two_m(basis._MAX_QUANTUM) == 2_000_000
     assert k_of(Fraction(1_999_999, 2), mu) == 999_999.5 + 0.5 * (mu.total + 1.0)
 
 
@@ -323,7 +321,7 @@ def test_a_numpy_integer_m_gives_python_numbers():
     mu = DeformationParams(0.3, 0.7)
     q = AngularQuantum.build(1, 1, np.int64(3), mu)
     assert type(q.two_m) is int and type(q.degree) is int and type(q.l2) is float
-    assert type(k_of(np.int64(3), mu)) is float and type(separation_constant(np.uint8(3), mu)) is float
+    assert type(k_of(np.int64(3), mu)) is float and type(AngularQuantum.build(1, 1, np.uint8(3), mu).l2) is float
 
 
 def test_radial_quantum_refuses_infinite_k():
@@ -428,7 +426,7 @@ def test_enumerate_states_sorted_and_consistent():
     for st_ in states:
         assert st_.energy == energy(st_.nr, st_.m, mu)
         assert st_.k == pytest.approx(float(st_.m) + 0.5 * (mu.total + 1.0))
-        assert st_.l2 == pytest.approx(separation_constant(st_.m, mu))
+        assert st_.l2 == pytest.approx(4.0 * float(st_.m) * (float(st_.m) + mu.total))
 
 
 def test_enumerate_states_rejects_nonfinite_cutoff():

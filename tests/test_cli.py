@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -426,6 +427,34 @@ def test_angular_grid_may_start_below_zero(capsys):
     expected = angular_wavefunction(AngularQuantum.build(1, -1, Fraction(3, 2), mu), mu)(phi)
     doc = json.loads(out)
     assert doc["grid"] == phi.tolist() and doc["values"] == expected.tolist()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["wavefunction", "--state=+1,+1,0,0", "--part", "angular"], ["coherent", "--xi", "0.3"]],
+    ids=["wavefunction", "coherent"],
+)
+def test_a_grid_whose_span_overflows_is_a_usage_error(capsys, argv):
+    # Both ends are finite, but max - min = 2e308 is not: linspace would warn and give NaN points.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--grid=-1e308:1e308:3"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "finite max - min" in captured.err and "'-1e308:1e308:3'" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, tau",
+    [(["--tau", "1e308"], 1e308), (["--m", "1000000", "--tau", "1e303"], 1e303)],
+    ids=["angle", "phase"],
+)
+def test_a_tau_whose_phase_overflows_is_refused(capsys, argv, tau):
+    # The refusal names tau; it had blamed xi (|xi| = nan) or escaped as a bare ValueError.
+    code, out, err = _run(capsys, ["coherent", "--xi", "0.3", *argv])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: the phase k 2 tau / hbar overflows at tau = {tau}, k = ")
 
 
 @pytest.mark.parametrize(

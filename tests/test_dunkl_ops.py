@@ -23,10 +23,9 @@ from dunkl_oscillator.profiles import (
     PlaneFunction,
     TrigJacobiSum,
     _polar_plane,
-    angular_grid,
     derivative_of,
-    residual_grid,
 )
+from dunkl_oscillator.verify import _angular_grid, _residual_grid
 
 MU = DeformationParams(0.3, 0.8)
 
@@ -207,7 +206,7 @@ def test_radial_hamiltonian_exact_eigenprofile():
     mu0 = DeformationParams(0.0, 0.0)
     R = GaussLaguerreSum.single(np.sqrt(2.0), 0.0, 0, 0.0)
     H = apply_radial_hamiltonian(R, mu0, 0.0)
-    grid = residual_grid()
+    grid = _residual_grid()
     np.testing.assert_allclose(H(grid), 1.0 * R(grid), atol=1e-13)
 
 
@@ -226,7 +225,7 @@ def test_radial_hamiltonian_on_negative_l2_sector():
     m = Fraction(1, 2)
     l2 = AngularQuantum.build(1, -1, m, mu).l2
     assert l2 == pytest.approx(-0.6)
-    grid = residual_grid()
+    grid = _residual_grid()
     for nr in range(4):
         R = radial_sturmian(RadialQuantum.from_m(nr, m, mu), mu)
         image = apply_radial_hamiltonian(R, mu, l2)
@@ -237,7 +236,7 @@ def test_angular_operator_on_cos_2phi():
     # B cos(2 phi) = (2 + 4 mu) cos(2 phi) when mu1 = mu2 = mu.
     mu = DeformationParams(0.45, 0.45)
     profile = TrigJacobiSum.single(1.0, 0, 0, 1, 0.0, 0.0)  # P_1^(0,0)(cos 2 phi) = cos 2 phi
-    grid = angular_grid(48)
+    grid = _angular_grid(48)
     np.testing.assert_allclose(profile(grid), np.cos(2.0 * grid), rtol=1e-13, atol=1e-14)
     image = apply_angular_operator(profile, mu)
     expected = (2.0 + 4.0 * 0.45) * np.cos(2.0 * grid)
@@ -247,7 +246,7 @@ def test_angular_operator_on_cos_2phi():
 def test_angular_operator_on_sin_phi():
     # B sin(phi) = (1/2 + mu1 + mu2) sin(phi).
     profile = TrigJacobiSum.single(1.0, 0, 1, 0, 0.0, 0.0)
-    grid = angular_grid(48)
+    grid = _angular_grid(48)
     image = apply_angular_operator(profile, MU)
     expected = (0.5 + MU.total) * np.sin(grid)
     np.testing.assert_allclose(image(grid), expected, rtol=1e-12, atol=1e-12)
@@ -287,7 +286,7 @@ def _random_trig_jacobi_sums(seed, count):
 @pytest.mark.parametrize("pair", [(0.0, 0.0), (0.45, 0.45), (0.3, 1.2), (2.9, 0.1)])
 def test_angular_operator_fold_matches_the_written_out_reflections(pair, monkeypatch):
     mu = DeformationParams(*pair)
-    grid = angular_grid(64)
+    grid = _angular_grid(64)
     folds = []
     fold = TrigJacobiSum._fold.__func__
 

@@ -55,6 +55,13 @@ _REMOVED = [
     ("su11", "FactorizationConstants", True),
     ("su11", "AlgebraState", False),
     ("verify", "VerifyContext", True),
+    ("basis", "as_quantum_m", False),
+    ("basis", "separation_constant", False),
+    ("verify", "available_checks", False),
+    ("profiles", "residual_grid", False),
+    ("profiles", "angular_grid", False),
+    ("coherent", "suggested_norm_quadrature", False),
+    ("coherent", "series_evolution_crosscheck", False),
 ]
 
 
@@ -65,3 +72,24 @@ def test_removed_profile_names_are_absent():
         assert not hasattr(dunkl_oscillator, name), name
         assert name not in module.__all__, name
         assert hasattr(module, name) == kept, name
+
+
+# The whole public surface, sorted: adding or removing a name is an edit here.
+_PUBLIC = (
+    "AngularQuantum", "CheckResult", "CoherentParams", "DeformationParams", "DerivativeUnavailable",
+    "DomainError", "EvolutionParams", "GaussLaguerreSum", "MAX_STATES", "PlaneFunction", "Profile",
+    "RadialQuantum", "RepresentationError", "SUITES", "SingularityError", "StateLabel", "TrigJacobiSum",
+    "__version__", "angular_gram", "angular_norm", "angular_wavefunction", "apply_A", "apply_B0", "apply_J",
+    "apply_angular_operator", "apply_hamiltonian", "apply_radial_hamiltonian", "auto_nterms",
+    "bargmann_index", "casimir_check", "coherent_closed", "coherent_evolved", "coherent_series",
+    "commutator_residual", "derivative_of", "dunkl_derivative", "energy", "enumerate_states",
+    "evolve_parameter", "factorization_product_eigenvalue", "factorization_residual", "jacobi", "k_of",
+    "ladder_coefficients", "laguerre", "laguerre_all", "log_gamma", "normal_form", "radial_gram",
+    "radial_inner_product", "radial_sturmian", "reflect", "run_checks", "schrodinger_factorize",
+    "sector_start", "substitute_u",
+)
+
+
+def test_the_public_names_are_pinned():
+    assert _PUBLIC == tuple(sorted(_PUBLIC)) and len(_PUBLIC) == 56
+    assert tuple(sorted(dunkl_oscillator.__all__)) == _PUBLIC

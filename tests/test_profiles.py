@@ -34,11 +34,10 @@ from dunkl_oscillator.profiles import (
     Profile,
     TrigJacobiSum,
     _polar_plane,
-    angular_grid,
     derivative_of,
-    residual_grid,
 )
 from dunkl_oscillator.specfun import DeformationParams, jacobi, laguerre
+from dunkl_oscillator.verify import _angular_grid, _residual_grid
 
 
 def test_deformation_params_validation():
@@ -188,7 +187,7 @@ def test_profile_algebra_propagates_exact_derivatives():
 
 def test_trig_jacobi_sum_matches_direct_formula():
     profile = TrigJacobiSum.single(1.7, 1, 2, 2, 0.4, -0.1)
-    phi = angular_grid(32)
+    phi = _angular_grid(32)
     x = np.cos(phi) ** 2 - np.sin(phi) ** 2
     expected = (
         1.7 * np.cos(phi) * np.sin(phi) ** 2 * scipy.special.eval_jacobi(2, 0.4, -0.1, x)
@@ -418,15 +417,16 @@ def test_plane_function_call_and_parity():
     assert f.dx is None
 
 
+# verify's private grids, the sample points of the profile tests here too.
 def test_residual_grid_properties():
-    grid = residual_grid(40, 0.1, 9.0)
+    grid = _residual_grid(40, 0.1, 9.0)
     assert grid.shape == (40,)
     assert np.all(np.diff(grid) > 0)
     assert grid[0] >= 0.1 and grid[-1] <= 9.0
 
 
 def test_angular_grid_avoids_reflection_axes():
-    grid = angular_grid(128)
+    grid = _angular_grid(128)
     quarter = np.pi / 2.0
     distances = np.abs(grid / quarter - np.round(grid / quarter))
     assert np.min(distances) > 1e-3
@@ -508,7 +508,7 @@ def _radial_cases():
         radial_sturmian(RadialQuantum.from_m(3, Fraction(1, 2), mu), mu),
         GaussLaguerreSum.gaussian_polynomial([]),
     ]
-    grid = residual_grid()
+    grid = _residual_grid()
     grids = [
         0.7,
         grid,
@@ -529,7 +529,7 @@ def _angular_cases():
         TrigJacobiSum.single(0.4, 2, 0, 1, 0.3, 0.8) + (1j) * TrigJacobiSum.single(0.6, 1, 1, 2, 0.3, 0.8),
         angular_wavefunction(AngularQuantum.build(-1, 1, Fraction(5, 2), mu), mu),
     ]
-    grid = angular_grid(16)
+    grid = _angular_grid(16)
     grids = [0.9, grid, grid.reshape(4, 4), np.linspace(0.0, 3.0, 7), [0.0, 1.0], np.arange(3)]
     return sums, grids, _ref_jacobi_values
 

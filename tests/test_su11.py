@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from dunkl_oscillator import su11, verify
 from dunkl_oscillator.basis import (
+    AngularQuantum,
     RadialQuantum,
     _k,
     _l2,
     energy,
     radial_sturmian,
-    separation_constant,
     substitute_u,
 )
 from dunkl_oscillator.coherent import CoherentParams
@@ -26,7 +26,6 @@ from dunkl_oscillator.profiles import (
     GaussLaguerreSum,
     _defect,
     derivative_of,
-    residual_grid,
 )
 from dunkl_oscillator.su11 import (
     apply_A,
@@ -40,9 +39,15 @@ from dunkl_oscillator.su11 import (
     ladder_coefficients,
     schrodinger_factorize,
 )
+from dunkl_oscillator.verify import _residual_grid
 
 MU = DeformationParams(0.3, 1.2)
-GRID = residual_grid(40, 0.1, 6.0)
+GRID = _residual_grid(40, 0.1, 6.0)
+
+
+def _l2_of(m, mu):
+    """l^2 = 4 m (m + mu1 + mu2), as the angular label of the sector m holds it."""
+    return AngularQuantum.build(1, 1 if Fraction(m).denominator == 1 else -1, m, mu).l2
 
 
 # --- discrete-series bookkeeping --------------------------------------------
@@ -71,7 +76,7 @@ def test_bargmann_index_roots():
     assert k_plus == pytest.approx(0.5 + 0.5 * (mus + 1.0))
     assert k_minus == pytest.approx(-0.5 - 0.5 * (mus - 1.0))
     # both roots solve k(k-1) = (l^2 + mus^2 - 1)/4
-    target = 0.25 * (separation_constant(Fraction(1, 2), MU) + mus**2 - 1.0)
+    target = 0.25 * (_l2_of(Fraction(1, 2), MU) + mus**2 - 1.0)
     for k in (k_plus, k_minus):
         assert k * (k - 1.0) == pytest.approx(target, abs=1e-12)
 
@@ -86,7 +91,7 @@ def _sturmian(nr, m, mu):
 
 @pytest.mark.parametrize("m", [Fraction(0), Fraction(1, 2), Fraction(2)])
 def test_raising_matches_coefficient(m):
-    l2 = separation_constant(m, MU)
+    l2 = _l2_of(m, MU)
     for nr in (0, 1, 3):
         R, k = _sturmian(nr, m, MU)
         up, _ = _sturmian(nr + 1, m, MU)
@@ -97,7 +102,7 @@ def test_raising_matches_coefficient(m):
 
 @pytest.mark.parametrize("m", [Fraction(0), Fraction(1, 2), Fraction(2)])
 def test_lowering_matches_coefficient(m):
-    l2 = separation_constant(m, MU)
+    l2 = _l2_of(m, MU)
     for nr in (1, 2, 4):
         R, k = _sturmian(nr, m, MU)
         down, _ = _sturmian(nr - 1, m, MU)
@@ -108,7 +113,7 @@ def test_lowering_matches_coefficient(m):
 
 def test_diagonal_matches_coefficient():
     m = Fraction(1, 2)
-    l2 = separation_constant(m, MU)
+    l2 = _l2_of(m, MU)
     R, k = _sturmian(2, m, MU)
     got = apply_A(R, "0", MU, l2)(GRID)
     np.testing.assert_allclose(got, (k + 2.0) * R(GRID), rtol=1e-10, atol=1e-11)
@@ -116,7 +121,7 @@ def test_diagonal_matches_coefficient():
 
 def test_lowest_weight_is_annihilated():
     for m in (Fraction(0), Fraction(3, 2)):
-        l2 = separation_constant(m, MU)
+        l2 = _l2_of(m, MU)
         R, _ = _sturmian(0, m, MU)
         got = apply_A(R, "-", MU, l2)(GRID)
         scale = np.max(np.abs(R(GRID)))
@@ -127,9 +132,9 @@ def test_diagonal_generator_spec_example_coefficients():
     # m = 0 at mu1 = mu2 = 0.5 has k = 1, so A+ on the ground state scales by
     # sqrt(1 * 2k) = sqrt(2); the half-integer sector has k = 1.5 and sqrt(3).
     mu = DeformationParams(0.5, 0.5)
-    grid = residual_grid(30, 0.2, 4.0)
+    grid = _residual_grid(30, 0.2, 4.0)
     for m, expected in [(Fraction(0), math.sqrt(2.0)), (Fraction(1, 2), math.sqrt(3.0))]:
-        l2 = separation_constant(m, mu)
+        l2 = _l2_of(m, mu)
         q0 = RadialQuantum.from_m(0, m, mu)
         R0 = radial_sturmian(q0, mu)
         R1 = radial_sturmian(RadialQuantum.from_m(1, m, mu), mu)
@@ -152,9 +157,9 @@ def test_ladders_on_negative_l2_sector():
     # The (+,-) m = 1/2 sector at mu1+mu2 = -0.8: l2 = -0.6, k = 0.6.
     mu = DeformationParams(-0.4, -0.4)
     m = Fraction(1, 2)
-    l2 = separation_constant(m, mu)
+    l2 = _l2_of(m, mu)
     assert l2 < 0.0
-    grid = residual_grid()
+    grid = _residual_grid()
     profiles = [_sturmian(nr, m, mu)[0] for nr in range(5)]
     k = RadialQuantum.from_m(0, m, mu).k
     for nr in range(4):
@@ -196,7 +201,7 @@ def test_commutators_close_on_random_profiles():
 def test_casimir_is_exact_operator_identity():
     # -A+A- + A0(A0-1) acts as the scalar k(k-1) on any smooth profile.
     for m in (Fraction(0), Fraction(1, 2), Fraction(2)):
-        l2 = separation_constant(m, MU)
+        l2 = _l2_of(m, MU)
         k_plus, _ = bargmann_index(m, MU)
         for prof in _random_gaussian_polynomials(7, 3):
             assert casimir_check(prof, k_plus, MU, l2) <= 1e-7
@@ -204,7 +209,7 @@ def test_casimir_is_exact_operator_identity():
 
 def test_casimir_scalar_matches_closed_form():
     m = Fraction(2)
-    l2 = separation_constant(m, MU)
+    l2 = _l2_of(m, MU)
     expected = 0.25 * (MU.total**2 + l2 - 1.0)
     k_plus, _ = bargmann_index(m, MU)
     assert k_plus * (k_plus - 1.0) == pytest.approx(expected, abs=1e-12)
@@ -212,7 +217,7 @@ def test_casimir_scalar_matches_closed_form():
 
 def test_diagonal_generator_is_half_radial_hamiltonian():
     m = Fraction(1, 2)
-    l2 = separation_constant(m, MU)
+    l2 = _l2_of(m, MU)
     for prof in _random_gaussian_polynomials(11, 4):
         lhs = apply_A(prof, "0", MU, l2)(GRID)
         rhs = 0.5 * apply_radial_hamiltonian(prof, MU, l2)(GRID)
@@ -421,7 +426,7 @@ def test_raising_and_lowering_images_are_built_in_one_fold(which, monkeypatch):
 
 def test_flat_picture_diagonal_eigenvalue():
     m = Fraction(1, 2)
-    l2 = separation_constant(m, MU)
+    l2 = _l2_of(m, MU)
     for nr in (0, 2):
         R, _ = _sturmian(nr, m, MU)
         U = substitute_u(R, MU, "r_to_u")
@@ -432,7 +437,7 @@ def test_flat_picture_diagonal_eigenvalue():
 
 def test_flat_picture_conjugation_consistency():
     m = Fraction(2)
-    l2 = separation_constant(m, MU)
+    l2 = _l2_of(m, MU)
     for prof in _random_gaussian_polynomials(3, 3):
         U = substitute_u(prof, MU, "r_to_u")
         lhs = apply_B0(U, l2, MU)(GRID)
@@ -464,7 +469,7 @@ def test_factorization_product_eigenvalue_pinned():
 @pytest.mark.parametrize("branch", ["upper", "lower"])
 @pytest.mark.parametrize("m", [Fraction(0), Fraction(1, 2), Fraction(2)])
 def test_factorization_identity_on_eigenfunctions(branch, m):
-    l2 = separation_constant(m, MU)
+    l2 = _l2_of(m, MU)
     for nr in (0, 1, 3):
         R, _ = _sturmian(nr, m, MU)
         U = substitute_u(R, MU, "r_to_u")
@@ -475,7 +480,7 @@ def test_factorization_identity_on_eigenfunctions(branch, m):
 def test_factorization_residual_detects_wrong_input():
     # a non-eigen profile must not satisfy the two-sided product identity
     m = Fraction(1, 2)
-    l2 = separation_constant(m, MU)
+    l2 = _l2_of(m, MU)
     prof = GaussLaguerreSum.gaussian_polynomial([0.3, 0.0, 1.0])
     U = substitute_u(prof, MU, "r_to_u")
     res = factorization_residual(U, 3.0, l2, MU, "upper")

@@ -17,22 +17,46 @@ from dunkl_oscillator.dunkl_ops import apply_angular_operator
 from dunkl_oscillator.errors import DomainError
 from dunkl_oscillator.profiles import GaussLaguerreSum
 from dunkl_oscillator.specfun import DeformationParams
-from dunkl_oscillator.verify import SUITES, available_checks, run_checks
+from dunkl_oscillator.verify import SUITES, _angular_grid, _residual_grid, run_checks
+
+
+def _names(suite):
+    return [c.name for c in verify._selected(suite)]
 
 
 def test_available_checks_cover_all_suites():
-    all_names = available_checks("all")
+    all_names = _names("all")
     assert len(all_names) == len(set(all_names))
-    per_suite = [available_checks(s) for s in SUITES]
+    per_suite = [_names(s) for s in SUITES]
     assert all(names for names in per_suite)
     assert sorted(n for names in per_suite for n in names) == sorted(all_names)
     with pytest.raises(DomainError):
-        available_checks("everything")
+        run_checks("everything")
+
+
+@pytest.mark.parametrize(
+    "xi, k",
+    [(-0.9999998, 1.0), (-(1.0 - 1e-12), 1.0), (-(1.0 - 1e-15), 1.0), (0.5, 1e308)],
+)
+def test_norm_defect_refuses_a_rule_past_the_radial_bound(xi, k):
+    with pytest.raises(DomainError, match="needs more than 1000000 radial points"):
+        verify._norm_defect(np.ones_like, coherent.CoherentParams(xi=xi, k=k), DeformationParams(0.5, 0.5))
+
+
+def test_norm_defect_keeps_its_rules_within_the_radial_bound(monkeypatch):
+    # The last xi before the bound at k = 1 still gets its rule, and every rule
+    # it gives is one that radial_inner_product builds.
+    rules = []
+    monkeypatch.setattr(verify, "radial_inner_product", lambda f, g, mu, *rule: rules.append(rule) or 1.0)
+    for xi in (-0.9999997, 0.0, 0.8j, -0.8):
+        verify._norm_defect(np.ones_like, coherent.CoherentParams(xi=xi, k=1.0), DeformationParams(0.5, 0.5))
+    assert all(400 <= npoints <= 1_000_000 and rmax >= 12.0 for rmax, npoints in rules)
+    assert rules[0][1] > 900_000
 
 
 def test_full_default_run_is_green():
     results = run_checks(suite="all")
-    assert len(results) == len(available_checks("all"))
+    assert len(results) == len(verify._REGISTRY)
     assert [res.name for res in results] == sorted(res.name for res in results)
     bad = [(res.name, res.residual, res.error) for res in results if not res.passed]
     assert not bad, f"failing checks: {bad}"
@@ -157,7 +181,7 @@ def test_gram_and_eigen_checks_pass_at_the_reference_pairs(mu):
 
 def test_angular_eigen_residual_is_the_worst_case_at_the_runs_mu_alone():
     mu = DeformationParams(0.5, 0.5)
-    grid = profiles.angular_grid(64)
+    grid = _angular_grid()
     worst = 0.0
     for _, q in _sector_labels(6, mu):
         phi = angular_wavefunction(q, mu)
@@ -197,7 +221,7 @@ def test_a_sturmian_outside_a_run_calls_laguerre_once_per_evaluation(monkeypatch
     # evaluation; no run, even one just finished at this mu and grid, may
     # leave rows behind for it to find.
     mu = DeformationParams(0.2, 0.1)
-    grid = profiles.residual_grid()
+    grid = _residual_grid()
     calls = []
     real = profiles.laguerre
 
