@@ -4,12 +4,13 @@ The derivative along an axis gains a reflection-difference term,
 
     D_x f = df/dx + (mu1/x) * (f(x, y) - f(-x, y)),
 
-and the Hamiltonian is H = -(D_x^2 + D_y^2)/2 + (x^2 + y^2)/2.  In polar form H
-splits into a radial part and an angular operator carrying both reflections;
-``apply_radial_hamiltonian`` includes the centrifugal term l^2/(2 r^2) of a fixed
-angular sector, so the pure radial part is recovered with l2 = 0.  Its body,
-``_radial_operator``, takes a row of six coefficients; with other rows it is
-A0 = H_r/2, A+-, B0 and J+- of ``su11``.
+and the Hamiltonian is H = -(D_x^2 + D_y^2)/2 + (x^2 + y^2)/2, with each D_t^2
+applied as D_t(D_t f): ``dunkl_derivative`` is the one home of the reflection
+quotient and its limits on the axes.  In polar form H splits into a radial part
+and an angular operator carrying both reflections; ``apply_radial_hamiltonian``
+includes the centrifugal term l^2/(2 r^2) of a fixed angular sector, so the pure
+radial part is recovered with l2 = 0.  Its body, ``_radial_operator``, takes a
+row of six coefficients; with other rows it is A0 = H_r/2, A+-, B0 and J+- of ``su11``.
 
 Every one-variable operator maps an exact term sum to one of its own type,
 built by one ``_fold`` of coefficient rows, and first asks ``derivative_of``,
@@ -65,79 +66,62 @@ def _partial(f: PlaneFunction, axis: str, order: int):
     return exact
 
 
-def _reflection_pieces(f: PlaneFunction, axis: str, operator: str):
-    """The reflection quotient (f - Rf)/t in pieces: (t == 0, t with 1 there, f - Rf, parity s).
+def dunkl_derivative(f: PlaneFunction, axis: str, mu: DeformationParams) -> PlaneFunction:
+    """The deformed derivative D_axis f = f_t + mu (f - Rf)/t, with its exact partial along axis.
 
-    t is the coordinate along axis, refused unless "x" or "y"; a point with t = 0
-    needs f's parity label, which fixes the limit there.
+    t is the coordinate along axis and Rf the reflection ``reflect(f, axis)``;
+    that partial is f_tt + mu ((f - Rf)_t - (f - Rf)/t)/t, and f_tt is looked up
+    only when it is evaluated.  A point with t = 0 needs f's parity label, which
+    fixes the limits there.
     """
     refl = reflect(f, axis)
+    coupling = mu.mu1 if axis == "x" else mu.mu2
+    dfn, drefl = _partial(f, axis, 1), _partial(refl, axis, 1)
+    s = None if f.parity is None else f.parity[0 if axis == "x" else 1]
 
-    def pieces(x, y):
+    def quotient(x, y):
+        """(t == 0, t with 1 there, f - Rf) at float arrays (x, y)."""
         t = x if axis == "x" else y
         on_axis = t == 0.0
-        if f.parity is None and np.any(on_axis):
-            raise SingularityError(f"{operator} evaluated at {axis} = 0 without a parity label")
-        s = None if f.parity is None else f.parity[0 if axis == "x" else 1]
-        return on_axis, np.where(on_axis, 1.0, t), f(x, y) - refl(x, y), s
-
-    return pieces
-
-
-def dunkl_derivative(f: PlaneFunction, axis: str, mu: DeformationParams) -> PlaneFunction:
-    """The deformed derivative D_axis acting on f."""
-    pieces = _reflection_pieces(f, axis, f"Dunkl derivative along {axis}")
-    coupling = mu.mu1 if axis == "x" else mu.mu2
-    dfn = _partial(f, axis, 1)
+        if s is None and np.any(on_axis):
+            raise SingularityError(f"Dunkl derivative along {axis} evaluated at {axis} = 0 without a parity label")
+        return on_axis, np.where(on_axis, 1.0, t), f(x, y) - refl(x, y)
 
     def out(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         base = dfn(x, y)
         if coupling == 0.0:
             return base
-        on_axis, tsafe, diff, s = pieces(x, y)
-        # Even sector: the quotient vanishes on the axis; odd sector: it tends to 2 f'.
+        on_axis, tsafe, diff = quotient(x, y)
+        # Even sector: the quotient vanishes on the axis; odd sector: it tends to 2 f_t.
         limit = np.zeros_like(base) if s == 1 else 2.0 * base
         return base + coupling * np.where(on_axis, limit, diff / tsafe)
+
+    def partial(x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        second = _partial(f, axis, 2)(x, y)
+        if coupling == 0.0:
+            return second
+        on_axis, tsafe, diff = quotient(x, y)
+        slope = dfn(x, y) - drefl(x, y)
+        # The quotient is even in t in either sector, so its partial vanishes on the axis.
+        return second + coupling * np.where(on_axis, 0.0, (slope - diff / tsafe) / tsafe)
 
     parity = None
     if f.parity is not None:
         s1, s2 = f.parity
         parity = (-s1, s2) if axis == "x" else (s1, -s2)
-    return PlaneFunction(fn=out, parity=parity)
-
-
-def _deformed_second(f: PlaneFunction, axis: str, coupling: float):
-    """Values of D_axis^2 f at float arrays (x, y), expanded as f'' + (2 mu/t) f' - (mu/t^2)(f - Rf)."""
-    d1 = _partial(f, axis, 1)
-    d2 = _partial(f, axis, 2)
-    pieces = _reflection_pieces(f, axis, "Hamiltonian")
-
-    def out(x, y):
-        second = d2(x, y)
-        if coupling == 0.0:
-            return second
-        first = d1(x, y)
-        on_axis, tsafe, diff, s = pieces(x, y)
-        drift = 2.0 * coupling * first / tsafe
-        quotient = coupling * diff / (tsafe * tsafe)
-        # Even sector: (2mu/t) f' -> 2 mu f'' and the difference term vanishes.
-        # Odd sector: the two singular pieces cancel in pairs and the limit is 0.
-        limit = 2.0 * coupling * second if s == 1 else np.zeros_like(second)
-        return second + np.where(on_axis, limit, drift - quotient)
-
-    return out
+    return PlaneFunction(fn=out, dx=partial if axis == "x" else None, dy=partial if axis == "y" else None, parity=parity)
 
 
 def apply_hamiltonian(f: PlaneFunction, mu: DeformationParams) -> PlaneFunction:
-    """H f with H = -(D_x^2 + D_y^2)/2 + (x^2 + y^2)/2."""
-    ddx = _deformed_second(f, "x", mu.mu1)
-    ddy = _deformed_second(f, "y", mu.mu2)
+    """H f with H = -(D_x^2 + D_y^2)/2 + (x^2 + y^2)/2, each D_t^2 f = D_t(D_t f) of ``dunkl_derivative``."""
+    for axis, order in (("x", 1), ("x", 2), ("y", 1), ("y", 2)):
+        _partial(f, axis, order)  # refuse a missing partial before any image is built
+    ddx, ddy = (dunkl_derivative(dunkl_derivative(f, axis, mu), axis, mu) for axis in ("x", "y"))
 
     def out(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         return -0.5 * (ddx(x, y) + ddy(x, y)) + 0.5 * (x * x + y * y) * f(x, y)
 
     return PlaneFunction(fn=out, parity=f.parity)

@@ -31,7 +31,7 @@ has size 0, for ``_defect`` and for verify's pointwise ``_relative``.
 polar chain rule.  R, R', R'', Phi, Phi' and Phi'' keep their values, keyed
 by the factor's terms and the argument's shape and bytes, in one dict per
 plane function, cleared at ``_KEEP_VALUES`` = 16 (an ``apply_hamiltonian``
-evaluation needs 8).
+evaluation needs 10).
 """
 
 from __future__ import annotations
@@ -277,8 +277,8 @@ class PlaneFunction:
     """A function on the plane with its exact partials and parity labels.
 
     An operator reads the partials it needs (``dunkl_derivative`` dx or dy,
-    ``apply_hamiltonian`` all four) and raises ``DerivativeUnavailable`` for
-    a missing one.  ``parity`` is (s1, s2) with s1 the eigenvalue under
+    and dxx or dyy when its own partial is evaluated; ``apply_hamiltonian``
+    all four) and raises ``DerivativeUnavailable`` for a missing one.  ``parity`` is (s1, s2) with s1 the eigenvalue under
     x -> -x and s2 under y -> -y, when the function is a parity eigenstate;
     it licenses evaluation of reflection-difference quotients on the
     coordinate axes.

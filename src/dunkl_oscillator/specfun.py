@@ -44,9 +44,12 @@ _MAX_RADIAL_POINTS = 1_000_000
 _MAX_ANGULAR_POINTS = 4096
 
 
-def _as_array(x):
-    arr = np.asarray(x)
-    return arr, arr.ndim == 0
+def _finite(x) -> np.ndarray:
+    """x as a float array, once none of its values is NaN or infinite."""
+    arr = np.asarray(x, dtype=float)
+    if not np.isfinite(arr).all():
+        raise DomainError(f"x must be finite, got {arr[~np.isfinite(arr)][0]}")
+    return arr
 
 
 def _touches_origin(r: np.ndarray) -> bool:
@@ -66,8 +69,9 @@ def _check_laguerre(n: int, alpha: float) -> None:
 def laguerre(n: int, alpha: float, x):
     """Generalized Laguerre polynomial L_n^alpha(x), scalar or elementwise."""
     _check_laguerre(n, alpha)
-    arr, scalar = _as_array(x)
-    p_prev = np.ones_like(arr, dtype=np.result_type(arr, 1.0))
+    arr = _finite(x)
+    scalar = arr.ndim == 0
+    p_prev = np.ones_like(arr)
     if n == 0:
         return p_prev.item() if scalar else p_prev
     p = 1.0 + alpha - arr
@@ -79,7 +83,7 @@ def laguerre(n: int, alpha: float, x):
 def laguerre_all(nmax: int, alpha: float, x) -> np.ndarray:
     """All of L_0^alpha .. L_nmax^alpha at x in one recurrence sweep, shape (nmax+1, ...)."""
     _check_laguerre(nmax, alpha)
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    arr = np.atleast_1d(_finite(x))
     out = np.empty((nmax + 1,) + arr.shape)
     out[0] = 1.0
     if nmax >= 1:
@@ -94,8 +98,9 @@ def jacobi(n: int, alpha: float, beta: float, x):
     _check_integer(n, "polynomial degree")
     if not (-1.0 < alpha < math.inf and -1.0 < beta < math.inf):
         raise DomainError(f"Jacobi parameters must be finite and exceed -1, got alpha={alpha}, beta={beta}")
-    arr, scalar = _as_array(x)
-    p_prev = np.ones_like(arr, dtype=np.result_type(arr, 1.0))
+    arr = _finite(x)
+    scalar = arr.ndim == 0
+    p_prev = np.ones_like(arr)
     if n == 0:
         return p_prev.item() if scalar else p_prev
     p = 0.5 * ((alpha + beta + 2.0) * arr + (alpha - beta))

@@ -33,7 +33,7 @@ Two checks compute shared pieces once, for one case only:
 ``su11._bracket_residuals`` call (90 radial images per run), and
 ``hamiltonian_cartesian_residual`` evaluates each polar factor of a state
 once per argument, kept in the value dict of its ``profiles._polar_plane``
-(39 term-sum evaluations per run).
+(49 term-sum evaluations per run).
 """
 
 from __future__ import annotations
@@ -263,7 +263,7 @@ _CARTESIAN_STATES = ((1, 1, 0, 0), (1, 1, 2, 1), (-1, -1, 2, 0), (1, -1, 1, 1), 
 def _check_cartesian_hamiltonian(ctx: VerifyContext) -> Iterator:
     pts = np.array([0.31, 0.77, 1.43, 2.1])
     xs, ys = np.meshgrid(pts, pts * 0.83 + 0.11)
-    # The last two points lie on x = 0 and y = 0, where the parity limits of D_x^2 and D_y^2 apply.
+    # The last two points lie on x = 0 and y = 0, where the parity limits of D_x and D_y apply.
     xs = np.concatenate([xs.ravel(), -xs.ravel(), [0.0, 0.9]])
     ys = np.concatenate([ys.ravel(), ys.ravel(), [0.9, 0.0]])
     for s1, s2, two_m, nr in _CARTESIAN_STATES:

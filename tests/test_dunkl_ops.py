@@ -16,7 +16,7 @@ from dunkl_oscillator.dunkl_ops import (
     dunkl_derivative,
     reflect,
 )
-from dunkl_oscillator.errors import DomainError, SingularityError
+from dunkl_oscillator.errors import DerivativeUnavailable, DomainError, SingularityError
 from dunkl_oscillator.profiles import (
     DeformationParams,
     GaussLaguerreSum,
@@ -199,6 +199,72 @@ def test_hamiltonian_value_at_a_point_does_not_depend_on_the_other_points(s1, s2
         alone = H(xs, ys)
         together = H(np.append(xs, [0.0, 0.9]), np.append(ys, [0.9, 0.0]))
         assert np.array_equal(together[:-2], alone)
+
+
+def _expanded_second(f, axis, coupling):
+    """D_axis^2 f written out as f_tt + 2 mu f_t/t - mu (f - Rf)/t^2, with its limits on the axis.
+
+    On the axis an even f gives (1 + 2 mu) f_tt, since 2 f_t/t tends to 2 f_tt
+    and the difference term vanishes; for an odd f the singular pieces cancel
+    and D_t^2 f tends to f_tt.  It calls no ``dunkl_derivative``.
+    """
+    d1, d2 = (f.dx, f.dxx) if axis == "x" else (f.dy, f.dyy)
+    refl = reflect(f, axis)
+    s = f.parity[0 if axis == "x" else 1]
+
+    def out(x, y):
+        second = d2(x, y)
+        if coupling == 0.0:
+            return second
+        t = x if axis == "x" else y
+        on_axis = t == 0.0
+        tsafe = np.where(on_axis, 1.0, t)
+        expanded = 2.0 * coupling * d1(x, y) / tsafe - coupling * (f(x, y) - refl(x, y)) / (tsafe * tsafe)
+        limit = 2.0 * coupling * second if s == 1 else np.zeros_like(second)
+        return second + np.where(on_axis, limit, expanded)
+
+    return out
+
+
+@pytest.mark.parametrize("pair", [(0.3, 0.8), (0.0, 1.3), (2.2, 0.0), (-0.45, 2.9)])
+def test_hamiltonian_matches_the_written_out_second_derivatives(pair):
+    # Off the axes, on x = 0 and on y = 0, in each parity sector, with a zero coupling on one axis.
+    mu = DeformationParams(*pair)
+    xs = np.array([0.4, -1.3, 2.2, 0.0, 0.0, 0.9, -1.7])
+    ys = np.array([1.1, 0.6, -0.8, 0.9, -1.4, 0.0, 0.0])
+    for s1, s2, m, nr in ((1, 1, 0, 1), (1, 1, 2, 0), (-1, -1, 1, 2), (1, -1, Fraction(1, 2), 1), (-1, 1, Fraction(3, 2), 0)):
+        R = radial_sturmian(RadialQuantum.from_m(nr, Fraction(m), mu), mu)
+        Phi = angular_wavefunction(AngularQuantum.build(s1, s2, Fraction(m), mu), mu)
+        f = _polar_plane(R, Phi, (s1, s2))
+        ref = -0.5 * (_expanded_second(f, "x", mu.mu1)(xs, ys) + _expanded_second(f, "y", mu.mu2)(xs, ys))
+        ref += 0.5 * (xs * xs + ys * ys) * f(xs, ys)
+        got = apply_hamiltonian(f, mu)(xs, ys)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_dunkl_derivative_attaches_its_partial_along_its_axis():
+    # f = x y^2 e^(-r^2/2) is odd in x: D_x f = (1 - x^2 + 2 mu1) y^2 e^(-r^2/2), whose x-partial
+    # x (x^2 - 3 - 2 mu1) y^2 e^(-r^2/2) equals f_xx = x (x^2 - 3) y^2 e^(-r^2/2) at x = 0.
+    def e(x, y):
+        return np.exp(-0.5 * (x * x + y * y))
+
+    f = PlaneFunction(
+        fn=lambda x, y: x * y**2 * e(x, y),
+        dx=lambda x, y: (1.0 - x * x) * y**2 * e(x, y),
+        dxx=lambda x, y: x * (x * x - 3.0) * y**2 * e(x, y),
+        parity=(-1, 1),
+    )
+    d = dunkl_derivative(f, "x", MU)
+    assert d.dy is None and d.dxx is None
+    xs, ys = np.append(_X, 0.0), np.append(_Y, 0.7)
+    expected = xs * (xs * xs - 3.0 - 2.0 * MU.mu1) * ys**2 * e(xs, ys)
+    np.testing.assert_allclose(d.dx(xs, ys), expected, rtol=1e-13, atol=1e-15)
+    assert d.dx(0.0, 0.7) == f.dxx(0.0, 0.7)
+    # f_xx is looked up only when the partial is evaluated.
+    first_only = dunkl_derivative(replace(f, dxx=None), "x", MU)
+    np.testing.assert_allclose(first_only(_X, _Y), (1.0 - _X**2 + 2.0 * MU.mu1) * _Y**2 * e(_X, _Y), rtol=1e-13)
+    with pytest.raises(DerivativeUnavailable, match="order-2 partial along x"):
+        first_only.dx(_X, _Y)
 
 
 def test_radial_hamiltonian_exact_eigenprofile():

@@ -124,6 +124,29 @@ def test_polynomial_domain_errors():
         jacobi(-2, 0.0, 0.0, 0.5)
 
 
+_POLYNOMIALS_AT = {
+    "laguerre": lambda x: laguerre(3, 0.5, x),
+    "jacobi": lambda x: jacobi(4, 0.5, 0.5, x),
+    "laguerre_all": lambda x: laguerre_all(3, 0.5, x),
+}
+
+
+@pytest.mark.parametrize("name", list(_POLYNOMIALS_AT))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+def test_polynomials_refuse_a_non_finite_x_without_a_warning(name, bad):
+    # A NaN x gave NaN silently, and an infinite x gave NaN with a RuntimeWarning.
+    at = _POLYNOMIALS_AT[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (bad, [bad], np.array([0.2, bad, math.nan, 0.7])):
+            with pytest.raises(DomainError, match=f"^x must be finite, got {bad}$"):
+                at(x)
+        # The first bad value is the one named, and a finite x keeps its values.
+        with pytest.raises(DomainError, match="got nan$"):
+            at(np.array([[0.2, 0.1], [math.nan, bad]]))
+        assert np.all(np.isfinite(at(np.array([0.0, 0.3, -0.9, 1.0]))))
+
+
 # --- log-gamma ---------------------------------------------------------------
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dunkl_oscillator
-from dunkl_oscillator import coherent, profiles, su11, verify
+from dunkl_oscillator import coherent, dunkl_ops, profiles, su11, verify
 from dunkl_oscillator.basis import RadialQuantum, _sector_labels, angular_wavefunction, k_of, radial_sturmian
 from dunkl_oscillator.dunkl_ops import apply_angular_operator
 from dunkl_oscillator.errors import DomainError
@@ -319,15 +319,27 @@ def test_commutator_closure_builds_each_bracket_image_once(monkeypatch):
 
 def test_cartesian_check_evaluates_each_polar_factor_once(monkeypatch):
     # Five states, each evaluating R, R', R'' once on the shared r and Phi,
-    # Phi', Phi'' on (x, y) plus Phi on the two reflections: 8, and 7 for the
-    # flat m = 0 state, whose Phi' and Phi'' are the same zero sum.
-    evaluated = []
+    # Phi', Phi'' on (x, y) plus Phi and Phi' on the two reflections, which
+    # D_t(D_t f) reads: 10, and 9 for the flat m = 0 state, whose Phi' and
+    # Phi'' are the same zero sum.  A state's values all fit in its plane
+    # function's value dict, so none is evaluated twice.
+    per_state = []
+
+    def counted(real):
+        def evaluate(self, t):
+            per_state[-1] += 1
+            return real(self, t)
+
+        return evaluate
+
     for cls in (profiles.GaussLaguerreSum, profiles.TrigJacobiSum):
-        real = cls._evaluate
-        monkeypatch.setattr(cls, "_evaluate", lambda self, t, real=real: evaluated.append(self) or real(self, t))
+        monkeypatch.setattr(cls, "_evaluate", counted(cls._evaluate))
+    real_h = verify.apply_hamiltonian
+    monkeypatch.setattr(verify, "apply_hamiltonian", lambda f, mu: per_state.append(0) or real_h(f, mu))
     (result,) = run_checks(_only(monkeypatch, "hamiltonian_cartesian_residual"), mu=(0.37, 1.9))
     assert result.passed
-    assert len(evaluated) == 39
+    assert per_state == [9, 10, 10, 10, 10] and sum(per_state) == 49
+    assert max(per_state) <= profiles._KEEP_VALUES
 
 
 # --- the scaled residuals of the pointwise eigen checks -------------------------
@@ -359,6 +371,21 @@ def test_angular_eigen_residual_sees_a_1e_6_fault_in_the_mu1_coupling(monkeypatc
     monkeypatch.setattr(verify, "apply_angular_operator", scaled)
     faulty = {r.name: r for r in run_checks("angular", mu=mu)}["angular_eigen_residual"]
     assert clean.passed and not faulty.passed and faulty.error is None
+
+
+@pytest.mark.parametrize("mu", [(0.5, 0.5), (-0.3, 1.2), (1.7, 0.2)])
+def test_cartesian_residual_sees_a_1e_6_fault_in_the_dunkl_coupling(mu, monkeypatch):
+    suite = _only(monkeypatch, "hamiltonian_cartesian_residual")
+    (clean,) = run_checks(suite, mu=mu)
+    real = dunkl_ops.dunkl_derivative
+
+    def scaled(f, axis, mu):
+        # apply_hamiltonian reaches the couplings only through dunkl_derivative.
+        return real(f, axis, DeformationParams(mu.mu1 * (1.0 + 1e-6), mu.mu2 * (1.0 + 1e-6)))
+
+    monkeypatch.setattr(dunkl_ops, "dunkl_derivative", scaled)
+    (faulty,) = run_checks(suite, mu=mu)
+    assert clean.passed and not faulty.passed and faulty.error is None and faulty.residual > 1e-8
 
 
 def test_a_state_that_underflows_everywhere_is_an_error_record():
