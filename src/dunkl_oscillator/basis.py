@@ -6,10 +6,10 @@ a positive half-odd-integer when s1*s2 = -1), and a radial excitation nr.  The
 energy is E = 2(nr + m) + mu1 + mu2 + 1.  m is held as the integer 2m, so the
 level 2(nr + m) is exact; it is a ``Fraction`` only where the public API takes
 it in (the one coercion ``_two_m``) or gives it out (``.m``).  A sector holds
-m = (e1 + e2) / 2 + j, j = 0, 1, ..., with e = (1 - s) / 2: one walk,
-``_sector_walk``, gives every (s1, s2, 2m) as integers, each valid by
-construction.  The level walk ``_levels`` keeps them as they are, and labels
-are built from them unchecked only where a caller needs one: once per
+m = (e1 + e2) / 2 + j, j = 0, 1, ..., with e = (1 - s) / 2 (the rule ``_holds``).
+One walk, ``_sector_walk``, gives for 2m = 0, 1, ... the (s1, s2) of every
+sector that holds it, as integers; ``spectrum`` formats them as they are, and
+labels are built from them unchecked only where a caller needs one: once per
 (sector, m) in ``enumerate_states``, and in verify through ``_sector_labels``.
 
 Angular eigenfunctions are trigonometric-weighted Jacobi polynomials,
@@ -32,7 +32,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import DomainError, RepresentationError
 
@@ -119,7 +119,7 @@ def _two_m(m) -> int:
     """2m of an m coerced to an exact integer or half-odd-integer from 0 to _MAX_QUANTUM."""
     try:
         frac = Fraction(m)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:  # "1/0" and inf among them
         raise DomainError(f"cannot interpret m = {m!r} as a rational number") from exc
     if frac < 0:
         raise DomainError(f"m must be non-negative, got {frac}")
@@ -135,6 +135,12 @@ def sector_start(s1: int, s2: int) -> Fraction:
     if (s1, s2) not in _SECTOR_STARTS:
         raise DomainError(f"parities must be +1 or -1, got ({s1}, {s2})")
     return Fraction(_SECTOR_STARTS[(s1, s2)], 2)
+
+
+def _holds(s1: int, s2: int, two_m: int) -> bool:
+    """Whether the (s1, s2) sector, of valid parities, holds 2m: 2m >= e1 + e2, its lowest, and 2m - e1 - e2 is even."""
+    low = _SECTOR_STARTS[(s1, s2)]
+    return two_m >= low and (two_m - low) % 2 == 0
 
 
 def _l2(two_m: int, mu: DeformationParams) -> float:
@@ -155,9 +161,8 @@ class AngularQuantum:
 
     @classmethod
     def build(cls, s1: int, s2: int, m, mu: DeformationParams) -> "AngularQuantum":
-        start = sector_start(s1, s2)  # refuses a parity other than +1 or -1
-        low, two_m = _SECTOR_STARTS[(s1, s2)], _two_m(m)
-        if two_m < low or (two_m - low) % 2:  # the walk's rule: 2m from the lowest, in steps of 2
+        start, two_m = sector_start(s1, s2), _two_m(m)  # sector_start refuses a parity other than +1 or -1
+        if not _holds(s1, s2, two_m):
             raise RepresentationError(
                 f"m = {Fraction(two_m, 2)} is not in the ({s1:+d}, {s2:+d}) sector, "
                 f"whose m are {start}, {start + 1}, {start + 2}, ..."
@@ -358,77 +363,40 @@ def _top_level(emax: float, mu: DeformationParams) -> int:
     return top
 
 
-def _sector_walk(top: int) -> Iterator[tuple[int, int, int]]:
-    """(s1, s2, 2m) of every sector and m with 2m <= top: sectors in ascending (s1, s2) order, then 2m ascending.
+def _sector_walk(top: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """(2m, sectors) for 2m = 0 .. top, with the (s1, s2) of every sector that holds 2m in ascending order.
 
-    Each 2m starts at its sector's lowest and steps by 2, so every (sector, m)
-    is valid by construction.
+    No sector starts past 2m = 2, so the four shared lists of 2m = 0 .. 3 serve every 2m by its parity.
     """
-    for (s1, s2), start in _SECTOR_STARTS.items():
-        for two_m in range(start, top + 1, 2):
-            yield s1, s2, two_m
+    held = [[pair for pair in _SECTOR_STARTS if _holds(*pair, two_m)] for two_m in range(4)]
+    for two_m in range(top + 1):
+        yield two_m, held[min(two_m, 2 + two_m % 2)]
 
 
 def _sector_labels(top: int, mu: DeformationParams) -> Iterator[tuple[int, AngularQuantum]]:
-    """(2m, label) of every (sector, m) of ``_sector_walk(top)``, in its order, each built unchecked."""
-    return ((two_m, AngularQuantum._of(s1, s2, two_m, mu)) for s1, s2, two_m in _sector_walk(top))
-
-
-class _Levels(NamedTuple):
-    """The states with energy <= emax, level by level, with no state or label built.
-
-    The level 2 (nr + m) = L, for L = 0 .. top, has the energy ``energies[L]``
-    and holds, for 2m = L mod 2, L mod 2 + 2, ..., L and nr = (L - 2m) / 2,
-    one state per (s1, s2) in ``sectors[2m]``: the parities of every sector
-    with that m, in (s1, s2) order, which share the one k ``ks[2m]`` from the
-    formula of ``k_of``.  Walked in that order, levels ascending, the states
-    come sorted by (energy, m, nr, s1, s2), and the level L holds the first
-    L + 1 (sector, m) of L's parity of 2m, with nr counting down to 0.
-    """
-
-    energies: list[float]
-    ks: list[float]
-    sectors: list[list[tuple[int, int]]]
-
-    @property
-    def count(self) -> int:
-        """Number of states, from the closed form (top + 1)(top + 2)/2."""
-        return _states_through(len(self.energies) - 1)
-
-
-def _levels(emax: float, mu: DeformationParams) -> _Levels:
-    """The levels of every state with energy <= emax, and the sectors and k of every m they hold.
-
-    Raises DomainError, before anything is walked, when the states would
-    number more than MAX_STATES.
-    """
-    top = _top_level(emax, mu)
-    sectors: list[list[tuple[int, int]]] = [[] for _ in range(top + 1)]
-    for s1, s2, two_m in _sector_walk(top):
-        sectors[two_m].append((s1, s2))
-    return _Levels(
-        energies=[_level_energy(level, mu) for level in range(top + 1)],
-        ks=[_k(two_m, mu) for two_m in range(top + 1)],
-        sectors=sectors,
-    )
+    """(2m, label) of every (sector, m) of ``_sector_walk(top)``, in its (2m, s1, s2) order, each built unchecked."""
+    return ((two_m, AngularQuantum._of(s1, s2, two_m, mu)) for two_m, pairs in _sector_walk(top) for s1, s2 in pairs)
 
 
 def enumerate_states(emax: float, mu: DeformationParams) -> list[StateLabel]:
     """All states with energy <= emax, sorted by (energy, m, nr, s1, s2).
 
-    The energy depends on the level 2 (nr + m) alone, so the states come out
-    of ``_levels`` level by level, in ascending 2m and then (s1, s2) within a
-    level; no sort is needed.  One AngularQuantum, built unchecked by
-    ``AngularQuantum._of``, and one k serve every nr of a (sector, m), and one
-    RadialQuantum serves both sectors that share an (m, nr).  Raises
-    DomainError when the count exceeds MAX_STATES.
+    The energy depends on the level 2 (nr + m) = L alone, and L holds one
+    state per sector that holds 2m, in (s1, s2) order, for 2m = L mod 2, ...,
+    L and nr = (L - 2m) / 2: walked level by level, they need no sort.  One
+    AngularQuantum, built unchecked by ``AngularQuantum._of``, and one k serve
+    every nr of a (sector, m), and one RadialQuantum serves both sectors that
+    share an (m, nr).  Raises DomainError, before any state is built, when
+    the count exceeds MAX_STATES.
     """
-    walk = _levels(emax, mu)
-    labels = [[AngularQuantum._of(s1, s2, two_m, mu) for s1, s2 in pairs] for two_m, pairs in enumerate(walk.sectors)]
+    top = _top_level(emax, mu)
+    labels = [[AngularQuantum._of(s1, s2, two_m, mu) for s1, s2 in pairs] for two_m, pairs in _sector_walk(top)]
+    ks = [_k(two_m, mu) for two_m in range(top + 1)]
     out: list[StateLabel] = []
-    for level, e in enumerate(walk.energies):
+    for level in range(top + 1):
+        e = _level_energy(level, mu)
         for two_m in range(level % 2, level + 1, 2):
-            radial = RadialQuantum(nr=(level - two_m) // 2, k=walk.ks[two_m])
+            radial = RadialQuantum(nr=(level - two_m) // 2, k=ks[two_m])
             for ang in labels[two_m]:
                 out.append(StateLabel(angular=ang, radial=radial, energy=e))
     return out

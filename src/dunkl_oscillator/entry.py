@@ -27,10 +27,10 @@ serially; no environment variable changes its output.
 ``spectrum`` writes its document one level at a time, so its peak memory is
 about one level's rows, not the document; its ``count`` comes from the closed
 form (N + 1)(N + 2)/2 for the top level N.  It builds no label: it formats
-each (sector, m) once, from the integer walk, into per-parity field lists,
-and joins each level from slices of them.  Every command checks and formats
-all it could refuse before it opens ``--out``, so a refused command writes
-nothing.
+each (sector, m) once, from ``basis``' integer walk in (2m, s1, s2) order,
+into per-parity field lists, and joins each level from slices of them.
+Every command checks and formats all it could refuse before it opens
+``--out``, so a refused command writes nothing.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ import sys
 from fractions import Fraction
 from typing import Iterator, TextIO
 
-from .basis import SUITES, DeformationParams, _l2, _levels
+from . import basis
+from .basis import SUITES, DeformationParams
 from .errors import DomainError
 
 __all__ = ["main"]
@@ -198,38 +199,38 @@ def _cmd_spectrum(args: argparse.Namespace, mu: DeformationParams) -> int:
     """Write the spectrum one level at a time, each level as slices of per-parity field lists.
 
     A row is lead + head + nr + tail + trail.  A level gives the lead and
-    trail, from its energy, and a (sector, m) the head and tail, from its s1,
-    s2, m = 2m / 2, k and l2; no label is built.  The heads and tails go into
-    one list per parity of 2m, in walk order, so the level L, which holds the
-    first L + 1 (sector, m) of its parity with nr counting down to 0, is
+    trail, from its energy, and a (sector, m) of ``basis._sector_walk`` the
+    head and tail, from its s1, s2, m = 2m / 2 and the one k and l2 of its
+    2m; no label is built.  The heads and tails go into one list per parity
+    of 2m, in walk order, so the level L, which holds the first L + 1
+    (sector, m) of its parity with nr counting down to 0, is
     ``heads[L % 2][:L + 1]`` and ``tails[L % 2][:L + 1]`` with ``nrs[L::-1]``
-    of the strings "0", "0", "1", "1", ...: a few list operations per level,
-    joined once.  Everything is formatted, and a non-finite value refused,
-    before the output is opened; the count comes from the closed form.
+    of "0", "0", "1", "1", ...: a few list operations per level, joined once.
+    All is formatted, and a non-finite value refused, before the output is
+    opened; the count comes from the closed form.
     """
-    levels = _levels(args.emax, mu)
-    header = {"command": "spectrum", "mu1": mu.mu1, "mu2": mu.mu2, "emax": args.emax, "count": levels.count}
+    top = basis._top_level(args.emax, mu)
+    header = {"command": "spectrum", "mu1": mu.mu1, "mu2": mu.mu2, "emax": args.emax, "count": basis._states_through(top)}
     if args.format == "json":
         # Objects as json.dumps(..., indent=2, sort_keys=True) lays them out at
         # depth 2; "states" sorts last, so its array replaces the closing brace.
         sector_fields, level_fields, sep = _json_sector_fields, _json_level_fields, ",\n"
         opening = _json_document(header)[: -len("\n}\n")] + ',\n  "states": ['
-        closing = ("\n  ]" if levels.count else "]") + "\n}\n"
+        closing = ("\n  ]" if top >= 0 else "]") + "\n}\n"
     else:
         sector_fields, level_fields, sep = _csv_sector_fields, _csv_level_fields, "\n"
         opening = _csv_head(header, ["s1", "s2", "m", "nr", "k", "l2", "energy"])
         closing = "\n"
     heads: tuple[list[str], list[str]] = ([], [])  # one list per parity of 2m
     tails: tuple[list[str], list[str]] = ([], [])
-    for two_m, (k, sectors) in enumerate(zip(levels.ks, levels.sectors)):
-        m = 0.5 * two_m
-        l2 = _l2(two_m, mu)
+    for two_m, sectors in basis._sector_walk(top):
+        m, k, l2 = 0.5 * two_m, basis._k(two_m, mu), basis._l2(two_m, mu)
         for s1, s2 in sectors:
             head, tail = sector_fields(s1, s2, m, k, l2)
             heads[two_m % 2].append(head)
             tails[two_m % 2].append(tail)
-    nrs = [str(i // 2) for i in range(len(levels.energies))]
-    by_level = [level_fields(e) for e in levels.energies]
+    nrs = [str(i // 2) for i in range(top + 1)]
+    by_level = [level_fields(basis._level_energy(level, mu)) for level in range(top + 1)]
     with _output(args.out) as stream:
         stream.write(opening)
         before = "\n"

@@ -52,11 +52,16 @@ def _finite(x) -> np.ndarray:
     return arr
 
 
+_MAX_RADIUS = math.sqrt(np.finfo(float).max)  # about 1.34e154, the largest r whose r^2 is finite
+
+
 def _touches_origin(r: np.ndarray) -> bool:
-    """Whether r = 0 is among the radii r, once none is negative or non-finite (NaN included)."""
+    """Whether r = 0 is among the radii r, once none is negative, non-finite (NaN included) or past _MAX_RADIUS."""
     lo, hi = r.min(initial=math.inf), r.max(initial=0.0)
     if not (lo >= 0.0 and hi < math.inf):
         raise DomainError(f"r must be non-negative and finite, got {r[~((r >= 0.0) & (r < math.inf))][0]}")
+    if hi > _MAX_RADIUS:
+        raise DomainError(f"r must not exceed {_MAX_RADIUS}, past which r^2 overflows, got {r[r > _MAX_RADIUS][0]}")
     return lo == 0.0
 
 

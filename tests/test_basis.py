@@ -1,6 +1,7 @@
 """Eigenbasis labels, normalization constants, energies, and enumeration."""
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -25,8 +26,10 @@ from dunkl_oscillator.basis import (
     sector_start,
     substitute_u,
 )
+from dunkl_oscillator.coherent import CoherentParams, EvolutionParams, coherent_evolved
 from dunkl_oscillator.errors import DomainError, RepresentationError
 from dunkl_oscillator.specfun import DeformationParams, radial_inner_product
+from dunkl_oscillator.su11 import bargmann_index
 from dunkl_oscillator.verify import _angular_grid
 
 
@@ -50,6 +53,26 @@ def test_two_m_rejects_bad_values():
         basis._two_m(0.3)
     with pytest.raises(DomainError):
         basis._two_m("nonsense")
+
+
+@pytest.mark.parametrize("m", ["1/0", math.inf, -math.inf], ids=["zero-denominator", "inf", "-inf"])
+def test_every_m_entry_refuses_an_m_with_no_rational_value(m):
+    # Fraction raises ZeroDivisionError for "1/0" and OverflowError for an
+    # infinite float; the one coercion turns both into its DomainError.
+    mu = DeformationParams(0.25, 0.75)
+    p = CoherentParams(xi=0.3, k=k_of(0, mu))
+    entries = (
+        basis._two_m,
+        lambda m: k_of(m, mu),
+        lambda m: energy(0, m, mu),
+        lambda m: AngularQuantum.build(1, 1, m, mu),
+        lambda m: RadialQuantum.from_m(0, m, mu),
+        lambda m: bargmann_index(m, mu),
+        lambda m: coherent_evolved(1.0, p, EvolutionParams(tau=0.4), m, mu),
+    )
+    for fn in entries:
+        with pytest.raises(DomainError, match=f"^cannot interpret m = {re.escape(repr(m))} as a rational number$"):
+            fn(m)
 
 
 def test_sector_rules():
@@ -542,13 +565,17 @@ def test_state_cap_refuses_before_building():
 def test_sector_labels_walk_each_sector_and_m_once_in_order(mu_pair):
     mu = DeformationParams(*mu_pair)
     for top in range(-1, 13):
-        # A sector (s1, s2) holds 2m = e1 + e2 + 2j, j = 0, 1, ..., with e = (1 - s)/2.
-        expected = [
-            (s1, s2, two_m)
-            for s1 in (-1, 1)
-            for s2 in (-1, 1)
-            for two_m in range((1 - s1) // 2 + (1 - s2) // 2, top + 1, 2)
-        ]
+        # A sector (s1, s2) holds 2m = e1 + e2 + 2j, j = 0, 1, ..., with e = (1 - s)/2;
+        # the walk gives them by 2m, then (s1, s2).
+        expected = sorted(
+            (
+                (s1, s2, two_m)
+                for s1 in (-1, 1)
+                for s2 in (-1, 1)
+                for two_m in range((1 - s1) // 2 + (1 - s2) // 2, top + 1, 2)
+            ),
+            key=lambda label: (label[2], label[0], label[1]),
+        )
         walked = list(basis._sector_labels(top, mu))
         assert [(q.s1, q.s2, two_m) for two_m, q in walked] == expected
         for two_m, q in walked:
@@ -557,33 +584,32 @@ def test_sector_labels_walk_each_sector_and_m_once_in_order(mu_pair):
 
 @pytest.mark.parametrize("mu_pair", [(0.0, 0.0), (-0.49999, 3.0), (2.365, 0.814)])
 def test_level_walk_labels_equal_the_validating_builders(mu_pair):
-    # The walk keeps the (s1, s2) of each m's sectors and its k, from the
-    # integer 2m without checking them: the sectors must be those that hold m,
-    # found by build's own refusals, the labels AngularQuantum._of builds from
-    # them must equal build's, and k must equal k_of's for that m.
+    # The walk gives, for each 2m, the (s1, s2) of the sectors that hold it,
+    # without checking them: they must be those that build accepts, and the
+    # labels and k that enumerate_states builds from them unchecked must equal
+    # build's labels and k_of's k.
     mu = DeformationParams(*mu_pair)
-    expected = {}
+    labels, ks = {}, {}  # build's label of each (2m, s1, s2) it accepts, and k_of's k of each 2m
     for two_m in range(301):
         m = Fraction(two_m, 2)
-        labels = []
         for s1, s2 in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
             try:
-                labels.append(AngularQuantum.build(s1, s2, m, mu))
+                labels[two_m, s1, s2] = AngularQuantum.build(s1, s2, m, mu)
             except RepresentationError:
                 pass
-        expected[two_m] = (labels, k_of(m, mu))
+        ks[two_m] = k_of(m, mu)
     for top in (-1, 0, 1, 2, 3, 12, 299, 300):
-        walk = basis._levels(float(top + 1) + mu.mu1 + mu.mu2, mu)
-        assert len(walk.energies) == len(walk.ks) == len(walk.sectors) == top + 1
-        for two_m, (k, sectors) in enumerate(zip(walk.ks, walk.sectors)):
-            labels, k_expected = expected[two_m]
-            assert sectors == [(q.s1, q.s2) for q in labels]
-            built = [AngularQuantum._of(s1, s2, two_m, mu) for s1, s2 in sectors]
-            assert built == labels
-            assert [hash(q) for q in built] == [hash(q) for q in labels]
-            assert all(type(q.two_m) is int and q.two_m == two_m for q in built)
-            assert all(type(q.m) is Fraction and q.m == Fraction(two_m, 2) for q in built)
-            assert k == k_expected
+        walk = list(basis._sector_walk(top))
+        assert [two_m for two_m, _ in walk] == list(range(top + 1))
+        for two_m, sectors in walk:
+            assert sectors == [(s1, s2) for t, s1, s2 in labels if t == two_m]
+    states = enumerate_states(301.0 + mu.mu1 + mu.mu2, mu)  # the level 2 (nr + m) = 300 is the top
+    assert {(st.angular.two_m, st.s1, st.s2) for st in states} == set(labels)
+    for st in states:
+        label = labels[st.angular.two_m, st.s1, st.s2]
+        assert st.angular == label and hash(st.angular) == hash(label)
+        assert type(st.angular.two_m) is int and type(st.m) is Fraction and st.m == label.m
+        assert st.k == ks[st.angular.two_m]
 
 
 def test_the_walk_builds_no_fraction(monkeypatch):

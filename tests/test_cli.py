@@ -459,6 +459,26 @@ def test_a_tau_whose_phase_overflows_is_refused(capsys, argv, tau):
 
 @pytest.mark.parametrize(
     "argv",
+    [["wavefunction", "--state=+1,+1,0,2"], ["coherent", "--xi", "0.3"]],
+    ids=["wavefunction", "coherent"],
+)
+def test_a_radius_whose_square_overflows_is_refused_before_output(tmp_path, capsys, argv):
+    # The grid 1e150, 5e159, 1e160 squares past float max from its second point.
+    target = tmp_path / "table.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for out_args in ([], ["--out", str(target)]):
+            code, out, err = _run(capsys, argv + ["--grid", "1e150:1e160:3", *out_args])
+            assert code == 2 and out == ""
+            assert err == (
+                "error: r must not exceed 1.3407807929942596e+154, past which r^2 overflows, "
+                "got 5.0000000004999996e+159\n"
+            )
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
     [["wavefunction", "--state=+1,+1,0,0"], ["coherent", "--xi", "0.3"]],
     ids=["wavefunction", "coherent"],
 )

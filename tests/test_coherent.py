@@ -66,6 +66,24 @@ def test_every_coherent_form_refuses_a_negative_or_non_finite_radius(r):
                 form()
 
 
+@pytest.mark.parametrize("r", [1e155, [0.5, 1e160]])
+def test_every_coherent_form_refuses_a_radius_whose_square_overflows(r):
+    # Each form takes r^2 into its exponent and the series into its Laguerre
+    # table; past sqrt(float max) that square would be inf.
+    mu = DeformationParams(0.5, 0.5)
+    p = CoherentParams(xi=0.3 + 0.2j, k=k_of(Fraction(1, 2), mu))
+    forms = (
+        lambda: coherent_closed(r, p, mu),
+        lambda: coherent_series(r, p, mu),
+        lambda: coherent_evolved(r, p, EvolutionParams(tau=0.4), Fraction(1, 2), mu),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way to the error
+        for form in forms:
+            with pytest.raises(DomainError, match=r"^r must not exceed .*, past which r\^2 overflows, got 1e\+1(55|60)$"):
+                form()
+
+
 def test_coherent_overflow_is_a_domain_error():
     # k = 1/2 at mu = (15, 15) puts r^(2k - mu1 - mu2 - 1) = r^(-30) in the
     # envelope: at r = 1e-12 its logarithm passes ln(float max).

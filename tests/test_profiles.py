@@ -153,6 +153,21 @@ def test_radial_sums_refuse_a_negative_or_non_finite_radius(r):
                 profile(r)
 
 
+@pytest.mark.parametrize("r", [1e155, [1.0, 1e160], math.nextafter(math.sqrt(sys.float_info.max), math.inf)])
+def test_radial_sums_refuse_a_radius_whose_square_overflows(r):
+    # r^2 is the Laguerre argument and the Gaussian's exponent: past
+    # sqrt(float max) it would be inf, refused as x rather than r.
+    mu = DeformationParams(0.3, 1.2)
+    sturmian = radial_sturmian(RadialQuantum.from_m(2, Fraction(1, 2), mu), mu)
+    gaussian = GaussLaguerreSum.single(1.0, 0.0, 0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way to the error
+        for profile in (sturmian, gaussian):
+            with pytest.raises(DomainError, match=r"^r must not exceed 1\.3407807929942596e\+154, past which r\^2 overflows, got "):
+                profile(r)
+        assert gaussian(math.sqrt(sys.float_info.max)) == 0.0
+
+
 @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan, [0.4, math.nan, 1.0]])
 def test_angular_sums_refuse_a_non_finite_angle(phi):
     mu = DeformationParams(0.3, 1.2)
