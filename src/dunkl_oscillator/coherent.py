@@ -16,7 +16,9 @@ sums to the closed form
 Each form adds the logarithms of its factors, including the principal logarithm
 of 1 - xi, before one exponential: no factor under- or overflows alone, and no
 square-root branch is chosen after the fact, which keeps the closed form equal
-to the series on the whole disk.
+to the series on the whole disk.  Where the real part of that exponent is below
+ln of the smallest subnormal, the exponential is exactly 0, with no numpy
+warning, also where c r^2 overflowed near r = sqrt(float max).
 
 Harmonic time evolution acts by rotating the disk label, xi -> xi e^(-2 i tau /
 hbar), times the global phase e^(-2 i k tau / hbar), so |Psi|^2 is periodic in
@@ -53,6 +55,7 @@ __all__ = [
 ]
 
 _LN_MAX = math.log(np.finfo(float).max)  # the envelope's exp overflows past this exponent
+_LN_TINY = math.log(np.finfo(float).smallest_subnormal)  # and is 0 below this one
 
 
 @dataclass(frozen=True)
@@ -124,15 +127,20 @@ def _ln_norm(p: CoherentParams) -> float:
 
 
 def _envelope(r: np.ndarray, ln_pref: complex, power: float, c: complex) -> np.ndarray:
-    """exp(ln_pref + power ln r + c r^2) in one exponential; r^0 is 1 at r = 0 too."""
+    """exp(ln_pref + power ln r + c r^2) in one exponential; r^0 is 1 at r = 0 too, and an underflow exactly 0."""
     if _touches_origin(r) and power < 0:
         raise SingularityError("evaluation at r = 0 hits a negative power of r")
-    with np.errstate(divide="ignore"):  # ln 0 = -inf: a positive power gives exp(-inf) = 0
+    # ln 0 = -inf: a positive power gives exp(-inf) = 0.  c r^2 overflows only
+    # where its real part puts |Psi| below the smallest subnormal.
+    with np.errstate(divide="ignore", over="ignore"):
         ln_r = 0.0 if power == 0.0 else np.log(r)
-    exponent = ln_pref + power * ln_r + c * (r * r)
+        exponent = ln_pref + power * ln_r + c * (r * r)
     over = exponent.real > _LN_MAX
     if over.any():
         raise DomainError(f"the coherent state overflows at r = {r[over][0]} with the power r^{power}")
+    under = exponent.real < _LN_TINY
+    if under.any():
+        return np.exp(exponent, out=np.zeros_like(exponent), where=~under)
     return np.exp(exponent)
 
 
@@ -220,7 +228,7 @@ def coherent_closed(r, p: CoherentParams, mu: DeformationParams):
 
 
 def normal_form(amplitude: complex) -> DisplacementNormalForm:
-    """Disk coordinate and weight factor of the displacement with any finite amplitude.
+    """Disk coordinate and weight factor of the displacement; ``DomainError`` if eta overflows.
 
     zeta = amplitude tanh|amplitude| / |amplitude|, eta = ln(1 - |zeta|^2) = -2 ln cosh|amplitude|.
     """
@@ -234,6 +242,8 @@ def normal_form(amplitude: complex) -> DisplacementNormalForm:
         eta = math.log1p(-abs(zeta) ** 2)
     else:
         eta = -2.0 * (axi - math.log(2.0) + math.log1p(math.exp(-2.0 * axi)))
+        if not math.isfinite(eta):
+            raise DomainError(f"eta = -2 ln cosh|amplitude| overflows at displacement amplitude {amplitude}")
     return DisplacementNormalForm(zeta=zeta, eta=eta)
 
 
@@ -259,16 +269,3 @@ def coherent_evolved(r, p: CoherentParams, t: EvolutionParams, m, mu: Deformatio
     # 2k - mu1 - mu2 - 1 is the label 2m, taken exactly: in floats it can round
     # below zero for m = 0 and make r = 0 a negative power.
     return phase * _closed_values(r, CoherentParams(xi=xi_t, k=p.k), float(two_m))
-
-
-def _series_evolution_crosscheck(p: CoherentParams, t: EvolutionParams, m, mu: DeformationParams) -> float:
-    """Sup-norm gap between the 300-term series, evolved term by term, and the rotated closed form.
-
-    Both are taken on 60 radii from 0.05 to 3.
-    """
-    grid = np.linspace(0.05, 3.0, 60)
-    term_phase = np.exp(-2j * (p.k + np.arange(300)) * t.tau / t.hbar)
-    series = _series_values(grid, p, mu, 300, term_phase=term_phase)
-    closed = coherent_evolved(grid, p, t, m, mu)
-    return float(np.max(np.abs(series - closed)))
-

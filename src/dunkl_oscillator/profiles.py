@@ -21,11 +21,8 @@ by a number, and a ``GaussLaguerreSum`` multiplies by r^s (``times_rpower``).
 
 A sum evaluates term by term on each call and keeps nothing between calls.
 ``GaussLaguerreSum._monomials`` expands a radial sum of Laguerre degree at
-most 30 into sum b * r^q * exp(-r^2/2), and ``_defect`` compares two sums
-coefficient by coefficient on that expansion rather than on a grid: it is
-the one judge of the su(1,1) identities, for ``su11``'s public residuals and
-for ``verify``.  ``_over_scale`` is the one refusal of a residual whose state
-has size 0, for ``_defect`` and for verify's pointwise ``_relative``.
+most 30 into sum b * r^q * exp(-r^2/2), the form on which ``verify``'s
+``_defect`` compares two sums coefficient by coefficient.
 
 ``_polar_plane`` builds R(r) * Phi(phi) and its Cartesian partials by the
 polar chain rule.  R, R', R'', Phi, Phi' and Phi'' keep their values, keyed
@@ -190,33 +187,6 @@ class GaussLaguerreSum(Profile):
                 out.append((p + 2 * j, c * (-1) ** j * binom / math.factorial(j)))
                 binom *= (a + j) / (n - j + 1)
         return out
-
-
-def _over_scale(residual, scale):
-    """residual over scale, the size of the state it checks; a state of size 0 has no scale."""
-    if scale == 0.0:
-        raise DomainError("the state underflows to 0 everywhere, so its residual has no scale")
-    return residual / scale
-
-
-def _defect(lhs: GaussLaguerreSum, rhs: GaussLaguerreSum, ref: GaussLaguerreSum) -> float:
-    """The largest |coefficient| of the ``_monomials`` of lhs - rhs over that of the check's input ref.
-
-    Powers within 1e-9 are one monomial: a fold keys terms by float power, and (p - 1) - 1 need not be p - 2.
-    """
-
-    def largest(pairs: list) -> float:
-        worst, first, total = 0.0, -math.inf, 0.0  # the monomial summed so far starts at power first
-        for q, b in sorted(pairs, key=lambda pair: pair[0]) + [(math.inf, 0.0)]:
-            if q - first > 1e-9:  # a new monomial; a NaN total is kept, as nothing compares above it
-                if abs(total) > worst or total != total:
-                    worst = abs(total)
-                first, total = q, 0.0
-            total += b
-        return worst
-
-    diff = lhs._monomials() + [(q, -b) for q, b in rhs._monomials()]
-    return _over_scale(largest(diff), largest(ref._monomials()))
 
 
 class TrigJacobiSum(Profile):

@@ -22,8 +22,8 @@ and factorizes the eigenequation: at energy E the shifted products
     (J+ + 1/2)(J- + 1/2) U = [(E-1)^2 - l^2 - (mu1+mu2)^2] / 4 * U   ("lower")
 
 are diagonal on eigenprofiles.  ``schrodinger_factorize`` reports the raw
-coefficient set of the quadratic rearrangement at energy E, while
-``factorization_residual`` verifies the diagonal identity itself.
+coefficient set of the quadratic rearrangement at energy E, and
+``factorization_product_eigenvalue`` the diagonal value itself.
 
 H_r, A0 = H_r/2, A+-, the flat-picture B0 (``apply_B0``) and J+- are one
 operator, ``dunkl_ops._radial_operator``: each is a row of coefficients of
@@ -31,15 +31,11 @@ R'', r^2 R, R'/r, R/r^2, r R' and R.  verify's ``half_hamiltonian_identity``
 compares the rows of H_r and A0, and the operator body is checked by
 ``radial_eigen_residual``, ``ladder_diagonal`` and ``radial_flat_picture_eigen``.
 
-The three residual functions, ``commutator_residual``, ``casimir_check`` and
-``factorization_residual``, evaluate on no grid: each returns
-``profiles._defect`` of its two sides, the largest monomial coefficient of
-their difference over the largest of the input profile's, so a profile that
-is tiny on every grid is still held to relative precision.  verify's
-``casimir_scalar`` and ``factorization_identity`` call the public functions;
-``commutator_closure`` reads ``_bracket_residuals``, which gives
-([X, Y] R, c Z R) per pair with each A_w R built once for all the pairs asked
-(9 images of a profile for all three).  Nothing is kept between calls.
+This module builds the operators and judges nothing: verify's
+``commutator_closure``, ``casimir_scalar`` and ``factorization_identity``
+build both sides of the brackets, the Casimir and the factorization from
+``apply_A``, ``apply_J`` and ``factorization_product_eigenvalue``, and
+compare them there.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -47,10 +43,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .basis import DeformationParams, RadialQuantum, _check_k, _k, _two_m
+from .basis import DeformationParams, RadialQuantum, _k, _two_m
 from .dunkl_ops import _radial_operator
 from .errors import DomainError
-from .profiles import GaussLaguerreSum, _check_l2, _defect
+from .profiles import GaussLaguerreSum, _check_l2
 
 __all__ = [
     "ladder_coefficients",
@@ -59,9 +55,6 @@ __all__ = [
     "apply_J",
     "schrodinger_factorize",
     "factorization_product_eigenvalue",
-    "factorization_residual",
-    "casimir_check",
-    "commutator_residual",
     "bargmann_index",
 ]
 
@@ -158,61 +151,6 @@ def factorization_product_eigenvalue(
     sign = _branch_sign(branch)
     _check_l2(l2, mu)
     return 0.25 * ((E + sign) ** 2 - l2 - mu.total * mu.total)
-
-
-def factorization_residual(
-    U: GaussLaguerreSum, E: float, l2: float, mu: DeformationParams, branch: str = "upper"
-) -> float:
-    """Relative coefficient defect (``profiles._defect``) of the shifted-product identity on U.
-
-    The shifted product is (J- - 1/2)(J+ - 1/2) U for "upper" and (J+ + 1/2)(J- + 1/2) U for "lower".
-    """
-    sign = _branch_sign(branch)
-    shift = -0.5 * sign
-    V = apply_J(U, E, int(sign)) + shift * U
-    Z = apply_J(V, E, -int(sign)) + shift * V
-    return _defect(Z, factorization_product_eigenvalue(E, l2, mu, branch) * U, U)
-
-
-def casimir_check(R: GaussLaguerreSum, k: float, mu: DeformationParams, l2: float) -> float:
-    """Defect of the Casimir identity -A+A- R + A0(A0 - 1) R = k(k-1) R.
-
-    Returns the larger of the relative coefficient defect (``profiles._defect``)
-    and the mismatch between k(k-1) and its closed form ((mu1+mu2)^2 + l2 - 1)/4.
-    """
-    _check_k(k)
-    target = k * (k - 1.0)
-    scalar = 0.25 * (mu.total * mu.total + l2 - 1.0)
-    product = apply_A(apply_A(R, "-", mu, l2), "+", mu, l2)
-    diag = apply_A(R, "0", mu, l2)
-    casimir = (-1.0) * product + apply_A(diag, "0", mu, l2) + (-1.0) * diag
-    return max(_defect(casimir, target * R, R), abs(scalar - target))
-
-
-# [X, Y] = c Z for pair "XY", as (X, Y, c, Z).
-_BRACKETS = {"0+": ("0", "+", 1.0, "+"), "0-": ("0", "-", -1.0, "-"), "-+": ("-", "+", 2.0, "0")}
-
-
-def commutator_residual(pair: str, R: GaussLaguerreSum, mu: DeformationParams, l2: float) -> float:
-    """Relative coefficient defect (``profiles._defect``) of a bracket relation ([A0,A+], [A0,A-] or [A-,A+]) on R."""
-    if pair not in _BRACKETS:
-        raise DomainError(f"pair must be '0+', '0-' or '-+', got {pair!r}")
-    return _defect(*_bracket_residuals(R, mu, l2, (pair,))[pair], R)
-
-
-def _bracket_residuals(
-    R: GaussLaguerreSum, mu: DeformationParams, l2: float, pairs=tuple(_BRACKETS)
-) -> dict[str, tuple[GaussLaguerreSum, GaussLaguerreSum]]:
-    """{pair: ([X, Y] R, c Z R)} for each pair, building each A_w R once for all of them."""
-    first: dict[str, GaussLaguerreSum] = {}
-    out = {}
-    for pair in pairs:
-        x, y, c, z = _BRACKETS[pair]
-        for w in (y, x, z):
-            if w not in first:
-                first[w] = apply_A(R, w, mu, l2)
-        out[pair] = (apply_A(first[y], x, mu, l2) + (-1.0) * apply_A(first[x], y, mu, l2), c * first[z])
-    return out
 
 
 def bargmann_index(m, mu: DeformationParams) -> tuple[float, float]:

@@ -18,19 +18,19 @@ max|E f| at its 34 points, so a residual is relative to the state's own size
 Eleven checks compare two radial term sums (the ladder elements, the lowest
 weight, the brackets, the Casimir, the radial and flat-picture eigen-equations,
 the factorization products, the flat/weighted conjugation and A0 = H_r/2) on
-no grid: their residual, ``profiles._defect``, is the largest monomial
-coefficient of the difference over the largest of the check's input, so a
-Sturmian of order 1e-40 on every grid (as at mu = (30, 30)) is held to full
-relative precision.  ``casimir_scalar`` and ``factorization_identity`` call
-the public ``su11.casimir_check`` and ``su11.factorization_residual``, which
-return that defect; the other nine apply ``_defect`` here.  An input whose
-coefficients all underflow to 0 (as at mu = (300, 300)) has no scale, and
-``profiles._over_scale`` refuses it with a ``DomainError`` for ``_defect`` and
-for the pointwise ``_relative`` alike.
+no grid: their residual, ``_defect``, is the largest monomial coefficient
+(``GaussLaguerreSum._monomials``) of the difference over the largest of the
+check's input, so a Sturmian of order 1e-40 on every grid (as at
+mu = (30, 30)) is held to full relative precision.  Each check builds both
+sides here from the operators of ``su11`` and ``dunkl_ops``: this module is
+the package's one judge of an identity.  An input whose coefficients all
+underflow to 0 (as at mu = (300, 300)) has no scale, and ``_over_scale``
+refuses it with a ``DomainError`` for ``_defect`` and for the pointwise
+``_relative`` alike.
 
 Two checks compute shared pieces once, for one case only:
-``commutator_closure`` reads the three brackets of each profile from one
-``su11._bracket_residuals`` call (90 radial images per run), and
+``commutator_closure`` builds A+ R, A0 R and A- R once per profile for its
+three brackets (90 radial images per run), and
 ``hamiltonian_cartesian_residual`` evaluates each polar factor of a state
 once per argument, kept in the value dict of its ``profiles._polar_plane``
 (49 term-sum evaluations per run).
@@ -67,7 +67,7 @@ from .basis import (
 )
 from .dunkl_ops import apply_angular_operator, apply_hamiltonian, apply_radial_hamiltonian
 from .errors import DomainError
-from .profiles import GaussLaguerreSum, _defect, _over_scale, _polar_plane
+from .profiles import GaussLaguerreSum, _polar_plane
 from .specfun import _MAX_RADIAL_POINTS, angular_gram, laguerre_all, radial_gram, radial_inner_product
 
 __all__ = ["CheckResult", "run_checks"]
@@ -113,9 +113,36 @@ def _worst(residuals: Iterable) -> float:
     return float(np.array([np.abs(r).max() for r in residuals]).max())
 
 
+def _over_scale(residual, scale):
+    """residual over scale, the size of the state it checks; a state of size 0 has no scale."""
+    if scale == 0.0:
+        raise DomainError("the state underflows to 0 everywhere, so its residual has no scale")
+    return residual / scale
+
+
 def _relative(diff: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """diff over max|ref|, the size of the state it checks (``profiles._over_scale``)."""
+    """diff over max|ref|, the size of the state it checks."""
     return _over_scale(diff, np.abs(ref).max())
+
+
+def _defect(lhs: GaussLaguerreSum, rhs: GaussLaguerreSum, ref: GaussLaguerreSum) -> float:
+    """The largest |coefficient| of the ``_monomials`` of lhs - rhs over that of the check's input ref.
+
+    Powers within 1e-9 are one monomial: a fold keys terms by float power, and (p - 1) - 1 need not be p - 2.
+    """
+
+    def largest(pairs: list) -> float:
+        worst, first, total = 0.0, -math.inf, 0.0  # the monomial summed so far starts at power first
+        for q, b in sorted(pairs, key=lambda pair: pair[0]) + [(math.inf, 0.0)]:
+            if q - first > 1e-9:  # a new monomial; a NaN total is kept, as nothing compares above it
+                if abs(total) > worst or total != total:
+                    worst = abs(total)
+                first, total = q, 0.0
+            total += b
+        return worst
+
+    diff = lhs._monomials() + [(q, -b) for q, b in rhs._monomials()]
+    return _over_scale(largest(diff), largest(ref._monomials()))
 
 
 def _residual_grid(n: int = 50, lo: float = 0.05, hi: float = 10.0) -> np.ndarray:
@@ -308,17 +335,30 @@ def _random_profiles(seed: int, tag: int, count: int) -> list[GaussLaguerreSum]:
     ]
 
 
+# [X, Y] = c Z as (X, Y, c, Z): [A0, A+] = A+, [A0, A-] = -A-, [A-, A+] = 2 A0.
+_BRACKETS = (("0", "+", 1.0, "+"), ("0", "-", -1.0, "-"), ("-", "+", 2.0, "0"))
+
+
 @_register("commutator_closure", "algebra", 1e-6)
 def _check_commutators(ctx: VerifyContext) -> Iterator:
     for idx, profile in enumerate(_random_profiles(ctx.seed, 101, 10)):
-        for lhs, rhs in su11._bracket_residuals(profile, ctx.mu, float(idx % 3)).values():
-            yield _defect(lhs, rhs, profile)
+        l2 = float(idx % 3)
+        images = {w: su11.apply_A(profile, w, ctx.mu, l2) for w in ("+", "0", "-")}
+        for x, y, c, z in _BRACKETS:
+            lhs = su11.apply_A(images[y], x, ctx.mu, l2) + (-1.0) * su11.apply_A(images[x], y, ctx.mu, l2)
+            yield _defect(lhs, c * images[z], profile)
 
 
 @_register("casimir_scalar", "algebra", 1e-7)
 def _check_casimir(ctx: VerifyContext) -> Iterator:
+    # -A+A- R + A0(A0 - 1) R = k(k-1) R, and k(k-1) = ((mu1+mu2)^2 + l2 - 1)/4.
     for _, l2, q, R in _sturmians(ctx.mu, (0, 2)):
-        yield su11.casimir_check(R, q.k, ctx.mu, l2)
+        target = q.k * (q.k - 1.0)
+        product = su11.apply_A(su11.apply_A(R, "-", ctx.mu, l2), "+", ctx.mu, l2)
+        diag = su11.apply_A(R, "0", ctx.mu, l2)
+        casimir = (-1.0) * product + su11.apply_A(diag, "0", ctx.mu, l2) + (-1.0) * diag
+        yield _defect(casimir, target * R, R)
+        yield 0.25 * (ctx.mu.total * ctx.mu.total + l2 - 1.0) - target
 
 
 @_register("half_hamiltonian_identity", "algebra", 1e-12)
@@ -334,8 +374,12 @@ def _check_half_hamiltonian(ctx: VerifyContext) -> Iterator:
 def _check_factorization(ctx: VerifyContext) -> Iterator:
     for E, l2, _, R in _sturmians(ctx.mu, range(4)):
         U = substitute_u(R, ctx.mu, "r_to_u")
-        for branch in ("upper", "lower"):
-            yield su11.factorization_residual(U, E, l2, ctx.mu, branch)
+        # (J- - 1/2)(J+ - 1/2) U for "upper" and (J+ + 1/2)(J- + 1/2) U for "lower".
+        for branch, sign in (("upper", 1), ("lower", -1)):
+            shift = -0.5 * sign
+            V = su11.apply_J(U, E, sign) + shift * U
+            Z = su11.apply_J(V, E, -sign) + shift * V
+            yield _defect(Z, su11.factorization_product_eigenvalue(E, l2, ctx.mu, branch) * U, U)
 
 
 @_register("factorization_constants", "algebra", 1e-12)
@@ -453,10 +497,14 @@ def _evolution_sector(ctx: VerifyContext) -> tuple[float, float]:
 
 @_register("evolution_crosscheck", "coherent", 1e-9)
 def _check_evolution_crosscheck(ctx: VerifyContext) -> Iterator:
+    # The 300-term series, evolved term by term, against the rotated closed form on 60 radii.
     m, k = _evolution_sector(ctx)
     p = co.CoherentParams(xi=0.5, k=k)
+    grid = np.linspace(0.05, 3.0, 60)
     for tau in (0.7, 2.0):
-        yield co._series_evolution_crosscheck(p, co.EvolutionParams(tau), m, ctx.mu)
+        term_phase = np.exp(-2j * (k + np.arange(300)) * tau)
+        series = co._series_values(grid, p, ctx.mu, 300, term_phase=term_phase)
+        yield series - co.coherent_evolved(grid, p, co.EvolutionParams(tau), m, ctx.mu)
 
 
 @_register("evolution_norm_conservation", "coherent", 1e-9)

@@ -31,7 +31,6 @@ from dunkl_oscillator.coherent import (
     coherent_closed,
     coherent_evolved,
     coherent_series,
-    _series_evolution_crosscheck,
     evolve_parameter,
     normal_form,
 )
@@ -48,13 +47,12 @@ from dunkl_oscillator.profiles import (
 from dunkl_oscillator.specfun import angular_gram, laguerre_all, radial_inner_product
 from dunkl_oscillator.su11 import (
     apply_A,
+    apply_J,
     bargmann_index,
-    casimir_check,
-    commutator_residual,
-    factorization_residual,
+    factorization_product_eigenvalue,
     ladder_coefficients,
 )
-from dunkl_oscillator.verify import _angular_grid, _residual_grid
+from dunkl_oscillator.verify import VerifyContext, _angular_grid, _check_evolution_crosscheck, _defect, _residual_grid
 from reference_rules import NORM_RULE
 
 
@@ -280,12 +278,16 @@ def test_criterion_5_algebra():
     l2 = _l2_of(m, mu)
     k_plus, _ = bargmann_index(m, mu)
     for prof in profiles:
-        for pair in ("0+", "0-", "-+"):
-            worst_comm = max(worst_comm, commutator_residual(pair, prof, mu, l2))
-        lhs = apply_A(prof, "0", mu, l2)(grid)
+        A = {w: apply_A(prof, w, mu, l2) for w in ("0", "+", "-")}
+        # [A0, A+] = A+, [A0, A-] = -A-, [A-, A+] = 2 A0, each judged by verify's coefficient defect.
+        for x, y, c, z in (("0", "+", 1.0, "+"), ("0", "-", -1.0, "-"), ("-", "+", 2.0, "0")):
+            bracket = apply_A(A[y], x, mu, l2) + (-1.0) * apply_A(A[x], y, mu, l2)
+            worst_comm = max(worst_comm, _defect(bracket, c * A[z], prof))
+        lhs = A["0"](grid)
         rhs = 0.5 * apply_radial_hamiltonian(prof, mu, l2)(grid)
         worst_half = max(worst_half, float(np.max(np.abs(lhs - rhs))))
-        worst_casimir = max(worst_casimir, casimir_check(prof, k_plus, mu, l2))
+        casimir = (-1.0) * apply_A(A["-"], "+", mu, l2) + apply_A(A["0"], "0", mu, l2) + (-1.0) * A["0"]
+        worst_casimir = max(worst_casimir, _defect(casimir, k_plus * (k_plus - 1.0) * prof, prof))
 
     worst_fact = 0.0
     for m in (Fraction(0), Fraction(1, 2), Fraction(2)):
@@ -294,10 +296,12 @@ def test_criterion_5_algebra():
             R = radial_sturmian(RadialQuantum.from_m(nr, m, mu), mu)
             U = substitute_u(R, mu, "r_to_u")
             E = energy(nr, m, mu)
-            for branch in ("upper", "lower"):
-                worst_fact = max(
-                    worst_fact, factorization_residual(U, E, l2, mu, branch)
-                )
+            # (J- - 1/2)(J+ - 1/2) U and (J+ + 1/2)(J- + 1/2) U against their eigenvalues times U.
+            for branch, sign in (("upper", 1), ("lower", -1)):
+                V = apply_J(U, E, sign) + (-0.5 * sign) * U
+                Z = apply_J(V, E, -sign) + (-0.5 * sign) * V
+                eigen = factorization_product_eigenvalue(E, l2, mu, branch)
+                worst_fact = max(worst_fact, _defect(Z, eigen * U, U))
     ok = (
         worst_ladder <= 1e-7
         and worst_comm <= 1e-6
@@ -388,12 +392,8 @@ def test_criterion_7_time_evolution():
     p = CoherentParams(xi=0.5, k=k)
     grid = np.linspace(0.05, 3.0, 60)
 
-    worst_cross = 0.0
-    for tau in (0.7, 2.0):
-        worst_cross = max(
-            worst_cross,
-            _series_evolution_crosscheck(p, EvolutionParams(tau=tau), m, mu),
-        )
+    # verify's evolution_crosscheck: this p and grid at tau = 0.7 and 2.
+    worst_cross = max(float(np.max(np.abs(case))) for case in _check_evolution_crosscheck(VerifyContext(mu=mu)))
 
     worst_norm = 0.0
     nodes, weights = NORM_RULE

@@ -478,6 +478,25 @@ def test_a_radius_whose_square_overflows_is_refused_before_output(tmp_path, caps
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        ["--xi", "0.9075696646693256,0.2807441963282726", "--grid", "1e153:1.3e154:3"],
+        ["--xi", "0.3,0.2", "--tau", "0.4", "--grid", "1e153:1.3407807929942596e154:3"],
+    ],
+    ids=["imaginary-overflow", "real-overflow"],
+)
+def test_a_coherent_profile_that_underflows_prints_zeros(capsys, args):
+    # |Psi| underflows at these radii, where c r^2 overflowed: the first
+    # exited 2 on a nan, the second raised the numpy warning as an error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, ["coherent", "--m", "1/2", *args])
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines() if line[:1].isdigit()]
+    assert len(rows) == 3 and all(row[2:] == ["0", "0", "0"] for row in rows)
+
+
+@pytest.mark.parametrize(
     "argv",
     [["wavefunction", "--state=+1,+1,0,0"], ["coherent", "--xi", "0.3"]],
     ids=["wavefunction", "coherent"],

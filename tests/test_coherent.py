@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+import sys
 import warnings
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunkl_oscillator import coherent, specfun
+from dunkl_oscillator import coherent, specfun, verify
 from dunkl_oscillator.basis import RadialQuantum, k_of, log_gamma, radial_sturmian
 from dunkl_oscillator.coherent import (
     CoherentParams,
@@ -82,6 +83,24 @@ def test_every_coherent_form_refuses_a_radius_whose_square_overflows(r):
         for form in forms:
             with pytest.raises(DomainError, match=r"^r must not exceed .*, past which r\^2 overflows, got 1e\+1(55|60)$"):
                 form()
+
+
+def test_a_closed_form_that_underflows_is_exactly_0_with_no_warning():
+    # Near r = sqrt(float max) only the imaginary part of c r^2 overflowed
+    # (nan + nan j), or its real part (a warning); |Psi| is below 5e-324 there.
+    mu = DeformationParams(0.5, 0.5)
+    near = CoherentParams(xi=0.95 * cmath.exp(0.3j), k=1.5)
+    p = CoherentParams(xi=0.3 + 0.2j, k=k_of(Fraction(1, 2), mu))
+    grid = np.array([1.0, 36.0, 40.0, 1e153, 1.3e154])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert coherent_closed(1.3e154, near, mu) == 0.0
+        assert coherent_evolved(math.sqrt(sys.float_info.max), p, EvolutionParams(0.4), Fraction(1, 2), mu) == 0.0
+        values = coherent_closed(grid, near, mu)
+        # 36 keeps a subnormal value, bit for bit the one of a grid where nothing underflows.
+        assert np.array_equal(values[:2], coherent_closed(grid[:2], near, mu))
+        assert 0.0 < abs(values[1]) < 1e-300
+        assert np.array_equal(values[2:], np.zeros(3))
 
 
 def test_coherent_overflow_is_a_domain_error():
@@ -342,12 +361,14 @@ def test_evolution_crosscheck_is_bit_identical_to_its_unshared_form():
         k = float(m) + 0.5 * (mu.total + 1.0)
         p = CoherentParams(xi=0.5, k=k)
         grid = np.linspace(0.05, 3.0, 60)
+        expected = []
         for tau in (0.7, 2.0):
             t = EvolutionParams(tau=tau)
             term_phase = np.exp(-2j * (k + np.arange(300)) * tau)
             series = _reference_series(grid, p, mu, 300, term_phase=term_phase)
-            expected = float(np.max(np.abs(series - coherent_evolved(grid, p, t, m, mu))))
-            assert coherent._series_evolution_crosscheck(p, t, m, mu) == expected
+            expected.append(float(np.max(np.abs(series - coherent_evolved(grid, p, t, m, mu)))))
+        cases = verify._check_evolution_crosscheck(verify.VerifyContext(mu=mu))
+        assert [float(np.max(np.abs(case))) for case in cases] == expected
 
 
 def test_series_tables_are_keyed_by_grid_values():
@@ -492,6 +513,15 @@ def test_normal_form_takes_amplitudes_beyond_the_unit_disk():
             normal_form(bad)
 
 
+@pytest.mark.parametrize("amplitude", [1e308, -1e308j, complex(1e308, 1e307)], ids=["real", "imaginary", "complex"])
+def test_normal_form_refuses_an_amplitude_whose_eta_overflows(amplitude):
+    # eta = -2 (|amplitude| - ln 2 + ...) passes -float max: it came out -inf.
+    message = f"eta = -2 ln cosh|amplitude| overflows at displacement amplitude {complex(amplitude)}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        normal_form(amplitude)
+    assert normal_form(5e307).eta == -1e308
+
+
 # --- time evolution ----------------------------------------------------------
 
 
@@ -515,13 +545,9 @@ def test_evolve_parameter_refuses_a_phase_that_overflows(k, tau, hbar):
 
 
 def test_evolved_state_matches_term_by_term_series():
-    mu = DeformationParams(0.5, 0.5)
-    m = Fraction(1, 2)
-    k = float(m) + 0.5 * (mu.total + 1.0)
-    p = CoherentParams(xi=0.5, k=k)
-    for tau in (0.7, 2.0):
-        res = coherent._series_evolution_crosscheck(p, EvolutionParams(tau=tau), m, mu)
-        assert res <= 1e-9
+    # verify's evolution_crosscheck: xi = 0.5 in the sector m = 1/2 at tau = 0.7 and 2.
+    for case in verify._check_evolution_crosscheck(verify.VerifyContext(mu=DeformationParams(0.5, 0.5))):
+        assert np.max(np.abs(case)) <= 1e-9
 
 
 def test_evolution_preserves_norm():

@@ -8,12 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunkl_oscillator import su11, verify
 from dunkl_oscillator.basis import (
     AngularQuantum,
     RadialQuantum,
-    _k,
-    _l2,
     energy,
     radial_sturmian,
     substitute_u,
@@ -24,7 +21,6 @@ from dunkl_oscillator.errors import DomainError, RepresentationError
 from dunkl_oscillator.profiles import (
     DeformationParams,
     GaussLaguerreSum,
-    _defect,
     derivative_of,
 )
 from dunkl_oscillator.su11 import (
@@ -32,14 +28,11 @@ from dunkl_oscillator.su11 import (
     apply_B0,
     apply_J,
     bargmann_index,
-    casimir_check,
-    commutator_residual,
     factorization_product_eigenvalue,
-    factorization_residual,
     ladder_coefficients,
     schrodinger_factorize,
 )
-from dunkl_oscillator.verify import _residual_grid
+from dunkl_oscillator.verify import _defect, _residual_grid
 
 MU = DeformationParams(0.3, 1.2)
 GRID = _residual_grid(40, 0.1, 6.0)
@@ -190,11 +183,37 @@ def _random_gaussian_polynomials(seed, count):
     return out
 
 
+def _bracket(pair, R, A):
+    """Both sides of the bracket relation on R, as term sums built by A(P, which)."""
+    if pair == "0+":
+        raised = A(R, "+")
+        return A(raised, "0") + (-1.0) * A(A(R, "0"), "+"), raised
+    if pair == "0-":
+        lowered = A(R, "-")
+        return A(lowered, "0") + (-1.0) * A(A(R, "0"), "-"), (-1.0) * lowered
+    return A(A(R, "+"), "-") + (-1.0) * A(A(R, "-"), "+"), 2.0 * A(R, "0")
+
+
+def _casimir_defect(R, k, mu, l2):
+    """verify's defect of -A+A- R + A0(A0 - 1) R = k(k-1) R."""
+    diag = apply_A(R, "0", mu, l2)
+    casimir = (-1.0) * apply_A(apply_A(R, "-", mu, l2), "+", mu, l2) + apply_A(diag, "0", mu, l2) + (-1.0) * diag
+    return _defect(casimir, k * (k - 1.0) * R, R)
+
+
+def _factorization_defect(U, E, l2, mu, branch):
+    """verify's defect of (J- - 1/2)(J+ - 1/2) U ("upper") or (J+ + 1/2)(J- + 1/2) U ("lower") against its eigenvalue times U."""
+    sign = 1 if branch == "upper" else -1
+    V = apply_J(U, E, sign) + (-0.5 * sign) * U
+    Z = apply_J(V, E, -sign) + (-0.5 * sign) * V
+    return _defect(Z, factorization_product_eigenvalue(E, l2, mu, branch) * U, U)
+
+
 def test_commutators_close_on_random_profiles():
     for idx, prof in enumerate(_random_gaussian_polynomials(42, 6)):
         l2 = float(idx % 3)
         for pair in ("0+", "0-", "-+"):
-            res = commutator_residual(pair, prof, MU, l2)
+            res = _defect(*_bracket(pair, prof, lambda P, w: apply_A(P, w, MU, l2)), prof)
             assert res <= 1e-6, f"{pair} residual {res:.3e} on profile {idx}"
 
 
@@ -204,7 +223,7 @@ def test_casimir_is_exact_operator_identity():
         l2 = _l2_of(m, MU)
         k_plus, _ = bargmann_index(m, MU)
         for prof in _random_gaussian_polynomials(7, 3):
-            assert casimir_check(prof, k_plus, MU, l2) <= 1e-7
+            assert _casimir_defect(prof, k_plus, MU, l2) <= 1e-7
 
 
 def test_casimir_scalar_matches_closed_form():
@@ -273,20 +292,6 @@ def _ref_J(U, E, sign):
     return (-0.5 * sign) * derivative_of(U, 1).times_rpower(1) + 0.5 * U.times_rpower(2) + (0.5 * (0.5 * sign - E)) * U
 
 
-def _ref_bracket(pair, R, mu, l2):
-    """Both sides of the bracket relation, as term sums."""
-    A = lambda P, which: _ref_A(P, which, mu, l2)
-    if pair == "0+":
-        raised = A(R, "+")
-        lhs, rhs = A(raised, "0") + (-1.0) * A(A(R, "0"), "+"), raised
-    elif pair == "0-":
-        lowered = A(R, "-")
-        lhs, rhs = A(lowered, "0") + (-1.0) * A(A(R, "0"), "-"), (-1.0) * lowered
-    else:
-        lhs, rhs = A(A(R, "+"), "-") + (-1.0) * A(A(R, "-"), "+"), 2.0 * A(R, "0")
-    return lhs, rhs
-
-
 _MU_NO_DRIFT = DeformationParams(-0.2, -0.3)
 
 
@@ -313,9 +318,9 @@ def test_operators_are_bit_identical_to_their_written_out_forms(mu, l2):
             assert np.max(np.abs(got(GRID) - ref_values)) <= 1e-14 * np.max(np.abs(ref_values))
         for pair in ("0+", "0-", "-+"):
             # Both defects are relative to prof; scale is each side's size on the same footing.
-            lhs, rhs = _ref_bracket(pair, prof, mu, l2)
+            lhs, rhs = _bracket(pair, prof, lambda P, w: _ref_A(P, w, mu, l2))
             scale = max(_defect(side, GaussLaguerreSum(()), prof) for side in (lhs, rhs))
-            got = commutator_residual(pair, prof, mu, l2)
+            got = _defect(*_bracket(pair, prof, lambda P, w: apply_A(P, w, mu, l2)), prof)
             assert abs(got - _defect(lhs, rhs, prof)) <= 1e-14 * scale
     # A plain callable, which has no exact derivative, is refused by every operator.
     def plain(r):
@@ -325,83 +330,24 @@ def test_operators_are_bit_identical_to_their_written_out_forms(mu, l2):
         lambda: apply_radial_hamiltonian(plain, mu, l2),
         lambda: apply_B0(plain, l2, mu),
         *(lambda w=w: apply_A(plain, w, mu, l2) for w in ("0", "+", "-")),
-        *(lambda pair=pair: commutator_residual(pair, plain, mu, l2) for pair in ("0+", "0-", "-+")),
+        *(lambda sign=sign: apply_J(plain, 2.0 + l2, sign) for sign in (1, -1)),
     ]
     for build in builders:
         with pytest.raises(TypeError, match="term-sum Profile"):
             build()
 
 
-def _public_cases(name, mu):
-    """The public su11 residual of each case of verify's check name, in the check's order."""
-    if name == "commutator_closure":
-        return [
-            commutator_residual(pair, prof, mu, float(idx % 3))
-            for idx, prof in enumerate(verify._random_profiles(0, 101, 10))
-            for pair in ("0+", "0-", "-+")
-        ]
-    if name == "casimir_scalar":
-        return [casimir_check(R, q.k, mu, l2) for _, l2, q, R in verify._sturmians(mu, (0, 2))]
-    return [
-        factorization_residual(substitute_u(R, mu, "r_to_u"), E, l2, mu, branch)
-        for E, l2, _, R in verify._sturmians(mu, range(4))
-        for branch in ("upper", "lower")
-    ]
-
-
-@pytest.mark.parametrize("mu", [(0.5, 0.5), (0.3, 1.2), (30.0, 30.0)])
-def test_each_public_residual_is_the_value_its_verify_check_reduces(mu):
-    # verify and the public functions share one judge, profiles._defect, so
-    # each case reads the same bits both ways, and so does the check's residual.
-    mu = DeformationParams.of(mu)
-    ctx = verify.VerifyContext(mu=mu)
-    checks = {check.name: check.fn for check in verify._REGISTRY}
-    reported = {res.name: res.residual for res in verify.run_checks("algebra", mu=mu)}
-    for name in ("commutator_closure", "casimir_scalar", "factorization_identity"):
-        public = _public_cases(name, mu)
-        assert [x.hex() for x in checks[name](ctx)] == [x.hex() for x in public], name
-        assert reported[name].hex() == max(public).hex(), name
-
-
-@pytest.mark.parametrize("two_m", [0, 1, 2])
-def test_public_residuals_see_a_1e_10_fault_where_the_sturmians_are_small(two_m, monkeypatch):
-    # At mu = (30, 30) |k, 2> is of order 1e-40 on a grid of r <= 10, where a
-    # pointwise sup-norm reads about 1e-46 with these faults or without them.
-    mu = DeformationParams(30.0, 30.0)
-    l2 = _l2(two_m, mu)
-    q = RadialQuantum(nr=2, k=_k(two_m, mu))
-    R = radial_sturmian(q, mu)
-    real = su11._radial_operator
-
-    def residuals():
-        return casimir_check(R, q.k, mu, l2), [commutator_residual(pair, R, mu, l2) for pair in ("0+", "0-", "-+")]
-
-    def faulted(slot):
-        # Only A+- have an r^2 R coefficient of -1/4; row[4] is their r R' coefficient, row[5] their constant term.
-        def operator(P, row):
-            if row[:2] == (-0.25, -0.25):
-                row = tuple(c * (1.0 + 1e-10) if i == slot else c for i, c in enumerate(row))
-            return real(P, row)
-
-        return operator
-
-    casimir, brackets = residuals()
-    assert casimir <= 1e-11 and max(brackets) <= 1e-11
-    monkeypatch.setattr(su11, "_radial_operator", faulted(5))
-    assert residuals()[0] >= 1e-10
-    monkeypatch.setattr(su11, "_radial_operator", faulted(4))
-    assert min(residuals()[1]) >= 1e-10
-
-
 def test_a_residual_of_a_profile_with_no_nonzero_coefficient_is_a_domain_error():
-    # At mu = (300, 300) a Sturmian's coefficients underflow to 0 the same way.
+    # verify's _defect has no scale for it; at mu = (300, 300) a Sturmian's coefficients underflow to 0 the same way.
+    empty = GaussLaguerreSum(())
     k = bargmann_index(0, MU)[0]
     for call in (
-        lambda: casimir_check(GaussLaguerreSum(()), k, MU, 0.0),
-        lambda: commutator_residual("0+", GaussLaguerreSum(()), MU, 0.0),
-        lambda: factorization_residual(GaussLaguerreSum(()), 3.0, 0.0, MU),
+        lambda: _defect(GaussLaguerreSum.single(1.0, 0.0, 2, 0.5), empty, empty),
+        lambda: _casimir_defect(empty, k, MU, 0.0),
+        lambda: _defect(*_bracket("0+", empty, lambda P, w: apply_A(P, w, MU, 0.0)), empty),
+        lambda: _factorization_defect(empty, 3.0, 0.0, MU, "upper"),
     ):
-        with pytest.raises(DomainError, match="underflows to 0 everywhere, so its residual has no scale"):
+        with pytest.raises(DomainError, match="^the state underflows to 0 everywhere, so its residual has no scale$"):
             call()
 
 
@@ -474,7 +420,7 @@ def test_factorization_identity_on_eigenfunctions(branch, m):
         R, _ = _sturmian(nr, m, MU)
         U = substitute_u(R, MU, "r_to_u")
         E = energy(nr, m, MU)
-        assert factorization_residual(U, E, l2, MU, branch) <= 1e-8
+        assert _factorization_defect(U, E, l2, MU, branch) <= 1e-8
 
 
 def test_factorization_residual_detects_wrong_input():
@@ -483,26 +429,23 @@ def test_factorization_residual_detects_wrong_input():
     l2 = _l2_of(m, MU)
     prof = GaussLaguerreSum.gaussian_polynomial([0.3, 0.0, 1.0])
     U = substitute_u(prof, MU, "r_to_u")
-    res = factorization_residual(U, 3.0, l2, MU, "upper")
+    res = _factorization_defect(U, 3.0, l2, MU, "upper")
     assert res > 1e-3
 
 
 def test_factorization_branch_validation():
     with pytest.raises(DomainError):
         schrodinger_factorize(1.0, 0.0, MU, branch="middle")
-    U, _ = _sturmian(0, Fraction(0), MU)
     with pytest.raises(DomainError):
-        factorization_residual(U, 1.0, 0.0, MU, "sideways")
+        factorization_product_eigenvalue(1.0, 0.0, MU, branch="sideways")
+    U, _ = _sturmian(0, Fraction(0), MU)
     with pytest.raises(DomainError):
         apply_J(U, 1.0, 3)
 
 
 @pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf])
 def test_every_k_check_refuses_a_k_that_is_not_positive_and_finite(k):
-    # RadialQuantum, CoherentParams and casimir_check share one rule.
-    R, _ = _sturmian(0, Fraction(0), MU)
-    with pytest.raises(RepresentationError, match="positive and finite"):
-        casimir_check(R, k, MU, 0.0)
+    # RadialQuantum and CoherentParams share one rule.
     with pytest.raises(RepresentationError, match="positive and finite"):
         RadialQuantum(nr=0, k=k)
     with pytest.raises(RepresentationError, match="positive and finite"):
@@ -516,7 +459,6 @@ def test_energy_taking_functions_refuse_a_non_finite_energy(E):
         lambda: apply_J(U, E, 1),
         lambda: schrodinger_factorize(E, 0.0, MU),
         lambda: factorization_product_eigenvalue(E, 0.0, MU),
-        lambda: factorization_residual(U, E, 0.0, MU, "upper"),
     ):
         with pytest.raises(DomainError, match="E must be finite"):
             call()

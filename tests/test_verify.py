@@ -414,22 +414,26 @@ def test_defect_merges_powers_within_1e_9_only():
 
 def test_monomial_residual_sees_a_1e_10_fault_where_the_sturmians_are_small(monkeypatch):
     # At mu = (30, 30) the Sturmians are of order 1e-40 on a grid of r <= 10,
-    # where a pointwise residual read at most 1.4e-46 with this fault or without it.
-    names = ("ladder_raise", "ladder_lower", "casimir_scalar")
+    # where a pointwise residual read at most 1.4e-46 with these faults or without them.
+    names = ("ladder_raise", "ladder_lower", "casimir_scalar", "commutator_closure")
     mu = (30.0, 30.0)
     clean = {res.name: res.residual for res in run_checks("algebra", mu=mu)}
+    assert all(clean[name] <= 1e-11 for name in names), clean
     real = su11._radial_operator
+    # Only A+- have an r^2 R coefficient of -1/4; row[4] is their r R' coefficient
+    # half and row[5] their constant term half * (1 + mu1 + mu2).
+    for slot in (4, 5):
 
-    def scaled(R, row):
-        # Only A+- have an r^2 R coefficient of -1/4; row[5] is their constant term half * (1 + mu1 + mu2).
-        if row[:2] == (-0.25, -0.25):
-            row = (*row[:5], row[5] * (1.0 + 1e-10))
-        return real(R, row)
+        def scaled(R, row):
+            if row[:2] == (-0.25, -0.25):
+                row = tuple(c * (1.0 + 1e-10) if i == slot else c for i, c in enumerate(row))
+            return real(R, row)
 
-    monkeypatch.setattr(su11, "_radial_operator", scaled)
-    faulty = {res.name: res.residual for res in run_checks("algebra", mu=mu)}
-    for name in names:
-        assert clean[name] <= 1e-11 and faulty[name] >= 1e-10, name
+        monkeypatch.setattr(su11, "_radial_operator", scaled)
+        faulty = {res.name: res.residual for res in run_checks("algebra", mu=mu)}
+        for name in names:
+            assert faulty[name] >= 1e-10, (slot, name)
+
 
 
 def test_random_profiles_are_short_gaussian_polynomials_fixed_by_seed_and_tag():
