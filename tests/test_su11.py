@@ -15,6 +15,7 @@ from dunkl_oscillator.basis import (
     radial_sturmian,
     substitute_u,
 )
+from dunkl_oscillator import su11
 from dunkl_oscillator.coherent import CoherentParams
 from dunkl_oscillator.dunkl_ops import apply_radial_hamiltonian
 from dunkl_oscillator.errors import DomainError, RepresentationError
@@ -335,6 +336,38 @@ def test_operators_are_bit_identical_to_their_written_out_forms(mu, l2):
     for build in builders:
         with pytest.raises(TypeError, match="term-sum Profile"):
             build()
+
+
+@pytest.mark.parametrize("two_m", [0, 1, 2])
+def test_public_residuals_see_a_1e_10_fault_where_the_sturmians_are_small(two_m, monkeypatch):
+    # At mu = (30, 30) |k, 2> is of order 1e-40 on a grid of r <= 10, where a
+    # pointwise sup-norm reads about 1e-46 with these faults or without them.
+    mu = DeformationParams(30.0, 30.0)
+    m = Fraction(two_m, 2)
+    l2 = _l2_of(m, mu)
+    k = bargmann_index(m, mu)[0]
+    R = radial_sturmian(RadialQuantum(nr=2, k=k), mu)
+    real = su11._radial_operator
+
+    def residuals():
+        brackets = [_defect(*_bracket(pair, R, lambda P, w: apply_A(P, w, mu, l2)), R) for pair in ("0+", "0-", "-+")]
+        return _casimir_defect(R, k, mu, l2), brackets
+
+    def faulted(slot):
+        # Only A+- have an r^2 R coefficient of -1/4; row[4] is their r R' coefficient, row[5] their constant term.
+        def operator(P, row):
+            if row[:2] == (-0.25, -0.25):
+                row = tuple(c * (1.0 + 1e-10) if i == slot else c for i, c in enumerate(row))
+            return real(P, row)
+
+        return operator
+
+    casimir, brackets = residuals()
+    assert casimir <= 1e-11 and max(brackets) <= 1e-11
+    monkeypatch.setattr(su11, "_radial_operator", faulted(5))
+    assert residuals()[0] >= 1e-10
+    monkeypatch.setattr(su11, "_radial_operator", faulted(4))
+    assert min(residuals()[1]) >= 1e-10
 
 
 def test_a_residual_of_a_profile_with_no_nonzero_coefficient_is_a_domain_error():
