@@ -18,7 +18,8 @@ of 1 - xi, before one exponential: no factor under- or overflows alone, and no
 square-root branch is chosen after the fact, which keeps the closed form equal
 to the series on the whole disk.  Where the real part of that exponent is below
 ln of the smallest subnormal, the exponential is exactly 0, with no numpy
-warning, also where c r^2 overflowed near r = sqrt(float max).
+warning, also where c r^2 overflowed near r = sqrt(float max); the series
+there is exactly 0 too, with no table column built for such a point.
 
 Harmonic time evolution acts by rotating the disk label, xi -> xi e^(-2 i tau /
 hbar), times the global phase e^(-2 i k tau / hbar), so |Psi|^2 is periodic in
@@ -186,7 +187,11 @@ def _series_values(
     flat = arr.ravel()
     # The envelope refuses a negative or non-finite r before the table would take it.
     envelope = _envelope(flat, _ln_norm(p), _radial_exponent(p, mu), -0.5)
-    polys = _sturmian_table(2.0 * p.k, nterms, flat * flat)
+    # Where the envelope underflowed the value is exactly 0 and no table column
+    # is built: there the Laguerre values can overflow first, and 0 * inf is NaN.
+    live = envelope != 0.0
+    live_r = flat[live]
+    polys = _sturmian_table(2.0 * p.k, nterms, live_r * live_r)
     coeffs = complex(p.xi) ** np.arange(nterms)
     if term_phase is not None:
         coeffs = coeffs * term_phase
@@ -194,7 +199,9 @@ def _series_values(
     # pairwise but a block row by row, so a point alone would differ from itself in a grid.
     terms = coeffs[:, None] * polys
     series = np.cumsum(terms, axis=0, out=terms)[-1]
-    return (envelope * series).reshape(arr.shape)
+    values = np.zeros(flat.shape, dtype=complex)
+    values[live] = envelope[live] * series
+    return values.reshape(arr.shape)
 
 
 def coherent_series(r, p: CoherentParams, mu: DeformationParams, nterms: int | None = None):

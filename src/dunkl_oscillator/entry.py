@@ -26,9 +26,11 @@ serially; no environment variable changes its output.
 
 ``spectrum`` writes its document one level at a time, so its peak memory is
 about one level's rows, not the document; its ``count`` comes from the closed
-form (N + 1)(N + 2)/2 for the top level N.  It builds no label: it formats
-each (sector, m) once, from ``basis``' integer walk in (2m, s1, s2) order,
-into per-parity field lists, and joins each level from slices of them.
+form (N + 1)(N + 2)/2 for the top level N.  It builds no label: from
+``basis``' integer walk in (2m, s1, s2) order it formats each 2m's m, k and
+l2 once, for both sectors that share them, and each sector's parity text
+once per command; each level is joined from one part list per parity of 2m,
+which grows by the new (sector, m) as the levels rise.
 Every command checks and formats all it could refuse before it opens
 ``--out``, so a refused command writes nothing.
 """
@@ -175,20 +177,28 @@ def _json_number(value: float) -> str:
     return repr(value)
 
 
-def _csv_sector_fields(s1: int, s2: int, m: float, k: float, l2: float) -> tuple[str, str]:
-    return (f"{s1:+d},{s2:+d},{_fmt(m)},", f",{_fmt(k)},{_fmt(l2)},")
+def _csv_sector_fields(m: float, k: float, l2: float) -> tuple[str, str]:
+    return (f"{_fmt(m)},", f",{_fmt(k)},{_fmt(l2)},")
+
+
+def _csv_parity_fields(s1: int, s2: int) -> tuple[str, str]:
+    return (f"{s1:+d},{s2:+d},", "")
 
 
 def _csv_level_fields(e: float) -> tuple[str, str]:
     return ("", _fmt(e))
 
 
-def _json_sector_fields(s1: int, s2: int, m: float, k: float, l2: float) -> tuple[str, str]:
+def _json_sector_fields(m: float, k: float, l2: float) -> tuple[str, str]:
     return (
         f',\n      "k": {_json_number(k)},\n      "l2": {_json_number(l2)},'
         f'\n      "m": {m!r},\n      "nr": ',
-        f',\n      "s1": {s1},\n      "s2": {s2}\n    }}',
+        "",
     )
+
+
+def _json_parity_fields(s1: int, s2: int) -> tuple[str, str]:
+    return ("", f',\n      "s1": {s1},\n      "s2": {s2}\n    }}')
 
 
 def _json_level_fields(e: float) -> tuple[str, str]:
@@ -196,55 +206,57 @@ def _json_level_fields(e: float) -> tuple[str, str]:
 
 
 def _cmd_spectrum(args: argparse.Namespace, mu: DeformationParams) -> int:
-    """Write the spectrum one level at a time, each level as slices of per-parity field lists.
+    """Write the spectrum one level at a time, each level from one reused part list per parity of 2m.
 
     A row is lead + head + nr + tail + trail.  A level gives the lead and
-    trail, from its energy, and a (sector, m) of ``basis._sector_walk`` the
-    head and tail, from its s1, s2, m = 2m / 2 and the one k and l2 of its
-    2m; no label is built.  The heads and tails go into one list per parity
-    of 2m, in walk order, so the level L, which holds the first L + 1
-    (sector, m) of its parity with nr counting down to 0, is
-    ``heads[L % 2][:L + 1]`` and ``tails[L % 2][:L + 1]`` with ``nrs[L::-1]``
-    of "0", "0", "1", "1", ...: a few list operations per level, joined once.
-    All is formatted, and a non-finite value refused, before the output is
-    opened; the count comes from the closed form.
+    trail, from its energy.  Each 2m of ``basis._sector_walk`` gives, formatted
+    once, the head and tail of its m = 2m / 2, k and l2, which both of its
+    sectors share; each sector adds its parity text, built once per command
+    (before the head in CSV, after the tail in JSON).  No label is built.
+    The level L holds the (sector, m) of 2m = L % 2, ..., L in walk order,
+    with nr counting down to 0 as ``nrs[L::-1]`` of "0", "0", "1", "1", ...;
+    the level before it of the same parity held all but those of 2m = L.  So
+    one list of glue, head, nr and tail slots per parity grows by the slots
+    of 2m = L, and each level rewrites only its glue and nr slots before it
+    is joined and written.  All is formatted, and a non-finite value
+    refused, before the output is opened; the count comes from the closed form.
     """
     top = basis._top_level(args.emax, mu)
     header = {"command": "spectrum", "mu1": mu.mu1, "mu2": mu.mu2, "emax": args.emax, "count": basis._states_through(top)}
     if args.format == "json":
         # Objects as json.dumps(..., indent=2, sort_keys=True) lays them out at
         # depth 2; "states" sorts last, so its array replaces the closing brace.
-        sector_fields, level_fields, sep = _json_sector_fields, _json_level_fields, ",\n"
+        sector_fields, parity_fields, level_fields = _json_sector_fields, _json_parity_fields, _json_level_fields
+        sep = ",\n"
         opening = _json_document(header)[: -len("\n}\n")] + ',\n  "states": ['
         closing = ("\n  ]" if top >= 0 else "]") + "\n}\n"
     else:
-        sector_fields, level_fields, sep = _csv_sector_fields, _csv_level_fields, "\n"
+        sector_fields, parity_fields, level_fields = _csv_sector_fields, _csv_parity_fields, _csv_level_fields
+        sep = "\n"
         opening = _csv_head(header, ["s1", "s2", "m", "nr", "k", "l2", "energy"])
         closing = "\n"
-    heads: tuple[list[str], list[str]] = ([], [])  # one list per parity of 2m
-    tails: tuple[list[str], list[str]] = ([], [])
+    parity = {(s1, s2): parity_fields(s1, s2) for s1 in (1, -1) for s2 in (1, -1)}
+    # The glue, head, nr and tail slots of each 2m's sectors; glue and nr are filled per level.
+    slots = []
     for two_m, sectors in basis._sector_walk(top):
-        m, k, l2 = 0.5 * two_m, basis._k(two_m, mu), basis._l2(two_m, mu)
-        for s1, s2 in sectors:
-            head, tail = sector_fields(s1, s2, m, k, l2)
-            heads[two_m % 2].append(head)
-            tails[two_m % 2].append(tail)
+        head, tail = sector_fields(0.5 * two_m, basis._k(two_m, mu), basis._l2(two_m, mu))
+        slots.append([part for s in sectors for part in ("", parity[s][0] + head, "", tail + parity[s][1])])
     nrs = [str(i // 2) for i in range(top + 1)]
     by_level = [level_fields(basis._level_energy(level, mu)) for level in range(top + 1)]
     with _output(args.out) as stream:
         stream.write(opening)
+        lists: tuple[list[str], list[str]] = ([], [])  # one part list per parity of 2m
         before = "\n"
         for level, (lead, trail) in enumerate(by_level):
             # Row i is glue + head + nr + tail, where the glue ends the row
             # before it; the first glue opens the level and the trail ends it.
-            n = level + 1
-            parts = [trail + sep + lead] * (4 * n)
+            parts = lists[level % 2]
+            parts += slots[level]
+            parts[::4] = [trail + sep + lead] * (level + 1)
             parts[0] = before + lead
-            parts[1::4] = heads[level % 2][:n]
             parts[2::4] = nrs[level::-1]
-            parts[3::4] = tails[level % 2][:n]
-            parts.append(trail)
             stream.write("".join(parts))
+            stream.write(trail)
             before = sep
         stream.write(closing)
     return 0

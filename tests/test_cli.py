@@ -201,6 +201,7 @@ def _spectrum_reference(emax, mu1, mu2, fmt):
         (23.5, -0.4, 1.9),
         (17.0, -0.2691523058468741, 1.7477168115182542),
         (150.0, 0.3, 0.7),  # the size the spectrum benchmark writes
+        (40.5, -0.45, -0.4),  # l2 < 0 at m = 1/2, one string shared by both of its sectors
     ],
 )
 def test_spectrum_document_equals_record_by_record_reference(capsys, emax, mu1, mu2, fmt):
@@ -227,6 +228,31 @@ def test_spectrum_bytes_equal_pinned_digests(capsys, mu1, mu2, fmt, digest):
     code, out, err = _run(capsys, ["spectrum", "--emax", "300", "--mu1", mu1, "--mu2", mu2, "--format", fmt])
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt, fmt_calls, json_number_calls", [("csv", 599, 0), ("json", 0, 447)])
+def test_spectrum_formats_each_2m_once(capsys, monkeypatch, fmt, fmt_calls, json_number_calls):
+    # At mu1 + mu2 = 1 the top level of emax 150 is 148: 149 values of 2m and
+    # 149 levels.  CSV formats m, k and l2 per 2m, the energy per level and
+    # mu1, mu2 and emax in the header; JSON formats k and l2 per 2m and the
+    # energy per level, and writes m and the header with repr and json.dumps.
+    calls = {"_fmt": 0, "_json_number": 0}
+
+    def counted(name):
+        helper = getattr(entry, name)
+
+        def wrapper(value):
+            calls[name] += 1
+            return helper(value)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(entry, name, counted(name))
+    code, out, err = _run(capsys, ["spectrum", "--emax", "150", "--mu1", "0.3", "--mu2", "0.7", "--format", fmt])
+    assert code == 0 and err == ""
+    assert out == _spectrum_reference(150.0, 0.3, 0.7, fmt)
+    assert calls == {"_fmt": fmt_calls, "_json_number": json_number_calls}
 
 
 _COHERENT_ARGV = ["coherent", "--xi", "0.3,0.4", "--m", "3/2", "--mu1", "0.2", "--mu2", "2.1", "--tau", "0,0.7"]

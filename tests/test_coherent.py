@@ -103,6 +103,21 @@ def test_a_closed_form_that_underflows_is_exactly_0_with_no_warning():
         assert np.array_equal(values[2:], np.zeros(3))
 
 
+def test_a_series_whose_envelope_underflows_is_exactly_0_with_no_warning():
+    # At r = 1e6 (x = r^2 = 1e12) the Laguerre table of the 31 terms overflowed
+    # (nan + nan j) where the envelope, and the closed form, are already 0.
+    mu = DeformationParams(0.5, 0.5)
+    p = CoherentParams(xi=0.3, k=1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert coherent_closed(1e6, p, mu) == 0.0
+        assert coherent_series(1e6, p, mu) == 0j
+        values = coherent_series(np.array([1.0, 1e6]), p, mu)
+        # 1.0 keeps its bits: each column of the table and its sum is its own.
+        assert values[:1].tobytes() == np.array([coherent_series(1.0, p, mu)]).tobytes()
+        assert values[1] == 0.0
+
+
 def test_coherent_overflow_is_a_domain_error():
     # k = 1/2 at mu = (15, 15) puts r^(2k - mu1 - mu2 - 1) = r^(-30) in the
     # envelope: at r = 1e-12 its logarithm passes ln(float max).
