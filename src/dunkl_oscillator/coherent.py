@@ -204,15 +204,9 @@ def _series_values(
     return values.reshape(arr.shape)
 
 
-def coherent_series(r, p: CoherentParams, mu: DeformationParams, nterms: int | None = None):
-    """Coherent-state radial values by explicit basis summation.
-
-    An explicit ``nterms`` is a partial sum taken as given, unchecked against
-    any tolerance; only ``nterms=None`` goes through ``auto_nterms`` and its refusal.
-    """
-    if nterms is None:
-        nterms = auto_nterms(p)
-    vals = _series_values(np.asarray(r, dtype=float), p, mu, nterms)
+def coherent_series(r, p: CoherentParams, mu: DeformationParams):
+    """Coherent-state radial values by explicit basis summation over ``auto_nterms(p)`` terms, or its refusal."""
+    vals = _series_values(np.asarray(r, dtype=float), p, mu, auto_nterms(p))
     if vals.ndim == 0:
         return complex(vals)
     return vals

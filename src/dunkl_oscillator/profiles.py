@@ -23,12 +23,6 @@ A sum evaluates term by term on each call and keeps nothing between calls.
 ``GaussLaguerreSum._monomials`` expands a radial sum of Laguerre degree at
 most 30 into sum b * r^q * exp(-r^2/2), the form on which ``verify``'s
 ``_defect`` compares two sums coefficient by coefficient.
-
-``_polar_plane`` builds R(r) * Phi(phi) and its Cartesian partials by the
-polar chain rule.  R, R', R'', Phi, Phi' and Phi'' keep their values, keyed
-by the factor's terms and the argument's shape and bytes, in one dict per
-plane function, cleared at ``_KEEP_VALUES`` = 16 (an ``apply_hamiltonian``
-evaluation needs 10).
 """
 
 from __future__ import annotations
@@ -248,10 +242,10 @@ class PlaneFunction:
 
     An operator reads the partials it needs (``dunkl_derivative`` dx or dy,
     and dxx or dyy when its own partial is evaluated; ``apply_hamiltonian``
-    all four) and raises ``DerivativeUnavailable`` for a missing one.  ``parity`` is (s1, s2) with s1 the eigenvalue under
-    x -> -x and s2 under y -> -y, when the function is a parity eigenstate;
-    it licenses evaluation of reflection-difference quotients on the
-    coordinate axes.
+    all four) and raises ``DerivativeUnavailable`` for a missing one.
+    ``parity`` is (s1, s2) with s1 the eigenvalue under x -> -x and s2 under
+    y -> -y, when the function is a parity eigenstate; it licenses
+    evaluation of reflection-difference quotients on the coordinate axes.
     """
 
     fn: Callable
@@ -263,66 +257,3 @@ class PlaneFunction:
 
     def __call__(self, x, y):
         return self.fn(x, y)
-
-
-_KEEP_VALUES = 16  # the factor values one polar plane function keeps; its dict is cleared at this many
-
-
-def _polar_plane(R: Profile, Phi: Profile, parity: tuple[int, int] | None) -> PlaneFunction:
-    """R(r) * Phi(phi) with its partials from the polar chain rule; the partials refuse r = 0.
-
-    Along the unit vector (a, b) = (c, s) for x and (s, -c) for y, with
-    c = x/r and s = y/r, a first partial is a d_r - (b/r) d_phi and a second
-
-        a^2 d_rr + (b^2/r) (d_r + d_phiphi / r) + (2ab/r) (d_phi / r - d_rphi).
-
-    A reflection keeps r, and a zero Phi' and Phi'' have the same terms, so
-    each shares values; the value dict is never walked, so it needs no lock.
-    """
-    values: dict[tuple, np.ndarray] = {}
-
-    def kept(f: Profile) -> Callable:
-        terms = tuple(f.terms.items())
-
-        def at(t: np.ndarray):
-            key = (terms, t.shape, t.tobytes())
-            v = values.get(key)
-            if v is None:
-                if len(values) >= _KEEP_VALUES:
-                    values.clear()
-                v = values[key] = f(t)
-            return v
-
-        return at
-
-    dR, dPhi = derivative_of(R, 1), derivative_of(Phi, 1)
-    R0, R1, R2, Phi0, Phi1, Phi2 = map(kept, (R, dR, dR.derivative(), Phi, dPhi, dPhi.derivative()))
-
-    def polar(x, y):
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        return x, y, np.hypot(x, y), np.arctan2(y, x)
-
-    def partial(axis: str, order: int):
-        def out(x, y):
-            x, y, r, phi = polar(x, y)
-            if np.any(r == 0.0):
-                raise SingularityError("the polar chain rule has no partials at r = 0")
-            c, s = x / r, y / r
-            a, b = (c, s) if axis == "x" else (s, -c)
-            rad, rad1, ang, ang1 = R0(r), R1(r), Phi0(phi), Phi1(phi)
-            if order == 1:
-                return a * rad1 * ang - (b / r) * rad * ang1
-            return (
-                a * a * R2(r) * ang
-                + (b * b / r) * (rad1 * ang + rad * Phi2(phi) / r)
-                + (2.0 * a * b / r) * (rad * ang1 / r - rad1 * ang1)
-            )
-
-        return out
-
-    def fn(x, y):
-        _, _, r, phi = polar(x, y)
-        return R0(r) * Phi0(phi)
-
-    return PlaneFunction(fn, partial("x", 1), partial("y", 1), partial("x", 2), partial("y", 2), parity)
-

@@ -11,9 +11,16 @@ cases at the run's mu only, so a report describes the mu it was asked for.
 
 Three pointwise checks are scaled: ``angular_eigen_residual`` and
 ``angular_reflection_parity`` divide each case by max|Phi| on the angular
-grid, and ``hamiltonian_cartesian_residual`` each state's residual by
-max|E f| at its 34 points, so a residual is relative to the state's own size
-(max|Phi| is below 1 at mu = 0 and 9.4e20 at mu = (60, 60)).
+grid, and ``hamiltonian_cartesian_residual`` each product's residual by
+max|E f| and each polar state's span defect by max|R Phi| at its 34 points,
+so a residual is relative to the state's own size (max|Phi| is below 1 at
+mu = 0 and 9.4e20 at mu = (60, 60)).
+
+The Cartesian check works on the separable eigenstates h_n1(x) h_n2(y) of
+the 1-D Dunkl oscillators, whose partials are exact: it applies
+``apply_hamiltonian`` to the 9 products of its five states' levels and
+parities, and requires each polar state R(r) Phi(phi) to lie in the span of
+its level's products (a least-squares fit).
 
 Eleven checks compare two radial term sums (the ladder elements, the lowest
 weight, the brackets, the Casimir, the radial and flat-picture eigen-equations,
@@ -31,9 +38,9 @@ refuses it with a ``DomainError`` for ``_defect`` and for the pointwise
 Two checks compute shared pieces once, for one case only:
 ``commutator_closure`` builds A+ R, A0 R and A- R once per profile for its
 three brackets (90 radial images per run), and
-``hamiltonian_cartesian_residual`` evaluates each polar factor of a state
-once per argument, kept in the value dict of its ``profiles._polar_plane``
-(49 term-sum evaluations per run).
+``hamiltonian_cartesian_residual`` evaluates h, h' and h'' of each product's
+factors once per |t|, kept in a dict of the factor (``_dunkl_hermite``), and
+R and Phi once per state (64 term-sum evaluations per run).
 """
 
 from __future__ import annotations
@@ -67,7 +74,7 @@ from .basis import (
 )
 from .dunkl_ops import apply_angular_operator, apply_hamiltonian, apply_radial_hamiltonian
 from .errors import DomainError
-from .profiles import GaussLaguerreSum, _polar_plane
+from .profiles import GaussLaguerreSum, PlaneFunction
 from .specfun import _MAX_RADIAL_POINTS, angular_gram, laguerre_all, radial_gram, radial_inner_product
 
 __all__ = ["CheckResult", "run_checks"]
@@ -282,6 +289,44 @@ def _check_mu_zero_reduction(ctx: VerifyContext) -> Iterator:
             yield R(grid) - ref
 
 
+def _dunkl_hermite(n: int, coupling: float) -> list[Callable]:
+    """h_n, h_n' and h_n'' of the 1-D Dunkl oscillator, h_n(t) = t^e L^(coupling - 1/2 + e)_(n//2)(t^2) e^(-t^2/2).
+
+    e = n mod 2.  h_n is a one-term ``GaussLaguerreSum`` in |t|; its j-th
+    derivative is that sum's j-th ``derivative()`` at |t|, negated on t < 0
+    when n + j is odd (there the sum is 0 at t = 0).  Values are kept per
+    (j, |t|) in one dict, which needs no bound: a factor lives for one case.
+    """
+    sums = [GaussLaguerreSum.single(1.0, n % 2, n // 2, coupling - 0.5 + n % 2)]
+    for _ in range(2):
+        sums.append(sums[-1].derivative())
+    values: dict[tuple, np.ndarray] = {}
+
+    def order(j: int) -> Callable:
+        def at(t: np.ndarray):
+            size = np.abs(t)
+            key = (j, size.shape, size.tobytes())
+            v = values.get(key)
+            if v is None:
+                v = values[key] = sums[j](size)
+            return np.where(t < 0.0, -v, v) if (n + j) % 2 else v
+
+        return at
+
+    return [order(j) for j in range(3)]
+
+
+def _product(n1: int, n2: int, mu: DeformationParams) -> PlaneFunction:
+    """h_n1(x) h_n2(y) with its exact partials: an eigenstate of H at the level n1 + n2."""
+    hx, hy = _dunkl_hermite(n1, mu.mu1), _dunkl_hermite(n2, mu.mu2)
+
+    def partial(i: int, j: int) -> Callable:
+        return lambda x, y: hx[i](np.asarray(x, dtype=float)) * hy[j](np.asarray(y, dtype=float))
+
+    parts = (partial(0, 0), partial(1, 0), partial(0, 1), partial(2, 0), partial(0, 2))
+    return PlaneFunction(*parts, parity=((-1) ** n1, (-1) ** n2))
+
+
 # (s1, s2, 2m, nr)
 _CARTESIAN_STATES = ((1, 1, 0, 0), (1, 1, 2, 1), (-1, -1, 2, 0), (1, -1, 1, 1), (-1, 1, 3, 0))
 
@@ -293,13 +338,22 @@ def _check_cartesian_hamiltonian(ctx: VerifyContext) -> Iterator:
     # The last two points lie on x = 0 and y = 0, where the parity limits of D_x and D_y apply.
     xs = np.concatenate([xs.ravel(), -xs.ravel(), [0.0, 0.9]])
     ys = np.concatenate([ys.ravel(), ys.ravel(), [0.9, 0.0]])
+    r, phi = np.hypot(xs, ys), np.arctan2(ys, xs)
     for s1, s2, two_m, nr in _CARTESIAN_STATES:
         q = AngularQuantum._of(s1, s2, two_m, ctx.mu)
+        level = 2 * nr + two_m
+        columns = []
+        for n1 in range(q.e1, level + 1, 2):
+            f = _product(n1, level - n1, ctx.mu)
+            values = f(xs, ys)
+            target = _level_energy(level, ctx.mu) * values
+            yield _relative(apply_hamiltonian(f, ctx.mu)(xs, ys) - target, target)
+            columns.append(values)
         R = radial_sturmian(RadialQuantum(nr=nr, k=_k(two_m, ctx.mu)), ctx.mu)
-        f = _polar_plane(R, angular_wavefunction(q, ctx.mu), (s1, s2))
-        image = apply_hamiltonian(f, ctx.mu)
-        target = _level_energy(2 * nr + two_m, ctx.mu) * f(xs, ys)
-        yield _relative(image(xs, ys) - target, target)
+        state = R(r) * angular_wavefunction(q, ctx.mu)(phi)
+        products = np.stack(columns, axis=1)
+        coeffs = np.linalg.lstsq(products, state, rcond=None)[0]
+        yield _relative(products @ coeffs - state, state)
 
 
 def _ladder_check(which: str, ns: Iterable[int], step: int):

@@ -42,7 +42,6 @@ from dunkl_oscillator.dunkl_ops import (
 from dunkl_oscillator.profiles import (
     DeformationParams,
     GaussLaguerreSum,
-    _polar_plane,
 )
 from dunkl_oscillator.specfun import angular_gram, laguerre_all, radial_inner_product
 from dunkl_oscillator.su11 import (
@@ -52,7 +51,14 @@ from dunkl_oscillator.su11 import (
     factorization_product_eigenvalue,
     ladder_coefficients,
 )
-from dunkl_oscillator.verify import VerifyContext, _angular_grid, _check_evolution_crosscheck, _defect, _residual_grid
+from dunkl_oscillator.verify import (
+    VerifyContext,
+    _angular_grid,
+    _check_evolution_crosscheck,
+    _defect,
+    _product,
+    _residual_grid,
+)
 from reference_rules import NORM_RULE
 
 
@@ -200,8 +206,10 @@ def test_criterion_4_eigen_residuals():
                 worst_exact, float(np.max(np.abs(got - E * R(rgrid)))) / scale
             )
 
-    # full-plane check with the exact Cartesian partials of R(r) * Phi(phi)
+    # full-plane check on the separable products h_n1(x) h_n2(y), whose Cartesian
+    # partials are exact, and each polar state R(r) * Phi(phi) in the span of its level's products
     worst_plane = 0.0
+    worst_span = 0.0
     xs = np.linspace(0.3, 2.4, 7)
     X, Y = np.meshgrid(xs, xs)
     X = np.concatenate([X.ravel(), -X.ravel()])
@@ -209,20 +217,29 @@ def test_criterion_4_eigen_residuals():
     plane_states = [(1, 1, Fraction(0), 0), (1, 1, Fraction(1), 0), (-1, -1, Fraction(1), 0),
                     (1, -1, Fraction(1, 2), 1), (-1, 1, Fraction(3, 2), 0)]
     for s1, s2, m, nr in plane_states:
+        level = int(2 * (nr + m))
+        E = energy(nr, m, mu)
+        columns = []
+        for n1 in range((1 - s1) // 2, level + 1, 2):
+            product = _product(n1, level - n1, mu)
+            got = apply_hamiltonian(product, mu)(X, Y)
+            want = E * product(X, Y)
+            scale = max(float(np.max(np.abs(product(X, Y)))), 1.0)
+            worst_plane = max(worst_plane, float(np.max(np.abs(got - want))) / scale)
+            columns.append(product(X, Y))
         q_ang = AngularQuantum.build(s1, s2, m, mu)
         R = radial_sturmian(RadialQuantum.from_m(nr, m, mu), mu)
-        state = _polar_plane(R, angular_wavefunction(q_ang, mu), (s1, s2))
-        E = energy(nr, m, mu)
-        got = apply_hamiltonian(state, mu)(X, Y)
-        want = E * state(X, Y)
-        scale = max(float(np.max(np.abs(state(X, Y)))), 1.0)
-        worst_plane = max(worst_plane, float(np.max(np.abs(got - want))) / scale)
-    ok = worst_exact <= 1e-8 and worst_plane <= 1e-12
+        state = R(np.hypot(X, Y)) * angular_wavefunction(q_ang, mu)(np.arctan2(Y, X))
+        products = np.stack(columns, axis=1)
+        fit = products @ np.linalg.lstsq(products, state, rcond=None)[0]
+        worst_span = max(worst_span, float(np.max(np.abs(fit - state))) / float(np.max(np.abs(state))))
+    ok = worst_exact <= 1e-8 and worst_plane <= 1e-12 and worst_span <= 1e-12
     _report(
         "criterion-4 eigenfunction residuals",
         ok,
         f"separated residual {worst_exact:.3e} (tol 1e-8), "
-        f"full-plane exact residual {worst_plane:.3e} (tol 1e-12)",
+        f"full-plane exact residual {worst_plane:.3e} (tol 1e-12), "
+        f"polar states in the product span {worst_span:.3e} (tol 1e-12)",
     )
 
 

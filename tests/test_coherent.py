@@ -364,10 +364,22 @@ def test_series_is_bit_identical_to_its_unshared_form(xi, k, nterms, grid):
     for mu in (DeformationParams(0.5, 0.5), DeformationParams(-0.45, 0.3)):
         # The second mu reuses the table of the first: same k, term count and grid.
         before = coherent._cached_table.cache_info()
-        got = coherent_series(grid, p, mu, nterms)
+        got = coherent_series(grid, p, mu) if nterms is None else coherent._series_values(grid, p, mu, nterms)
         assert np.array_equal(got, _reference_series(grid, p, mu, count))
     after = coherent._cached_table.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+
+def test_public_series_takes_no_term_count():
+    # The public series is always the one auto_nterms licenses, or its refusal;
+    # an explicit partial sum is the private _series_values.
+    p = CoherentParams(xi=0.3, k=1.0)
+    mu = DeformationParams(0.5, 0.5)
+    with pytest.raises(TypeError):
+        coherent_series(GRID, p, mu, 10)
+    with pytest.raises(TypeError):
+        coherent_series(GRID, p, mu, nterms=10)
+    assert np.array_equal(coherent_series(GRID, p, mu), coherent._series_values(GRID, p, mu, auto_nterms(p)))
 
 
 def test_evolution_crosscheck_is_bit_identical_to_its_unshared_form():
@@ -398,11 +410,11 @@ def test_series_tables_are_keyed_by_grid_values():
     info = coherent._cached_table.cache_info()
     assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
     # A float count must not find the cached table of its integer value, cached or not.
-    coherent_series(a, p, mu, 10)
+    coherent._series_values(a, p, mu, 10)
     with pytest.raises(DomainError, match="degree"):
-        coherent_series(a, p, mu, 10.0)
+        coherent._series_values(a, p, mu, 10.0)
     with pytest.raises(DomainError, match="degree"):
-        coherent_series(np.linspace(0.3, 1.0, 4), p, mu, 10.0)
+        coherent._series_values(np.linspace(0.3, 1.0, 4), p, mu, 10.0)
 
 
 def test_term_counts_in_any_order_are_bit_identical_to_their_unshared_form():
@@ -413,7 +425,7 @@ def test_term_counts_in_any_order_are_bit_identical_to_their_unshared_form():
     grid = np.linspace(0.05, 3.0, 23)
     coherent._cached_table.cache_clear()
     for count in (12, 150, 12, 150, 40):
-        got = coherent_series(grid, p, mu, count)
+        got = coherent._series_values(grid, p, mu, count)
         assert np.array_equal(got, _reference_series(grid, p, mu, count))
     info = coherent._cached_table.cache_info()
     assert (info.misses, info.hits, info.currsize) == (3, 2, 3)
@@ -480,11 +492,11 @@ def test_sturmian_tables_are_read_only_and_bounded():
     # A table above the cached size is built for its call alone.
     coherent._cached_table.cache_clear()
     big = np.linspace(0.01, 3.0, coherent._CACHED_TABLE_VALUES // 100 + 1)
-    assert np.array_equal(coherent_series(big, p, mu, 100), _reference_series(big, p, mu, 100))
+    assert np.array_equal(coherent._series_values(big, p, mu, 100), _reference_series(big, p, mu, 100))
     assert coherent._cached_table.cache_info().currsize == 0
     # Nor is it cached when a shorter table of its grid is.
-    coherent_series(big, p, mu, 10)
-    assert np.array_equal(coherent_series(big, p, mu, 100), _reference_series(big, p, mu, 100))
+    coherent._series_values(big, p, mu, 10)
+    assert np.array_equal(coherent._series_values(big, p, mu, 100), _reference_series(big, p, mu, 100))
     assert coherent._cached_table.cache_info().currsize == 1
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunkl_oscillator.basis import AngularQuantum, RadialQuantum, angular_wavefunction, energy, radial_sturmian
+from dunkl_oscillator.basis import AngularQuantum, RadialQuantum, energy, radial_sturmian
 from dunkl_oscillator.dunkl_ops import (
     apply_angular_operator,
     apply_hamiltonian,
@@ -22,10 +22,9 @@ from dunkl_oscillator.profiles import (
     GaussLaguerreSum,
     PlaneFunction,
     TrigJacobiSum,
-    _polar_plane,
     derivative_of,
 )
-from dunkl_oscillator.verify import _angular_grid, _residual_grid
+from dunkl_oscillator.verify import _angular_grid, _product, _residual_grid
 
 MU = DeformationParams(0.3, 0.8)
 
@@ -183,6 +182,12 @@ def test_hamiltonian_on_axis_with_parity():
         apply_hamiltonian(bare, MU)(pts_x, pts_y)
 
 
+def _products(s1, s2, m, nr, mu):
+    """The Dunkl-Hermite products h_n1(x) h_n2(y) of the level 2 (nr + m) and parity (s1, s2)."""
+    level = int(2 * (nr + m))
+    return [_product(n1, level - n1, mu) for n1 in range((1 - s1) // 2, level + 1, 2)]
+
+
 @pytest.mark.parametrize(
     "s1, s2, m, nr", [(1, 1, Fraction(1), 1), (-1, 1, Fraction(3, 2), 0), (1, -1, Fraction(1, 2), 2)]
 )
@@ -192,13 +197,12 @@ def test_hamiltonian_value_at_a_point_does_not_depend_on_the_other_points(s1, s2
     rng = np.random.default_rng(11)
     for _ in range(4):
         mu = DeformationParams(*rng.uniform(-0.45, 2.5, 2))
-        R = radial_sturmian(RadialQuantum.from_m(nr, m, mu), mu)
-        Phi = angular_wavefunction(AngularQuantum.build(s1, s2, m, mu), mu)
-        H = apply_hamiltonian(_polar_plane(R, Phi, (s1, s2)), mu)
         xs, ys = rng.uniform(-2.0, 2.0, (2, 8))
-        alone = H(xs, ys)
-        together = H(np.append(xs, [0.0, 0.9]), np.append(ys, [0.9, 0.0]))
-        assert np.array_equal(together[:-2], alone)
+        for f in _products(s1, s2, m, nr, mu):
+            H = apply_hamiltonian(f, mu)
+            alone = H(xs, ys)
+            together = H(np.append(xs, [0.0, 0.9]), np.append(ys, [0.9, 0.0]))
+            assert np.array_equal(together[:-2], alone)
 
 
 def _expanded_second(f, axis, coupling):
@@ -233,13 +237,28 @@ def test_hamiltonian_matches_the_written_out_second_derivatives(pair):
     xs = np.array([0.4, -1.3, 2.2, 0.0, 0.0, 0.9, -1.7])
     ys = np.array([1.1, 0.6, -0.8, 0.9, -1.4, 0.0, 0.0])
     for s1, s2, m, nr in ((1, 1, 0, 1), (1, 1, 2, 0), (-1, -1, 1, 2), (1, -1, Fraction(1, 2), 1), (-1, 1, Fraction(3, 2), 0)):
-        R = radial_sturmian(RadialQuantum.from_m(nr, Fraction(m), mu), mu)
-        Phi = angular_wavefunction(AngularQuantum.build(s1, s2, Fraction(m), mu), mu)
-        f = _polar_plane(R, Phi, (s1, s2))
-        ref = -0.5 * (_expanded_second(f, "x", mu.mu1)(xs, ys) + _expanded_second(f, "y", mu.mu2)(xs, ys))
-        ref += 0.5 * (xs * xs + ys * ys) * f(xs, ys)
-        got = apply_hamiltonian(f, mu)(xs, ys)
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        for f in _products(s1, s2, m, nr, mu):
+            ref = -0.5 * (_expanded_second(f, "x", mu.mu1)(xs, ys) + _expanded_second(f, "y", mu.mu2)(xs, ys))
+            ref += 0.5 * (xs * xs + ys * ys) * f(xs, ys)
+            got = apply_hamiltonian(f, mu)(xs, ys)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("pair", [(0.5, 0.5), (-0.3, 1.2), (0.0, 1.3), (2.2, 0.0)])
+def test_dunkl_derivative_lowers_the_dunkl_hermite_functions(pair):
+    # (D_t + t) h_n / sqrt(2) = c_n h_(n-1), with c_n = sqrt(2) (n//2 + mu + 1/2) for
+    # odd n and -sqrt(2) for even n, along each axis, off the axes, on both and at the origin.
+    mu = DeformationParams(*pair)
+    xs = np.array([0.4, -1.3, 2.2, 0.0, 0.0, 0.9, -1.7, 0.0])
+    ys = np.array([1.1, 0.6, -0.8, 0.9, -1.4, 0.0, 0.0, 0.0])
+    for n in range(1, 6):
+        for other in (0, 1, 2):
+            for axis, coupling, t, (n1, n2) in (("x", mu.mu1, xs, (n, other)), ("y", mu.mu2, ys, (other, n))):
+                c = np.sqrt(2.0) * (n // 2 + coupling + 0.5) if n % 2 else -np.sqrt(2.0)
+                f = _product(n1, n2, mu)
+                lowered = _product(n1 - (axis == "x"), n2 - (axis == "y"), mu)(xs, ys)
+                got = (dunkl_derivative(f, axis, mu)(xs, ys) + t * f(xs, ys)) / np.sqrt(2.0)
+                assert np.max(np.abs(got - c * lowered)) <= 2e-15 * np.max(np.abs(c * lowered)), (axis, n, other)
 
 
 def test_dunkl_derivative_attaches_its_partial_along_its_axis():

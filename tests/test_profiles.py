@@ -2,7 +2,6 @@
 
 import math
 import sys
-import threading
 import warnings
 from fractions import Fraction
 
@@ -33,7 +32,6 @@ from dunkl_oscillator.profiles import (
     PlaneFunction,
     Profile,
     TrigJacobiSum,
-    _polar_plane,
     derivative_of,
 )
 from dunkl_oscillator.specfun import DeformationParams, jacobi, laguerre
@@ -371,38 +369,6 @@ def test_radial_operators_return_term_sums():
         assert type(image) is GaussLaguerreSum
 
 
-def _mp_term_sums(R: GaussLaguerreSum, Phi: TrigJacobiSum):
-    """R(r) * Phi(phi) as an mpmath function of (x, y), summed from the terms."""
-
-    def fn(x, y):
-        r, phi = mpmath.hypot(x, y), mpmath.atan2(y, x)
-        rad = sum(c * r**p * mpmath.laguerre(n, a, r * r) for (p, n, a), c in R.terms.items())
-        ang = sum(
-            c * mpmath.cos(phi) ** i * mpmath.sin(phi) ** j * mpmath.jacobi(d, al, be, mpmath.cos(2 * phi))
-            for (i, j, d, al, be), c in Phi.terms.items()
-        )
-        return rad * mpmath.exp(-r * r / 2) * ang
-
-    return fn
-
-
-@pytest.mark.parametrize("mu", [DeformationParams(0.3, 0.8), DeformationParams(-0.45, 2.2)], ids=["mu0", "mu1"])
-@pytest.mark.parametrize("s1, s2, m, nr", [(1, 1, Fraction(1), 1), (-1, 1, Fraction(3, 2), 0)], ids=["even", "odd-x"])
-def test_polar_plane_partials_match_mpmath(mu, s1, s2, m, nr):
-    R = radial_sturmian(RadialQuantum.from_m(nr, m, mu), mu)
-    Phi = angular_wavefunction(AngularQuantum.build(s1, s2, m, mu), mu)
-    f = _polar_plane(R, Phi, (s1, s2))
-    assert f.parity == (s1, s2)
-    reference = _mp_term_sums(R, Phi)
-    partials = {(0, 0): f.fn, (1, 0): f.dx, (0, 1): f.dy, (2, 0): f.dxx, (0, 2): f.dyy}
-    # Off the axes in three quadrants, then on the y axis and on the x axis.
-    for x, y in [(0.7, 1.2), (-1.4, 0.5), (0.9, -0.3), (0.0, 0.9), (0.0, -1.3), (1.1, 0.0)]:
-        with mpmath.workdps(30):
-            for orders, partial in partials.items():
-                expected = float(mpmath.diff(reference, (x, y), orders))
-                assert partial(x, y) == pytest.approx(expected, rel=1e-12, abs=1e-14), (orders, x, y)
-
-
 @pytest.mark.parametrize("order", [-1, -3, 1.0, 1.5, "1"])
 def test_derivative_of_rejects_bad_order(order):
     for profile in (GaussLaguerreSum.single(1.0, 1.0, 1, 0.0), TrigJacobiSum.single(1.0, 0, 1, 0, 0.0, 0.0)):
@@ -598,139 +564,3 @@ def test_monomials_refuse_a_degree_above_30():
     assert len(GaussLaguerreSum.single(1.0, 0.5, 30, 2.5)._monomials()) == 31
     with pytest.raises(DomainError, match="degree 31"):
         GaussLaguerreSum.single(1.0, 0.5, 31, 2.5)._monomials()
-
-
-# --- the polar factor memo ----------------------------------------------------
-
-
-def _ref_polar_partials(R, Phi):
-    """fn, dx, dy, dxx and dyy of R(r) * Phi(phi) as first written: every factor evaluated on every call."""
-    R1, R2 = derivative_of(R, 1), derivative_of(R, 2)
-    Phi1, Phi2 = derivative_of(Phi, 1), derivative_of(Phi, 2)
-
-    def polar(x, y):
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        r = np.hypot(x, y)
-        return r, np.arctan2(y, x), x / r, y / r
-
-    def partial(axis, order):
-        def out(x, y):
-            r, phi, c, s = polar(x, y)
-            a, b = (c, s) if axis == "x" else (s, -c)
-            rad, rad1, ang, ang1 = R(r), R1(r), Phi(phi), Phi1(phi)
-            if order == 1:
-                return a * rad1 * ang - (b / r) * rad * ang1
-            return (
-                a * a * R2(r) * ang
-                + (b * b / r) * (rad1 * ang + rad * Phi2(phi) / r)
-                + (2.0 * a * b / r) * (rad * ang1 / r - rad1 * ang1)
-            )
-
-        return out
-
-    def fn(x, y):
-        r, phi, _, _ = polar(x, y)
-        return R(r) * Phi(phi)
-
-    return fn, partial("x", 1), partial("y", 1), partial("x", 2), partial("y", 2)
-
-
-@pytest.mark.parametrize("s1, s2, m, nr", [(1, 1, Fraction(0), 0), (-1, 1, Fraction(3, 2), 1)], ids=["flat", "odd-x"])
-def test_polar_plane_is_bit_identical_to_the_plain_chain_rule(s1, s2, m, nr):
-    mu = DeformationParams(0.37, 1.9)
-    R = radial_sturmian(RadialQuantum.from_m(nr, m, mu), mu)
-    Phi = angular_wavefunction(AngularQuantum.build(s1, s2, m, mu), mu)
-    f = _polar_plane(R, Phi, (s1, s2))
-    reference = _ref_polar_partials(R, Phi)
-    pts = np.array([0.31, -0.77, 1.43, 0.0, 0.9])
-    point_sets = [(pts, pts[::-1]), (-pts, pts[::-1]), (pts, -pts[::-1]), (0.4, -1.1), (pts.reshape(5, 1), pts + 0.05)]
-    # Each function read twice on each point set, in the order the Hamiltonian reads them.
-    for x, y in point_sets + point_sets:
-        got = [_bits(g(x, y)) for g in (f.fn, f.dx, f.dy, f.dxx, f.dyy)]
-        assert got == [_bits(g(x, y)) for g in reference]
-    image, plain = apply_hamiltonian(f, mu), apply_hamiltonian(PlaneFunction(*reference, parity=(s1, s2)), mu)
-    x, y = point_sets[0]
-    assert _bits(image(x, y)) == _bits(plain(x, y))
-
-
-def test_polar_plane_evaluates_each_factor_once_until_its_values_are_cleared(monkeypatch):
-    mu = DeformationParams(0.3, 0.8)
-    R = radial_sturmian(RadialQuantum.from_m(1, Fraction(1, 2), mu), mu)
-    Phi = angular_wavefunction(AngularQuantum.build(-1, 1, Fraction(1, 2), mu), mu)
-    f = _polar_plane(R, Phi, (-1, 1))
-    fns = (f.fn, f.dx, f.dy, f.dxx, f.dyy)
-    seen = []
-    for cls in (GaussLaguerreSum, TrigJacobiSum):
-        real = cls._evaluate
-        monkeypatch.setattr(cls, "_evaluate", lambda self, t, real=real: seen.append(self) or real(self, t))
-    rng = np.random.default_rng(8)
-    point_sets = [(rng.uniform(-2.0, 2.0, 6), rng.uniform(-2.0, 2.0, 6)) for _ in range(3)]
-    # Two point sets keep 12 values, fewer than the 16 that clear the dict:
-    # R, R', R'', Phi, Phi' and Phi'' are evaluated once per point set.
-    first = [[_bits(g(x, y)) for g in fns] for x, y in point_sets[:2] + point_sets[:2]]
-    assert first[2:] == first[:2]
-    assert len(seen) == 2 * 6
-    # A reflected point set has the same r, so only Phi is evaluated anew there.
-    x, y = point_sets[1]
-    f.fn(-x, y)
-    assert len(seen) == 2 * 6 + 1 and type(seen[-1]) is TrigJacobiSum
-    # The third point set fills the dict, which is cleared; the first point
-    # set's values are then evaluated afresh, once each, to the same bits.
-    x, y = point_sets[2]
-    for g in fns:
-        g(x, y)
-    before = len(seen)
-    x, y = point_sets[0]
-    assert [_bits(g(x, y)) for g in fns] == first[0]
-    assert len(seen) == before + 6
-
-
-def test_polar_plane_shared_by_threads_gives_the_bits_of_a_fresh_one():
-    # The memo is read and written without a lock; a race may repeat work but
-    # never mixes up values.
-    mu = DeformationParams(0.37, 1.9)
-    R = radial_sturmian(RadialQuantum.from_m(2, Fraction(1), mu), mu)
-    Phi = angular_wavefunction(AngularQuantum.build(1, 1, Fraction(1), mu), mu)
-    shared = _polar_plane(R, Phi, (1, 1))
-    rng = np.random.default_rng(21)
-    point_sets = [(rng.uniform(-2.0, 2.0, 5), rng.uniform(-2.0, 2.0, 5)) for _ in range(7)]
-    fresh = _polar_plane(R, Phi, (1, 1))
-    want = [[_bits(g(x, y)) for g in (fresh.fn, fresh.dxx, fresh.dy)] for x, y in point_sets]
-    got, errors = [], []
-
-    def work(offset):
-        try:
-            for k in range(40):
-                i = (offset + k) % len(point_sets)
-                x, y = point_sets[i]
-                got.append((i, [_bits(g(x, y)) for g in (shared.fn, shared.dxx, shared.dy)]))
-        except Exception as exc:  # reported by the main thread
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
-    assert len(got) == 4 * 40
-    assert all(bits == want[i] for i, bits in got)
-
-
-def test_polar_plane_is_quiet_at_the_origin_and_its_partials_refuse_it():
-    mu = DeformationParams(0.37, 1.9)
-    R = radial_sturmian(RadialQuantum.from_m(1, Fraction(0), mu), mu)
-    Phi = angular_wavefunction(AngularQuantum.build(1, 1, Fraction(0), mu), mu)
-    f = _polar_plane(R, Phi, (1, 1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert f(0.0, 0.0) == R(0.0) * Phi(0.0) != 0.0
-        for g in (f.dx, f.dy, f.dxx, f.dyy):
-            with pytest.raises(SingularityError, match="r = 0"):
-                g(np.array([0.5, 0.0]), np.array([0.2, 0.0]))

@@ -4,9 +4,12 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ from dunkl_oscillator import coherent, dunkl_ops, profiles, su11, verify
 from dunkl_oscillator.basis import RadialQuantum, _sector_labels, angular_wavefunction, k_of, radial_sturmian
 from dunkl_oscillator.dunkl_ops import apply_angular_operator
 from dunkl_oscillator.errors import DomainError
-from dunkl_oscillator.profiles import GaussLaguerreSum
+from dunkl_oscillator.profiles import GaussLaguerreSum, PlaneFunction, TrigJacobiSum
 from dunkl_oscillator.specfun import DeformationParams
 from dunkl_oscillator.verify import SUITES, _angular_grid, _residual_grid, run_checks
 
@@ -317,29 +320,20 @@ def test_commutator_closure_builds_each_bracket_image_once(monkeypatch):
     assert len(rows) == 90
 
 
-def test_cartesian_check_evaluates_each_polar_factor_once(monkeypatch):
-    # Five states, each evaluating R, R', R'' once on the shared r and Phi,
-    # Phi', Phi'' on (x, y) plus Phi and Phi' on the two reflections, which
-    # D_t(D_t f) reads: 10, and 9 for the flat m = 0 state, whose Phi' and
-    # Phi'' are the same zero sum.  A state's values all fit in its plane
-    # function's value dict, so none is evaluated twice.
-    per_state = []
-
-    def counted(real):
-        def evaluate(self, t):
-            per_state[-1] += 1
-            return real(self, t)
-
-        return evaluate
-
+def test_cartesian_check_evaluates_each_factor_once_per_size(monkeypatch):
+    # Nine products, each evaluating h, h' and h'' of its x factor once on |x|
+    # and of its y factor once on |y| (a reflection keeps |t|, and the span
+    # case reads the kept values): 54 radial evaluations, then R and Phi once
+    # per state.  No term sum is evaluated twice on one argument.
+    seen = []
     for cls in (profiles.GaussLaguerreSum, profiles.TrigJacobiSum):
-        monkeypatch.setattr(cls, "_evaluate", counted(cls._evaluate))
-    real_h = verify.apply_hamiltonian
-    monkeypatch.setattr(verify, "apply_hamiltonian", lambda f, mu: per_state.append(0) or real_h(f, mu))
+        real = cls._evaluate
+        monkeypatch.setattr(cls, "_evaluate", lambda self, t, real=real: seen.append((self, t.tobytes())) or real(self, t))
     (result,) = run_checks(_only(monkeypatch, "hamiltonian_cartesian_residual"), mu=(0.37, 1.9))
     assert result.passed
-    assert per_state == [9, 10, 10, 10, 10] and sum(per_state) == 49
-    assert max(per_state) <= profiles._KEEP_VALUES
+    kinds = [type(term_sum) for term_sum, _ in seen]
+    assert kinds.count(profiles.GaussLaguerreSum) == 54 + 5 and kinds.count(profiles.TrigJacobiSum) == 5
+    assert len({(id(term_sum), arg) for term_sum, arg in seen}) == len(seen)
 
 
 # --- the scaled residuals of the pointwise eigen checks -------------------------
@@ -353,8 +347,8 @@ def test_angular_checks_pass_where_the_angular_functions_are_large():
 
 
 def test_cartesian_residual_sees_round_off_where_the_states_are_small(monkeypatch):
-    # At mu = (80, 80) max|E f| over the 34 points is 1e-119 to 1e-116; relative to
-    # it the residual reads round-off, not 1.4e-131.
+    # At mu = (80, 80) the polar states are 1e-119 to 1e-116 at the 34 points;
+    # relative to them the span case reads round-off, not an absolute 1e-131.
     (result,) = run_checks(_only(monkeypatch, "hamiltonian_cartesian_residual"), mu=(80.0, 80.0))
     assert result.passed and result.residual >= 1e-16
 
@@ -386,6 +380,181 @@ def test_cartesian_residual_sees_a_1e_6_fault_in_the_dunkl_coupling(mu, monkeypa
     monkeypatch.setattr(dunkl_ops, "dunkl_derivative", scaled)
     (faulty,) = run_checks(suite, mu=mu)
     assert clean.passed and not faulty.passed and faulty.error is None and faulty.residual > 1e-8
+
+
+@pytest.mark.parametrize("mu", [(0.5, 0.5), (-0.3, 1.2), (1.7, 0.2)])
+def test_cartesian_residual_sees_a_1e_10_fault_in_the_level_energy(mu, monkeypatch):
+    suite = _only(monkeypatch, "hamiltonian_cartesian_residual")
+    (clean,) = run_checks(suite, mu=mu)
+    real = verify._level_energy
+    monkeypatch.setattr(verify, "_level_energy", lambda level, mu: real(level, mu) + 1e-10)
+    (faulty,) = run_checks(suite, mu=mu)
+    assert clean.passed and not faulty.passed and faulty.error is None and faulty.residual > 1e-11
+
+
+@pytest.mark.parametrize("mu", [(0.5, 0.5), (-0.3, 1.2), (1.7, 0.2)])
+def test_cartesian_span_case_sees_a_1e_6_fault_in_the_jacobi_alpha(mu, monkeypatch):
+    # Only the span case reads the polar states, so it alone can see this fault.
+    suite = _only(monkeypatch, "hamiltonian_cartesian_residual")
+    real = verify.angular_wavefunction
+
+    def shifted(q, mu):
+        (((i, j, d, al, be), c),) = real(q, mu).terms.items()
+        return TrigJacobiSum.single(c, i, j, d, al + 1e-6, be)
+
+    monkeypatch.setattr(verify, "angular_wavefunction", shifted)
+    (faulty,) = run_checks(suite, mu=mu)
+    assert not faulty.passed and faulty.error is None and faulty.residual > 1e-8
+
+
+# --- the Dunkl-Hermite products of the Cartesian check ---------------------------
+
+
+def _mp_dunkl_hermite(n, coupling):
+    """h_n(t) = t^e L^(coupling - 1/2 + e)_(n//2)(t^2) e^(-t^2/2), e = n mod 2, as an mpmath function."""
+    e = n % 2
+    return lambda t: t**e * mpmath.laguerre(n // 2, coupling - 0.5 + e, t * t) * mpmath.exp(-t * t / 2)
+
+
+@pytest.mark.parametrize("coupling", [0.0, -0.3, 2.2])
+def test_dunkl_hermite_factors_match_mpmath(coupling):
+    t = np.array([-1.7, -0.4, 0.0, 0.3, 1.1, 2.6])
+    for n in range(6):
+        factor = verify._dunkl_hermite(n, coupling)
+        reference = _mp_dunkl_hermite(n, coupling)
+        for j, h in enumerate(factor):
+            got = h(t)
+            with mpmath.workdps(30):
+                want = [float(mpmath.diff(reference, mpmath.mpf(float(v)), j)) for v in t]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14, err_msg=f"n = {n}, order {j}")
+            # h_n^(j)(-t) = (-1)^(n + j) h_n^(j)(t), bit for bit; an odd one is exactly 0 at t = 0.
+            assert np.array_equal(h(-t), (-1) ** (n + j) * got)
+            if (n + j) % 2:
+                assert got[2] == 0.0
+
+
+def _mp_product(n1, n2, mu):
+    hx, hy = _mp_dunkl_hermite(n1, mu.mu1), _mp_dunkl_hermite(n2, mu.mu2)
+    return lambda x, y: hx(x) * hy(y)
+
+
+@pytest.mark.parametrize("mu", [DeformationParams(0.3, 0.8), DeformationParams(-0.45, 2.2)], ids=["mu0", "mu1"])
+@pytest.mark.parametrize("n1, n2", [(2, 2), (3, 0)], ids=["even", "odd-x"])
+def test_product_partials_match_mpmath(mu, n1, n2):
+    f = verify._product(n1, n2, mu)
+    assert f.parity == ((-1) ** n1, (-1) ** n2)
+    reference = _mp_product(n1, n2, mu)
+    partials = {(0, 0): f.fn, (1, 0): f.dx, (0, 1): f.dy, (2, 0): f.dxx, (0, 2): f.dyy}
+    # Off the axes in three quadrants, on the y axis, on the x axis and at the origin.
+    for x, y in [(0.7, 1.2), (-1.4, 0.5), (0.9, -0.3), (0.0, 0.9), (0.0, -1.3), (1.1, 0.0), (0.0, 0.0)]:
+        with mpmath.workdps(30):
+            for orders, partial in partials.items():
+                expected = float(mpmath.diff(reference, (x, y), orders))
+                assert partial(x, y) == pytest.approx(expected, rel=1e-12, abs=1e-14), (orders, x, y)
+
+
+def _bits(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def _unkept_product(n1, n2, mu):
+    """fn, dx, dy, dxx and dyy of h_n1(x) h_n2(y), each factor evaluated afresh on every call."""
+
+    def factor(n, coupling, j):
+        term_sum = profiles.derivative_of(GaussLaguerreSum.single(1.0, n % 2, n // 2, coupling - 0.5 + n % 2), j)
+        return lambda t: np.where(t < 0.0, (-1) ** (n + j), 1) * term_sum(np.abs(t))
+
+    def partial(i, j):
+        hx, hy = factor(n1, mu.mu1, i), factor(n2, mu.mu2, j)
+        return lambda x, y: hx(np.asarray(x, dtype=float)) * hy(np.asarray(y, dtype=float))
+
+    return partial(0, 0), partial(1, 0), partial(0, 1), partial(2, 0), partial(0, 2)
+
+
+@pytest.mark.parametrize("n1, n2", [(0, 0), (3, 2)], ids=["flat", "odd-x"])
+def test_product_is_bit_identical_to_its_unkept_form(n1, n2):
+    mu = DeformationParams(0.37, 1.9)
+    f = verify._product(n1, n2, mu)
+    reference = _unkept_product(n1, n2, mu)
+    pts = np.array([0.31, -0.77, 1.43, 0.0, 0.9])
+    point_sets = [(pts, pts[::-1]), (-pts, pts[::-1]), (pts, -pts[::-1]), (0.4, -1.1), (pts.reshape(5, 1), pts + 0.05)]
+    # Each function read twice on each point set, in the order the Hamiltonian reads them.
+    for x, y in point_sets + point_sets:
+        got = [_bits(g(x, y)) for g in (f.fn, f.dx, f.dy, f.dxx, f.dyy)]
+        assert got == [_bits(g(x, y)) for g in reference]
+    image, plain = dunkl_ops.apply_hamiltonian(f, mu), dunkl_ops.apply_hamiltonian(PlaneFunction(*reference, parity=f.parity), mu)
+    x, y = point_sets[0]
+    assert _bits(image(x, y)) == _bits(plain(x, y))
+
+
+def test_product_evaluates_each_factor_once_per_size(monkeypatch):
+    f = verify._product(3, 2, DeformationParams(0.3, 0.8))
+    fns = (f.fn, f.dx, f.dy, f.dxx, f.dyy)
+    seen = []
+    real = GaussLaguerreSum._evaluate
+    monkeypatch.setattr(GaussLaguerreSum, "_evaluate", lambda self, t: seen.append(self) or real(self, t))
+    rng = np.random.default_rng(8)
+    point_sets = [(rng.uniform(-2.0, 2.0, 6), rng.uniform(-2.0, 2.0, 6)) for _ in range(2)]
+    # h, h' and h'' of each factor are evaluated once per point set and kept.
+    first = [[_bits(g(x, y)) for g in fns] for x, y in point_sets + point_sets]
+    assert first[2:] == first[:2]
+    assert len(seen) == 2 * 6
+    # A reflected point set has the same |x| and |y|, so nothing is evaluated
+    # anew; the (i, j) partial of h_3(x) h_2(y) picks up (-1)^(3 + i + 2 + j).
+    x, y = point_sets[1]
+    signs = [(-1) ** (5 + i + j) for i, j in ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2))]
+    assert [_bits(g(-x, -y)) for g in fns] == [_bits(s * g(x, y)) for s, g in zip(signs, fns)]
+    assert len(seen) == 2 * 6
+
+
+def test_product_shared_by_threads_gives_the_bits_of_a_fresh_one():
+    # The kept values are read and written without a lock; a race may repeat
+    # work but never mixes up values.
+    mu = DeformationParams(0.37, 1.9)
+    shared = verify._product(2, 3, mu)
+    rng = np.random.default_rng(21)
+    point_sets = [(rng.uniform(-2.0, 2.0, 5), rng.uniform(-2.0, 2.0, 5)) for _ in range(7)]
+    fresh = verify._product(2, 3, mu)
+    want = [[_bits(g(x, y)) for g in (fresh.fn, fresh.dxx, fresh.dy)] for x, y in point_sets]
+    got, errors = [], []
+
+    def work(offset):
+        try:
+            for k in range(40):
+                i = (offset + k) % len(point_sets)
+                x, y = point_sets[i]
+                got.append((i, [_bits(g(x, y)) for g in (shared.fn, shared.dxx, shared.dy)]))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(got) == 4 * 40
+    assert all(bits == want[i] for i, bits in got)
+
+
+def test_product_is_quiet_at_the_origin_and_its_hamiltonian_exact_there():
+    # A product has exact partials at the origin and on both axes, so H f = E f holds there too.
+    mu = DeformationParams(0.37, 1.9)
+    x, y = np.array([0.0, 0.0, 0.8]), np.array([0.0, 0.6, 0.0])
+    for n1, n2 in ((0, 2), (1, 2), (2, 1), (1, 1)):
+        f = verify._product(n1, n2, mu)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dunkl_ops.apply_hamiltonian(f, mu)(x, y)
+            want = verify._level_energy(n1 + n2, mu) * f(x, y)
+        assert (f(0.0, 0.0) != 0.0) == (n1 % 2 == n2 % 2 == 0)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_a_state_that_underflows_everywhere_is_an_error_record():
