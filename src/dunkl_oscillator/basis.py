@@ -131,8 +131,8 @@ def _two_m(m) -> int:
 
 
 def sector_start(s1: int, s2: int) -> Fraction:
-    """Lowest quantum number m of the (s1, s2) sector: 0, 1/2, 1/2 or 1."""
-    if (s1, s2) not in _SECTOR_STARTS:
+    """Lowest quantum number m of the (s1, s2) sector: 0, 1/2, 1/2 or 1; each parity is an integer, +1 or -1."""
+    if (s1, s2) not in _SECTOR_STARTS or not (isinstance(s1, numbers.Integral) and isinstance(s2, numbers.Integral)):
         raise DomainError(f"parities must be +1 or -1, got ({s1}, {s2})")
     return Fraction(_SECTOR_STARTS[(s1, s2)], 2)
 
@@ -161,7 +161,7 @@ class AngularQuantum:
 
     @classmethod
     def build(cls, s1: int, s2: int, m, mu: DeformationParams) -> "AngularQuantum":
-        start, two_m = sector_start(s1, s2), _two_m(m)  # sector_start refuses a parity other than +1 or -1
+        start, two_m = sector_start(s1, s2), _two_m(m)  # sector_start refuses a parity other than the integer +1 or -1
         if not _holds(s1, s2, two_m):
             raise RepresentationError(
                 f"m = {Fraction(two_m, 2)} is not in the ({s1:+d}, {s2:+d}) sector, "

@@ -1,9 +1,10 @@
 """The command-line subcommands that need numpy: ``wavefunction``, ``coherent`` and ``verify``.
 
 ``entry`` parses every command, runs ``spectrum`` and imports this module
-when one of these three first runs.  This module's one public name is
-``entry.main``, so ``cli.main`` runs every command; importing this module
-loads every layer of the package.
+when one of these three first runs.  It leaves m as text, which
+``wavefunction`` and ``coherent`` run through ``basis``' one m rule, once per
+command.  This module's one public name is ``entry.main``, so ``cli.main``
+runs every command; importing this module loads every layer of the package.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 
 import numpy as np
 
+from . import basis
 from .basis import AngularQuantum, DeformationParams, RadialQuantum, angular_wavefunction, energy, k_of, radial_sturmian
 from .coherent import CoherentParams, EvolutionParams, coherent_evolved
 from .entry import _csv_document, _fmt, _json_document, _output, main
@@ -33,8 +35,8 @@ def _require_finite(axis: str, grid: np.ndarray, values: np.ndarray) -> None:
 
 def _cmd_wavefunction(args: argparse.Namespace, mu: DeformationParams) -> int:
     s1, s2, m, nr = args.state
-    q_ang = AngularQuantum.build(s1, s2, m, mu)
-    q_rad = RadialQuantum.from_m(nr, m, mu)
+    q_ang = AngularQuantum.build(s1, s2, m, mu)  # the one m rule reads m's text here
+    q_rad = RadialQuantum.from_m(nr, q_ang.m, mu)
     grid = np.linspace(*args.grid)
     if args.part == "radial":
         values = radial_sturmian(q_rad, mu)(grid)
@@ -50,11 +52,11 @@ def _cmd_wavefunction(args: argparse.Namespace, mu: DeformationParams) -> int:
         "mu2": mu.mu2,
         "s1": s1,
         "s2": s2,
-        "m": float(m),
+        "m": float(q_ang.m),
         "nr": nr,
         "k": q_rad.k,
         "l2": q_ang.l2,
-        "energy": energy(nr, m, mu),
+        "energy": energy(nr, q_ang.m, mu),
     }
     if args.format == "json":
         doc = _json_document({**header, "axis": axis_name, "grid": grid.tolist(), "values": values.tolist()})
@@ -67,7 +69,7 @@ def _cmd_wavefunction(args: argparse.Namespace, mu: DeformationParams) -> int:
 
 
 def _cmd_coherent(args: argparse.Namespace, mu: DeformationParams) -> int:
-    m = args.m
+    m = basis._two_m(args.m) / 2  # the one m rule reads m's text here; 2m / 2 is exact
     k = k_of(m, mu)
     p = CoherentParams(xi=args.xi, k=k)
     grid = np.linspace(*args.grid)

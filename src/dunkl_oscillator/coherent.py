@@ -41,8 +41,8 @@ from fractions import Fraction
 import numpy as np
 
 from .basis import DeformationParams, _check_integer, _check_k, _k, _two_m, log_gamma
-from .errors import DomainError, SingularityError
-from .specfun import _touches_origin, laguerre_all
+from .errors import DomainError
+from .specfun import _check_radius, laguerre_all
 
 __all__ = [
     "CoherentParams",
@@ -129,8 +129,7 @@ def _ln_norm(p: CoherentParams) -> float:
 
 def _envelope(r: np.ndarray, ln_pref: complex, power: float, c: complex) -> np.ndarray:
     """exp(ln_pref + power ln r + c r^2) in one exponential; r^0 is 1 at r = 0 too, and an underflow exactly 0."""
-    if _touches_origin(r) and power < 0:
-        raise SingularityError("evaluation at r = 0 hits a negative power of r")
+    _check_radius(r, power < 0)
     # ln 0 = -inf: a positive power gives exp(-inf) = 0.  c r^2 overflows only
     # where its real part puts |Psi| below the smallest subnormal.
     with np.errstate(divide="ignore", over="ignore"):

@@ -3,9 +3,10 @@
 ``dunkl-osc`` and ``python -m dunkl_oscillator`` call ``main`` here, so
 ``--help``, ``spectrum`` and every refusal made while parsing start without
 importing numpy: the mu rule and the suite names come from the numpy-free
-``basis``.  ``wavefunction``, ``coherent`` and ``verify`` run in ``cli``,
-which is imported when one of them first runs and whose one public name is
-this ``main``; ``main`` is not in the package's ``__all__``.
+``basis``; the parser reads a state's parities and nr, but leaves m as text
+for ``basis``' one m rule.  ``wavefunction``, ``coherent`` and ``verify`` run
+in ``cli``, which is imported when one of them first runs and whose one
+public name is this ``main``; ``main`` is not in the package's ``__all__``.
 
 Subcommands:
 
@@ -45,7 +46,6 @@ import math
 import os
 import re
 import sys
-from fractions import Fraction
 from typing import Iterator, TextIO
 
 from . import basis
@@ -62,7 +62,8 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _parse_state(text: str) -> tuple[int, int, Fraction, int]:
+def _parse_state(text: str) -> tuple[int, int, str, int]:
+    """(s1, s2, m, nr) of 's1,s2,m,nr', with m left as text for the library's one m rule."""
     parts = text.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError(
@@ -75,18 +76,10 @@ def _parse_state(text: str) -> tuple[int, int, Fraction, int]:
     except KeyError:
         raise argparse.ArgumentTypeError(f"parities must be +1 or -1, got {text!r}") from None
     try:
-        m = Fraction(parts[2].strip())
         nr = int(parts[3].strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"bad m or nr in state {text!r}: {exc}") from None
-    return (s1, s2, m, nr)
-
-
-def _parse_m(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"bad m value {text!r}: {exc}") from None
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad nr in state {text!r}: {exc}") from None
+    return (s1, s2, parts[2].strip(), nr)
 
 
 def _parse_xi(text: str) -> complex:
@@ -308,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_coh = sub.add_parser("coherent", help="tabulate a time-evolved coherent profile")
     _add_common(p_coh, 0.0)
     p_coh.add_argument("--xi", type=_parse_xi, required=True, help="re,im with |xi| < 1")
-    p_coh.add_argument("--m", type=_parse_m, default=Fraction(0), help="sector quantum number")
+    p_coh.add_argument("--m", default="0", help="sector quantum number")
     p_coh.add_argument("--tau", type=_parse_taus, default=(0.0,), help="comma list of times")
     p_coh.add_argument("--grid", type=_parse_grid, default=_DEFAULT_GRID, help="min:max:n")
     p_coh.set_defaults(handler=_in_cli("_cmd_coherent"))

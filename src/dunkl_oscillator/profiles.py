@@ -36,7 +36,7 @@ import numpy as np
 
 from .basis import DeformationParams, _check_integer
 from .errors import DomainError, SingularityError
-from .specfun import _touches_origin, jacobi, laguerre
+from .specfun import _check_radius, jacobi, laguerre
 
 __all__ = [
     "Profile",
@@ -138,8 +138,7 @@ class GaussLaguerreSum(Profile):
 
     def _evaluate(self, r):
         arr = np.atleast_1d(np.asarray(r, dtype=float))
-        if _touches_origin(arr) and any(p < 0 for p, _, _ in self.terms):
-            raise SingularityError("evaluation at r = 0 hits a negative power of r")
+        _check_radius(arr, any(p < 0 for p, _, _ in self.terms))
         x = arr * arr
         total = np.zeros(arr.shape)
         for (p, n, a), c in self.terms.items():

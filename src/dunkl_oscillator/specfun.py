@@ -14,7 +14,8 @@ basis evaluate each function once as a row of V and form V diag(w) V^T.
 Each takes mu as a ``DeformationParams`` or a plain pair (mu1, mu2), refused
 by the one rule of ``DeformationParams`` that every layer above applies; it,
 ``log_gamma`` and the integer rule for degrees and node counts live in the
-numpy-free ``basis``.
+numpy-free ``basis``.  The radial term sums and the coherent states apply the
+one radius rule here, which also refuses r = 0 under a negative power of r.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 import numpy as np
 
 from .basis import DeformationParams, _check_integer
-from .errors import DomainError
+from .errors import DomainError, SingularityError
 
 __all__ = [
     "laguerre",
@@ -55,14 +56,15 @@ def _finite(x) -> np.ndarray:
 _MAX_RADIUS = math.sqrt(np.finfo(float).max)  # about 1.34e154, the largest r whose r^2 is finite
 
 
-def _touches_origin(r: np.ndarray) -> bool:
-    """Whether r = 0 is among the radii r, once none is negative, non-finite (NaN included) or past _MAX_RADIUS."""
+def _check_radius(r: np.ndarray, negative_power: bool) -> None:
+    """Refuse radii r that are negative, non-finite (NaN included) or past _MAX_RADIUS, or 0 under a negative power."""
     lo, hi = r.min(initial=math.inf), r.max(initial=0.0)
     if not (lo >= 0.0 and hi < math.inf):
         raise DomainError(f"r must be non-negative and finite, got {r[~((r >= 0.0) & (r < math.inf))][0]}")
     if hi > _MAX_RADIUS:
         raise DomainError(f"r must not exceed {_MAX_RADIUS}, past which r^2 overflows, got {r[r > _MAX_RADIUS][0]}")
-    return lo == 0.0
+    if lo == 0.0 and negative_power:
+        raise SingularityError("evaluation at r = 0 hits a negative power of r")
 
 
 def _check_laguerre(n: int, alpha: float) -> None:
@@ -198,7 +200,7 @@ def _angular_measure(mu, npoints: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _gram(fns, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     # Each function is evaluated once: row i of V holds fns[i] on the nodes.
-    rows = [f(nodes) for f in fns]
+    rows = [np.broadcast_to(f(nodes), nodes.shape) for f in fns]
     if not rows:
         raise DomainError("a Gram matrix needs at least one function")
     values = np.stack(rows)

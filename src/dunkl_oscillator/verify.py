@@ -12,9 +12,10 @@ cases at the run's mu only, so a report describes the mu it was asked for.
 Three pointwise checks are scaled: ``angular_eigen_residual`` and
 ``angular_reflection_parity`` divide each case by max|Phi| on the angular
 grid, and ``hamiltonian_cartesian_residual`` each product's residual by
-max|E f| and each polar state's span defect by max|R Phi| at its 34 points,
+max|f| and each polar state's span defect by max|R Phi| at its 34 points,
 so a residual is relative to the state's own size (max|Phi| is below 1 at
-mu = 0 and 9.4e20 at mu = (60, 60)).
+mu = 0 and 9.4e20 at mu = (60, 60)), never to its energy E, which tends to
+0 as mu1 + mu2 tends to -1.
 
 The Cartesian check works on the separable eigenstates h_n1(x) h_n2(y) of
 the 1-D Dunkl oscillators, whose partials are exact: it applies
@@ -346,8 +347,7 @@ def _check_cartesian_hamiltonian(ctx: VerifyContext) -> Iterator:
         for n1 in range(q.e1, level + 1, 2):
             f = _product(n1, level - n1, ctx.mu)
             values = f(xs, ys)
-            target = _level_energy(level, ctx.mu) * values
-            yield _relative(apply_hamiltonian(f, ctx.mu)(xs, ys) - target, target)
+            yield _relative(apply_hamiltonian(f, ctx.mu)(xs, ys) - _level_energy(level, ctx.mu) * values, values)
             columns.append(values)
         R = radial_sturmian(RadialQuantum(nr=nr, k=_k(two_m, ctx.mu)), ctx.mu)
         state = R(r) * angular_wavefunction(q, ctx.mu)(phi)

@@ -641,3 +641,16 @@ def test_sector_start_gives_each_sector_lowest_m():
     ]
     with pytest.raises(DomainError):
         sector_start(1, 0)
+
+
+@pytest.mark.parametrize("s1, s2, m", [(1.0, -1, 0), (1.0, 1, 0), (1, np.float64(-1.0), "1/2")])
+def test_a_parity_that_is_not_an_integer_is_refused(s1, s2, m):
+    # 1.0 == 1 finds the sector; a float parity once crashed formatting its own
+    # error, or built a label with s1 = 1.0 and e1 = 0.0.
+    message = f"parities must be +1 or -1, got ({s1}, {s2})"
+    with pytest.raises(DomainError) as start:
+        sector_start(s1, s2)
+    with pytest.raises(DomainError) as label:
+        AngularQuantum.build(s1, s2, m, DeformationParams(0.3, 0.7))
+    assert str(start.value) == str(label.value) == message
+    assert sector_start(np.int64(1), np.int32(-1)) == Fraction(1, 2)

@@ -557,8 +557,9 @@ def test_state_quantum_numbers_are_bounded(capsys, monkeypatch, state, message):
     assert out == ""
     assert err == f"error: {message}\n"
     assert built == []
+    # The parser splits the state and reads its parities and nr; m stays text for the library's m rule.
     args = entry._build_parser().parse_args(["wavefunction", "--state=+1,+1,1000000,1000000"])
-    assert args.state == (1, 1, Fraction(1000000), 1000000)
+    assert args.state == (1, 1, "1000000", 1000000)
 
 
 # --- coherent ----------------------------------------------------------------
@@ -646,6 +647,21 @@ def test_coherent_m_past_the_bound_exits_two(capsys, m):
     code, out, err = _run(capsys, ["coherent", "--xi", "0.3", "--m", m])
     assert code == 2 and out == ""
     assert err.startswith("error: m must not exceed 1000000, got ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["wavefunction", "--state=+1,+1,abc,0"], ["coherent", "--xi", "0.3", "--m", "abc"]],
+    ids=["wavefunction", "coherent"],
+)
+def test_an_m_that_is_not_a_number_is_refused_by_the_library_rule(tmp_path, capsys, argv):
+    # The parser leaves m as text; the library's one m rule refuses it, with its own line.
+    target = tmp_path / "table.csv"
+    for out_args in ([], ["--out", str(target)]):
+        code, out, err = _run(capsys, argv + out_args)
+        assert (code, out) == (2, "")
+        assert err == "error: cannot interpret m = 'abc' as a rational number\n"
+    assert not target.exists()
 
 
 def test_wavefunction_whose_norm_overflows_exits_two(capsys):

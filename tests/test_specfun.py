@@ -18,7 +18,9 @@ from dunkl_oscillator.basis import (
     log_gamma,
     radial_sturmian,
 )
-from dunkl_oscillator.errors import DomainError
+from dunkl_oscillator.coherent import CoherentParams, coherent_closed
+from dunkl_oscillator.errors import DomainError, SingularityError
+from dunkl_oscillator.profiles import GaussLaguerreSum
 from dunkl_oscillator import specfun
 from dunkl_oscillator.specfun import (
     DeformationParams,
@@ -310,10 +312,11 @@ def test_gram_matrices_equal_pairwise_inner_products(mu_pair):
     angular = [
         angular_wavefunction(AngularQuantum.build(s1, s2, m, mu), mu) for s1, s2, m in labels
     ]
-    # A plain callable that is not orthogonal to the basis gives O(1) off-diagonal entries.
-    angular.append(lambda phi: np.cos(phi) ** 2 + 0.3 * np.sin(phi))
+    # A plain callable that is not orthogonal to the basis gives O(1) off-diagonal entries;
+    # one that returns a scalar, as radial_inner_product takes, is broadcast to the nodes.
+    angular += [lambda phi: np.cos(phi) ** 2 + 0.3 * np.sin(phi), lambda phi: 1.0]
     radial = [radial_sturmian(RadialQuantum.from_m(n, 0.5, mu), mu) for n in range(4)]
-    radial.append(lambda r: r * np.exp(-0.5 * r * r))
+    radial += [lambda r: r * np.exp(-0.5 * r * r), lambda r: 1.0]
     angular_pair = lambda f, g, mu: angular_gram([f, g], mu)[0, 1]
     for gram, inner, fns in (
         (angular_gram, angular_pair, angular),
@@ -321,6 +324,17 @@ def test_gram_matrices_equal_pairwise_inner_products(mu_pair):
     ):
         pairwise = np.array([[inner(f, g, mu) for g in fns] for f in fns])
         assert np.max(np.abs(gram(fns, mu) - pairwise)) <= 1e-14
+
+
+def test_radial_sums_and_coherent_states_share_the_one_origin_refusal():
+    # One radius rule in specfun refuses r = 0 under a negative power, for a term sum and a coherent state.
+    mu = DeformationParams(0.5, 0.5)
+    term_sum = GaussLaguerreSum.single(1.0, -0.5, 0, 0.0)
+    state = CoherentParams(xi=0.3, k=0.3)  # r^(2k - mu1 - mu2 - 1) = r^(-1.4)
+    for evaluate in (term_sum, lambda r: coherent_closed(r, state, mu)):
+        with pytest.raises(SingularityError, match="^evaluation at r = 0 hits a negative power of r$"):
+            evaluate(np.array([0.0, 1.0]))
+        assert np.isfinite(evaluate(np.array([0.5, 1.0]))).all()
 
 
 def test_gram_domain_errors_match_inner_products():

@@ -353,6 +353,14 @@ def test_cartesian_residual_sees_round_off_where_the_states_are_small(monkeypatc
     assert result.passed and result.residual >= 1e-16
 
 
+@pytest.mark.parametrize("x", [-0.49999, -0.4999999])
+def test_cartesian_residual_holds_where_the_energy_nears_zero(x, monkeypatch):
+    # E = mu1 + mu2 + 1 + level tends to 0 at the ground state as mu1 + mu2 -> -1;
+    # each product case is relative to max|f|, so its round-off is not divided by E.
+    (result,) = run_checks(_only(monkeypatch, "hamiltonian_cartesian_residual"), mu=(x, x))
+    assert result.passed and result.error is None and result.residual < 1e-13
+
+
 def test_angular_eigen_residual_sees_a_1e_6_fault_in_the_mu1_coupling(monkeypatch):
     mu = (30.0, 30.0)
     clean = {r.name: r for r in run_checks("angular", mu=mu)}["angular_eigen_residual"]
