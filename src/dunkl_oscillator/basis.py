@@ -104,10 +104,14 @@ def log_gamma(x: float) -> float:
         raise DomainError(f"log_gamma overflows a float at x = {x}") from None
 
 
+def _is_integer(n) -> bool:
+    """Whether n is an int or numpy integer, not a bool: True == 1, but it is no count and no parity."""
+    return type(n) is int or (isinstance(n, numbers.Integral) and not isinstance(n, bool))
+
+
 def _check_integer(n, what: str, least: int = 0, most: float = math.inf) -> None:
-    """Refuse an n that is not an int or numpy integer from ``least`` to ``most``: NaN, inf and 2.0 included."""
-    # numpy integers are Integral, a test several times dearer than isinstance(n, int).
-    if not (isinstance(n, int) or isinstance(n, numbers.Integral)) or not least <= n <= most:
+    """Refuse an n that is not an int or numpy integer from ``least`` to ``most``: NaN, inf, 2.0 and True included."""
+    if not (type(n) is int or _is_integer(n)) or not least <= n <= most:  # a plain int needs no call
         if most < math.inf:
             bound = f"an integer from {least} to {most}"
         else:
@@ -116,7 +120,9 @@ def _check_integer(n, what: str, least: int = 0, most: float = math.inf) -> None
 
 
 def _two_m(m) -> int:
-    """2m of an m coerced to an exact integer or half-odd-integer from 0 to _MAX_QUANTUM."""
+    """2m of an m coerced to an exact integer or half-odd-integer from 0 to _MAX_QUANTUM; a bool is no m."""
+    if isinstance(m, bool):
+        raise DomainError(f"m must be an integer or half-odd-integer, not a bool, got {m!r}")
     try:
         frac = Fraction(m)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:  # "1/0" and inf among them
@@ -131,8 +137,8 @@ def _two_m(m) -> int:
 
 
 def sector_start(s1: int, s2: int) -> Fraction:
-    """Lowest quantum number m of the (s1, s2) sector: 0, 1/2, 1/2 or 1; each parity is an integer, +1 or -1."""
-    if (s1, s2) not in _SECTOR_STARTS or not (isinstance(s1, numbers.Integral) and isinstance(s2, numbers.Integral)):
+    """Lowest quantum number m of the (s1, s2) sector: 0, 1/2, 1/2 or 1; each parity is an integer, +1 or -1, not a bool."""
+    if (s1, s2) not in _SECTOR_STARTS or not (_is_integer(s1) and _is_integer(s2)):
         raise DomainError(f"parities must be +1 or -1, got ({s1}, {s2})")
     return Fraction(_SECTOR_STARTS[(s1, s2)], 2)
 

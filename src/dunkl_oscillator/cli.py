@@ -1,10 +1,10 @@
 """The command-line subcommands that need numpy: ``wavefunction``, ``coherent`` and ``verify``.
 
 ``entry`` parses every command, runs ``spectrum`` and imports this module
-when one of these three first runs.  It leaves m as text, which
-``wavefunction`` and ``coherent`` run through ``basis``' one m rule, once per
-command.  This module's one public name is ``entry.main``, so ``cli.main``
-runs every command; importing this module loads every layer of the package.
+when one of these three first runs.  It leaves m as text, which ``wavefunction``
+and ``coherent`` run through ``basis``' one m rule once, taking k and the energy
+from its exact 2m.  This module's one public name is ``entry.main``, so
+``cli.main`` runs every command; importing this module loads every layer.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import basis
-from .basis import AngularQuantum, DeformationParams, RadialQuantum, angular_wavefunction, energy, k_of, radial_sturmian
+from .basis import AngularQuantum, DeformationParams, RadialQuantum, angular_wavefunction, radial_sturmian
 from .coherent import CoherentParams, EvolutionParams, coherent_evolved
 from .entry import _csv_document, _fmt, _json_document, _output, main
 from .errors import DomainError
@@ -35,8 +35,8 @@ def _require_finite(axis: str, grid: np.ndarray, values: np.ndarray) -> None:
 
 def _cmd_wavefunction(args: argparse.Namespace, mu: DeformationParams) -> int:
     s1, s2, m, nr = args.state
-    q_ang = AngularQuantum.build(s1, s2, m, mu)  # the one m rule reads m's text here
-    q_rad = RadialQuantum.from_m(nr, q_ang.m, mu)
+    q_ang = AngularQuantum.build(s1, s2, m, mu)  # the one m rule reads m's text here, once
+    q_rad = RadialQuantum(nr=nr, k=basis._k(q_ang.two_m, mu))
     grid = np.linspace(*args.grid)
     if args.part == "radial":
         values = radial_sturmian(q_rad, mu)(grid)
@@ -56,7 +56,7 @@ def _cmd_wavefunction(args: argparse.Namespace, mu: DeformationParams) -> int:
         "nr": nr,
         "k": q_rad.k,
         "l2": q_ang.l2,
-        "energy": energy(nr, q_ang.m, mu),
+        "energy": basis._level_energy(2 * nr + q_ang.two_m, mu),
     }
     if args.format == "json":
         doc = _json_document({**header, "axis": axis_name, "grid": grid.tolist(), "values": values.tolist()})
@@ -69,8 +69,8 @@ def _cmd_wavefunction(args: argparse.Namespace, mu: DeformationParams) -> int:
 
 
 def _cmd_coherent(args: argparse.Namespace, mu: DeformationParams) -> int:
-    m = basis._two_m(args.m) / 2  # the one m rule reads m's text here; 2m / 2 is exact
-    k = k_of(m, mu)
+    two_m = basis._two_m(args.m)  # the one m rule reads m's text here; coherent_evolved checks its own m
+    m, k = two_m / 2, basis._k(two_m, mu)  # 2m / 2 is exact
     p = CoherentParams(xi=args.xi, k=k)
     grid = np.linspace(*args.grid)
     blocks = []

@@ -15,8 +15,9 @@ reflections, which flip the sign of the odd-i or odd-j terms; a sum with a
 negative power refuses evaluation on the axes phi = k pi/2.  So each operator
 of ``dunkl_ops`` acts exactly, to any derivative order, as one ``_fold`` of
 coefficient rows.  ``terms`` is a dict {key: coeff}, keyed (p, n, a) or
-(i, j, d, al, be); a sum adds to, or subtracts, a sum of its own type, scales
-by a number, and a ``GaussLaguerreSum`` multiplies by r^s (``times_rpower``).
+(i, j, d, al, be); a sum has ``+`` with a sum of its own type and ``*`` by a
+number, no more (a difference is ``a + (-1.0) * b``), and a ``GaussLaguerreSum``
+multiplies by r^s (``times_rpower``).
 ``derivative_of`` refuses anything but a ``Profile`` with ``TypeError``.
 
 A sum evaluates term by term on each call and keeps nothing between calls.
@@ -107,14 +108,6 @@ class Profile:
         if type(other) is not type(self):
             return NotImplemented
         return self._fold(((None, self.terms.items()), (None, other.terms.items())))
-
-    def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fold(((None, self.terms.items()), (-1.0, other.terms.items())))
-
-    def __neg__(self):
-        return self._fold(((-1.0, self.terms.items()),))
 
     def __mul__(self, c):
         if not isinstance(c, numbers.Number):

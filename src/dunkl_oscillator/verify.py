@@ -69,7 +69,6 @@ from .basis import (
     angular_wavefunction,
     energy,
     enumerate_states,
-    k_of,
     radial_sturmian,
     substitute_u,
 )
@@ -545,8 +544,8 @@ def _check_generating_function(ctx: VerifyContext) -> Iterator:
 
 
 def _evolution_sector(ctx: VerifyContext) -> tuple[float, float]:
-    """The sector m = 1/2, as the float the public calls take, and its k."""
-    return 0.5, k_of(0.5, ctx.mu)
+    """The sector m = 1/2, as the float the public calls take, and its k, from 2m = 1."""
+    return 0.5, _k(1, ctx.mu)
 
 
 @_register("evolution_crosscheck", "coherent", 1e-9)

@@ -28,9 +28,9 @@ from dunkl_oscillator.basis import (
 )
 from dunkl_oscillator.coherent import CoherentParams, EvolutionParams, coherent_evolved
 from dunkl_oscillator.errors import DomainError, RepresentationError
-from dunkl_oscillator.specfun import DeformationParams, radial_inner_product
+from dunkl_oscillator.specfun import DeformationParams, laguerre, radial_inner_product
 from dunkl_oscillator.su11 import bargmann_index
-from dunkl_oscillator.verify import _angular_grid
+from dunkl_oscillator.verify import _angular_grid, run_checks
 
 
 # --- quantum-number handling -------------------------------------------------
@@ -299,6 +299,7 @@ def test_one_integer_rule_takes_numpy_integers_and_names_its_bound():
         ((15, "npoints", 16, 1000), "npoints must be an integer from 16 to 1000"),
         ((np.int32(0), "nterms", 1), "nterms must be an integer of at least 1"),
         (("3", "derivative order"), "derivative order must be a non-negative integer"),
+        ((np.True_, "nr"), "nr must be a non-negative integer"),  # numpy's bool_ is no Integral
     ]:
         with pytest.raises(DomainError) as info:
             basis._check_integer(*args)
@@ -654,3 +655,31 @@ def test_a_parity_that_is_not_an_integer_is_refused(s1, s2, m):
         AngularQuantum.build(s1, s2, m, DeformationParams(0.3, 0.7))
     assert str(start.value) == str(label.value) == message
     assert sector_start(np.int64(1), np.int32(-1)) == Fraction(1, 2)
+
+
+_MU_BOOL = DeformationParams(0.3, 0.7)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: RadialQuantum(nr=True, k=1.0), "nr must be an integer from 0 to 1000000, got True"),
+        (lambda: energy(True, 0, _MU_BOOL), "nr must be an integer from 0 to 1000000, got True"),
+        (lambda: laguerre(True, 0.5, 2.0), "polynomial degree must be a non-negative integer, got True"),
+        (lambda: run_checks("radial", _MU_BOOL, seed=True), "seed must be a non-negative integer, got True"),
+        (lambda: basis._check_integer(False, "npoints"), "npoints must be a non-negative integer, got False"),
+        (lambda: sector_start(True, -1), "parities must be +1 or -1, got (True, -1)"),
+        (lambda: AngularQuantum.build(True, 1, 0, _MU_BOOL), "parities must be +1 or -1, got (True, 1)"),
+        (lambda: AngularQuantum.build(1, 1, False, _MU_BOOL), "m must be an integer or half-odd-integer, not a bool, got False"),
+        (lambda: k_of(True, _MU_BOOL), "m must be an integer or half-odd-integer, not a bool, got True"),
+        (lambda: energy(0, True, _MU_BOOL), "m must be an integer or half-odd-integer, not a bool, got True"),
+    ],
+    ids=["radial-nr", "energy-nr", "laguerre-degree", "seed", "check-integer-false", "sector-start",
+         "build-parity", "build-m", "k-of-m", "energy-m"],
+)
+def test_no_label_rule_takes_a_bool(build, message):
+    # True == 1 and False == 0, and a bool is an int; the integer, parity and m
+    # rules refuse it all the same, as a count, a parity or an m it is a slip.
+    with pytest.raises(DomainError) as info:
+        build()
+    assert str(info.value) == message

@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dunkl_oscillator import basis, cli, entry, verify
+from dunkl_oscillator import coherent as coherent_module
 from dunkl_oscillator.basis import (
     AngularQuantum,
     RadialQuantum,
@@ -271,8 +272,23 @@ _COHERENT_ARGV = ["coherent", "--xi", "0.3,0.4", "--m", "3/2", "--mu1", "0.2", "
         ),
         (_COHERENT_ARGV, "1e7091188f726a175e998a9e7fa7062b690a79573edae2ef1c3b41d457d3a2b3"),
         (_COHERENT_ARGV + ["--format", "json"], "9c8a7022288dc102466d1d012450430f29c402894cbb8e1df340e49d03bc28d3"),
+        (
+            ["wavefunction", "--state=-1,-1,2,1", "--mu1", "0.3", "--mu2", "0.7", "--format", "json"],
+            "4750eefc3d3ad6cbbcd2c947c6c8a5af81aa23ce9b62c7e149079f1fdc2ca440",
+        ),
+        (
+            ["coherent", "--xi", "0.3,0.2", "--m", "0", "--mu1", "0.3", "--mu2", "0.7", "--tau", "0,1.1"],
+            "21a8baad58dee12df66c19945117e747d45616ddafd124218f88275f3fc098d3",
+        ),
     ],
-    ids=["wavefunction-radial-csv", "wavefunction-angular-json", "coherent-csv", "coherent-json"],
+    ids=[
+        "wavefunction-radial-csv",
+        "wavefunction-angular-json",
+        "coherent-csv",
+        "coherent-json",
+        "wavefunction-integer-m-json",
+        "coherent-m-zero-csv",
+    ],
 )
 def test_label_documents_equal_pinned_digests(capsys, argv, digest):
     # Each document carries m, k, l2 or the energy of a half-integer m, which
@@ -281,6 +297,35 @@ def test_label_documents_equal_pinned_digests(capsys, argv, digest):
     code, out, err = _run(capsys, argv)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, m_text, rule_calls",
+    [
+        (["wavefunction", "--state=-1,+1,5/2,3"], "5/2", 1),
+        (["wavefunction", "--state=+1,+1,0,2", "--part", "angular", "--format", "json"], "0", 1),
+        (_COHERENT_ARGV[:5], "3/2", 2),
+        (_COHERENT_ARGV, "3/2", 3),
+        (["coherent", "--xi", "0.3", "--m", "0", "--tau", "0,1,2"], "0", 4),
+    ],
+    ids=["wavefunction-radial", "wavefunction-angular", "coherent-one-tau", "coherent-two-tau", "coherent-three-tau"],
+)
+def test_each_command_runs_the_m_rule_once(capsys, monkeypatch, argv, m_text, rule_calls):
+    # The command reads m's text once and derives k and the energy from the
+    # exact 2m; only coherent_evolved runs the rule again, on its own public m,
+    # once per tau.
+    seen = []
+    rule = basis._two_m
+
+    def counted(m):
+        seen.append(m)
+        return rule(m)
+
+    for module in (basis, coherent_module):
+        monkeypatch.setattr(module, "_two_m", counted)
+    code, _, err = _run(capsys, argv)
+    assert code == 0 and err == ""
+    assert len(seen) == rule_calls and seen[0] == m_text
 
 
 _MU = st.floats(min_value=-0.5, max_value=3.0, exclude_min=True)

@@ -185,9 +185,8 @@ def test_term_sums_on_no_points_are_empty():
 def test_profile_algebra_propagates_exact_derivatives():
     a = GaussLaguerreSum.gaussian_polynomial([1.0, 0.5])
     b = GaussLaguerreSum.gaussian_polynomial([0.0, 0.0, 2.0])
-    combo = 2.0 * a - b
+    combo = 2.0 * a + (-1.0) * b
     assert isinstance(combo, GaussLaguerreSum)
-    assert (-a).terms == ((-1.0) * a).terms
     r = np.linspace(0.1, 3.0, 7)
     np.testing.assert_allclose(combo(r), 2.0 * a(r) - b(r), rtol=1e-14)
     np.testing.assert_allclose(
@@ -214,7 +213,7 @@ def test_trig_jacobi_sum_merges_and_cancels_terms():
     merged = a + b
     assert isinstance(merged, TrigJacobiSum)
     assert merged.terms == {(1, 2, 1, 0.5, -0.2): 4.0}
-    cancelled = a - a
+    cancelled = a + (-1.0) * a
     assert isinstance(cancelled, TrigJacobiSum)
     assert cancelled.terms == {}
     assert cancelled(np.array([0.5, 2.0])) == pytest.approx([0.0, 0.0])
@@ -346,11 +345,16 @@ _ANGULAR_SUM = TrigJacobiSum.single(1.0, 0, 1, 0, 0.0, 0.0)
         pytest.param(lambda: -2.0 * _PLAIN, TypeError, id="number-times-plain"),
         pytest.param(lambda: -_PLAIN, TypeError, id="negated-plain"),
         pytest.param(lambda: _PLAIN.times_rpower(2.0), AttributeError, id="plain-times-rpower"),
+        pytest.param(lambda: _SUM - _SUM, TypeError, id="sum-minus-sum"),
+        pytest.param(lambda: -_SUM, TypeError, id="negated-sum"),
+        pytest.param(lambda: _ANGULAR_SUM - _ANGULAR_SUM, TypeError, id="angular-minus-angular"),
+        pytest.param(lambda: -_ANGULAR_SUM, TypeError, id="negated-angular"),
     ],
 )
 def test_arithmetic_outside_one_term_sum_type_is_refused_when_built(build, error):
     # Only term sums of one type add, scale and shift powers; a plain callable
-    # is refused at once, not deep inside a later derivative chain.
+    # is refused at once, not deep inside a later derivative chain.  A sum has
+    # no minus: a difference is written a + (-1.0) * b.
     with pytest.raises(error):
         build()
 
