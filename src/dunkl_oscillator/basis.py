@@ -12,32 +12,26 @@ sector that holds it, as integers; ``spectrum`` formats them as they are, and
 labels are built from them unchecked only where a caller needs one: once per
 (sector, m) in ``enumerate_states``, and in verify through ``_sector_labels``.
 
-Angular eigenfunctions are trigonometric-weighted Jacobi polynomials,
-orthonormal against |cos(phi)|^(2 mu1) |sin(phi)|^(2 mu2) d(phi) on [0, 2 pi).
-Radial eigenfunctions are Laguerre-type profiles, orthonormal against
-r^(1 + 2 mu1 + 2 mu2) dr on (0, inf) and indexed by the positive parameter
-k = m + (mu1 + mu2 + 1) / 2.
+A label holds what its eigenfunction needs: a sector its Jacobi degree
+(its norm is ``angular_norm``), a radial label the positive parameter
+k = m + (mu1 + mu2 + 1) / 2.  ``profiles`` builds the eigenfunctions from them.
 
-This root layer needs no numpy.  Besides the labels, energies and the
-enumeration it holds the rules every layer applies (``DeformationParams``,
-``log_gamma``, the one integer rule ``_check_integer``) and ``verify``'s
-``SUITES``, so ``--help`` and ``spectrum`` run without numpy; the
-eigenfunctions import ``profiles`` when they are first called.
+This root layer needs no numpy and imports nothing from the package but
+``errors``.  Besides the labels, energies and the enumeration it holds the
+rules every layer applies (``DeformationParams``, ``log_gamma``, the one
+integer rule ``_check_integer``) and ``verify``'s ``SUITES``, so ``--help``
+and ``spectrum`` run without numpy.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from .errors import DomainError, RepresentationError
-
-if TYPE_CHECKING:
-    from .profiles import GaussLaguerreSum, TrigJacobiSum
 
 __all__ = [
     "DeformationParams",
@@ -48,11 +42,8 @@ __all__ = [
     "StateLabel",
     "sector_start",
     "angular_norm",
-    "angular_wavefunction",
     "energy",
     "k_of",
-    "radial_sturmian",
-    "substitute_u",
     "MAX_STATES",
     "enumerate_states",
 ]
@@ -217,27 +208,6 @@ def angular_norm(q: AngularQuantum, mu: DeformationParams) -> float:
         raise DomainError(f"the angular norm overflows at m = {two_m / 2}, mu = ({mu.mu1}, {mu.mu2})") from None
 
 
-@functools.cache
-def _profiles():
-    """The ``profiles`` module, imported on first use, since it needs numpy."""
-    from . import profiles
-
-    return profiles
-
-
-def angular_wavefunction(q: AngularQuantum, mu: DeformationParams) -> TrigJacobiSum:
-    """Orthonormal angular eigenfunction of the sector described by q."""
-    eta = angular_norm(q, mu)
-    return _profiles().TrigJacobiSum.single(
-        coeff=eta,
-        cos_power=q.e1,
-        sin_power=q.e2,
-        degree=q.degree,
-        alpha=mu.mu2 + q.e2 - 0.5,
-        beta=mu.mu1 + q.e1 - 0.5,
-    )
-
-
 def _check_k(k) -> None:
     """Refuse a representation parameter k that is not positive and finite, NaN included."""
     if not 0.0 < k < math.inf:
@@ -312,32 +282,6 @@ def energy(nr: int, m, mu: DeformationParams) -> float:
     """Eigenvalue E = 2 (nr + m) + mu1 + mu2 + 1, with 2 (nr + m) held exact."""
     _check_integer(nr, "nr", most=_MAX_QUANTUM)
     return _level_energy(2 * int(nr) + _two_m(m), mu)
-
-
-def radial_sturmian(q: RadialQuantum, mu: DeformationParams) -> GaussLaguerreSum:
-    """Orthonormal radial eigenfunction for label q under r^(1 + 2 mu1 + 2 mu2) dr."""
-    two_k = 2.0 * q.k
-    ln_norm = 0.5 * (math.log(2.0) + log_gamma(q.nr + 1.0) - log_gamma(q.nr + two_k))
-    return _profiles().GaussLaguerreSum.single(
-        coeff=math.exp(ln_norm),
-        power=two_k - (mu.total + 1.0),
-        degree=q.nr,
-        alpha=two_k - 1.0,
-    )
-
-
-def substitute_u(profile: GaussLaguerreSum, mu: DeformationParams, direction: str) -> GaussLaguerreSum:
-    """Convert between the weighted profile R and the flat-measure profile U.
-
-    U(r) = r^((1 + 2 mu1 + 2 mu2) / 2) R(r) turns the weight r^(1 + 2 mu1 + 2 mu2) dr
-    into the plain dr measure; ``direction`` is "r_to_u" or "u_to_r".
-    """
-    exponent = 0.5 + mu.total
-    if direction == "r_to_u":
-        return profile.times_rpower(exponent)
-    if direction == "u_to_r":
-        return profile.times_rpower(-exponent)
-    raise DomainError(f"direction must be 'r_to_u' or 'u_to_r', got {direction!r}")
 
 
 def _states_through(level: int) -> int:

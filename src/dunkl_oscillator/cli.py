@@ -16,10 +16,11 @@ import sys
 import numpy as np
 
 from . import basis
-from .basis import AngularQuantum, DeformationParams, RadialQuantum, angular_wavefunction, radial_sturmian
+from .basis import AngularQuantum, DeformationParams, RadialQuantum
 from .coherent import CoherentParams, EvolutionParams, coherent_evolved
 from .entry import _csv_document, _fmt, _json_document, _output, main
 from .errors import DomainError
+from .profiles import angular_wavefunction, radial_sturmian
 from .verify import run_checks
 
 __all__ = ["main"]

@@ -20,6 +20,11 @@ number, no more (a difference is ``a + (-1.0) * b``), and a ``GaussLaguerreSum``
 multiplies by r^s (``times_rpower``).
 ``derivative_of`` refuses anything but a ``Profile`` with ``TypeError``.
 
+``radial_sturmian`` and ``angular_wavefunction`` build the eigenfunctions of
+``basis``' labels as one-term sums, orthonormal against r^(1 + 2 mu1 + 2 mu2) dr
+and |cos(phi)|^(2 mu1) |sin(phi)|^(2 mu2) d(phi); ``substitute_u`` turns a
+radial sum R into the flat-measure U = r^(1/2 + mu1 + mu2) R and back.
+
 A sum evaluates term by term on each call and keeps nothing between calls.
 ``GaussLaguerreSum._monomials`` expands a radial sum of Laguerre degree at
 most 30 into sum b * r^q * exp(-r^2/2), the form on which ``verify``'s
@@ -35,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import DeformationParams, _check_integer
+from .basis import AngularQuantum, DeformationParams, RadialQuantum, _check_integer, angular_norm, log_gamma
 from .errors import DomainError, SingularityError
 from .specfun import _check_radius, jacobi, laguerre
 
@@ -43,6 +48,9 @@ __all__ = [
     "Profile",
     "GaussLaguerreSum",
     "TrigJacobiSum",
+    "radial_sturmian",
+    "substitute_u",
+    "angular_wavefunction",
     "PlaneFunction",
     "derivative_of",
 ]
@@ -175,6 +183,32 @@ class GaussLaguerreSum(Profile):
         return out
 
 
+def radial_sturmian(q: RadialQuantum, mu: DeformationParams) -> GaussLaguerreSum:
+    """Orthonormal radial eigenfunction for label q under r^(1 + 2 mu1 + 2 mu2) dr."""
+    two_k = 2.0 * q.k
+    ln_norm = 0.5 * (math.log(2.0) + log_gamma(q.nr + 1.0) - log_gamma(q.nr + two_k))
+    return GaussLaguerreSum.single(
+        coeff=math.exp(ln_norm),
+        power=two_k - (mu.total + 1.0),
+        degree=q.nr,
+        alpha=two_k - 1.0,
+    )
+
+
+def substitute_u(profile: GaussLaguerreSum, mu: DeformationParams, direction: str) -> GaussLaguerreSum:
+    """Convert between the weighted profile R and the flat-measure profile U.
+
+    U(r) = r^((1 + 2 mu1 + 2 mu2) / 2) R(r) turns the weight r^(1 + 2 mu1 + 2 mu2) dr
+    into the plain dr measure; ``direction`` is "r_to_u" or "u_to_r".
+    """
+    exponent = 0.5 + mu.total
+    if direction == "r_to_u":
+        return profile.times_rpower(exponent)
+    if direction == "u_to_r":
+        return profile.times_rpower(-exponent)
+    raise DomainError(f"direction must be 'r_to_u' or 'u_to_r', got {direction!r}")
+
+
 class TrigJacobiSum(Profile):
     """Exact-arithmetic angular profile: sum of c * cos^i * sin^j * P_d^(al,be)(cos 2 phi), keyed (i, j, d, al, be)."""
 
@@ -216,6 +250,19 @@ class TrigJacobiSum(Profile):
         """The pairs of cos^di sin^dj times this sum (odd = 0 or 1: its odd-cos or odd-sin terms only)."""
         pairs = self.terms.items()
         return [((i + di, j + dj, *key), c) for (i, j, *key), c in pairs if odd is None or (i, j)[odd] % 2]
+
+
+def angular_wavefunction(q: AngularQuantum, mu: DeformationParams) -> TrigJacobiSum:
+    """Orthonormal angular eigenfunction of the sector described by q."""
+    eta = angular_norm(q, mu)
+    return TrigJacobiSum.single(
+        coeff=eta,
+        cos_power=q.e1,
+        sin_power=q.e2,
+        degree=q.degree,
+        alpha=mu.mu2 + q.e2 - 0.5,
+        beta=mu.mu1 + q.e1 - 0.5,
+    )
 
 
 def derivative_of(profile: Profile, order: int = 1) -> Profile:

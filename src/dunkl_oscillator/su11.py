@@ -98,6 +98,17 @@ def _check_energy(E: float) -> None:
         raise DomainError(f"energy E must be finite, got {E}")
 
 
+def _factorization_sign(E: float, l2: float, mu: DeformationParams, branch: str) -> float:
+    """The branch's sign once E is finite, l2 has a real Bargmann index and no square of the factorization overflows."""
+    _check_energy(E)
+    sign = _branch_sign(branch)
+    _check_l2(l2, mu)
+    top = abs(E) + 1.0  # |E + sign| at most
+    if not math.isfinite(top * top + abs(l2) + mu.total * mu.total):
+        raise DomainError(f"the factorization overflows a float at E = {E}, l2 = {l2}, mu = ({mu.mu1}, {mu.mu2})")
+    return sign
+
+
 def apply_J(U: GaussLaguerreSum, E: float, sign: int) -> GaussLaguerreSum:
     """Apply J+ (sign=+1) or J- (sign=-1) at energy E in the flat-measure picture."""
     _check_energy(E)
@@ -130,9 +141,7 @@ def schrodinger_factorize(
     E: float, l2: float, mu: DeformationParams, branch: str = "upper"
 ) -> FactorizationConstants:
     """Coefficient set of the quadratic rearrangement of the eigenproblem at E."""
-    _check_energy(E)
-    sign = _branch_sign(branch)
-    _check_l2(l2, mu)
+    sign = _factorization_sign(E, l2, mu, branch)
     return FactorizationConstants(
         a=sign,
         b=-sign * E - 1.5,
@@ -147,9 +156,7 @@ def factorization_product_eigenvalue(
     E: float, l2: float, mu: DeformationParams, branch: str = "upper"
 ) -> float:
     """Eigenvalue of the shifted ladder product on an eigenprofile of energy E."""
-    _check_energy(E)
-    sign = _branch_sign(branch)
-    _check_l2(l2, mu)
+    sign = _factorization_sign(E, l2, mu, branch)
     return 0.25 * ((E + sign) ** 2 - l2 - mu.total * mu.total)
 
 

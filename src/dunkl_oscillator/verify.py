@@ -66,15 +66,12 @@ from .basis import (
     _level_energy,
     _sector_labels,
     angular_norm,
-    angular_wavefunction,
     energy,
     enumerate_states,
-    radial_sturmian,
-    substitute_u,
 )
 from .dunkl_ops import apply_angular_operator, apply_hamiltonian, apply_radial_hamiltonian
 from .errors import DomainError
-from .profiles import GaussLaguerreSum, PlaneFunction
+from .profiles import GaussLaguerreSum, PlaneFunction, angular_wavefunction, radial_sturmian, substitute_u
 from .specfun import _MAX_RADIAL_POINTS, angular_gram, laguerre_all, radial_gram, radial_inner_product
 
 __all__ = ["CheckResult", "run_checks"]

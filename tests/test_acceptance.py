@@ -18,11 +18,8 @@ from dunkl_oscillator.basis import (
     AngularQuantum,
     RadialQuantum,
     angular_norm,
-    angular_wavefunction,
     energy,
     enumerate_states,
-    radial_sturmian,
-    substitute_u,
 )
 from dunkl_oscillator.cli import main
 from dunkl_oscillator.coherent import (
@@ -42,6 +39,9 @@ from dunkl_oscillator.dunkl_ops import (
 from dunkl_oscillator.profiles import (
     DeformationParams,
     GaussLaguerreSum,
+    angular_wavefunction,
+    radial_sturmian,
+    substitute_u,
 )
 from dunkl_oscillator.specfun import angular_gram, laguerre_all, radial_inner_product
 from dunkl_oscillator.su11 import (

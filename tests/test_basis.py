@@ -18,16 +18,14 @@ from dunkl_oscillator.basis import (
     RadialQuantum,
     StateLabel,
     angular_norm,
-    angular_wavefunction,
     energy,
     enumerate_states,
     k_of,
-    radial_sturmian,
     sector_start,
-    substitute_u,
 )
 from dunkl_oscillator.coherent import CoherentParams, EvolutionParams, coherent_evolved
 from dunkl_oscillator.errors import DomainError, RepresentationError
+from dunkl_oscillator.profiles import angular_wavefunction, radial_sturmian, substitute_u
 from dunkl_oscillator.specfun import DeformationParams, laguerre, radial_inner_product
 from dunkl_oscillator.su11 import bargmann_index
 from dunkl_oscillator.verify import _angular_grid, run_checks

@@ -26,12 +26,11 @@ from dunkl_oscillator import coherent as coherent_module
 from dunkl_oscillator.basis import (
     AngularQuantum,
     RadialQuantum,
-    angular_wavefunction,
     enumerate_states,
-    radial_sturmian,
 )
 from dunkl_oscillator.cli import _fmt, main
 from dunkl_oscillator.coherent import CoherentParams, EvolutionParams, coherent_evolved
+from dunkl_oscillator.profiles import angular_wavefunction, radial_sturmian
 from dunkl_oscillator.specfun import DeformationParams
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dunkl_oscillator import coherent, specfun, verify
-from dunkl_oscillator.basis import RadialQuantum, k_of, log_gamma, radial_sturmian
+from dunkl_oscillator.basis import RadialQuantum, k_of, log_gamma
 from dunkl_oscillator.coherent import (
     CoherentParams,
     EvolutionParams,
@@ -26,6 +26,7 @@ from dunkl_oscillator.coherent import (
     normal_form,
 )
 from dunkl_oscillator.errors import DomainError, RepresentationError
+from dunkl_oscillator.profiles import radial_sturmian
 from dunkl_oscillator.specfun import DeformationParams, laguerre_all, radial_inner_product
 from reference_rules import NORM_RULE
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunkl_oscillator.basis import AngularQuantum, RadialQuantum, energy, radial_sturmian
+from dunkl_oscillator.basis import AngularQuantum, RadialQuantum, energy
 from dunkl_oscillator.dunkl_ops import (
     apply_angular_operator,
     apply_hamiltonian,
@@ -23,6 +23,7 @@ from dunkl_oscillator.profiles import (
     PlaneFunction,
     TrigJacobiSum,
     derivative_of,
+    radial_sturmian,
 )
 from dunkl_oscillator.verify import _angular_grid, _product, _residual_grid
 

@@ -16,9 +16,6 @@ from dunkl_oscillator import su11
 from dunkl_oscillator.basis import (
     AngularQuantum,
     RadialQuantum,
-    angular_wavefunction,
-    radial_sturmian,
-    substitute_u,
 )
 from dunkl_oscillator.dunkl_ops import (
     apply_angular_operator,
@@ -32,7 +29,10 @@ from dunkl_oscillator.profiles import (
     PlaneFunction,
     Profile,
     TrigJacobiSum,
+    angular_wavefunction,
     derivative_of,
+    radial_sturmian,
+    substitute_u,
 )
 from dunkl_oscillator.specfun import DeformationParams, jacobi, laguerre
 from dunkl_oscillator.verify import _angular_grid, _residual_grid

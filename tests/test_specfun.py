@@ -14,13 +14,11 @@ from hypothesis import strategies as st
 from dunkl_oscillator.basis import (
     AngularQuantum,
     RadialQuantum,
-    angular_wavefunction,
     log_gamma,
-    radial_sturmian,
 )
 from dunkl_oscillator.coherent import CoherentParams, coherent_closed
 from dunkl_oscillator.errors import DomainError, SingularityError
-from dunkl_oscillator.profiles import GaussLaguerreSum
+from dunkl_oscillator.profiles import GaussLaguerreSum, angular_wavefunction, radial_sturmian
 from dunkl_oscillator import specfun
 from dunkl_oscillator.specfun import (
     DeformationParams,

@@ -6,6 +6,7 @@ check runs in a fresh interpreter, because this test process has long since
 imported numpy and every layer.
 """
 
+import ast
 import json
 import os
 import re
@@ -82,6 +83,24 @@ def test_names_of_numpy_free_layers_resolve_without_numpy():
     assert proc.stdout.split() == [*["dunkl_oscillator.basis"] * 5, "dunkl_oscillator.errors", "False"]
 
 
+def _package_imports(path: Path) -> set[str]:
+    """The package modules a source file imports anywhere: at module level, in a function or under a guard."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names |= {node.module.split(".")[0]} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dunkl_oscillator"):
+            names |= {node.module.partition(".")[2] or "dunkl_oscillator"}
+        elif isinstance(node, ast.Import):
+            names |= {a.name.partition(".")[2] or a.name for a in node.names if a.name.startswith("dunkl_oscillator")}
+    return names
+
+
+def test_basis_imports_no_package_module_but_errors():
+    # The numpy boundary is the module boundary: no lazy or type-checking path from basis into profiles.
+    assert _package_imports(ROOT / "src" / "dunkl_oscillator" / "basis.py") == {"errors"}
+
+
 def test_a_numpy_command_imports_cli_when_it_runs():
     proc = _python(_RUN_MODULE, "wavefunction", "--state=+1,+1,0,2", "--grid", "0.1:1:3")
     assert json.loads(proc.stderr.splitlines()[-1]) == {"code": 0, "numpy": True}
@@ -121,7 +140,7 @@ def test_every_entry_runs_the_one_main():
 
 
 def test_namespace_resolves_names_and_submodules_on_access():
-    assert pkg.radial_sturmian is pkg.basis.radial_sturmian
+    assert pkg.radial_sturmian is pkg.profiles.radial_sturmian
     assert pkg.DeformationParams is pkg.basis.DeformationParams is pkg.specfun.DeformationParams
     assert pkg.SUITES is pkg.basis.SUITES is pkg.verify.SUITES
     assert set(pkg.__all__) | {"basis", "cli", "entry"} <= set(dir(pkg))

@@ -1,6 +1,7 @@
 """Raising/lowering structure, factorization, and Casimir identities."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +13,6 @@ from dunkl_oscillator.basis import (
     AngularQuantum,
     RadialQuantum,
     energy,
-    radial_sturmian,
-    substitute_u,
 )
 from dunkl_oscillator import su11
 from dunkl_oscillator.coherent import CoherentParams
@@ -23,6 +22,8 @@ from dunkl_oscillator.profiles import (
     DeformationParams,
     GaussLaguerreSum,
     derivative_of,
+    radial_sturmian,
+    substitute_u,
 )
 from dunkl_oscillator.su11 import (
     apply_A,
@@ -495,6 +496,18 @@ def test_energy_taking_functions_refuse_a_non_finite_energy(E):
     ):
         with pytest.raises(DomainError, match="E must be finite"):
             call()
+
+
+@pytest.mark.parametrize("E, l2, mu", [(2e154, 0.0, MU), (1.0, 0.0, DeformationParams(1e154, 1e154))])
+@pytest.mark.parametrize("branch", ["upper", "lower"])
+def test_factorization_refuses_an_energy_or_mu_whose_square_overflows(E, l2, mu, branch):
+    # (E + 1)^2 overflows a float at E = 2e154, and (mu1 + mu2)^2 at mu = (1e154, 1e154).
+    for fn in (schrodinger_factorize, factorization_product_eigenvalue):
+        with pytest.raises(DomainError, match=re.escape(f"overflows a float at E = {E}, l2 = 0.0, mu = ({mu.mu1}, {mu.mu2})")):
+            fn(E, l2, mu, branch)
+    # Just below the bound, both stay finite.
+    assert math.isfinite(factorization_product_eigenvalue(1e153, 0.0, DeformationParams(1e153, 1e153), branch))
+    assert math.isfinite(schrodinger_factorize(1e153, 0.0, DeformationParams(1e153, 1e153), branch).g)
 
 
 @settings(max_examples=30, deadline=None)

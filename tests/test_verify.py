@@ -15,10 +15,10 @@ import pytest
 
 import dunkl_oscillator
 from dunkl_oscillator import coherent, dunkl_ops, profiles, su11, verify
-from dunkl_oscillator.basis import RadialQuantum, _sector_labels, angular_wavefunction, k_of, radial_sturmian
+from dunkl_oscillator.basis import RadialQuantum, _sector_labels, k_of
 from dunkl_oscillator.dunkl_ops import apply_angular_operator
 from dunkl_oscillator.errors import DomainError
-from dunkl_oscillator.profiles import GaussLaguerreSum, PlaneFunction, TrigJacobiSum
+from dunkl_oscillator.profiles import GaussLaguerreSum, PlaneFunction, TrigJacobiSum, angular_wavefunction, radial_sturmian
 from dunkl_oscillator.specfun import DeformationParams
 from dunkl_oscillator.verify import SUITES, _angular_grid, _residual_grid, run_checks
 
