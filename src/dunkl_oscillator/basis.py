@@ -65,7 +65,7 @@ _MAX_QUANTUM = 1_000_000
 
 @dataclass(frozen=True)
 class DeformationParams:
-    """Reflection coupling constants, each required to be finite and exceed -1/2."""
+    """Reflection coupling constants, each required to be finite and exceed -1/2, with a finite sum."""
 
     mu1: float
     mu2: float
@@ -74,6 +74,8 @@ class DeformationParams:
         for name, value in (("mu1", self.mu1), ("mu2", self.mu2)):
             if not (value > -0.5 and math.isfinite(value)):
                 raise DomainError(f"{name} must be finite and exceed -1/2, got {value}")
+        if self.total == math.inf:
+            raise DomainError(f"mu1 + mu2 must be finite, got mu = ({self.mu1}, {self.mu2})")
 
     @classmethod
     def of(cls, mu) -> "DeformationParams":

@@ -2,13 +2,16 @@
 
 Polynomial evaluation uses forward three-term recurrences in the degree, which
 are stable for the parameter ranges that occur here (alpha, beta > -1).  The
+Laguerre recurrence is written once, as one row sweep that ``laguerre`` reads
+to its last row and ``laguerre_all`` stores row by row.  The
 integrals are against the deformed plane measure split into its radial part
 r^(1+2*mu1+2*mu2) dr and angular part |cos|^(2*mu1)|sin|^(2*mu2) dphi.  Both
 use one Gauss-Jacobi rule built for the weight (Golub-Welsch): the angular
 rule is that rule in x = cos(2*phi), exact for the weight at every mu1, mu2 > -1/2;
 the radial rule is composite Gauss-Legendre panels graded geometrically toward
 r = 0, so that callables with arbitrary real powers of r cost no accuracy, with
-the Gauss-Jacobi rule carrying the singular power on the innermost panel.
+the Gauss-Jacobi rule carrying the singular power on the innermost panel; the
+panels' one Gauss-Legendre rule is built once, on first use, not at import.
 ``radial_inner_product`` integrates one product f*g; the Gram matrices of a
 basis evaluate each function once as a row of V and form V diag(w) V^T.
 Each takes mu as a ``DeformationParams`` or a plain pair (mu1, mu2), refused
@@ -73,18 +76,26 @@ def _check_laguerre(n: int, alpha: float) -> None:
         raise DomainError(f"Laguerre parameter alpha must be finite and exceed -1, got {alpha}")
 
 
+def _laguerre_rows(nmax: int, alpha: float, arr: np.ndarray):
+    """L_0^alpha .. L_nmax^alpha at arr as the forward recurrence makes them, two rows alive at a time."""
+    p_prev = np.ones_like(arr)
+    yield p_prev
+    if nmax == 0:
+        return
+    p = 1.0 + alpha - arr
+    yield p
+    for k in range(1, nmax):
+        p, p_prev = ((2.0 * k + 1.0 + alpha - arr) * p - (k + alpha) * p_prev) / (k + 1.0), p
+        yield p
+
+
 def laguerre(n: int, alpha: float, x):
     """Generalized Laguerre polynomial L_n^alpha(x), scalar or elementwise."""
     _check_laguerre(n, alpha)
     arr = _finite(x)
-    scalar = arr.ndim == 0
-    p_prev = np.ones_like(arr)
-    if n == 0:
-        return p_prev.item() if scalar else p_prev
-    p = 1.0 + alpha - arr
-    for k in range(1, n):
-        p, p_prev = ((2.0 * k + 1.0 + alpha - arr) * p - (k + alpha) * p_prev) / (k + 1.0), p
-    return p.item() if scalar else p
+    for p in _laguerre_rows(n, alpha, arr):
+        pass
+    return p.item() if arr.ndim == 0 else p
 
 
 def laguerre_all(nmax: int, alpha: float, x) -> np.ndarray:
@@ -92,11 +103,8 @@ def laguerre_all(nmax: int, alpha: float, x) -> np.ndarray:
     _check_laguerre(nmax, alpha)
     arr = np.atleast_1d(_finite(x))
     out = np.empty((nmax + 1,) + arr.shape)
-    out[0] = 1.0
-    if nmax >= 1:
-        out[1] = 1.0 + alpha - arr
-    for k in range(1, nmax):
-        out[k + 1] = ((2.0 * k + 1.0 + alpha - arr) * out[k] - (k + alpha) * out[k - 1]) / (k + 1.0)
+    for k, p in enumerate(_laguerre_rows(nmax, alpha, arr)):
+        out[k] = p
     return out
 
 
@@ -138,6 +146,14 @@ def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The _PANEL_POINTS-point Gauss-Legendre rule on [-1, 1], built on first use, not at import."""
+    x, w = np.polynomial.legendre.leggauss(_PANEL_POINTS)
+    x.flags.writeable = w.flags.writeable = False  # the cache shares them with every caller
+    return x, w
+
+
 @functools.lru_cache(maxsize=64)
 def _radial_panels(rmax: float, npoints: int) -> tuple[float, np.ndarray, np.ndarray]:
     """Width r1 of the innermost panel [0, r1], and the Gauss-Legendre nodes and weights beyond it.
@@ -149,7 +165,7 @@ def _radial_panels(rmax: float, npoints: int) -> tuple[float, np.ndarray, np.nda
     graded = min(6, n_panels // 3)
     bulk_edges = np.linspace(0.0, rmax, n_panels - graded + 1)
     edges = np.concatenate([bulk_edges[1] * _GRADING_RATIO ** np.arange(graded, 0, -1), bulk_edges[1:]])
-    x, w = np.polynomial.legendre.leggauss(_PANEL_POINTS)
+    x, w = _legendre_rule()
     half = 0.5 * np.diff(edges)[:, None]
     r, w = (edges[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
     r.flags.writeable = w.flags.writeable = False  # the cache shares them with every caller

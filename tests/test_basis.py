@@ -250,6 +250,16 @@ def test_energy_rejects_bad_nr():
         energy(-1, 0, DeformationParams(0.0, 0.0))
 
 
+def test_a_pair_whose_sum_overflows_is_refused():
+    # Each of 1e308 is finite, but mu1 + mu2 is inf, and with it k and the energy.
+    with pytest.raises(DomainError, match=r"^mu1 \+ mu2 must be finite, got mu = \(1e\+308, 1e\+308\)$"):
+        DeformationParams(1e308, 1e308)
+    with pytest.raises(DomainError, match=r"mu1 \+ mu2 must be finite"):
+        k_of(0, DeformationParams.of((1e308, 8e307)))
+    mu = DeformationParams(1e308, 7e307)  # the largest sums are finite and stay so
+    assert energy(0, 0, mu) == k_of(0, mu) * 2.0 == mu.total == 1.7e308
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     nr=st.integers(min_value=1, max_value=30),

@@ -279,6 +279,10 @@ _COHERENT_ARGV = ["coherent", "--xi", "0.3,0.4", "--m", "3/2", "--mu1", "0.2", "
             ["coherent", "--xi", "0.3,0.2", "--m", "0", "--mu1", "0.3", "--mu2", "0.7", "--tau", "0,1.1"],
             "21a8baad58dee12df66c19945117e747d45616ddafd124218f88275f3fc098d3",
         ),
+        (
+            ["wavefunction", "--state=+1,+1,0,300", "--grid", "0.1:30:60"],
+            "47bdd87557f586ac64d49356df94014370227cd9d931e7704bacb170ed389fd9",
+        ),
     ],
     ids=[
         "wavefunction-radial-csv",
@@ -287,12 +291,14 @@ _COHERENT_ARGV = ["coherent", "--xi", "0.3,0.4", "--m", "3/2", "--mu1", "0.2", "
         "coherent-json",
         "wavefunction-integer-m-json",
         "coherent-m-zero-csv",
+        "wavefunction-degree-300-sweep-csv",
     ],
 )
 def test_label_documents_equal_pinned_digests(capsys, argv, digest):
     # Each document carries m, k, l2 or the energy of a half-integer m, which
     # the labels compute from the integer 2m; these digests were measured when
-    # the labels held m as a Fraction.
+    # the labels held m as a Fraction. The last is a degree-300 Laguerre sweep,
+    # measured when laguerre and laguerre_all wrote the recurrence apart.
     code, out, err = _run(capsys, argv)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest

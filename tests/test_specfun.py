@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 import warnings
 
 import mpmath
@@ -71,7 +72,72 @@ def test_laguerre_all_consistent_with_single():
     table = laguerre_all(6, 0.8, x)
     assert table.shape == (7, 15)
     for n in range(7):
-        np.testing.assert_allclose(table[n], laguerre(n, 0.8, x), rtol=1e-14, atol=1e-14)
+        np.testing.assert_array_equal(table[n], laguerre(n, 0.8, x))
+
+
+def _loop_laguerre(n, alpha, x):
+    # The two recurrence loops that ``laguerre`` and ``laguerre_all`` once
+    # wrote out apart, kept here to pin the arithmetic of the one row sweep.
+    arr = np.asarray(x, dtype=float)
+    p_prev = np.ones_like(arr)
+    if n == 0:
+        return p_prev.item() if arr.ndim == 0 else p_prev
+    p = 1.0 + alpha - arr
+    for k in range(1, n):
+        p, p_prev = ((2.0 * k + 1.0 + alpha - arr) * p - (k + alpha) * p_prev) / (k + 1.0), p
+    return p.item() if arr.ndim == 0 else p
+
+
+def _loop_laguerre_all(nmax, alpha, x):
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty((nmax + 1,) + arr.shape)
+    out[0] = 1.0
+    if nmax >= 1:
+        out[1] = 1.0 + alpha - arr
+    for k in range(1, nmax):
+        out[k + 1] = ((2.0 * k + 1.0 + alpha - arr) * out[k] - (k + alpha) * out[k - 1]) / (k + 1.0)
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 6, 30, 300])
+@pytest.mark.parametrize("alpha", [-0.7, 0.0, 1.7, 10.0])
+def test_laguerre_and_laguerre_all_keep_the_bits_of_their_loops(n, alpha):
+    # The last grid overflows past degree about 100: inf and NaN land where the loops put them.
+    for x in (2.5, np.array(1.25), np.linspace(0.0, 40.0, 23), np.linspace(0.0, 3000.0, 9)):
+        with np.errstate(all="ignore"):
+            one, loop, table, loop_table = (
+                laguerre(n, alpha, x),
+                _loop_laguerre(n, alpha, x),
+                laguerre_all(n, alpha, x),
+                _loop_laguerre_all(n, alpha, x),
+            )
+        assert type(one) is type(loop)
+        assert np.asarray(one).tobytes() == np.asarray(loop).tobytes()
+        assert table.shape == loop_table.shape and table.tobytes() == loop_table.tobytes()
+
+
+def test_laguerre_holds_a_few_rows_at_a_time():
+    # laguerre keeps the last row of its sweep; a table of degree 2000 would be 2,001 rows (413 MB).
+    x = np.linspace(0.0, 50.0, 25800)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        laguerre(2000, 10.0, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * x.nbytes
+
+
+def test_the_legendre_panel_rule_is_built_once(monkeypatch):
+    # The 16-point rule depends on neither rmax nor npoints: a new radial rule reuses it.
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: calls.append(n) or leggauss(n))
+    specfun._radial_panels(12.345, 400)
+    first = len(calls)
+    specfun._radial_panels(13.579, 432)
+    assert first <= 1 and len(calls) == first
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 6, 10])

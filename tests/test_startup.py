@@ -117,6 +117,18 @@ def test_importing_cli_loads_every_layer_the_bench_tracer_reads():
     assert proc.stdout == "[]\n"
 
 
+def test_numpy_polynomial_loads_with_the_first_radial_rule():
+    # The Legendre panel rule is built on first use, not at import: wavefunction and coherent build none.
+    proc = _python(
+        "import sys, dunkl_oscillator.cli, dunkl_oscillator.specfun as specfun; "
+        "print('numpy.polynomial' in sys.modules); "
+        "specfun.radial_inner_product(lambda r: 1.0, lambda r: 1.0, (0.5, 0.5)); "
+        "print('numpy.polynomial' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\nTrue\n"
+
+
 def test_tracer_leaves_no_wrapper_in_the_package_namespace(monkeypatch):
     monkeypatch.syspath_prepend(BENCH)
     from spans import Tracer
