@@ -25,6 +25,7 @@ and ``spectrum`` run without numpy.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass
@@ -143,8 +144,11 @@ def _holds(s1: int, s2: int, two_m: int) -> bool:
 
 
 def _l2(two_m: int, mu: DeformationParams) -> float:
-    """l^2 = 4 m (m + mu1 + mu2) of a 2m already checked; 4m = 2 (2m) and m = 2m / 2 are exact."""
-    return 2.0 * two_m * (0.5 * two_m + mu.total)
+    """l^2 = 4 m (m + mu1 + mu2) of a 2m already checked, refused if it overflows; 4m = 2 (2m) and m = 2m / 2 are exact."""
+    l2 = 2.0 * two_m * (0.5 * two_m + mu.total)
+    if l2 == math.inf:
+        raise DomainError(f"l^2 = 4 m (m + mu1 + mu2) overflows at m = {two_m / 2}, mu = ({mu.mu1}, {mu.mu2})")
+    return l2
 
 
 @dataclass(frozen=True)
@@ -275,6 +279,11 @@ def _k(two_m: int, mu: DeformationParams) -> float:
     return 0.5 * two_m + 0.5 * (mu.total + 1.0)
 
 
+def _r_power(two_k: float, mu: DeformationParams) -> float:
+    """The power 2k - (mu1 + mu2 + 1) of r in the Sturmians and the coherent states; exactly 0 at the k of m = 0."""
+    return two_k - (mu.total + 1.0)
+
+
 def _level_energy(level: int, mu: DeformationParams) -> float:
     """Energy of the level 2 (nr + m) = level; the integer part is exact."""
     return float(level + 1) + mu.mu1 + mu.mu2
@@ -296,17 +305,13 @@ _LEVEL_CAP = math.isqrt(2 * MAX_STATES)
 
 
 def _top_level(emax: float, mu: DeformationParams) -> int:
-    """Largest level 2 (nr + m) with energy <= emax (-1 if none), checked against MAX_STATES."""
+    """Largest level 2 (nr + m) with energy <= emax (-1 if none), checked against MAX_STATES.
+
+    Level energies never decrease, so one bisection of the levels 0 .. _LEVEL_CAP finds it.
+    """
     if not math.isfinite(emax):
         raise DomainError(f"emax must be finite, got {emax}")
-    # Rounding in the energy moves the edge off emax - mu1 - mu2 - 1 by at most
-    # a level, but the search is bounded by _LEVEL_CAP whatever the magnitudes.
-    guess = emax - mu.mu1 - mu.mu2 - 1.0
-    top = min(int(guess), _LEVEL_CAP) if guess >= 0.0 else -1
-    while top < _LEVEL_CAP and _level_energy(top + 1, mu) <= emax:
-        top += 1
-    while top >= 0 and _level_energy(top, mu) > emax:
-        top -= 1
+    top = bisect.bisect_right(range(_LEVEL_CAP + 1), emax, key=lambda level: _level_energy(level, mu)) - 1
     if _states_through(top) > MAX_STATES:
         raise DomainError(
             f"emax = {emax} at mu = ({mu.mu1}, {mu.mu2}) gives more than "

@@ -1,7 +1,7 @@
 """The command-line subcommands that need numpy: ``wavefunction``, ``coherent`` and ``verify``.
 
 ``entry`` parses every command, runs ``spectrum`` and imports this module
-when one of these three first runs.  It leaves m as text, which ``wavefunction``
+to run one of these three.  It leaves m as text, which ``wavefunction``
 and ``coherent`` run through ``basis``' one m rule once, taking k and the energy
 from its exact 2m.  This module's one public name is ``entry.main``, so
 ``cli.main`` runs every command; importing this module loads every layer.

@@ -8,7 +8,8 @@ superposition
 with |xi| < 1.  The Sturmian |k, n> carries the norm sqrt(2 n! / Gamma(n + 2k)),
 so the Gamma ratios cancel: the radial profile is the Laguerre generating
 function sum_n xi^n L_n^(2k-1)(r^2) times N r^s exp(-r^2 / 2), with
-N = sqrt(2 (1 - |xi|^2)^(2k) / Gamma(2k)) and s = 2k - mu1 - mu2 - 1, and it
+N = sqrt(2 (1 - |xi|^2)^(2k) / Gamma(2k)) and s = 2k - (mu1 + mu2 + 1), the
+Sturmians' own power from ``basis._r_power`` (exactly 0 at m = 0), and it
 sums to the closed form
 
     Psi(r) = N (1 - xi)^(-2k) r^s exp[(r^2 / 2) (xi + 1) / (xi - 1)].
@@ -40,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .basis import DeformationParams, _check_integer, _check_k, _k, _two_m, log_gamma
+from .basis import DeformationParams, _check_integer, _check_k, _k, _r_power, _two_m, log_gamma
 from .errors import DomainError
 from .specfun import _check_radius, laguerre_all
 
@@ -144,13 +145,6 @@ def _envelope(r: np.ndarray, ln_pref: complex, power: float, c: complex) -> np.n
     return np.exp(exponent)
 
 
-def _radial_exponent(p: CoherentParams, mu: DeformationParams) -> float:
-    """The power 2k - mu1 - mu2 - 1 of r, exactly 0 where 2k == mu1 + mu2 + 1 (the m = 0 sector)."""
-    # There the difference can round to -4e-16, a negative power at r = 0.
-    two_k = 2.0 * p.k
-    return 0.0 if two_k == mu.total + 1.0 else two_k - mu.total - 1.0
-
-
 # Tables of more than this many Laguerre values are built for their call
 # alone, so the cache holds at most 20 * 2**16 values (10 MB) of rows.
 _CACHED_TABLE_VALUES = 1 << 16
@@ -185,13 +179,13 @@ def _series_values(
     _check_integer(nterms, "nterms (top polynomial degree + 1)", 1)
     flat = arr.ravel()
     # The envelope refuses a negative or non-finite r before the table would take it.
-    envelope = _envelope(flat, _ln_norm(p), _radial_exponent(p, mu), -0.5)
+    envelope = _envelope(flat, _ln_norm(p), _r_power(2.0 * p.k, mu), -0.5)
     # Where the envelope underflowed the value is exactly 0 and no table column
     # is built: there the Laguerre values can overflow first, and 0 * inf is NaN.
     live = envelope != 0.0
     live_r = flat[live]
     polys = _sturmian_table(2.0 * p.k, nterms, live_r * live_r)
-    coeffs = complex(p.xi) ** np.arange(nterms)
+    coeffs = p.xi ** np.arange(nterms)
     if term_phase is not None:
         coeffs = coeffs * term_phase
     # One sequential order for every grid size: numpy sums a single column
@@ -213,18 +207,16 @@ def coherent_series(r, p: CoherentParams, mu: DeformationParams):
 
 def _closed_values(r, p: CoherentParams, power: float):
     """Closed-form coherent values with the radial factor r^power."""
-    xi = complex(p.xi)
-    arr = np.atleast_1d(np.asarray(r, dtype=float))
-    ln_pref = _ln_norm(p) - 2.0 * p.k * np.log(1.0 - xi)
-    vals = _envelope(arr, ln_pref, power, 0.5 * (xi + 1.0) / (xi - 1.0))
-    if np.ndim(r) == 0:
-        return complex(vals[0])
+    ln_pref = _ln_norm(p) - 2.0 * p.k * np.log(1.0 - p.xi)
+    vals = _envelope(np.asarray(r, dtype=float), ln_pref, power, 0.5 * (p.xi + 1.0) / (p.xi - 1.0))
+    if vals.ndim == 0:
+        return complex(vals)
     return vals
 
 
 def coherent_closed(r, p: CoherentParams, mu: DeformationParams):
     """Coherent-state radial values from the resummed closed form."""
-    return _closed_values(r, p, _radial_exponent(p, mu))
+    return _closed_values(r, p, _r_power(2.0 * p.k, mu))
 
 
 def normal_form(amplitude: complex) -> DisplacementNormalForm:
@@ -252,7 +244,7 @@ def evolve_parameter(p: CoherentParams, t: EvolutionParams) -> tuple[complex, co
     angle = 2.0 * t.tau / t.hbar
     if not math.isfinite(p.k * angle):
         raise DomainError(f"the phase k 2 tau / hbar overflows at tau = {t.tau}, k = {p.k}, hbar = {t.hbar}")
-    return (complex(p.xi) * cmath.exp(-1j * angle), cmath.exp(-1j * p.k * angle))
+    return (p.xi * cmath.exp(-1j * angle), cmath.exp(-1j * p.k * angle))
 
 
 def coherent_evolved(r, p: CoherentParams, t: EvolutionParams, m, mu: DeformationParams):
@@ -266,6 +258,6 @@ def coherent_evolved(r, p: CoherentParams, t: EvolutionParams, m, mu: Deformatio
             f"expected k = {k_expected}"
         )
     xi_t, phase = evolve_parameter(p, t)
-    # 2k - mu1 - mu2 - 1 is the label 2m, taken exactly: in floats it can round
-    # below zero for m = 0 and make r = 0 a negative power.
+    # The power of r is the label 2m, taken exactly rather than from k, so the
+    # CLI's coherent documents keep their bytes.
     return phase * _closed_values(r, CoherentParams(xi=xi_t, k=p.k), float(two_m))

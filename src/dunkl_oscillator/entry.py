@@ -4,9 +4,10 @@
 ``--help``, ``spectrum`` and every refusal made while parsing start without
 importing numpy: the mu rule and the suite names come from the numpy-free
 ``basis``; the parser reads a state's parities and nr, but leaves m as text
-for ``basis``' one m rule.  ``wavefunction``, ``coherent`` and ``verify`` run
-in ``cli``, which is imported when one of them first runs and whose one
-public name is this ``main``; ``main`` is not in the package's ``__all__``.
+for ``basis``' one m rule.  ``main`` runs ``spectrum`` itself; for
+``wavefunction``, ``coherent`` and ``verify`` it imports ``cli`` and calls its
+``_cmd_<command>``.  ``cli``'s one public name is this ``main``, which is not
+in the package's ``__all__``.
 
 Subcommands:
 
@@ -255,17 +256,6 @@ def _cmd_spectrum(args: argparse.Namespace, mu: DeformationParams) -> int:
     return 0
 
 
-def _in_cli(name: str):
-    """The handler ``name`` of ``cli``, whose commands need numpy; ``cli`` is imported when one first runs."""
-
-    def handler(args: argparse.Namespace, mu: DeformationParams) -> int:
-        from . import cli
-
-        return getattr(cli, name)(args, mu)
-
-    return handler
-
-
 def _add_common(parser: argparse.ArgumentParser, default_mu: float) -> None:
     parser.add_argument("--mu1", type=float, default=default_mu, help="deformation parameter mu1")
     parser.add_argument("--mu2", type=float, default=default_mu, help="deformation parameter mu2")
@@ -289,14 +279,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_spec = sub.add_parser("spectrum", help="enumerate eigenstates up to an energy cutoff")
     _add_common(p_spec, 0.0)
     p_spec.add_argument("--emax", type=float, default=10.0, help="energy cutoff")
-    p_spec.set_defaults(handler=_cmd_spectrum)
 
     p_wave = sub.add_parser("wavefunction", help="tabulate one eigenstate profile")
     _add_common(p_wave, 0.0)
     p_wave.add_argument("--state", type=_parse_state, required=True, help="s1,s2,m,nr")
     p_wave.add_argument("--part", choices=("radial", "angular"), default="radial")
     p_wave.add_argument("--grid", type=_parse_grid, default=_DEFAULT_GRID, help="min:max:n")
-    p_wave.set_defaults(handler=_in_cli("_cmd_wavefunction"))
 
     p_coh = sub.add_parser("coherent", help="tabulate a time-evolved coherent profile")
     _add_common(p_coh, 0.0)
@@ -304,7 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_coh.add_argument("--m", default="0", help="sector quantum number")
     p_coh.add_argument("--tau", type=_parse_taus, default=(0.0,), help="comma list of times")
     p_coh.add_argument("--grid", type=_parse_grid, default=_DEFAULT_GRID, help="min:max:n")
-    p_coh.set_defaults(handler=_in_cli("_cmd_coherent"))
     # Added last, so each table command's --help lists --format after its own options.
     for table in (p_spec, p_wave, p_coh):
         table.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -313,7 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p_ver, 0.5)
     p_ver.add_argument("--suite", choices=("all",) + SUITES, default="all")
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.set_defaults(handler=_in_cli("_cmd_verify"))
     # No option starts with a digit, so "-<digit>..." and "-.<digit>..." are values; argparse's
     # own rule (-5 and -.5 only) would read -5e-05 and -0.8,0 as unknown options.
     for each in (parser, *sub.choices.values()):
@@ -324,7 +310,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args, DeformationParams(args.mu1, args.mu2))
+        mu = DeformationParams(args.mu1, args.mu2)
+        if args.command == "spectrum":
+            return _cmd_spectrum(args, mu)
+        from . import cli  # the other commands need numpy, which this import loads
+
+        return getattr(cli, f"_cmd_{args.command}")(args, mu)
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -35,12 +35,13 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .basis import AngularQuantum, DeformationParams, RadialQuantum, _check_integer, angular_norm, log_gamma
+from .basis import AngularQuantum, DeformationParams, RadialQuantum, _check_integer, _r_power, angular_norm, log_gamma
 from .errors import DomainError, SingularityError
 from .specfun import _check_radius, jacobi, laguerre
 
@@ -184,12 +185,15 @@ class GaussLaguerreSum(Profile):
 
 
 def radial_sturmian(q: RadialQuantum, mu: DeformationParams) -> GaussLaguerreSum:
-    """Orthonormal radial eigenfunction for label q under r^(1 + 2 mu1 + 2 mu2) dr."""
+    """Orthonormal radial eigenfunction for label q under r^(1 + 2 mu1 + 2 mu2) dr; refused if its norm underflows."""
     two_k = 2.0 * q.k
     ln_norm = 0.5 * (math.log(2.0) + log_gamma(q.nr + 1.0) - log_gamma(q.nr + two_k))
+    coeff = math.exp(ln_norm)
+    if coeff < sys.float_info.min:  # subnormal or 0: the sum would lose its digits, or be 0, at every r
+        raise DomainError(f"the Sturmian norm underflows at k = {q.k}, n = {q.nr}: ln N = {ln_norm}")
     return GaussLaguerreSum.single(
-        coeff=math.exp(ln_norm),
-        power=two_k - (mu.total + 1.0),
+        coeff=coeff,
+        power=_r_power(two_k, mu),
         degree=q.nr,
         alpha=two_k - 1.0,
     )

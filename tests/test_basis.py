@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -186,6 +187,15 @@ def test_angular_norm_overflow_is_a_domain_error():
         angular_norm(AngularQuantum.build(1, 1, 0, mu), mu)
     mu = DeformationParams(500.0, 500.0)
     assert math.isfinite(angular_norm(AngularQuantum.build(1, 1, 0, mu), mu))
+
+
+def test_an_l2_that_overflows_is_refused():
+    # mu1 + mu2 is finite, but 4 m (m + mu1 + mu2) is not once m > 0.
+    mu = DeformationParams(1e308, 0.5)
+    with pytest.raises(DomainError, match=r"^l\^2 = 4 m \(m \+ mu1 \+ mu2\) overflows at m = 1.0, mu = \(1e\+308, 0.5\)$"):
+        AngularQuantum.build(1, 1, 1, mu)
+    assert AngularQuantum.build(1, 1, 0, mu).l2 == 0.0
+    assert AngularQuantum.build(1, 1, 1, DeformationParams(4e307, 0.5)).l2 == 4.0 * (1.0 + 4e307)
 
 
 def test_angular_norm_rejects_inconsistent_labels():
@@ -399,6 +409,21 @@ def test_radial_sturmian_unit_norm_against_mpmath_quadrature():
         assert norm == pytest.approx(1.0, abs=5e-11)
 
 
+def test_a_sturmian_whose_norm_underflows_is_refused():
+    # sqrt(2 n! / Gamma(n + 2k)) at mu = 0 and nr = 0 is normal to m = 150,
+    # subnormal from m = 151 and 0 from m = 157; the state itself is not 0.
+    mu = DeformationParams(0.0, 0.0)
+    (coeff,) = radial_sturmian(RadialQuantum.from_m(0, 150, mu), mu).terms.values()
+    assert coeff >= sys.float_info.min
+    for m, ln_norm in ((151, "-712.81"), (157, "-747.20"), (200, "-999.90")):
+        with pytest.raises(DomainError, match=rf"^the Sturmian norm underflows at k = {m}.5, n = 0: ln N = {ln_norm}"):
+            radial_sturmian(RadialQuantum.from_m(0, m, mu), mu)
+    mpmath.mp.dps = 30
+    r = mpmath.mpf(20.5)
+    value = mpmath.sqrt(2 / mpmath.gamma(401)) * r**400 * mpmath.exp(-r * r / 2)
+    assert float(value) == pytest.approx(0.1559, rel=1e-3)
+
+
 def test_radial_orthogonality_sample():
     mu = DeformationParams(0.3, 1.2)
     m = Fraction(1, 2)
@@ -568,6 +593,63 @@ def test_state_cap_refuses_before_building():
     # a coupling so large that every level rounds to the same energy
     with pytest.raises(DomainError, match="more than 1000000 states"):
         enumerate_states(1e300, DeformationParams(1e300, 0.0))
+
+
+def _walked_top_level(emax, mu):
+    """Reference: the level edge from a guess at emax - mu1 - mu2 - 1 and two walks that correct its rounding."""
+    guess = emax - mu.mu1 - mu.mu2 - 1.0
+    top = min(int(guess), basis._LEVEL_CAP) if guess >= 0.0 else -1
+    while top < basis._LEVEL_CAP and basis._level_energy(top + 1, mu) <= emax:
+        top += 1
+    while top >= 0 and basis._level_energy(top, mu) > emax:
+        top -= 1
+    return top
+
+
+def _assert_top_level_is_the_walk(emax, mu):
+    want = _walked_top_level(emax, mu)
+    if basis._states_through(want) > MAX_STATES:
+        with pytest.raises(DomainError, match="more than 1000000 states"):
+            basis._top_level(emax, mu)
+    else:
+        assert basis._top_level(emax, mu) == want, (emax, mu)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    emax=st.one_of(st.floats(min_value=-3.0, max_value=1500.0), st.floats(allow_nan=False, allow_infinity=False)),
+    mu1=st.one_of(_MU, st.floats(min_value=-0.5, max_value=8e307, exclude_min=True)),
+    mu2=st.one_of(_MU, st.floats(min_value=-0.5, max_value=8e307, exclude_min=True)),
+)
+@example(emax=1e308, mu1=8e307, mu2=8e307)
+@example(emax=2e16 + 2.0, mu1=1e16, mu2=1e16)
+def test_top_level_bisection_equals_the_guess_and_walks(emax, mu1, mu2):
+    _assert_top_level_is_the_walk(emax, DeformationParams(mu1, mu2))
+
+
+@pytest.mark.parametrize(
+    "mu_pair",
+    [(0.0, 0.0), (-0.45, 0.3), (2.365, 0.814), (-0.4999999, -0.4999999), (3.0, 3.0), (8e307, 8e307), (1e16, 1e16)],
+)
+def test_top_level_bisection_equals_the_walks_on_and_next_to_each_edge(mu_pair):
+    # The cap is 1414: level 1413 holds 998,991 states in all, level 1414 more than MAX_STATES.
+    mu = DeformationParams(*mu_pair)
+    for level in (0, 1, 2, 150, 1411, 1412, 1413, 1414):
+        e = basis._level_energy(level, mu)
+        for emax in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf)):
+            _assert_top_level_is_the_walk(emax, mu)
+
+
+def test_the_r_power_is_exactly_zero_at_m_zero():
+    # 2 k_of(0, mu) is the float mu1 + mu2 + 1 itself; 2k - mu1 - mu2 - 1 is not always 0.
+    rng = np.random.default_rng(53)
+    leftovers = 0
+    for pair in -0.5 + 3.5 * (1.0 - rng.random((10_000, 2))):
+        mu = DeformationParams(*map(float, pair))
+        two_k = 2.0 * k_of(0, mu)
+        assert basis._r_power(two_k, mu) == 0.0
+        leftovers += two_k - mu.total - 1.0 != 0.0
+    assert leftovers > 0
 
 
 @pytest.mark.parametrize("mu_pair", [(0.0, 0.0), (-0.45, 0.3), (2.365, 0.814)])

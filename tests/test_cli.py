@@ -720,6 +720,14 @@ def test_wavefunction_whose_norm_overflows_exits_two(capsys):
     assert err == "error: log_gamma overflows a float at x = 1e+308\n"
 
 
+def test_wavefunction_whose_sturmian_norm_underflows_exits_two(capsys):
+    # sqrt(2 / Gamma(401)) is e^(-999.9): the table would read 0 at every r,
+    # where the state is 0.1559 at r = 20.5.
+    code, out, err = _run(capsys, ["wavefunction", "--state=+1,+1,200,0", "--grid", "1:40:5"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the Sturmian norm underflows at k = 200.5, n = 0: ln N = -999.90")
+
+
 def test_coherent_rejects_unit_displacement(capsys):
     code, out, err = _run(capsys, ["coherent", "--xi", "1,0"])
     assert code == 2

@@ -345,7 +345,7 @@ def _reference_series(arr, p, mu, nterms, term_phase=None):
     if term_phase is not None:
         coeffs = coeffs * term_phase
     ln_norm = 0.5 * (math.log(2.0) + two_k * math.log1p(-abs(p.xi) ** 2) - log_gamma(two_k))
-    envelope = np.exp(ln_norm + _ln_rpow(arr, two_k - mu.total - 1.0) - 0.5 * x)
+    envelope = np.exp(ln_norm + _ln_rpow(arr, two_k - (mu.total + 1.0)) - 0.5 * x)
     return envelope * sum(coeffs[:, None] * polys)
 
 
@@ -471,6 +471,32 @@ def test_ground_sector_forms_are_finite_at_the_origin():
     assert np.all(np.isfinite(series)) and np.all(np.isfinite(closed))
     assert np.array_equal(closed, coherent_evolved(r, p, EvolutionParams(0.0), 0, mu))
     np.testing.assert_allclose(series, closed, rtol=1e-10)
+
+
+def test_the_sturmians_and_both_coherent_forms_take_one_r_power(monkeypatch):
+    # The coherent state is the Sturmians' generating function, so all three
+    # carry r^(2k - mu1 - mu2 - 1) as the same float, in one association.
+    powers = []
+    envelope = coherent._envelope
+
+    def recording(r, ln_pref, power, c):
+        powers.append(power)
+        return envelope(r, ln_pref, power, c)
+
+    monkeypatch.setattr(coherent, "_envelope", recording)
+    rng = np.random.default_rng(53)
+    other_association = 0
+    for two_m, mu1, mu2 in zip(rng.integers(0, 41, 200), *(-0.5 + 3.5 * (1.0 - rng.random((2, 200))))):
+        mu = DeformationParams(float(mu1), float(mu2))
+        q = RadialQuantum.from_m(0, Fraction(int(two_m), 2), mu)
+        ((power, _, _),) = radial_sturmian(q, mu).terms
+        powers.clear()
+        p = CoherentParams(xi=0.3 - 0.2j, k=q.k)
+        coherent_closed(1.3, p, mu)
+        coherent_series(1.3, p, mu)
+        assert [x.hex() for x in powers] == [power.hex()] * 2
+        other_association += power != 2.0 * q.k - mu.total - 1.0
+    assert other_association > 0
 
 
 def test_sturmian_tables_are_read_only_and_bounded():

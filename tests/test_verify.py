@@ -566,12 +566,13 @@ def test_product_is_quiet_at_the_origin_and_its_hamiltonian_exact_there():
 
 
 def test_a_state_that_underflows_everywhere_is_an_error_record():
-    # At mu = (300, 300) the first state, E f, is 0 at all 34 points, and the
-    # Sturmians' monomial coefficients underflow to 0: one refusal names both.
+    # At mu = (300, 300) the Sturmians' norms underflow a float, so every check
+    # built on a Sturmian, the R-U round trip among them, is refused, naming its k, n and ln N.
     results = {res.name: res for res in run_checks("all", mu=(300.0, 300.0))}
-    underflow = "DomainError: the state underflows to 0"
+    underflow = "DomainError: the Sturmian norm underflows at k = 300.5, n = "
     underflows = [name for name, res in results.items() if (res.error or "").startswith(underflow)]
-    assert "hamiltonian_cartesian_residual" in underflows and "casimir_scalar" in underflows and len(underflows) == 10
+    assert {"hamiltonian_cartesian_residual", "casimir_scalar", "radial_substitution_roundtrip"} <= set(underflows)
+    assert len(underflows) == 12
     assert all(res.error.startswith("DomainError: ") and not res.passed for res in results.values() if res.error)
 
 
