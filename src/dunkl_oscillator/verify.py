@@ -9,11 +9,12 @@ and deterministically — randomized inputs derive from per-check seeds.
 Every case is computed afresh on each run, and a check that reads mu runs its
 cases at the run's mu only, so a report describes the mu it was asked for.
 
-Three pointwise checks are scaled: ``angular_eigen_residual`` and
+Four pointwise checks are scaled: ``angular_eigen_residual`` and
 ``angular_reflection_parity`` divide each case by max|Phi| on the angular
-grid, and ``hamiltonian_cartesian_residual`` each product's residual by
-max|f| and each polar state's span defect by max|R Phi| at its 34 points,
-so a residual is relative to the state's own size (max|Phi| is below 1 at
+grid, ``radial_substitution_roundtrip`` each Sturmian's R-U round trip by
+max|R| on the radial grid (about 1e-40 at mu = (30, 30)), and
+``hamiltonian_cartesian_residual`` each product's residual by max|f| and
+each polar state's span defect by max|R Phi| at its 34 points, so a residual is relative to the state's own size (max|Phi| is below 1 at
 mu = 0 and 9.4e20 at mu = (60, 60)), never to its energy E, which tends to
 0 as mu1 + mu2 tends to -1.
 
@@ -235,7 +236,8 @@ def _check_substitution_roundtrip(ctx: VerifyContext) -> Iterator:
     grid = _residual_grid()
     for *_, R in _sturmians(ctx.mu, (1,)):
         back = substitute_u(substitute_u(R, ctx.mu, "r_to_u"), ctx.mu, "u_to_r")
-        yield back(grid) - R(grid)
+        values = R(grid)
+        yield _relative(back(grid) - values, values)
 
 
 @_register("radial_flat_picture_eigen", "radial", 1e-9)

@@ -614,6 +614,24 @@ def test_monomial_residual_sees_a_1e_10_fault_where_the_sturmians_are_small(monk
 
 
 
+def test_substitution_roundtrip_sees_a_1e_10_fault_where_the_sturmians_are_small(monkeypatch):
+    # At mu = (30, 30) the Sturmians are of order 1e-40, where this fault in the
+    # u_to_r exponent read 2.2e-48 in absolute terms and 1.8e-8 relative to max|R|.
+    mu = (30.0, 30.0)
+    (clean,) = run_checks(_only(monkeypatch, "radial_substitution_roundtrip"), mu=mu)
+    real = verify.substitute_u
+
+    def faulty(profile, mu, direction):
+        if direction == "u_to_r":
+            return profile.times_rpower(-(0.5 + mu.total) * (1.0 + 1e-10))
+        return real(profile, mu, direction)
+
+    monkeypatch.setattr(verify, "substitute_u", faulty)
+    (result,) = run_checks("radial", mu=mu)
+    assert clean.passed and clean.residual <= 1e-15
+    assert not result.passed and result.error is None and result.residual > 1e-9
+
+
 def test_random_profiles_are_short_gaussian_polynomials_fixed_by_seed_and_tag():
     first = verify._random_profiles(3, 101, 10)
     assert [p.terms for p in first] == [p.terms for p in verify._random_profiles(3, 101, 10)]
