@@ -26,13 +26,16 @@ Harmonic time evolution acts by rotating the disk label, xi -> xi e^(-2 i tau /
 hbar), times the global phase e^(-2 i k tau / hbar), so |Psi|^2 is periodic in
 tau with period pi * hbar.
 
-The xi-independent Laguerre rows L_n^(2k-1)(r^2) are shared between calls from
-one bounded ``functools`` cache of read-only tables, keyed by (2k, term count,
-grid); a series over more than 2**16 values builds its table for itself alone.
+``auto_nterms`` ends the series at the first n >= 5 whose log-weight
+ln sqrt(Gamma(n + 2k) / (n! Gamma(2k))) + n ln|xi| is below ln 1e-14, by one
+bisection on each call.  The Laguerre rows L_n^(2k-1)(r^2) are the module's one
+cache, a bounded ``functools`` cache of read-only tables keyed by (2k, term
+count, grid); a series over more than 2**16 values builds its table alone.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import math
@@ -97,30 +100,29 @@ class EvolutionParams:
             raise DomainError(f"hbar must be positive and finite, got {self.hbar}")
 
 
-# The largest first omitted coefficient ``auto_nterms`` leaves in a series.
-_SERIES_TOL = 1e-14
+_SERIES_TOL = 1e-14  # the largest first omitted coefficient ``auto_nterms`` leaves in a series
 
 
 def auto_nterms(p: CoherentParams) -> int:
-    """Number of series terms so the first omitted coefficient is below 1e-14; ``DomainError`` past 20,000."""
-    return _nterms_for(abs(p.xi), 2.0 * p.k)
+    """Number of series terms so the first omitted coefficient is below 1e-14; ``DomainError`` past 20,000.
 
-
-@functools.lru_cache(maxsize=64)
-def _nterms_for(axi: float, two_k: float) -> int:
-    """``auto_nterms`` at |xi| = axi and 2k = two_k; a verify run asks for the same few dozens of times."""
+    The step of the log-weight f(n), ln(|xi|) + ln((n + 2k)/(n + 1))/2, is negative for 2k < 1 and falls
+    with n for 2k >= 1, so once f(5) >= ln 1e-14 the test f(n) < ln 1e-14 reads False .. False, True .. True.
+    """
+    axi, two_k = abs(p.xi), 2.0 * p.k
     if axi == 0.0:
         return 1
-    ln_axi = math.log(axi)
-    lg_2k = log_gamma(two_k)
-    ln_tol = math.log(_SERIES_TOL)
-    for n in range(5, 20000):
-        bound = 0.5 * (math.lgamma(n + two_k) - math.lgamma(n + 1.0) - lg_2k) + n * ln_axi
-        if bound < ln_tol:
-            return n + 1
-    raise DomainError(
-        f"no coherent series of at most 20000 terms meets tol = {_SERIES_TOL} at |xi| = {axi}, k = {two_k / 2}"
-    )
+    ln_axi, lg_2k, ln_tol = math.log(axi), log_gamma(two_k), math.log(_SERIES_TOL)
+
+    def below(n: int) -> bool:
+        return 0.5 * (math.lgamma(n + two_k) - math.lgamma(n + 1.0) - lg_2k) + n * ln_axi < ln_tol
+
+    n = 5 if below(5) else 5 + bisect.bisect_left(range(5, 20000), True, key=below)
+    if n == 20000:
+        raise DomainError(
+            f"no coherent series of at most 20000 terms meets tol = {_SERIES_TOL} at |xi| = {axi}, k = {two_k / 2}"
+        )
+    return n + 1
 
 
 def _ln_norm(p: CoherentParams) -> float:
@@ -177,14 +179,12 @@ def _series_values(
     """Partial-sum values of the coherent superposition on a radius array of any shape."""
     # Checked before the cache, where 10.0 would find the table of 10.
     _check_integer(nterms, "nterms (top polynomial degree + 1)", 1)
-    flat = arr.ravel()
     # The envelope refuses a negative or non-finite r before the table would take it.
-    envelope = _envelope(flat, _ln_norm(p), _r_power(2.0 * p.k, mu), -0.5)
+    envelope = _envelope(arr, _ln_norm(p), _r_power(2.0 * p.k, mu), -0.5)
     # Where the envelope underflowed the value is exactly 0 and no table column
     # is built: there the Laguerre values can overflow first, and 0 * inf is NaN.
     live = envelope != 0.0
-    live_r = flat[live]
-    polys = _sturmian_table(2.0 * p.k, nterms, live_r * live_r)
+    polys = _sturmian_table(2.0 * p.k, nterms, np.square(arr[live]))
     coeffs = p.xi ** np.arange(nterms)
     if term_phase is not None:
         coeffs = coeffs * term_phase
@@ -192,26 +192,22 @@ def _series_values(
     # pairwise but a block row by row, so a point alone would differ from itself in a grid.
     terms = coeffs[:, None] * polys
     series = np.cumsum(terms, axis=0, out=terms)[-1]
-    values = np.zeros(flat.shape, dtype=complex)
+    values = np.zeros(arr.shape, dtype=complex)
     values[live] = envelope[live] * series
-    return values.reshape(arr.shape)
+    return values
 
 
 def coherent_series(r, p: CoherentParams, mu: DeformationParams):
     """Coherent-state radial values by explicit basis summation over ``auto_nterms(p)`` terms, or its refusal."""
     vals = _series_values(np.asarray(r, dtype=float), p, mu, auto_nterms(p))
-    if vals.ndim == 0:
-        return complex(vals)
-    return vals
+    return vals if vals.ndim else complex(vals)
 
 
 def _closed_values(r, p: CoherentParams, power: float):
     """Closed-form coherent values with the radial factor r^power."""
     ln_pref = _ln_norm(p) - 2.0 * p.k * np.log(1.0 - p.xi)
     vals = _envelope(np.asarray(r, dtype=float), ln_pref, power, 0.5 * (p.xi + 1.0) / (p.xi - 1.0))
-    if vals.ndim == 0:
-        return complex(vals)
-    return vals
+    return vals if vals.ndim else complex(vals)
 
 
 def coherent_closed(r, p: CoherentParams, mu: DeformationParams):

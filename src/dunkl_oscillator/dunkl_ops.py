@@ -21,11 +21,13 @@ the partials attached to a ``PlaneFunction`` (``_partial``) and raise
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .basis import DeformationParams
 from .errors import DerivativeUnavailable, DomainError, SingularityError
-from .profiles import GaussLaguerreSum, PlaneFunction, TrigJacobiSum, _check_l2, derivative_of
+from .profiles import GaussLaguerreSum, PlaneFunction, TrigJacobiSum, derivative_of
 
 __all__ = [
     "reflect",
@@ -125,6 +127,19 @@ def apply_hamiltonian(f: PlaneFunction, mu: DeformationParams) -> PlaneFunction:
         return -0.5 * (ddx(x, y) + ddy(x, y)) + 0.5 * (x * x + y * y) * f(x, y)
 
     return PlaneFunction(fn=out, parity=f.parity)
+
+
+def _check_l2(l2: float, mu: DeformationParams) -> None:
+    """Refuse an angular eigenvalue without a real Bargmann index: l2 + (mu1+mu2)^2 < 0 or nan.
+
+    A genuine sector has l2 = 4m(m+mu1+mu2), so l2 + (mu1+mu2)^2 = (2m+mu1+mu2)^2;
+    l2 itself is negative in the (+-,-+) m = 1/2 sectors once mu1+mu2 < -1/2.
+    """
+    if not (math.isfinite(l2) and l2 + mu.total * mu.total >= 0.0):
+        raise DomainError(
+            f"angular eigenvalue l2 = {l2} has no real Bargmann index at mu1+mu2 = {mu.total}: "
+            "l2 + (mu1+mu2)^2 must be non-negative"
+        )
 
 
 def _radial_operator(R: GaussLaguerreSum, row: tuple[float, ...]) -> GaussLaguerreSum:

@@ -57,19 +57,6 @@ __all__ = [
 ]
 
 
-def _check_l2(l2: float, mu: DeformationParams) -> None:
-    """Refuse an angular eigenvalue without a real Bargmann index: l2 + (mu1+mu2)^2 < 0 or nan.
-
-    A genuine sector has l2 = 4m(m+mu1+mu2), so l2 + (mu1+mu2)^2 = (2m+mu1+mu2)^2;
-    l2 itself is negative in the (+-,-+) m = 1/2 sectors once mu1+mu2 < -1/2.
-    """
-    if not (math.isfinite(l2) and l2 + mu.total * mu.total >= 0.0):
-        raise DomainError(
-            f"angular eigenvalue l2 = {l2} has no real Bargmann index at mu1+mu2 = {mu.total}: "
-            "l2 + (mu1+mu2)^2 must be non-negative"
-        )
-
-
 class Profile:
     """A function of one variable (r or phi): an exact term sum, ``terms`` = {key: coeff}.
 
@@ -139,14 +126,13 @@ class GaussLaguerreSum(Profile):
         return cls(((float(j), 0, 0.0), c) for j, c in enumerate(coeffs))
 
     def _evaluate(self, r):
-        arr = np.atleast_1d(np.asarray(r, dtype=float))
+        arr = np.asarray(r, dtype=float)
         _check_radius(arr, any(p < 0 for p, _, _ in self.terms))
         x = arr * arr
         total = np.zeros(arr.shape)
         for (p, n, a), c in self.terms.items():
             total = total + c * arr**p * laguerre(n, a, x)
-        total = total * np.exp(-0.5 * x)
-        return total[0] if np.ndim(r) == 0 else total
+        return total * np.exp(-0.5 * x)
 
     def derivative(self) -> "GaussLaguerreSum":
         out = []
@@ -222,11 +208,12 @@ class TrigJacobiSum(Profile):
         return cls(((key, float(coeff)),))
 
     def _evaluate(self, phi):
-        arr = np.atleast_1d(np.asarray(phi, dtype=float))
+        arr = np.asarray(phi, dtype=float)
         finite = np.isfinite(arr)
         if not finite.all():
             raise DomainError(f"phi must be finite, got {arr[~finite][0]}")
-        cos, sin = np.cos(arr), np.sin(arr)
+        # A 0-d cos stays an array: numpy rounds a float64 scalar's ** apart from an array's.
+        cos, sin = np.asarray(np.cos(arr)), np.asarray(np.sin(arr))
         x = cos * cos - sin * sin
         # Floating-point multiples of pi/2 give |cos| or |sin| of order 1e-16,
         # where a negative power of that factor (a reflection quotient) has no
@@ -237,7 +224,7 @@ class TrigJacobiSum(Profile):
         total = np.zeros(arr.shape)
         for (i, j, d, al, be), c in self.terms.items():
             total = total + c * cos**i * sin**j * jacobi(d, al, be, x)
-        return total[0] if np.ndim(phi) == 0 else total
+        return total[()]  # a float64 for a 0-d phi, also with no terms
 
     def derivative(self) -> "TrigJacobiSum":
         out = []

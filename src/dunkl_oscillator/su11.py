@@ -44,9 +44,9 @@ import math
 from dataclasses import dataclass
 
 from .basis import DeformationParams, RadialQuantum, _k, _two_m
-from .dunkl_ops import _radial_operator
+from .dunkl_ops import _check_l2, _radial_operator
 from .errors import DomainError
-from .profiles import GaussLaguerreSum, _check_l2
+from .profiles import GaussLaguerreSum
 
 __all__ = [
     "ladder_coefficients",

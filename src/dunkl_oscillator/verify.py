@@ -11,10 +11,10 @@ cases at the run's mu only, so a report describes the mu it was asked for.
 
 Four pointwise checks are scaled: ``angular_eigen_residual`` and
 ``angular_reflection_parity`` divide each case by max|Phi| on the angular
-grid, ``radial_substitution_roundtrip`` each Sturmian's R-U round trip by
-max|R| on the radial grid (about 1e-40 at mu = (30, 30)), and
-``hamiltonian_cartesian_residual`` each product's residual by max|f| and
-each polar state's span defect by max|R Phi| at its 34 points, so a residual is relative to the state's own size (max|Phi| is below 1 at
+grid, ``radial_substitution_roundtrip`` each R-U round trip by max|R| on the
+radial grid, and ``hamiltonian_cartesian_residual`` each product's residual
+by max|f| and each polar state's span defect by max|R Phi| at its 34 points,
+so a residual is relative to the state's own size (max|Phi| is below 1 at
 mu = 0 and 9.4e20 at mu = (60, 60)), never to its energy E, which tends to
 0 as mu1 + mu2 tends to -1.
 

@@ -229,6 +229,35 @@ def test_angular_wavefunction_matches_direct_formula():
     np.testing.assert_allclose(angular_wavefunction(q, mu)(phi), expected, rtol=1e-11, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "mu",
+    [
+        (0.3, 0.3),
+        (1.7, 0.2),
+        pytest.param(
+            (-0.4999999, -0.4999999),
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="ROADMAP directions 2 and 23: alpha = mu2 - 1/2 and beta = mu1 - 1/2 are each rounded, "
+                "and jacobi's P_1 forms alpha + beta + 2 = mu1 + mu2 + 1 by cancellation (5.6e-10 relative)",
+            ),
+        ),
+    ],
+)
+def test_angular_wavefunction_matches_mpmath(mu):
+    # The (+1, +1) state of m = 1, eta P_1^(mu2 - 1/2, mu1 - 1/2)(cos 2 phi), all of it at 50 digits.
+    mu = DeformationParams(*mu)
+    q = AngularQuantum.build(1, 1, 1, mu)
+    assert (q.e1, q.e2, q.degree) == (0, 0, 1)
+    phi = _angular_grid(24)
+    with mpmath.workdps(50):
+        mu1, mu2, half = mpmath.mpf(mu.mu1), mpmath.mpf(mu.mu2), mpmath.mpf(1) / 2
+        eta = mpmath.sqrt((2 + mu1 + mu2) * mpmath.gamma(1 + mu1 + mu2) / (2 * mpmath.gamma(1 + mu1 + half) * mpmath.gamma(1 + mu2 + half)))
+        want = np.array([float(eta * mpmath.jacobi(1, mu2 - half, mu1 - half, mpmath.cos(2 * mpmath.mpf(t)))) for t in phi])
+    got = angular_wavefunction(q, mu)(phi)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_angular_wavefunction_has_sector_parity():
     mu = DeformationParams(0.5, 0.5)
     phi = _angular_grid(24)

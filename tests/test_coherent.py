@@ -207,6 +207,38 @@ def test_auto_nterms_cap_equals_its_first_loop():
     assert auto_nterms(CoherentParams(xi=0.0, k=1.0)) == 1
 
 
+def test_auto_nterms_equals_its_first_loop_on_a_seeded_sweep():
+    # 2k log-uniform on [1e-3, 316] with every tenth 2k = 1 exactly, |xi| up to 0.98,
+    # then the capped cases of the table above.
+    rng = np.random.default_rng(2016)
+    draws = []
+    for i in range(2000):
+        two_k = 1.0 if i % 10 == 0 else 10.0 ** rng.uniform(-3.0, 2.5)
+        xi = rng.uniform(0.0, 0.98) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        draws.append(CoherentParams(xi=xi, k=two_k / 2.0))
+    draws += [CoherentParams(xi=0.9999, k=k) for k in (0.5, 1.0, 2.7, 10.0, 40.0)] + [CoherentParams(xi=0.99, k=40.0)]
+    assert any(2.0 * p.k < 1.0 for p in draws) and any(2.0 * p.k == 1.0 for p in draws)
+    for p in draws:
+        _assert_matches_first_loop(p)
+
+
+@pytest.mark.parametrize("axi, k", [(0.99993, 3.3), (0.61, 0.37), (0.971, 7.1)])
+def test_auto_nterms_makes_at_most_35_lgamma_calls(axi, k, monkeypatch):
+    # Each (|xi|, k) is asked for by no other test; the scan made about 40,000 calls at the first, capped one.
+    p = CoherentParams(xi=axi, k=k)
+    expected = _reference_auto_nterms(p)
+    calls = []
+    real = math.lgamma
+    monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or real(x))
+    if expected == 20000:
+        with pytest.raises(DomainError, match="at most 20000 terms"):
+            auto_nterms(p)
+    else:
+        assert auto_nterms(p) == expected
+    assert 0 < len(calls) <= 35
+    assert (expected == 20000) == (axi == 0.99993)
+
+
 # --- series vs closed form ---------------------------------------------------
 
 

@@ -527,6 +527,22 @@ def test_evaluation_is_bit_identical_to_the_plain_loop(cases):
     assert [[_bits(s(t)) for t in grids] for s in sums] == want
 
 
+def test_a_0d_argument_gives_the_element_of_a_1_element_array():
+    # numpy rounds a float64 scalar's ** apart from an array's (about 1 in 1,000 of
+    # these angular values), so a 0-d angle must reach the powers as an array.
+    mu = DeformationParams(0.3, 0.8)
+    R = radial_sturmian(RadialQuantum.from_m(3, Fraction(1, 2), mu), mu)
+    Phi = angular_wavefunction(AngularQuantum.build(-1, 1, Fraction(5, 2), mu), mu)
+    sums = (R, derivative_of(R, 1), GaussLaguerreSum(()), Phi, derivative_of(Phi, 2), TrigJacobiSum(()))
+    rng = np.random.default_rng(7)
+    for s in sums:
+        for t in rng.uniform(0.05, 3.0, 300):
+            want = s(np.array([t]))[0]
+            for arg in (float(t), np.float64(t), np.asarray(t)):
+                got = s(arg)
+                assert type(got) is np.float64 and got.tobytes() == want.tobytes(), (s.terms, t, type(arg))
+
+
 def test_fold_is_bit_identical_to_the_plain_fold():
     rng = np.random.default_rng(33)
     keys = [(float(p), n, 0.5) for p in range(3) for n in range(2)]
