@@ -224,7 +224,7 @@ def test_auto_nterms_equals_its_first_loop_on_a_seeded_sweep():
 
 @pytest.mark.parametrize("axi, k", [(0.99993, 3.3), (0.61, 0.37), (0.971, 7.1)])
 def test_auto_nterms_makes_at_most_35_lgamma_calls(axi, k, monkeypatch):
-    # Each (|xi|, k) is asked for by no other test; the scan made about 40,000 calls at the first, capped one.
+    # Each (|xi|, k) is asked for by no other test; a scan to the cap makes about 40,000 calls at the first one.
     p = CoherentParams(xi=axi, k=k)
     expected = _reference_auto_nterms(p)
     calls = []
