@@ -26,11 +26,12 @@ Harmonic time evolution acts by rotating the disk label, xi -> xi e^(-2 i tau /
 hbar), times the global phase e^(-2 i k tau / hbar), so |Psi|^2 is periodic in
 tau with period pi * hbar.
 
-``auto_nterms`` ends the series at the first n >= 5 whose log-weight
-ln sqrt(Gamma(n + 2k) / (n! Gamma(2k))) + n ln|xi| is below ln 1e-14, by one
-bisection on each call.  The Laguerre rows L_n^(2k-1)(r^2) are the module's one
-cache, a bounded ``functools`` cache of read-only tables keyed by (2k, term
-count, grid); a series over more than 2**16 values builds its table alone.
+The closed form is the one public evaluator.  The series is ``verify``'s
+private oracle for it: ``_auto_nterms`` ends it at the first n >= 5 whose
+log-weight ln sqrt(Gamma(n + 2k) / (n! Gamma(2k))) + n ln|xi| is below
+ln 1e-14, by one bisection on each call, and ``_series_values`` sums that many
+terms.  The Laguerre rows L_n^(2k-1)(r^2) are the module's one cache, a bounded
+``functools`` cache of read-only tables keyed by (2k, term count, grid).
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ from .specfun import _check_radius, laguerre_all
 __all__ = [
     "CoherentParams",
     "EvolutionParams",
-    "auto_nterms",
-    "coherent_series",
     "coherent_closed",
     "normal_form",
     "evolve_parameter",
@@ -100,10 +99,10 @@ class EvolutionParams:
             raise DomainError(f"hbar must be positive and finite, got {self.hbar}")
 
 
-_SERIES_TOL = 1e-14  # the largest first omitted coefficient ``auto_nterms`` leaves in a series
+_SERIES_TOL = 1e-14  # the largest first omitted coefficient ``_auto_nterms`` leaves in a series
 
 
-def auto_nterms(p: CoherentParams) -> int:
+def _auto_nterms(p: CoherentParams) -> int:
     """Number of series terms so the first omitted coefficient is below 1e-14; ``DomainError`` past 20,000.
 
     The step of the log-weight f(n), ln(|xi|) + ln((n + 2k)/(n + 1))/2, is negative for 2k < 1 and falls
@@ -147,23 +146,12 @@ def _envelope(r: np.ndarray, ln_pref: complex, power: float, c: complex) -> np.n
     return np.exp(exponent)
 
 
-# Tables of more than this many Laguerre values are built for their call
-# alone, so the cache holds at most 20 * 2**16 values (10 MB) of rows.
-_CACHED_TABLE_VALUES = 1 << 16
-
-
-def _sturmian_table(two_k: float, nterms: int, x: np.ndarray) -> np.ndarray:
-    """The xi-independent rows L_n^(2k-1)(x) of the series for n < nterms at x = r^2."""
-    if nterms * x.size > _CACHED_TABLE_VALUES:
-        return laguerre_all(nterms - 1, two_k - 1.0, x)
-    return _cached_table(two_k, nterms, x.tobytes())
-
-
 # A warm verify run looks up 17 fixed (2k, nterms, grid) keys and one that
-# changes with mu: fewer than 18 tables would miss on every run.
+# changes with mu: fewer than 18 tables would miss on every run.  Its largest
+# is 300 x 60 values, so 20 tables hold at most 2.9 MB.
 @functools.lru_cache(maxsize=20)
 def _cached_table(two_k: float, nterms: int, x_bytes: bytes) -> np.ndarray:
-    """``_sturmian_table`` at x given as its float64 bytes, read-only."""
+    """The xi-independent rows L_n^(2k-1)(x), n < nterms, at x = r^2 given as its float64 bytes; read-only."""
     polys = laguerre_all(nterms - 1, two_k - 1.0, np.frombuffer(x_bytes))
     polys.flags.writeable = False  # the cache shares it with every caller
     return polys
@@ -184,7 +172,7 @@ def _series_values(
     # Where the envelope underflowed the value is exactly 0 and no table column
     # is built: there the Laguerre values can overflow first, and 0 * inf is NaN.
     live = envelope != 0.0
-    polys = _sturmian_table(2.0 * p.k, nterms, np.square(arr[live]))
+    polys = _cached_table(2.0 * p.k, nterms, np.square(arr[live]).tobytes())
     coeffs = p.xi ** np.arange(nterms)
     if term_phase is not None:
         coeffs = coeffs * term_phase
@@ -195,12 +183,6 @@ def _series_values(
     values = np.zeros(arr.shape, dtype=complex)
     values[live] = envelope[live] * series
     return values
-
-
-def coherent_series(r, p: CoherentParams, mu: DeformationParams):
-    """Coherent-state radial values by explicit basis summation over ``auto_nterms(p)`` terms, or its refusal."""
-    vals = _series_values(np.asarray(r, dtype=float), p, mu, auto_nterms(p))
-    return vals if vals.ndim else complex(vals)
 
 
 def _closed_values(r, p: CoherentParams, power: float):

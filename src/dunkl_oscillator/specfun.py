@@ -109,7 +109,7 @@ def laguerre_all(nmax: int, alpha: float, x) -> np.ndarray:
 
 
 def jacobi(n: int, alpha: float, beta: float, x):
-    """Jacobi polynomial P_n^(alpha,beta)(x), scalar or elementwise."""
+    """Jacobi polynomial P_n^(alpha,beta)(x), scalar or elementwise; ``DomainError`` where the recurrence overflows."""
     _check_integer(n, "polynomial degree")
     if not (-1.0 < alpha < math.inf and -1.0 < beta < math.inf):
         raise DomainError(f"Jacobi parameters must be finite and exceed -1, got alpha={alpha}, beta={beta}")
@@ -118,14 +118,19 @@ def jacobi(n: int, alpha: float, beta: float, x):
     p_prev = np.ones_like(arr)
     if n == 0:
         return p_prev.item() if scalar else p_prev
-    p = 0.5 * ((alpha + beta + 2.0) * arr + (alpha - beta))
-    for m in range(2, n + 1):
-        s = 2.0 * m + alpha + beta
-        c1 = 2.0 * m * (m + alpha + beta) * (s - 2.0)
-        c2 = (s - 1.0) * (alpha * alpha - beta * beta)
-        c3 = (s - 1.0) * s * (s - 2.0)
-        c4 = 2.0 * (m + alpha - 1.0) * (m + beta - 1.0) * s
-        p, p_prev = ((c2 + c3 * arr) * p - c4 * p_prev) / c1, p
+    # c1 and c3 are products of three factors of order alpha + beta, which
+    # overflow past alpha + beta of about 5.6e102 where P_n itself may not.
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = 0.5 * ((alpha + beta + 2.0) * arr + (alpha - beta))
+        for m in range(2, n + 1):
+            s = 2.0 * m + alpha + beta
+            c1 = 2.0 * m * (m + alpha + beta) * (s - 2.0)
+            c2 = (s - 1.0) * (alpha * alpha - beta * beta)
+            c3 = (s - 1.0) * s * (s - 2.0)
+            c4 = 2.0 * (m + alpha - 1.0) * (m + beta - 1.0) * s
+            p, p_prev = ((c2 + c3 * arr) * p - c4 * p_prev) / c1, p
+    if not np.all(np.isfinite(p)):
+        raise DomainError(f"the Jacobi recurrence overflows at n = {n}, alpha = {alpha}, beta = {beta}")
     return p.item() if scalar else p
 
 

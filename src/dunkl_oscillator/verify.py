@@ -472,7 +472,7 @@ def _series_gap(grid: np.ndarray, p: co.CoherentParams, mu: DeformationParams) -
     r = 0 for a negative power of r) an absolute gap would count its ulps.
     """
     closed = co.coherent_closed(grid, p, mu)
-    return (co.coherent_series(grid, p, mu) - closed) / max(1.0, float(np.max(np.abs(closed))))
+    return (co._series_values(grid, p, mu, co._auto_nterms(p)) - closed) / max(1.0, float(np.max(np.abs(closed))))
 
 
 def _norm_defect(psi: Callable, p: co.CoherentParams, mu: DeformationParams) -> float:

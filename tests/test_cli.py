@@ -283,6 +283,10 @@ _COHERENT_ARGV = ["coherent", "--xi", "0.3,0.4", "--m", "3/2", "--mu1", "0.2", "
             ["wavefunction", "--state=+1,+1,0,300", "--grid", "0.1:30:60"],
             "47bdd87557f586ac64d49356df94014370227cd9d931e7704bacb170ed389fd9",
         ),
+        (
+            ["coherent", "--xi", "0.3,0", "--m", "200", "--grid", "6:7:3"],
+            "9c36f95a80b44d96eb4f76e8b574a37f994089e7d64a22074fdbd59dad64ef83",
+        ),
     ],
     ids=[
         "wavefunction-radial-csv",
@@ -292,13 +296,15 @@ _COHERENT_ARGV = ["coherent", "--xi", "0.3,0.4", "--m", "3/2", "--mu1", "0.2", "
         "wavefunction-integer-m-json",
         "coherent-m-zero-csv",
         "wavefunction-degree-300-sweep-csv",
+        "coherent-k-200.5-csv",
     ],
 )
 def test_label_documents_equal_pinned_digests(capsys, argv, digest):
     # Each document carries m, k, l2 or the energy of a half-integer m, which
     # the labels compute from the integer 2m; these digests were measured when
-    # the labels held m as a Fraction. The last is a degree-300 Laguerre sweep,
-    # measured when laguerre and laguerre_all wrote the recurrence apart.
+    # the labels held m as a Fraction. The degree-300 Laguerre sweep was
+    # measured when laguerre and laguerre_all wrote the recurrence apart. The
+    # last is the closed form at k = 200.5, where the series was 4.4 % off.
     code, out, err = _run(capsys, argv)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -726,6 +732,17 @@ def test_wavefunction_whose_sturmian_norm_underflows_exits_two(capsys):
     code, out, err = _run(capsys, ["wavefunction", "--state=+1,+1,200,0", "--grid", "1:40:5"])
     assert (code, out) == (2, "")
     assert err.startswith("error: the Sturmian norm underflows at k = 200.5, n = 0: ln N = -999.90")
+
+
+def test_angular_wavefunction_whose_jacobi_recurrence_overflows_exits_two(capsys):
+    # At mu1 = 6e102 the Jacobi recurrence coefficients overflow: three numpy
+    # warnings, then a nan at every angle.
+    argv = ["wavefunction", "--state=-1,+1,7/2,0", "--part", "angular", "--mu1", "6e102", "--grid", "0.3:1:2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: the Jacobi recurrence overflows at n = 3, alpha = -0.5, beta = 6e+102\n"
 
 
 def test_coherent_rejects_unit_displacement(capsys):

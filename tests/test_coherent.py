@@ -18,10 +18,10 @@ from dunkl_oscillator.basis import RadialQuantum, k_of, log_gamma
 from dunkl_oscillator.coherent import (
     CoherentParams,
     EvolutionParams,
-    auto_nterms,
+    _auto_nterms,
+    _series_values,
     coherent_closed,
     coherent_evolved,
-    coherent_series,
     evolve_parameter,
     normal_form,
 )
@@ -31,6 +31,11 @@ from dunkl_oscillator.specfun import DeformationParams, laguerre_all, radial_inn
 from reference_rules import NORM_RULE
 
 GRID = np.linspace(0.05, 3.0, 60)
+
+
+def _series(r, p, mu):
+    """Verify's series oracle: the ``_auto_nterms(p)`` terms of the Sturmian sum, or its refusal."""
+    return _series_values(np.asarray(r, dtype=float), p, mu, _auto_nterms(p))
 
 
 # --- parameter validation ----------------------------------------------------
@@ -58,7 +63,7 @@ def test_every_coherent_form_refuses_a_negative_or_non_finite_radius(r):
     p = CoherentParams(xi=0.3 + 0.2j, k=k_of(Fraction(1, 2), mu))
     forms = (
         lambda: coherent_closed(r, p, mu),
-        lambda: coherent_series(r, p, mu),
+        lambda: _series(r, p, mu),
         lambda: coherent_evolved(r, p, EvolutionParams(tau=0.4), Fraction(1, 2), mu),
     )
     with warnings.catch_warnings():
@@ -76,7 +81,7 @@ def test_every_coherent_form_refuses_a_radius_whose_square_overflows(r):
     p = CoherentParams(xi=0.3 + 0.2j, k=k_of(Fraction(1, 2), mu))
     forms = (
         lambda: coherent_closed(r, p, mu),
-        lambda: coherent_series(r, p, mu),
+        lambda: _series(r, p, mu),
         lambda: coherent_evolved(r, p, EvolutionParams(tau=0.4), Fraction(1, 2), mu),
     )
     with warnings.catch_warnings():
@@ -112,10 +117,10 @@ def test_a_series_whose_envelope_underflows_is_exactly_0_with_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert coherent_closed(1e6, p, mu) == 0.0
-        assert coherent_series(1e6, p, mu) == 0j
-        values = coherent_series(np.array([1.0, 1e6]), p, mu)
+        assert _series(1e6, p, mu) == 0j
+        values = _series(np.array([1.0, 1e6]), p, mu)
         # 1.0 keeps its bits: each column of the table and its sum is its own.
-        assert values[:1].tobytes() == np.array([coherent_series(1.0, p, mu)]).tobytes()
+        assert values[:1].tobytes() == np.array([_series(1.0, p, mu)]).tobytes()
         assert values[1] == 0.0
 
 
@@ -126,7 +131,7 @@ def test_coherent_overflow_is_a_domain_error():
     p = CoherentParams(xi=0.3, k=0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for form in (coherent_closed, coherent_series):
+        for form in (coherent_closed, _series):
             with pytest.raises(DomainError, match=r"overflows at r = 1e-12 with the power r\^-30.0"):
                 form([1e-12, 1.0], p, mu)
         assert np.all(np.isfinite(coherent_closed([1e-6, 1.0], p, mu)))
@@ -156,8 +161,8 @@ def test_evolution_params_refuse_non_finite_values(kwargs, name):
 
 
 def test_auto_nterms_grows_with_radius():
-    small = auto_nterms(CoherentParams(xi=0.1, k=1.0))
-    large = auto_nterms(CoherentParams(xi=0.9, k=1.0))
+    small = _auto_nterms(CoherentParams(xi=0.1, k=1.0))
+    large = _auto_nterms(CoherentParams(xi=0.9, k=1.0))
     assert 5 <= small < large
 
 
@@ -179,13 +184,13 @@ def _reference_auto_nterms(p):
 
 
 def _assert_matches_first_loop(p):
-    # Where the first loop ran out at its 20,000 cap without meeting tol, auto_nterms refuses.
+    # Where the first loop ran out at its 20,000 cap without meeting tol, _auto_nterms refuses.
     expected = _reference_auto_nterms(p)
     if expected == 20000:
         with pytest.raises(DomainError, match="at most 20000 terms meets tol = 1e-14 at \\|xi\\| = "):
-            auto_nterms(p)
+            _auto_nterms(p)
     else:
-        assert auto_nterms(p) == expected
+        assert _auto_nterms(p) == expected
 
 
 @pytest.mark.parametrize("axi", [0.05, 0.3, 0.5, 0.8, 0.95, 0.99, 0.9999])
@@ -203,8 +208,8 @@ def test_auto_nterms_cap_equals_its_first_loop():
     assert _reference_auto_nterms(p) == 20000
     message = r"^no coherent series of at most 20000 terms meets tol = 1e-14 at \|xi\| = 0.9999, k = 40.0$"
     with pytest.raises(DomainError, match=message):
-        auto_nterms(p)
-    assert auto_nterms(CoherentParams(xi=0.0, k=1.0)) == 1
+        _auto_nterms(p)
+    assert _auto_nterms(CoherentParams(xi=0.0, k=1.0)) == 1
 
 
 def test_auto_nterms_equals_its_first_loop_on_a_seeded_sweep():
@@ -232,9 +237,9 @@ def test_auto_nterms_makes_at_most_35_lgamma_calls(axi, k, monkeypatch):
     monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or real(x))
     if expected == 20000:
         with pytest.raises(DomainError, match="at most 20000 terms"):
-            auto_nterms(p)
+            _auto_nterms(p)
     else:
-        assert auto_nterms(p) == expected
+        assert _auto_nterms(p) == expected
     assert 0 < len(calls) <= 35
     assert (expected == 20000) == (axi == 0.99993)
 
@@ -250,7 +255,7 @@ def test_series_refuses_a_disk_label_whose_term_count_reaches_the_cap(xi):
     p = CoherentParams(xi=xi, k=k_of(0, mu))
     message = f"^no coherent series of at most 20000 terms meets tol = 1e-14 at \\|xi\\| = {xi}, k = 1.0$"
     with pytest.raises(DomainError, match=message):
-        coherent_series(np.linspace(0.1, 3.0, 5), p, mu)
+        _series(np.linspace(0.1, 3.0, 5), p, mu)
 
 
 @pytest.mark.parametrize(
@@ -261,7 +266,7 @@ def test_series_refuses_a_disk_label_whose_term_count_reaches_the_cap(xi):
 def test_series_matches_closed_form(xi, k):
     mu = DeformationParams(0.3, 1.2)
     p = CoherentParams(xi=xi, k=k)
-    series = coherent_series(GRID, p, mu)
+    series = _series(GRID, p, mu)
     closed = coherent_closed(GRID, p, mu)
     scale = np.max(np.abs(closed))
     assert np.max(np.abs(series - closed)) <= 1e-10 * max(scale, 1.0)
@@ -282,7 +287,7 @@ def test_both_forms_match_mpmath_relative_to_their_largest_value(mu):
         )
     scale = np.max(np.abs(exact))
     assert scale > 1e4
-    for form in (coherent_closed, coherent_series):
+    for form in (coherent_closed, _series):
         assert np.max(np.abs(form(grid, p, mu) - exact)) <= 1e-13 * scale
 
 
@@ -295,7 +300,7 @@ def test_closed_form_branch_continuity_on_circle():
     for theta in angles:
         p = CoherentParams(xi=0.8 * cmath.exp(1j * theta), k=k)
         vals = coherent_closed(GRID, p, mu)
-        series = coherent_series(GRID, p, mu)
+        series = _series(GRID, p, mu)
         assert np.max(np.abs(vals - series)) <= 1e-10 * max(np.max(np.abs(vals)), 1.0)
     # a naive complex power would jump by exp(2 pi i 2k) when xi crosses the
     # negative real axis; probe both sides of the crossing with a tiny step
@@ -313,13 +318,13 @@ def test_zero_displacement_reduces_to_lowest_state():
     p = CoherentParams(xi=0.0, k=q.k)
     R0 = radial_sturmian(q, mu)
     np.testing.assert_allclose(coherent_closed(GRID, p, mu), R0(GRID), rtol=1e-12, atol=1e-13)
-    np.testing.assert_allclose(coherent_series(GRID, p, mu), R0(GRID), rtol=1e-12, atol=1e-13)
+    np.testing.assert_allclose(_series(GRID, p, mu), R0(GRID), rtol=1e-12, atol=1e-13)
 
 
 def test_scalar_input_gives_scalar_output():
     mu = DeformationParams(0.5, 0.5)
     p = CoherentParams(xi=0.4, k=1.0)
-    out = coherent_series(1.3, p, mu)
+    out = _series(1.3, p, mu)
     assert np.isscalar(out) or np.ndim(out) == 0
     assert coherent_closed(1.3, p, mu) == pytest.approx(out, rel=1e-10)
 
@@ -348,7 +353,7 @@ def test_unit_norm_under_weighted_measure():
 def test_series_closed_agreement_property(radius, angle, k):
     mu = DeformationParams(0.5, 0.5)
     p = CoherentParams(xi=radius * cmath.exp(1j * angle), k=k)
-    series = coherent_series(GRID, p, mu)
+    series = _series(GRID, p, mu)
     closed = coherent_closed(GRID, p, mu)
     scale = max(float(np.max(np.abs(closed))), 1.0)
     assert np.max(np.abs(series - closed)) <= 1e-9 * scale
@@ -393,26 +398,14 @@ SERIES_CASES = [
 @pytest.mark.parametrize("xi, k, nterms, grid", SERIES_CASES)
 def test_series_is_bit_identical_to_its_unshared_form(xi, k, nterms, grid):
     p = CoherentParams(xi=xi, k=k)
-    count = auto_nterms(p) if nterms is None else nterms
+    count = _auto_nterms(p) if nterms is None else nterms
     for mu in (DeformationParams(0.5, 0.5), DeformationParams(-0.45, 0.3)):
         # The second mu reuses the table of the first: same k, term count and grid.
         before = coherent._cached_table.cache_info()
-        got = coherent_series(grid, p, mu) if nterms is None else coherent._series_values(grid, p, mu, nterms)
+        got = coherent._series_values(grid, p, mu, count)
         assert np.array_equal(got, _reference_series(grid, p, mu, count))
     after = coherent._cached_table.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
-
-
-def test_public_series_takes_no_term_count():
-    # The public series is always the one auto_nterms licenses, or its refusal;
-    # an explicit partial sum is the private _series_values.
-    p = CoherentParams(xi=0.3, k=1.0)
-    mu = DeformationParams(0.5, 0.5)
-    with pytest.raises(TypeError):
-        coherent_series(GRID, p, mu, 10)
-    with pytest.raises(TypeError):
-        coherent_series(GRID, p, mu, nterms=10)
-    assert np.array_equal(coherent_series(GRID, p, mu), coherent._series_values(GRID, p, mu, auto_nterms(p)))
 
 
 def test_evolution_crosscheck_is_bit_identical_to_its_unshared_form():
@@ -439,7 +432,7 @@ def test_series_tables_are_keyed_by_grid_values():
     b = np.linspace(0.2, 2.5, 9)
     coherent._cached_table.cache_clear()
     for grid in (a, b, a):
-        assert np.array_equal(coherent_series(grid, p, mu), _reference_series(grid, p, mu, auto_nterms(p)))
+        assert np.array_equal(_series(grid, p, mu), _reference_series(grid, p, mu, _auto_nterms(p)))
     info = coherent._cached_table.cache_info()
     assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
     # A float count must not find the cached table of its integer value, cached or not.
@@ -467,18 +460,18 @@ def test_term_counts_in_any_order_are_bit_identical_to_their_unshared_form():
 def test_scalar_series_is_bit_identical_to_its_unshared_form():
     mu = DeformationParams(0.5, 0.5)
     p = CoherentParams(xi=0.4, k=1.0)
-    expected = _reference_series(np.array([1.3]), p, mu, auto_nterms(p))
-    assert coherent_series(1.3, p, mu) == complex(expected[0])
+    expected = _reference_series(np.array([1.3]), p, mu, _auto_nterms(p))
+    assert _series(1.3, p, mu) == complex(expected[0])
 
 
 def test_series_on_radii_of_any_shape_matches_the_flat_values():
     mu = DeformationParams(0.5, 0.5)
     p = CoherentParams(xi=0.3 + 0.4j, k=1.0)
     radii = np.linspace(0.1, 2.6, 6).reshape(2, 3)
-    got = coherent_series(radii, p, mu)
+    got = _series(radii, p, mu)
     assert got.shape == coherent_closed(radii, p, mu).shape == (2, 3)
-    assert np.array_equal(got.ravel(), coherent_series(radii.ravel(), p, mu))
-    assert np.array_equal(coherent_series(np.ones((2, 3)), p, mu), coherent_series(np.ones(6), p, mu).reshape(2, 3))
+    assert np.array_equal(got.ravel(), _series(radii.ravel(), p, mu))
+    assert np.array_equal(_series(np.ones((2, 3)), p, mu), _series(np.ones(6), p, mu).reshape(2, 3))
 
 
 @pytest.mark.parametrize("xi", [-0.95, 0.5])
@@ -488,8 +481,8 @@ def test_series_value_of_a_point_is_its_value_inside_a_grid(xi):
     mu = DeformationParams(0.5, 0.5)
     p = CoherentParams(xi=xi, k=2.7)
     grid = np.linspace(0.05, 3.0, 40)
-    alone = np.array([coherent_series(r, p, mu) for r in grid])
-    assert np.array_equal(alone, coherent_series(grid, p, mu))
+    alone = np.array([_series(r, p, mu) for r in grid])
+    assert np.array_equal(alone, _series(grid, p, mu))
 
 
 def test_ground_sector_forms_are_finite_at_the_origin():
@@ -498,7 +491,7 @@ def test_ground_sector_forms_are_finite_at_the_origin():
     mu = DeformationParams(2.5122357700091884, 0.7479349044948775)
     p = CoherentParams(xi=-0.6 + 0.1j, k=k_of(0, mu))
     r = np.linspace(0.0, 3.0, 13)
-    series = coherent_series(r, p, mu)
+    series = _series(r, p, mu)
     closed = coherent_closed(r, p, mu)
     assert np.all(np.isfinite(series)) and np.all(np.isfinite(closed))
     assert np.array_equal(closed, coherent_evolved(r, p, EvolutionParams(0.0), 0, mu))
@@ -525,7 +518,7 @@ def test_the_sturmians_and_both_coherent_forms_take_one_r_power(monkeypatch):
         powers.clear()
         p = CoherentParams(xi=0.3 - 0.2j, k=q.k)
         coherent_closed(1.3, p, mu)
-        coherent_series(1.3, p, mu)
+        _series(1.3, p, mu)
         assert [x.hex() for x in powers] == [power.hex()] * 2
         other_association += power != 2.0 * q.k - mu.total - 1.0
     assert other_association > 0
@@ -534,11 +527,11 @@ def test_the_sturmians_and_both_coherent_forms_take_one_r_power(monkeypatch):
 def test_sturmian_tables_are_read_only_and_bounded():
     mu = DeformationParams(0.5, 0.5)
     x = GRID * GRID
-    polys = coherent._sturmian_table(2.0, 10, x)
+    polys = coherent._cached_table(2.0, 10, x.tobytes())
     assert not polys.flags.writeable
     assert polys.shape == (10, GRID.size)
     # The key is the grid's values, not the array that holds them.
-    assert coherent._sturmian_table(2.0, 10, x.copy()) is polys
+    assert coherent._cached_table(2.0, 10, x.copy().tobytes()) is polys
     info = coherent._cached_table.cache_info()
     # At least the 18 tables of a warm verify run, and not many more.
     assert info.maxsize is not None and 18 <= info.maxsize <= 32
@@ -546,17 +539,66 @@ def test_sturmian_tables_are_read_only_and_bounded():
     coherent._cached_table.cache_clear()
     p = CoherentParams(xi=0.2, k=1.0)
     for i in range(info.maxsize + 4):
-        coherent_series(np.linspace(0.1, 2.0 + 0.01 * i, 5), p, mu)
+        _series(np.linspace(0.1, 2.0 + 0.01 * i, 5), p, mu)
         assert coherent._cached_table.cache_info().currsize == min(i + 1, info.maxsize)
-    # A table above the cached size is built for its call alone.
-    coherent._cached_table.cache_clear()
-    big = np.linspace(0.01, 3.0, coherent._CACHED_TABLE_VALUES // 100 + 1)
-    assert np.array_equal(coherent._series_values(big, p, mu, 100), _reference_series(big, p, mu, 100))
-    assert coherent._cached_table.cache_info().currsize == 0
-    # Nor is it cached when a shorter table of its grid is.
-    coherent._series_values(big, p, mu, 10)
-    assert np.array_equal(coherent._series_values(big, p, mu, 100), _reference_series(big, p, mu, 100))
-    assert coherent._cached_table.cache_info().currsize == 1
+
+
+# --- the public forms against an mpmath sum of the series --------------------
+
+
+def _mp_series(r, xi, k, power, tau=0.0):
+    """N sum_n (xi e^(-2 i tau))^n L_n^(2k-1)(r^2) times e^(-2 i k tau) r^power e^(-r^2/2), at 60 digits.
+
+    The oracle shares no code with the package: the Laguerre recurrence runs in
+    mpmath, and the sum stops once 20 terms in a row are below 1e-40 of it.
+    """
+    with mpmath.workdps(60):
+        r, k, tau = mpmath.mpf(r), mpmath.mpf(k), mpmath.mpf(tau)
+        xi = mpmath.mpc(xi)
+        z = xi * mpmath.expj(-2 * tau)
+        x, alpha = r * r, 2 * k - 1
+        total, weight, prev, cur = mpmath.mpc(0), mpmath.mpc(1), mpmath.mpf(0), mpmath.mpf(1)
+        n = small = 0
+        while small < 20:
+            term = weight * cur
+            total += term
+            small = small + 1 if abs(term) < mpmath.mpf("1e-40") * abs(total) else 0
+            prev, cur = cur, ((2 * n + 1 + alpha - x) * cur - (n + alpha) * prev) / (n + 1)
+            weight *= z
+            n += 1
+        norm = mpmath.sqrt(2 * (1 - abs(xi) ** 2) ** (2 * k) / mpmath.gamma(2 * k))
+        return complex(norm * total * mpmath.expj(-2 * k * tau) * r**power * mpmath.exp(-x / 2))
+
+
+# |xi| >= 0.99 is left out: at (1, 0.999i, 3) 8,000 terms of the mpmath sum
+# had not converged. The series was 4.4 % off at the first row (5.732e-73).
+@pytest.mark.parametrize(
+    "k, xi, r",
+    [(200.5, 0.3, 6.5), (2.7, -0.8, 2.0), (2.7, 0.8 * cmath.exp(1.3j), 0.4), (0.5, 0.5, 1.0)],
+)
+def test_closed_form_matches_an_mpmath_sum_of_the_series(k, xi, r):
+    mu = DeformationParams(0.0, 0.0)
+    exact = _mp_series(r, xi, k, 2.0 * k - 1.0)
+    assert abs(coherent_closed(r, CoherentParams(xi=xi, k=k), mu) - exact) <= 1e-12 * abs(exact)
+
+
+@pytest.mark.parametrize(
+    "pair, two_m, xi, tau, radii",
+    [
+        ((0.2, 2.1), 3, 0.3 + 0.4j, 0.7, (0.3, 1.0, 2.5, 4.0)),
+        ((0.0, 0.0), 400, 0.3, 0.0, (6.0, 6.5, 7.0)),
+        ((-0.4999, 1.2), 0, 0.9 * cmath.exp(0.4j), 1.9, (0.05, 1.0, 3.0)),
+        ((3.0, 3.0), 1, -0.8, 2.9, (0.2, 1.5, 3.0)),
+    ],
+)
+def test_evolved_form_matches_an_mpmath_sum_of_the_rotated_series(pair, two_m, xi, tau, radii):
+    mu = DeformationParams(*pair)
+    m = Fraction(two_m, 2)
+    p = CoherentParams(xi=xi, k=k_of(m, mu))
+    got = coherent_evolved(np.array(radii), p, EvolutionParams(tau), m, mu)
+    for r, value in zip(radii, got):
+        exact = _mp_series(r, xi, p.k, two_m, tau)
+        assert abs(value - exact) <= 1e-12 * abs(exact), r
 
 
 # --- displacement normal form ------------------------------------------------

@@ -1,6 +1,7 @@
 """Special-function evaluation and quadrature against independent oracles."""
 
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -211,6 +212,22 @@ def test_polynomials_refuse_a_non_finite_x_without_a_warning(name, bad):
         with pytest.raises(DomainError, match="got nan$"):
             at(np.array([[0.2, 0.1], [math.nan, bad]]))
         assert np.all(np.isfinite(at(np.array([0.0, 0.3, -0.9, 1.0]))))
+
+
+@pytest.mark.parametrize("n, alpha, beta", [(3, -0.5, 6e102), (2, 0.0, 1e102)])
+def test_jacobi_refuses_where_its_recurrence_coefficients_overflow(n, alpha, beta):
+    # c1 and c3 are products of three factors of order alpha + beta: past
+    # alpha + beta of about 5.6e102 the recurrence gave nan and inf with a
+    # RuntimeWarning, where P_n is finite (-1.54e306 and 6.1e202). That is a
+    # refusal of representable values; a scaled recurrence would return them.
+    with mpmath.workdps(30):
+        assert abs(float(mpmath.jacobi(n, alpha, beta, 0.3))) < sys.float_info.max
+    message = re.escape(f"the Jacobi recurrence overflows at n = {n}, alpha = {alpha}, beta = {beta}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (0.3, np.array([0.1, 0.3])):
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                jacobi(n, alpha, beta, x)
 
 
 # --- log-gamma ---------------------------------------------------------------
