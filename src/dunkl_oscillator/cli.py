@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import sys
 
 import numpy as np
 
@@ -110,8 +109,6 @@ def _cmd_verify(args: argparse.Namespace, mu: DeformationParams) -> int:
     failed = [res for res in results if not res.passed]
     if args.out is not None:
         total = len(results)
-        if failed:
-            sys.stdout.write(f"FAIL: {len(failed)}/{total} checks failed\n")
-        else:
-            sys.stdout.write(f"PASS: {total} checks\n")
+        with _output(None) as stream:
+            stream.write(f"FAIL: {len(failed)}/{total} checks failed\n" if failed else f"PASS: {total} checks\n")
     return 1 if failed else 0

@@ -23,16 +23,17 @@ or JSON fields, with sorted keys.  Neither format carries a non-finite number.
 Exit codes: 0 success, 1 failed verification checks or a reader of standard
 output that left early (as ``| head`` does; no traceback is printed), 2 usage
 or domain errors (among them a non-finite value in a table, a ``--grid`` past
-1,000,000 points and an unwritable ``--out``).  ``verify`` runs its checks
-serially; no environment variable changes its output.
+1,000,000 points, an unwritable ``--out`` and any other failed write to
+standard output).  ``verify`` runs its checks serially; no environment
+variable changes its output.
 
 ``spectrum`` writes its document one level at a time, so its peak memory is
 about one level's rows, not the document; its ``count`` comes from the closed
-form (N + 1)(N + 2)/2 for the top level N.  It builds no label: from
-``basis``' integer walk in (2m, s1, s2) order it formats each 2m's m, k and
-l2 once, for both sectors that share them, and each sector's parity text
-once per command; each level is joined from one part list per parity of 2m,
-which grows by the new (sector, m) as the levels rise.
+form (N + 1)(N + 2)/2 for the top level N.  It builds no label: one ``%``
+call writes each 2m's m, k and l2 and each level's energy into its format's
+row templates; from ``basis``' integer walk in (2m, s1, s2) order each
+level is joined from one part list per parity of 2m, which grows by the new
+(sector, m) as the levels rise.
 Every command checks and formats all it could refuse before it opens
 ``--out``, so a refused command writes nothing.
 """
@@ -42,6 +43,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -121,16 +123,30 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     return (lo, hi, n)
 
 
+def _stdout_to_devnull() -> None:
+    """Point standard output at devnull, so that the flush at exit does not fail a second time."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 @contextlib.contextmanager
 def _output(out: str | None) -> Iterator[TextIO]:
     """The stream a command writes to: standard output, or the ``--out`` file, opened for writing.
 
-    Failing to open, write or close the file is a DomainError, so a command
+    Failing to open, write or close the file, or to write standard output
+    (other than to a reader that left early), is a DomainError, so a command
     opens it only when nothing is left that it could refuse.
     """
     if out is None:
-        yield sys.stdout
-        sys.stdout.flush()  # a reader that left shows here, inside ``main``
+        try:
+            yield sys.stdout
+            sys.stdout.flush()  # a reader that left, or a full disk, shows here, inside ``main``
+        except BrokenPipeError:
+            raise
+        except OSError as exc:
+            _stdout_to_devnull()
+            raise DomainError(f"cannot write standard output: {exc.strerror or exc}") from None
         return
     try:
         with open(out, "w", encoding="utf-8") as stream:
@@ -164,49 +180,40 @@ def _json_document(obj) -> str:
         raise DomainError(f"output holds a non-finite number, which JSON cannot carry ({exc})") from None
 
 
-def _json_number(value: float) -> str:
-    """A float as ``json.dumps`` writes it, refusing non-finite values like ``_json_document``."""
-    if not math.isfinite(value):
-        raise DomainError(f"output holds the non-finite number {value}, which JSON cannot carry")
-    return repr(value)
+# Per format of ``spectrum``: the ``%`` template of the head and tail of 2m = L and of the lead
+# and trail of the level L, each part ended by NUL, with the order of the m, k, l2 and energy it
+# takes (CSV writes them as ``_fmt`` does, JSON as ``json.dumps``); the ``%`` template of a
+# sector's parity lead and trail, from s1 and s2; and the text between two rows.
+_SPECTRUM_TEMPLATES = {
+    "csv": ("%.17g,\0,%.17g,%.17g,\0" "\0%.17g\0", ("m", "k", "l2", "energy"), "%+d,%+d,\0", "\n"),
+    "json": (
+        ',\n      "k": %r,\n      "l2": %r,\n      "m": %r,\n      "nr": \0\0' '    {\n      "energy": %r\0\0',
+        ("k", "l2", "m", "energy"),
+        '\0,\n      "s1": %d,\n      "s2": %d\n    }',
+        ",\n",
+    ),
+}
 
 
-def _csv_sector_fields(m: float, k: float, l2: float) -> tuple[str, str]:
-    return (f"{_fmt(m)},", f",{_fmt(k)},{_fmt(l2)},")
-
-
-def _csv_parity_fields(s1: int, s2: int) -> tuple[str, str]:
-    return (f"{s1:+d},{s2:+d},", "")
-
-
-def _csv_level_fields(e: float) -> tuple[str, str]:
-    return ("", _fmt(e))
-
-
-def _json_sector_fields(m: float, k: float, l2: float) -> tuple[str, str]:
-    return (
-        f',\n      "k": {_json_number(k)},\n      "l2": {_json_number(l2)},'
-        f'\n      "m": {m!r},\n      "nr": ',
-        "",
-    )
-
-
-def _json_parity_fields(s1: int, s2: int) -> tuple[str, str]:
-    return ("", f',\n      "s1": {s1},\n      "s2": {s2}\n    }}')
-
-
-def _json_level_fields(e: float) -> tuple[str, str]:
-    return ('    {\n      "energy": ' + _json_number(e), "")
+def _fill(template: str, values: list[float], fmt: str) -> list[str]:
+    """The NUL-ended parts of ``template`` filled with ``values`` in one ``%`` call; JSON refuses a non-finite value."""
+    if fmt == "json":
+        bad = next(itertools.filterfalse(math.isfinite, values), None)
+        if bad is not None:
+            raise DomainError(f"output holds the non-finite number {bad}, which JSON cannot carry")
+    return (template % tuple(values)).split("\0")[:-1]
 
 
 def _cmd_spectrum(args: argparse.Namespace, mu: DeformationParams) -> int:
     """Write the spectrum one level at a time, each level from one reused part list per parity of 2m.
 
     A row is lead + head + nr + tail + trail.  A level gives the lead and
-    trail, from its energy.  Each 2m of ``basis._sector_walk`` gives, formatted
-    once, the head and tail of its m = 2m / 2, k and l2, which both of its
-    sectors share; each sector adds its parity text, built once per command
-    (before the head in CSV, after the tail in JSON).  No label is built.
+    trail, from its energy.  Each 2m of ``basis._sector_walk`` gives the head
+    and tail of its m = 2m / 2, k and l2, which both of its sectors share;
+    each sector adds its parity text, built once per command (before the
+    head in CSV, after the tail in JSON).  One ``_fill`` call writes every
+    head, tail, lead and trail from the format's ``_SPECTRUM_TEMPLATES``, so
+    each number is formatted once, in one pass.  No label is built.
     The level L holds the (sector, m) of 2m = L % 2, ..., L in walk order,
     with nr counting down to 0 as ``nrs[L::-1]`` of "0", "0", "1", "1", ...;
     the level before it of the same parity held all but those of 2m = L.  So
@@ -217,31 +224,36 @@ def _cmd_spectrum(args: argparse.Namespace, mu: DeformationParams) -> int:
     """
     top = basis._top_level(args.emax, mu)
     header = {"command": "spectrum", "mu1": mu.mu1, "mu2": mu.mu2, "emax": args.emax, "count": basis._states_through(top)}
+    template, order, parity_template, sep = _SPECTRUM_TEMPLATES[args.format]
     if args.format == "json":
         # Objects as json.dumps(..., indent=2, sort_keys=True) lays them out at
         # depth 2; "states" sorts last, so its array replaces the closing brace.
-        sector_fields, parity_fields, level_fields = _json_sector_fields, _json_parity_fields, _json_level_fields
-        sep = ",\n"
         opening = _json_document(header)[: -len("\n}\n")] + ',\n  "states": ['
         closing = ("\n  ]" if top >= 0 else "]") + "\n}\n"
     else:
-        sector_fields, parity_fields, level_fields = _csv_sector_fields, _csv_parity_fields, _csv_level_fields
-        sep = "\n"
         opening = _csv_head(header, ["s1", "s2", "m", "nr", "k", "l2", "energy"])
         closing = "\n"
-    parity = {(s1, s2): parity_fields(s1, s2) for s1 in (1, -1) for s2 in (1, -1)}
+    levels = range(top + 1)  # each level L, and each 2m = L
+    by_name = {
+        "m": [0.5 * two_m for two_m in levels],
+        "k": [basis._k(two_m, mu) for two_m in levels],
+        "l2": [basis._l2(two_m, mu) for two_m in levels],
+        "energy": [basis._level_energy(level, mu) for level in levels],
+    }
+    values = [*itertools.chain.from_iterable(zip(*(by_name[name] for name in order)))]
+    texts = _fill(template * (top + 1), values, args.format)
+    heads, tails, leads, trails = texts[0::4], texts[1::4], texts[2::4], texts[3::4]
+    parity = {(s1, s2): (parity_template % (s1, s2)).split("\0") for s1 in (1, -1) for s2 in (1, -1)}
     # The glue, head, nr and tail slots of each 2m's sectors; glue and nr are filled per level.
     slots = []
-    for two_m, sectors in basis._sector_walk(top):
-        head, tail = sector_fields(0.5 * two_m, basis._k(two_m, mu), basis._l2(two_m, mu))
+    for (_, sectors), head, tail in zip(basis._sector_walk(top), heads, tails):
         slots.append([part for s in sectors for part in ("", parity[s][0] + head, "", tail + parity[s][1])])
     nrs = [str(i // 2) for i in range(top + 1)]
-    by_level = [level_fields(basis._level_energy(level, mu)) for level in range(top + 1)]
     with _output(args.out) as stream:
         stream.write(opening)
         lists: tuple[list[str], list[str]] = ([], [])  # one part list per parity of 2m
         before = "\n"
-        for level, (lead, trail) in enumerate(by_level):
+        for level, (lead, trail) in enumerate(zip(leads, trails)):
             # Row i is glue + head + nr + tail, where the glue ends the row
             # before it; the first glue opens the level and the trail ends it.
             parts = lists[level % 2]
@@ -320,10 +332,6 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except BrokenPipeError:
-        # The reader left early, as ``| head`` does.  Point standard output at
-        # devnull, so that the flush at exit does not fail a second time.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _stdout_to_devnull()  # the reader left early, as ``| head`` does
         return 1
 

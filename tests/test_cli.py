@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -30,6 +31,7 @@ from dunkl_oscillator.basis import (
 )
 from dunkl_oscillator.cli import _fmt, main
 from dunkl_oscillator.coherent import CoherentParams, EvolutionParams, coherent_evolved
+from dunkl_oscillator.errors import DomainError
 from dunkl_oscillator.profiles import angular_wavefunction, radial_sturmian
 from dunkl_oscillator.specfun import DeformationParams
 
@@ -125,6 +127,61 @@ def test_unwritable_out_is_an_input_error(tmp_path, capsys, argv):
     assert not target.exists()
 
 
+class _FailingStdout(io.StringIO):
+    """A standard output on its own file descriptor, whose every write raises ``error``."""
+
+    def __init__(self, error, fd):
+        super().__init__()
+        self._error, self._fd = error, fd
+
+    def write(self, text):
+        raise self._error
+
+    def fileno(self):
+        return self._fd
+
+
+def _run_with_failing_stdout(capsys, monkeypatch, tmp_path, argv, error):
+    """Exit code and stderr of ``main(argv)`` writing to a ``_FailingStdout``, and whether its descriptor now discards."""
+    sink = tmp_path / "stdout"
+    with open(sink, "wb") as stand_in:
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", _FailingStdout(error, stand_in.fileno()))
+            code = main(argv)
+        os.write(stand_in.fileno(), b"flushed at exit\n")
+    return code, capsys.readouterr().err, sink.read_bytes() == b""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--emax", "6"],
+        ["spectrum", "--emax", "6", "--format", "json"],
+        ["wavefunction", "--state=+1,+1,0,2"],
+        ["verify", "--suite", "algebra"],
+        ["verify", "--suite", "algebra", "--out", "report.json"],
+    ],
+    ids=["spectrum-csv", "spectrum-json", "wavefunction", "verify", "verify-pass-line"],
+)
+def test_a_failed_write_to_standard_output_exits_two(tmp_path, capsys, monkeypatch, argv):
+    # As on `> /dev/full`.  For verify, exit 1 means failed checks; a full
+    # disk must not read as that, nor end with a traceback.  Standard output
+    # then points at devnull, so the flush at exit cannot fail a second time.
+    argv = [str(tmp_path / arg) if arg == "report.json" else arg for arg in argv]
+    code, err, discards = _run_with_failing_stdout(
+        capsys, monkeypatch, tmp_path, argv, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    )
+    assert code == 2 and discards
+    assert err == f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_a_broken_pipe_still_exits_one(tmp_path, capsys, monkeypatch):
+    code, err, discards = _run_with_failing_stdout(
+        capsys, monkeypatch, tmp_path, ["spectrum", "--emax", "6"], BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+    )
+    assert code == 1 and err == "" and discards
+
+
 @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
 @pytest.mark.parametrize(
     "argv, message",
@@ -202,6 +259,11 @@ def _spectrum_reference(emax, mu1, mu2, fmt):
         (17.0, -0.2691523058468741, 1.7477168115182542),
         (150.0, 0.3, 0.7),  # the size the spectrum benchmark writes
         (40.5, -0.45, -0.4),  # l2 < 0 at m = 1/2, one string shared by both of its sectors
+        # The edges of the spectrum benchmark's band: emax 100 and 200, mu next to -1/2 and at 3.
+        (100.0, -0.4999, -0.4999),
+        (100.0, 3.0, 3.0),
+        (200.0, -0.4999, 3.0),
+        (200.0, 3.0, 3.0),
     ],
 )
 def test_spectrum_document_equals_record_by_record_reference(capsys, emax, mu1, mu2, fmt):
@@ -230,29 +292,65 @@ def test_spectrum_bytes_equal_pinned_digests(capsys, mu1, mu2, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("fmt, fmt_calls, json_number_calls", [("csv", 599, 0), ("json", 0, 447)])
-def test_spectrum_formats_each_2m_once(capsys, monkeypatch, fmt, fmt_calls, json_number_calls):
+@pytest.mark.parametrize("fmt, header_fmt_calls", [("csv", 3), ("json", 0)])
+def test_spectrum_formats_its_numbers_in_one_call(capsys, monkeypatch, fmt, header_fmt_calls):
     # At mu1 + mu2 = 1 the top level of emax 150 is 148: 149 values of 2m and
-    # 149 levels.  CSV formats m, k and l2 per 2m, the energy per level and
-    # mu1, mu2 and emax in the header; JSON formats k and l2 per 2m and the
-    # energy per level, and writes m and the header with repr and json.dumps.
-    calls = {"_fmt": 0, "_json_number": 0}
+    # 149 levels.  One call formats m, k and l2 per 2m and the energy per
+    # level, 4 * 149 = 596 values; only CSV's header formats mu1, mu2 and emax
+    # with _fmt, where JSON's goes through json.dumps.
+    fills, header_values = [], []
+    fill, fmt_one = entry._fill, entry._fmt
 
-    def counted(name):
-        helper = getattr(entry, name)
+    def counted_fill(template, values, fmt):
+        fills.append(len(values))
+        return fill(template, values, fmt)
 
-        def wrapper(value):
-            calls[name] += 1
-            return helper(value)
+    def counted_fmt(value):
+        header_values.append(value)
+        return fmt_one(value)
 
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(entry, name, counted(name))
+    monkeypatch.setattr(entry, "_fill", counted_fill)
+    monkeypatch.setattr(entry, "_fmt", counted_fmt)
     code, out, err = _run(capsys, ["spectrum", "--emax", "150", "--mu1", "0.3", "--mu2", "0.7", "--format", fmt])
     assert code == 0 and err == ""
     assert out == _spectrum_reference(150.0, 0.3, 0.7, fmt)
-    assert calls == {"_fmt": fmt_calls, "_json_number": json_number_calls}
+    assert fills == [596] and len(header_values) == header_fmt_calls
+
+
+def _row_parts(fmt, m, k, l2, energy):
+    """The head and tail of a 2m and the lead and trail of a level, each number formatted on its own."""
+    if fmt == "csv":
+        return [f"{_fmt(m)},", f",{_fmt(k)},{_fmt(l2)},", "", _fmt(energy)]
+    k, l2, m, energy = (json.dumps(x) for x in (k, l2, m, energy))
+    return [f',\n      "k": {k},\n      "l2": {l2},\n      "m": {m},\n      "nr": ', "", f'    {{\n      "energy": {energy}', ""]
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 2.225073858507201e-308, sys.float_info.min, sys.float_info.max, -sys.float_info.max]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(_FINITE, _FINITE, _FINITE, _FINITE), max_size=6))
+@example(rows=[(x, x, x, x) for x in _EDGE_FLOATS])
+@example(rows=[])
+def test_one_fill_writes_each_float_as_fmt_and_json_dumps(rows):
+    # The one pass writes what the per-number formatting wrote, for any
+    # finite float, in each of the four places a number takes in a row.
+    for fmt in ("csv", "json"):
+        template, order, _, _ = entry._SPECTRUM_TEMPLATES[fmt]
+        values = [dict(zip(("m", "k", "l2", "energy"), row))[name] for row in rows for name in order]
+        assert entry._fill(template * len(rows), values, fmt) == [part for row in rows for part in _row_parts(fmt, *row)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(_FINITE, max_size=8), bad=st.sampled_from([math.nan, math.inf, -math.inf]), data=st.data())
+def test_one_fill_refuses_a_non_finite_float_for_json_alone(values, bad, data):
+    values = [*values]
+    values.insert(data.draw(st.integers(0, len(values))), bad)
+    with pytest.raises(DomainError) as exc:
+        entry._fill("%r\0" * len(values), values, "json")
+    assert str(exc.value) == f"output holds the non-finite number {bad}, which JSON cannot carry"
+    assert entry._fill("%.17g\0" * len(values), values, "csv") == [_fmt(x) for x in values]
 
 
 _COHERENT_ARGV = ["coherent", "--xi", "0.3,0.4", "--m", "3/2", "--mu1", "0.2", "--mu2", "2.1", "--tau", "0,0.7"]
